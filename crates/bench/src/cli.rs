@@ -29,9 +29,6 @@
 //! malformed values exit with status 2 and the usage message — a typo like
 //! `--shard 4` fails loudly instead of silently running sequentially.
 //!
-//! The legacy per-experiment binaries (`table1`, `hotpath`, …) are thin
-//! shims over [`shim`], so one dispatch table owns all argument parsing.
-//!
 //! Failures exit with the typed codes of
 //! [`BenchError`]: 2 for usage errors, 3 for
 //! protocol/handshake violations, 4 for I/O failures, 1 for everything
@@ -228,13 +225,13 @@ COMMANDS:
                           the source level: nondeterminism (R01), truncating
                           casts (R02), panics in library code (R03),
                           non-atomic artefact writes (R04), allocation in
-                          'zero-alloc'-annotated hot paths (R05), deprecated
-                          driver calls (R06). Walks the workspace (scoped by
-                          lint.toml) or just PATHS when given. Suppress a
-                          finding with '// lint: allow(RXX, reason)' on the
-                          same or previous line; a suppression without a
-                          reason is itself a finding. Exits 0 when clean,
-                          1 with findings. See ROADMAP.md 'Static analysis'.
+                          'zero-alloc'-annotated hot paths (R05). Walks the
+                          workspace (scoped by lint.toml) or just PATHS when
+                          given. Suppress a finding with
+                          '// lint: allow(RXX, reason)' on the same or
+                          previous line; a suppression without a reason is
+                          itself a finding. Exits 0 when clean, 1 with
+                          findings. See ROADMAP.md 'Static analysis'.
         --format FMT      'human' (default) or 'json' (one machine-readable
                           report document on stdout).
         --root PATH       Workspace root holding lint.toml [default: .].
@@ -249,15 +246,6 @@ exit 4; other runtime failures exit 1.
 /// the process exit code.
 pub fn main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    dispatch(&args)
-}
-
-/// Entry point for the legacy single-experiment binaries: runs `lb <name>`
-/// with the binary's own CLI arguments appended, so `table1 --quick`
-/// behaves exactly like `lb table1 --quick`.
-pub fn shim(name: &str) -> i32 {
-    let mut args = vec![name.to_string()];
-    args.extend(std::env::args().skip(1));
     dispatch(&args)
 }
 

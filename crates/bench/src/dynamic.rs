@@ -15,9 +15,7 @@
 //! ([`Session::from_snapshot`]); layer on overrides and side outputs
 //! (`.seed()`, `.shards()`, `.producer()`, `.record()`, `.checkpoint()`,
 //! `.stream()`, `.merged()`); then [`Session::run`]. Failures come back as
-//! the typed [`crate::error::BenchError`]. The former free functions
-//! (`run_scenario` … `resume_replay`) remain as deprecated shims — the
-//! migration table lives in the [crate docs](crate).
+//! the typed [`crate::error::BenchError`].
 //!
 //! Events can reach the engine six ways, all bit-identical for the same
 //! scenario and seed (`tests/ingest_equivalence.rs`,
@@ -63,7 +61,7 @@
 //! rounds.
 
 use lb_analysis::Json;
-use lb_core::continuous::{Fos, Sos};
+use lb_core::continuous::{ContinuousProcess, Fos, Sos};
 use lb_core::discrete::{
     DiscreteBalancer, DynamicBalancer, FlowImitation, RandomizedImitation, RoundEvents, TaskPicker,
 };
@@ -216,6 +214,38 @@ pub(crate) enum Engine {
     Alg2Sos(RandomizedImitation<Sos>),
 }
 
+/// The continuous models a scenario engine runs: how churn rebuilds one
+/// from scratch and how it patches one onto a same-size edge change. Only
+/// the full-rebuild constructor differs between them.
+trait Model: ContinuousProcess + Sized {
+    /// Builds the process on `graph` from scratch.
+    fn build(graph: Arc<Graph>, speeds: &Speeds) -> Result<Self, CoreError>;
+    /// This process patched onto `graph`, its own graph with `delta`
+    /// applied; bit-identical to [`Model::build`] on `graph`.
+    fn patch(&self, graph: Arc<Graph>, delta: &GraphDelta) -> Result<Self, CoreError>;
+}
+
+impl Model for Fos {
+    fn build(graph: Arc<Graph>, speeds: &Speeds) -> Result<Self, CoreError> {
+        Fos::new(graph, speeds, SCHEME)
+    }
+
+    fn patch(&self, graph: Arc<Graph>, delta: &GraphDelta) -> Result<Self, CoreError> {
+        self.patched(graph, delta)
+    }
+}
+
+impl Model for Sos {
+    /// SOS re-estimates its optimal `β` on the new graph.
+    fn build(graph: Arc<Graph>, speeds: &Speeds) -> Result<Self, CoreError> {
+        Sos::with_optimal_beta(graph, speeds, SCHEME)
+    }
+
+    fn patch(&self, graph: Arc<Graph>, delta: &GraphDelta) -> Result<Self, CoreError> {
+        self.patched(graph, delta)
+    }
+}
+
 /// Applies `$body` to the engine inside any variant.
 macro_rules! with_engine {
     ($self:expr, $e:ident => $body:expr) => {
@@ -238,25 +268,25 @@ impl Engine {
     ) -> Result<Self, CoreError> {
         Ok(match (scenario.algorithm, scenario.model) {
             (AlgorithmSpec::Alg1, ModelSpec::Fos) => Engine::Alg1Fos(FlowImitation::new(
-                Fos::new(graph, speeds, SCHEME)?,
+                Fos::build(graph, speeds)?,
                 initial,
                 speeds.clone(),
                 TaskPicker::Fifo,
             )?),
             (AlgorithmSpec::Alg1, ModelSpec::Sos) => Engine::Alg1Sos(FlowImitation::new(
-                Sos::with_optimal_beta(graph, speeds, SCHEME)?,
+                Sos::build(graph, speeds)?,
                 initial,
                 speeds.clone(),
                 TaskPicker::Fifo,
             )?),
             (AlgorithmSpec::Alg2, ModelSpec::Fos) => Engine::Alg2Fos(RandomizedImitation::new(
-                Fos::new(graph, speeds, SCHEME)?,
+                Fos::build(graph, speeds)?,
                 initial,
                 speeds.clone(),
                 seed,
             )?),
             (AlgorithmSpec::Alg2, ModelSpec::Sos) => Engine::Alg2Sos(RandomizedImitation::new(
-                Sos::with_optimal_beta(graph, speeds, SCHEME)?,
+                Sos::build(graph, speeds)?,
                 initial,
                 speeds.clone(),
                 seed,
@@ -351,36 +381,13 @@ impl Engine {
         speeds: &Speeds,
         delta: Option<&GraphDelta>,
     ) -> Result<(), CoreError> {
-        match self {
-            Engine::Alg1Fos(e) => {
-                let process = match delta {
-                    Some(d) => e.continuous().process().patched(graph, d)?,
-                    None => Fos::new(graph, speeds, SCHEME)?,
-                };
-                e.replace_topology(process)
-            }
-            Engine::Alg1Sos(e) => {
-                let process = match delta {
-                    Some(d) => e.continuous().process().patched(graph, d)?,
-                    None => Sos::with_optimal_beta(graph, speeds, SCHEME)?,
-                };
-                e.replace_topology(process)
-            }
-            Engine::Alg2Fos(e) => {
-                let process = match delta {
-                    Some(d) => e.continuous().process().patched(graph, d)?,
-                    None => Fos::new(graph, speeds, SCHEME)?,
-                };
-                e.replace_topology(process)
-            }
-            Engine::Alg2Sos(e) => {
-                let process = match delta {
-                    Some(d) => e.continuous().process().patched(graph, d)?,
-                    None => Sos::with_optimal_beta(graph, speeds, SCHEME)?,
-                };
-                e.replace_topology(process)
-            }
-        }
+        with_engine!(self, e => {
+            let process = match delta {
+                Some(d) => e.continuous().process().patch(graph, d)?,
+                None => Model::build(graph, speeds)?,
+            };
+            e.replace_topology(process)
+        })
     }
 
     /// One federated round: this part's slice of the engine, with the three
@@ -453,8 +460,7 @@ pub const DEFAULT_CHANNEL_CAPACITY: usize = 32;
 /// an absurd count must be a validation error, not a `thread::spawn` abort.
 pub const MAX_MERGE_FEEDS: usize = 64;
 
-/// Run configuration carried by a [`Session`] (and by the deprecated
-/// `run_scenario_with` shim).
+/// Run configuration carried by a [`Session`].
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Replaces the spec's seed (the CLI's `--seed`); the effective value is
@@ -880,10 +886,6 @@ enum Origin {
 ///     .run(|_| {})?;
 /// # Ok::<(), lb_bench::error::BenchError>(())
 /// ```
-///
-/// The deprecated free functions (`run_scenario` … `resume_replay`) are
-/// thin shims over this builder; the migration table lives in the
-/// [crate docs](crate).
 pub struct Session {
     origin: Origin,
     feed: Feed,
@@ -1172,80 +1174,6 @@ impl Session {
     }
 }
 
-/// Runs `scenario` with the given overrides.
-///
-/// # Errors
-///
-/// Returns the stringified [`BenchError`].
-#[deprecated(note = "use `Session::from_scenario(..).seed(..).shards(..).run(..)`")]
-pub fn run_scenario(
-    scenario: &Scenario,
-    seed_override: Option<u64>,
-    shards_override: Option<usize>,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, String> {
-    Session::from_scenario(scenario)
-        .seed(seed_override)
-        .shards(shards_override)
-        .run(on_sample)
-        .map_err(|err| err.to_string())
-}
-
-/// Runs `scenario` under `options`.
-///
-/// # Errors
-///
-/// Returns the stringified [`BenchError`].
-#[deprecated(note = "use `Session::from_scenario(..)` with builder methods")]
-pub fn run_scenario_with(
-    scenario: &Scenario,
-    options: &RunOptions,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, String> {
-    Session::from_scenario(scenario)
-        .seed(options.seed)
-        .shards(options.shards)
-        .producer(options.producer)
-        .record(options.record.clone())
-        .checkpoint(options.checkpoint.clone(), options.checkpoint_every)
-        .run(on_sample)
-        .map_err(|err| err.to_string())
-}
-
-/// Replays a recorded trace.
-///
-/// # Errors
-///
-/// Returns the stringified [`BenchError`].
-#[deprecated(note = "use `Session::from_trace(..).shards(..).run(..)`")]
-pub fn replay_trace(
-    trace: Trace,
-    shards_override: Option<usize>,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, String> {
-    Session::from_trace(trace)
-        .shards(shards_override)
-        .run(on_sample)
-        .map_err(|err| err.to_string())
-}
-
-/// Replays a live byte-stream source.
-///
-/// # Errors
-///
-/// Returns the stringified [`BenchError`].
-#[deprecated(note = "use `Session::from_stream(..).shards(..).run(..)`")]
-pub fn replay_source(
-    source: Box<dyn RoundSource>,
-    shards_override: Option<usize>,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, String> {
-    Session::from_stream(source)
-        .shards(shards_override)
-        .run(on_sample)
-        .map_err(|err| err.to_string())
-}
-
 /// Encodes one trajectory sample for the snapshot's driver payload. The
 /// `f64` fields travel as IEEE-754 bit patterns so a resumed run re-renders
 /// the restored prefix byte-identically.
@@ -1391,46 +1319,6 @@ impl ResumePoint {
             },
         ))
     }
-}
-
-/// Resumes a checkpointed run from `snapshot`.
-///
-/// # Errors
-///
-/// Returns the stringified [`BenchError`].
-#[deprecated(note = "use `Session::from_snapshot(..)` with builder methods")]
-pub fn resume_run(
-    snapshot: Snapshot,
-    options: &RunOptions,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, String> {
-    Session::from_snapshot(snapshot)
-        .seed(options.seed)
-        .shards(options.shards)
-        .producer(options.producer)
-        .record(options.record.clone())
-        .checkpoint(options.checkpoint.clone(), options.checkpoint_every)
-        .run(on_sample)
-        .map_err(|err| err.to_string())
-}
-
-/// Resumes a byte-stream replay from `snapshot`.
-///
-/// # Errors
-///
-/// Returns the stringified [`BenchError`].
-#[deprecated(note = "use `Session::from_snapshot(..).stream(..).shards(..).run(..)`")]
-pub fn resume_replay(
-    snapshot: Snapshot,
-    source: Box<dyn RoundSource>,
-    shards_override: Option<usize>,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, String> {
-    Session::from_snapshot(snapshot)
-        .stream(source)
-        .shards(shards_override)
-        .run(on_sample)
-        .map_err(|err| err.to_string())
 }
 
 /// What drives a run's event stream (internal face of [`Session`]).

@@ -141,8 +141,7 @@ impl ContinuousProcess for Fos {
         let mut fu = [0.0f64; LANES];
         let mut fv = [0.0f64; LANES];
         let mut k = 0usize;
-        for (pair_chunk, alpha_chunk) in pairs.chunks_exact(LANES).zip(alphas.chunks_exact(LANES))
-        {
+        for (pair_chunk, alpha_chunk) in pairs.chunks_exact(LANES).zip(alphas.chunks_exact(LANES)) {
             for (i, &(u, v)) in pair_chunk.iter().enumerate() {
                 xu[i] = x[u];
                 su[i] = self.speeds[u];
@@ -179,7 +178,8 @@ mod tests {
         let speeds = Speeds::uniform(3);
         let mut fos = Fos::new(g, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
         let x = vec![6.0, 0.0, 0.0];
-        let flows = fos.compute_flows(0, &x);
+        let mut flows = vec![EdgeFlow::default(); fos.graph().edge_count()];
+        fos.compute_flows_into(0, &x, &mut flows);
         // Edge (0,1): alpha = 1/(2+1) = 1/3, so forward = 2.0, backward = 0.
         let e01 = fos.graph().edge_between(0, 1).unwrap();
         assert!((flows[e01].forward - 2.0).abs() < 1e-12);

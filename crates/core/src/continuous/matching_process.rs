@@ -159,9 +159,10 @@ pub struct RandomMatching {
     graph: Arc<Graph>,
     speeds: Vec<f64>,
     rng: StdRng,
-    /// Matchings generated so far, by round; `compute_flows(t)` replays the
-    /// recorded matching when called for a round that was already generated
-    /// (e.g. by a coupled twin) and extends the history otherwise.
+    /// Matchings generated so far, by round; `compute_flows_into(t, ..)`
+    /// replays the recorded matching when called for a round that was
+    /// already generated (e.g. by a coupled twin) and extends the history
+    /// otherwise.
     history: Vec<Matching>,
     name: String,
 }

@@ -19,9 +19,7 @@
 //! writes into a caller-owned buffer. Implementations must not allocate in
 //! steady state (after any lazily initialised internal state has warmed up),
 //! so that [`ContinuousRunner::step`] — and with it the whole simulation
-//! round of the discretizers — runs without touching the heap. The
-//! allocating [`ContinuousProcess::compute_flows`] wrapper is retained for
-//! convenience and tests.
+//! round of the discretizers — runs without touching the heap.
 
 mod fos;
 mod matching_process;
@@ -31,7 +29,9 @@ pub use fos::Fos;
 pub use matching_process::{DimensionExchange, RandomMatching};
 pub use sos::Sos;
 
-use lb_graph::Graph;
+use crate::shard::{ShardPool, SharedSliceMut};
+use lb_graph::{EdgeId, Graph};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Gross flows over one undirected edge `(u, v)` (canonical orientation,
@@ -69,9 +69,9 @@ impl EdgeFlow {
 /// # Implementing the buffer-reuse kernel
 ///
 /// [`compute_flows_into`] receives `out` with exactly
-/// `self.graph().edge_count()` slots, indexed by canonical
-/// [`EdgeId`](lb_graph::EdgeId), and must overwrite **every** slot (stale
-/// contents from the previous round are visible otherwise). Implementations
+/// `self.graph().edge_count()` slots, indexed by canonical [`EdgeId`], and
+/// must overwrite **every** slot (stale contents from the previous round
+/// are visible otherwise). Implementations
 /// must not allocate per call in steady state — keep any history (e.g. SOS's
 /// previous flows) in pre-sized buffers owned by the process.
 ///
@@ -100,15 +100,6 @@ pub trait ContinuousProcess {
     /// `out` has length `self.graph().edge_count()`; every entry must be
     /// overwritten. This is the zero-allocation hot-path kernel.
     fn compute_flows_into(&mut self, t: usize, x: &[f64], out: &mut [EdgeFlow]);
-
-    /// Allocating convenience wrapper around
-    /// [`compute_flows_into`](ContinuousProcess::compute_flows_into),
-    /// retained for tests and exploratory code.
-    fn compute_flows(&mut self, t: usize, x: &[f64]) -> Vec<EdgeFlow> {
-        let mut out = vec![EdgeFlow::default(); self.graph().edge_count()];
-        self.compute_flows_into(t, x, &mut out);
-        out
-    }
 
     /// Whether this process implements the sharded kernel protocol
     /// ([`compute_flows_range`](ContinuousProcess::compute_flows_range) /
@@ -304,20 +295,16 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
     pub fn step(&mut self) -> &[EdgeFlow] {
         self.process
             .compute_flows_into(self.round, &self.loads, &mut self.flow_buf);
-        let graph = self.process.graph();
-        debug_assert_eq!(self.flow_buf.len(), graph.edge_count());
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
-            let net = self.flow_buf[e].net();
-            self.loads[u] -= net;
-            self.loads[v] += net;
-            self.cumulative_flow[e] += net;
-        }
-        let mut round_min = f64::INFINITY;
-        for &x in &self.loads {
-            round_min = round_min.min(x);
-        }
-        self.round += 1;
-        self.min_load_seen = self.min_load_seen.min(round_min);
+        let round_min = apply_flows(
+            self.process.graph(),
+            &self.flow_buf,
+            0..self.loads.len(),
+            &[],
+            0..self.flow_buf.len(),
+            &mut self.loads,
+            &mut self.cumulative_flow,
+        );
+        self.finish_round(round_min);
         &self.flow_buf
     }
 
@@ -347,67 +334,34 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
         if !self.process.supports_sharding() || exec.shard_count() == 1 {
             return self.step();
         }
-        let t = self.round;
-        // Phase A (parallel): kernel over disjoint canonical edge ranges.
-        {
-            let process = &self.process;
-            let loads = &self.loads[..];
-            let flow = crate::shard::SharedSliceMut::new(&mut self.flow_buf);
-            let (pool, plan, _) = exec.split();
-            pool.run(|s| {
-                let range = plan.edge_range(s);
-                if range.is_empty() {
-                    return;
-                }
-                // SAFETY: edge ranges are disjoint across shards.
-                let out = unsafe { flow.range_mut(range.clone()) };
-                process.compute_flows_range(t, loads, range, out);
-            });
-        }
-        self.process.commit_flows(t, &self.flow_buf);
-        // Phase B (parallel): apply flows to own loads (CSR incident order ==
-        // canonical edge order, so the f64 op sequence per load entry matches
-        // the sequential step exactly) and accumulate own edge ledgers.
+        let (pool, plan, scratch) = exec.split();
+        self.compute_chunks(pool, |s| plan.edge_range(s));
+        self.process.commit_flows(self.round, &self.flow_buf);
         {
             let graph = self.process.graph();
             let flows = &self.flow_buf[..];
-            let loads = crate::shard::SharedSliceMut::new(&mut self.loads);
-            let cumulative = crate::shard::SharedSliceMut::new(&mut self.cumulative_flow);
-            let (pool, plan, scratch) = exec.split();
+            let loads = SharedSliceMut::new(&mut self.loads);
+            let cumulative = SharedSliceMut::new(&mut self.cumulative_flow);
             pool.run(|s| {
+                let (nodes, owned) = (plan.node_range(s), plan.edge_range(s));
+                let incident = plan.incident(s);
+                let incoming = &incident[..incident.partition_point(|&e| e < owned.start)];
                 // SAFETY: scratch cell, node range and edge range all belong
                 // to shard `s` alone.
-                let scratch = unsafe { &mut *scratch[s].get() };
-                let nodes = plan.node_range(s);
-                let loads_s = unsafe { loads.range_mut(nodes.clone()) };
-                for (k, i) in nodes.clone().enumerate() {
-                    for (neighbor, e) in graph.neighbors_with_edges(i) {
-                        let net = flows[e].net();
-                        if i < neighbor {
-                            loads_s[k] -= net;
-                        } else {
-                            loads_s[k] += net;
-                        }
-                    }
-                }
-                let edges = plan.edge_range(s);
-                let cumulative_s = unsafe { cumulative.range_mut(edges.clone()) };
-                for (k, e) in edges.enumerate() {
-                    cumulative_s[k] += flows[e].net();
-                }
-                let mut min = f64::INFINITY;
-                for &x in loads_s.iter() {
-                    min = min.min(x);
-                }
-                scratch.min_load = min;
+                let (scratch, loads, totals) = unsafe {
+                    (
+                        &mut *scratch[s].get(),
+                        loads.range_mut(nodes.clone()),
+                        cumulative.range_mut(owned.clone()),
+                    )
+                };
+                scratch.min_load = apply_flows(graph, flows, nodes, incoming, owned, loads, totals);
             });
         }
-        self.round += 1;
-        let mut round_min = f64::INFINITY;
-        for scratch in exec.shard_results() {
-            round_min = round_min.min(scratch.min_load);
-        }
-        self.min_load_seen = self.min_load_seen.min(round_min);
+        let round_min = exec
+            .shard_results()
+            .fold(f64::INFINITY, |min, scratch| min.min(scratch.min_load));
+        self.finish_round(round_min);
         &self.flow_buf
     }
 
@@ -425,10 +379,10 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] when the process does not
-    /// implement the sharded kernel protocol (federation needs
-    /// [`compute_flows_range`](ContinuousProcess::compute_flows_range) as its
-    /// isolation seam), and propagates link failures as
+    /// Returns [`CoreError::InvalidParameter`](crate::CoreError) when the
+    /// process does not implement the sharded kernel protocol (federation
+    /// needs [`compute_flows_range`](ContinuousProcess::compute_flows_range)
+    /// as its isolation seam), and propagates link failures as
     /// [`CoreError::Federation`](crate::CoreError).
     pub fn step_federated(
         &mut self,
@@ -446,7 +400,6 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
             )));
         }
         fed.ensure_plan(&self.process.shared_graph())?;
-        let t = self.round;
 
         // Boundary-loads exchange: publish own boundary entries, refresh the
         // remote ones the kernel will read on crossing edges.
@@ -457,31 +410,9 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
         let incoming = link.exchange_loads(&fed.loads_out)?;
         crate::federate::apply_load_entries(&mut self.loads, &incoming)?;
 
-        // Phase A: kernel over the owned canonical edge range, chunked
-        // across the intra-part shards.
-        if fed.shard_count() == 1 {
-            let range = fed.plan.edge_range();
-            self.process.compute_flows_range(
-                t,
-                &self.loads,
-                range.clone(),
-                &mut self.flow_buf[range],
-            );
-        } else {
-            let process = &self.process;
-            let loads = &self.loads[..];
-            let flow = crate::shard::SharedSliceMut::new(&mut self.flow_buf);
-            let fed_ref = &*fed;
-            fed_ref.pool.run(|c| {
-                let range = fed_ref.kernel_chunk(c);
-                if range.is_empty() {
-                    return;
-                }
-                // SAFETY: kernel chunks are disjoint across shards.
-                let out = unsafe { flow.range_mut(range.clone()) };
-                process.compute_flows_range(t, loads, range, out);
-            });
-        }
+        // Phase A over the owned canonical edge range, chunked across the
+        // intra-part shards.
+        self.compute_chunks(&fed.pool, |c| fed.kernel_chunk(c));
 
         // Crossing-flows exchange: publish own crossing edges, receive the
         // flows remote owners computed for edges incident to this part.
@@ -498,32 +429,56 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
             })?;
             *slot = EdgeFlow::new(f64::from_bits(forward), f64::from_bits(backward));
         }
-        self.process.commit_flows(t, &self.flow_buf);
+        self.process.commit_flows(self.round, &self.flow_buf);
 
-        // Phase B: apply flows to owned loads (CSR incident order == canonical
-        // edge order) and accumulate incident edge ledgers. Both endpoints of
-        // a crossing edge accumulate identical ledger bits.
-        let graph = self.process.graph();
-        for i in fed.plan.node_range() {
-            for (neighbor, e) in graph.neighbors_with_edges(i) {
-                let net = self.flow_buf[e].net();
-                if i < neighbor {
-                    self.loads[i] -= net;
-                } else {
-                    self.loads[i] += net;
-                }
-            }
-        }
-        for &e in fed.plan.incident() {
+        // Phase B over the owned nodes. Incoming crossing edges accumulate
+        // their ledgers here too: both endpoints of a crossing edge hold
+        // identical ledger bits.
+        let (nodes, owned) = (fed.plan.node_range(), fed.plan.edge_range());
+        let incident = fed.plan.incident();
+        let incoming = &incident[..incident.partition_point(|&e| e < owned.start)];
+        for &e in incoming {
             self.cumulative_flow[e] += self.flow_buf[e].net();
         }
-        self.round += 1;
-        let mut round_min = f64::INFINITY;
-        for &x in &self.loads[fed.plan.node_range()] {
-            round_min = round_min.min(x);
-        }
-        self.min_load_seen = self.min_load_seen.min(round_min);
+        let round_min = apply_flows(
+            self.process.graph(),
+            &self.flow_buf,
+            nodes.clone(),
+            incoming,
+            owned.clone(),
+            &mut self.loads[nodes],
+            &mut self.cumulative_flow[owned],
+        );
+        self.finish_round(round_min);
         Ok(())
+    }
+
+    /// Phase A fan-out for the sharded and federated steps: worker `s` of
+    /// `pool` computes the round's flows of the canonical edges `chunk(s)`
+    /// with the read-only range kernel. Chunks must be disjoint.
+    // lint: zero-alloc
+    fn compute_chunks(&mut self, pool: &ShardPool, chunk: impl Fn(usize) -> Range<usize> + Sync)
+    where
+        A: Sync,
+    {
+        let (t, process, loads) = (self.round, &self.process, &self.loads[..]);
+        let flow = SharedSliceMut::new(&mut self.flow_buf);
+        pool.run(|s| {
+            let range = chunk(s);
+            if range.is_empty() {
+                return;
+            }
+            // SAFETY: chunks are disjoint across workers.
+            let out = unsafe { flow.range_mut(range.clone()) };
+            process.compute_flows_range(t, loads, range, out);
+        });
+    }
+
+    /// Closes a round whose loads bottomed out at `round_min`.
+    // lint: zero-alloc
+    fn finish_round(&mut self, round_min: f64) {
+        self.round += 1;
+        self.min_load_seen = self.min_load_seen.min(round_min);
     }
 
     /// Captures the runner's state for an engine snapshot: loads, cumulative
@@ -604,6 +559,7 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
+    #[inline]
     pub fn adjust_load(&mut self, i: usize, delta: f64) {
         self.loads[i] += delta;
         self.min_load_seen = self.min_load_seen.min(self.loads[i]);
@@ -635,6 +591,42 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
             .zip(speeds)
             .all(|(&x, &s)| (x - total_load * s / total_speed).abs() <= tolerance)
     }
+}
+
+/// Phase B for one node range, shared by all three runner steps: applies
+/// the round's `flows` to `loads`, the loads of the nodes in `nodes`, and
+/// accumulates `totals`, the ledger entries of the range's own canonical
+/// edges `owned` (those whose lower endpoint lies in the range). `incoming`
+/// lists, ascending, the edges whose lower endpoint lies below the range and
+/// whose upper endpoint lies in it; every id in it is below `owned.start`.
+/// Walking `incoming` and then `owned` visits each node's edges in
+/// canonical order, so every load sees the sequential float-op sequence
+/// whatever range it falls in. Returns the range's minimum load afterwards.
+// lint: zero-alloc
+fn apply_flows(
+    graph: &Graph,
+    flows: &[EdgeFlow],
+    nodes: Range<usize>,
+    incoming: &[EdgeId],
+    owned: Range<EdgeId>,
+    loads: &mut [f64],
+    totals: &mut [f64],
+) -> f64 {
+    let edges = graph.edges();
+    let lo = nodes.start;
+    for &e in incoming {
+        loads[edges[e].1 - lo] += flows[e].net();
+    }
+    for (total, e) in totals.iter_mut().zip(owned) {
+        let (u, v) = edges[e];
+        let net = flows[e].net();
+        loads[u - lo] -= net;
+        if v < nodes.end {
+            loads[v - lo] += net;
+        }
+        *total += net;
+    }
+    loads.iter().fold(f64::INFINITY, |min, &x| min.min(x))
 }
 
 #[cfg(test)]
@@ -680,16 +672,17 @@ mod tests {
     }
 
     #[test]
-    fn compute_flows_shim_matches_kernel() {
+    fn kernel_overwrites_every_slot() {
         let g = generators::torus(3, 3).unwrap();
         let speeds = Speeds::uniform(9);
         let x: Vec<f64> = (0..9).map(|i| (i * 5 % 7) as f64).collect();
         let mut a = Fos::new(g.clone(), &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
         let mut b = Fos::new(g, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
-        let via_shim = a.compute_flows(0, &x);
-        let mut via_kernel = vec![EdgeFlow::new(9.9, 9.9); via_shim.len()];
-        b.compute_flows_into(0, &x, &mut via_kernel);
-        assert_eq!(via_shim, via_kernel, "kernel must overwrite every slot");
+        let mut from_zero = vec![EdgeFlow::default(); a.graph().edge_count()];
+        a.compute_flows_into(0, &x, &mut from_zero);
+        let mut from_stale = vec![EdgeFlow::new(9.9, 9.9); from_zero.len()];
+        b.compute_flows_into(0, &x, &mut from_stale);
+        assert_eq!(from_zero, from_stale, "kernel must overwrite every slot");
     }
 
     #[test]

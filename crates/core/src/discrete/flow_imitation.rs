@@ -14,20 +14,25 @@
 //!
 //! # Hot path
 //!
-//! [`FlowImitation::step`] is allocation-free in steady state: per-node
-//! storage is a [`TaskQueue`] (O(1) FIFO pops, O(log k) heap pops instead of
-//! the O(k) scan + O(k) `Vec::remove` of the seed implementation), delivery
-//! buffers are owned by the struct and reused, and the topology is shared
-//! with the twin through one `Arc<Graph>`.
+//! The per-edge rule is written once, as [`Alg1`]'s [`SendRule`]; the
+//! sequential, sharded and federated steps all run it through the shared
+//! engine in [`super::imitation`]. [`FlowImitation::step`] is
+//! allocation-free in steady state: per-node storage is a [`TaskQueue`]
+//! (O(1) FIFO pops, O(log k) heap pops), the outbox is owned by the engine
+//! and reused, and the topology is shared with the twin through one
+//! `Arc<Graph>`.
 
 use super::dynamic::{DynamicBalancer, EventReport, RoundEvents};
+use super::imitation::{Deficits, Holding, Imitation, SendRule, Senders, Tally};
 use super::DiscreteBalancer;
 use crate::continuous::{ContinuousProcess, ContinuousRunner};
 use crate::error::CoreError;
+use crate::federate::{FederateLink, FederatedExecutor, SendBatch};
 use crate::load::InitialLoad;
+use crate::shard::ShardedExecutor;
 use crate::task::{Speeds, Task, TaskQueue, Weight};
-use lb_graph::{Graph, NodeId};
-use std::sync::Arc;
+use lb_graph::{EdgeId, Graph, NodeId};
+use std::ops::Range;
 
 pub use crate::task::TaskPicker;
 
@@ -60,31 +65,10 @@ pub use crate::task::TaskPicker;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlowImitation<A: ContinuousProcess> {
-    twin: ContinuousRunner<A>,
-    graph: Arc<Graph>,
-    speeds: Speeds,
-    /// Real (workload) tasks currently held by each node, with incremental
-    /// per-node weight totals.
-    queues: Vec<TaskQueue>,
-    /// Unit-weight dummy load currently held by each node.
-    dummy: Vec<u64>,
-    /// Cumulative net discrete flow along each canonical edge orientation.
-    discrete_flow: Vec<i64>,
+    /// The shared engine; each node's holdings are a [`TaskQueue`].
+    core: Imitation<A, TaskQueue>,
     wmax: Weight,
     picker: TaskPicker,
-    round: usize,
-    dummy_created: u64,
-    /// Total items (real tasks + dummy units) moved over edges so far.
-    items_sent: u64,
-    name: String,
-    /// Reused per-round scratch: pending real-task deliveries.
-    pending_tasks: Vec<(NodeId, Task)>,
-    /// Reused per-round scratch: pending dummy deliveries per node.
-    pending_dummy: Vec<u64>,
-    /// Total weight injected by dynamic arrival events.
-    arrived_weight: u64,
-    /// Total weight drained by dynamic completion events.
-    completed_weight: u64,
 }
 
 impl<A: ContinuousProcess> FlowImitation<A> {
@@ -103,47 +87,12 @@ impl<A: ContinuousProcess> FlowImitation<A> {
         speeds: Speeds,
         picker: TaskPicker,
     ) -> Result<Self, CoreError> {
-        let graph = process.shared_graph();
-        let n = graph.node_count();
-        if initial.node_count() != n {
-            return Err(CoreError::invalid_parameter(format!(
-                "initial load has {} nodes, graph has {n}",
-                initial.node_count()
-            )));
-        }
-        if speeds.len() != n {
-            return Err(CoreError::invalid_parameter(format!(
-                "speeds vector has {} entries, graph has {n} nodes",
-                speeds.len()
-            )));
-        }
-        let wmax = initial.max_weight();
-        let name = format!("alg1({})", process.name());
-        let twin = ContinuousRunner::new(process, initial.load_vector_f64());
-        let m = graph.edge_count();
-        let queues = initial
-            .clone()
-            .into_tasks()
-            .into_iter()
-            .map(|tasks| TaskQueue::with_tasks(picker, tasks))
-            .collect();
+        let queues = initial.clone().into_tasks().into_iter();
+        let queues = queues.map(|tasks| TaskQueue::with_tasks(picker, tasks));
         Ok(FlowImitation {
-            twin,
-            graph,
-            speeds,
-            queues,
-            dummy: vec![0; n],
-            discrete_flow: vec![0; m],
-            wmax,
+            core: Imitation::new("alg1", process, initial, speeds, queues.collect())?,
+            wmax: initial.max_weight(),
             picker,
-            round: 0,
-            dummy_created: 0,
-            items_sent: 0,
-            name,
-            pending_tasks: Vec::new(),
-            pending_dummy: vec![0; n],
-            arrived_weight: 0,
-            completed_weight: 0,
         })
     }
 
@@ -167,53 +116,8 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     ///
     /// Returns [`CoreError::InvalidParameter`] if the new graph is empty.
     pub fn replace_topology(&mut self, process: A) -> Result<(), CoreError> {
-        let graph = process.shared_graph();
-        let n = graph.node_count();
-        if n == 0 {
-            return Err(CoreError::invalid_parameter(
-                "cannot replace topology with an empty graph",
-            ));
-        }
-        // Orphaned tasks and dummies (nodes beyond the new n) move to node 0.
-        while self.queues.len() > n {
-            // lint: allow(R03, non-empty by the loop condition)
-            let mut orphan = self.queues.pop().expect("len checked above");
-            while let Some(task) = orphan.pop() {
-                self.queues[0].push(task);
-            }
-            // lint: allow(R03, dummy mirrors queues length by construction)
-            let dummies = self.dummy.pop().expect("dummy tracks queues");
-            self.dummy[0] += dummies;
-        }
-        while self.queues.len() < n {
-            self.queues.push(TaskQueue::new(self.picker));
-            self.dummy.push(0);
-        }
-        // Speeds follow the same carry-over rule: truncate or pad with the
-        // unit speed. A same-size rewire carries speeds through untouched.
-        if self.speeds.len() != n {
-            let mut speed_values = self.speeds.as_slice().to_vec();
-            speed_values.resize(n, 1);
-            // lint: allow(R03, carried values validated positive at admission)
-            self.speeds = Speeds::new(speed_values).expect("carried speeds stay positive");
-        }
-        // The twin restarts from the current discrete loads (real + dummy),
-        // and both cumulative-flow ledgers reset together.
-        self.name = format!("alg1({})", process.name());
-        self.twin.rebind(
-            process,
-            self.queues
-                .iter()
-                .zip(&self.dummy)
-                .map(|(queue, &d)| (queue.total_weight() + d) as f64),
-        );
-        self.graph = graph;
-        self.discrete_flow.clear();
-        self.discrete_flow.resize(self.graph.edge_count(), 0);
-        self.pending_tasks.clear();
-        self.pending_dummy.clear();
-        self.pending_dummy.resize(n, 0);
-        Ok(())
+        let picker = self.picker;
+        self.core.rebind(process, || TaskQueue::new(picker))
     }
 
     /// The maximum task weight `w_max` the discretization assumes.
@@ -228,24 +132,24 @@ impl<A: ContinuousProcess> FlowImitation<A> {
 
     /// The continuous twin being imitated.
     pub fn continuous(&self) -> &ContinuousRunner<A> {
-        &self.twin
+        &self.core.twin
     }
 
     /// Total dummy load created from the infinite source so far.
     pub fn dummy_created(&self) -> u64 {
-        self.dummy_created
+        self.core.dummy_created
     }
 
     /// Per-node dummy holdings. In a federated partition only the owned
     /// entries are authoritative (foreign slots are stale); a sampler must
     /// slice its own node range.
     pub fn dummy_holdings(&self) -> &[u64] {
-        &self.dummy
+        &self.core.dummy
     }
 
     /// Total items (real tasks and dummy units) sent over edges so far.
     pub fn items_sent(&self) -> u64 {
-        self.items_sent
+        self.core.items_sent
     }
 
     /// Per-node loads *excluding* dummy load (the real workload only).
@@ -253,10 +157,7 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     /// Each entry is O(1): the queues maintain their totals incrementally,
     /// so sampling this inside an experiment loop costs O(n), not O(n·k).
     pub fn real_loads(&self) -> Vec<f64> {
-        self.queues
-            .iter()
-            .map(|queue| queue.total_weight() as f64)
-            .collect()
+        self.core.real_loads()
     }
 
     /// A snapshot of the tasks currently held by node `i` (dummy load not
@@ -266,7 +167,7 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     ///
     /// Panics if `i` is out of range.
     pub fn tasks_of(&self, i: NodeId) -> Vec<Task> {
-        self.queues[i].iter().copied().collect()
+        self.core.held[i].iter().copied().collect()
     }
 
     /// Number of tasks currently held by node `i` (dummy load not included).
@@ -275,19 +176,14 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     ///
     /// Panics if `i` is out of range.
     pub fn task_count_of(&self, i: NodeId) -> usize {
-        self.queues[i].len()
+        self.core.held[i].len()
     }
 
     /// Maximum absolute per-edge deviation `|e_e(t)| = |f^A_e(t) − f^D_e(t)|`
     /// between the continuous and discrete cumulative flows. Observation 4
     /// guarantees this stays below `w_max`.
     pub fn max_flow_deviation(&self) -> f64 {
-        self.twin
-            .cumulative_flows()
-            .iter()
-            .zip(&self.discrete_flow)
-            .map(|(&fa, &fd)| (fa - fd as f64).abs())
-            .fold(0.0, f64::max)
+        self.core.max_flow_deviation()
     }
 
     /// Captures the engine's full state at a between-rounds boundary (the
@@ -295,27 +191,22 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     /// only — allocates freely; rounds between checkpoints stay
     /// allocation-free.
     pub fn capture(&self) -> crate::snapshot::EngineState {
-        debug_assert!(self.pending_tasks.is_empty(), "capture between rounds only");
-        let queues = self
-            .queues
-            .iter()
-            .map(|queue| {
-                let (next_seq, entries) = queue.snapshot();
-                crate::snapshot::QueueState { next_seq, entries }
-            })
-            .collect();
+        let queues = self.core.held.iter().map(|queue| {
+            let (next_seq, entries) = queue.snapshot();
+            crate::snapshot::QueueState { next_seq, entries }
+        });
         crate::snapshot::EngineState {
-            round: self.round as u64,
-            twin: self.twin.capture(),
+            round: self.core.round as u64,
+            twin: self.core.twin.capture(),
             discrete: crate::snapshot::DiscreteState::Alg1(crate::snapshot::Alg1State {
-                queues,
-                dummy: self.dummy.clone(),
-                discrete_flow: self.discrete_flow.clone(),
+                queues: queues.collect(),
+                dummy: self.core.dummy.clone(),
+                discrete_flow: self.core.discrete_flow.clone(),
                 wmax: self.wmax,
-                dummy_created: self.dummy_created,
-                items_sent: self.items_sent,
-                arrived_weight: self.arrived_weight,
-                completed_weight: self.completed_weight,
+                dummy_created: self.core.dummy_created,
+                items_sent: self.core.items_sent,
+                arrived_weight: self.core.arrived_weight,
+                completed_weight: self.core.completed_weight,
             }),
         }
     }
@@ -340,167 +231,60 @@ impl<A: ContinuousProcess> FlowImitation<A> {
                 "snapshot carries Algorithm 2 state but the engine runs Algorithm 1",
             ));
         };
-        let n = self.graph.node_count();
-        let m = self.graph.edge_count();
-        if alg1.queues.len() != n || alg1.dummy.len() != n {
-            return Err(SnapshotError::mismatch(format!(
-                "snapshot has {} node entries, graph has {n} nodes",
-                alg1.queues.len()
-            )));
-        }
-        if alg1.discrete_flow.len() != m {
-            return Err(SnapshotError::mismatch(format!(
-                "snapshot flow ledger has {} entries, graph has {m} edges",
-                alg1.discrete_flow.len()
-            )));
-        }
-        self.twin.restore(&state.twin)?;
-        let queues = alg1
-            .queues
-            .iter()
-            .enumerate()
-            .map(|(node, queue)| {
-                TaskQueue::restore(self.picker, queue.next_seq, &queue.entries)
-                    .map_err(|e| SnapshotError::mismatch(format!("queue of node {node}: {e}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        self.queues = queues;
-        self.dummy.copy_from_slice(&alg1.dummy);
-        self.discrete_flow.copy_from_slice(&alg1.discrete_flow);
+        let core = &mut self.core;
+        core.check_shape(
+            alg1.queues.len(),
+            alg1.dummy.len(),
+            alg1.discrete_flow.len(),
+        )?;
+        core.twin.restore(&state.twin)?;
+        let queues = alg1.queues.iter().enumerate().map(|(node, queue)| {
+            TaskQueue::restore(self.picker, queue.next_seq, &queue.entries)
+                .map_err(|e| SnapshotError::mismatch(format!("queue of node {node}: {e}")))
+        });
+        core.held = queues.collect::<Result<Vec<_>, _>>()?;
+        core.dummy.copy_from_slice(&alg1.dummy);
+        core.discrete_flow.copy_from_slice(&alg1.discrete_flow);
         self.wmax = alg1.wmax;
-        self.round = state.round as usize;
-        self.dummy_created = alg1.dummy_created;
-        self.items_sent = alg1.items_sent;
-        self.arrived_weight = alg1.arrived_weight;
-        self.completed_weight = alg1.completed_weight;
-        self.pending_tasks.clear();
-        self.pending_dummy.clear();
-        self.pending_dummy.resize(n, 0);
+        core.round = state.round as usize;
+        core.dummy_created = alg1.dummy_created;
+        core.items_sent = alg1.items_sent;
+        core.arrived_weight = alg1.arrived_weight;
+        core.completed_weight = alg1.completed_weight;
         Ok(())
     }
 
     /// Sharded [`step`](DiscreteBalancer::step): the twin advances through
-    /// [`ContinuousRunner::step_sharded`], then each shard worker forwards
-    /// tasks over the edges whose **sender** lies in its node range (so all
-    /// pops from one queue happen on one thread, in canonical edge order —
-    /// exactly the sequential pop sequence), appending deliveries to
-    /// per-shard outboxes. The apply phase drains the outboxes with task
-    /// deliveries merged back into global edge order, making the whole round
-    /// **bit-identical** to [`step`](DiscreteBalancer::step) for every shard
-    /// count.
+    /// [`ContinuousRunner::step_sharded`], then each shard runs the send
+    /// rule over the edges incident to its node range for the senders it
+    /// owns (so all pops from one queue happen on one thread, in canonical
+    /// edge order — exactly the sequential pop sequence) into its own
+    /// outbox. Delivery merges the outboxes back into global edge order,
+    /// making the round **bit-identical** to
+    /// [`step`](DiscreteBalancer::step) for every shard count.
     ///
     /// The executor rebinds itself to the engine's current topology (plan
     /// rebuild after [`replace_topology`](FlowImitation::replace_topology)
     /// happens on the next sharded step). Steady-state calls on an unchanged
     /// topology do not allocate once the outboxes have warmed up.
-    // lint: zero-alloc
-    pub fn step_sharded(&mut self, exec: &mut crate::shard::ShardedExecutor)
+    pub fn step_sharded(&mut self, exec: &mut ShardedExecutor)
     where
         A: Sync,
     {
-        exec.ensure_plan(&self.graph);
-        if exec.shard_count() == 1 {
-            self.step();
-            return;
-        }
-        self.twin.step_sharded(exec);
-
-        let wmax = self.wmax as f64;
-        {
-            let continuous_flow = self.twin.cumulative_flows();
-            let discrete_flow = &self.discrete_flow[..];
-            let graph = &*self.graph;
-            let queues = crate::shard::SharedSliceMut::new(&mut self.queues);
-            let dummy = crate::shard::SharedSliceMut::new(&mut self.dummy);
-            let (pool, plan, scratch) = exec.split();
-            pool.run(|s| {
-                // SAFETY: scratch cell and node range belong to shard `s`
-                // alone; node ranges partition `0..n`.
-                let scratch = unsafe { &mut *scratch[s].get() };
-                scratch.task_out.clear();
-                scratch.dummy_out.clear();
-                scratch.flow_out.clear();
-                scratch.items_sent = 0;
-                scratch.dummy_created = 0;
-                let nodes = plan.node_range(s);
-                if nodes.is_empty() {
-                    return;
-                }
-                let lo = nodes.start;
-                let queues_s = unsafe { queues.range_mut(nodes.clone()) };
-                let dummy_s = unsafe { dummy.range_mut(nodes.clone()) };
-                let edges = graph.edges();
-                for &e in plan.incident(s) {
-                    let (u, v) = edges[e];
-                    let deficit = continuous_flow[e] - discrete_flow[e] as f64;
-                    let (sender, receiver, magnitude, sign) = if deficit >= 0.0 {
-                        (u, v, deficit, 1i64)
-                    } else {
-                        (v, u, -deficit, -1i64)
-                    };
-                    // Exactly one of the (up to two) shards incident to this
-                    // edge owns the sender and processes it.
-                    if !nodes.contains(&sender) {
-                        continue;
-                    }
-                    let mut moved: u64 = 0;
-                    let mut dummy_moved: u64 = 0;
-                    while magnitude - moved as f64 >= wmax {
-                        if let Some(task) = queues_s[sender - lo].pop() {
-                            moved += task.weight();
-                            scratch.task_out.push((e, receiver, task));
-                        } else {
-                            if dummy_s[sender - lo] > 0 {
-                                dummy_s[sender - lo] -= 1;
-                            } else {
-                                scratch.dummy_created += 1;
-                            }
-                            moved += 1;
-                            dummy_moved += 1;
-                        }
-                        scratch.items_sent += 1;
-                    }
-                    if dummy_moved > 0 {
-                        scratch.dummy_out.push((receiver, dummy_moved));
-                    }
-                    if moved > 0 {
-                        scratch.flow_out.push((e, sign * moved as i64));
-                    }
-                }
-            });
-        }
-        // Apply phase: task deliveries in global edge order (the order the
-        // sequential engine filled `pending_tasks` in), then the additive
-        // effects, whose order cannot be observed.
-        exec.drain_merged_tasks(|receiver, task| self.queues[receiver].push(task));
-        let mut items_sent = 0;
-        let mut dummy_created = 0;
-        for scratch in exec.shard_results() {
-            for &(e, delta) in &scratch.flow_out {
-                self.discrete_flow[e] += delta;
-            }
-            for &(receiver, amount) in &scratch.dummy_out {
-                self.dummy[receiver] += amount;
-            }
-            items_sent += scratch.items_sent;
-            dummy_created += scratch.dummy_created;
-        }
-        self.items_sent += items_sent;
-        self.dummy_created += dummy_created;
-        self.round += 1;
+        self.core.step_sharded(exec, &self.rule());
     }
 
     /// Federated [`step`](DiscreteBalancer::step): this engine instance owns
     /// one contiguous node range of a larger simulation and exchanges three
     /// payloads per round over `link` (boundary twin loads, crossing-edge
     /// flows, cross-partition deliveries). The twin advances through
-    /// [`ContinuousRunner::step_federated`](crate::continuous::ContinuousRunner::step_federated),
-    /// then this part forwards tasks over the edges whose **sender** it owns
-    /// — the same unique-sender rule as the sharded step — routing deliveries
-    /// either locally or into the outgoing [`SendBatch`](crate::SendBatch).
-    /// Incoming batches merge back into global edge order, so the owned slice
-    /// of every state vector stays **bit-identical** to the sequential
-    /// engine's at every round.
+    /// [`ContinuousRunner::step_federated`], then this part runs the send
+    /// rule over the edges whose **sender** it owns — the same unique-sender
+    /// rule as the sharded step — routing deliveries to remote receivers
+    /// into the outgoing [`SendBatch`](crate::SendBatch). Incoming batches
+    /// merge back into global edge order, so the owned slice of every state
+    /// vector stays **bit-identical** to the sequential engine's at every
+    /// round.
     ///
     /// Counters (`dummy_created`, `items_sent`, `arrived_weight`,
     /// `completed_weight`) hold this part's disjoint partial sums; foreign
@@ -513,104 +297,13 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     /// underlying process does not support range-split kernels.
     pub fn step_federated(
         &mut self,
-        fed: &mut crate::federate::FederatedExecutor,
-        link: &mut dyn crate::federate::FederateLink,
+        fed: &mut FederatedExecutor,
+        link: &mut dyn FederateLink,
     ) -> Result<(), CoreError>
     where
         A: Sync,
     {
-        fed.ensure_plan(&self.graph)?;
-        self.twin.step_federated(fed, link)?;
-
-        debug_assert!(self.pending_tasks.is_empty());
-        self.pending_dummy.fill(0);
-        fed.batch.clear();
-        fed.local.clear();
-
-        let continuous_flow = self.twin.cumulative_flows();
-        let edges = self.graph.edges();
-        for &e in fed.plan.incident() {
-            let (u, v) = edges[e];
-            let deficit = continuous_flow[e] - self.discrete_flow[e] as f64;
-            let (sender, receiver, magnitude, sign) = if deficit >= 0.0 {
-                (u, v, deficit, 1i64)
-            } else {
-                (v, u, -deficit, -1i64)
-            };
-            // Exactly one part owns the sender and processes this edge; the
-            // receiving part learns the flow delta from the send exchange.
-            if !fed.plan.owns_node(sender) {
-                continue;
-            }
-            let receiver_owned = fed.plan.owns_node(receiver);
-            let mut moved: u64 = 0;
-            let mut dummy_moved: u64 = 0;
-            while magnitude - moved as f64 >= self.wmax as f64 {
-                if let Some(task) = self.queues[sender].pop() {
-                    moved += task.weight();
-                    if receiver_owned {
-                        fed.local.push((e, receiver, task));
-                    } else {
-                        fed.batch.tasks.push((e, receiver, task));
-                    }
-                } else {
-                    if self.dummy[sender] > 0 {
-                        self.dummy[sender] -= 1;
-                    } else {
-                        self.dummy_created += 1;
-                    }
-                    moved += 1;
-                    dummy_moved += 1;
-                }
-                self.items_sent += 1;
-            }
-            if dummy_moved > 0 {
-                if receiver_owned {
-                    self.pending_dummy[receiver] += dummy_moved;
-                } else {
-                    fed.batch.dummy.push((receiver, dummy_moved));
-                }
-            }
-            if moved > 0 {
-                let delta = sign * moved as i64;
-                self.discrete_flow[e] += delta;
-                if !receiver_owned {
-                    fed.batch.deltas.push((e, delta));
-                }
-            }
-        }
-
-        let batches = link.exchange_sends(&fed.batch)?;
-        // Task deliveries in global edge order: the k-way merge interleaves
-        // this part's local deliveries with every foreign batch exactly as
-        // the sequential engine filled `pending_tasks`.
-        fed.merge_deliveries(&batches, |receiver, task| self.queues[receiver].push(task));
-
-        // Additive effects, whose order cannot be observed.
-        for (node, amount) in self.pending_dummy.iter().enumerate() {
-            self.dummy[node] += amount;
-        }
-        for (rank, batch) in batches.iter().enumerate() {
-            if rank == fed.part() {
-                continue;
-            }
-            for &(receiver, amount) in &batch.dummy {
-                if fed.plan.owns_node(receiver) {
-                    self.dummy[receiver] += amount;
-                }
-            }
-            // Crossing-edge flow deltas keep the receiving side's ledger in
-            // sync; entries for edges this part is not incident to land in
-            // stale slots that are never read.
-            for &(e, delta) in &batch.deltas {
-                let slot = self.discrete_flow.get_mut(e).ok_or_else(|| {
-                    CoreError::federation(format!("flow delta for unknown edge {e}"))
-                })?;
-                *slot += delta;
-            }
-        }
-        self.round += 1;
-        Ok(())
+        self.core.step_federated(fed, link, &self.rule())
     }
 
     /// Federated [`apply_events`](DynamicBalancer::apply_events): every part
@@ -627,201 +320,164 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     pub fn apply_events_federated(
         &mut self,
         events: &RoundEvents,
-        fed: &mut crate::federate::FederatedExecutor,
+        fed: &mut FederatedExecutor,
     ) -> Result<EventReport, CoreError> {
-        fed.ensure_plan(&self.graph)?;
-        let n = self.graph.node_count();
-        let mut report = EventReport::default();
-        for &(node, budget) in &events.completions {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "completion on node {node}, graph has {n} nodes"
-                )));
-            }
-            if !fed.plan.owns_node(node) {
+        fed.ensure_plan(&self.core.graph)?;
+        self.apply_owned_events(events, fed.plan.node_range())
+    }
+
+    /// Both `apply_events` forms: `w_max` tracks the heaviest task ever
+    /// seen, owned or not, so the imitation floor rule stays conservative.
+    fn apply_owned_events(
+        &mut self,
+        events: &RoundEvents,
+        owned: Range<NodeId>,
+    ) -> Result<EventReport, CoreError> {
+        let wmax = &mut self.wmax;
+        self.core.apply_events(events, owned, |task| {
+            *wmax = (*wmax).max(task.weight());
+            Ok(())
+        })
+    }
+
+    /// This round's send rule.
+    fn rule(&self) -> Alg1 {
+        Alg1 {
+            wmax: self.wmax as f64,
+        }
+    }
+}
+
+/// Algorithm 1's per-edge send rule: over each edge, forward whole tasks
+/// while the remaining deficit is at least `w_max` — the paper's floor
+/// rule for unit tasks, keeping the per-edge deviation in `[0, w_max)` —
+/// preferring a real task, then a held dummy, then the infinite source.
+/// Dummies behave like normal tokens once created, so any choice is
+/// admissible per the paper.
+struct Alg1 {
+    wmax: f64,
+}
+
+impl SendRule for Alg1 {
+    type Holding = TaskQueue;
+
+    // lint: zero-alloc
+    fn send(
+        &self,
+        deficits: &Deficits<'_>,
+        edges: impl IntoIterator<Item = EdgeId>,
+        senders: Senders<'_, TaskQueue>,
+        out: &mut SendBatch,
+    ) -> Tally {
+        let mut tally = Tally::default();
+        for e in edges {
+            let Some(t) = deficits.transfer(e, &senders.range) else {
                 continue;
-            }
-            let mut remaining = budget;
-            while let Some(task) = self.queues[node].peek() {
-                let w = task.weight();
-                if w > remaining {
-                    break;
+            };
+            let mut moved: u64 = 0;
+            let mut dummy_moved: u64 = 0;
+            while t.magnitude - moved as f64 >= self.wmax {
+                if let Some(task) = senders.held[t.at].pop() {
+                    moved += task.weight();
+                    out.tasks.push((e, t.receiver, task));
+                } else {
+                    if senders.dummy[t.at] > 0 {
+                        senders.dummy[t.at] -= 1;
+                    } else {
+                        tally.dummy_created += 1;
+                    }
+                    moved += 1;
+                    dummy_moved += 1;
                 }
-                self.queues[node].pop();
-                remaining -= w;
-                report.completed_tasks += 1;
-                report.completed_weight += w;
-                self.twin.adjust_load(node, -(w as f64));
+                tally.items_sent += 1;
+            }
+            if dummy_moved > 0 {
+                out.dummy.push((t.receiver, dummy_moved));
+            }
+            if moved > 0 {
+                out.deltas.push((e, t.sign * moved as i64));
             }
         }
-        for &(node, task) in &events.arrivals {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "arrival on node {node}, graph has {n} nodes"
-                )));
-            }
-            let w = task.weight();
-            // Global: every part tracks the heaviest task ever seen, owned
-            // or not, so the imitation floor rule agrees across parts.
-            self.wmax = self.wmax.max(w);
-            if !fed.plan.owns_node(node) {
-                continue;
-            }
-            self.queues[node].push(task);
-            self.twin.adjust_load(node, w as f64);
-            report.arrived_tasks += 1;
-            report.arrived_weight += w;
+        tally
+    }
+}
+
+impl Holding for TaskQueue {
+    #[inline]
+    fn weight(&self) -> Weight {
+        self.total_weight()
+    }
+
+    fn adopt(&mut self, mut orphan: Self) {
+        while let Some(task) = orphan.pop() {
+            self.push(task);
         }
-        self.arrived_weight += report.arrived_weight;
-        self.completed_weight += report.completed_weight;
-        Ok(report)
+    }
+
+    #[inline]
+    fn receive_task(&mut self, task: Task) {
+        self.push(task);
+    }
+
+    #[inline]
+    fn arrive(&mut self, task: Task) {
+        self.push(task);
+    }
+
+    /// Whole tasks only, in pick order, while the budget lasts.
+    #[inline]
+    fn complete(&mut self, budget: Weight, mut done: impl FnMut(u64, Weight)) {
+        let mut remaining = budget;
+        while let Some(w) = self.peek().map(Task::weight).filter(|&w| w <= remaining) {
+            self.pop();
+            remaining -= w;
+            done(1, w);
+        }
     }
 }
 
 impl<A: ContinuousProcess> DiscreteBalancer for FlowImitation<A> {
     fn name(&self) -> &str {
-        &self.name
+        &self.core.name
     }
 
     fn graph(&self) -> &Graph {
-        &self.graph
+        &self.core.graph
     }
 
     fn speeds(&self) -> &Speeds {
-        &self.speeds
+        &self.core.speeds
     }
 
     fn round(&self) -> usize {
-        self.round
+        self.core.round
     }
 
     fn loads(&self) -> Vec<f64> {
-        self.queues
-            .iter()
-            .zip(&self.dummy)
-            .map(|(queue, &d)| (queue.total_weight() + d) as f64)
-            .collect()
+        self.core.loads()
     }
 
     fn dummy_load(&self) -> u64 {
-        self.dummy.iter().sum()
+        self.core.dummy.iter().sum()
     }
 
     // lint: zero-alloc
     fn step(&mut self) {
-        // Advance the continuous twin so f^A now refers to the end of the
-        // current round t.
-        self.twin.step();
-
-        // Deliveries are applied after every edge has been processed so that
-        // a node can only forward tasks it held at the beginning of the round
-        // (plus freshly generated dummies). Both buffers are struct-owned and
-        // reused across rounds.
-        debug_assert!(self.pending_tasks.is_empty());
-        self.pending_dummy.fill(0);
-
-        let continuous_flow = self.twin.cumulative_flows();
-        for (e, &(u, v)) in self.graph.edges().iter().enumerate() {
-            // Flow deficit along the canonical orientation.
-            let deficit = continuous_flow[e] - self.discrete_flow[e] as f64;
-            let (sender, receiver, magnitude, sign) = if deficit >= 0.0 {
-                (u, v, deficit, 1i64)
-            } else {
-                (v, u, -deficit, -1i64)
-            };
-            // Forward whole tasks while the remaining deficit is at least
-            // w_max; this matches the paper's floor rule for unit tasks and
-            // keeps the per-edge deviation in [0, w_max).
-            let mut moved: u64 = 0;
-            while magnitude - moved as f64 >= self.wmax as f64 {
-                // Prefer a real task; fall back to a held dummy, then the
-                // infinite source. Dummies behave like normal tokens once
-                // created, so any choice is admissible per the paper.
-                if let Some(task) = self.queues[sender].pop() {
-                    moved += task.weight();
-                    self.pending_tasks.push((receiver, task));
-                } else {
-                    if self.dummy[sender] > 0 {
-                        self.dummy[sender] -= 1;
-                    } else {
-                        self.dummy_created += 1;
-                    }
-                    moved += 1;
-                    self.pending_dummy[receiver] += 1;
-                }
-                self.items_sent += 1;
-            }
-            self.discrete_flow[e] += sign * moved as i64;
-        }
-
-        // Apply deliveries. `mem::take` detaches the buffer so the borrow
-        // checker allows pushing into `queues`; clearing preserves capacity.
-        let mut pending_tasks = std::mem::take(&mut self.pending_tasks);
-        for &(receiver, task) in &pending_tasks {
-            self.queues[receiver].push(task);
-        }
-        pending_tasks.clear();
-        self.pending_tasks = pending_tasks;
-
-        for (node, amount) in self.pending_dummy.iter().enumerate() {
-            self.dummy[node] += amount;
-        }
-        self.round += 1;
+        self.core.step(&self.rule());
     }
 }
 
 impl<A: ContinuousProcess> DynamicBalancer for FlowImitation<A> {
     fn apply_events(&mut self, events: &RoundEvents) -> Result<EventReport, CoreError> {
-        let n = self.graph.node_count();
-        let mut report = EventReport::default();
-        // Completions first: finished work leaves both the queues and the
-        // twin. Whole tasks only, in pick order, while the budget lasts.
-        for &(node, budget) in &events.completions {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "completion on node {node}, graph has {n} nodes"
-                )));
-            }
-            let mut remaining = budget;
-            while let Some(task) = self.queues[node].peek() {
-                let w = task.weight();
-                if w > remaining {
-                    break;
-                }
-                self.queues[node].pop();
-                remaining -= w;
-                report.completed_tasks += 1;
-                report.completed_weight += w;
-                self.twin.adjust_load(node, -(w as f64));
-            }
-        }
-        // Arrivals: new work lands on a queue and on the twin; w_max tracks
-        // the heaviest task ever seen so the imitation floor rule stays
-        // conservative.
-        for &(node, task) in &events.arrivals {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "arrival on node {node}, graph has {n} nodes"
-                )));
-            }
-            let w = task.weight();
-            self.wmax = self.wmax.max(w);
-            self.queues[node].push(task);
-            self.twin.adjust_load(node, w as f64);
-            report.arrived_tasks += 1;
-            report.arrived_weight += w;
-        }
-        self.arrived_weight += report.arrived_weight;
-        self.completed_weight += report.completed_weight;
-        Ok(report)
+        self.apply_owned_events(events, 0..self.core.graph.node_count())
     }
 
     fn completed_weight(&self) -> u64 {
-        self.completed_weight
+        self.core.completed_weight
     }
 
     fn arrived_weight(&self) -> u64 {
-        self.arrived_weight
+        self.core.arrived_weight
     }
 }
 

@@ -20,6 +20,7 @@
 pub mod baselines;
 pub mod dynamic;
 mod flow_imitation;
+pub(crate) mod imitation;
 mod randomized_imitation;
 
 pub use dynamic::{DynamicBalancer, EventReport, RoundEvents};

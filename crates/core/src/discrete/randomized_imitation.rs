@@ -22,15 +22,18 @@
 //! `O(√(d·log n))` w.h.p.
 
 use super::dynamic::{DynamicBalancer, EventReport, RoundEvents};
+use super::imitation::{Deficits, Holding, Imitation, SendRule, Senders, Tally};
 use super::DiscreteBalancer;
 use crate::continuous::{ContinuousProcess, ContinuousRunner};
 use crate::error::CoreError;
+use crate::federate::{FederateLink, FederatedExecutor, SendBatch};
 use crate::load::InitialLoad;
-use crate::task::Speeds;
-use lb_graph::Graph;
+use crate::shard::ShardedExecutor;
+use crate::task::{Speeds, Task, Weight};
+use lb_graph::{EdgeId, Graph, NodeId};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::Arc;
+use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// The sub-RNG deciding whether edge `edge`'s fractional deficit rounds up
 /// in round `round`, derived from the master `seed` the same way the
@@ -73,29 +76,11 @@ pub fn edge_rounding_rng(seed: u64, round: usize, edge: usize) -> StdRng {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RandomizedImitation<A: ContinuousProcess> {
-    twin: ContinuousRunner<A>,
-    graph: Arc<Graph>,
-    speeds: Speeds,
-    /// Real (workload) tokens held by each node.
-    tokens: Vec<u64>,
-    /// Dummy tokens held by each node.
-    dummy: Vec<u64>,
-    /// Cumulative net discrete flow along each canonical edge orientation.
-    discrete_flow: Vec<i64>,
+    /// The shared engine; each node's holdings are a real-token count.
+    core: Imitation<A, u64>,
     /// Master seed; every rounding decision derives its own sub-RNG from it
     /// (see [`edge_rounding_rng`]).
     seed: u64,
-    round: usize,
-    dummy_created: u64,
-    name: String,
-    /// Reused per-round scratch: pending real-token deliveries per node.
-    pending_real: Vec<u64>,
-    /// Reused per-round scratch: pending dummy deliveries per node.
-    pending_dummy: Vec<u64>,
-    /// Total weight injected by dynamic arrival events.
-    arrived_weight: u64,
-    /// Total weight drained by dynamic completion events.
-    completed_weight: u64,
 }
 
 impl<A: ContinuousProcess> RandomizedImitation<A> {
@@ -118,38 +103,10 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
                 "randomized flow imitation (Algorithm 2) requires unit-weight tasks",
             ));
         }
-        let graph = process.shared_graph();
-        let n = graph.node_count();
-        if initial.node_count() != n {
-            return Err(CoreError::invalid_parameter(format!(
-                "initial load has {} nodes, graph has {n}",
-                initial.node_count()
-            )));
-        }
-        if speeds.len() != n {
-            return Err(CoreError::invalid_parameter(format!(
-                "speeds vector has {} entries, graph has {n} nodes",
-                speeds.len()
-            )));
-        }
-        let name = format!("alg2({})", process.name());
-        let twin = ContinuousRunner::new(process, initial.load_vector_f64());
-        let m = graph.edge_count();
+        let tokens = initial.load_vector();
         Ok(RandomizedImitation {
-            twin,
-            graph,
-            speeds,
-            tokens: initial.load_vector(),
-            dummy: vec![0; n],
-            discrete_flow: vec![0; m],
+            core: Imitation::new("alg2", process, initial, speeds, tokens)?,
             seed,
-            round: 0,
-            dummy_created: 0,
-            name,
-            pending_real: vec![0; n],
-            pending_dummy: vec![0; n],
-            arrived_weight: 0,
-            completed_weight: 0,
         })
     }
 
@@ -164,80 +121,36 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
     ///
     /// Returns [`CoreError::InvalidParameter`] if the new graph is empty.
     pub fn replace_topology(&mut self, process: A) -> Result<(), CoreError> {
-        let graph = process.shared_graph();
-        let n = graph.node_count();
-        if n == 0 {
-            return Err(CoreError::invalid_parameter(
-                "cannot replace topology with an empty graph",
-            ));
-        }
-        while self.tokens.len() > n {
-            // lint: allow(R03, non-empty by the loop condition)
-            let orphan_tokens = self.tokens.pop().expect("len checked above");
-            self.tokens[0] += orphan_tokens;
-            // lint: allow(R03, dummy mirrors tokens length by construction)
-            let orphan_dummy = self.dummy.pop().expect("dummy tracks tokens");
-            self.dummy[0] += orphan_dummy;
-        }
-        self.tokens.resize(n, 0);
-        self.dummy.resize(n, 0);
-        // A same-size rewire carries speeds through untouched.
-        if self.speeds.len() != n {
-            let mut speed_values = self.speeds.as_slice().to_vec();
-            speed_values.resize(n, 1);
-            // lint: allow(R03, carried values validated positive at admission)
-            self.speeds = Speeds::new(speed_values).expect("carried speeds stay positive");
-        }
-        self.name = format!("alg2({})", process.name());
-        self.twin.rebind(
-            process,
-            self.tokens
-                .iter()
-                .zip(&self.dummy)
-                .map(|(&t, &d)| (t + d) as f64),
-        );
-        self.graph = graph;
-        self.discrete_flow.clear();
-        self.discrete_flow.resize(self.graph.edge_count(), 0);
-        self.pending_real.clear();
-        self.pending_real.resize(n, 0);
-        self.pending_dummy.clear();
-        self.pending_dummy.resize(n, 0);
-        Ok(())
+        self.core.rebind(process, || 0)
     }
 
     /// The continuous twin being imitated.
     pub fn continuous(&self) -> &ContinuousRunner<A> {
-        &self.twin
+        &self.core.twin
     }
 
     /// Total dummy load created from the infinite source so far.
     pub fn dummy_created(&self) -> u64 {
-        self.dummy_created
+        self.core.dummy_created
     }
 
     /// Per-node dummy holdings. In a federated partition only the owned
     /// entries are authoritative (foreign slots are stale); a sampler must
     /// slice its own node range.
     pub fn dummy_holdings(&self) -> &[u64] {
-        &self.dummy
+        &self.core.dummy
     }
 
     /// Per-node loads excluding dummy tokens.
     pub fn real_loads(&self) -> Vec<f64> {
-        self.tokens.iter().map(|&t| t as f64).collect()
+        self.core.real_loads()
     }
 
     /// Maximum absolute per-edge deviation `|E_e(t)|` between the continuous
     /// and discrete cumulative flows. With randomized rounding this stays
     /// below 1 (part (3) of Observation 9).
     pub fn max_flow_deviation(&self) -> f64 {
-        self.twin
-            .cumulative_flows()
-            .iter()
-            .zip(&self.discrete_flow)
-            .map(|(&fa, &fd)| (fa - fd as f64).abs())
-            .fold(0.0, f64::max)
+        self.core.max_flow_deviation()
     }
 
     /// Captures the engine's full state at a between-rounds boundary for a
@@ -247,16 +160,16 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
     /// derivation inputs. Event-time only — allocates freely.
     pub fn capture(&self) -> crate::snapshot::EngineState {
         crate::snapshot::EngineState {
-            round: self.round as u64,
-            twin: self.twin.capture(),
+            round: self.core.round as u64,
+            twin: self.core.twin.capture(),
             discrete: crate::snapshot::DiscreteState::Alg2(crate::snapshot::Alg2State {
-                tokens: self.tokens.clone(),
-                dummy: self.dummy.clone(),
-                discrete_flow: self.discrete_flow.clone(),
+                tokens: self.core.held.clone(),
+                dummy: self.core.dummy.clone(),
+                discrete_flow: self.core.discrete_flow.clone(),
                 seed: self.seed,
-                dummy_created: self.dummy_created,
-                arrived_weight: self.arrived_weight,
-                completed_weight: self.completed_weight,
+                dummy_created: self.core.dummy_created,
+                arrived_weight: self.core.arrived_weight,
+                completed_weight: self.core.completed_weight,
             }),
         }
     }
@@ -281,155 +194,58 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
                 "snapshot carries Algorithm 1 state but the engine runs Algorithm 2",
             ));
         };
-        let n = self.graph.node_count();
-        let m = self.graph.edge_count();
-        if alg2.tokens.len() != n || alg2.dummy.len() != n {
-            return Err(SnapshotError::mismatch(format!(
-                "snapshot has {} node entries, graph has {n} nodes",
-                alg2.tokens.len()
-            )));
-        }
-        if alg2.discrete_flow.len() != m {
-            return Err(SnapshotError::mismatch(format!(
-                "snapshot flow ledger has {} entries, graph has {m} edges",
-                alg2.discrete_flow.len()
-            )));
-        }
+        let core = &mut self.core;
+        core.check_shape(
+            alg2.tokens.len(),
+            alg2.dummy.len(),
+            alg2.discrete_flow.len(),
+        )?;
         if alg2.seed != self.seed {
             return Err(SnapshotError::mismatch(format!(
                 "snapshot rounding seed {} differs from the run's seed {} (stale snapshot?)",
                 alg2.seed, self.seed
             )));
         }
-        self.twin.restore(&state.twin)?;
-        self.tokens.copy_from_slice(&alg2.tokens);
-        self.dummy.copy_from_slice(&alg2.dummy);
-        self.discrete_flow.copy_from_slice(&alg2.discrete_flow);
-        self.round = state.round as usize;
-        self.dummy_created = alg2.dummy_created;
-        self.arrived_weight = alg2.arrived_weight;
-        self.completed_weight = alg2.completed_weight;
-        self.pending_real.clear();
-        self.pending_real.resize(n, 0);
-        self.pending_dummy.clear();
-        self.pending_dummy.resize(n, 0);
+        core.twin.restore(&state.twin)?;
+        core.held.copy_from_slice(&alg2.tokens);
+        core.dummy.copy_from_slice(&alg2.dummy);
+        core.discrete_flow.copy_from_slice(&alg2.discrete_flow);
+        core.round = state.round as usize;
+        core.dummy_created = alg2.dummy_created;
+        core.arrived_weight = alg2.arrived_weight;
+        core.completed_weight = alg2.completed_weight;
         Ok(())
     }
 
     /// Sharded [`step`](DiscreteBalancer::step): the twin advances through
-    /// [`ContinuousRunner::step_sharded`], then each shard worker rounds and
-    /// sends over the edges whose **sender** lies in its node range, with
-    /// every rounding decision drawn from its own `(seed, round, edge)`
-    /// sub-RNG ([`edge_rounding_rng`]) — so the draws, and therefore the
-    /// trajectory, are **bit-identical** to the sequential step for every
-    /// shard count. Token/dummy deliveries and ledger deltas are additive
-    /// and applied from the per-shard outboxes afterwards.
+    /// [`ContinuousRunner::step_sharded`], then each shard runs the send
+    /// rule over the edges incident to its node range for the senders it
+    /// owns, every rounding decision drawn from its own `(seed, round,
+    /// edge)` sub-RNG ([`edge_rounding_rng`]) — so the draws, and therefore
+    /// the trajectory, are **bit-identical** to the sequential step for
+    /// every shard count. Token moves and ledger deltas are additive and
+    /// delivered from the per-shard outboxes afterwards.
     ///
     /// Steady-state calls on an unchanged topology do not allocate; after
     /// [`replace_topology`](RandomizedImitation::replace_topology) the
     /// executor rebinds on the next sharded step.
-    // lint: zero-alloc
-    pub fn step_sharded(&mut self, exec: &mut crate::shard::ShardedExecutor)
+    pub fn step_sharded(&mut self, exec: &mut ShardedExecutor)
     where
         A: Sync,
     {
-        exec.ensure_plan(&self.graph);
-        if exec.shard_count() == 1 {
-            self.step();
-            return;
-        }
-        self.twin.step_sharded(exec);
-
-        let seed = self.seed;
-        let round = self.round;
-        {
-            let continuous_flow = self.twin.cumulative_flows();
-            let discrete_flow = &self.discrete_flow[..];
-            let graph = &*self.graph;
-            let tokens = crate::shard::SharedSliceMut::new(&mut self.tokens);
-            let dummy = crate::shard::SharedSliceMut::new(&mut self.dummy);
-            let (pool, plan, scratch) = exec.split();
-            pool.run(|s| {
-                // SAFETY: scratch cell and node range belong to shard `s`
-                // alone; node ranges partition `0..n`.
-                let scratch = unsafe { &mut *scratch[s].get() };
-                scratch.alg2_out.clear();
-                scratch.dummy_created = 0;
-                let nodes = plan.node_range(s);
-                if nodes.is_empty() {
-                    return;
-                }
-                let lo = nodes.start;
-                let tokens_s = unsafe { tokens.range_mut(nodes.clone()) };
-                let dummy_s = unsafe { dummy.range_mut(nodes.clone()) };
-                let edges = graph.edges();
-                for &e in plan.incident(s) {
-                    let (u, v) = edges[e];
-                    let deficit = continuous_flow[e] - discrete_flow[e] as f64;
-                    if deficit == 0.0 {
-                        continue;
-                    }
-                    let (sender, receiver, magnitude, sign) = if deficit > 0.0 {
-                        (u, v, deficit, 1i64)
-                    } else {
-                        (v, u, -deficit, -1i64)
-                    };
-                    if !nodes.contains(&sender) {
-                        continue;
-                    }
-                    let floor = magnitude.floor();
-                    let fraction = magnitude - floor;
-                    let round_up = fraction > 0.0 && {
-                        use rand::Rng;
-                        edge_rounding_rng(seed, round, e).gen_bool(fraction.min(1.0))
-                    };
-                    let send = floor as u64 + u64::from(round_up);
-                    if send == 0 {
-                        continue;
-                    }
-                    let real = send.min(tokens_s[sender - lo]);
-                    tokens_s[sender - lo] -= real;
-                    let dummy_sent = send - real;
-                    let from_held = dummy_sent.min(dummy_s[sender - lo]);
-                    dummy_s[sender - lo] -= from_held;
-                    scratch.dummy_created += dummy_sent - from_held;
-                    scratch.alg2_out.push(crate::shard::Alg2Send {
-                        edge: e,
-                        receiver,
-                        real,
-                        dummy: dummy_sent,
-                        delta: sign * send as i64,
-                    });
-                }
-            });
-        }
-        // Apply phase: all effects are additive counts, so outbox order
-        // cannot be observed.
-        let mut dummy_created = 0;
-        for scratch in exec.shard_results() {
-            for send in &scratch.alg2_out {
-                self.tokens[send.receiver] += send.real;
-                self.dummy[send.receiver] += send.dummy;
-                self.discrete_flow[send.edge] += send.delta;
-            }
-            dummy_created += scratch.dummy_created;
-        }
-        self.dummy_created += dummy_created;
-        self.round += 1;
+        self.core.step_sharded(exec, &self.rule());
     }
 
     /// Federated [`step`](DiscreteBalancer::step): this engine instance owns
     /// one contiguous node range of a larger simulation. The twin advances
-    /// through
-    /// [`ContinuousRunner::step_federated`](crate::continuous::ContinuousRunner::step_federated),
-    /// then this part rounds and sends over the edges whose **sender** it
-    /// owns, each decision drawn from its own `(seed, round, edge)` sub-RNG
+    /// through [`ContinuousRunner::step_federated`], then this part runs the
+    /// send rule over the edges whose **sender** it owns, each decision
+    /// drawn from its own `(seed, round, edge)` sub-RNG
     /// ([`edge_rounding_rng`]) — so no RNG-stream coordination between
     /// processes is needed and the owned slice of every state vector stays
-    /// **bit-identical** to the sequential engine's. Token deliveries and
-    /// ledger deltas for remote receivers travel in the outgoing
-    /// [`SendBatch`](crate::SendBatch); all effects are additive, so no merge
-    /// discipline is required.
+    /// **bit-identical** to the sequential engine's. Token moves and ledger
+    /// deltas for remote receivers travel in the outgoing
+    /// [`SendBatch`](crate::SendBatch).
     ///
     /// # Errors
     ///
@@ -438,92 +254,13 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
     /// underlying process does not support range-split kernels.
     pub fn step_federated(
         &mut self,
-        fed: &mut crate::federate::FederatedExecutor,
-        link: &mut dyn crate::federate::FederateLink,
+        fed: &mut FederatedExecutor,
+        link: &mut dyn FederateLink,
     ) -> Result<(), CoreError>
     where
         A: Sync,
     {
-        fed.ensure_plan(&self.graph)?;
-        self.twin.step_federated(fed, link)?;
-
-        self.pending_real.fill(0);
-        self.pending_dummy.fill(0);
-        fed.batch.clear();
-
-        let seed = self.seed;
-        let round = self.round;
-        let edges = self.graph.edges();
-        for &e in fed.plan.incident() {
-            let (u, v) = edges[e];
-            let deficit = self.twin.cumulative_flows()[e] - self.discrete_flow[e] as f64;
-            if deficit == 0.0 {
-                continue;
-            }
-            let (sender, receiver, magnitude, sign) = if deficit > 0.0 {
-                (u, v, deficit, 1i64)
-            } else {
-                (v, u, -deficit, -1i64)
-            };
-            // Exactly one part owns the sender and processes this edge; the
-            // receiving part learns the flow delta from the send exchange.
-            if !fed.plan.owns_node(sender) {
-                continue;
-            }
-            let floor = magnitude.floor();
-            let fraction = magnitude - floor;
-            let round_up = fraction > 0.0 && {
-                use rand::Rng;
-                edge_rounding_rng(seed, round, e).gen_bool(fraction.min(1.0))
-            };
-            let send = floor as u64 + u64::from(round_up);
-            if send == 0 {
-                continue;
-            }
-            let real = send.min(self.tokens[sender]);
-            self.tokens[sender] -= real;
-            let dummy = send - real;
-            let from_held = dummy.min(self.dummy[sender]);
-            self.dummy[sender] -= from_held;
-            self.dummy_created += dummy - from_held;
-            let delta = sign * send as i64;
-            self.discrete_flow[e] += delta;
-            if fed.plan.owns_node(receiver) {
-                self.pending_real[receiver] += real;
-                self.pending_dummy[receiver] += dummy;
-            } else {
-                fed.batch.tokens.push((receiver, real, dummy));
-                fed.batch.deltas.push((e, delta));
-            }
-        }
-
-        let batches = link.exchange_sends(&fed.batch)?;
-        for i in 0..self.graph.node_count() {
-            self.tokens[i] += self.pending_real[i];
-            self.dummy[i] += self.pending_dummy[i];
-        }
-        for (rank, batch) in batches.iter().enumerate() {
-            if rank == fed.part() {
-                continue;
-            }
-            for &(receiver, real, dummy) in &batch.tokens {
-                if fed.plan.owns_node(receiver) {
-                    self.tokens[receiver] += real;
-                    self.dummy[receiver] += dummy;
-                }
-            }
-            // Crossing-edge flow deltas keep the receiving side's ledger in
-            // sync; entries for edges this part is not incident to land in
-            // stale slots that are never read.
-            for &(e, delta) in &batch.deltas {
-                let slot = self.discrete_flow.get_mut(e).ok_or_else(|| {
-                    CoreError::federation(format!("flow delta for unknown edge {e}"))
-                })?;
-                *slot += delta;
-            }
-        }
-        self.round += 1;
-        Ok(())
+        self.core.step_federated(fed, link, &self.rule())
     }
 
     /// Federated [`apply_events`](DynamicBalancer::apply_events): every part
@@ -541,180 +278,155 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
     pub fn apply_events_federated(
         &mut self,
         events: &RoundEvents,
-        fed: &mut crate::federate::FederatedExecutor,
+        fed: &mut FederatedExecutor,
     ) -> Result<EventReport, CoreError> {
-        fed.ensure_plan(&self.graph)?;
-        let n = self.graph.node_count();
-        let mut report = EventReport::default();
-        for &(node, budget) in &events.completions {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "completion on node {node}, graph has {n} nodes"
-                )));
-            }
-            if !fed.plan.owns_node(node) {
-                continue;
-            }
-            let take = budget.min(self.tokens[node]);
-            self.tokens[node] -= take;
-            self.twin.adjust_load(node, -(take as f64));
-            report.completed_tasks += take;
-            report.completed_weight += take;
-        }
-        for &(node, task) in &events.arrivals {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "arrival on node {node}, graph has {n} nodes"
-                )));
-            }
+        fed.ensure_plan(&self.core.graph)?;
+        self.apply_owned_events(events, fed.plan.node_range())
+    }
+
+    /// Both `apply_events` forms: arrivals must be unit-weight, since
+    /// Algorithm 2 is defined for identical tasks only.
+    fn apply_owned_events(
+        &mut self,
+        events: &RoundEvents,
+        owned: Range<NodeId>,
+    ) -> Result<EventReport, CoreError> {
+        self.core.apply_events(events, owned, |task| {
             if task.weight() != 1 {
                 return Err(CoreError::invalid_parameter(
                     "randomized flow imitation (Algorithm 2) accepts unit-weight arrivals only",
                 ));
             }
-            if !fed.plan.owns_node(node) {
+            Ok(())
+        })
+    }
+
+    /// This round's send rule.
+    fn rule(&self) -> Alg2 {
+        Alg2 {
+            seed: self.seed,
+            round: self.core.round,
+        }
+    }
+}
+
+/// Algorithm 2's per-edge send rule: each deficit rounds up with
+/// probability equal to its fractional part, drawn from the edge's own
+/// [`edge_rounding_rng`]; the sender pays with real tokens first, then held
+/// dummies, then the infinite source.
+struct Alg2 {
+    seed: u64,
+    round: usize,
+}
+
+impl SendRule for Alg2 {
+    type Holding = u64;
+
+    // lint: zero-alloc
+    fn send(
+        &self,
+        deficits: &Deficits<'_>,
+        edges: impl IntoIterator<Item = EdgeId>,
+        senders: Senders<'_, u64>,
+        out: &mut SendBatch,
+    ) -> Tally {
+        let mut tally = Tally::default();
+        for e in edges {
+            let Some(t) = deficits.transfer(e, &senders.range) else {
+                continue;
+            };
+            let floor = t.magnitude.floor();
+            let fraction = t.magnitude - floor;
+            let round_up = fraction > 0.0
+                && edge_rounding_rng(self.seed, self.round, e).gen_bool(fraction.min(1.0));
+            let amount = floor as u64 + u64::from(round_up);
+            if amount == 0 {
                 continue;
             }
-            self.tokens[node] += 1;
-            self.twin.adjust_load(node, 1.0);
-            report.arrived_tasks += 1;
-            report.arrived_weight += 1;
+            let real = amount.min(senders.held[t.at]);
+            senders.held[t.at] -= real;
+            let dummy = amount - real;
+            let from_held = dummy.min(senders.dummy[t.at]);
+            senders.dummy[t.at] -= from_held;
+            tally.dummy_created += dummy - from_held;
+            out.tokens.push((t.receiver, real, dummy));
+            out.deltas.push((e, t.sign * amount as i64));
         }
-        self.arrived_weight += report.arrived_weight;
-        self.completed_weight += report.completed_weight;
-        Ok(report)
+        tally
+    }
+}
+
+impl Holding for u64 {
+    #[inline]
+    fn weight(&self) -> Weight {
+        *self
+    }
+
+    fn adopt(&mut self, orphan: Self) {
+        *self += orphan;
+    }
+
+    #[inline]
+    fn receive_tokens(&mut self, real: u64) {
+        *self += real;
+    }
+
+    #[inline]
+    fn arrive(&mut self, _task: Task) {
+        *self += 1;
+    }
+
+    /// Tokens are interchangeable: a budget drains up to that many units.
+    #[inline]
+    fn complete(&mut self, budget: Weight, mut done: impl FnMut(u64, Weight)) {
+        let take = budget.min(*self);
+        *self -= take;
+        done(take, take);
     }
 }
 
 impl<A: ContinuousProcess> DiscreteBalancer for RandomizedImitation<A> {
     fn name(&self) -> &str {
-        &self.name
+        &self.core.name
     }
 
     fn graph(&self) -> &Graph {
-        &self.graph
+        &self.core.graph
     }
 
     fn speeds(&self) -> &Speeds {
-        &self.speeds
+        &self.core.speeds
     }
 
     fn round(&self) -> usize {
-        self.round
+        self.core.round
     }
 
     fn loads(&self) -> Vec<f64> {
-        self.tokens
-            .iter()
-            .zip(&self.dummy)
-            .map(|(&t, &d)| (t + d) as f64)
-            .collect()
+        self.core.loads()
     }
 
     fn dummy_load(&self) -> u64 {
-        self.dummy.iter().sum()
+        self.core.dummy.iter().sum()
     }
 
     // lint: zero-alloc
     fn step(&mut self) {
-        self.twin.step();
-
-        // Struct-owned delivery buffers: the steady-state round touches no
-        // heap. The twin's cumulative flows are read in place (the seed code
-        // copied them to a fresh Vec every round).
-        let n = self.graph.node_count();
-        self.pending_real.fill(0);
-        self.pending_dummy.fill(0);
-
-        for (e, &(u, v)) in self.graph.edges().iter().enumerate() {
-            let deficit = self.twin.cumulative_flows()[e] - self.discrete_flow[e] as f64;
-            if deficit == 0.0 {
-                continue;
-            }
-            let (sender, receiver, magnitude, sign) = if deficit > 0.0 {
-                (u, v, deficit, 1i64)
-            } else {
-                (v, u, -deficit, -1i64)
-            };
-            let floor = magnitude.floor();
-            let fraction = magnitude - floor;
-            let round_up = fraction > 0.0 && {
-                use rand::Rng;
-                edge_rounding_rng(self.seed, self.round, e).gen_bool(fraction.min(1.0))
-            };
-            let send = floor as u64 + u64::from(round_up);
-            if send == 0 {
-                continue;
-            }
-            // Inlined `draw` (a method call would conflict with the live
-            // borrow of the edge list): prefer real tokens, then held
-            // dummies, then the infinite source.
-            let real = send.min(self.tokens[sender]);
-            self.tokens[sender] -= real;
-            let dummy = send - real;
-            let from_held = dummy.min(self.dummy[sender]);
-            self.dummy[sender] -= from_held;
-            self.dummy_created += dummy - from_held;
-            self.pending_real[receiver] += real;
-            self.pending_dummy[receiver] += dummy;
-            self.discrete_flow[e] += sign * send as i64;
-        }
-
-        for i in 0..n {
-            self.tokens[i] += self.pending_real[i];
-            self.dummy[i] += self.pending_dummy[i];
-        }
-        self.round += 1;
+        self.core.step(&self.rule());
     }
 }
 
 impl<A: ContinuousProcess> DynamicBalancer for RandomizedImitation<A> {
     fn apply_events(&mut self, events: &RoundEvents) -> Result<EventReport, CoreError> {
-        let n = self.graph.node_count();
-        let mut report = EventReport::default();
-        // Completions first; tokens are interchangeable, so a budget simply
-        // drains up to that many units.
-        for &(node, budget) in &events.completions {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "completion on node {node}, graph has {n} nodes"
-                )));
-            }
-            let take = budget.min(self.tokens[node]);
-            self.tokens[node] -= take;
-            self.twin.adjust_load(node, -(take as f64));
-            report.completed_tasks += take;
-            report.completed_weight += take;
-        }
-        // Arrivals must be unit-weight: Algorithm 2 is defined for identical
-        // tasks only.
-        for &(node, task) in &events.arrivals {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "arrival on node {node}, graph has {n} nodes"
-                )));
-            }
-            if task.weight() != 1 {
-                return Err(CoreError::invalid_parameter(
-                    "randomized flow imitation (Algorithm 2) accepts unit-weight arrivals only",
-                ));
-            }
-            self.tokens[node] += 1;
-            self.twin.adjust_load(node, 1.0);
-            report.arrived_tasks += 1;
-            report.arrived_weight += 1;
-        }
-        self.arrived_weight += report.arrived_weight;
-        self.completed_weight += report.completed_weight;
-        Ok(report)
+        self.apply_owned_events(events, 0..self.core.graph.node_count())
     }
 
     fn completed_weight(&self) -> u64 {
-        self.completed_weight
+        self.core.completed_weight
     }
 
     fn arrived_weight(&self) -> u64 {
-        self.arrived_weight
+        self.core.arrived_weight
     }
 }
 

@@ -22,11 +22,11 @@
 //!
 //! Federated execution is **bit-identical** to sequential execution for
 //! every part count and per-part shard count. The argument is the sharding
-//! argument extended across address spaces: per-node f64 updates follow the
-//! CSR incident-edge order (equal to canonical edge order), each edge has a
-//! unique sender-owner per round (the deficit sign picks the sender, the
-//! sender's owner processes the edge), deliveries are merged in global edge
-//! order, every other cross-part effect is additive, and Algorithm 2 derives
+//! argument extended across address spaces: per-node f64 updates follow
+//! canonical edge order, each edge has a unique sender-owner per round
+//! (the deficit sign picks the sender, the sender's owner processes the
+//! edge), deliveries are merged in global edge order, every other
+//! cross-part effect is additive, and Algorithm 2 derives
 //! an independent sub-RNG per `(seed, round, edge)`
 //! ([`edge_rounding_rng`](crate::discrete::edge_rounding_rng)) so randomized
 //! rounding needs no RNG-stream coordination between processes.
@@ -42,6 +42,7 @@ use std::sync::Arc;
 
 use lb_graph::{EdgeId, Graph, NodeId};
 
+use crate::discrete::imitation::{self, Holding, Sink, Tally};
 use crate::error::CoreError;
 use crate::shard::{edge_balanced_bounds, ShardPool};
 use crate::task::Task;
@@ -179,9 +180,10 @@ impl FederationPlan {
     }
 }
 
-/// One round's cross-partition effects produced by one part: task
-/// deliveries, dummy transfers, Algorithm 2 token moves and discrete-flow
-/// ledger deltas for crossing edges.
+/// One round's deliveries from one executor range: task deliveries, dummy
+/// transfers, Algorithm 2 token moves and discrete-flow ledger deltas. It is
+/// the outbox of every send phase; on the wire, a part's batch carries its
+/// deliveries to remote receivers only.
 ///
 /// `tasks` is ascending by edge id (the incident scan is ascending);
 /// receivers merge batches by edge id, which reproduces the sequential
@@ -214,6 +216,16 @@ impl SendBatch {
             && self.dummy.is_empty()
             && self.tokens.is_empty()
             && self.deltas.is_empty()
+    }
+
+    /// Empties the batch and sizes its per-edge lists for `edges` records
+    /// (a send phase writes at most one per edge), so steady-state rounds
+    /// never grow them. Task records warm up instead.
+    pub(crate) fn reset_for(&mut self, edges: usize) {
+        self.clear();
+        self.dummy.reserve(edges);
+        self.tokens.reserve(edges);
+        self.deltas.reserve(edges);
     }
 }
 
@@ -281,10 +293,10 @@ pub struct FederatedExecutor {
     pub(crate) loads_out: Vec<(NodeId, u64)>,
     /// Scratch: crossing flows published this round.
     pub(crate) flows_out: Vec<(EdgeId, u64, u64)>,
-    /// Scratch: this part's outgoing cross-partition effects.
-    pub(crate) batch: SendBatch,
-    /// Scratch: this part's local (own-receiver) deliveries, edge-tagged.
-    pub(crate) local: Vec<(EdgeId, NodeId, Task)>,
+    /// Scratch: this part's outbox, every delivery its senders made.
+    outbox: SendBatch,
+    /// Scratch: the outbox's records for remote receivers (the wire batch).
+    wire: SendBatch,
     /// Reusable cursors for the delivery merge.
     cursors: Vec<usize>,
 }
@@ -325,9 +337,9 @@ impl FederatedExecutor {
             graph: None,
             loads_out: Vec::new(),
             flows_out: Vec::new(),
-            batch: SendBatch::default(),
-            local: Vec::new(),
-            cursors: vec![0; parts + 1],
+            outbox: SendBatch::default(),
+            wire: SendBatch::default(),
+            cursors: vec![0; parts],
         })
     }
 
@@ -374,53 +386,72 @@ impl FederatedExecutor {
         start..end
     }
 
-    /// Merges this part's local deliveries with every foreign batch in
-    /// **global edge order**, calling `deliver(receiver, task)` exactly as
-    /// the sequential engine would have pushed its pending deliveries.
-    /// Foreign entries whose receiver this part does not own are skipped
-    /// (batches are broadcast to everyone).
-    pub(crate) fn merge_deliveries(
+    /// The federated send phase: runs `send(owned, incident, outbox)` with
+    /// the owned node range, the edges incident to it and this part's
+    /// cleared outbox, then copies every record for a remote receiver, in
+    /// send order, into the wire batch. A ledger delta is remote when its
+    /// edge crosses the partition: its sender is owned, so its receiver is
+    /// not.
+    pub(crate) fn send_phase(
         &mut self,
-        batches: &[SendBatch],
-        mut deliver: impl FnMut(NodeId, Task),
-    ) {
-        // Sequence `parts` is the local buffer; sequence `r < parts` is the
-        // foreign batch from rank r (own rank's batch holds only foreign
-        // receivers and is skipped wholesale via the ownership filter).
-        self.cursors.fill(0);
-        loop {
-            let mut best: Option<(EdgeId, usize)> = None;
-            #[allow(clippy::needless_range_loop)] // seq indexes two sequences, not one
-            for seq in 0..=self.parts {
-                let entries: &[(EdgeId, NodeId, Task)] = if seq == self.parts {
-                    &self.local
-                } else {
-                    &batches[seq].tasks
-                };
-                // Skip foreign entries addressed to other parts.
-                if seq != self.parts {
-                    while let Some(&(_, receiver, _)) = entries.get(self.cursors[seq]) {
-                        if self.plan.owns_node(receiver) {
-                            break;
-                        }
-                        self.cursors[seq] += 1;
-                    }
-                }
-                if let Some(&(edge, _, _)) = entries.get(self.cursors[seq]) {
-                    if best.is_none_or(|(e, _)| edge < e) {
-                        best = Some((edge, seq));
-                    }
-                }
-            }
-            let Some((_, seq)) = best else { break };
-            let (_, receiver, task) = if seq == self.parts {
-                self.local[self.cursors[seq]]
-            } else {
-                batches[seq].tasks[self.cursors[seq]]
-            };
-            self.cursors[seq] += 1;
-            deliver(receiver, task);
+        send: impl FnOnce(Range<NodeId>, &[EdgeId], &mut SendBatch) -> Tally,
+    ) -> Tally {
+        self.outbox.clear();
+        let owned = self.plan.node_range();
+        let tally = send(owned.clone(), &self.plan.incident, &mut self.outbox);
+        let remote = |node: NodeId| !owned.contains(&node);
+        let edges = self.graph.as_ref().map_or(&[][..], |g| g.edges());
+        let (outbox, wire) = (&self.outbox, &mut self.wire);
+        wire.clear();
+        wire.tasks
+            .extend(outbox.tasks.iter().filter(|r| remote(r.1)));
+        wire.dummy
+            .extend(outbox.dummy.iter().filter(|r| remote(r.0)));
+        wire.tokens
+            .extend(outbox.tokens.iter().filter(|r| remote(r.0)));
+        let crossing = |e: EdgeId| remote(edges[e].0) || remote(edges[e].1);
+        wire.deltas
+            .extend(outbox.deltas.iter().filter(|r| crossing(r.0)));
+        tally
+    }
+
+    /// The federated delivery phase: exchanges the wire batch over `link`,
+    /// validates the incoming batches, then delivers this part's outbox and
+    /// every foreign batch to the owned nodes — task records merged into
+    /// global edge order (see [`imitation::deliver`]). The outbox stands in
+    /// for this part's own slot: it holds the wire records too, so its
+    /// ledger deltas apply once and its remote receivers are filtered out.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Federation`] when the exchange fails, returns
+    /// the wrong number of batches, or a batch names an unknown edge.
+    pub(crate) fn deliver<H: Holding>(
+        &mut self,
+        link: &mut dyn FederateLink,
+        sink: Sink<'_, H>,
+    ) -> Result<(), CoreError> {
+        let batches = link.exchange_sends(&self.wire)?;
+        if batches.len() != self.parts {
+            return Err(CoreError::federation(format!(
+                "send exchange returned {} batches for {} parts",
+                batches.len(),
+                self.parts
+            )));
         }
+        let m = self.graph.as_ref().map_or(0, |g| g.edge_count());
+        for batch in &batches {
+            if let Some(&(e, _)) = batch.deltas.iter().find(|&&(e, _)| e >= m) {
+                return Err(CoreError::federation(format!(
+                    "flow delta for unknown edge {e}"
+                )));
+            }
+        }
+        let (part, own) = (self.part, &self.outbox);
+        let outbox = |k: usize| if k == part { own } else { &batches[k] };
+        let owned = self.plan.node_range();
+        imitation::deliver(self.parts, outbox, &owned, &mut self.cursors, sink);
+        Ok(())
     }
 }
 

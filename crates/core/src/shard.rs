@@ -16,12 +16,17 @@
 //!    order (task deliveries in global edge order, everything else is
 //!    additive), reproducing the exact state the sequential engine builds.
 //!
+//! Both phases run the code the sequential step runs (`discrete::imitation`
+//! for the discrete engines, the twin's shared phase helpers for
+//! [`ContinuousRunner`](crate::continuous::ContinuousRunner)): the executor
+//! only chooses the ranges and holds the outboxes.
+//!
 //! # Determinism contract
 //!
 //! Sharded execution is **bit-identical** to sequential execution, for every
 //! shard count: all floating-point operations touch the same accumulators in
-//! the same order (per-node load updates follow the CSR incident-edge order,
-//! which equals canonical edge order), task queues pop in the same per-node
+//! the same order (per-node load updates follow canonical edge order in
+//! every node range), task queues pop in the same per-node
 //! sequence and receive deliveries in global edge order, and Algorithm 2
 //! derives an independent sub-RNG per `(seed, round, edge)` instead of
 //! consuming one stream edge-by-edge (see
@@ -44,7 +49,8 @@ use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use crate::task::Task;
+use crate::discrete::imitation::{self, Holding, Sink, Tally};
+use crate::federate::SendBatch;
 
 /// Contiguous node-range sharding of one graph: which nodes, canonical
 /// edges and incident edges each shard is responsible for.
@@ -210,6 +216,10 @@ impl<T> SyncCell<T> {
     pub(crate) fn get(&self) -> *mut T {
         self.0.get()
     }
+
+    fn get_mut(&mut self) -> &mut T {
+        self.0.get_mut()
+    }
 }
 
 /// The wide pointer to the current phase closure, lifetime-erased so it can
@@ -363,52 +373,19 @@ impl Drop for ShardPool {
     }
 }
 
-/// One entry of Algorithm 2's per-shard outbox: everything a processed edge
-/// contributes to cross-shard state.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Alg2Send {
-    pub(crate) edge: EdgeId,
-    pub(crate) receiver: NodeId,
-    pub(crate) real: u64,
-    pub(crate) dummy: u64,
-    /// Signed delta for the discrete-flow ledger of `edge`.
-    pub(crate) delta: i64,
-}
-
-/// Per-shard scratch: the outboxes a compute phase fills and the apply phase
-/// drains, plus per-shard counter partials. All buffers are pre-sized when
-/// the plan is built, so steady-state rounds never allocate (the task outbox
-/// warms up like the sequential engine's delivery buffer does).
+/// Per-shard scratch: the outbox a send phase fills and the delivery phase
+/// drains, the shard's send counters, and its post-twin minimum load. The
+/// outbox's per-edge lists are pre-sized when the plan is built, so
+/// steady-state rounds never allocate (task records warm up like the
+/// sequential engine's outbox does).
 pub(crate) struct ShardScratch {
-    /// Algorithm 1: real-task deliveries `(edge, receiver, task)`, ascending
-    /// by edge id (the incident list is sorted).
-    pub(crate) task_out: Vec<(EdgeId, NodeId, Task)>,
-    /// Algorithm 1: dummy deliveries `(receiver, amount)`, one per edge.
-    pub(crate) dummy_out: Vec<(NodeId, u64)>,
-    /// Algorithm 1: discrete-flow ledger deltas `(edge, delta)`.
-    pub(crate) flow_out: Vec<(EdgeId, i64)>,
-    /// Algorithm 2: per-edge send records.
-    pub(crate) alg2_out: Vec<Alg2Send>,
-    /// Items (tasks + dummy units) this shard moved this round.
-    pub(crate) items_sent: u64,
-    /// Dummy units this shard drew from the infinite source this round.
-    pub(crate) dummy_created: u64,
+    /// Everything this shard's senders delivered this round; task records
+    /// ascend by edge id (the incident list is sorted).
+    outbox: SendBatch,
+    /// This shard's send counters this round.
+    tally: Tally,
     /// Minimum load over this shard's nodes after the twin's apply phase.
     pub(crate) min_load: f64,
-}
-
-impl ShardScratch {
-    fn new() -> Self {
-        ShardScratch {
-            task_out: Vec::new(),
-            dummy_out: Vec::new(),
-            flow_out: Vec::new(),
-            alg2_out: Vec::new(),
-            items_sent: 0,
-            dummy_created: 0,
-            min_load: f64::INFINITY,
-        }
-    }
 }
 
 /// Drives sharded rounds for one engine: the persistent worker pool, the
@@ -459,7 +436,13 @@ impl ShardedExecutor {
             pool: ShardPool::new(shards - 1),
             plan: ShardPlan::empty(shards),
             scratch: (0..shards)
-                .map(|_| SyncCell::new(ShardScratch::new()))
+                .map(|_| {
+                    SyncCell::new(ShardScratch {
+                        outbox: SendBatch::default(),
+                        tally: Tally::default(),
+                        min_load: f64::INFINITY,
+                    })
+                })
                 .collect(),
             merge_cursor: vec![0; shards],
             graph: None,
@@ -480,21 +463,16 @@ impl ShardedExecutor {
     }
 
     /// Rebinds the plan to `graph` if it changed (initial call, topology
-    /// churn), pre-sizing the bounded per-shard outboxes. Allocation only
-    /// happens here — never in a steady-state round on an unchanged graph.
+    /// churn), pre-sizing the per-shard outboxes for their incident edges.
+    /// Allocation only happens here — never in a steady-state round on an
+    /// unchanged graph.
     pub(crate) fn ensure_plan(&mut self, graph: &Arc<Graph>) {
         if self.graph.as_ref().is_some_and(|g| Arc::ptr_eq(g, graph)) {
             return;
         }
         self.plan = ShardPlan::build(self.shard_count(), graph);
-        for s in 0..self.shard_count() {
-            let bound = self.plan.incident(s).len();
-            // SAFETY: `&mut self` — no parallel phase is running.
-            let scratch = unsafe { &mut *self.scratch[s].get() };
-            scratch.task_out.clear();
-            scratch.dummy_out = Vec::with_capacity(bound);
-            scratch.flow_out = Vec::with_capacity(bound);
-            scratch.alg2_out = Vec::with_capacity(bound);
+        for (s, cell) in self.scratch.iter_mut().enumerate() {
+            cell.get_mut().outbox.reset_for(self.plan.incident(s).len());
         }
         self.graph = Some(Arc::clone(graph));
     }
@@ -506,35 +484,47 @@ impl ShardedExecutor {
 
     /// Per-shard scratch for sequential (apply-phase) inspection.
     pub(crate) fn shard_results(&mut self) -> impl Iterator<Item = &ShardScratch> {
-        // SAFETY: `&mut self` — no parallel phase is running.
-        self.scratch.iter().map(|cell| unsafe { &*cell.get() })
+        self.scratch.iter_mut().map(|cell| &*cell.get_mut())
     }
 
-    /// Drains every shard's task outbox in **global edge order** (a k-way
-    /// merge over the per-shard edge-sorted outboxes), calling
-    /// `deliver(receiver, task)` exactly as the sequential engine would have
-    /// pushed its pending deliveries.
-    pub(crate) fn drain_merged_tasks(&mut self, mut deliver: impl FnMut(NodeId, Task)) {
-        let shards = self.scratch.len();
-        self.merge_cursor[..shards].fill(0);
-        loop {
-            let mut best: Option<(EdgeId, usize)> = None;
-            for s in 0..shards {
-                // SAFETY: `&mut self` — no parallel phase is running.
-                let scratch = unsafe { &*self.scratch[s].get() };
-                if let Some(&(edge, _, _)) = scratch.task_out.get(self.merge_cursor[s]) {
-                    if best.is_none_or(|(e, _)| edge < e) {
-                        best = Some((edge, s));
-                    }
-                }
-            }
-            let Some((_, s)) = best else { break };
-            // SAFETY: as above; the cursor keeps reads within bounds.
-            let scratch = unsafe { &*self.scratch[s].get() };
-            let (_, receiver, task) = scratch.task_out[self.merge_cursor[s]];
-            self.merge_cursor[s] += 1;
-            deliver(receiver, task);
+    /// The sharded send phase: on the pool, every non-empty shard clears
+    /// its outbox and runs `send(nodes, incident, outbox)` with its node
+    /// range and the edges incident to it, keeping the returned counters.
+    // lint: zero-alloc
+    pub(crate) fn send_phase(
+        &mut self,
+        send: impl Fn(Range<NodeId>, &[EdgeId], &mut SendBatch) -> Tally + Sync,
+    ) {
+        let (plan, scratch) = (&self.plan, &self.scratch);
+        self.pool.run(|s| {
+            // SAFETY: shard `s` touches only its own scratch cell.
+            let scratch = unsafe { &mut *scratch[s].get() };
+            scratch.outbox.clear();
+            let nodes = plan.node_range(s);
+            scratch.tally = if nodes.is_empty() {
+                Tally::default()
+            } else {
+                send(nodes, plan.incident(s), &mut scratch.outbox)
+            };
+        });
+    }
+
+    /// The sharded delivery phase: every shard's outbox, task records
+    /// merged back into global edge order (see [`imitation::deliver`]).
+    /// Returns the shards' summed send counters.
+    // lint: zero-alloc
+    pub(crate) fn deliver<H: Holding>(&mut self, sink: Sink<'_, H>) -> Tally {
+        let every = 0..self.plan.node_bounds[self.shard_count()];
+        let scratch = &self.scratch;
+        // SAFETY: `&mut self` — no parallel phase is running, so the cells
+        // are only read here.
+        let outbox = |s: usize| unsafe { &(*scratch[s].get()).outbox };
+        imitation::deliver(scratch.len(), outbox, &every, &mut self.merge_cursor, sink);
+        let mut tally = Tally::default();
+        for cell in &mut self.scratch {
+            tally += cell.get_mut().tally;
         }
+        tally
     }
 }
 

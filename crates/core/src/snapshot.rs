@@ -936,8 +936,8 @@ mod tests {
     #[test]
     fn atomic_write_round_trips_and_cleans_up() {
         let path = std::env::temp_dir().join(format!(
-            "lb_snapshot_unit_{}.snap.jsonl",
-            std::process::id()
+            "{}.snap.jsonl",
+            lb_analysis::artifact::unique_name("lb_snapshot_unit")
         ));
         let snapshot = sample();
         write_atomic(&path, &snapshot).expect("writes");

@@ -368,6 +368,7 @@ impl TaskQueue {
 
     /// Total weight of all stored tasks — O(1), maintained incrementally on
     /// every push and pop.
+    #[inline]
     pub fn total_weight(&self) -> u64 {
         self.total_weight
     }
@@ -375,6 +376,7 @@ impl TaskQueue {
     /// Adds a task. O(1) for FIFO, O(log k) for the heap policies
     /// (amortised; steady-state pushes into warmed-up capacity do not
     /// allocate).
+    #[inline]
     pub fn push(&mut self, task: Task) {
         self.total_weight += task.weight();
         let seq = self.seq;
@@ -399,6 +401,7 @@ impl TaskQueue {
     ///
     /// The dynamic-workload engine uses this to complete whole tasks against
     /// a weight budget without disturbing the pick order.
+    #[inline]
     pub fn peek(&self) -> Option<&Task> {
         match &self.store {
             Store::Fifo(q) => q.front(),
@@ -409,6 +412,7 @@ impl TaskQueue {
 
     /// Removes and returns the next task according to the policy, or `None`
     /// if the queue is empty. O(1) for FIFO, O(log k) for the heap policies.
+    #[inline]
     pub fn pop(&mut self) -> Option<Task> {
         let task = match &mut self.store {
             Store::Fifo(q) => q.pop_front(),

@@ -58,7 +58,7 @@ fn path_has_prefix(rel: &str, prefix: &str) -> bool {
 pub struct Config {
     /// The workspace file set: which paths the walk visits at all.
     pub paths: Scope,
-    /// Per-rule scopes, keyed by rule id (`R01` … `R06`). A rule with no
+    /// Per-rule scopes, keyed by rule id (`R01` … `R05`). A rule with no
     /// entry applies to every walked file.
     pub rules: BTreeMap<String, Scope>,
 }

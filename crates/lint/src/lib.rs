@@ -5,7 +5,7 @@
 //! serialization, typed located errors, atomic artefact publication) are
 //! contracts the test suite can only sample. This crate enforces them at the
 //! source level: a hand-rolled comment/string/raw-string-aware tokenizer
-//! ([`tokenizer`]), a token-sequence rule set ([`rules`], R01–R06 plus the
+//! ([`tokenizer`]), a token-sequence rule set ([`rules`], R01–R05 plus the
 //! R00 suppression-hygiene meta-rule), and a small strict `lint.toml`
 //! config ([`config`]) scoping rules to crates and modules.
 //!
@@ -46,7 +46,7 @@ pub struct Finding {
     pub line: usize,
     /// 1-based byte column of the anchoring token.
     pub col: usize,
-    /// Rule id (`R00` … `R06`).
+    /// Rule id (`R00` … `R05`).
     pub rule: &'static str,
     /// What is wrong and which contract it breaks.
     pub message: String,

@@ -72,22 +72,6 @@ pub const RULES: &[RuleInfo] = &[
                    steady-state rounds off the heap (tests/zero_alloc.rs \
                    is the runtime twin of this rule)",
     },
-    RuleInfo {
-        id: "R06",
-        name: "deprecated-driver-call",
-        contract: "new code drives runs through the builder-style Session \
-                   API, not the deprecated pre-Session entry points",
-    },
-];
-
-/// The six deprecated pre-`Session` driver entry points (R06).
-const DEPRECATED_DRIVERS: &[&str] = &[
-    "run_scenario",
-    "run_scenario_with",
-    "replay_trace",
-    "replay_source",
-    "resume_run",
-    "resume_replay",
 ];
 
 /// Integer cast targets R02 flags.
@@ -501,7 +485,6 @@ impl<'a> FileAnalysis<'a> {
             self.match_r03(ci);
             self.match_r04(ci);
             self.match_r05(ci);
-            self.match_r06(ci);
         }
     }
 
@@ -647,25 +630,6 @@ impl<'a> FileAnalysis<'a> {
             );
         }
     }
-
-    fn match_r06(&mut self, ci: usize) {
-        if self.cident_any(ci, DEPRECATED_DRIVERS)
-            && self.cpunct(ci + 1, b'(')
-            && !(ci > 0 && self.cident(ci - 1, "fn"))
-        {
-            let name = self.ctok(ci).map_or("", |t| t.text).to_string();
-            let Some(&token) = self.ctok(ci) else { return };
-            self.report(
-                "R06",
-                &token,
-                format!(
-                    "call to deprecated driver entry point `{name}` — drive runs \
-                     through the builder-style Session API \
-                     (lb_bench::dynamic::Session)"
-                ),
-            );
-        }
-    }
 }
 
 /// Extracts a directive from a `//`-comment's text: strips the slashes and
@@ -748,13 +712,6 @@ mod tests {
         assert_eq!(rules_of(&lint(src)), ["R05"]);
         // Plain paths still match, and cold code stays exempt.
         assert!(lint("fn cold() { let v = Vec::<u8>::new(); }").is_empty());
-    }
-
-    #[test]
-    fn r06_flags_calls_not_definitions() {
-        let f = lint("fn f() { run_scenario(&s, 1, 1, cb); }");
-        assert_eq!(rules_of(&f), ["R06"]);
-        assert!(lint("pub fn run_scenario(s: &S) {}").is_empty());
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //!   (interrupted recording, partial copy) fails loudly instead of silently
 //!   replaying a prefix.
 
+use lb_analysis::artifact::{create_staging, publish_staged};
 use lb_analysis::{u64_exact, Json};
 use lb_core::discrete::RoundEvents;
 use lb_core::{Task, TaskId};
@@ -86,8 +87,8 @@ impl TraceWriter {
     }
 
     /// Starts a trace file destined for `path`. The trace is streamed into
-    /// a temp sibling (`.{name}.tmp.{pid}`) and atomically published under
-    /// `path` — fsync, rename, directory fsync — by
+    /// a fresh staging sibling ([`create_staging`]) and atomically
+    /// published under `path` — fsync, rename, directory fsync — by
     /// [`finish`](TraceWriter::finish): a crash or error mid-recording
     /// leaves whatever was at `path` before untouched, never a torn trace.
     ///
@@ -96,15 +97,8 @@ impl TraceWriter {
     /// Returns a message naming the path on creation or write failure.
     pub fn create(path: impl AsRef<Path>, scenario: &Scenario) -> Result<Self, String> {
         let path = path.as_ref();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("trace");
-        let tmp_name = format!(".{name}.tmp.{}", std::process::id());
-        let tmp = match path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            Some(dir) => dir.join(tmp_name),
-            None => PathBuf::from(tmp_name),
-        };
-        // lint: allow(R04, staging file only: finish() publishes it atomically)
-        let file = fs::File::create(&tmp)
-            .map_err(|e| format!("creating trace {}: {e}", path.display()))?;
+        let (tmp, file) =
+            create_staging(path).map_err(|e| format!("creating trace {}: {e}", path.display()))?;
         let mut writer = Self::new(io::BufWriter::new(file), scenario)?;
         writer.publish = Some((tmp, path.to_path_buf()));
         Ok(writer)
@@ -180,21 +174,8 @@ impl TraceWriter {
             return Ok(());
         };
         drop(self); // closes the staged file (the pending publish is taken)
-        fs::File::open(&tmp)
-            .and_then(|f| f.sync_all())
-            .and_then(|()| fs::rename(&tmp, &target))
-            .map_err(|e| {
-                let _ = fs::remove_file(&tmp);
-                format!("publishing trace {}: {e}", target.display())
-            })?;
-        // Persist the rename itself; best-effort where directories cannot
-        // be opened.
-        if let Some(dir) = target.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Ok(d) = fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        publish_staged(&tmp, &target)
+            .map_err(|e| format!("publishing trace {}: {e}", target.display()))
     }
 
     fn write_line(&mut self, record: &Json) -> Result<(), String> {

@@ -10,6 +10,7 @@
 //! CI runs this suite under the `checkpoint` job's `timeout-minutes`, so a
 //! hang here fails loudly twice over.
 
+use lb_analysis::artifact::unique_name;
 use lb_core::snapshot;
 use lb_workloads::{
     AlgorithmSpec, ArrivalSpec, ChurnEvent, ChurnKind, InitialSpec, ModelSpec, PadSpec, Scenario,
@@ -61,8 +62,8 @@ fn lb() -> Command {
 
 fn temp(tag: &str, name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
-        "lb_checkpoint_faults_{}_{tag}_{name}",
-        std::process::id()
+        "{}_{name}",
+        unique_name(&format!("lb_checkpoint_faults_{tag}"))
     ))
 }
 

@@ -13,7 +13,7 @@
 
 use lb_bench::hotpath::SeedAlg1 as ReferenceAlg1;
 use lb_core::continuous::{
-    ContinuousProcess, ContinuousRunner, DimensionExchange, Fos, RandomMatching, Sos,
+    ContinuousProcess, ContinuousRunner, DimensionExchange, EdgeFlow, Fos, RandomMatching, Sos,
 };
 use lb_core::discrete::{DiscreteBalancer, FlowImitation, RandomizedImitation, TaskPicker};
 use lb_core::{InitialLoad, Speeds, Task};
@@ -115,7 +115,9 @@ impl<A: ContinuousProcess> ReferenceAlg2<A> {
     }
 
     fn step(&mut self) {
-        let flows = self.process.compute_flows(self.round, &self.twin_loads);
+        let mut flows = vec![EdgeFlow::default(); self.process.graph().edge_count()];
+        self.process
+            .compute_flows_into(self.round, &self.twin_loads, &mut flows);
         let edges: Vec<(usize, usize)> = self.process.graph().edges().to_vec();
         for (e, &(u, v)) in edges.iter().enumerate() {
             let net = flows[e].net();
@@ -346,8 +348,9 @@ proptest! {
             let kernel_process = build_model(model, &graph, &speeds);
             let mut runner = ContinuousRunner::new(kernel_process, initial.load_vector_f64());
             let mut x = initial.load_vector_f64();
+            let mut flows = vec![EdgeFlow::default(); graph.edge_count()];
             for t in 0..20 {
-                let flows = shim_process.compute_flows(t, &x);
+                shim_process.compute_flows_into(t, &x, &mut flows);
                 for (e, &(u, v)) in graph.edges().iter().enumerate() {
                     let net = flows[e].net();
                     x[u] -= net;

@@ -10,6 +10,7 @@
 //! CI runs this suite under the `federate` job's `timeout-minutes`, so a
 //! hang here fails loudly twice over.
 
+use lb_analysis::artifact::unique_name;
 use lb_workloads::{
     AlgorithmSpec, ArrivalSpec, ChurnEvent, ChurnKind, InitialSpec, ModelSpec, PadSpec, Scenario,
     ServiceSpec, SpeedSpec, TokenDistribution, TopologySpec,
@@ -77,8 +78,8 @@ fn lb() -> Command {
 
 fn temp(tag: &str, name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
-        "lb_federate_equivalence_{}_{tag}_{name}",
-        std::process::id()
+        "{}_{name}",
+        unique_name(&format!("lb_federate_equivalence_{tag}"))
     ))
 }
 

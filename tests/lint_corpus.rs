@@ -158,23 +158,6 @@ fn r05_scoped_to_annotated_fns() {
 }
 
 // ---------------------------------------------------------------------------
-// R06 — deprecated driver entry points
-// ---------------------------------------------------------------------------
-
-#[test]
-fn r06_calls_flagged_definitions_exempt() {
-    let src = "fn f() {\n    let run = run_scenario(&scenario, 64, 400, |_| {});\n}\n";
-    assert_eq!(located(&lint(src)), [("R06", 2, 15)]);
-
-    let src = "fn f() { resume_replay(dir, source)?; }";
-    assert_eq!(rules_of(&lint(src)), ["R06"]);
-
-    // Definitions (and the Session methods that replaced the free fns) pass.
-    assert!(lint("pub fn run_scenario(s: &Scenario) {}").is_empty());
-    assert!(lint("fn f() { session.run(&scenario)?; }").is_empty());
-}
-
-// ---------------------------------------------------------------------------
 // Suppressions and R00
 // ---------------------------------------------------------------------------
 
@@ -296,7 +279,7 @@ fn findings_sort_stably_and_render_json() {
 
 #[test]
 fn every_rule_is_documented() {
-    assert_eq!(RULES.len(), 7);
+    assert_eq!(RULES.len(), 6);
     for rule in RULES {
         assert!(rule.id.starts_with('R') && rule.id.len() == 3);
         assert!(!rule.name.is_empty() && !rule.contract.is_empty());

@@ -7,6 +7,7 @@
 //! * the Theorem 3 discrepancy bound under the sufficient-load condition,
 //! * diffusion-matrix stochasticity for arbitrary speed assignments.
 
+use lb_analysis::artifact::unique_name;
 use lb_core::continuous::{ContinuousProcess, ContinuousRunner, Fos};
 use lb_core::discrete::{DiscreteBalancer, FlowImitation, RandomizedImitation, TaskPicker};
 use lb_core::{metrics, InitialLoad, Speeds, Task, TaskId, TaskQueue};
@@ -311,8 +312,8 @@ proptest! {
         };
 
         let rotating = std::env::temp_dir().join(format!(
-            "lb_property_resume_{}_{seed:x}_{alg2}_{sos}.jsonl",
-            std::process::id()
+            "{}.jsonl",
+            unique_name(&format!("lb_property_resume_{seed:x}_{alg2}_{sos}"))
         ));
         // The sample callback for round r fires before the checkpoint write
         // at r, so the rotating file it sees holds round r-1: copying it at

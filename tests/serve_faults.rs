@@ -6,6 +6,7 @@
 //! wrong scenario is rejected with a typed error while the engine keeps
 //! serving the other feeds.
 
+use lb_analysis::artifact::unique_name;
 use lb_bench::dynamic::Session;
 use lb_bench::error::BenchError;
 use lb_bench::serve::{push_trace, serve, PushOptions, ServeOptions};
@@ -48,7 +49,7 @@ fn serve_scenario() -> Scenario {
 }
 
 fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("lb_serve_faults_{tag}_{}", std::process::id()))
+    std::env::temp_dir().join(unique_name(&format!("lb_serve_faults_{tag}")))
 }
 
 /// Records the scenario's event stream once; the header embeds the

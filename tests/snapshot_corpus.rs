@@ -6,6 +6,7 @@
 //! to its *specific located* [`lb_core::snapshot::SnapshotError`] variant,
 //! never a panic and never a silently-wrong resume.
 
+use lb_analysis::artifact::unique_name;
 use lb_bench::dynamic::Session;
 use lb_core::snapshot::{self, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 use lb_workloads::{
@@ -51,8 +52,8 @@ fn scenario() -> Scenario {
 /// rotating file after a run with cadence 10 holds the round-20 capture).
 fn canonical() -> String {
     let path = std::env::temp_dir().join(format!(
-        "lb_snapshot_corpus_canonical_{}.jsonl",
-        std::process::id()
+        "{}.jsonl",
+        unique_name("lb_snapshot_corpus_canonical")
     ));
     Session::from_scenario(&scenario())
         .checkpoint(path.clone(), 10)
@@ -248,8 +249,8 @@ fn atomic_writes_survive_overwrites_and_round_trip() {
     let text = canonical();
     let parsed: Snapshot = snapshot::parse(&text).unwrap();
     let path = std::env::temp_dir().join(format!(
-        "lb_snapshot_corpus_atomic_{}.jsonl",
-        std::process::id()
+        "{}.jsonl",
+        unique_name("lb_snapshot_corpus_atomic")
     ));
     // Two writes (the rotating-checkpoint pattern): the reader always sees a
     // complete document, and the temp sibling never survives.

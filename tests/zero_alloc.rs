@@ -9,6 +9,7 @@
 //! Everything runs inside a single `#[test]` so no concurrent test can
 //! pollute the counter.
 
+use lb_analysis::artifact::unique_name;
 use lb_analysis::Json;
 use lb_core::continuous::{ContinuousRunner, DimensionExchange, Fos};
 use lb_core::discrete::{
@@ -190,8 +191,7 @@ fn steady_state_rounds_do_not_allocate() {
         .expect("FOS constructs");
     let mut alg1 = FlowImitation::new(fos, &initial, speeds.clone(), TaskPicker::Fifo)
         .expect("dimensions agree");
-    let ckpt =
-        std::env::temp_dir().join(format!("lb_zero_alloc_ckpt_{}.jsonl", std::process::id()));
+    let ckpt = std::env::temp_dir().join(format!("{}.jsonl", unique_name("lb_zero_alloc_ckpt")));
     let header = Json::obj([("name", Json::Str("zero_alloc".into()))]);
     let publish = |alg1: &FlowImitation<Fos>, round: u64| {
         let snap = Snapshot {
