@@ -13,6 +13,7 @@ use lb_graph::{
     generators, random_maximal_matching, AlphaScheme, DiffusionMatrix, PeriodicMatchings,
     PowerIterationOptions,
 };
+use lb_workloads::SpeedModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -77,6 +78,22 @@ fn bench_substrate(c: &mut Criterion) {
                     max_iterations: 2_000,
                     tolerance: 1e-8,
                 },
+            )
+        })
+    });
+    // The `churn_sos` benchmark graph: Q13 with three powers-of-two speed
+    // classes (heterogeneous couplings) at the engine's default tolerance.
+    let cube = generators::hypercube(13).expect("hypercube builds");
+    let speeds = SpeedModel::PowersOfTwo { classes: 3 }
+        .generate(cube.node_count(), &mut StdRng::seed_from_u64(0))
+        .to_f64();
+    let cube_matrix = DiffusionMatrix::new(&cube, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+    group.bench_function("second_eigenvalue_hypercube_8192_pow2", |b| {
+        b.iter(|| {
+            lb_graph::spectral::second_eigenvalue(
+                &cube,
+                &cube_matrix,
+                PowerIterationOptions::default(),
             )
         })
     });

@@ -85,12 +85,7 @@ impl Sos {
         let graph = graph.into();
         let speeds_f64 = speeds.to_f64();
         let matrix = DiffusionMatrix::new(&graph, &speeds_f64, scheme)?;
-        let lambda = lb_graph::spectral::second_eigenvalue(
-            &graph,
-            &matrix,
-            PowerIterationOptions::default(),
-        );
-        let beta = 2.0 / (1.0 + (1.0 - lambda * lambda).max(0.0).sqrt());
+        let beta = optimal_beta(&graph, &matrix);
         let m = graph.edge_count();
         Ok(Sos {
             graph,
@@ -129,12 +124,7 @@ impl Sos {
         let beta = if delta.is_empty() {
             self.beta
         } else {
-            let lambda = lb_graph::spectral::second_eigenvalue(
-                &new_graph,
-                &matrix,
-                PowerIterationOptions::default(),
-            );
-            2.0 / (1.0 + (1.0 - lambda * lambda).max(0.0).sqrt())
+            optimal_beta(&new_graph, &matrix)
         };
         let m = new_graph.edge_count();
         Ok(Sos {
@@ -147,6 +137,15 @@ impl Sos {
             name: format!("sos(beta={beta:.3})"),
         })
     }
+}
+
+/// `β = 2/(1 + √(1 − λ²))` with `λ` estimated by power iteration: the one
+/// formula behind both [`Sos::with_optimal_beta`] and [`Sos::patched`], so a
+/// patched process and its full rebuild agree to the bit (resume checks it).
+fn optimal_beta(graph: &Graph, matrix: &DiffusionMatrix) -> f64 {
+    let lambda =
+        lb_graph::spectral::second_eigenvalue(graph, matrix, PowerIterationOptions::default());
+    2.0 / (1.0 + (1.0 - lambda * lambda).max(0.0).sqrt())
 }
 
 impl ContinuousProcess for Sos {
@@ -365,6 +364,43 @@ mod tests {
             sos_rounds < fos_rounds,
             "SOS ({sos_rounds}) should beat FOS ({fos_rounds}) on the cycle"
         );
+    }
+
+    /// Q6 with three powers-of-two speed classes, so `β` depends on the
+    /// heterogeneous couplings.
+    fn pow2_hypercube() -> (Arc<Graph>, Speeds) {
+        let g = generators::hypercube(6).unwrap();
+        let speeds = Speeds::new((0..g.node_count()).map(|i| 1u64 << (i % 3)).collect()).unwrap();
+        (Arc::new(g), speeds)
+    }
+
+    #[test]
+    fn patched_beta_bit_matches_a_full_rebuild_on_a_real_delta() {
+        let (g, speeds) = pow2_hypercube();
+        let sos =
+            Sos::with_optimal_beta(Arc::clone(&g), &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        // Swap two cube edges for two chords.
+        let delta = GraphDelta::new(g.node_count(), [(0, 3), (9, 54)], [(0, 1), (8, 9)]).unwrap();
+        let new_graph = Arc::new(g.apply_delta(&delta).unwrap());
+        let patched = sos.patched(Arc::clone(&new_graph), &delta).unwrap();
+        let rebuilt =
+            Sos::with_optimal_beta(new_graph, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        assert_eq!(patched.beta().to_bits(), rebuilt.beta().to_bits());
+        assert_ne!(patched.beta().to_bits(), sos.beta().to_bits());
+        assert_eq!(patched.name(), rebuilt.name());
+    }
+
+    #[test]
+    fn patched_keeps_beta_on_an_empty_delta_without_estimating() {
+        let (g, speeds) = pow2_hypercube();
+        // An explicit, non-optimal beta: any estimate would replace it.
+        let beta = 1.234_567;
+        let sos = Sos::new(Arc::clone(&g), &speeds, AlphaScheme::MaxDegreePlusOne, beta).unwrap();
+        let optimal =
+            Sos::with_optimal_beta(Arc::clone(&g), &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        assert_ne!(optimal.beta().to_bits(), beta.to_bits());
+        let patched = sos.patched(g, &GraphDelta::default()).unwrap();
+        assert_eq!(patched.beta().to_bits(), beta.to_bits());
     }
 
     #[test]

@@ -41,10 +41,20 @@ impl Default for PowerIterationOptions {
 ///
 /// Returns a value in `[0, 1]` (clamped against round-off).
 ///
+/// # Cost
+///
+/// O(n + m) per iteration: two applications of `M` (one `M²` product), with
+/// the m couplings `α[e] / √(s_u · s_w)` computed once per call and three
+/// n-vectors reused, so the loop does not allocate. The `M²` product at an
+/// iteration's new unit vector gives its Rayleigh quotient and is also the
+/// next iteration's product, so it is computed once. Every float operation
+/// and summation order is the same as computing it twice, so the result is
+/// bit-identical.
+///
 /// # Panics
 ///
-/// Panics if the matrix was built for a different graph (debug builds) or the
-/// graph is empty.
+/// Panics if the matrix was built for a graph with fewer edges or nodes, or
+/// the graph is empty.
 pub fn second_eigenvalue(
     graph: &Graph,
     matrix: &DiffusionMatrix,
@@ -60,24 +70,31 @@ pub fn second_eigenvalue(
     let mut top: Vec<f64> = speeds.iter().map(|s| s.sqrt()).collect();
     normalize(&mut top);
 
-    // Multiply the symmetrised matrix by a vector.
-    let sym_apply = |v: &[f64]| -> Vec<f64> {
-        let mut out = vec![0.0; n];
-        for i in 0..n {
-            out[i] += matrix.diagonal(i) * v[i];
+    // The symmetrised matrix's per-edge couplings, computed once per call.
+    let couplings: Vec<f64> = graph
+        .edges()
+        .iter()
+        .enumerate()
+        .map(|(e, &(u, w))| matrix.alpha(e) / (speeds[u] * speeds[w]).sqrt())
+        .collect();
+    // `out = M v`: the diagonal term first (`0.0 +` turns a `-0.0` product
+    // into `+0.0`, as accumulating into a zeroed vector would), then the
+    // edges in edge-list order.
+    let sym_apply = |v: &[f64], out: &mut [f64]| {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = 0.0 + matrix.diagonal(i) * v[i];
         }
-        for (e, &(u, w)) in graph.edges().iter().enumerate() {
-            let coupling = matrix.alpha(e) / (speeds[u] * speeds[w]).sqrt();
-            out[u] += coupling * v[w];
-            out[w] += coupling * v[u];
+        for (&(u, w), c) in graph.edges().iter().zip(&couplings) {
+            out[u] += c * v[w];
+            out[w] += c * v[u];
         }
-        out
     };
-    // One iteration step: apply M twice and project away the top eigenvector.
-    let step = |v: &[f64]| -> Vec<f64> {
-        let mut out = sym_apply(&sym_apply(v));
-        deflate(&mut out, &top);
-        out
+    // One iteration step: `out = M² v` with the top eigenvector projected
+    // away.
+    let step = |v: &[f64], out: &mut [f64], scratch: &mut [f64]| {
+        sym_apply(v, scratch);
+        sym_apply(scratch, out);
+        deflate(out, &top);
     };
 
     // Deterministic, generic start vector; deflation removes the top
@@ -87,26 +104,32 @@ pub fn second_eigenvalue(
         .collect();
     deflate(&mut v, &top);
     normalize(&mut v);
+    let mut scratch = vec![0.0; n];
+    let mut product = vec![0.0; n];
+    step(&v, &mut product, &mut scratch);
 
     let mut estimate_sq = 0.0;
     for _ in 0..options.max_iterations {
-        let mut next = step(&v);
-        let norm = l2_norm(&next);
+        // `product` holds M²v (deflated); normalised, it is the next iterate.
+        let norm = l2_norm(&product);
         if norm < 1e-15 {
             // The deflated spectrum is numerically zero.
             return 0.0;
         }
-        for x in &mut next {
+        for x in &mut product {
             *x /= norm;
         }
+        // `v` is spent: it receives M² at the new unit vector, which is the
+        // Rayleigh product now and the next iteration's M²v after the swap.
+        step(&product, &mut v, &mut scratch);
         // Rayleigh quotient of M^2 at the current unit vector: converges to
         // lambda^2 monotonically from below for power iteration.
-        let rayleigh_sq: f64 = dot(&next, &step(&next)).max(0.0);
+        let rayleigh_sq: f64 = dot(&product, &v).max(0.0);
         if (rayleigh_sq - estimate_sq).abs() < options.tolerance {
             return rayleigh_sq.sqrt().clamp(0.0, 1.0);
         }
         estimate_sq = rayleigh_sq;
-        v = next;
+        std::mem::swap(&mut v, &mut product);
     }
     estimate_sq.sqrt().clamp(0.0, 1.0)
 }
@@ -117,6 +140,10 @@ pub fn second_eigenvalue(
 /// Uses power iteration on `c·I − L` with `c = 2·d_max + 1 ≥ λ_max(L)`,
 /// deflating the all-ones vector (the eigenvector of `L` for eigenvalue 0).
 /// The dominant eigenvalue of the deflated operator is `c − γ`.
+///
+/// Costs O(n + m) per iteration: one application of `c·I − L`, whose result
+/// at the new unit vector is both the Rayleigh product and, once deflated,
+/// the next iterate (reused, not recomputed, so the bits are unchanged).
 ///
 /// Returns 0.0 for disconnected graphs (up to numerical tolerance).
 ///
@@ -135,39 +162,42 @@ pub fn laplacian_gap(graph: &Graph, options: PowerIterationOptions) -> f64 {
         normalize(&mut v);
         v
     };
-    let apply = |v: &[f64]| -> Vec<f64> {
+    let apply = |v: &[f64], out: &mut [f64]| {
         // (c I - L) v = c v - D v + A v
-        let mut out: Vec<f64> = (0..n)
-            .map(|i| (c - graph.degree(i) as f64) * v[i])
-            .collect();
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = (c - graph.degree(i) as f64) * v[i];
+        }
         for &(u, w) in graph.edges() {
             out[u] += v[w];
             out[w] += v[u];
         }
-        out
     };
     let mut v: Vec<f64> = (0..n)
         .map(|i| ((i as f64) * 1.234_567 + 0.37).cos())
         .collect();
     deflate(&mut v, &ones);
     normalize(&mut v);
+    let mut product = vec![0.0; n];
+    apply(&v, &mut product);
     let mut estimate = 0.0;
     for _ in 0..options.max_iterations {
-        let mut next = apply(&v);
-        deflate(&mut next, &ones);
-        let norm = l2_norm(&next);
+        // `product` holds (c I - L) v; deflated and normalised, it is the
+        // next iterate.
+        deflate(&mut product, &ones);
+        let norm = l2_norm(&product);
         if norm < 1e-300 {
             return c;
         }
-        for x in &mut next {
+        for x in &mut product {
             *x /= norm;
         }
-        let rayleigh = dot(&next, &apply(&next));
+        apply(&product, &mut v);
+        let rayleigh = dot(&product, &v);
         if (rayleigh - estimate).abs() < options.tolerance {
             return (c - rayleigh).max(0.0);
         }
         estimate = rayleigh;
-        v = next;
+        std::mem::swap(&mut v, &mut product);
     }
     (c - estimate).max(0.0)
 }
@@ -213,7 +243,186 @@ fn deflate(v: &mut [f64], dir: &[f64]) {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::graph::GraphDelta;
     use crate::matrix::AlphaScheme;
+
+    /// The power iterations as first written: every application allocates,
+    /// recomputes its couplings, and the Rayleigh product is computed again
+    /// as the next iteration's step. The oracle for bit-identity.
+    fn reference_second_eigenvalue(
+        graph: &Graph,
+        matrix: &DiffusionMatrix,
+        options: PowerIterationOptions,
+    ) -> f64 {
+        let n = graph.node_count();
+        if n == 1 {
+            return 0.0;
+        }
+        let speeds = matrix.speeds();
+        let mut top: Vec<f64> = speeds.iter().map(|s| s.sqrt()).collect();
+        normalize(&mut top);
+        let sym_apply = |v: &[f64]| -> Vec<f64> {
+            let mut out = vec![0.0; n];
+            for i in 0..n {
+                out[i] += matrix.diagonal(i) * v[i];
+            }
+            for (e, &(u, w)) in graph.edges().iter().enumerate() {
+                let coupling = matrix.alpha(e) / (speeds[u] * speeds[w]).sqrt();
+                out[u] += coupling * v[w];
+                out[w] += coupling * v[u];
+            }
+            out
+        };
+        let step = |v: &[f64]| -> Vec<f64> {
+            let mut out = sym_apply(&sym_apply(v));
+            deflate(&mut out, &top);
+            out
+        };
+        let mut v: Vec<f64> = (0..n)
+            .map(|i| ((i as f64) * 0.754_877_666 + 0.1).sin())
+            .collect();
+        deflate(&mut v, &top);
+        normalize(&mut v);
+        let mut estimate_sq = 0.0;
+        for _ in 0..options.max_iterations {
+            let mut next = step(&v);
+            let norm = l2_norm(&next);
+            if norm < 1e-15 {
+                return 0.0;
+            }
+            for x in &mut next {
+                *x /= norm;
+            }
+            let rayleigh_sq: f64 = dot(&next, &step(&next)).max(0.0);
+            if (rayleigh_sq - estimate_sq).abs() < options.tolerance {
+                return rayleigh_sq.sqrt().clamp(0.0, 1.0);
+            }
+            estimate_sq = rayleigh_sq;
+            v = next;
+        }
+        estimate_sq.sqrt().clamp(0.0, 1.0)
+    }
+
+    /// [`laplacian_gap`] as first written (see the λ reference above).
+    fn reference_laplacian_gap(graph: &Graph, options: PowerIterationOptions) -> f64 {
+        let n = graph.node_count();
+        if n == 1 {
+            return 0.0;
+        }
+        let c = 2.0 * graph.max_degree() as f64 + 1.0;
+        let ones = {
+            let mut v = vec![1.0; n];
+            normalize(&mut v);
+            v
+        };
+        let apply = |v: &[f64]| -> Vec<f64> {
+            let mut out: Vec<f64> = (0..n)
+                .map(|i| (c - graph.degree(i) as f64) * v[i])
+                .collect();
+            for &(u, w) in graph.edges() {
+                out[u] += v[w];
+                out[w] += v[u];
+            }
+            out
+        };
+        let mut v: Vec<f64> = (0..n)
+            .map(|i| ((i as f64) * 1.234_567 + 0.37).cos())
+            .collect();
+        deflate(&mut v, &ones);
+        normalize(&mut v);
+        let mut estimate = 0.0;
+        for _ in 0..options.max_iterations {
+            let mut next = apply(&v);
+            deflate(&mut next, &ones);
+            let norm = l2_norm(&next);
+            if norm < 1e-300 {
+                return c;
+            }
+            for x in &mut next {
+                *x /= norm;
+            }
+            let rayleigh = dot(&next, &apply(&next));
+            if (rayleigh - estimate).abs() < options.tolerance {
+                return (c - rayleigh).max(0.0);
+            }
+            estimate = rayleigh;
+            v = next;
+        }
+        (c - estimate).max(0.0)
+    }
+
+    /// Every graph of the oracle corpus with its diffusion matrix: uniform
+    /// and heterogeneous speeds, bipartite and odd cycles, a graph whose
+    /// deflated spectrum is zero, a bottleneck, a single node, and a matrix
+    /// patched after a non-empty delta.
+    fn oracle_corpus() -> Vec<(&'static str, Graph, DiffusionMatrix)> {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let uniform = |name, g: Graph| {
+            let p = DiffusionMatrix::uniform(&g, AlphaScheme::MaxDegreePlusOne).unwrap();
+            (name, g, p)
+        };
+        let q7 = generators::hypercube(7).unwrap();
+        let pow2: Vec<f64> = (0..q7.node_count())
+            .map(|i| f64::from(1u32 << (i % 3)))
+            .collect();
+        let q7_pow2 = DiffusionMatrix::new(&q7, &pow2, AlphaScheme::MaxDegreePlusOne).unwrap();
+
+        let old = generators::hypercube(5).unwrap();
+        let speeds: Vec<f64> = (0..old.node_count())
+            .map(|i| 1.0 + (i % 4) as f64 * 0.5)
+            .collect();
+        let p_old = DiffusionMatrix::new(&old, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        let delta = GraphDelta::new(old.node_count(), [(0, 3), (5, 30)], [(0, 1), (4, 6)]).unwrap();
+        let new = old.apply_delta(&delta).unwrap();
+        let p_new = p_old.patched(&old, &new, &delta).unwrap();
+
+        let mut rng = StdRng::seed_from_u64(11);
+        vec![
+            ("hypercube(7) pow2 speeds", q7, q7_pow2),
+            uniform("torus(8,8)", generators::torus(8, 8).unwrap()),
+            uniform("cycle(9)", generators::cycle(9).unwrap()),
+            uniform("cycle(12)", generators::cycle(12).unwrap()),
+            uniform(
+                "random_regular(64,6)",
+                generators::random_regular(64, 6, &mut rng).unwrap(),
+            ),
+            uniform("complete(8)", generators::complete(8).unwrap()),
+            uniform("barbell(8,2)", generators::barbell(8, 2).unwrap()),
+            uniform("single node", Graph::from_edges(1, []).unwrap()),
+            ("patched hypercube(5)", new, p_new),
+        ]
+    }
+
+    #[test]
+    fn estimates_are_bit_identical_to_the_reference() {
+        let budgets = [
+            PowerIterationOptions::default(),
+            // Exhausts the budget: the return after the loop.
+            PowerIterationOptions {
+                max_iterations: 3,
+                tolerance: 1e-10,
+            },
+        ];
+        for (name, g, p) in oracle_corpus() {
+            for options in budgets {
+                let lambda = second_eigenvalue(&g, &p, options);
+                let expected = reference_second_eigenvalue(&g, &p, options);
+                assert_eq!(
+                    lambda.to_bits(),
+                    expected.to_bits(),
+                    "{name}, {options:?}: lambda {lambda} vs reference {expected}"
+                );
+                let gamma = laplacian_gap(&g, options);
+                let expected = reference_laplacian_gap(&g, options);
+                assert_eq!(
+                    gamma.to_bits(),
+                    expected.to_bits(),
+                    "{name}, {options:?}: gamma {gamma} vs reference {expected}"
+                );
+            }
+        }
+    }
 
     fn lambda_of(graph: &Graph) -> f64 {
         let p = DiffusionMatrix::uniform(graph, AlphaScheme::MaxDegreePlusOne).unwrap();
