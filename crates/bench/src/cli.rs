@@ -41,7 +41,8 @@ use crate::error::BenchError;
 use crate::serve::{push_trace, serve, PushOptions, ServeOptions};
 use lb_analysis::Json;
 use lb_core::snapshot::write_bytes_atomic;
-use lb_workloads::{ReadSource, Scenario, Trace, TraceSource};
+use lb_workloads::source::{DEFAULT_IDLE_TIMEOUT, DEFAULT_POLL_INTERVAL};
+use lb_workloads::{ReadSource, RoundSource, Scenario, TraceSource};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -100,13 +101,13 @@ COMMANDS:
                           recorded run's (the trace pins the seed). '-' reads
                           a framed trace stream from stdin (pipe a
                           'lb serve-trace' into it for end-to-end testing).
-        --follow          Tail the trace file as it grows instead of loading
-                          it up front; only the 'end' record ends the run
-                          cleanly (see --idle-timeout-ms).
+        --follow          Tail the trace file as it grows instead of stopping
+                          at its current end; only the 'end' record ends the
+                          run cleanly (see --idle-timeout-ms).
         --idle-timeout-ms N
                           With --follow: how long the tail may see no growth
-                          before the trace is declared stalled/truncated
-                          [default: 10000].
+                          before the trace is declared stalled/truncated; 0
+                          stops at the file's current end [default: 10000].
         --shards N        Override the recorded shard count (results are
                           bit-identical for every N). Env: LB_BENCH_SHARDS.
         --ingest-stats PATH
@@ -825,7 +826,9 @@ fn cmd_replay(args: &[String]) -> i32 {
             Ok(ms) => Duration::from_millis(ms),
             Err(e) => return usage_error(&format!("--idle-timeout-ms: {e}")),
         },
-        None => Duration::from_millis(10_000),
+        None if follow => DEFAULT_IDLE_TIMEOUT,
+        // Without --follow the file is read as it is: end of file is final.
+        None => Duration::ZERO,
     };
     if follow && path == "-" {
         return usage_error("--follow tails a file; it cannot follow stdin ('-')");
@@ -838,31 +841,17 @@ fn cmd_replay(args: &[String]) -> i32 {
                 stream_sample(sample);
             }
         };
-        let outcome = if path == "-" {
-            // A framed byte stream on stdin (e.g. `lb serve-trace | lb
-            // replay -`): records are parsed incrementally as they arrive.
-            let source = ReadSource::new(std::io::stdin()).map_err(BenchError::from_source)?;
-            Session::from_stream(Box::new(source))
-                .shards(shards)
-                .run(on_sample)?
-        } else if follow {
-            // Tail the file as it grows; the end record is the clean exit.
-            let source = TraceSource::open_with(
-                path,
-                idle_timeout,
-                lb_workloads::source::DEFAULT_POLL_INTERVAL,
-            )
-            .map_err(BenchError::from_source)?;
-            Session::from_stream(Box::new(source))
-                .shards(shards)
-                .run(on_sample)?
+        // Records are parsed incrementally as they arrive, from stdin (e.g.
+        // `lb serve-trace | lb replay -`) or from the trace file.
+        let source: Box<dyn RoundSource> = if path == "-" {
+            Box::new(ReadSource::new(std::io::stdin()).map_err(BenchError::from_source)?)
         } else {
-            let trace = Trace::load(path).map_err(BenchError::from_source)?;
-            let (recorded_rounds, recorded_events) = (trace.rounds.len(), trace.event_count());
-            let outcome = Session::from_trace(trace).shards(shards).run(on_sample)?;
-            eprintln!("(replayed {recorded_rounds} recorded round(s), {recorded_events} event(s))");
-            outcome
+            Box::new(
+                TraceSource::open_with(path, idle_timeout, DEFAULT_POLL_INTERVAL)
+                    .map_err(BenchError::from_source)?,
+            )
         };
+        let outcome = Session::from_stream(source).shards(shards).run(on_sample)?;
         if let Some(stats_path) = parsed.value("--ingest-stats") {
             emit_ingest_stats(&outcome, stats_path).map_err(BenchError::Io)?;
         }
@@ -1050,8 +1039,9 @@ fn cmd_serve_trace(args: &[String]) -> i32 {
     };
 
     let result = (|| -> Result<(), BenchError> {
-        let trace = Trace::load(path).map_err(BenchError::from_source)?;
-        let report = push_trace(addr, &trace, &options)?;
+        let source = TraceSource::open_with(path, Duration::ZERO, DEFAULT_POLL_INTERVAL)
+            .map_err(BenchError::from_source)?;
+        let report = push_trace(addr, source, &options)?;
         if let Some(round) = report.resumed_after {
             eprintln!("(resumed feed {:?} after round {round})", options.feed);
         }

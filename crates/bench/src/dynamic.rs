@@ -10,14 +10,13 @@
 //!
 //! Every way of driving a run goes through one builder, [`Session`]:
 //! construct it from a scenario ([`Session::from_scenario`]), a recorded
-//! trace ([`Session::from_trace`]), a live byte stream
-//! ([`Session::from_stream`]) or a checkpoint snapshot
-//! ([`Session::from_snapshot`]); layer on overrides and side outputs
+//! trace or live byte stream ([`Session::from_stream`]) or a checkpoint
+//! snapshot ([`Session::from_snapshot`]); layer on overrides and side outputs
 //! (`.seed()`, `.shards()`, `.producer()`, `.record()`, `.checkpoint()`,
 //! `.stream()`, `.merged()`); then [`Session::run`]. Failures come back as
 //! the typed [`crate::error::BenchError`].
 //!
-//! Events can reach the engine six ways, all bit-identical for the same
+//! Events can reach the engine five ways, all bit-identical for the same
 //! scenario and seed (`tests/ingest_equivalence.rs`,
 //! `tests/merge_equivalence.rs`, `tests/serve_faults.rs`):
 //!
@@ -28,11 +27,11 @@
 //! * **merge** ([`Producer::Merge`]) — N producer threads each stream a
 //!   contiguous per-round slice of the same batches over their own channel,
 //!   k-way merged back into round order by [`lb_core::ingest::merge`];
-//! * **trace replay** ([`Session::from_trace`]) — the batches come from a
-//!   recorded trace file ([`lb_workloads::trace`]) through the channel;
-//! * **byte-stream replay** ([`Session::from_stream`]) — the batches are
-//!   parsed incrementally from a live byte stream ([`lb_workloads::source`]:
-//!   a growing file tail or any pipe/socket reader) on the producer thread;
+//! * **replay** ([`Session::from_stream`]) — the batches are parsed
+//!   incrementally from a recorded trace ([`lb_workloads::trace`]) on the
+//!   producer thread and fed through the channel, whether the trace is a
+//!   finished file, a growing file tail or any pipe/socket reader
+//!   ([`lb_workloads::source`]);
 //! * **external merge** ([`Session::merged`]) — the driver consumes an
 //!   externally built [`MergeSession`] whose feeds are produced elsewhere —
 //!   e.g. the socket connections of [`crate::serve`], registered on the fly
@@ -73,7 +72,7 @@ use lb_core::{metrics, CoreError, FederatedExecutor, InitialLoad, ShardedExecuto
 use lb_graph::{AlphaScheme, Graph, GraphDelta};
 use lb_workloads::{
     pad_for_min_load, AlgorithmSpec, ChurnKind, ModelSpec, PadSpec, RoundSource, Scenario,
-    ScenarioEvents, Trace, TraceWriter,
+    ScenarioEvents, TraceWriter,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -474,7 +473,7 @@ pub struct RunOptions {
     pub producer: Producer,
     /// Record the applied event stream to this trace file
     /// ([`lb_workloads::trace`]); the trace embeds the effective scenario
-    /// and replays bit-identically via [`Session::from_trace`]. Recording
+    /// and replays bit-identically via [`Session::from_stream`]. Recording
     /// never perturbs the run itself.
     pub record: Option<PathBuf>,
     /// Write a rotating engine snapshot ([`lb_core::snapshot`]) to this
@@ -488,6 +487,26 @@ pub struct RunOptions {
     /// Checkpoint cadence in completed rounds; required with (and only
     /// meaningful alongside) [`checkpoint`](RunOptions::checkpoint).
     pub checkpoint_every: Option<usize>,
+}
+
+impl RunOptions {
+    /// The checkpoint path and cadence, validated as a pair: both or
+    /// neither, and a cadence of at least one round.
+    fn checkpoint_plan(&self) -> Result<Option<(PathBuf, usize)>, BenchError> {
+        match (&self.checkpoint, self.checkpoint_every) {
+            (Some(_), Some(0)) => Err(BenchError::usage(
+                "the checkpoint cadence must be at least one round",
+            )),
+            (Some(path), Some(every)) => Ok(Some((path.clone(), every))),
+            (Some(_), None) => Err(BenchError::usage(
+                "a checkpoint path requires a checkpoint cadence (checkpoint-every)",
+            )),
+            (None, Some(_)) => Err(BenchError::usage(
+                "a checkpoint cadence requires a checkpoint path",
+            )),
+            (None, None) => Ok(None),
+        }
+    }
 }
 
 /// The JSON form of one feed's ingestion stats.
@@ -800,29 +819,6 @@ fn spawn_merge_producers(
     (MergeSession::new(consumers), handles)
 }
 
-/// Spawns the producer thread for [`Session::from_trace`]: feeds the recorded round
-/// batches through the channel in order.
-fn spawn_trace_producer(
-    rounds: Vec<lb_workloads::TraceRound>,
-    capacity: usize,
-) -> (IngestSession, JoinHandle<Result<(), String>>) {
-    let (mut tx, rx) = ingest::bounded(capacity);
-    let handle = std::thread::spawn(move || {
-        for record in rounds {
-            let mut batch = tx.buffer();
-            record.fill(&mut batch);
-            if batch.is_empty() {
-                continue; // writers skip empty batches, but tolerate them
-            }
-            if tx.send(record.round, batch).is_err() {
-                return Ok(());
-            }
-        }
-        Ok(())
-    });
-    (IngestSession::new(rx), handle)
-}
-
 /// Spawns the producer thread for [`Session::from_stream`]: pulls round batches off
 /// a live byte-stream source ([`lb_workloads::source`]) and feeds them
 /// through the channel, recycling drained buffers. A source error — a torn
@@ -907,34 +903,20 @@ impl Session {
     }
 
     /// Starts a session that replays a recorded trace through the async
-    /// ingestion channel: the embedded scenario rebuilds the graph, speeds
-    /// and initial load, and the recorded batches drive the engine instead
-    /// of the scenario's generator. For a trace recorded from the same
-    /// scenario and seed, the result document is byte-identical to the
-    /// original run's. The trace pins the seed ([`Session::seed`] is
-    /// rejected); [`Session::shards`] replaces the embedded shard count
-    /// (shard count never changes the result). The trace is consumed: its
-    /// recorded rounds move to the producer thread without copying (clone
-    /// first to replay again).
-    pub fn from_trace(trace: Trace) -> Self {
-        Session {
-            origin: Origin::Scenario(Box::new(trace.scenario.clone())),
-            feed: Feed::Trace(Box::new(trace)),
-            options: RunOptions::default(),
-            federation: None,
-        }
-    }
-
-    /// Starts a session that replays a live byte stream through the async
     /// ingestion channel: the source's header embeds the effective
-    /// scenario, and its round records drive the engine as they arrive —
-    /// from a growing trace file ([`lb_workloads::TraceSource`]) or any
-    /// framed reader ([`lb_workloads::ReadSource`]: pipes, sockets, stdin).
+    /// scenario, which rebuilds the graph, speeds and initial load, and its
+    /// round records drive the engine as they arrive — from any framed
+    /// reader ([`lb_workloads::ReadSource`]: a trace file, pipes, sockets,
+    /// stdin) or a growing trace file ([`lb_workloads::TraceSource`]). For a
+    /// trace recorded from the same scenario and seed, the result document
+    /// is byte-identical to the original run's.
     ///
     /// The source runs on the producer thread; a source failure (torn tail,
     /// stalled writer, malformed record) ends production early — the engine
     /// finishes the remaining rounds event-free — and surfaces as the run's
-    /// error, never as a deadlock. The stream pins the seed.
+    /// error, never as a deadlock. The stream pins the seed
+    /// ([`Session::seed`] is rejected); [`Session::shards`] replaces the
+    /// embedded shard count (shard count never changes the result).
     pub fn from_stream(source: Box<dyn RoundSource>) -> Self {
         Session {
             origin: Origin::Scenario(Box::new(source.scenario().clone())),
@@ -973,7 +955,7 @@ impl Session {
     }
 
     /// Replaces the spec's seed; the effective value is recorded in the
-    /// outcome. Rejected by trace/stream/snapshot sessions — those pin the
+    /// outcome. Rejected by stream and snapshot sessions — those pin the
     /// seed. Accepts an `Option` so call sites can thread an optional
     /// override straight through.
     pub fn seed(mut self, seed: impl Into<Option<u64>>) -> Self {
@@ -991,7 +973,7 @@ impl Session {
     }
 
     /// Selects how generated events reach the engine (sync, channel or
-    /// merge). Ignored by trace/stream/merged feeds, which bring their own
+    /// merge). Ignored by stream and merged feeds, which bring their own
     /// channel path.
     pub fn producer(mut self, producer: Producer) -> Self {
         self.options.producer = producer;
@@ -1000,7 +982,7 @@ impl Session {
 
     /// Records the applied event stream to this trace file
     /// ([`lb_workloads::trace`]); the trace embeds the effective scenario
-    /// and replays bit-identically via [`Session::from_trace`]. Recording
+    /// and replays bit-identically via [`Session::from_stream`]. Recording
     /// never perturbs the run itself.
     pub fn record(mut self, path: impl Into<Option<PathBuf>>) -> Self {
         self.options.record = path.into();
@@ -1089,6 +1071,7 @@ impl Session {
             options,
             federation,
         } = self;
+        let checkpoint = options.checkpoint_plan()?;
         if let Some((role, parts)) = federation {
             let Origin::Scenario(scenario) = origin else {
                 return Err(BenchError::usage(
@@ -1123,7 +1106,7 @@ impl Session {
             }
             scenario.federation = parts;
             scenario.validate().map_err(BenchError::Usage)?;
-            return crate::federate::run_federated(scenario, role, &options, on_sample);
+            return crate::federate::run_federated(scenario, role, checkpoint, on_sample);
         }
         let (scenario, resume) = match origin {
             Origin::Scenario(scenario) => {
@@ -1170,7 +1153,7 @@ impl Session {
                 (scenario, Some(resume))
             }
         };
-        execute(scenario, feed, &options, resume, on_sample)
+        execute(scenario, feed, &options, checkpoint, resume, on_sample)
     }
 }
 
@@ -1326,9 +1309,6 @@ enum Feed {
     /// The scenario's own generator, inline or behind channels per
     /// [`RunOptions::producer`].
     Generate,
-    /// A fully parsed recorded trace (boxed: traces dwarf the other
-    /// variants).
-    Trace(Box<Trace>),
     /// A live byte-stream source, parsed on the producer thread.
     Source(Box<dyn RoundSource>),
     /// An externally built k-way merge whose producers live outside the
@@ -1406,36 +1386,17 @@ pub(crate) fn sample_of(engine: &Engine, round: usize) -> RoundSample {
 
 /// The shared driver loop behind [`Session::run`]: `scenario` is already
 /// effective (overrides applied, validated); `feed` selects where the
-/// per-round batches come from.
+/// per-round batches come from; `checkpoint` is the validated path and
+/// cadence.
 fn execute(
     scenario: Scenario,
     feed: Feed,
     options: &RunOptions,
+    checkpoint: Option<(PathBuf, usize)>,
     resume: Option<ResumePoint>,
     mut on_sample: impl FnMut(&RoundSample),
 ) -> Result<ScenarioOutcome, BenchError> {
     let seed = scenario.seed;
-    let checkpoint = match (&options.checkpoint, options.checkpoint_every) {
-        (Some(path), Some(every)) => {
-            if every == 0 {
-                return Err(BenchError::usage(
-                    "the checkpoint cadence must be at least one round",
-                ));
-            }
-            Some((path.clone(), every))
-        }
-        (Some(_), None) => {
-            return Err(BenchError::usage(
-                "a checkpoint path requires a checkpoint cadence (checkpoint-every)",
-            ))
-        }
-        (None, Some(_)) => {
-            return Err(BenchError::usage(
-                "a checkpoint cadence requires a checkpoint path",
-            ));
-        }
-        (None, None) => None,
-    };
 
     let World {
         class,
@@ -1450,13 +1411,6 @@ fn execute(
     // the prebuilt graphs, and a channel producer follows the speeds.
     let schedule = churn_schedule(class, &scenario, &graph, &speeds).map_err(BenchError::Run)?;
     let mut source = match feed {
-        Feed::Trace(trace) => {
-            let (session, handle) = spawn_trace_producer(trace.rounds, DEFAULT_CHANNEL_CAPACITY);
-            EventSource::Channel {
-                session,
-                producer: Some(handle),
-            }
-        }
         Feed::Source(stream_source) => {
             let (session, handle) = spawn_source_producer(stream_source, DEFAULT_CHANNEL_CAPACITY);
             EventSource::Channel {
@@ -1645,10 +1599,16 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lb_analysis::artifact::unique_name;
     use lb_workloads::{
         ArrivalSpec, ChurnEvent, InitialSpec, ServiceSpec, SpeedSpec, TokenDistribution,
-        TopologySpec,
+        TopologySpec, TraceSource,
     };
+
+    /// A temp path no concurrent test run shares.
+    fn temp_path(stem: &str) -> PathBuf {
+        std::env::temp_dir().join(unique_name(stem))
+    }
 
     fn poisson_scenario() -> Scenario {
         Scenario {
@@ -1861,10 +1821,10 @@ mod tests {
 
     #[test]
     fn byte_stream_replay_is_byte_identical() {
-        use lb_workloads::{ReadSource, TraceSource};
+        use lb_workloads::ReadSource;
 
         let scenario = poisson_scenario();
-        let path = std::env::temp_dir().join("lb_dynamic_stream_replay.trace.jsonl");
+        let path = temp_path("lb_dynamic_stream_replay.trace.jsonl");
         let recorded = Session::from_scenario(&scenario)
             .record(path.clone())
             .run(|_| {})
@@ -1900,7 +1860,7 @@ mod tests {
             round: 30,
             kind: ChurnKind::Rewire { seed: 5 },
         }];
-        let path = std::env::temp_dir().join("lb_dynamic_record_replay.trace.jsonl");
+        let path = temp_path("lb_dynamic_record_replay.trace.jsonl");
         let recorded = Session::from_scenario(&scenario)
             .seed(11)
             .record(path.clone())
@@ -1919,14 +1879,18 @@ mod tests {
 
         // Replay reproduces the run byte for byte, and a shard override only
         // changes the recorded shard count, never the trajectory.
-        let trace = lb_workloads::Trace::load(&path).unwrap();
-        assert_eq!(trace.scenario.seed, 11, "header carries the effective seed");
-        let replayed = Session::from_trace(trace.clone()).run(|_| {}).unwrap();
+        let trace = || Box::new(TraceSource::open(&path).unwrap());
+        assert_eq!(
+            trace().scenario().seed,
+            11,
+            "header carries the effective seed"
+        );
+        let replayed = Session::from_stream(trace()).run(|_| {}).unwrap();
         assert_eq!(
             recorded.to_json().render_pretty(),
             replayed.to_json().render_pretty()
         );
-        let sharded = Session::from_trace(trace).shards(3).run(|_| {}).unwrap();
+        let sharded = Session::from_stream(trace()).shards(3).run(|_| {}).unwrap();
         assert_eq!(sharded.scenario.shards, 3);
         assert_eq!(recorded.trajectory, sharded.trajectory);
         std::fs::remove_file(&path).ok();
@@ -1935,13 +1899,13 @@ mod tests {
     #[test]
     fn replay_rejects_invalid_shard_overrides() {
         let scenario = poisson_scenario();
-        let path = std::env::temp_dir().join("lb_dynamic_replay_shards.trace.jsonl");
+        let path = temp_path("lb_dynamic_replay_shards.trace.jsonl");
         Session::from_scenario(&scenario)
             .record(path.clone())
             .run(|_| {})
             .unwrap();
-        let trace = lb_workloads::Trace::load(&path).unwrap();
-        let err = Session::from_trace(trace)
+        let trace = TraceSource::open(&path).unwrap();
+        let err = Session::from_stream(Box::new(trace))
             .shards(0)
             .run(|_| {})
             .unwrap_err();
@@ -2390,29 +2354,35 @@ mod tests {
 
     #[test]
     fn checkpoint_options_must_come_as_a_pair() {
+        use crate::federate::FederationRole;
+
         let scenario = poisson_scenario();
-        let path = std::env::temp_dir().join("lb_ckpt_pairing.jsonl");
-        let err = Session::from_scenario(&scenario)
-            .checkpoint(path.clone(), None)
-            .run(|_| {})
-            .unwrap_err();
-        assert!(err.to_string().contains("cadence"), "{err}");
-        let err = Session::from_scenario(&scenario)
-            .checkpoint(None, 5)
-            .run(|_| {})
-            .unwrap_err();
-        assert!(err.to_string().contains("checkpoint path"), "{err}");
-        let err = Session::from_scenario(&scenario)
-            .checkpoint(path, 0)
-            .run(|_| {})
-            .unwrap_err();
-        assert!(err.to_string().contains("at least one round"), "{err}");
+        let path = temp_path("lb_ckpt_pairing.jsonl");
+        let cases = [
+            (Some(path.clone()), None, "cadence"),
+            (None, Some(5), "checkpoint path"),
+            (Some(path), Some(0), "at least one round"),
+        ];
+        for (path, every, expect) in cases {
+            // A federated coordinator must refuse before it waits for
+            // workers that never come.
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let federated = Session::from_scenario(&scenario)
+                .federated(FederationRole::coordinator(listener, Vec::new()), 2);
+            for session in [Session::from_scenario(&scenario), federated] {
+                let err = session
+                    .checkpoint(path.clone(), every)
+                    .run(|_| {})
+                    .unwrap_err();
+                assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
+                assert!(err.to_string().contains(expect), "{err}");
+            }
+        }
     }
 
     #[test]
     fn resume_replay_composes_with_trace_checkpoints() {
         use lb_workloads::source::DEFAULT_POLL_INTERVAL;
-        use lb_workloads::TraceSource;
         use std::time::Duration;
 
         let scenario = churned_scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);

@@ -47,6 +47,7 @@
 use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Write as _};
 use std::net::{TcpListener, TcpStream};
+use std::path::PathBuf;
 use std::process::Child;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,8 +62,7 @@ use lb_proto::{Record, WireBatch, WireTask, PROTOCOL_V2};
 use lb_workloads::{Scenario, ScenarioEvents};
 
 use crate::dynamic::{
-    build_world, churn_schedule, encode_driver, sample_of, Engine, RoundSample, RunOptions,
-    ScenarioOutcome,
+    build_world, churn_schedule, encode_driver, sample_of, Engine, RoundSample, ScenarioOutcome,
 };
 use crate::error::BenchError;
 
@@ -328,23 +328,24 @@ pub(crate) fn worker_entry(addr: &str, rank: usize, parts: usize) -> Result<(), 
 // ---------------------------------------------------------------------------
 
 /// Runs a federated session in its role. `scenario` is already effective
-/// (overrides applied, `federation` set, validated).
+/// (overrides applied, `federation` set, validated); `checkpoint` is the
+/// validated path and cadence.
 pub(crate) fn run_federated(
     scenario: Scenario,
     role: FederationRole,
-    options: &RunOptions,
+    checkpoint: Option<(PathBuf, usize)>,
     on_sample: impl FnMut(&RoundSample),
 ) -> Result<ScenarioOutcome, BenchError> {
     match role.0 {
         Role::Coordinator { listener, children } => {
-            run_coordinator(scenario, listener, children, options, on_sample)
+            run_coordinator(scenario, listener, children, checkpoint, on_sample)
         }
         Role::Worker {
             wire,
             rank,
             checkpoint_every,
         } => {
-            if options.checkpoint.is_some() || options.checkpoint_every.is_some() {
+            if checkpoint.is_some() {
                 return Err(BenchError::usage(
                     "checkpointing a federated run is coordinator-driven; the worker role \
                      takes its cadence from the start record",
@@ -363,31 +364,10 @@ fn run_coordinator(
     scenario: Scenario,
     listener: TcpListener,
     children: Vec<ChildGuard>,
-    options: &RunOptions,
+    checkpoint: Option<(PathBuf, usize)>,
     mut on_sample: impl FnMut(&RoundSample),
 ) -> Result<ScenarioOutcome, BenchError> {
     let parts = scenario.federation;
-    let checkpoint = match (&options.checkpoint, options.checkpoint_every) {
-        (Some(path), Some(every)) => {
-            if every == 0 {
-                return Err(BenchError::usage(
-                    "the checkpoint cadence must be at least one round",
-                ));
-            }
-            Some((path.clone(), every))
-        }
-        (Some(_), None) => {
-            return Err(BenchError::usage(
-                "a checkpoint path requires a checkpoint cadence (checkpoint-every)",
-            ))
-        }
-        (None, Some(_)) => {
-            return Err(BenchError::usage(
-                "a checkpoint cadence requires a checkpoint path",
-            ));
-        }
-        (None, None) => None,
-    };
 
     let world = build_world(&scenario)?;
     let schedule = churn_schedule(world.class, &scenario, &world.graph, &world.speeds)

@@ -61,9 +61,7 @@ use lb_core::discrete::RoundEvents;
 use lb_core::ingest::merge::{FeedRegistrar, MergeSession};
 use lb_core::ingest::{self, EventProducer};
 use lb_proto::{ProtoError, Record};
-use lb_workloads::{
-    Checkpoint, ReadSource, RoundSource, Scenario, Trace, TraceWriter, TRACE_VERSION,
-};
+use lb_workloads::{Checkpoint, ReadSource, RoundSource, Scenario, TraceWriter, TRACE_VERSION};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -681,14 +679,12 @@ fn handle_connection(conn: Conn, ctx: &ServeCtx) {
     // rejecting replays of already-admitted rounds.
     let (leftover, read_half) = scanner.into_parts();
     let checkpoint = Checkpoint {
-        offset: 0,
         lineno: 2,
         last_round: admission.last_round,
-        rounds_seen: 0,
-        events_seen: 0,
+        ..Checkpoint::default()
     };
     let reader = io::Cursor::new(leftover).chain(read_half);
-    let source = match ReadSource::resume(reader, scenario, checkpoint) {
+    let source = match ReadSource::headerless(reader, scenario, checkpoint) {
         Ok(source) => source,
         Err(_) => {
             park(ctx, &feed, admission.producer, None);
@@ -770,22 +766,26 @@ fn pump<R: Read + Send>(
 // Client
 // ---------------------------------------------------------------------------
 
-/// Connects to a [`serve`] instance at `addr` and streams `trace`'s round
+/// Connects to a [`serve`] instance at `addr` and streams `source`'s round
 /// records as one feed: hello, trace header, welcome, then every stride-
 /// selected record strictly after the server's `last_round`, sealed with
-/// the `end` record. This is the engine behind
+/// the `end` record. Records are read as they are sent, so the trace is
+/// never held in memory. This is the engine behind
 /// `lb serve-trace <trace> --connect <addr>` and the reconnect path — a
-/// client that reconnects after a drop is just `push_trace` again with the
-/// same feed name.
+/// client that reconnects after a drop is just `push_trace` again, over a
+/// reopened trace, with the same feed name.
 ///
 /// # Errors
 ///
 /// [`BenchError::Usage`] for an invalid stride, [`BenchError::Io`] for
 /// connect/write failures, [`BenchError::Protocol`] when the server
-/// rejects the handshake or replies out of protocol.
+/// rejects the handshake or replies out of protocol. A malformed or
+/// truncated trace fails as the source reaches it; the connection then
+/// drops without the `end` record, which the server treats as an aborted
+/// client.
 pub fn push_trace(
     addr: &str,
-    trace: &Trace,
+    mut source: impl RoundSource,
     options: &PushOptions,
 ) -> Result<PushReport, BenchError> {
     let (n, i) = options.stride;
@@ -805,7 +805,7 @@ pub fn push_trace(
     writeln!(write_half, "{}", hello.render())
         .and_then(|()| write_half.flush())
         .map_err(|e| BenchError::io(format!("sending hello: {e}")))?;
-    let mut writer = TraceWriter::new(write_half, &trace.scenario).map_err(BenchError::Io)?;
+    let mut writer = TraceWriter::new(write_half, source.scenario()).map_err(BenchError::Io)?;
 
     let mut scanner = LineScanner::new(conn);
     let reply = Record::parse(&scanner.read_line().map_err(BenchError::Protocol)?)
@@ -827,12 +827,14 @@ pub fn push_trace(
 
     let mut events = RoundEvents::default();
     let mut sent = 0u64;
-    let mut first = true;
-    for (index, record) in trace.rounds.iter().enumerate() {
-        if index % n != i {
-            continue;
-        }
-        if last_round.is_some_and(|last| record.round <= last) {
+    let mut index = 0usize;
+    while let Some(round) = source
+        .next_round(&mut events)
+        .map_err(BenchError::from_source)?
+    {
+        let selected = index % n == i;
+        index += 1;
+        if !selected || last_round.is_some_and(|last| round <= last) {
             continue;
         }
         if options.abort_after.is_some_and(|cap| sent >= cap as u64) {
@@ -845,14 +847,12 @@ pub fn push_trace(
             });
         }
         if let Some(delay) = options.delay {
-            if !first {
+            if sent > 0 {
                 std::thread::sleep(delay);
             }
         }
-        first = false;
-        record.fill(&mut events);
         writer
-            .record_round(record.round, &events)
+            .record_round(round, &events)
             .map_err(BenchError::Io)?;
         sent += 1;
     }
@@ -917,29 +917,28 @@ mod tests {
             .contains("feed"));
     }
 
+    fn header(scenario: &Scenario) -> String {
+        Json::obj([
+            ("kind", Json::from("header")),
+            ("version", Json::from(TRACE_VERSION)),
+            ("scenario", scenario.to_json()),
+        ])
+        .render()
+    }
+
     #[test]
     fn stride_is_validated() {
-        let trace = Trace {
-            scenario: tiny_scenario(),
-            rounds: Vec::new(),
-        };
+        let text = header(&tiny_scenario()) + "\n";
+        let source = ReadSource::new(io::Cursor::new(text.into_bytes())).unwrap();
         let mut options = PushOptions::feed("a");
         options.stride = (2, 2);
-        let err = push_trace("127.0.0.1:1", &trace, &options).unwrap_err();
+        let err = push_trace("127.0.0.1:1", source, &options).unwrap_err();
         assert!(matches!(err, BenchError::Usage(_)), "{err}");
     }
 
     #[test]
     fn header_auth_matches_effective_scenario_ignoring_shards() {
         let ours = tiny_scenario();
-        let header = |scenario: &Scenario| {
-            Json::obj([
-                ("kind", Json::from("header")),
-                ("version", Json::from(TRACE_VERSION)),
-                ("scenario", scenario.to_json()),
-            ])
-            .render()
-        };
         assert!(check_header(&header(&ours), &ours).is_ok());
         let mut sharded = ours.clone();
         sharded.shards = 4;

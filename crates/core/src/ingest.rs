@@ -32,8 +32,10 @@
 //!
 //! The channel recycles batch buffers: the consumer returns drained
 //! [`RoundEvents`] to a spare pool the producer draws from via
-//! [`EventProducer::buffer`]. Once every buffer in circulation has grown to
-//! the working batch size, a steady-state round — receive, apply, recycle,
+//! [`EventProducer::buffer`]. The pool starts with one buffer per batch
+//! that can be in flight (`capacity + 2`) and hands them out first-in
+//! first-out, so warm-up rounds grow every one of them. Once every buffer
+//! in circulation has grown to the working batch size, a steady-state round — receive, apply, recycle,
 //! step — performs **no heap allocations on either thread**: the queue and
 //! spare pool are pre-sized rings, and blocking uses condvars, not
 //! allocation. Only the event application itself may touch the heap (queues
@@ -90,8 +92,8 @@ pub struct ChannelMetrics {
 struct State {
     /// In-flight batches, oldest first, tagged with their round.
     queue: VecDeque<(u64, RoundEvents)>,
-    /// Drained buffers waiting to be reused by the producer.
-    spare: Vec<RoundEvents>,
+    /// Buffers waiting to be (re)used by the producer, oldest first.
+    spare: VecDeque<RoundEvents>,
     /// The producer was dropped; no further batches will arrive.
     producer_gone: bool,
     /// The consumer was dropped; sends can never be observed.
@@ -114,12 +116,17 @@ struct Shared {
 /// (clamped to at least 1). See the [module docs](self) for the protocol.
 pub fn bounded(capacity: usize) -> (EventProducer, EventConsumer) {
     let capacity = capacity.max(1);
+    // The in-flight bound: one buffer per queue slot plus one in each
+    // party's hands. The pool starts full and cycles first-in first-out, so
+    // warm-up rounds grow every buffer the channel will ever hand out.
+    let spare = std::iter::repeat_with(RoundEvents::default)
+        .take(spare_bound(capacity))
+        .collect();
     let shared = Arc::new(Shared {
         capacity,
         state: Mutex::new(State {
             queue: VecDeque::with_capacity(capacity),
-            // One spare per queue slot plus one in each party's hands.
-            spare: Vec::with_capacity(capacity + 2),
+            spare,
             producer_gone: false,
             consumer_gone: false,
             metrics: ChannelMetrics::default(),
@@ -134,6 +141,11 @@ pub fn bounded(capacity: usize) -> (EventProducer, EventConsumer) {
         },
         EventConsumer { shared },
     )
+}
+
+/// How many batch buffers a channel of `capacity` keeps in circulation.
+fn spare_bound(capacity: usize) -> usize {
+    capacity + 2
 }
 
 /// The sending half: owned by the producer thread.
@@ -151,7 +163,7 @@ impl EventProducer {
     pub fn buffer(&mut self) -> RoundEvents {
         let mut events = {
             let mut state = self.shared.state.lock().expect("ingest lock");
-            state.spare.pop().unwrap_or_default()
+            state.spare.pop_front().unwrap_or_default()
         };
         events.clear();
         events
@@ -265,13 +277,14 @@ impl EventConsumer {
         self.shared.state.lock().expect("ingest lock").metrics
     }
 
-    /// Returns a drained buffer to the spare pool for the producer to reuse.
-    /// Buffers beyond the pool's capacity are simply dropped.
+    /// Returns a drained buffer to the back of the spare pool for the
+    /// producer to reuse. Buffers beyond the in-flight bound are simply
+    /// dropped.
     pub fn recycle(&mut self, mut events: RoundEvents) {
         events.clear();
         let mut state = self.shared.state.lock().expect("ingest lock");
-        if state.spare.len() < state.spare.capacity() {
-            state.spare.push(events);
+        if state.spare.len() < spare_bound(self.shared.capacity) {
+            state.spare.push_back(events);
         }
     }
 }
@@ -470,6 +483,11 @@ mod tests {
         let ptr = events.arrivals.as_ptr();
         let capacity = events.arrivals.capacity();
         rx.recycle(events);
+        // The pool hands buffers out first-in first-out: the two pre-filled
+        // spares that were never used come first, then the recycled one.
+        for _ in 0..2 {
+            assert_eq!(tx.buffer().arrivals.capacity(), 0, "an untouched spare");
+        }
         let reused = tx.buffer();
         assert!(reused.is_empty(), "recycled buffers come back cleared");
         assert_eq!(reused.arrivals.capacity(), capacity);

@@ -8,12 +8,11 @@
 //! a JSON-serialisable [`Scenario`] spec describing per-round task arrivals,
 //! completions and topology churn, with a deterministic event stream
 //! ([`ScenarioEvents`]). The [`trace`] module records any run's event stream
-//! to a line-delimited JSON file ([`TraceWriter`]) and reads it back
-//! ([`Trace`]) for bit-identical replay. The [`source`] module parses the
-//! same format incrementally from live byte streams: a growing trace file
-//! ([`TraceSource`], tail-following) or any framed [`std::io::Read`]
-//! ([`ReadSource`] — pipes, sockets, stdin), feeding recycled event buffers
-//! to the async ingestion channel.
+//! to a line-delimited JSON file ([`TraceWriter`]) for bit-identical replay.
+//! The [`source`] module reads it back incrementally from any framed
+//! [`std::io::Read`] ([`ReadSource`] — trace files, pipes, sockets, stdin)
+//! or a growing trace file ([`TraceSource`], tail-following), feeding
+//! recycled event buffers to the async ingestion channel.
 //!
 //! ```
 //! use lb_workloads::{TokenDistribution, SpeedModel};
@@ -41,5 +40,5 @@ pub use scenario::{
     ScenarioEvents, ServiceSpec, SpeedSpec, TopologySpec, MAX_FEDERATION, MAX_SHARDS,
 };
 pub use source::{Checkpoint, ReadSource, RoundSource, TraceSource};
-pub use trace::{Trace, TraceRound, TraceWriter, TRACE_VERSION};
+pub use trace::{TraceWriter, TRACE_VERSION};
 pub use weights::{weighted_load, SpeedModel, WeightModel};

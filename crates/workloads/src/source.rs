@@ -1,35 +1,39 @@
-//! Byte-stream ingestion sources: live front-ends that parse the
-//! line-delimited trace format ([`crate::trace`]) **incrementally** — from a
-//! growing file ([`TraceSource`]) or any framed byte stream such as a pipe,
-//! socket or stdin ([`ReadSource`]) — into recycled [`RoundEvents`] buffers,
-//! so a producer thread can feed an engine through the async ingestion
-//! channel without allocating in steady state.
+//! The trace reader: parses the line-delimited trace format
+//! ([`crate::trace`]) **incrementally** from any byte stream into recycled
+//! [`RoundEvents`] buffers, so a producer thread can feed an engine through
+//! the async ingestion channel without allocating in steady state. It is the
+//! only reader of the format: pipes, sockets, stdin, finished trace files
+//! and growing ones all go through the same header loop and the same
+//! `next_round` loop.
 //!
 //! # Layout
 //!
 //! * [`RoundSource`] — the producer-side contract: the header's embedded
 //!   scenario plus a blocking `next_round` that fills a caller-owned batch.
-//! * [`ReadSource`] — frames and parses records from any [`io::Read`]. End
-//!   of input before the `end` record is a typed truncation error.
-//! * [`TraceSource`] — follows a growing trace file: at end-of-file it polls
-//!   for appended bytes, erroring out only after `idle_timeout` without
-//!   growth (a stalled writer is indistinguishable from a truncated trace,
-//!   so the timeout is the truncation guard). Resumable via
-//!   [`Checkpoint`]s, which mark a consumed-line boundary.
+//! * [`ReadSource`] — frames, parses and validates records from any
+//!   [`io::Read`]. End of input before the `end` record is a typed
+//!   truncation error. Resumable via [`Checkpoint`]s, which mark a
+//!   consumed-line boundary.
+//! * [`TraceSource`] — `ReadSource` over a [`FileTail`], which follows a
+//!   growing trace file: at end of file it polls for appended bytes and
+//!   reports a stall only after `idle_timeout` without growth (a stalled
+//!   writer is indistinguishable from a truncated trace, so the timeout is
+//!   the truncation guard). A zero timeout reads a finished file. Its
+//!   errors name the file, and a stall reads "without an end record" where
+//!   end of input reads "without the end record".
 //!
-//! # The streaming record parser
+//! # The record parser
 //!
-//! Whole-file parsing ([`crate::Trace::parse`]) goes through
-//! [`lb_analysis::Json`] and allocates freely. The streaming parser here is
-//! a separate single-pass scanner over one line at a time: it writes
-//! arrivals and completions straight into the caller's [`RoundEvents`]
-//! buffers and allocates only on the error path. It accepts the format the
-//! writer emits plus insignificant whitespace and any field order — with
-//! one extra requirement, natural for dispatch-while-streaming: every
-//! record must **lead with its `"kind"` field**. Integer fields are exact:
-//! fraction or exponent forms, negatives and out-of-range values are parse
-//! errors, never silent roundings (`tests/trace_corpus.rs` pins the error
-//! taxonomy).
+//! The header line embeds arbitrary scenario JSON and goes through
+//! [`lb_analysis::Json`] once. Every later line goes through a single-pass
+//! scanner that writes arrivals and completions straight into the caller's
+//! [`RoundEvents`] buffers and allocates only on the error path. It accepts
+//! the format the writer emits plus insignificant whitespace and any field
+//! order — with one extra requirement, natural for dispatch-while-streaming:
+//! every record must **lead with its `"kind"` field**, and unknown fields
+//! are rejected. Integer fields are exact: fraction or exponent forms,
+//! negatives and out-of-range values are parse errors, never silent
+//! roundings (`tests/trace_corpus.rs` pins the error taxonomy).
 
 use lb_analysis::u64_exact;
 use lb_core::discrete::RoundEvents;
@@ -115,11 +119,6 @@ impl FrameDecoder {
                 None
             }
         }
-    }
-
-    /// Whether unconsumed bytes (a partial line) are buffered.
-    fn has_partial(&self) -> bool {
-        self.buf.len() > self.start
     }
 
     /// Number of buffered bytes not yet consumed as complete lines.
@@ -365,11 +364,11 @@ fn parse_stream_record(line: &str, out: &mut RoundEvents) -> Result<StreamRecord
 }
 
 // ---------------------------------------------------------------------------
-// Shared stream validation
+// Stream validation
 // ---------------------------------------------------------------------------
 
-/// Per-stream validation state shared by both sources: round ordering,
-/// bounds, running totals and the end-record seal.
+/// Per-stream validation state: round ordering, bounds, running totals and
+/// the end-record seal.
 struct StreamState {
     scenario_rounds: u64,
     last_round: Option<u64>,
@@ -379,16 +378,6 @@ struct StreamState {
 }
 
 impl StreamState {
-    fn new(scenario_rounds: usize) -> Self {
-        StreamState {
-            scenario_rounds: u64_exact(scenario_rounds),
-            last_round: None,
-            rounds_seen: 0,
-            events_seen: 0,
-            sealed: false,
-        }
-    }
-
     fn admit_round(&mut self, round: u64, events: u64) -> Result<(), String> {
         if let Some(last) = self.last_round {
             if round <= last {
@@ -432,7 +421,7 @@ enum LineStep {
     Skip,
 }
 
-/// Validates and dispatches one framed line for either source.
+/// Validates and dispatches one framed line.
 fn process_line(
     state: &mut StreamState,
     lineno: u64,
@@ -470,17 +459,108 @@ fn process_line(
 // ReadSource: framed records over any io::Read
 // ---------------------------------------------------------------------------
 
-/// A framed line-delimited trace reader over any [`io::Read`] — a pipe, a
-/// socket, stdin, an in-memory cursor. Construction blocks until the header
-/// line arrives; end of input before the `end` record is a truncation error.
-pub struct ReadSource<R: Read> {
+/// A resume point of a [`ReadSource`], taken at a consumed-line boundary
+/// (see [`ReadSource::checkpoint`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Checkpoint {
+    /// Byte offset of the first unconsumed line.
+    pub offset: u64,
+    /// Lines consumed so far (the header is line 1).
+    pub lineno: u64,
+    /// Round tag of the last admitted round record.
+    pub last_round: Option<u64>,
+    /// Round records admitted so far.
+    pub rounds_seen: u64,
+    /// Events admitted so far.
+    pub events_seen: u64,
+}
+
+/// The framing half of a [`ReadSource`]: the reader, its line decoder and
+/// the position bookkeeping behind [`Checkpoint`]s.
+struct Framer<R> {
     reader: R,
     decoder: FrameDecoder,
-    scenario: Scenario,
-    state: StreamState,
+    /// The file being read, named in every error; `None` for anonymous
+    /// streams.
+    path: Option<PathBuf>,
     lineno: u64,
     /// Bytes handed to the decoder so far (consumed + buffered partial).
     read_pos: u64,
+}
+
+impl<R: Read> Framer<R> {
+    fn new(reader: R, path: Option<PathBuf>) -> Self {
+        Framer {
+            reader,
+            decoder: FrameDecoder::default(),
+            path,
+            lineno: 0,
+            read_pos: 0,
+        }
+    }
+
+    /// Reads one chunk into the decoder. Input that ends, or stalls (the
+    /// reader reports [`io::ErrorKind::TimedOut`]), before the header line
+    /// (`header`) or before the end record is a truncation error.
+    fn fill(&mut self, header: bool) -> Result<(), String> {
+        let mut buf = [0u8; 8192];
+        let subject = || match &self.path {
+            Some(path) => format!("trace {}", path.display()),
+            None => "event stream".to_string(),
+        };
+        let stalled = loop {
+            match self.reader.read(&mut buf) {
+                Ok(0) => break false,
+                Ok(n) => {
+                    self.read_pos += u64_exact(n);
+                    self.decoder.feed(&buf[..n]);
+                    return Ok(());
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::TimedOut => break true,
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    return Err(format!("{}: {e}", subject()))
+                }
+                Err(e) => return Err(format!("reading {}: {e}", subject())),
+            }
+        };
+        let subject = subject();
+        let torn = self.decoder.pending_len() > 0;
+        Err(match (header, stalled, torn) {
+            (true, false, _) => format!("{subject} ended before the header record"),
+            (true, true, _) => format!("{subject}: stalled before the header record (truncated?)"),
+            (false, false, true) => format!(
+                "{subject} ended mid-record at line {} (torn line; truncated?)",
+                self.lineno + 1
+            ),
+            (false, false, false) => format!("{subject} ended without the end record (truncated?)"),
+            (false, true, true) => format!(
+                "{subject}: stalled mid-record without an end record (torn tail; truncated?)"
+            ),
+            (false, true, false) => {
+                format!("{subject}: stalled without an end record (truncated?)")
+            }
+        })
+    }
+}
+
+/// Prefixes a located record error with the file it came from, if any.
+fn in_file(path: &Option<PathBuf>, message: String) -> String {
+    match path {
+        Some(path) => format!("{}: {message}", path.display()),
+        None => message,
+    }
+}
+
+/// The trace reader: frames and parses line-delimited records from any
+/// [`io::Read`] — a pipe, a socket, stdin, a file, or a growing file
+/// ([`TraceSource`]). Construction blocks until the header line arrives;
+/// end of input before the `end` record is a truncation error, and a reader
+/// that reports [`io::ErrorKind::TimedOut`] is a stalled one.
+pub struct ReadSource<R: Read> {
+    framer: Framer<R>,
+    scenario: Scenario,
+    state: StreamState,
 }
 
 impl<R: Read + Send> ReadSource<R> {
@@ -491,40 +571,32 @@ impl<R: Read + Send> ReadSource<R> {
     ///
     /// Returns a message for I/O failures, a malformed or missing header,
     /// and streams that end before the header line.
-    pub fn new(mut reader: R) -> Result<Self, String> {
-        let mut decoder = FrameDecoder::default();
-        let mut buf = [0u8; 8192];
-        let mut lineno = 0u64;
-        let mut read_pos = 0u64;
-        let header = loop {
-            if let Some(line) = decoder.take_line() {
-                lineno += 1;
+    pub fn new(reader: R) -> Result<Self, String> {
+        Self::start(Framer::new(reader, None))
+    }
+
+    fn start(mut framer: Framer<R>) -> Result<Self, String> {
+        let scenario = loop {
+            if let Some(line) = framer.decoder.take_line() {
+                framer.lineno += 1;
                 if line.iter().all(u8::is_ascii_whitespace) {
                     continue;
                 }
-                let text = std::str::from_utf8(line)
-                    .map_err(|_| format!("line {lineno}: invalid UTF-8"))?;
-                break parse_header_line(text).map_err(|e| format!("line {lineno}: {e}"))?;
+                let lineno = framer.lineno;
+                let located = |e| in_file(&framer.path, format!("line {lineno}: {e}"));
+                let text =
+                    std::str::from_utf8(line).map_err(|_| located("invalid UTF-8".into()))?;
+                break parse_header_line(text).map_err(located)?;
             }
-            match reader.read(&mut buf) {
-                Ok(0) => return Err("event stream ended before the header record".into()),
-                Ok(n) => {
-                    read_pos += u64_exact(n);
-                    decoder.feed(&buf[..n]);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(format!("reading event stream: {e}")),
-            }
+            framer.fill(true)?;
         };
-        let state = StreamState::new(header.rounds);
-        Ok(ReadSource {
-            reader,
-            decoder,
-            scenario: header,
-            state,
-            lineno,
-            read_pos,
-        })
+        // A fresh stream: the framer keeps its position and buffered bytes.
+        let checkpoint = Checkpoint {
+            offset: framer.read_pos,
+            lineno: framer.lineno,
+            ..Checkpoint::default()
+        };
+        Self::resumed(framer, scenario, checkpoint)
     }
 
     /// Wraps a stream whose header was **already consumed** — e.g. during a
@@ -540,7 +612,19 @@ impl<R: Read + Send> ReadSource<R> {
     /// # Errors
     ///
     /// Returns a message when the carried scenario is invalid.
-    pub fn resume(reader: R, scenario: Scenario, checkpoint: Checkpoint) -> Result<Self, String> {
+    pub fn headerless(
+        reader: R,
+        scenario: Scenario,
+        checkpoint: Checkpoint,
+    ) -> Result<Self, String> {
+        Self::resumed(Framer::new(reader, None), scenario, checkpoint)
+    }
+
+    fn resumed(
+        framer: Framer<R>,
+        scenario: Scenario,
+        checkpoint: Checkpoint,
+    ) -> Result<Self, String> {
         scenario.validate()?;
         let state = StreamState {
             scenario_rounds: u64_exact(scenario.rounds),
@@ -550,12 +634,13 @@ impl<R: Read + Send> ReadSource<R> {
             sealed: false,
         };
         Ok(ReadSource {
-            reader,
-            decoder: FrameDecoder::default(),
+            framer: Framer {
+                lineno: checkpoint.lineno,
+                read_pos: checkpoint.offset,
+                ..framer
+            },
             scenario,
             state,
-            lineno: checkpoint.lineno,
-            read_pos: checkpoint.offset,
         })
     }
 
@@ -564,8 +649,8 @@ impl<R: Read + Send> ReadSource<R> {
     /// this source started reading).
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
-            offset: self.read_pos - u64_exact(self.decoder.pending_len()),
-            lineno: self.lineno,
+            offset: self.framer.read_pos - u64_exact(self.framer.decoder.pending_len()),
+            lineno: self.framer.lineno,
             last_round: self.state.last_round,
             rounds_seen: self.state.rounds_seen,
             events_seen: self.state.events_seen,
@@ -579,11 +664,13 @@ impl<R: Read + Send> RoundSource for ReadSource<R> {
     }
 
     fn next_round(&mut self, out: &mut RoundEvents) -> Result<Option<u64>, String> {
-        let mut buf = [0u8; 8192];
+        let framer = &mut self.framer;
         loop {
-            while let Some(line) = self.decoder.take_line() {
-                self.lineno += 1;
-                match process_line(&mut self.state, self.lineno, line, out)? {
+            while let Some(line) = framer.decoder.take_line() {
+                framer.lineno += 1;
+                match process_line(&mut self.state, framer.lineno, line, out)
+                    .map_err(|e| in_file(&framer.path, e))?
+                {
                     LineStep::Skip => continue,
                     LineStep::Round(round) => return Ok(Some(round)),
                     LineStep::End => return Ok(None),
@@ -592,101 +679,61 @@ impl<R: Read + Send> RoundSource for ReadSource<R> {
             if self.state.sealed {
                 return Ok(None);
             }
-            match self.reader.read(&mut buf) {
-                Ok(0) => {
-                    return Err(if self.decoder.has_partial() {
-                        format!(
-                            "event stream ended mid-record at line {} (torn line; truncated?)",
-                            self.lineno + 1
-                        )
-                    } else {
-                        "event stream ended without the end record (truncated?)".to_string()
-                    });
-                }
-                Ok(n) => {
-                    self.read_pos += u64_exact(n);
-                    self.decoder.feed(&buf[..n]);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(format!("reading event stream: {e}")),
-            }
+            framer.fill(false)?;
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// TraceSource: tailing a growing trace file
+// TraceSource: ReadSource over a growing file
 // ---------------------------------------------------------------------------
 
-/// A resume point of a streaming source, taken at a consumed-line boundary
-/// (see [`TraceSource::checkpoint`] and [`ReadSource::checkpoint`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Checkpoint {
-    /// Byte offset of the first unconsumed line.
-    pub offset: u64,
-    /// Lines consumed so far (the header is line 1).
-    pub lineno: u64,
-    /// Round tag of the last admitted round record.
-    pub last_round: Option<u64>,
-    /// Round records admitted so far.
-    pub rounds_seen: u64,
-    /// Events admitted so far.
-    pub events_seen: u64,
+/// A [`Read`] over a trace file that may still be growing. At end of file
+/// it polls every `poll_interval` for appended bytes and fails with
+/// [`io::ErrorKind::TimedOut`] after `idle_timeout` without growth; a zero
+/// timeout makes end of file final. A file that shrinks below the bytes
+/// already read fails with [`io::ErrorKind::InvalidData`].
+pub struct FileTail {
+    file: fs::File,
+    /// File offset of the next byte to read.
+    pos: u64,
+    idle_timeout: Duration,
+    poll_interval: Duration,
 }
 
-/// Reads one chunk from the tailed file into the decoder, erroring if the
-/// file shrank below the committed read position (in-place truncation).
-fn read_file_chunk(
-    file: &mut fs::File,
-    path: &Path,
-    read_pos: &mut u64,
-    decoder: &mut FrameDecoder,
-) -> Result<usize, String> {
-    let len = file
-        .metadata()
-        .map_err(|e| format!("stat {}: {e}", path.display()))?
-        .len();
-    if len < *read_pos {
-        return Err(format!(
-            "trace {} shrank below the read position (truncated)",
-            path.display()
-        ));
-    }
-    let mut buf = [0u8; 8192];
-    loop {
-        match file.read(&mut buf) {
-            Ok(n) => {
-                *read_pos += u64_exact(n);
-                if n > 0 {
-                    decoder.feed(&buf[..n]);
-                }
+impl Read for FileTail {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut waited = Duration::ZERO;
+        loop {
+            if self.file.metadata()?.len() < self.pos {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "shrank below the read position (truncated)",
+                ));
+            }
+            let n = self.file.read(buf)?;
+            if n > 0 || self.idle_timeout.is_zero() {
+                self.pos += u64_exact(n);
                 return Ok(n);
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("reading {}: {e}", path.display())),
+            if waited >= self.idle_timeout {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            thread::sleep(self.poll_interval);
+            waited += self.poll_interval;
         }
     }
 }
 
 /// A file-tail trace reader: follows a trace file as it grows, parsing each
-/// appended round record. End-of-file means *wait* (the writer may still be
+/// appended round record. End of file means *wait* (the writer may still be
 /// running); only `idle_timeout` without growth — or a file that shrinks, or
 /// ends in a torn line — is an error. The `end` record is the only clean
-/// exit, so a truncated trace can never silently replay as a prefix.
-pub struct TraceSource {
-    file: fs::File,
-    path: PathBuf,
-    decoder: FrameDecoder,
-    scenario: Scenario,
-    state: StreamState,
-    lineno: u64,
-    /// File offset of the bytes handed to the decoder so far.
-    read_pos: u64,
-    idle_timeout: Duration,
-    poll_interval: Duration,
-}
+/// exit, so a truncated trace can never silently replay as a prefix. Every
+/// error names the file.
+pub type TraceSource = ReadSource<FileTail>;
 
-impl TraceSource {
+impl ReadSource<FileTail> {
     /// Opens `path` with the default timeouts ([`DEFAULT_IDLE_TIMEOUT`],
     /// [`DEFAULT_POLL_INTERVAL`]), blocking until the header line arrives.
     ///
@@ -698,7 +745,8 @@ impl TraceSource {
         Self::open_with(path, DEFAULT_IDLE_TIMEOUT, DEFAULT_POLL_INTERVAL)
     }
 
-    /// Opens `path` with explicit timeouts; see [`TraceSource::open`].
+    /// Opens `path` with explicit timeouts; see [`TraceSource::open`]. A
+    /// zero `idle_timeout` reads the file as it is now, without waiting.
     ///
     /// # Errors
     ///
@@ -708,49 +756,7 @@ impl TraceSource {
         idle_timeout: Duration,
         poll_interval: Duration,
     ) -> Result<Self, String> {
-        let path = path.as_ref().to_path_buf();
-        let mut file =
-            fs::File::open(&path).map_err(|e| format!("opening trace {}: {e}", path.display()))?;
-        let mut decoder = FrameDecoder::default();
-        let mut read_pos = 0u64;
-        let mut waited = Duration::ZERO;
-        let mut lineno = 0u64;
-        let header = loop {
-            if let Some(line) = decoder.take_line() {
-                lineno += 1;
-                if line.iter().all(u8::is_ascii_whitespace) {
-                    continue;
-                }
-                let text = std::str::from_utf8(line)
-                    .map_err(|_| format!("{}: line {lineno}: invalid UTF-8", path.display()))?;
-                break parse_header_line(text)
-                    .map_err(|e| format!("{}: line {lineno}: {e}", path.display()))?;
-            }
-            if read_file_chunk(&mut file, &path, &mut read_pos, &mut decoder)? == 0 {
-                if waited >= idle_timeout {
-                    return Err(format!(
-                        "trace {}: stalled before the header record (truncated?)",
-                        path.display()
-                    ));
-                }
-                thread::sleep(poll_interval);
-                waited += poll_interval;
-            } else {
-                waited = Duration::ZERO;
-            }
-        };
-        let state = StreamState::new(header.rounds);
-        Ok(TraceSource {
-            file,
-            path,
-            decoder,
-            scenario: header,
-            state,
-            lineno,
-            read_pos,
-            idle_timeout,
-            poll_interval,
-        })
+        Self::start(Self::tail(path.as_ref(), 0, idle_timeout, poll_interval)?)
     }
 
     /// Reopens `path` at `checkpoint`, continuing a partially consumed tail
@@ -767,165 +773,45 @@ impl TraceSource {
         idle_timeout: Duration,
         poll_interval: Duration,
     ) -> Result<Self, String> {
-        scenario.validate()?;
-        let path = path.as_ref().to_path_buf();
-        let mut file =
-            fs::File::open(&path).map_err(|e| format!("opening trace {}: {e}", path.display()))?;
-        file.seek(SeekFrom::Start(checkpoint.offset))
-            .map_err(|e| format!("seeking {}: {e}", path.display()))?;
-        let state = StreamState {
-            scenario_rounds: u64_exact(scenario.rounds),
-            last_round: checkpoint.last_round,
-            rounds_seen: checkpoint.rounds_seen,
-            events_seen: checkpoint.events_seen,
-            sealed: false,
-        };
-        Ok(TraceSource {
-            file,
-            path,
-            decoder: FrameDecoder::default(),
-            scenario,
-            state,
-            lineno: checkpoint.lineno,
-            read_pos: checkpoint.offset,
+        let framer = Self::tail(
+            path.as_ref(),
+            checkpoint.offset,
             idle_timeout,
             poll_interval,
-        })
+        )?;
+        Self::resumed(framer, scenario, checkpoint)
     }
 
-    /// The current resume point: the boundary after the last consumed line.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            offset: self.read_pos - u64_exact(self.decoder.pending_len()),
-            lineno: self.lineno,
-            last_round: self.state.last_round,
-            rounds_seen: self.state.rounds_seen,
-            events_seen: self.state.events_seen,
-        }
-    }
-}
-
-impl RoundSource for TraceSource {
-    fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    fn next_round(&mut self, out: &mut RoundEvents) -> Result<Option<u64>, String> {
-        let mut waited = Duration::ZERO;
-        loop {
-            while let Some(line) = self.decoder.take_line() {
-                self.lineno += 1;
-                match process_line(&mut self.state, self.lineno, line, out)
-                    .map_err(|e| format!("{}: {e}", self.path.display()))?
-                {
-                    LineStep::Skip => continue,
-                    LineStep::Round(round) => return Ok(Some(round)),
-                    LineStep::End => return Ok(None),
-                }
-            }
-            if self.state.sealed {
-                return Ok(None);
-            }
-            if read_file_chunk(
-                &mut self.file,
-                &self.path,
-                &mut self.read_pos,
-                &mut self.decoder,
-            )? == 0
-            {
-                if waited >= self.idle_timeout {
-                    return Err(if self.decoder.has_partial() {
-                        format!(
-                            "trace {}: stalled mid-record without an end record \
-                             (torn tail; truncated?)",
-                            self.path.display()
-                        )
-                    } else {
-                        format!(
-                            "trace {}: stalled without an end record (truncated?)",
-                            self.path.display()
-                        )
-                    });
-                }
-                thread::sleep(self.poll_interval);
-                waited += self.poll_interval;
-            } else {
-                waited = Duration::ZERO;
-            }
-        }
+    fn tail(
+        path: &Path,
+        offset: u64,
+        idle_timeout: Duration,
+        poll_interval: Duration,
+    ) -> Result<Framer<FileTail>, String> {
+        let mut file =
+            fs::File::open(path).map_err(|e| format!("opening trace {}: {e}", path.display()))?;
+        file.seek(SeekFrom::Start(offset))
+            .map_err(|e| format!("seeking {}: {e}", path.display()))?;
+        let tail = FileTail {
+            file,
+            pos: offset,
+            idle_timeout,
+            poll_interval,
+        };
+        Ok(Framer::new(tail, Some(path.to_path_buf())))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributions::TokenDistribution;
-    use crate::scenario::{
-        AlgorithmSpec, ArrivalSpec, InitialSpec, ModelSpec, PadSpec, ServiceSpec, SpeedSpec,
-        TopologySpec,
-    };
+    use crate::trace::tests::{sample_batch as batch, scenario, SharedBuf};
     use crate::trace::TraceWriter;
+    use lb_analysis::artifact::unique_name;
     use std::io::Write;
 
-    fn scenario() -> Scenario {
-        Scenario {
-            name: "source_test".into(),
-            seed: 9,
-            rounds: 40,
-            sample_every: 10,
-            algorithm: AlgorithmSpec::Alg1,
-            model: ModelSpec::Fos,
-            topology: TopologySpec {
-                family: "torus".into(),
-                target_n: 16,
-            },
-            speeds: SpeedSpec::Uniform,
-            initial: InitialSpec {
-                distribution: TokenDistribution::SingleSource { source: 0 },
-                tokens_per_node: 4,
-                pad: PadSpec::Degree,
-            },
-            arrivals: ArrivalSpec::Poisson {
-                rate_per_node: 0.5,
-                max_weight: 2,
-            },
-            completions: ServiceSpec::Uniform {
-                weight_per_speed: 1,
-            },
-            churn: Vec::new(),
-            shards: 1,
-            federation: 1,
-        }
-    }
-
-    /// A `Write` sink the test can read back (mirrors the trace.rs helper).
-    #[derive(Clone, Default)]
-    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-
-    impl SharedBuf {
-        fn into_string(self) -> String {
-            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
-        }
-    }
-
-    impl Write for SharedBuf {
-        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(data);
-            Ok(data.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn batch(base_id: u64) -> RoundEvents {
-        let mut events = RoundEvents::default();
-        events.completions.push((0, 3));
-        events.completions.push((5, 1));
-        events.arrivals.push((2, Task::new(TaskId(base_id), 2)));
-        events.arrivals.push((7, Task::new(TaskId(base_id + 1), 1)));
-        events
+    fn temp_trace(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(unique_name(&format!("lb_source_{tag}.trace.jsonl")))
     }
 
     fn sample_trace() -> String {
@@ -1049,7 +935,7 @@ mod tests {
             offset: 0,
             lineno: 0,
         };
-        let mut resumed = ReadSource::resume(
+        let mut resumed = ReadSource::headerless(
             io::Cursor::new(continuation.clone().into_bytes()),
             scenario.clone(),
             resume_at,
@@ -1060,7 +946,7 @@ mod tests {
         assert_eq!(resumed.next_round(&mut out).unwrap(), None, "sealed");
 
         // Replaying an already-applied round is still an ordering error.
-        let mut replayer = ReadSource::resume(
+        let mut replayer = ReadSource::headerless(
             io::Cursor::new(continuation.into_bytes()),
             scenario,
             Checkpoint {
@@ -1079,7 +965,7 @@ mod tests {
     #[test]
     fn trace_source_follows_a_growing_file() {
         let text = sample_trace();
-        let path = std::env::temp_dir().join("lb_source_tail_test.trace.jsonl");
+        let path = temp_trace("tail");
         std::fs::write(&path, "").unwrap();
         let lines: Vec<String> = text.lines().map(str::to_string).collect();
         let writer_path = path.clone();
@@ -1111,7 +997,7 @@ mod tests {
     #[test]
     fn trace_source_checkpoints_resume() {
         let text = sample_trace();
-        let path = std::env::temp_dir().join("lb_source_resume_test.trace.jsonl");
+        let path = temp_trace("resume");
         std::fs::write(&path, &text).unwrap();
         let mut source =
             TraceSource::open_with(&path, Duration::from_millis(100), Duration::from_millis(1))
@@ -1141,7 +1027,7 @@ mod tests {
     #[test]
     fn trace_source_times_out_on_a_stalled_tail() {
         let text = sample_trace();
-        let path = std::env::temp_dir().join("lb_source_stall_test.trace.jsonl");
+        let path = temp_trace("stall");
         // Drop the end record AND tear the last line.
         let torn = &text[..text.len() - 25];
         std::fs::write(&path, torn).unwrap();
@@ -1158,23 +1044,5 @@ mod tests {
         };
         assert!(err.contains("truncated?"), "{err}");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn stream_parser_matches_whole_file_parser() {
-        // The streaming parser and Trace::parse must agree on every record
-        // of a canonical trace.
-        let text = sample_trace();
-        let trace = crate::Trace::parse(&text).unwrap();
-        let mut source = ReadSource::new(io::Cursor::new(text.into_bytes())).unwrap();
-        let mut out = RoundEvents::default();
-        let mut expect_out = RoundEvents::default();
-        for record in &trace.rounds {
-            assert_eq!(source.next_round(&mut out).unwrap(), Some(record.round));
-            record.fill(&mut expect_out);
-            assert_eq!(out.completions, expect_out.completions);
-            assert_eq!(out.arrivals, expect_out.arrivals);
-        }
-        assert_eq!(source.next_round(&mut out).unwrap(), None);
     }
 }

@@ -29,11 +29,23 @@
 //!   rejects a trace without a matching end record, so a truncated file
 //!   (interrupted recording, partial copy) fails loudly instead of silently
 //!   replaying a prefix.
+//!
+//! # Reading
+//!
+//! [`TraceWriter`] records; the streaming [`ReadSource`](crate::ReadSource)
+//! is the only reader (a trace file, a pipe, a socket or a growing file
+//! alike), so a replay never holds the whole trace in memory. It validates
+//! as it goes: a truncated or malformed record is found when the stream
+//! reaches it, not before the first round, and the replay fails then with
+//! no result document; a client streaming the trace to a socket server
+//! drops its connection there without the `end` record, which the server
+//! handles like an aborted client. Every `round` and `end` record must lead
+//! with its `"kind"` field and carry no unknown fields; the writer's output
+//! always does.
 
 use lb_analysis::artifact::{create_staging, publish_staged};
 use lb_analysis::{u64_exact, Json};
 use lb_core::discrete::RoundEvents;
-use lb_core::{Task, TaskId};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -195,144 +207,9 @@ impl Drop for TraceWriter {
     }
 }
 
-/// One round's recorded events, decoded back into a [`RoundEvents`] shape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceRound {
-    /// The round the batch applies before.
-    pub round: u64,
-    /// `(node, task id, weight)` triples, in recorded (application) order.
-    pub arrivals: Vec<(usize, u64, u64)>,
-    /// `(node, completion budget)` pairs, in recorded order.
-    pub completions: Vec<(usize, u64)>,
-}
-
-impl TraceRound {
-    /// Fills `out` (cleared first) with this record's batch.
-    pub fn fill(&self, out: &mut RoundEvents) {
-        out.clear();
-        out.completions.extend_from_slice(&self.completions);
-        out.arrivals.extend(
-            self.arrivals
-                .iter()
-                .map(|&(node, id, weight)| (node, Task::new(TaskId(id), weight))),
-        );
-    }
-}
-
-/// A fully parsed trace: the effective scenario plus every recorded round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Trace {
-    /// The effective scenario recorded in the header (seed and shard
-    /// overrides already applied at record time).
-    pub scenario: Scenario,
-    /// Round records, strictly increasing in `round`.
-    pub rounds: Vec<TraceRound>,
-}
-
-impl Trace {
-    /// Reads and parses the trace file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the path for I/O and format errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, String> {
-        let path = path.as_ref();
-        let text = fs::read_to_string(path)
-            .map_err(|e| format!("reading trace {}: {e}", path.display()))?;
-        Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Parses a trace from its line-delimited text form, validating the
-    /// header version, the embedded scenario, round ordering and bounds,
-    /// and the end record's totals.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message locating the first malformed line, and rejects
-    /// traces without a matching end record (truncation).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, line)| !line.trim().is_empty());
-
-        let (header_idx, header_line) = lines.next().ok_or("empty trace")?;
-        let header_lineno = header_idx + 1;
-        let scenario =
-            parse_header_line(header_line).map_err(|e| format!("line {header_lineno}: {e}"))?;
-
-        let mut rounds: Vec<TraceRound> = Vec::new();
-        let mut events_total = 0u64;
-        let mut sealed = false;
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            if sealed {
-                return Err(format!("line {lineno}: content after the end record"));
-            }
-            let record = Json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-            match record.get("kind").and_then(Json::as_str) {
-                Some("round") => {
-                    let parsed = parse_round(&record).map_err(|e| format!("line {lineno}: {e}"))?;
-                    if let Some(last) = rounds.last() {
-                        if parsed.round <= last.round {
-                            return Err(format!(
-                                "line {lineno}: round {} after round {} (must be strictly \
-                                 increasing)",
-                                parsed.round, last.round
-                            ));
-                        }
-                    }
-                    if parsed.round >= u64_exact(scenario.rounds) {
-                        return Err(format!(
-                            "line {lineno}: round {} is beyond the scenario ({} rounds)",
-                            parsed.round, scenario.rounds
-                        ));
-                    }
-                    events_total += u64_exact(parsed.arrivals.len() + parsed.completions.len());
-                    rounds.push(parsed);
-                }
-                Some("end") => {
-                    let declared_rounds = record
-                        .get("rounds")
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("line {lineno}: end record has no rounds total"))?;
-                    let declared_events = record
-                        .get("events")
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("line {lineno}: end record has no events total"))?;
-                    if declared_rounds != u64_exact(rounds.len()) || declared_events != events_total
-                    {
-                        return Err(format!(
-                            "line {lineno}: end record declares {declared_rounds} round(s) / \
-                             {declared_events} event(s) but the trace carries {} / \
-                             {events_total}",
-                            rounds.len()
-                        ));
-                    }
-                    sealed = true;
-                }
-                Some(other) => return Err(format!("line {lineno}: unknown record kind {other:?}")),
-                None => return Err(format!("line {lineno}: record has no kind")),
-            }
-        }
-        if !sealed {
-            return Err("trace has no end record (truncated?)".into());
-        }
-        Ok(Trace { scenario, rounds })
-    }
-
-    /// Total recorded events across all rounds.
-    pub fn event_count(&self) -> u64 {
-        self.rounds
-            .iter()
-            .map(|r| u64_exact(r.arrivals.len() + r.completions.len()))
-            .sum()
-    }
-}
-
 /// Parses and validates one `{"kind":"header",…}` line, returning the
-/// embedded effective scenario. Shared between the whole-file parser
-/// ([`Trace::parse`]) and the streaming sources ([`crate::source`]).
+/// embedded effective scenario (the one header parser of
+/// [`crate::source`]).
 pub(crate) fn parse_header_line(line: &str) -> Result<Scenario, String> {
     let header = Json::parse(line)?;
     if header.get("kind").and_then(Json::as_str) != Some("header") {
@@ -349,63 +226,21 @@ pub(crate) fn parse_header_line(line: &str) -> Result<Scenario, String> {
     Ok(scenario)
 }
 
-/// Decodes one `{"kind":"round",…}` record.
-fn parse_round(record: &Json) -> Result<TraceRound, String> {
-    let round = record
-        .get("round")
-        .and_then(Json::as_u64)
-        .ok_or("round record has no round index")?;
-    let completions = record
-        .get("completions")
-        .and_then(Json::as_array)
-        .ok_or("round record has no completions array")?
-        .iter()
-        .map(|pair| {
-            let items = pair.as_array().filter(|a| a.len() == 2);
-            let node = items.and_then(|a| a[0].as_usize());
-            let weight = items.and_then(|a| a[1].as_u64());
-            match (node, weight) {
-                (Some(node), Some(weight)) => Ok((node, weight)),
-                _ => Err(format!("malformed completion {}", pair.render())),
-            }
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let arrivals = record
-        .get("arrivals")
-        .and_then(Json::as_array)
-        .ok_or("round record has no arrivals array")?
-        .iter()
-        .map(|triple| {
-            let items = triple.as_array().filter(|a| a.len() == 3);
-            let node = items.and_then(|a| a[0].as_usize());
-            let id = items.and_then(|a| a[1].as_u64());
-            let weight = items.and_then(|a| a[2].as_u64()).filter(|&w| w > 0);
-            match (node, id, weight) {
-                (Some(node), Some(id), Some(weight)) => Ok((node, id, weight)),
-                _ => Err(format!("malformed arrival {}", triple.render())),
-            }
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(TraceRound {
-        round,
-        arrivals,
-        completions,
-    })
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::distributions::TokenDistribution;
     use crate::scenario::{
         AlgorithmSpec, ArrivalSpec, InitialSpec, ModelSpec, PadSpec, ServiceSpec, SpeedSpec,
         TopologySpec,
     };
+    use crate::source::{ReadSource, RoundSource};
+    use lb_core::{Task, TaskId};
 
-    fn scenario() -> Scenario {
+    pub(crate) fn scenario() -> Scenario {
         Scenario {
             name: "trace_test".into(),
-            seed: (1 << 53) + 7, // above f64-exact range: exercises Json::Int
+            seed: (1 << 53) + 7, // above f64-exact range: exercises exact integers
             rounds: 50,
             sample_every: 10,
             algorithm: AlgorithmSpec::Alg1,
@@ -436,10 +271,10 @@ mod tests {
     /// A `Write` sink the test can still read after the boxed writer took
     /// ownership of its clone.
     #[derive(Clone, Default)]
-    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+    pub(crate) struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
 
     impl SharedBuf {
-        fn into_string(self) -> String {
+        pub(crate) fn into_string(self) -> String {
             String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
         }
     }
@@ -455,7 +290,7 @@ mod tests {
         }
     }
 
-    fn sample_batch(base_id: u64) -> RoundEvents {
+    pub(crate) fn sample_batch(base_id: u64) -> RoundEvents {
         let mut events = RoundEvents::default();
         events.completions.push((0, 3));
         events.completions.push((5, 1));
@@ -474,76 +309,60 @@ mod tests {
         buf.into_string()
     }
 
+    /// Reads `text` through the streaming reader: the embedded scenario and
+    /// every round record, or the first error.
+    fn read_all(text: &str) -> Result<(Scenario, Vec<(u64, RoundEvents)>), String> {
+        let mut source = ReadSource::new(io::Cursor::new(text.as_bytes().to_vec()))?;
+        let mut rounds = Vec::new();
+        let mut out = RoundEvents::default();
+        while let Some(round) = source.next_round(&mut out)? {
+            rounds.push((round, out.clone()));
+        }
+        Ok((source.scenario().clone(), rounds))
+    }
+
     #[test]
     fn round_trips_losslessly() {
         let text = write_sample_trace();
-        let trace = Trace::parse(&text).expect("parses");
-        assert_eq!(trace.scenario, scenario(), "embedded scenario survives");
-        assert_eq!(trace.rounds.len(), 2, "empty batch was skipped");
-        assert_eq!(trace.rounds[0].round, 0);
-        assert_eq!(trace.rounds[1].round, 7);
-        assert_eq!(trace.event_count(), 8);
+        let (embedded, rounds) = read_all(&text).expect("reads");
+        assert_eq!(embedded, scenario(), "embedded scenario survives");
+        let tags: Vec<u64> = rounds.iter().map(|(round, _)| *round).collect();
+        assert_eq!(tags, vec![0, 7], "empty batch was skipped");
 
         // Decoding reproduces the recorded batch exactly.
-        let mut out = RoundEvents::default();
-        trace.rounds[0].fill(&mut out);
         let expect = sample_batch(100);
-        assert_eq!(out.completions, expect.completions);
-        assert_eq!(out.arrivals, expect.arrivals);
+        assert_eq!(rounds[0].1.completions, expect.completions);
+        assert_eq!(rounds[0].1.arrivals, expect.arrivals);
 
-        // And a re-recorded decoded trace is byte-identical.
+        // And re-recording the decoded stream is byte-identical.
         let buf = SharedBuf::default();
-        let mut writer = TraceWriter::new(buf.clone(), &trace.scenario).unwrap();
-        for round in &trace.rounds {
-            round.fill(&mut out);
-            writer.record_round(round.round, &out).unwrap();
+        let mut writer = TraceWriter::new(buf.clone(), &embedded).unwrap();
+        for (round, events) in &rounds {
+            writer.record_round(*round, events).unwrap();
         }
         writer.finish().unwrap();
         assert_eq!(buf.into_string(), text);
     }
 
     #[test]
-    fn truncated_traces_are_rejected() {
-        let text = write_sample_trace();
-        let without_end = text
-            .lines()
-            .take(text.lines().count() - 1)
-            .collect::<Vec<_>>()
-            .join("\n");
-        let err = Trace::parse(&without_end).expect_err("no end record");
-        assert!(err.contains("end record"), "{err}");
-
-        // A tampered end record (dropped round) is caught by the totals.
-        let dropped_round = text
-            .lines()
-            .enumerate()
-            .filter(|&(i, _)| i != 1)
-            .map(|(_, l)| l)
-            .collect::<Vec<_>>()
-            .join("\n");
-        let err = Trace::parse(&dropped_round).expect_err("totals mismatch");
-        assert!(err.contains("declares"), "{err}");
-    }
-
-    #[test]
     fn malformed_records_are_located() {
         let text = write_sample_trace();
-        let err = Trace::parse(&text.replace("\"round\",\"round\":7", "\"round\",\"round\":0"))
+        let err = read_all(&text.replace("\"round\",\"round\":7", "\"round\",\"round\":0"))
             .expect_err("non-increasing rounds rejected");
         assert!(err.contains("strictly increasing"), "{err}");
 
-        let err = Trace::parse(&text.replace("\"round\":7", "\"round\":50"))
+        let err = read_all(&text.replace("\"round\":7", "\"round\":50"))
             .expect_err("out-of-range round rejected");
         assert!(err.contains("beyond the scenario"), "{err}");
 
-        let err = Trace::parse("").expect_err("empty trace rejected");
-        assert!(err.contains("empty"), "{err}");
+        let err = read_all("").expect_err("empty trace rejected");
+        assert!(err.contains("ended before the header"), "{err}");
 
-        let err = Trace::parse("{\"kind\":\"round\"}").expect_err("header must come first");
+        let err = read_all("{\"kind\":\"round\"}\n").expect_err("header must come first");
         assert!(err.contains("header"), "{err}");
 
         let versioned = text.replace("\"version\":1", "\"version\":2");
-        let err = Trace::parse(&versioned).expect_err("future versions rejected");
+        let err = read_all(&versioned).expect_err("future versions rejected");
         assert!(err.contains("version 2"), "{err}");
     }
 
@@ -560,7 +379,7 @@ mod tests {
     #[test]
     fn exact_integers_survive_the_trace() {
         // Task ids and the scenario seed above 2^53 must round-trip exactly
-        // through the line format (Json::Int, not f64).
+        // through the line format, never through f64.
         let buf = SharedBuf::default();
         let mut writer = TraceWriter::new(buf.clone(), &scenario()).unwrap();
         let mut events = RoundEvents::default();
@@ -568,8 +387,8 @@ mod tests {
         events.arrivals.push((1, Task::new(TaskId(big_id), 1)));
         writer.record_round(0, &events).unwrap();
         writer.finish().unwrap();
-        let trace = Trace::parse(&buf.into_string()).unwrap();
-        assert_eq!(trace.scenario.seed, (1 << 53) + 7);
-        assert_eq!(trace.rounds[0].arrivals[0].1, (1u64 << 60) + 3);
+        let (embedded, rounds) = read_all(&buf.into_string()).unwrap();
+        assert_eq!(embedded.seed, (1 << 53) + 7);
+        assert_eq!(rounds[0].1.arrivals[0].1.id(), TaskId((1u64 << 60) + 3));
     }
 }

@@ -1,12 +1,12 @@
-//! Record a dynamic-workload run to an event trace, then replay the trace
-//! through the async ingestion channel and verify the result document is
-//! **byte-identical** — the trace record/replay contract behind
+//! Record a dynamic-workload run to an event trace, then stream the trace
+//! back through the async ingestion channel and verify the result document
+//! is **byte-identical** — the trace record/replay contract behind
 //! `lb run --record` and `lb replay`.
 //!
 //! Run with: `cargo run --release -p lb-bench --example record_replay`
 
 use lb_bench::dynamic::{Producer, Session};
-use lb_workloads::{Scenario, Trace};
+use lb_workloads::{RoundSource, Scenario, TraceSource};
 
 fn main() {
     // A compact sustained-load scenario: Poisson arrivals, uniform service,
@@ -49,15 +49,16 @@ fn main() {
         recorded.last().completed_weight,
     );
 
-    // 2. Load the trace and replay it. The header embeds the effective
-    //    scenario, so the trace is self-contained.
-    let trace = Trace::load(&path).expect("trace loads");
+    // 2. Open the trace and replay it. The header embeds the effective
+    //    scenario, so the trace is self-contained; the round records are
+    //    read one at a time as the engine consumes them.
+    let trace = TraceSource::open(&path).expect("trace opens");
     println!(
-        "trace: {} recorded round(s), {} event(s)",
-        trace.rounds.len(),
-        trace.event_count()
+        "trace header: scenario {:?}, seed {}",
+        trace.scenario().name,
+        trace.scenario().seed
     );
-    let replayed = Session::from_trace(trace)
+    let replayed = Session::from_stream(Box::new(trace))
         .run(|_| {})
         .expect("replay succeeds");
 

@@ -8,7 +8,7 @@
 
 use lb_bench::dynamic::Session;
 use lb_bench::serve::{push_trace, serve, PushOptions, ServeOptions};
-use lb_workloads::{Scenario, Trace};
+use lb_workloads::{Scenario, TraceSource};
 use std::time::Duration;
 
 fn main() {
@@ -43,13 +43,14 @@ fn main() {
         .run(|_| {})
         .expect("reference run succeeds");
     let reference_doc = reference.to_json().render_pretty();
-    let trace = Trace::load(&path).expect("trace loads");
-    std::fs::remove_file(&path).ok();
     println!(
         "reference: {} rounds recorded, final max_avg = {:.2}",
-        trace.rounds.len(),
+        scenario.rounds,
         reference.last().max_avg,
     );
+    // Each push streams the trace file from its own reader, so a reconnect
+    // simply reopens it.
+    let trace = || TraceSource::open(&path).expect("trace opens");
 
     // 2. Start the server on an ephemeral port; it publishes the bound
     //    address through --listen-info so clients never race the bind. The
@@ -84,18 +85,18 @@ fn main() {
     //    without the sealing end record), then reconnects: the welcome's
     //    last_round tells it where to resume.
     let odd = {
-        let trace = trace.clone();
+        let source = trace();
         let addr = addr.clone();
         std::thread::spawn(move || {
             let mut push = PushOptions::feed("odd");
             push.stride = (2, 1);
-            push_trace(&addr, &trace, &push).expect("odd feed streams")
+            push_trace(&addr, source, &push).expect("odd feed streams")
         })
     };
     let mut push = PushOptions::feed("even");
     push.stride = (2, 0);
     push.abort_after = Some(5);
-    let crashed = push_trace(&addr, &trace, &push).expect("even feed connects");
+    let crashed = push_trace(&addr, trace(), &push).expect("even feed connects");
     println!(
         "even feed crashed after {} record(s) (no end record)",
         crashed.rounds_sent
@@ -104,7 +105,7 @@ fn main() {
     let resumed = loop {
         // The server parks the dropped feed once it observes the hang-up;
         // until then the name is briefly still "connected".
-        match push_trace(&addr, &trace, &push) {
+        match push_trace(&addr, trace(), &push) {
             Ok(report) => break report,
             Err(err) if err.to_string().contains("already connected") => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -134,4 +135,5 @@ fn main() {
     println!("per-connection ingest report (timing-dependent, out of band):");
     println!("{}", stats.render_pretty());
     std::fs::remove_file(&info).ok();
+    std::fs::remove_file(&path).ok();
 }

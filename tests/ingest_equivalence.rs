@@ -5,12 +5,17 @@
 //! count (the acceptance shard counts {1, 4} are pinned here; CI diffs the
 //! same artefacts via `lb run --record` / `lb replay`).
 
+use lb_analysis::artifact::unique_name;
 use lb_bench::dynamic::{Producer, Session};
+use lb_core::discrete::RoundEvents;
+use lb_workloads::source::DEFAULT_POLL_INTERVAL;
 use lb_workloads::{
-    AlgorithmSpec, ArrivalSpec, ChurnEvent, ChurnKind, InitialSpec, ModelSpec, PadSpec, Scenario,
-    ServiceSpec, SpeedSpec, TokenDistribution, TopologySpec, Trace,
+    AlgorithmSpec, ArrivalSpec, ChurnEvent, ChurnKind, InitialSpec, ModelSpec, PadSpec,
+    RoundSource, Scenario, ServiceSpec, SpeedSpec, TokenDistribution, TopologySpec, TraceSource,
+    TraceWriter,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// The four engine combos a scenario can request.
 const COMBOS: [(AlgorithmSpec, ModelSpec); 4] = [
@@ -65,7 +70,17 @@ fn churny_scenario(algorithm: AlgorithmSpec, model: ModelSpec) -> Scenario {
 }
 
 fn temp_trace(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("lb_ingest_equivalence_{tag}.trace.jsonl"))
+    std::env::temp_dir().join(unique_name(&format!(
+        "lb_ingest_equivalence_{tag}.trace.jsonl"
+    )))
+}
+
+/// Opens a recorded trace for replay the way `lb replay <file>` does: end
+/// of file is final, with no wait for growth.
+fn replay_source(path: &Path) -> Box<TraceSource> {
+    Box::new(
+        TraceSource::open_with(path, Duration::ZERO, DEFAULT_POLL_INTERVAL).expect("trace opens"),
+    )
 }
 
 /// The acceptance criterion: sync-driven, channel-driven and trace-replayed
@@ -101,9 +116,9 @@ fn sync_channel_and_replay_are_byte_identical() {
 
             // Replay: the recorded trace drives the engine through the
             // channel; the header pinned the effective seed and shard count.
-            let trace = Trace::load(&path).expect("trace loads");
-            assert_eq!(trace.scenario.shards, shards, "effective shards recorded");
-            let replayed = Session::from_trace(trace.clone())
+            let trace = replay_source(&path);
+            assert_eq!(trace.scenario().shards, shards, "effective shards recorded");
+            let replayed = Session::from_stream(trace)
                 .run(|_| {})
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} replay: {e}"));
             assert_eq!(
@@ -127,9 +142,8 @@ fn trace_replay_is_shard_invariant() {
         .record(path.clone())
         .run(|_| {})
         .expect("records");
-    let trace = Trace::load(&path).expect("trace loads");
     for shards in [2usize, 4] {
-        let replayed = Session::from_trace(trace.clone())
+        let replayed = Session::from_stream(replay_source(&path))
             .shards(shards)
             .run(|_| {})
             .expect("replays");
@@ -142,7 +156,7 @@ fn trace_replay_is_shard_invariant() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A truncated trace must fail to load — never silently replay a prefix.
+/// A truncated trace must fail its replay — never silently replay a prefix.
 #[test]
 fn truncated_traces_fail_loudly() {
     let scenario = churny_scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);
@@ -153,8 +167,12 @@ fn truncated_traces_fail_loudly() {
         .expect("records");
     let text = std::fs::read_to_string(&path).expect("trace exists");
     let lines: Vec<&str> = text.lines().collect();
-    let truncated = lines[..lines.len() - 1].join("\n");
-    let err = Trace::parse(&truncated).expect_err("truncated trace rejected");
+    let truncated = lines[..lines.len() - 1].join("\n") + "\n";
+    std::fs::write(&path, truncated).expect("truncates");
+    let err = Session::from_stream(replay_source(&path))
+        .run(|_| {})
+        .expect_err("truncated trace rejected")
+        .to_string();
     assert!(err.contains("end record"), "{err}");
     std::fs::remove_file(&path).ok();
 }
@@ -173,14 +191,27 @@ fn short_traces_drain_and_keep_balancing() {
         .run(|_| {})
         .expect("records");
 
-    // Keep only the first half of the recorded rounds.
-    let mut trace = Trace::load(&path).expect("trace loads");
-    trace.rounds.truncate(trace.rounds.len() / 2);
-    let last_recorded = trace.rounds.last().expect("nonempty").round;
-    let a = Session::from_trace(trace.clone())
+    // Keep only the first half of the recorded rounds, re-sealed as a
+    // complete trace of its own.
+    let mut source = replay_source(&path);
+    let mut rounds = Vec::new();
+    let mut events = RoundEvents::default();
+    while let Some(round) = source.next_round(&mut events).expect("reads") {
+        rounds.push((round, events.clone()));
+    }
+    rounds.truncate(rounds.len() / 2);
+    let mut writer = TraceWriter::create(&path, source.scenario()).expect("writes");
+    for (round, events) in &rounds {
+        writer.record_round(*round, events).expect("records");
+    }
+    writer.finish().expect("publishes");
+    let last_recorded = rounds.last().expect("nonempty").0;
+    let a = Session::from_stream(replay_source(&path))
         .run(|_| {})
         .expect("replays");
-    let b = Session::from_trace(trace).run(|_| {}).expect("replays");
+    let b = Session::from_stream(replay_source(&path))
+        .run(|_| {})
+        .expect("replays");
     assert_eq!(a.trajectory, b.trajectory, "short replay is deterministic");
     assert!(
         (last_recorded as usize) < scenario.rounds,

@@ -11,8 +11,8 @@ use lb_bench::dynamic::Session;
 use lb_bench::error::BenchError;
 use lb_bench::serve::{push_trace, serve, PushOptions, ServeOptions};
 use lb_workloads::{
-    AlgorithmSpec, ArrivalSpec, InitialSpec, ModelSpec, PadSpec, Scenario, ServiceSpec, SpeedSpec,
-    TokenDistribution, TopologySpec, Trace,
+    AlgorithmSpec, ArrivalSpec, InitialSpec, ModelSpec, PadSpec, RoundSource, Scenario,
+    ServiceSpec, SpeedSpec, TokenDistribution, TopologySpec, TraceSource, TraceWriter,
 };
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -54,16 +54,20 @@ fn temp_path(tag: &str) -> PathBuf {
 
 /// Records the scenario's event stream once; the header embeds the
 /// effective scenario, which is what the server authenticates against.
-fn recorded_trace(tag: &str) -> (Trace, String) {
+/// Returns the trace file and the reference document.
+fn recorded_trace(tag: &str) -> (PathBuf, String) {
     let scenario = serve_scenario();
     let path = temp_path(&format!("{tag}.trace.jsonl"));
     let reference = Session::from_scenario(&scenario)
         .record(path.clone())
         .run(|_| {})
         .expect("reference run records");
-    let trace = Trace::load(&path).expect("trace loads");
-    std::fs::remove_file(&path).ok();
-    (trace, reference.to_json().render_pretty())
+    (path, reference.to_json().render_pretty())
+}
+
+/// Opens a trace file for one push (a reconnect reopens it).
+fn open(trace: &Path) -> TraceSource {
+    TraceSource::open(trace).expect("trace opens")
 }
 
 /// Polls the `--listen-info` file the server writes once its socket is up,
@@ -85,9 +89,9 @@ fn wait_for_addr(info: &Path) -> String {
 /// Reconnects under a feed name, retrying while the server is still
 /// parking the dropped connection (the old pump may not have observed the
 /// hang-up yet, in which case the name is briefly "already connected").
-fn reconnect(addr: &str, trace: &Trace, options: &PushOptions) -> lb_bench::serve::PushReport {
+fn reconnect(addr: &str, trace: &Path, options: &PushOptions) -> lb_bench::serve::PushReport {
     for _ in 0..200 {
-        match push_trace(addr, trace, options) {
+        match push_trace(addr, open(trace), options) {
             Ok(report) => return report,
             Err(BenchError::Protocol(reason)) if reason.contains("already connected") => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -120,7 +124,7 @@ fn dropped_client_degrades_and_the_run_finishes() {
 
     let mut push = PushOptions::feed("flaky");
     push.abort_after = Some(2);
-    let report = push_trace(&addr, &trace, &push).expect("partial push connects");
+    let report = push_trace(&addr, open(&trace), &push).expect("partial push connects");
     assert!(report.aborted, "the client really dropped mid-stream");
     assert_eq!(report.rounds_sent, 2);
 
@@ -137,6 +141,7 @@ fn dropped_client_degrades_and_the_run_finishes() {
         "the dropped tail of the stream never arrived"
     );
     std::fs::remove_file(&info).ok();
+    std::fs::remove_file(&trace).ok();
 }
 
 /// The tentpole contract: two striped clients, one killed mid-stream and
@@ -176,13 +181,13 @@ fn reconnected_client_resumes_byte_identically_at_acceptance_shards() {
             std::thread::spawn(move || {
                 let mut push = PushOptions::feed("odd");
                 push.stride = (2, 1);
-                push_trace(&addr, &trace, &push).expect("odd feed streams")
+                push_trace(&addr, open(&trace), &push).expect("odd feed streams")
             })
         };
         let mut push = PushOptions::feed("even");
         push.stride = (2, 0);
         push.abort_after = Some(1);
-        let crashed = push_trace(&addr, &trace, &push).expect("even feed connects");
+        let crashed = push_trace(&addr, open(&trace), &push).expect("even feed connects");
         assert!(crashed.aborted);
         assert_eq!(crashed.rounds_sent, 1);
 
@@ -210,6 +215,7 @@ fn reconnected_client_resumes_byte_identically_at_acceptance_shards() {
         assert_eq!(feeds.len(), 2, "one merge feed per connection name");
         std::fs::remove_file(&info).ok();
     }
+    std::fs::remove_file(&trace).ok();
 }
 
 /// A handshake embedding the wrong effective scenario is refused with a
@@ -231,22 +237,25 @@ fn mismatched_header_is_rejected_while_the_engine_keeps_serving() {
     let addr = wait_for_addr(&info);
 
     // A trace recorded at a different seed: same shape, wrong scenario.
-    let mut reseeded = trace.scenario.clone();
+    let mut reseeded = open(&trace).scenario().clone();
     reseeded.seed = 9999;
-    let imposter = Trace {
-        scenario: reseeded,
-        rounds: Vec::new(),
-    };
-    let err = push_trace(&addr, &imposter, &PushOptions::feed("imposter"))
+    let imposter = temp_path("mismatch.imposter.jsonl");
+    TraceWriter::create(&imposter, &reseeded)
+        .and_then(TraceWriter::finish)
+        .expect("imposter trace writes");
+    let err = push_trace(&addr, open(&imposter), &PushOptions::feed("imposter"))
         .expect_err("mismatched header must be rejected");
     assert!(matches!(err, BenchError::Protocol(_)), "{err:?}");
     assert!(err.to_string().contains("scenario mismatch"), "{err}");
 
     // The rejection never reached the engine: a good client is served and
     // the run is still byte-identical to the sync reference.
-    let report = push_trace(&addr, &trace, &PushOptions::feed("good")).expect("good feed streams");
+    let report =
+        push_trace(&addr, open(&trace), &PushOptions::feed("good")).expect("good feed streams");
     assert!(!report.aborted);
     let outcome = server.join().expect("server thread").expect("serve run");
     assert_eq!(reference_doc, outcome.to_json().render_pretty());
     std::fs::remove_file(&info).ok();
+    std::fs::remove_file(&imposter).ok();
+    std::fs::remove_file(&trace).ok();
 }
