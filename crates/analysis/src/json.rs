@@ -378,13 +378,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
+                    // Copy the whole run up to the next quote or backslash
+                    // in one step, so a string parses in linear time. Both
+                    // delimiters are ASCII, so the run of the (UTF-8) input
+                    // ends on a character boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    // lint: allow(R03, rest is non-empty: peek returned Some)
-                    let c = s.chars().next().expect("non-empty by construction");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -547,6 +552,23 @@ mod tests {
         assert_eq!(
             Json::parse(&rendered).unwrap().as_str(),
             Some("café \n \"q\"")
+        );
+        // Multi-byte characters directly next to escapes, on both sides.
+        let parsed = Json::parse(r#""é\n€\"日本\\\u00e9ü\t""#).unwrap();
+        assert_eq!(parsed.as_str(), Some("é\n€\"日本\\éü\t"));
+    }
+
+    #[test]
+    fn multi_megabyte_strings_parse_whole() {
+        // A federated snapshot travels as one long JSON string; the parser
+        // copies each run between escapes in one step.
+        let line = "{\"kind\":\"queue\",\"node\":12345,\"tasks\":[[1,2],[3,4]]} é\n";
+        let text = line.repeat(80_000);
+        assert!(text.len() > 4 << 20, "a multi-MB string");
+        let rendered = Json::from(text.as_str()).render();
+        assert_eq!(
+            Json::parse(&rendered).unwrap().as_str(),
+            Some(text.as_str())
         );
     }
 

@@ -64,11 +64,12 @@ COMMANDS:
                           parallelism; results are bit-identical for every N).
                           Env fallback: LB_BENCH_SHARDS.
         --producer MODE   How events reach the engine: 'scenario' (inline,
-                          the default), 'channel' (async ingestion — a
-                          producer thread streams batches through the bounded
-                          SPSC channel) or 'merge:N' (N producer threads,
-                          k-way merged back into round order). Results are
-                          bit-identical in every mode.
+                          the default), 'merge:N' (async ingestion — N
+                          producer threads stream slices of every batch
+                          through bounded SPSC channels, k-way merged back
+                          into round order) or 'channel' (the same as
+                          'merge:1'). Results are bit-identical in every
+                          mode.
         --record PATH     Record the applied event stream as a replayable
                           line-delimited JSON trace (see ROADMAP.md 'Async
                           ingestion'). Recording never perturbs the run.
@@ -464,11 +465,13 @@ fn emit_ingest_stats(outcome: &ScenarioOutcome, path: &str) -> Result<(), String
     Ok(())
 }
 
-/// Parses a `--producer` mode: `scenario`, `channel`, or `merge:<feeds>`.
+/// Parses a `--producer` mode: `scenario`, `channel` (the one-feed merge),
+/// or `merge:<feeds>`.
 fn producer_option(value: Option<&str>) -> Result<Producer, String> {
     match value {
         None | Some("scenario") => Ok(Producer::Scenario),
-        Some("channel") => Ok(Producer::Channel {
+        Some("channel") => Ok(Producer::Merge {
+            feeds: 1,
             capacity: DEFAULT_CHANNEL_CAPACITY,
         }),
         Some(mode) => {
@@ -1412,10 +1415,14 @@ mod tests {
             producer_option(Some("scenario")).unwrap(),
             Producer::Scenario
         );
-        assert!(matches!(
+        assert_eq!(
             producer_option(Some("channel")).unwrap(),
-            Producer::Channel { .. }
-        ));
+            Producer::Merge {
+                feeds: 1,
+                capacity: DEFAULT_CHANNEL_CAPACITY
+            },
+            "channel is the one-feed merge"
+        );
         assert_eq!(
             producer_option(Some("merge:3")).unwrap(),
             Producer::Merge {

@@ -16,21 +16,21 @@
 //! `.stream()`, `.merged()`); then [`Session::run`]. Failures come back as
 //! the typed [`crate::error::BenchError`].
 //!
-//! Events can reach the engine five ways, all bit-identical for the same
+//! Events can reach the engine four ways, all bit-identical for the same
 //! scenario and seed (`tests/ingest_equivalence.rs`,
 //! `tests/merge_equivalence.rs`, `tests/serve_faults.rs`):
 //!
 //! * **sync** ([`Producer::Scenario`]) — the driver materialises each
 //!   round's batch inline from the scenario's event stream;
-//! * **channel** ([`Producer::Channel`]) — a producer thread streams the
-//!   same batches through the bounded SPSC channel of [`lb_core::ingest`];
 //! * **merge** ([`Producer::Merge`]) — N producer threads each stream a
-//!   contiguous per-round slice of the same batches over their own channel,
-//!   k-way merged back into round order by [`lb_core::ingest::merge`];
+//!   contiguous per-round slice of the same batches over their own bounded
+//!   SPSC channel ([`lb_core::ingest`]), k-way merged back into round order
+//!   by [`lb_core::ingest::merge`]. The CLI's `--producer channel` is the
+//!   one-feed merge: one producer thread streams whole batches;
 //! * **replay** ([`Session::from_stream`]) — the batches are parsed
-//!   incrementally from a recorded trace ([`lb_workloads::trace`]) on the
-//!   producer thread and fed through the channel, whether the trace is a
-//!   finished file, a growing file tail or any pipe/socket reader
+//!   incrementally from a recorded trace ([`lb_workloads::trace`]) on a
+//!   producer thread and fed through a one-feed merge, whether the trace is
+//!   a finished file, a growing file tail or any pipe/socket reader
 //!   ([`lb_workloads::source`]);
 //! * **external merge** ([`Session::merged`]) — the driver consumes an
 //!   externally built [`MergeSession`] whose feeds are produced elsewhere —
@@ -65,8 +65,8 @@ use lb_core::discrete::{
     DiscreteBalancer, DynamicBalancer, FlowImitation, RandomizedImitation, RoundEvents, TaskPicker,
 };
 use lb_core::federate::FederateLink;
+use lb_core::ingest;
 use lb_core::ingest::merge::MergeSession;
-use lb_core::ingest::{self, ChannelMetrics, IngestSession};
 use lb_core::snapshot::{self, Snapshot};
 use lb_core::{metrics, CoreError, FederatedExecutor, InitialLoad, ShardedExecutor, Speeds};
 use lb_graph::{AlphaScheme, Graph, GraphDelta};
@@ -429,30 +429,25 @@ pub enum Producer {
     /// inline from the scenario's event stream (the default).
     #[default]
     Scenario,
-    /// The async ingestion path: a producer thread generates the same
-    /// stream and feeds it through a bounded SPSC channel
-    /// ([`lb_core::ingest`]); the driver drains one round's batch between
-    /// rounds.
-    Channel {
-        /// Maximum in-flight batches (how far the producer may run ahead).
-        capacity: usize,
-    },
-    /// The multi-producer path: `feeds` producer threads each generate the
+    /// The async ingestion path: `feeds` producer threads each generate the
     /// stream and send a contiguous per-round slice of every batch over
-    /// their own bounded channel; the consumer side k-way merges the slices
-    /// back into one round-ordered stream ([`lb_core::ingest::merge`]).
-    /// Coalescing in feed index order reconstructs each batch exactly, so
-    /// results stay byte-identical to the sync path.
+    /// their own bounded SPSC channel ([`lb_core::ingest`]); the consumer
+    /// side k-way merges the slices back into one round-ordered stream
+    /// ([`lb_core::ingest::merge`]) and the driver drains one round's batch
+    /// between rounds. Coalescing in feed index order reconstructs each
+    /// batch exactly, so results stay byte-identical to the sync path. One
+    /// feed is the single-channel path (the CLI's `--producer channel`).
     Merge {
         /// Number of producer feeds (1..=[`MAX_MERGE_FEEDS`]).
         feeds: usize,
-        /// Per-feed channel capacity.
+        /// Per-feed channel capacity: the most in-flight batches, i.e. how
+        /// far a producer may run ahead of the engine.
         capacity: usize,
     },
 }
 
-/// Default channel capacity for [`Producer::Channel`] and trace/stream
-/// replay sessions.
+/// Default channel capacity for the CLI's producer modes and for
+/// trace/stream replay sessions.
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 32;
 
 /// Upper bound on [`Producer::Merge`] feeds: each feed is an OS thread, so
@@ -509,35 +504,12 @@ impl RunOptions {
     }
 }
 
-/// The JSON form of one feed's ingestion stats.
-fn feed_stats_json(
-    feed: usize,
-    batches: u64,
-    events: u64,
-    drained: bool,
-    channel: ChannelMetrics,
-) -> Json {
-    Json::obj([
-        ("feed", Json::from(feed)),
-        ("batches", Json::from(batches)),
-        ("events", Json::from(events)),
-        ("drained", Json::from(drained)),
-        ("blocked_sends", Json::from(channel.blocked_sends)),
-        ("blocked_nanos", Json::from(channel.blocked_nanos)),
-        ("high_water", Json::from(channel.high_water)),
-    ])
-}
-
 /// Where the driver's per-round batches come from.
 enum EventSource {
     /// Inline generation from the scenario stream.
     Sync(ScenarioEvents),
-    /// A producer thread on the other end of the ingest channel.
-    Channel {
-        session: IngestSession,
-        producer: Option<JoinHandle<Result<(), String>>>,
-    },
-    /// N producer threads, k-way merged on the consumer side.
+    /// Producer threads (none for an external merge) on the other ends of
+    /// the channels of a k-way merge.
     Merge {
         session: MergeSession,
         producers: Vec<JoinHandle<Result<(), String>>>,
@@ -546,17 +518,13 @@ enum EventSource {
 
 impl EventSource {
     /// Fills `out` with the batch for `round` (empty when the round has no
-    /// events). Channel/merge ordering violations are stream-protocol
-    /// errors.
+    /// events). Merge ordering violations are stream-protocol errors.
     fn fill_round(&mut self, round: usize, out: &mut RoundEvents) -> Result<(), BenchError> {
         match self {
             EventSource::Sync(stream) => {
                 stream.fill_round(round, out);
                 Ok(())
             }
-            EventSource::Channel { session, .. } => session
-                .fill_round(round as u64, out)
-                .map_err(|err| BenchError::protocol(err.to_string())),
             EventSource::Merge { session, .. } => session
                 .fill_round(round as u64, out)
                 .map_err(|err| BenchError::protocol(err.to_string())),
@@ -588,57 +556,39 @@ impl EventSource {
     /// this never blocks on a full queue), then joins every producer thread
     /// and propagates the first failure.
     fn finish(self) -> Result<Option<Json>, BenchError> {
-        match self {
-            EventSource::Sync(_) => Ok(None),
-            EventSource::Channel { session, producer } => {
-                let stats = Json::obj([
-                    ("producer", Json::from("channel")),
-                    (
-                        "feeds",
-                        Json::Arr(vec![feed_stats_json(
-                            0,
-                            session.batches(),
-                            session.events(),
-                            session.ended(),
-                            session.metrics(),
-                        )]),
-                    ),
-                ]);
-                drop(session);
-                producer.map(Self::join_producer).transpose()?;
-                Ok(Some(stats))
+        let EventSource::Merge { session, producers } = self else {
+            return Ok(None);
+        };
+        let feeds = session
+            .feed_reports()
+            .into_iter()
+            .enumerate()
+            .map(|(feed, report)| {
+                Json::obj([
+                    ("feed", Json::from(feed)),
+                    ("batches", Json::from(report.batches)),
+                    ("events", Json::from(report.events)),
+                    ("drained", Json::from(report.drained)),
+                    ("blocked_sends", Json::from(report.channel.blocked_sends)),
+                    ("blocked_nanos", Json::from(report.channel.blocked_nanos)),
+                    ("high_water", Json::from(report.channel.high_water)),
+                ])
+            })
+            .collect();
+        let stats = Json::obj([
+            ("producer", Json::from("merge")),
+            ("feeds", Json::Arr(feeds)),
+        ]);
+        drop(session);
+        let mut failure = None;
+        for handle in producers {
+            if let Err(err) = Self::join_producer(handle) {
+                failure.get_or_insert(err);
             }
-            EventSource::Merge { session, producers } => {
-                let feeds = session
-                    .feed_reports()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(feed, report)| {
-                        feed_stats_json(
-                            feed,
-                            report.batches,
-                            report.events,
-                            report.drained,
-                            report.channel,
-                        )
-                    })
-                    .collect();
-                let stats = Json::obj([
-                    ("producer", Json::from("merge")),
-                    ("feeds", Json::Arr(feeds)),
-                ]);
-                drop(session);
-                let mut failure = None;
-                for handle in producers {
-                    if let Err(err) = Self::join_producer(handle) {
-                        failure.get_or_insert(err);
-                    }
-                }
-                match failure {
-                    Some(err) => Err(err),
-                    None => Ok(Some(stats)),
-                }
-            }
+        }
+        match failure {
+            Some(err) => Err(err),
+            None => Ok(Some(stats)),
         }
     }
 }
@@ -727,39 +677,6 @@ pub(crate) fn churn_schedule(
     Ok(schedule)
 }
 
-/// Spawns the producer thread for [`Producer::Channel`]: generates the
-/// scenario's event stream round by round and sends each non-empty batch
-/// through the channel, recycling drained buffers so steady-state production
-/// allocates nothing.
-fn spawn_scenario_producer(
-    mut stream: ScenarioEvents,
-    schedule: Vec<(usize, Speeds)>,
-    rounds: usize,
-    capacity: usize,
-) -> (IngestSession, JoinHandle<Result<(), String>>) {
-    let (mut tx, rx) = ingest::bounded(capacity);
-    let handle = std::thread::spawn(move || {
-        let mut schedule = schedule.into_iter().peekable();
-        let mut spare: Option<RoundEvents> = None;
-        for round in 0..rounds {
-            while schedule.peek().is_some_and(|(r, _)| *r == round) {
-                // lint: allow(R03, the peek in the loop condition proves Some)
-                let (_, speeds) = schedule.next().expect("peeked entry");
-                stream.set_topology(&speeds);
-            }
-            let mut batch = spare.take().unwrap_or_else(|| tx.buffer());
-            stream.fill_round(round, &mut batch);
-            if batch.is_empty() {
-                spare = Some(batch);
-            } else if tx.send(round as u64, batch).is_err() {
-                return Ok(()); // consumer hung up; the driver reports its own error
-            }
-        }
-        Ok(())
-    });
-    (IngestSession::new(rx), handle)
-}
-
 /// The contiguous slice of a `len`-element event list that feed `feed` of
 /// `feeds` carries. Concatenating the slices in feed index order — exactly
 /// what the merge stage's coalescing does — reconstructs the original list.
@@ -776,27 +693,26 @@ pub(crate) fn feed_slice(len: usize, feed: usize, feeds: usize) -> std::ops::Ran
 /// whole rounds without sending.
 fn spawn_merge_producers(
     stream: ScenarioEvents,
-    schedule: Vec<(usize, Speeds)>,
+    schedule: Arc<[(usize, Speeds)]>,
     rounds: usize,
     feeds: usize,
     capacity: usize,
-) -> (MergeSession, Vec<JoinHandle<Result<(), String>>>) {
+) -> EventSource {
     let mut consumers = Vec::with_capacity(feeds);
     let mut handles = Vec::with_capacity(feeds);
     for feed in 0..feeds {
         let (mut tx, rx) = ingest::bounded(capacity);
         consumers.push(rx);
         let mut stream = stream.clone();
-        let schedule = schedule.clone();
+        let schedule = Arc::clone(&schedule);
         handles.push(std::thread::spawn(move || {
-            let mut schedule = schedule.into_iter().peekable();
+            let mut next = 0;
             let mut full = RoundEvents::default();
             let mut spare: Option<RoundEvents> = None;
             for round in 0..rounds {
-                while schedule.peek().is_some_and(|(r, _)| *r == round) {
-                    // lint: allow(R03, the peek in the loop condition proves Some)
-                    let (_, speeds) = schedule.next().expect("peeked entry");
-                    stream.set_topology(&speeds);
+                while let Some((_, speeds)) = schedule.get(next).filter(|(r, _)| *r == round) {
+                    stream.set_topology(speeds);
+                    next += 1;
                 }
                 stream.fill_round(round, &mut full);
                 let mut batch = spare.take().unwrap_or_else(|| tx.buffer());
@@ -816,19 +732,20 @@ fn spawn_merge_producers(
             Ok(())
         }));
     }
-    (MergeSession::new(consumers), handles)
+    EventSource::Merge {
+        session: MergeSession::new(consumers),
+        producers: handles,
+    }
 }
 
-/// Spawns the producer thread for [`Session::from_stream`]: pulls round batches off
-/// a live byte-stream source ([`lb_workloads::source`]) and feeds them
-/// through the channel, recycling drained buffers. A source error — a torn
-/// trace tail, a stalled writer, malformed records — ends production early
-/// (the engine sees an event-free remainder and the run completes) and then
-/// surfaces as the run's error when the driver joins the thread.
-fn spawn_source_producer(
-    mut source: Box<dyn RoundSource>,
-    capacity: usize,
-) -> (IngestSession, JoinHandle<Result<(), String>>) {
+/// Spawns the producer thread for [`Session::from_stream`]: pulls round
+/// batches off a live byte-stream source ([`lb_workloads::source`]) and
+/// feeds them through a one-feed merge, recycling drained buffers. A source
+/// error — a torn trace tail, a stalled writer, malformed records — ends
+/// production early (the engine sees an event-free remainder and the run
+/// completes) and then surfaces as the run's error when the driver joins
+/// the thread.
+fn spawn_source_producer(mut source: Box<dyn RoundSource>, capacity: usize) -> EventSource {
     let (mut tx, rx) = ingest::bounded(capacity);
     let handle = std::thread::spawn(move || {
         let mut spare: Option<RoundEvents> = None;
@@ -852,7 +769,10 @@ fn spawn_source_producer(
             }
         }
     });
-    (IngestSession::new(rx), handle)
+    EventSource::Merge {
+        session: MergeSession::new(vec![rx]),
+        producers: vec![handle],
+    }
 }
 
 /// Where a [`Session`] starts from: a scenario spec to run, or a snapshot
@@ -877,7 +797,7 @@ enum Origin {
 /// let outcome = Session::from_scenario(&scenario)
 ///     .seed(7)
 ///     .shards(4)
-///     .producer(Producer::Channel { capacity: 8 })
+///     .producer(Producer::Merge { feeds: 2, capacity: 8 })
 ///     .record(PathBuf::from("run.trace.jsonl"))
 ///     .run(|_| {})?;
 /// # Ok::<(), lb_bench::error::BenchError>(())
@@ -972,9 +892,10 @@ impl Session {
         self
     }
 
-    /// Selects how generated events reach the engine (sync, channel or
-    /// merge). Ignored by stream and merged feeds, which bring their own
-    /// channel path.
+    /// Selects how generated events reach the engine (sync or merge).
+    /// Stream and merged feeds bring their own channel path, and federated
+    /// sessions use the sync path: [`Session::run`] rejects any other
+    /// producer on them.
     pub fn producer(mut self, producer: Producer) -> Self {
         self.options.producer = producer;
         self
@@ -1041,8 +962,8 @@ impl Session {
     /// [`crate::serve`], registered on the fly through a
     /// [`lb_core::ingest::merge::FeedRegistrar`]. The driver blocks at each
     /// round boundary on every open feed (the merge contract), applies the
-    /// coalesced batches, and rolls the per-feed [`ChannelMetrics`] into
-    /// [`ScenarioOutcome::ingest`].
+    /// coalesced batches, and rolls the per-feed
+    /// [`lb_core::ingest::ChannelMetrics`] into [`ScenarioOutcome::ingest`].
     pub fn merged(mut self, session: MergeSession) -> Self {
         self.feed = Feed::Merge(session);
         self
@@ -1058,7 +979,8 @@ impl Session {
     ///
     /// [`BenchError::Usage`] for invalid specs, unknown families,
     /// contradictory options (seed override on a pinned-seed session,
-    /// unpaired checkpoint options, out-of-range shard/feed counts);
+    /// producer mode on a stream or merged session, unpaired checkpoint
+    /// options, out-of-range shard/feed counts);
     /// [`BenchError::Protocol`] for stream/merge ordering violations,
     /// malformed records and snapshots that do not match the run;
     /// [`BenchError::Io`] for file and stream I/O failures; and
@@ -1107,6 +1029,21 @@ impl Session {
             scenario.federation = parts;
             scenario.validate().map_err(BenchError::Usage)?;
             return crate::federate::run_federated(scenario, role, checkpoint, on_sample);
+        }
+        match options.producer {
+            Producer::Scenario => {}
+            Producer::Merge { feeds, .. } if feeds == 0 || feeds > MAX_MERGE_FEEDS => {
+                return Err(BenchError::usage(format!(
+                    "merge feeds must be in 1..={MAX_MERGE_FEEDS}, got {feeds}"
+                )));
+            }
+            Producer::Merge { .. } if !matches!(feed, Feed::Generate) => {
+                return Err(BenchError::usage(
+                    "stream and merged sessions bring their own event path; producer modes \
+                     apply to generated events only",
+                ));
+            }
+            Producer::Merge { .. } => {}
         }
         let (scenario, resume) = match origin {
             Origin::Scenario(scenario) => {
@@ -1412,11 +1349,7 @@ fn execute(
     let schedule = churn_schedule(class, &scenario, &graph, &speeds).map_err(BenchError::Run)?;
     let mut source = match feed {
         Feed::Source(stream_source) => {
-            let (session, handle) = spawn_source_producer(stream_source, DEFAULT_CHANNEL_CAPACITY);
-            EventSource::Channel {
-                session,
-                producer: Some(handle),
-            }
+            spawn_source_producer(stream_source, DEFAULT_CHANNEL_CAPACITY)
         }
         Feed::Merge(session) => EventSource::Merge {
             session,
@@ -1424,41 +1357,18 @@ fn execute(
         },
         Feed::Generate => {
             let stream = ScenarioEvents::new(&scenario, &speeds, first_task_id);
-            let speeds_schedule = || {
-                schedule
-                    .iter()
-                    .map(|step| (step.round, step.speeds.clone()))
-                    .collect()
-            };
             match options.producer {
                 Producer::Scenario => EventSource::Sync(stream),
-                Producer::Channel { capacity } => {
-                    let (session, handle) = spawn_scenario_producer(
-                        stream,
-                        speeds_schedule(),
-                        scenario.rounds,
-                        capacity,
-                    );
-                    EventSource::Channel {
-                        session,
-                        producer: Some(handle),
-                    }
-                }
-                Producer::Merge { feeds, capacity } => {
-                    if feeds == 0 || feeds > MAX_MERGE_FEEDS {
-                        return Err(BenchError::usage(format!(
-                            "merge feeds must be in 1..={MAX_MERGE_FEEDS}, got {feeds}"
-                        )));
-                    }
-                    let (session, producers) = spawn_merge_producers(
-                        stream,
-                        speeds_schedule(),
-                        scenario.rounds,
-                        feeds,
-                        capacity,
-                    );
-                    EventSource::Merge { session, producers }
-                }
+                Producer::Merge { feeds, capacity } => spawn_merge_producers(
+                    stream,
+                    schedule
+                        .iter()
+                        .map(|step| (step.round, step.speeds.clone()))
+                        .collect(),
+                    scenario.rounds,
+                    feeds,
+                    capacity,
+                ),
             }
         }
     };
@@ -1742,9 +1652,9 @@ mod tests {
     fn channel_producer_matches_sync_bit_for_bit() {
         // The ingestion contract at driver level: the same scenario and seed
         // produce byte-identical result JSON whether events are generated
-        // inline or streamed through the SPSC channel — including across
-        // churn, which the channel producer follows via its precomputed
-        // speeds schedule.
+        // inline or streamed through one bounded channel (`--producer
+        // channel`, the one-feed merge) — including across churn, which the
+        // producer follows via the shared speeds schedule.
         let mut scenario = poisson_scenario();
         scenario.churn = vec![
             ChurnEvent {
@@ -1762,7 +1672,7 @@ mod tests {
         let sync = Session::from_scenario(&scenario).run(|_| {}).unwrap();
         for capacity in [1, 4] {
             let channel = Session::from_scenario(&scenario)
-                .producer(Producer::Channel { capacity })
+                .producer(Producer::Merge { feeds: 1, capacity })
                 .run(|_| {})
                 .unwrap();
             assert_eq!(
@@ -1770,6 +1680,10 @@ mod tests {
                 channel.to_json().render_pretty(),
                 "capacity {capacity}"
             );
+            let stats = channel.ingest.expect("channel runs report ingest stats");
+            assert_eq!(stats.get("producer").and_then(Json::as_str), Some("merge"));
+            let reported = stats.get("feeds").and_then(Json::as_array).unwrap();
+            assert_eq!(reported.len(), 1, "channel is the one-feed merge");
         }
     }
 
@@ -1777,23 +1691,33 @@ mod tests {
     fn merge_producer_matches_sync_bit_for_bit() {
         // The multi-producer contract at driver level: N feeds each sending
         // a contiguous slice of every batch, k-way merged back, produce
-        // byte-identical result JSON — including across churn.
+        // byte-identical result JSON — including across churn, which every
+        // producer follows via the shared speeds schedule.
         let mut scenario = poisson_scenario();
-        scenario.churn = vec![ChurnEvent {
-            round: 30,
-            kind: ChurnKind::Rewire { seed: 9 },
-        }];
+        scenario.churn = vec![
+            ChurnEvent {
+                round: 20,
+                kind: ChurnKind::Rewire { seed: 9 },
+            },
+            ChurnEvent {
+                round: 40,
+                kind: ChurnKind::Resize {
+                    target_n: 16,
+                    seed: 3,
+                },
+            },
+        ];
         let sync = Session::from_scenario(&scenario).run(|_| {}).unwrap();
         assert!(sync.ingest.is_none(), "sync runs carry no ingest report");
-        for feeds in [1usize, 2, 4] {
+        for (feeds, capacity) in [(1usize, 2usize), (2, 2), (4, 2)] {
             let merged = Session::from_scenario(&scenario)
-                .producer(Producer::Merge { feeds, capacity: 2 })
+                .producer(Producer::Merge { feeds, capacity })
                 .run(|_| {})
                 .unwrap();
             assert_eq!(
                 sync.to_json().render_pretty(),
                 merged.to_json().render_pretty(),
-                "feeds {feeds}"
+                "feeds {feeds}, capacity {capacity}"
             );
             let stats = merged.ingest.expect("merged runs report ingest stats");
             assert_eq!(stats.get("producer").and_then(Json::as_str), Some("merge"));
@@ -1809,14 +1733,45 @@ mod tests {
 
     #[test]
     fn merge_rejects_out_of_range_feed_counts() {
-        for feeds in [0usize, super::MAX_MERGE_FEEDS + 1] {
-            let err = Session::from_scenario(&poisson_scenario())
-                .producer(Producer::Merge { feeds, capacity: 2 })
-                .run(|_| {})
-                .unwrap_err();
-            assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
-            assert!(err.to_string().contains("merge feeds"), "{err}");
+        // The feed count is checked before the world is built: the unknown
+        // family of the second scenario would fail later, with another
+        // message.
+        let mut unbuildable = poisson_scenario();
+        unbuildable.topology.family = "smallworld".into();
+        for scenario in [poisson_scenario(), unbuildable] {
+            for feeds in [0usize, super::MAX_MERGE_FEEDS + 1] {
+                let err = Session::from_scenario(&scenario)
+                    .producer(Producer::Merge { feeds, capacity: 2 })
+                    .run(|_| {})
+                    .unwrap_err();
+                assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
+                assert!(err.to_string().contains("merge feeds"), "{err}");
+            }
         }
+
+        // Stream and merged sessions bring their own event path, so a
+        // producer mode on them is a usage error, not silently ignored.
+        let scenario = poisson_scenario();
+        let path = temp_path("lb_dynamic_stream_producer.trace.jsonl");
+        Session::from_scenario(&scenario)
+            .record(path.clone())
+            .run(|_| {})
+            .unwrap();
+        let one_feed = Producer::Merge {
+            feeds: 1,
+            capacity: DEFAULT_CHANNEL_CAPACITY,
+        };
+        let trace = || Box::new(TraceSource::open(&path).unwrap());
+        for session in [
+            Session::from_stream(trace()),
+            Session::from_scenario(&scenario).stream(trace()),
+            Session::from_scenario(&scenario).merged(MergeSession::new(Vec::new())),
+        ] {
+            let err = session.producer(one_feed).run(|_| {}).unwrap_err();
+            assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
+            assert!(err.to_string().contains("own event path"), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -2255,8 +2210,22 @@ mod tests {
         let scenario = churned_scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);
         let (outcome, snap25, snap50) = run_with_checkpoints(&scenario, "producers");
         for (snap, producer, label) in [
-            (&snap25, Producer::Channel { capacity: 2 }, "channel@25"),
-            (&snap50, Producer::Channel { capacity: 1 }, "channel@50"),
+            (
+                &snap25,
+                Producer::Merge {
+                    feeds: 1,
+                    capacity: 2,
+                },
+                "channel@25",
+            ),
+            (
+                &snap50,
+                Producer::Merge {
+                    feeds: 1,
+                    capacity: 1,
+                },
+                "channel@50",
+            ),
             (
                 &snap25,
                 Producer::Merge {

@@ -28,6 +28,13 @@
 //! the producer hangs up, every remaining round simply has no events — a
 //! trace shorter than the run is not an error.
 //!
+//! [`IngestSession`] is the one consumer-side sequencer of this protocol:
+//! it holds the pending batch, notices the hang-up, rejects stale and
+//! repeated rounds and counts batches and events. The multi-producer
+//! [`merge::MergeSession`] runs one per feed and only coalesces their
+//! batches, so a single channel and a one-feed merge deliver the same
+//! stream.
+//!
 //! # Contract with the zero-allocation hot loop
 //!
 //! The channel recycles batch buffers: the consumer returns drained
@@ -298,15 +305,27 @@ impl Drop for EventConsumer {
     }
 }
 
+/// An ordering-protocol error; `feed` names the merge feed that delivered
+/// the batch.
+fn violation(feed: Option<usize>, what: std::fmt::Arguments<'_>) -> CoreError {
+    CoreError::invalid_parameter(match feed {
+        Some(index) => format!("merge protocol violation: feed {index}: {what}"),
+        None => format!("ingest protocol violation: {what}"),
+    })
+}
+
 /// Consumer-side round sequencer: pulls round-tagged batches off an
 /// [`EventConsumer`] and hands each one to the engine **between** rounds,
-/// holding batches for future rounds until their round comes up.
+/// holding batches for future rounds until their round comes up. It is the
+/// only per-feed sequencer: a [`merge::MergeSession`] runs one per feed.
 pub struct IngestSession {
     consumer: EventConsumer,
     /// A received batch whose round has not come up yet.
     pending: Option<(u64, RoundEvents)>,
     /// The stream ended (producer gone, queue drained).
     ended: bool,
+    /// The round of the last batch taken (receipt-side monotonicity check).
+    last_round: Option<u64>,
     report: EventReport,
     batches: u64,
     events: u64,
@@ -319,6 +338,7 @@ impl IngestSession {
             consumer,
             pending: None,
             ended: false,
+            last_round: None,
             report: EventReport::default(),
             batches: 0,
             events: 0,
@@ -327,13 +347,13 @@ impl IngestSession {
 
     /// Takes the batch tagged `round` off the channel, if there is one:
     /// `Some` with the batch, `None` when this round has no events (the next
-    /// batch is tagged later, or the stream ended).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if the next batch is tagged
-    /// with an earlier round — the producer violated the ordering protocol.
-    fn take_round(&mut self, round: u64) -> Result<Option<RoundEvents>, CoreError> {
+    /// batch is tagged later, or the stream ended). Blocks only while the
+    /// next batch is unknown; `feed` names this session inside a merge.
+    fn take_round(
+        &mut self,
+        round: u64,
+        feed: Option<usize>,
+    ) -> Result<Option<RoundEvents>, CoreError> {
         if self.pending.is_none() && !self.ended {
             match self.consumer.recv() {
                 Some(batch) => self.pending = Some(batch),
@@ -341,19 +361,39 @@ impl IngestSession {
             }
         }
         match &self.pending {
-            Some((tag, _)) if *tag < round => Err(CoreError::invalid_parameter(format!(
-                "ingest protocol violation: batch for round {tag} arrived while \
-                 applying round {round}"
-            ))),
+            Some((tag, _)) if *tag < round => Err(violation(
+                feed,
+                format_args!("batch for round {tag} arrived while applying round {round}"),
+            )),
             Some((tag, _)) if *tag == round => {
+                if self.last_round.is_some_and(|last| round <= last) {
+                    return Err(violation(feed, format_args!("batch repeats round {round}")));
+                }
                 // lint: allow(R03, the match arm proves pending is Some)
                 let (_, events) = self.pending.take().expect("pending batch");
+                self.last_round = Some(round);
                 self.batches += 1;
                 self.events += (events.arrivals.len() + events.completions.len()) as u64;
                 Ok(Some(events))
             }
             _ => Ok(None),
         }
+    }
+
+    /// Appends the events for `round` (if any) to `out` and recycles the
+    /// batch; `feed` names this session inside a merge.
+    fn append_round(
+        &mut self,
+        round: u64,
+        out: &mut RoundEvents,
+        feed: Option<usize>,
+    ) -> Result<(), CoreError> {
+        if let Some(events) = self.take_round(round, feed)? {
+            out.completions.extend_from_slice(&events.completions);
+            out.arrivals.extend_from_slice(&events.arrivals);
+            self.consumer.recycle(events);
+        }
+        Ok(())
     }
 
     /// Copies the events for `round` into `out` (cleared first); `out` stays
@@ -367,12 +407,7 @@ impl IngestSession {
     /// Returns [`CoreError::InvalidParameter`] on an out-of-order batch.
     pub fn fill_round(&mut self, round: u64, out: &mut RoundEvents) -> Result<(), CoreError> {
         out.clear();
-        if let Some(events) = self.take_round(round)? {
-            out.arrivals.clone_from(&events.arrivals);
-            out.completions.clone_from(&events.completions);
-            self.consumer.recycle(events);
-        }
-        Ok(())
+        self.append_round(round, out, None)
     }
 
     /// Applies the batch for `round` (if any) to `engine` and recycles the
@@ -391,7 +426,7 @@ impl IngestSession {
         round: u64,
         engine: &mut dyn DynamicBalancer,
     ) -> Result<EventReport, CoreError> {
-        let Some(events) = self.take_round(round)? else {
+        let Some(events) = self.take_round(round, None)? else {
             return Ok(EventReport::default());
         };
         let result = if events.is_empty() {

@@ -3,7 +3,11 @@
 //!
 //! Each feed is the consumer half of its own bounded SPSC channel
 //! ([`super::bounded`]), so producers never contend with each other — the
-//! merge happens where the batches are consumed:
+//! merge happens where the batches are consumed. Every feed is sequenced by
+//! its own [`IngestSession`], the one per-feed sequencer of this crate
+//! (pending batch, hang-up, ordering checks, batch and event counts); the
+//! merge adds only the coalescing. A one-feed merge is therefore the plain
+//! single-channel path:
 //!
 //! ```text
 //! producer 0 ──► channel 0 ──┐
@@ -16,8 +20,8 @@
 //!
 //! * **Per-feed monotonicity** — every feed sends batches in strictly
 //!   increasing round order (enforced by [`super::EventProducer::send`]; the
-//!   session re-checks on receipt so a protocol violation surfaces as a
-//!   typed error, never as corrupted state).
+//!   feed's [`IngestSession`] re-checks on receipt so a protocol violation
+//!   surfaces as a typed error naming the feed, never as corrupted state).
 //! * **Additive coalescing** — when several feeds carry a batch for the same
 //!   round, the merged batch is their concatenation in **feed index order**
 //!   (completions then arrivals within each feed's batch, as always).
@@ -29,8 +33,9 @@
 //!   closed means every remaining round is event-free (same as the
 //!   single-channel contract).
 //! * **Ordering errors** — a batch tagged earlier than the round being
-//!   applied is a protocol error ([`crate::CoreError::InvalidParameter`]):
-//!   the session reports it and leaves the engine untouched.
+//!   applied, or one repeating a round its feed already delivered, is a
+//!   protocol error ([`crate::CoreError::InvalidParameter`]): the session
+//!   reports it with the feed index and leaves the engine untouched.
 //!
 //! # Zero-allocation steady state
 //!
@@ -45,7 +50,7 @@ use crate::discrete::{DynamicBalancer, EventReport, RoundEvents};
 use crate::error::CoreError;
 use std::sync::{Arc, Mutex};
 
-use super::{ChannelMetrics, EventConsumer};
+use super::{ChannelMetrics, EventConsumer, IngestSession};
 
 /// What one feed contributed to a merged run — batch/event totals plus the
 /// backpressure counters of its channel. Timing-dependent (see
@@ -61,44 +66,6 @@ pub struct FeedReport {
     pub drained: bool,
     /// The feed channel's backpressure counters.
     pub channel: ChannelMetrics,
-}
-
-/// One feed's consumer-side state inside a [`MergeSession`].
-struct Feed {
-    consumer: EventConsumer,
-    /// A received batch whose round has not come up yet.
-    pending: Option<(u64, RoundEvents)>,
-    /// The producer hung up and the queue drained.
-    ended: bool,
-    /// The round of the last batch coalesced from this feed (receipt-side
-    /// monotonicity check).
-    last_round: Option<u64>,
-    batches: u64,
-    events: u64,
-}
-
-impl Feed {
-    fn new(consumer: EventConsumer) -> Self {
-        Feed {
-            consumer,
-            pending: None,
-            ended: false,
-            last_round: None,
-            batches: 0,
-            events: 0,
-        }
-    }
-
-    /// Makes `pending` hold the feed's next batch, blocking on the channel
-    /// if necessary; a hang-up marks the feed ended instead.
-    fn refill(&mut self) {
-        if self.pending.is_none() && !self.ended {
-            match self.consumer.recv() {
-                Some(batch) => self.pending = Some(batch),
-                None => self.ended = true,
-            }
-        }
-    }
 }
 
 /// A clone-able, `Send` handle that registers new feeds on a live
@@ -141,12 +108,12 @@ impl FeedRegistrar {
 
 /// Consumer-side k-way merge over N event feeds: pulls each feed's
 /// round-tagged batches and hands the engine one coalesced, strictly
-/// round-ordered batch per round — the multi-producer counterpart of
-/// [`super::IngestSession`].
+/// round-ordered batch per round. Each feed is sequenced by its own
+/// [`IngestSession`]; the merge only coalesces what they hand over.
 pub struct MergeSession {
-    feeds: Vec<Feed>,
+    feeds: Vec<IngestSession>,
     /// Feeds registered through a [`FeedRegistrar`], awaiting admission.
-    registry: Option<Arc<Mutex<Vec<EventConsumer>>>>,
+    registry: Arc<Mutex<Vec<EventConsumer>>>,
     /// Owned coalescing scratch, reused across rounds.
     scratch: RoundEvents,
     report: EventReport,
@@ -157,8 +124,8 @@ impl MergeSession {
     /// index order is the coalescing order.
     pub fn new(consumers: Vec<EventConsumer>) -> Self {
         MergeSession {
-            feeds: consumers.into_iter().map(Feed::new).collect(),
-            registry: None,
+            feeds: consumers.into_iter().map(IngestSession::new).collect(),
+            registry: Arc::default(),
             scratch: RoundEvents::default(),
             report: EventReport::default(),
         }
@@ -174,31 +141,24 @@ impl MergeSession {
     /// so drivers that gate on feed presence should admit at least one feed
     /// before running rounds.
     pub fn with_registrar() -> (Self, FeedRegistrar) {
-        let queue = Arc::new(Mutex::new(Vec::new()));
+        let session = MergeSession::new(Vec::new());
         let registrar = FeedRegistrar {
-            queue: Arc::clone(&queue),
+            queue: Arc::clone(&session.registry),
         };
-        let mut session = MergeSession::new(Vec::new());
-        session.registry = Some(queue);
         (session, registrar)
     }
 
     /// Admits feeds registered through the [`FeedRegistrar`] (if any) into
     /// the merge, in registration order.
     fn admit_registered(&mut self) {
-        if let Some(registry) = &self.registry {
-            let mut queue = registry.lock().expect("merge registry lock");
-            self.feeds.extend(queue.drain(..).map(Feed::new));
-        }
+        let mut queue = self.registry.lock().expect("merge registry lock");
+        self.feeds.extend(queue.drain(..).map(IngestSession::new));
     }
 
     /// Number of feeds (open or ended), including any registered feeds not
     /// yet admitted by a `fill_round`/`apply_round` call.
     pub fn feed_count(&self) -> usize {
-        let pending = self.registry.as_ref().map_or(0, |registry| {
-            registry.lock().expect("merge registry lock").len()
-        });
-        self.feeds.len() + pending
+        self.feeds.len() + self.registry.lock().expect("merge registry lock").len()
     }
 
     /// Coalesces every feed's batch for `round` into `out` (cleared first),
@@ -207,41 +167,15 @@ impl MergeSession {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] when a feed delivers a batch
-    /// tagged earlier than `round` or earlier than a batch it already
-    /// delivered — the producer violated the ordering protocol. The engine
-    /// side is untouched: nothing is applied on the error path.
+    /// Returns [`CoreError::InvalidParameter`], naming the feed, when a feed
+    /// delivers a batch tagged earlier than `round` or repeating a round it
+    /// already delivered — the producer violated the ordering protocol. The
+    /// engine side is untouched: nothing is applied on the error path.
     pub fn fill_round(&mut self, round: u64, out: &mut RoundEvents) -> Result<(), CoreError> {
         out.clear();
         self.admit_registered();
-        for index in 0..self.feeds.len() {
-            let feed = &mut self.feeds[index];
-            feed.refill();
-            match &feed.pending {
-                Some((tag, _)) if *tag < round => {
-                    let tag = *tag;
-                    return Err(CoreError::invalid_parameter(format!(
-                        "merge protocol violation: feed {index} delivered a batch for \
-                         round {tag} while applying round {round}"
-                    )));
-                }
-                Some((tag, _)) if *tag == round => {
-                    // lint: allow(R03, the match arm proves pending is Some)
-                    let (tag, events) = feed.pending.take().expect("pending batch");
-                    if feed.last_round.is_some_and(|last| tag <= last) {
-                        return Err(CoreError::invalid_parameter(format!(
-                            "merge protocol violation: feed {index} repeated round {tag}"
-                        )));
-                    }
-                    feed.last_round = Some(tag);
-                    feed.batches += 1;
-                    feed.events += (events.arrivals.len() + events.completions.len()) as u64;
-                    out.completions.extend_from_slice(&events.completions);
-                    out.arrivals.extend_from_slice(&events.arrivals);
-                    feed.consumer.recycle(events);
-                }
-                _ => {}
-            }
+        for (index, feed) in self.feeds.iter_mut().enumerate() {
+            feed.append_round(round, out, Some(index))?;
         }
         Ok(())
     }
@@ -286,15 +220,11 @@ impl MergeSession {
     /// the event-free remainder of the run. A registered feed not yet
     /// admitted counts as open.
     pub fn ended(&self) -> bool {
-        let pending = self
-            .registry
-            .as_ref()
-            .is_some_and(|registry| !registry.lock().expect("merge registry lock").is_empty());
-        !pending
-            && self
-                .feeds
-                .iter()
-                .all(|feed| feed.ended && feed.pending.is_none())
+        self.registry
+            .lock()
+            .expect("merge registry lock")
+            .is_empty()
+            && self.feeds.iter().all(IngestSession::ended)
     }
 
     /// Per-feed contribution and backpressure snapshots, in feed index
@@ -303,10 +233,10 @@ impl MergeSession {
         self.feeds
             .iter()
             .map(|feed| FeedReport {
-                batches: feed.batches,
-                events: feed.events,
-                drained: feed.ended && feed.pending.is_none(),
-                channel: feed.consumer.metrics(),
+                batches: feed.batches(),
+                events: feed.events(),
+                drained: feed.ended(),
+                channel: feed.metrics(),
             })
             .collect()
     }
@@ -500,6 +430,7 @@ mod tests {
         let loads_before = alg1.loads();
         let err = session.apply_round(9, &mut alg1).unwrap_err();
         assert!(err.to_string().contains("protocol violation"), "{err}");
+        assert!(err.to_string().contains("feed 0"), "names the feed: {err}");
         assert_eq!(alg1.loads(), loads_before, "engine state untouched");
         assert_eq!(session.report(), EventReport::default());
     }

@@ -1,5 +1,5 @@
 //! Record a dynamic-workload run to an event trace, then stream the trace
-//! back through the async ingestion channel and verify the result document
+//! back through the async ingestion channel (a one-feed merge) and verify the result document
 //! is **byte-identical** — the trace record/replay contract behind
 //! `lb run --record` and `lb replay`.
 //!
@@ -68,11 +68,14 @@ fn main() {
     assert_eq!(a, b, "replayed run diverged from the recorded run");
     println!("replay is byte-identical to the recorded run ✓");
 
-    // The channel producer mode is equally bit-identical — same scenario,
-    // same seed, events streamed through the bounded SPSC channel instead of
-    // generated inline.
+    // The channel producer mode (`lb run --producer channel`, a one-feed
+    // merge) is equally bit-identical — same scenario, same seed, events
+    // streamed through one bounded SPSC channel instead of generated inline.
     let channel = Session::from_scenario(&scenario)
-        .producer(Producer::Channel { capacity: 16 })
+        .producer(Producer::Merge {
+            feeds: 1,
+            capacity: 16,
+        })
         .run(|_| {})
         .expect("channel run succeeds");
     assert_eq!(

@@ -1,6 +1,6 @@
 //! The async-ingestion contract, end to end: for the same scenario and seed,
-//! the synchronous path, the channel path and a recorded-then-replayed trace
-//! all produce **byte-identical** result JSON — for every engine combo
+//! the synchronous path, the channel path (a one-feed merge) and a
+//! recorded-then-replayed trace all produce **byte-identical** result JSON — for every engine combo
 //! (alg1/alg2 × fos/sos), with churn in the stream, and for every shard
 //! count (the acceptance shard counts {1, 4} are pinned here; CI diffs the
 //! same artefacts via `lb run --record` / `lb replay`).
@@ -102,10 +102,14 @@ fn sync_channel_and_replay_are_byte_identical() {
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} sync: {e}"));
             let sync_doc = sync.to_json().render_pretty();
 
-            // Channel run: same batches through the SPSC channel.
+            // Channel run: same batches through one SPSC channel, the
+            // one-feed merge.
             let channel = Session::from_scenario(&scenario)
                 .shards(shards)
-                .producer(Producer::Channel { capacity: 3 })
+                .producer(Producer::Merge {
+                    feeds: 1,
+                    capacity: 3,
+                })
                 .run(|_| {})
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} channel: {e}"));
             assert_eq!(

@@ -1,6 +1,6 @@
 //! The multi-producer ingestion contract, end to end: for the same scenario
-//! and seed, the synchronous path, the single channel, the k-way merge over
-//! N feeds and the byte-stream sources (file tail, framed reader) all
+//! and seed, the synchronous path, the single channel (the one-feed merge),
+//! the k-way merge over N feeds and the byte-stream sources (file tail, framed reader) all
 //! produce **byte-identical** result JSON — for every engine combo
 //! (alg1/alg2 × fos/sos), with churn in the stream, at the acceptance shard
 //! counts {1, 4}. A session-level property test additionally checks that
@@ -100,10 +100,11 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} sync: {e}"));
             let sync_doc = sync.to_json().render_pretty();
 
-            // Single channel.
+            // Single channel: the one-feed merge `--producer channel` runs.
             let channel = Session::from_scenario(&scenario)
                 .shards(shards)
-                .producer(Producer::Channel {
+                .producer(Producer::Merge {
+                    feeds: 1,
                     capacity: DEFAULT_CHANNEL_CAPACITY,
                 })
                 .run(|_| {})
@@ -158,8 +159,8 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
     }
 }
 
-/// Wider feed counts on one combo: a 1-feed merge is exactly the channel
-/// path, and 3/4-feed merges still reconstruct every batch.
+/// Wider feed counts on one combo: the 1-feed merge (the channel path) at a
+/// non-default capacity, and 3/4-feed merges still reconstruct every batch.
 #[test]
 fn merge_is_byte_identical_across_feed_counts() {
     let scenario = churny_scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);
