@@ -1609,6 +1609,68 @@ mod tests {
     }
 
     #[test]
+    fn invalid_churn_exits_1_and_publishes_nothing() {
+        // A delta node out of range is found before round 0; a removed
+        // edge that is missing or an added edge that exists is found when
+        // round 5 arrives, and so is a resize the generator rejects (a
+        // 2^50-node hypercube, whose speeds a channel producer must not
+        // try to allocate first). Each: exit 1, no document, no trace.
+        let dir = std::env::temp_dir().join(lb_analysis::artifact::unique_name("lb_bad_churn"));
+        fs::create_dir_all(&dir).unwrap();
+        for (tag, churn) in [
+            (
+                "range",
+                r#""kind": "delta", "add": [[0, 16]], "remove": []"#,
+            ),
+            (
+                "missing",
+                r#""kind": "delta", "add": [], "remove": [[0, 3]]"#,
+            ),
+            (
+                "existing",
+                r#""kind": "delta", "add": [[0, 1]], "remove": []"#,
+            ),
+            (
+                "huge",
+                r#""kind": "resize", "target_n": 1125899906842624, "seed": 1"#,
+            ),
+        ] {
+            let scenario = dir.join(format!("{tag}.json"));
+            let out = dir.join(format!("{tag}.out.json"));
+            let trace = dir.join(format!("{tag}.trace.jsonl"));
+            fs::write(
+                &scenario,
+                format!(
+                    r#"{{"name": "bad_churn", "seed": 3, "rounds": 10, "sample_every": 5,
+                    "algorithm": "alg1", "model": "fos",
+                    "topology": {{"family": "hypercube", "target_n": 16}},
+                    "initial": {{"distribution": {{"model": "uniform_random"}},
+                                 "tokens_per_node": 4, "pad": "degree"}},
+                    "churn": [{{"round": 5, {churn}}}]}}"#
+                ),
+            )
+            .unwrap();
+            for producer in ["scenario", "channel"] {
+                let code = dispatch(&args(&[
+                    "run",
+                    scenario.to_str().unwrap(),
+                    "--quiet",
+                    "--producer",
+                    producer,
+                    "--out",
+                    out.to_str().unwrap(),
+                    "--record",
+                    trace.to_str().unwrap(),
+                ]));
+                assert_eq!(code, 1, "{tag} {producer}");
+                assert!(!out.exists(), "{tag} {producer}: no result document");
+                assert!(!trace.exists(), "{tag} {producer}: no trace");
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn bench_check_gates_on_regression() {
         let dir = std::env::temp_dir().join("lb_bench_check_test");
         fs::create_dir_all(&dir).unwrap();

@@ -71,8 +71,8 @@ use lb_core::snapshot::{self, Snapshot};
 use lb_core::{metrics, CoreError, FederatedExecutor, InitialLoad, ShardedExecutor, Speeds};
 use lb_graph::{AlphaScheme, Graph, GraphDelta};
 use lb_workloads::{
-    pad_for_min_load, AlgorithmSpec, ChurnKind, ModelSpec, PadSpec, RoundSource, Scenario,
-    ScenarioEvents, TraceWriter,
+    pad_for_min_load, AlgorithmSpec, ChurnEvent, ChurnKind, ModelSpec, PadSpec, RoundSource,
+    Scenario, ScenarioEvents, TraceWriter,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -413,12 +413,17 @@ impl Engine {
 }
 
 /// Speeds after churn: entries carry over index-by-index, removed nodes drop
-/// theirs, new nodes get the unit speed (the engine's carry-over rule).
-fn carried_speeds(current: &Speeds, n: usize) -> Speeds {
-    let mut values = current.as_slice().to_vec();
+/// theirs, new nodes get the unit speed (the engine's carry-over rule). A
+/// node count too large to allocate is an error, not an abort: a producer
+/// thread carries speeds before the engine has built the graph.
+fn carried_speeds(current: &Speeds, n: usize) -> Result<Speeds, String> {
+    let mut values = Vec::new();
+    values
+        .try_reserve_exact(n)
+        .map_err(|err| format!("carrying speeds to {n} nodes: {err}"))?;
+    values.extend_from_slice(&current.as_slice()[..n.min(current.len())]);
     values.resize(n, 1);
-    // lint: allow(R03, carried values validated positive at admission)
-    Speeds::new(values).expect("carried speeds stay positive")
+    Speeds::new(values).map_err(|err| err.to_string())
 }
 
 /// How a run's events reach the engine. Both modes apply the same batches at
@@ -532,7 +537,8 @@ impl EventSource {
     }
 
     /// Propagates topology churn to the source. Only the inline stream needs
-    /// telling — channel producers follow a precomputed speeds schedule.
+    /// telling — channel producers follow the churn's node counts and carry
+    /// the speeds themselves.
     fn set_topology(&mut self, speeds: &Speeds) {
         if let EventSource::Sync(stream) = self {
             stream.set_topology(speeds);
@@ -593,88 +599,237 @@ impl EventSource {
     }
 }
 
-/// One precomputed churn event: the materialised topology the engine lands
-/// on, the speeds it carries, and — for same-size edge churn — the edge
-/// delta from the *previous* step's graph (the initial world graph for the
-/// first step).
-#[derive(Debug, Clone)]
-pub(crate) struct ChurnStep {
-    /// The round before which the event fires.
-    pub(crate) round: usize,
-    /// The topology after this event (always materialised, so resume can
-    /// jump straight to any epoch without replaying deltas).
+/// A churn failure, named by the round the event fires before.
+pub(crate) fn churn_error(round: usize, err: impl std::fmt::Display) -> BenchError {
+    BenchError::run(format!("churn at round {round}: {err}"))
+}
+
+/// The churn epochs of one run, each built when its round arrives.
+///
+/// Each churn event starts a new imitation epoch, and an epoch needs only
+/// its own topology, so the cursor holds the current graph and nothing
+/// ahead of it:
+///
+/// - a `rewire` builds the family graph and diffs it against the current
+///   one (`delta_to`), so the engine can patch its process in `O(Δ)`;
+/// - an explicit `delta` patches the current graph (`apply_delta`);
+/// - a `resize` builds the new size for the full-rebuild path.
+///
+/// A seed-independent family ([`GraphClass::is_seeded`]) has one graph per
+/// node count. The cursor keeps it, starting with the world graph, and a
+/// rewire reuses it instead of building a copy.
+///
+/// Before round 0 the cursor builds no graph. It derives each event's node
+/// count and checks the form of each explicit delta against the node count
+/// in effect at its round (endpoints in range, no self-loops or repeats).
+/// Whether a delta's removed edges exist and its added edges are new is
+/// known only once its round arrives. Such a failure is a run error there.
+pub(crate) struct ChurnCursor<'a> {
+    class: GraphClass,
+    events: &'a [ChurnEvent],
+    /// The node count in effect after each event.
+    node_counts: Vec<usize>,
+    /// The events passed so far: `events[next]` fires next.
+    next: usize,
+    /// The events `graph` reflects (`built <= next`; they differ only while
+    /// a resume fast-forward passes events without building them).
+    built: usize,
+    /// The current epoch's topology.
+    graph: Arc<Graph>,
+    /// A seed-independent family's one graph at the current node count.
+    family: Option<Arc<Graph>>,
+    /// Carried speeds after `events[..next]`.
+    speeds: Speeds,
+}
+
+/// A churn epoch as it fires: its topology and, for a same-size edge
+/// change, the edge delta from the previous epoch's topology.
+pub(crate) struct Epoch {
     pub(crate) graph: Arc<Graph>,
-    /// Carried speeds on that topology.
-    pub(crate) speeds: Speeds,
-    /// Edge difference from the previous step's graph, when the event is a
-    /// same-size edge patch. Only valid when steps are applied in sequence:
-    /// resume fast-forward applies one arbitrary step onto the original
-    /// world graph and must take the full-rebuild path instead.
     pub(crate) delta: Option<GraphDelta>,
 }
 
-/// The churn plan, precomputed once per run: for every churn event, the
-/// rebuilt topology and the speeds the engine will carry on it. The driver
-/// consumes the graphs — each churn graph is built exactly once, whichever
-/// producer mode runs — and a channel producer follows the speeds without
-/// hearing back from the engine thread. (Graph generators are seeded per
-/// event, so building up front is bit-identical to building lazily.)
-///
-/// `rewire` and explicit `delta` events carry the edge difference from the
-/// previous epoch's graph so the engine can patch its process in `O(Δ)`;
-/// `resize` events keep the full-rebuild path (`delta: None`).
-pub(crate) fn churn_schedule(
-    class: GraphClass,
-    scenario: &Scenario,
-    initial_graph: &Arc<Graph>,
-    initial: &Speeds,
-) -> Result<Vec<ChurnStep>, String> {
-    let mut schedule = Vec::with_capacity(scenario.churn.len());
-    let mut current = initial.clone();
-    let mut current_graph = Arc::clone(initial_graph);
-    for event in &scenario.churn {
-        let (graph, delta): (Arc<Graph>, Option<GraphDelta>) = match &event.kind {
-            // Rewire keeps the current size; the speeds length tracks the
-            // engine's node count exactly.
-            ChurnKind::Rewire { seed } => {
-                let graph: Arc<Graph> = class
-                    .build(current.len(), *seed)
-                    .map_err(|err| format!("churn at round {}: {err}", event.round))?
-                    .into();
-                let delta = current_graph
+impl<'a> ChurnCursor<'a> {
+    /// A cursor before the first of `churn`'s events, on `world`.
+    pub(crate) fn new(world: &World, churn: &'a [ChurnEvent]) -> Result<Self, BenchError> {
+        let mut n = world.graph.node_count();
+        let mut node_counts = Vec::with_capacity(churn.len());
+        for event in churn {
+            match &event.kind {
+                ChurnKind::Rewire { .. } => {}
+                ChurnKind::Resize { target_n, .. } => n = world.class.node_count(*target_n),
+                ChurnKind::Delta { add, remove } => {
+                    GraphDelta::new(n, add.iter().copied(), remove.iter().copied())
+                        .map_err(|err| churn_error(event.round, err))?;
+                }
+            }
+            node_counts.push(n);
+        }
+        Ok(ChurnCursor {
+            class: world.class,
+            events: churn,
+            node_counts,
+            next: 0,
+            built: 0,
+            graph: Arc::clone(&world.graph),
+            family: (!world.class.is_seeded()).then(|| Arc::clone(&world.graph)),
+            speeds: world.speeds.clone(),
+        })
+    }
+
+    /// The current epoch's topology.
+    pub(crate) fn graph(&self) -> &Arc<Graph> {
+        &self.graph
+    }
+
+    /// The speeds the current epoch carries.
+    pub(crate) fn speeds(&self) -> &Speeds {
+        &self.speeds
+    }
+
+    /// `(round, node count after the event)` for every event: all a
+    /// producer thread needs to follow the speeds (see [`carried_speeds`]).
+    pub(crate) fn node_counts(&self) -> Vec<(usize, usize)> {
+        self.events
+            .iter()
+            .map(|event| event.round)
+            .zip(self.node_counts.iter().copied())
+            .collect()
+    }
+
+    /// Whether an event fires before `round`.
+    pub(crate) fn due(&self, round: usize) -> bool {
+        self.events.get(self.next).is_some_and(|e| e.round == round)
+    }
+
+    /// Builds the next epoch if an event fires before `round`, else returns
+    /// `None`; call it until `None` at every round, in order.
+    pub(crate) fn fire(&mut self, round: usize) -> Result<Option<Epoch>, BenchError> {
+        debug_assert_eq!(self.built, self.next, "a fast-forward must seek first");
+        if !self.due(round) {
+            return Ok(None);
+        }
+        let i = self.next;
+        let event = &self.events[i];
+        let before = Arc::clone(&self.graph);
+        let (graph, delta) = self.epoch_graph(i, &before)?;
+        let delta = match event.kind {
+            ChurnKind::Rewire { .. } => Some(
+                before
                     .delta_to(&graph)
-                    .map_err(|err| format!("churn at round {}: {err}", event.round))?;
-                (graph, Some(delta))
+                    .map_err(|err| churn_error(round, err))?,
+            ),
+            _ => delta,
+        };
+        self.pass_one()?;
+        self.built = self.next;
+        self.graph = Arc::clone(&graph);
+        Ok(Some(Epoch { graph, delta }))
+    }
+
+    /// Passes the events that fire before `round` without building their
+    /// topologies, and says whether there were any. The resume fast-forward
+    /// uses it: the event stream needs each epoch's speeds, but only the
+    /// last epoch's graph matters ([`seek`](Self::seek)).
+    pub(crate) fn pass(&mut self, round: usize) -> Result<bool, BenchError> {
+        let start = self.next;
+        while self.due(round) {
+            self.pass_one()?;
+        }
+        Ok(self.next > start)
+    }
+
+    /// Moves the cursor to just before `round` and builds the topology of
+    /// the epoch it lands in: only the last `rewire` or `resize` at or before
+    /// it, then the `delta`s that follow that one. Returns the topology, or
+    /// `None` when no event was passed since the last one built.
+    pub(crate) fn seek(&mut self, round: usize) -> Result<Option<Arc<Graph>>, BenchError> {
+        while self.events.get(self.next).is_some_and(|e| e.round < round) {
+            self.pass_one()?;
+        }
+        if self.built == self.next {
+            return Ok(None);
+        }
+        let events = self.events;
+        let start = (self.built..self.next)
+            .rev()
+            .find(|&i| !matches!(events[i].kind, ChurnKind::Delta { .. }))
+            .unwrap_or(self.built);
+        let mut graph = Arc::clone(&self.graph);
+        for i in start..self.next {
+            graph = self.epoch_graph(i, &graph)?.0;
+        }
+        self.built = self.next;
+        self.graph = Arc::clone(&graph);
+        Ok(Some(graph))
+    }
+
+    /// Carries the speeds over event `events[next]` and passes it.
+    fn pass_one(&mut self) -> Result<(), BenchError> {
+        let n = self.node_counts[self.next];
+        if n != self.speeds.len() {
+            self.speeds = carried_speeds(&self.speeds, n)
+                .map_err(|err| churn_error(self.events[self.next].round, err))?;
+        }
+        self.next += 1;
+        Ok(())
+    }
+
+    /// Event `i`'s topology, and for an explicit `delta` the delta itself.
+    /// `before` is the topology in effect before the event; only a `delta`
+    /// reads it.
+    fn epoch_graph(
+        &mut self,
+        i: usize,
+        before: &Graph,
+    ) -> Result<(Arc<Graph>, Option<GraphDelta>), BenchError> {
+        let event = &self.events[i];
+        let round = event.round;
+        match &event.kind {
+            ChurnKind::Rewire { seed } => {
+                Ok((self.family_graph(self.node_counts[i], *seed, round)?, None))
             }
             ChurnKind::Resize { target_n, seed } => {
-                let graph: Arc<Graph> = class
-                    .build(*target_n, *seed)
-                    .map_err(|err| format!("churn at round {}: {err}", event.round))?
-                    .into();
-                (graph, None)
+                Ok((self.family_graph(*target_n, *seed, round)?, None))
             }
             ChurnKind::Delta { add, remove } => {
                 let delta = GraphDelta::new(
-                    current_graph.node_count(),
+                    self.node_counts[i],
                     add.iter().copied(),
                     remove.iter().copied(),
                 )
-                .and_then(|delta| Ok((current_graph.apply_delta(&delta)?, delta)))
-                .map_err(|err| format!("churn at round {}: {err}", event.round))?;
-                let (graph, delta) = delta;
-                (Arc::new(graph), Some(delta))
+                .map_err(|err| churn_error(round, err))?;
+                let graph = before
+                    .apply_delta(&delta)
+                    .map_err(|err| churn_error(round, err))?;
+                Ok((Arc::new(graph), Some(delta)))
             }
-        };
-        current = carried_speeds(&current, graph.node_count());
-        current_graph = Arc::clone(&graph);
-        schedule.push(ChurnStep {
-            round: event.round,
-            graph,
-            speeds: current.clone(),
-            delta,
-        });
+        }
     }
-    Ok(schedule)
+
+    /// The family's graph for `target_n` and `seed`. A seed-independent
+    /// family reuses the graph it holds when the node count matches.
+    fn family_graph(
+        &mut self,
+        target_n: usize,
+        seed: u64,
+        round: usize,
+    ) -> Result<Arc<Graph>, BenchError> {
+        if let Some(graph) = &self.family {
+            if graph.node_count() == self.class.node_count(target_n) {
+                return Ok(Arc::clone(graph));
+            }
+        }
+        let graph: Arc<Graph> = self
+            .class
+            .build(target_n, seed)
+            .map_err(|err| churn_error(round, err))?
+            .into();
+        if !self.class.is_seeded() {
+            self.family = Some(Arc::clone(&graph));
+        }
+        Ok(graph)
+    }
 }
 
 /// The contiguous slice of a `len`-element event list that feed `feed` of
@@ -691,9 +846,14 @@ pub(crate) fn feed_slice(len: usize, feed: usize, feeds: usize) -> std::ops::Ran
 /// of each round's batch over its own channel — no cross-thread coordination
 /// on the producer side at all. Empty slices are skipped, so a feed can go
 /// whole rounds without sending.
+///
+/// A producer never builds a graph: it follows the churn's `(round, node
+/// count)` schedule from [`ChurnCursor::node_counts`] and carries `speeds`
+/// over each change with the engine's rule ([`carried_speeds`]).
 fn spawn_merge_producers(
     stream: ScenarioEvents,
-    schedule: Arc<[(usize, Speeds)]>,
+    speeds: &Speeds,
+    schedule: &[(usize, usize)],
     rounds: usize,
     feeds: usize,
     capacity: usize,
@@ -704,14 +864,18 @@ fn spawn_merge_producers(
         let (mut tx, rx) = ingest::bounded(capacity);
         consumers.push(rx);
         let mut stream = stream.clone();
-        let schedule = Arc::clone(&schedule);
+        let mut speeds = speeds.clone();
+        let schedule = schedule.to_vec();
         handles.push(std::thread::spawn(move || {
             let mut next = 0;
             let mut full = RoundEvents::default();
             let mut spare: Option<RoundEvents> = None;
             for round in 0..rounds {
-                while let Some((_, speeds)) = schedule.get(next).filter(|(r, _)| *r == round) {
-                    stream.set_topology(speeds);
+                while let Some(&(_, n)) = schedule.get(next).filter(|(r, _)| *r == round) {
+                    if n != speeds.len() {
+                        speeds = carried_speeds(&speeds, n)?;
+                        stream.set_topology(&speeds);
+                    }
                     next += 1;
                 }
                 stream.fill_round(round, &mut full);
@@ -1324,7 +1488,8 @@ pub(crate) fn sample_of(engine: &Engine, round: usize) -> RoundSample {
 /// The shared driver loop behind [`Session::run`]: `scenario` is already
 /// effective (overrides applied, validated); `feed` selects where the
 /// per-round batches come from; `checkpoint` is the validated path and
-/// cadence.
+/// cadence. Churn epochs are built when their rounds arrive
+/// ([`ChurnCursor`]), so before round 0 the only graph is the world's.
 fn execute(
     scenario: Scenario,
     feed: Feed,
@@ -1335,18 +1500,17 @@ fn execute(
 ) -> Result<ScenarioOutcome, BenchError> {
     let seed = scenario.seed;
 
-    let World {
-        class,
-        graph,
-        speeds,
-        initial,
-        first_task_id,
-    } = build_world(&scenario)?;
-
-    let mut engine = Engine::build(&scenario, Arc::clone(&graph), &speeds, &initial, seed)?;
-    // One plan for every churn event, built up front: the driver swaps in
-    // the prebuilt graphs, and a channel producer follows the speeds.
-    let schedule = churn_schedule(class, &scenario, &graph, &speeds).map_err(BenchError::Run)?;
+    let world = build_world(&scenario)?;
+    let mut engine = Engine::build(
+        &scenario,
+        Arc::clone(&world.graph),
+        &world.speeds,
+        &world.initial,
+        seed,
+    )?;
+    // Churn epochs are built as their rounds arrive; a channel producer
+    // follows the node counts alone.
+    let mut churn = ChurnCursor::new(&world, &scenario.churn)?;
     let mut source = match feed {
         Feed::Source(stream_source) => {
             spawn_source_producer(stream_source, DEFAULT_CHANNEL_CAPACITY)
@@ -1356,15 +1520,13 @@ fn execute(
             producers: Vec::new(),
         },
         Feed::Generate => {
-            let stream = ScenarioEvents::new(&scenario, &speeds, first_task_id);
+            let stream = ScenarioEvents::new(&scenario, &world.speeds, world.first_task_id);
             match options.producer {
                 Producer::Scenario => EventSource::Sync(stream),
                 Producer::Merge { feeds, capacity } => spawn_merge_producers(
                     stream,
-                    schedule
-                        .iter()
-                        .map(|step| (step.round, step.speeds.clone()))
-                        .collect(),
+                    &world.speeds,
+                    &churn.node_counts(),
                     scenario.rounds,
                     feeds,
                     capacity,
@@ -1396,7 +1558,6 @@ fn execute(
         trajectory.push(sample);
     };
 
-    let mut churn = schedule.into_iter().peekable();
     let resume_round = match resume {
         None => {
             record(&engine, 0, &mut trajectory);
@@ -1413,15 +1574,12 @@ fn execute(
             // engine: the event stream is drained round by round to
             // reconstruct its RNG state and task-id counter (and re-record
             // it, so a resumed `--record` still yields the complete trace),
-            // while churn only needs its *last* topology — the snapshot
+            // following each epoch's speeds, while churn builds only the
+            // topology of the epoch the capture lies in — the snapshot
             // restore overwrites everything else.
-            let mut rebuilt: Option<(Arc<Graph>, Speeds)> = None;
             for round in 0..point.round {
-                while churn.peek().is_some_and(|step| step.round == round) {
-                    // lint: allow(R03, the peek in the loop condition proves Some)
-                    let step = churn.next().expect("peeked entry");
-                    source.set_topology(&step.speeds);
-                    rebuilt = Some((step.graph, step.speeds));
+                if churn.pass(round)? {
+                    source.set_topology(churn.speeds());
                 }
                 source.fill_round(round, &mut events)?;
                 if let Some(writer) = writer.as_mut() {
@@ -1430,12 +1588,11 @@ fn execute(
                         .map_err(BenchError::Io)?;
                 }
             }
-            if let Some((new_graph, new_speeds)) = rebuilt {
+            if let Some(graph) = churn.seek(point.round)? {
                 // Full-rebuild path: the engine may be several churn epochs
-                // behind this entry, so its delta (relative to the previous
-                // epoch only) does not apply.
+                // behind the capture, so no delta applies to it.
                 engine
-                    .replace_topology(new_graph, &new_speeds, None)
+                    .replace_topology(graph, churn.speeds(), None)
                     .map_err(|err| {
                         BenchError::run(format!("rebuilding the churned topology to resume: {err}"))
                     })?;
@@ -1455,12 +1612,10 @@ fn execute(
     };
 
     for round in resume_round..scenario.rounds {
-        while churn.peek().is_some_and(|step| step.round == round) {
-            // lint: allow(R03, the peek in the loop condition proves Some)
-            let step = churn.next().expect("peeked entry");
+        while let Some(epoch) = churn.fire(round)? {
             engine
-                .replace_topology(step.graph, &step.speeds, step.delta.as_ref())
-                .map_err(|err| BenchError::run(format!("churn at round {round}: {err}")))?;
+                .replace_topology(epoch.graph, churn.speeds(), epoch.delta.as_ref())
+                .map_err(|err| churn_error(round, err))?;
             source.set_topology(engine.speeds());
         }
         source.fill_round(round, &mut events)?;
@@ -1549,6 +1704,104 @@ mod tests {
             shards: 1,
             federation: 1,
         }
+    }
+
+    fn rewire(round: usize, seed: u64) -> ChurnEvent {
+        ChurnEvent {
+            round,
+            kind: ChurnKind::Rewire { seed },
+        }
+    }
+
+    fn delta(round: usize, add: Vec<(usize, usize)>, remove: Vec<(usize, usize)>) -> ChurnEvent {
+        ChurnEvent {
+            round,
+            kind: ChurnKind::Delta { add, remove },
+        }
+    }
+
+    #[test]
+    fn unseeded_rewires_reuse_the_world_graph() {
+        let mut scenario = poisson_scenario();
+        scenario.topology.family = "hypercube".into();
+        scenario.topology.target_n = 64;
+        scenario.churn = (1..50).map(|r| rewire(r, r as u64)).collect();
+        let world = build_world(&scenario).unwrap();
+
+        // A resume seek builds nothing: the last rewire is the world graph.
+        let mut cursor = ChurnCursor::new(&world, &scenario.churn).unwrap();
+        let graph = cursor.seek(30).unwrap().expect("rewires were passed");
+        assert!(Arc::ptr_eq(&graph, &world.graph));
+        assert!(cursor.seek(30).unwrap().is_none(), "nothing new to build");
+
+        // Firing diffs the held graph against itself: empty deltas, no copy.
+        for round in 30..50 {
+            let epoch = cursor.fire(round).unwrap().expect("a rewire fires");
+            assert!(Arc::ptr_eq(&epoch.graph, &world.graph));
+            assert!(epoch.delta.is_some_and(|d| d.is_empty()));
+            assert!(cursor.fire(round).unwrap().is_none(), "one event per round");
+        }
+    }
+
+    #[test]
+    fn seek_lands_where_firing_every_epoch_does() {
+        // A seeded family: the rewire at 3 builds a new expander, the two
+        // deltas patch it, the resize rebuilds at 20 nodes and the last delta
+        // patches that.
+        let mut scenario = poisson_scenario();
+        scenario.topology.family = "expander".into();
+        scenario.topology.target_n = 24;
+        let rewired = GraphClass::Expander.build(24, 9).unwrap();
+        let (u, v) = rewired.edges()[0];
+        let absent = (0..24)
+            .flat_map(|a| (a + 1..24).map(move |b| (a, b)))
+            .find(|&(a, b)| !rewired.has_edge(a, b))
+            .unwrap();
+        let resized = GraphClass::Expander.build(20, 4).unwrap();
+        scenario.churn = vec![
+            rewire(3, 9),
+            delta(4, vec![absent], vec![(u, v)]),
+            delta(6, vec![(u, v)], vec![absent]),
+            ChurnEvent {
+                round: 8,
+                kind: ChurnKind::Resize {
+                    target_n: 20,
+                    seed: 4,
+                },
+            },
+            delta(9, vec![], vec![resized.edges()[3]]),
+        ];
+        let world = build_world(&scenario).unwrap();
+        let mut firing = ChurnCursor::new(&world, &scenario.churn).unwrap();
+        for round in 0..12 {
+            while firing.fire(round).unwrap().is_some() {}
+            let mut seeking = ChurnCursor::new(&world, &scenario.churn).unwrap();
+            let graph = seeking
+                .seek(round + 1)
+                .unwrap()
+                .unwrap_or_else(|| Arc::clone(&world.graph));
+            assert_eq!(*graph, **firing.graph(), "round {round}");
+            assert_eq!(seeking.speeds(), firing.speeds(), "round {round}");
+        }
+        assert_eq!(firing.graph().node_count(), 20);
+        assert_eq!(firing.graph().edge_count(), resized.edge_count() - 1);
+    }
+
+    #[test]
+    fn invalid_deltas_fail_up_front_or_when_they_fire() {
+        let mut scenario = poisson_scenario(); // a 36-node torus
+        scenario.churn = vec![delta(5, vec![(0, 36)], vec![])];
+        let world = build_world(&scenario).unwrap();
+        let err = ChurnCursor::new(&world, &scenario.churn).err().unwrap();
+        assert!(err.to_string().starts_with("churn at round 5:"), "{err}");
+
+        // (0, 2) is not a torus edge; only the graph can tell.
+        scenario.churn = vec![delta(5, vec![], vec![(0, 2)])];
+        let mut cursor = ChurnCursor::new(&world, &scenario.churn).unwrap();
+        assert!(cursor.fire(4).unwrap().is_none());
+        let err = cursor.fire(5).err().unwrap();
+        assert!(matches!(err, BenchError::Run(_)));
+        assert!(err.to_string().starts_with("churn at round 5:"), "{err}");
     }
 
     #[test]
@@ -1654,7 +1907,7 @@ mod tests {
         // produce byte-identical result JSON whether events are generated
         // inline or streamed through one bounded channel (`--producer
         // channel`, the one-feed merge) — including across churn, which the
-        // producer follows via the shared speeds schedule.
+        // producer follows through the churn's node counts.
         let mut scenario = poisson_scenario();
         scenario.churn = vec![
             ChurnEvent {
@@ -1692,7 +1945,7 @@ mod tests {
         // The multi-producer contract at driver level: N feeds each sending
         // a contiguous slice of every batch, k-way merged back, produce
         // byte-identical result JSON — including across churn, which every
-        // producer follows via the shared speeds schedule.
+        // producer follows through the churn's node counts.
         let mut scenario = poisson_scenario();
         scenario.churn = vec![
             ChurnEvent {
@@ -2152,9 +2405,10 @@ mod tests {
 
     #[test]
     fn delta_churn_survives_checkpoint_resume() {
-        // Resume across a delta-churn entry: the fast-forward takes the
-        // full-rebuild path (its ChurnStep carries the materialised graph),
-        // and must land on the same bytes as the uninterrupted run.
+        // Resume across a delta-churn entry: the fast-forward builds the
+        // delta's epoch (the world graph with the delta applied) for the
+        // full-rebuild path, and must land on the same bytes as the
+        // uninterrupted run.
         for (algorithm, model, tag) in [
             (AlgorithmSpec::Alg1, ModelSpec::Fos, "delta_a1fos"),
             (AlgorithmSpec::Alg2, ModelSpec::Sos, "delta_a2sos"),

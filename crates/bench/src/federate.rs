@@ -28,9 +28,11 @@
 //! | ckpt (if due)  | `State`                   |                          |
 //! | shutdown       | `Done {rank}`             | `Finish`                 |
 //!
-//! Everything not exchanged is derived: workers compute the churn plan, the
-//! sample cadence and the checkpoint cadence locally from the scenario, so
-//! the coordinator never negotiates control flow mid-run.
+//! Everything not exchanged is derived: workers follow the churn through
+//! the same [`ChurnCursor`](crate::dynamic) the sequential driver uses,
+//! building each epoch when its round arrives, and derive the sample and
+//! checkpoint cadences locally from the scenario, so the coordinator never
+//! negotiates control flow mid-run.
 //!
 //! State assembly splices per-rank [`EngineState`]s along the partition
 //! plan's node/edge ranges: owned vector entries replace the stale foreign
@@ -62,7 +64,8 @@ use lb_proto::{Record, WireBatch, WireTask, PROTOCOL_V2};
 use lb_workloads::{Scenario, ScenarioEvents};
 
 use crate::dynamic::{
-    build_world, churn_schedule, encode_driver, sample_of, Engine, RoundSample, ScenarioOutcome,
+    build_world, churn_error, encode_driver, sample_of, ChurnCursor, Engine, RoundSample,
+    ScenarioOutcome,
 };
 use crate::error::BenchError;
 
@@ -370,8 +373,7 @@ fn run_coordinator(
     let parts = scenario.federation;
 
     let world = build_world(&scenario)?;
-    let schedule = churn_schedule(world.class, &scenario, &world.graph, &world.speeds)
-        .map_err(BenchError::Run)?;
+    let mut churn = ChurnCursor::new(&world, &scenario.churn)?;
     // A never-stepped local engine supplies the round-0 sample and the
     // engine identity — the same construction path every worker runs.
     let mut engine = Engine::build(
@@ -390,14 +392,11 @@ fn run_coordinator(
     };
     broadcast(&mut wires, &start)?;
 
-    let mut graph = Arc::clone(&world.graph);
-    let mut speeds = world.speeds.clone();
     let mut trajectory = Vec::new();
     let sample0 = sample_of(&engine, 0);
     on_sample(&sample0);
     trajectory.push(sample0);
 
-    let mut churn = schedule.into_iter().peekable();
     for round in 0..scenario.rounds {
         broadcast(
             &mut wires,
@@ -405,52 +404,46 @@ fn run_coordinator(
                 round: round as u64,
             },
         )?;
-        let mut reassembled = false;
-        while churn.peek().is_some_and(|step| step.round == round) {
-            if !reassembled {
-                // Workers splice-restore the assembled pre-churn state, so
-                // every rank re-partitions from identical global state.
-                let assembled = gather_state(&mut wires, round, &graph)?;
-                let text = snapshot::render(&Snapshot {
-                    scenario: scenario.to_json(),
-                    driver: Json::Null,
+        if churn.due(round) {
+            // Workers splice-restore the assembled pre-churn state, so every
+            // rank re-partitions from identical global state.
+            let assembled = gather_state(&mut wires, round, churn.graph())?;
+            let text = snapshot::render(&Snapshot {
+                scenario: scenario.to_json(),
+                driver: Json::Null,
+                round: round as u64,
+                engine: assembled,
+            });
+            broadcast(
+                &mut wires,
+                &Record::Restore {
                     round: round as u64,
-                    engine: assembled,
-                });
-                broadcast(
-                    &mut wires,
-                    &Record::Restore {
-                        round: round as u64,
-                        snapshot: text,
-                    },
-                )?;
-                reassembled = true;
-            }
-            // lint: allow(R03, the peek in the loop condition proves Some)
-            let step = churn.next().expect("peeked entry");
-            // The never-stepped local engine follows the churn too: its
-            // identity (e.g. the SOS optimal beta) depends on the live
-            // topology, and the checkpoint driver + final document must
-            // carry the same name the sequential run would record. Steps
-            // apply in sequence here, so the delta path is valid.
+                    snapshot: text,
+                },
+            )?;
+        }
+        // The never-stepped local engine follows the churn too: its identity
+        // (e.g. the SOS optimal beta) depends on the live topology, and the
+        // checkpoint driver + final document must carry the same name the
+        // sequential run would record. Epochs fire in sequence here, so the
+        // delta path is valid.
+        while let Some(epoch) = churn.fire(round)? {
             engine
-                .replace_topology(Arc::clone(&step.graph), &step.speeds, step.delta.as_ref())
-                .map_err(|err| BenchError::run(format!("churn at round {round}: {err}")))?;
-            graph = step.graph;
-            speeds = step.speeds;
+                .replace_topology(epoch.graph, churn.speeds(), epoch.delta.as_ref())
+                .map_err(|err| churn_error(round, err))?;
         }
         relay_loads(&mut wires)?;
         relay_flows(&mut wires)?;
         relay_sends(&mut wires)?;
         let done = round + 1;
         if done % scenario.sample_every == 0 || done == scenario.rounds {
-            let sample = gather_sample(&mut wires, done, &graph, &speeds)?;
+            let sample = gather_sample(&mut wires, done, churn.graph(), churn.speeds())?;
             on_sample(&sample);
             trajectory.push(sample);
         }
         if let Some((path, every)) = &checkpoint {
             if done % every == 0 {
-                let assembled = gather_state(&mut wires, done, &graph)?;
+                let assembled = gather_state(&mut wires, done, churn.graph())?;
                 let state = Snapshot {
                     scenario: scenario.to_json(),
                     driver: encode_driver(engine.name(), &trajectory),
@@ -1041,8 +1034,7 @@ fn worker_loop(
 ) -> Result<ScenarioOutcome, BenchError> {
     let rank = link.rank;
     let world = build_world(scenario)?;
-    let schedule = churn_schedule(world.class, scenario, &world.graph, &world.speeds)
-        .map_err(BenchError::Run)?;
+    let mut churn = ChurnCursor::new(&world, &scenario.churn)?;
     let mut engine = Engine::build(
         scenario,
         Arc::clone(&world.graph),
@@ -1053,24 +1045,19 @@ fn worker_loop(
     let mut fed = FederatedExecutor::new(rank, link.parts, scenario.shards)?;
     let mut stream = ScenarioEvents::new(scenario, &world.speeds, world.first_task_id);
     let mut events = RoundEvents::default();
-    let mut churn = schedule.into_iter().peekable();
 
     for round in 0..scenario.rounds {
         match link.wire.recv()? {
             Record::Round { round: r } if r == round as u64 => {}
             other => return Err(link.wire.unexpected(&format!("round {round}"), &other)),
         }
-        let mut reassembled = false;
-        while churn.peek().is_some_and(|step| step.round == round) {
-            if !reassembled {
-                sync_state(scenario, link, &mut engine, round)?;
-                reassembled = true;
-            }
-            // lint: allow(R03, the peek in the loop condition proves Some)
-            let step = churn.next().expect("peeked entry");
+        if churn.due(round) {
+            sync_state(scenario, link, &mut engine, round)?;
+        }
+        while let Some(epoch) = churn.fire(round)? {
             engine
-                .replace_topology(step.graph, &step.speeds, step.delta.as_ref())
-                .map_err(|err| BenchError::run(format!("churn at round {round}: {err}")))?;
+                .replace_topology(epoch.graph, churn.speeds(), epoch.delta.as_ref())
+                .map_err(|err| churn_error(round, err))?;
             stream.set_topology(engine.speeds());
         }
         stream.fill_round(round, &mut events);

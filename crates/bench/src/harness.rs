@@ -57,7 +57,7 @@ impl GraphClass {
 
     /// Builds a member of the class with roughly `target_n` nodes (rounded to
     /// whatever the family supports: powers of two for hypercubes, perfect
-    /// squares for tori).
+    /// squares for tori; see [`node_count`](Self::node_count)).
     ///
     /// # Errors
     ///
@@ -65,30 +65,82 @@ impl GraphClass {
     /// family).
     pub fn build(&self, target_n: usize, seed: u64) -> Result<Graph, lb_graph::GraphError> {
         let mut rng = StdRng::seed_from_u64(seed);
-        match self {
-            GraphClass::Arbitrary => {
+        match self.shape(target_n) {
+            Shape::Arbitrary { n } => {
                 // Keep the expected degree moderate and independent of n so
                 // the d-dependent bounds stay comparable across sizes.
-                let p = (8.0 / target_n as f64).min(1.0);
-                generators::erdos_renyi_connected(target_n, p, &mut rng)
+                let p = (8.0 / n as f64).min(1.0);
+                generators::erdos_renyi_connected(n, p, &mut rng)
             }
-            GraphClass::Expander => generators::random_regular(target_n, 4, &mut rng),
-            GraphClass::Hypercube => {
-                let dim = (target_n.max(2) as f64).log2().round().max(1.0) as u32;
-                generators::hypercube(dim)
-            }
-            GraphClass::Torus => {
-                let side = (target_n as f64).sqrt().round().max(2.0) as usize;
-                generators::torus(side, side)
-            }
-            GraphClass::RingOfCliques => {
-                let clique = 8usize;
-                let cliques = (target_n / clique).max(3);
-                generators::ring_of_cliques(cliques, clique)
-            }
-            GraphClass::Cycle => generators::cycle(target_n.max(3)),
+            Shape::Expander { n } => generators::random_regular(n, 4, &mut rng),
+            Shape::Hypercube { dim } => generators::hypercube(dim),
+            Shape::Torus { side } => generators::torus(side, side),
+            Shape::RingOfCliques { cliques } => generators::ring_of_cliques(cliques, CLIQUE_SIZE),
+            Shape::Cycle { n } => generators::cycle(n),
         }
     }
+
+    /// The node count of [`build`](Self::build)`(target_n, _)` when it
+    /// succeeds, derived without building anything.
+    pub fn node_count(&self, target_n: usize) -> usize {
+        match self.shape(target_n) {
+            Shape::Arbitrary { n } | Shape::Expander { n } | Shape::Cycle { n } => n,
+            Shape::Hypercube { dim } => 1usize.checked_shl(dim).unwrap_or(usize::MAX),
+            Shape::Torus { side } => side.saturating_mul(side),
+            Shape::RingOfCliques { cliques } => cliques.saturating_mul(CLIQUE_SIZE),
+        }
+    }
+
+    /// Whether [`build`](Self::build) draws on its seed. An unseeded class
+    /// has exactly one graph per node count, so a rewire of it changes no
+    /// edge.
+    pub fn is_seeded(&self) -> bool {
+        matches!(
+            self.shape(0),
+            Shape::Arbitrary { .. } | Shape::Expander { .. }
+        )
+    }
+
+    /// The generator parameters `target_n` rounds to: the one place that
+    /// decides both what [`build`](Self::build) builds and what
+    /// [`node_count`](Self::node_count) and [`is_seeded`](Self::is_seeded)
+    /// report.
+    fn shape(&self, target_n: usize) -> Shape {
+        match self {
+            GraphClass::Arbitrary => Shape::Arbitrary { n: target_n },
+            GraphClass::Expander => Shape::Expander { n: target_n },
+            GraphClass::Hypercube => Shape::Hypercube {
+                dim: (target_n.max(2) as f64).log2().round().max(1.0) as u32,
+            },
+            GraphClass::Torus => Shape::Torus {
+                side: (target_n as f64).sqrt().round().max(2.0) as usize,
+            },
+            GraphClass::RingOfCliques => Shape::RingOfCliques {
+                cliques: (target_n / CLIQUE_SIZE).max(3),
+            },
+            GraphClass::Cycle => Shape::Cycle { n: target_n.max(3) },
+        }
+    }
+}
+
+/// Clique size of the [`GraphClass::RingOfCliques`] family.
+const CLIQUE_SIZE: usize = 8;
+
+/// A [`GraphClass`] member's generator parameters (see `GraphClass::shape`).
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// A connected Erdős–Rényi sample on `n` nodes (seeded).
+    Arbitrary { n: usize },
+    /// A random 4-regular graph on `n` nodes (seeded).
+    Expander { n: usize },
+    /// The `dim`-dimensional hypercube.
+    Hypercube { dim: u32 },
+    /// The `side × side` torus.
+    Torus { side: usize },
+    /// A ring of `cliques` cliques of [`CLIQUE_SIZE`] nodes.
+    RingOfCliques { cliques: usize },
+    /// The cycle on `n` nodes.
+    Cycle { n: usize },
 }
 
 /// The continuous process a discretizer imitates (or, for the self-contained
@@ -477,6 +529,70 @@ mod tests {
             .unwrap()
             .is_connected());
         assert!(GraphClass::Cycle.build(64, 3).unwrap().is_connected());
+    }
+
+    const ALL_CLASSES: [GraphClass; 6] = [
+        GraphClass::Arbitrary,
+        GraphClass::Expander,
+        GraphClass::Hypercube,
+        GraphClass::Torus,
+        GraphClass::RingOfCliques,
+        GraphClass::Cycle,
+    ];
+
+    /// Sizes that are powers of two, squares, neither, and too small for
+    /// some families.
+    const TARGETS: [usize; 12] = [2, 3, 5, 7, 10, 16, 17, 30, 49, 50, 100, 130];
+
+    #[test]
+    fn node_count_predicts_every_build() {
+        for class in ALL_CLASSES {
+            let mut built = 0;
+            for target in TARGETS {
+                // `node_count` describes successful builds only (a random
+                // 4-regular graph on 3 nodes does not exist).
+                if let Ok(g) = class.build(target, 7) {
+                    assert_eq!(
+                        g.node_count(),
+                        class.node_count(target),
+                        "{} at target {target}",
+                        class.label()
+                    );
+                    built += 1;
+                }
+            }
+            assert!(built >= TARGETS.len() - 3, "{}", class.label());
+        }
+    }
+
+    #[test]
+    fn is_seeded_matches_whether_the_seed_changes_the_graph() {
+        for class in ALL_CLASSES {
+            for target in TARGETS {
+                let Ok(first) = class.build(target, 1) else {
+                    continue;
+                };
+                if !class.is_seeded() {
+                    assert_eq!(
+                        first,
+                        class.build(target, 2).unwrap(),
+                        "{} at target {target}",
+                        class.label()
+                    );
+                    // Rebuilding at the built size gives the same graph: an
+                    // unseeded class has one graph per node count.
+                    assert_eq!(first, class.build(first.node_count(), 3).unwrap());
+                }
+            }
+            if class.is_seeded() {
+                let first = class.build(50, 1).unwrap();
+                assert!(
+                    (2..6).any(|seed| class.build(50, seed).unwrap() != first),
+                    "{} ignores its seed",
+                    class.label()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The binary hypercube family.
 
-use crate::builder::GraphBuilder;
 use crate::error::GraphError;
 use crate::graph::Graph;
 
@@ -36,19 +35,18 @@ pub fn hypercube(dim: u32) -> Result<Graph, GraphError> {
         ));
     }
     let n = 1usize << dim;
-    let mut builder = GraphBuilder::new(n);
-    builder.set_name(format!("hypercube({dim})"));
+    // Ascending `u`, then ascending `k`: each `v = u | 1 << k` exceeds the
+    // last, so the list is already sorted and canonical.
+    let mut edges = Vec::with_capacity((dim as usize) << (dim - 1));
     for u in 0..n {
         for k in 0..dim {
             let v = u ^ (1usize << k);
             if u < v {
-                builder
-                    .add_edge(u, v)
-                    .expect("hypercube edges are always valid");
+                edges.push((u, v));
             }
         }
     }
-    Ok(builder.build())
+    Ok(Graph::from_canonical_edges(n, edges).with_name(format!("hypercube({dim})")))
 }
 
 #[cfg(test)]

@@ -95,7 +95,13 @@ impl Graph {
     /// Builds a graph from a pre-validated, sorted, canonical edge list.
     ///
     /// Used internally by generators that construct edges in canonical form.
+    /// Sortedness makes the neighbour lists come out sorted with no per-node
+    /// sort: node `x` first receives its smaller neighbours `u` from the
+    /// edges `(u, x)`, in ascending `u`, and then its larger neighbours from
+    /// its own run of edges `(x, v)`, in ascending `v`.
     pub(crate) fn from_canonical_edges(n: usize, edges: Vec<(NodeId, NodeId)>) -> Self {
+        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(edges.iter().all(|&(u, v)| u < v && v < n));
         let mut degree = vec![0usize; n];
         for &(u, v) in &edges {
             degree[u] += 1;
@@ -120,20 +126,9 @@ impl Graph {
             adjacency_edge[cursor[v]] = eid;
             cursor[v] += 1;
         }
-        // Sort each neighbour list (and the parallel edge-id list) by node id.
-        for u in 0..n {
-            let range = offsets[u]..offsets[u + 1];
-            let mut pairs: Vec<(NodeId, EdgeId)> = adjacency[range.clone()]
-                .iter()
-                .copied()
-                .zip(adjacency_edge[range.clone()].iter().copied())
-                .collect();
-            pairs.sort_unstable();
-            for (slot, (nbr, eid)) in range.clone().zip(pairs) {
-                adjacency[slot] = nbr;
-                adjacency_edge[slot] = eid;
-            }
-        }
+        debug_assert!((0..n).all(|u| adjacency[offsets[u]..offsets[u + 1]]
+            .windows(2)
+            .all(|w| w[0] < w[1])));
         Graph {
             n,
             offsets,

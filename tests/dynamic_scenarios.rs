@@ -159,3 +159,158 @@ fn sustained_load_keeps_discrepancy_in_the_od_regime() {
         }
     }
 }
+
+/// The first pair `(u, v)`, `u < v`, with neither endpoint in `skip` that
+/// `graph` lacks.
+fn absent_edge(graph: &lb_graph::Graph, skip: &[usize]) -> (usize, usize) {
+    let n = graph.node_count();
+    (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .find(|&(u, v)| !graph.has_edge(u, v) && !skip.contains(&u) && !skip.contains(&v))
+        .expect("the graph is not complete")
+}
+
+/// rewire → delta → delta → rewire → resize → delta on `family`. Each
+/// delta is valid on the graph it patches: the test builds the same
+/// family graphs the driver does (a rewire builds `class.build(n, seed)`).
+fn epoch_cycle_scenario(family: &str, algorithm: AlgorithmSpec, model: ModelSpec) -> Scenario {
+    use lb_bench::dynamic::family_class;
+    use lb_graph::GraphDelta;
+
+    let class = family_class(family).expect("known family");
+    let rewired = class.build(32, 21).expect("builds");
+    let first = (rewired.edges()[0], absent_edge(&rewired, &[]));
+    let patched = rewired
+        .apply_delta(&GraphDelta::new(32, [first.1], [first.0]).expect("valid"))
+        .expect("applies");
+    let second = (
+        patched.edges()[patched.edge_count() - 1],
+        absent_edge(&patched, &[first.1 .0]),
+    );
+    let resized = class.build(16, 23).expect("builds");
+    let last = (resized.edges()[2], absent_edge(&resized, &[]));
+    let delta = |round, (remove, add): ((usize, usize), (usize, usize))| ChurnEvent {
+        round,
+        kind: ChurnKind::Delta {
+            add: vec![add],
+            remove: vec![remove],
+        },
+    };
+    Scenario {
+        name: format!("epoch_cycle_{family}"),
+        seed: 17,
+        rounds: 14,
+        sample_every: 2,
+        algorithm,
+        model,
+        topology: TopologySpec {
+            family: family.into(),
+            target_n: 32,
+        },
+        speeds: SpeedSpec::PowersOfTwo { classes: 3 },
+        initial: InitialSpec {
+            distribution: TokenDistribution::UniformRandom,
+            tokens_per_node: 6,
+            pad: PadSpec::Degree,
+        },
+        arrivals: ArrivalSpec::Poisson {
+            rate_per_node: 0.5,
+            max_weight: 1,
+        },
+        completions: ServiceSpec::Uniform {
+            weight_per_speed: 1,
+        },
+        churn: vec![
+            ChurnEvent {
+                round: 3,
+                kind: ChurnKind::Rewire { seed: 21 },
+            },
+            delta(5, first),
+            delta(6, second),
+            ChurnEvent {
+                round: 8,
+                kind: ChurnKind::Rewire { seed: 22 },
+            },
+            ChurnEvent {
+                round: 10,
+                kind: ChurnKind::Resize {
+                    target_n: 16,
+                    seed: 23,
+                },
+            },
+            delta(12, last),
+        ],
+        shards: 1,
+        federation: 1,
+    }
+}
+
+#[test]
+fn resume_at_every_round_crosses_every_churn_epoch() {
+    // Resume seeks the epoch of its capture round: it builds the last
+    // rewire or resize at or before it, then applies the deltas after that
+    // one. A seed-independent family (hypercube) reuses the graph it holds;
+    // a seeded one (expander) builds. Every resumed document, at 1 and 3
+    // shards, must equal the uninterrupted run.
+    use lb_analysis::artifact::unique_name;
+    use lb_core::snapshot::{self, Snapshot};
+
+    for family in ["hypercube", "expander"] {
+        for (algorithm, model) in [
+            (AlgorithmSpec::Alg1, ModelSpec::Fos),
+            (AlgorithmSpec::Alg2, ModelSpec::Sos),
+        ] {
+            let tag = format!("{family}/{algorithm:?}/{model:?}");
+            let scenario = epoch_cycle_scenario(family, algorithm, model);
+            let rotating = std::env::temp_dir().join(format!(
+                "{}.jsonl",
+                unique_name(&format!("lb_epoch_cycle_{family}"))
+            ));
+            // Checkpointing every round and copying the rotating file aside
+            // at each sample (which precedes that round's write) yields a
+            // snapshot of every round from one run.
+            let mut scenario_every_round = scenario.clone();
+            scenario_every_round.sample_every = 1;
+            let mut copies: Vec<Snapshot> = Vec::new();
+            Session::from_scenario(&scenario_every_round)
+                .checkpoint(rotating.clone(), 1)
+                .run(|sample| {
+                    if sample.round >= 2 {
+                        copies.push(snapshot::load(&rotating).expect("rotating checkpoint"));
+                    }
+                })
+                .expect("runs");
+            copies.push(snapshot::load(&rotating).expect("final checkpoint"));
+            std::fs::remove_file(&rotating).ok();
+            let reference = Session::from_scenario(&scenario_every_round)
+                .run(|_| {})
+                .expect("runs")
+                .to_json()
+                .render_pretty();
+            assert_eq!(copies.len(), scenario.rounds, "{tag}");
+            assert_eq!(
+                Session::from_scenario(&scenario)
+                    .run(|_| {})
+                    .expect("runs")
+                    .last()
+                    .nodes,
+                16,
+                "{tag}: the resize took effect"
+            );
+            for snap in copies {
+                let round = snap.round;
+                for shards in [1usize, 3] {
+                    let resumed = Session::from_snapshot(snap.clone())
+                        .shards(shards)
+                        .run(|_| {})
+                        .unwrap_or_else(|err| panic!("{tag}: resume at {round}: {err}"));
+                    assert_eq!(
+                        resumed.to_json().render_pretty(),
+                        reference,
+                        "{tag}: resume at round {round} with {shards} shard(s)"
+                    );
+                }
+            }
+        }
+    }
+}
