@@ -465,6 +465,42 @@ fn emit_ingest_stats(outcome: &ScenarioOutcome, path: &str) -> Result<(), String
     Ok(())
 }
 
+/// Parses a `--seed` override.
+fn seed_option(value: Option<&str>) -> Result<Option<u64>, String> {
+    value
+        .map(|v| v.parse::<u64>().map_err(|e| format!("--seed: {e}")))
+        .transpose()
+}
+
+/// Parses the `--checkpoint PATH` / `--checkpoint-every N` pair: both or
+/// neither, and a cadence of at least one round.
+fn checkpoint_options(parsed: &Parsed<'_>) -> Result<(Option<PathBuf>, Option<usize>), String> {
+    let every = parsed
+        .value("--checkpoint-every")
+        .map(|v| {
+            v.parse::<usize>()
+                .map_err(|e| format!("--checkpoint-every: {e}"))
+        })
+        .transpose()?;
+    let checkpoint = parsed.value("--checkpoint").map(PathBuf::from);
+    match (&checkpoint, every) {
+        (Some(_), None) => Err("--checkpoint requires --checkpoint-every N".into()),
+        (None, Some(_)) => Err("--checkpoint-every requires --checkpoint PATH".into()),
+        (Some(_), Some(0)) => {
+            Err("--checkpoint-every: the cadence must be at least one round".into())
+        }
+        _ => Ok((checkpoint, every)),
+    }
+}
+
+/// Reads and parses a scenario file: an unreadable file is an I/O failure,
+/// an invalid one a usage error.
+fn read_scenario(path: &str) -> Result<Scenario, BenchError> {
+    let text =
+        fs::read_to_string(path).map_err(|e| BenchError::io(format!("reading {path}: {e}")))?;
+    Scenario::parse(&text).map_err(|e| BenchError::usage(format!("{path}: {e}")))
+}
+
 /// Parses a `--producer` mode: `scenario`, `channel` (the one-feed merge),
 /// or `merge:<feeds>`.
 fn producer_option(value: Option<&str>) -> Result<Producer, String> {
@@ -536,11 +572,7 @@ fn cmd_run(args: &[String]) -> i32 {
             "run requires a scenario file (lb run <scenario.json>) or --resume <snapshot>",
         );
     }
-    let seed = match parsed
-        .value("--seed")
-        .map(|v| v.parse::<u64>().map_err(|e| format!("--seed: {e}")))
-        .transpose()
-    {
+    let seed = match seed_option(parsed.value("--seed")) {
         Ok(seed) => seed,
         Err(err) => return usage_error(&err),
     };
@@ -552,26 +584,10 @@ fn cmd_run(args: &[String]) -> i32 {
         Ok(producer) => producer,
         Err(err) => return usage_error(&err),
     };
-    let checkpoint_every = match parsed
-        .value("--checkpoint-every")
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|e| format!("--checkpoint-every: {e}"))
-        })
-        .transpose()
-    {
-        Ok(every) => every,
+    let (checkpoint, checkpoint_every) = match checkpoint_options(&parsed) {
+        Ok(pair) => pair,
         Err(err) => return usage_error(&err),
     };
-    let checkpoint = parsed.value("--checkpoint").map(PathBuf::from);
-    match (&checkpoint, checkpoint_every) {
-        (Some(_), None) => return usage_error("--checkpoint requires --checkpoint-every N"),
-        (None, Some(_)) => return usage_error("--checkpoint-every requires --checkpoint PATH"),
-        (Some(_), Some(0)) => {
-            return usage_error("--checkpoint-every: the cadence must be at least one round");
-        }
-        _ => {}
-    }
     let record = parsed.value("--record").map(PathBuf::from);
     let quiet = parsed.has("--quiet");
 
@@ -595,11 +611,7 @@ fn cmd_run(args: &[String]) -> i32 {
             None => {
                 // lint: allow(R03, the arg validation above guarantees a path)
                 let path = path.expect("validated: a scenario path or --resume is present");
-                let text = fs::read_to_string(path)
-                    .map_err(|e| BenchError::io(format!("reading {path}: {e}")))?;
-                let scenario = Scenario::parse(&text)
-                    .map_err(|e| BenchError::usage(format!("{path}: {e}")))?;
-                Session::from_scenario(&scenario)
+                Session::from_scenario(&read_scenario(path)?)
                     .seed(seed)
                     .shards(shards)
                     .producer(producer)
@@ -665,11 +677,7 @@ fn cmd_federate(args: &[String]) -> i32 {
         Ok(parts) => parts,
         Err(err) => return usage_error(&err),
     };
-    let seed = match parsed
-        .value("--seed")
-        .map(|v| v.parse::<u64>().map_err(|e| format!("--seed: {e}")))
-        .transpose()
-    {
+    let seed = match seed_option(parsed.value("--seed")) {
         Ok(seed) => seed,
         Err(err) => return usage_error(&err),
     };
@@ -677,35 +685,16 @@ fn cmd_federate(args: &[String]) -> i32 {
         Ok(shards) => shards,
         Err(err) => return usage_error(&err),
     };
-    let checkpoint_every = match parsed
-        .value("--checkpoint-every")
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|e| format!("--checkpoint-every: {e}"))
-        })
-        .transpose()
-    {
-        Ok(every) => every,
+    let (checkpoint, checkpoint_every) = match checkpoint_options(&parsed) {
+        Ok(pair) => pair,
         Err(err) => return usage_error(&err),
     };
-    let checkpoint = parsed.value("--checkpoint").map(PathBuf::from);
-    match (&checkpoint, checkpoint_every) {
-        (Some(_), None) => return usage_error("--checkpoint requires --checkpoint-every N"),
-        (None, Some(_)) => return usage_error("--checkpoint-every requires --checkpoint PATH"),
-        (Some(_), Some(0)) => {
-            return usage_error("--checkpoint-every: the cadence must be at least one round");
-        }
-        _ => {}
-    }
     let listen = parsed.value("--listen").unwrap_or("127.0.0.1:0");
     let no_spawn = parsed.has("--no-spawn");
     let quiet = parsed.has("--quiet");
 
     let result = (|| -> Result<(), BenchError> {
-        let text =
-            fs::read_to_string(path).map_err(|e| BenchError::io(format!("reading {path}: {e}")))?;
-        let scenario =
-            Scenario::parse(&text).map_err(|e| BenchError::usage(format!("{path}: {e}")))?;
+        let scenario = read_scenario(path)?;
         let parts = parts_override.unwrap_or(scenario.federation);
         let listener = std::net::TcpListener::bind(listen)
             .map_err(|e| BenchError::io(format!("binding {listen}: {e}")))?;
@@ -892,11 +881,7 @@ fn cmd_serve(args: &[String]) -> i32 {
     let Some(path) = parsed.positionals.first().copied() else {
         return usage_error("serve requires a scenario file (lb serve <scenario.json>)");
     };
-    let seed = match parsed
-        .value("--seed")
-        .map(|v| v.parse::<u64>().map_err(|e| format!("--seed: {e}")))
-        .transpose()
-    {
+    let seed = match seed_option(parsed.value("--seed")) {
         Ok(seed) => seed,
         Err(err) => return usage_error(&err),
     };
@@ -934,10 +919,7 @@ fn cmd_serve(args: &[String]) -> i32 {
     let quiet = parsed.has("--quiet");
 
     let result = (|| -> Result<(), BenchError> {
-        let text =
-            fs::read_to_string(path).map_err(|e| BenchError::io(format!("reading {path}: {e}")))?;
-        let scenario =
-            Scenario::parse(&text).map_err(|e| BenchError::usage(format!("{path}: {e}")))?;
+        let scenario = read_scenario(path)?;
         let outcome = serve(&scenario, &options, |sample| {
             if !quiet {
                 stream_sample(sample);

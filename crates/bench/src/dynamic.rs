@@ -412,20 +412,6 @@ impl Engine {
     }
 }
 
-/// Speeds after churn: entries carry over index-by-index, removed nodes drop
-/// theirs, new nodes get the unit speed (the engine's carry-over rule). A
-/// node count too large to allocate is an error, not an abort: a producer
-/// thread carries speeds before the engine has built the graph.
-fn carried_speeds(current: &Speeds, n: usize) -> Result<Speeds, String> {
-    let mut values = Vec::new();
-    values
-        .try_reserve_exact(n)
-        .map_err(|err| format!("carrying speeds to {n} nodes: {err}"))?;
-    values.extend_from_slice(&current.as_slice()[..n.min(current.len())]);
-    values.resize(n, 1);
-    Speeds::new(values).map_err(|err| err.to_string())
-}
-
 /// How a run's events reach the engine. Both modes apply the same batches at
 /// the same round boundaries, so trajectories are bit-identical either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -459,34 +445,16 @@ pub const DEFAULT_CHANNEL_CAPACITY: usize = 32;
 /// an absurd count must be a validation error, not a `thread::spawn` abort.
 pub const MAX_MERGE_FEEDS: usize = 64;
 
-/// Run configuration carried by a [`Session`].
+/// Run configuration carried by a [`Session`]; its builder methods
+/// document each field.
 #[derive(Debug, Clone, Default)]
-pub struct RunOptions {
-    /// Replaces the spec's seed (the CLI's `--seed`); the effective value is
-    /// recorded in the outcome.
-    pub seed: Option<u64>,
-    /// Replaces the spec's shard count (the CLI's `--shards` /
-    /// `LB_BENCH_SHARDS`). Shard count never changes the result — only
-    /// wall-clock time.
-    pub shards: Option<usize>,
-    /// How events reach the engine.
-    pub producer: Producer,
-    /// Record the applied event stream to this trace file
-    /// ([`lb_workloads::trace`]); the trace embeds the effective scenario
-    /// and replays bit-identically via [`Session::from_stream`]. Recording
-    /// never perturbs the run itself.
-    pub record: Option<PathBuf>,
-    /// Write a rotating engine snapshot ([`lb_core::snapshot`]) to this
-    /// path every [`checkpoint_every`](RunOptions::checkpoint_every)
-    /// rounds. Each write is atomic (temp file → fsync → rename), so the
-    /// file always holds the newest *complete* checkpoint — a crash
-    /// mid-write leaves the previous one intact. Resume with
-    /// [`Session::from_snapshot`]. Checkpointing never perturbs the run
-    /// itself.
-    pub checkpoint: Option<PathBuf>,
-    /// Checkpoint cadence in completed rounds; required with (and only
-    /// meaningful alongside) [`checkpoint`](RunOptions::checkpoint).
-    pub checkpoint_every: Option<usize>,
+struct RunOptions {
+    seed: Option<u64>,
+    shards: Option<usize>,
+    producer: Producer,
+    record: Option<PathBuf>,
+    checkpoint: Option<PathBuf>,
+    checkpoint_every: Option<usize>,
 }
 
 impl RunOptions {
@@ -688,7 +656,7 @@ impl<'a> ChurnCursor<'a> {
     }
 
     /// `(round, node count after the event)` for every event: all a
-    /// producer thread needs to follow the speeds (see [`carried_speeds`]).
+    /// producer thread needs to follow the speeds (see [`Speeds::resized`]).
     pub(crate) fn node_counts(&self) -> Vec<(usize, usize)> {
         self.events
             .iter()
@@ -768,7 +736,9 @@ impl<'a> ChurnCursor<'a> {
     fn pass_one(&mut self) -> Result<(), BenchError> {
         let n = self.node_counts[self.next];
         if n != self.speeds.len() {
-            self.speeds = carried_speeds(&self.speeds, n)
+            self.speeds = self
+                .speeds
+                .resized(n)
                 .map_err(|err| churn_error(self.events[self.next].round, err))?;
         }
         self.next += 1;
@@ -849,7 +819,7 @@ pub(crate) fn feed_slice(len: usize, feed: usize, feeds: usize) -> std::ops::Ran
 ///
 /// A producer never builds a graph: it follows the churn's `(round, node
 /// count)` schedule from [`ChurnCursor::node_counts`] and carries `speeds`
-/// over each change with the engine's rule ([`carried_speeds`]).
+/// over each change with the engine's rule ([`Speeds::resized`]).
 fn spawn_merge_producers(
     stream: ScenarioEvents,
     speeds: &Speeds,
@@ -873,7 +843,7 @@ fn spawn_merge_producers(
             for round in 0..rounds {
                 while let Some(&(_, n)) = schedule.get(next).filter(|(r, _)| *r == round) {
                     if n != speeds.len() {
-                        speeds = carried_speeds(&speeds, n)?;
+                        speeds = speeds.resized(n)?;
                         stream.set_topology(&speeds);
                     }
                     next += 1;
@@ -1074,10 +1044,13 @@ impl Session {
         self
     }
 
-    /// Writes a rotating atomic engine snapshot to `path` every `every`
-    /// completed rounds (see [`RunOptions::checkpoint`]); resume with
-    /// [`Session::from_snapshot`]. Both halves must be present — `run`
-    /// rejects an unpaired path or cadence.
+    /// Writes a rotating engine snapshot ([`lb_core::snapshot`]) to `path`
+    /// every `every` completed rounds. Each write is atomic (temp file →
+    /// fsync → rename), so the file always holds the newest *complete*
+    /// checkpoint — a crash mid-write leaves the previous one intact.
+    /// Resume with [`Session::from_snapshot`]. Checkpointing never perturbs
+    /// the run itself. Both halves must be present — `run` rejects an
+    /// unpaired path or cadence.
     pub fn checkpoint(
         mut self,
         path: impl Into<Option<PathBuf>>,
@@ -1408,7 +1381,7 @@ impl ResumePoint {
 /// What drives a run's event stream (internal face of [`Session`]).
 enum Feed {
     /// The scenario's own generator, inline or behind channels per
-    /// [`RunOptions::producer`].
+    /// [`Session::producer`].
     Generate,
     /// A live byte-stream source, parsed on the producer thread.
     Source(Box<dyn RoundSource>),

@@ -94,9 +94,8 @@ impl EventReport {
 /// heterogeneous engines behind `Box<dyn DynamicBalancer>`.
 ///
 /// Topology churn is *not* part of this trait — rebuilding a process needs
-/// the concrete continuous type, so it lives on the implementors (see
-/// `FlowImitation::replace_topology` and
-/// `RandomizedImitation::replace_topology`).
+/// the concrete continuous type, so it lives on the implementor: the one
+/// `replace_topology` that `FlowImitation` and `RandomizedImitation` share.
 pub trait DynamicBalancer: DiscreteBalancer {
     /// Applies one batch of events: completions first (finished work leaves
     /// the system), then arrivals. Both sides of the twin pairing receive

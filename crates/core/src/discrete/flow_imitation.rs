@@ -14,30 +14,33 @@
 //!
 //! # Hot path
 //!
-//! The per-edge rule is written once, as [`Alg1`]'s [`SendRule`]; the
-//! sequential, sharded and federated steps all run it through the shared
-//! engine in [`super::imitation`]. [`FlowImitation::step`] is
-//! allocation-free in steady state: per-node storage is a [`TaskQueue`]
-//! (O(1) FIFO pops, O(log k) heap pops), the outbox is owned by the engine
-//! and reused, and the topology is shared with the twin through one
-//! `Arc<Graph>`.
+//! The per-edge rule is written once, as [`Alg1`]'s [`Algorithm::send`];
+//! [`FlowImitation`] is the shared engine of [`super::imitation`] running
+//! it, and its sequential, sharded and federated steps are that engine's.
+//! The sequential step is allocation-free in steady state: per-node storage
+//! is a [`TaskQueue`] (O(1) FIFO pops, O(log k) heap pops), the outbox is
+//! owned by the engine and reused, and the topology is shared with the twin
+//! through one `Arc<Graph>`.
 
-use super::dynamic::{DynamicBalancer, EventReport, RoundEvents};
-use super::imitation::{Deficits, Holding, Imitation, SendRule, Senders, Tally};
-use super::DiscreteBalancer;
-use crate::continuous::{ContinuousProcess, ContinuousRunner};
+use super::imitation::{Algorithm, Deficits, Holding, Imitation, Senders, Tally};
+use crate::continuous::ContinuousProcess;
 use crate::error::CoreError;
-use crate::federate::{FederateLink, FederatedExecutor, SendBatch};
+use crate::federate::SendBatch;
 use crate::load::InitialLoad;
-use crate::shard::ShardedExecutor;
 use crate::task::{Speeds, Task, TaskQueue, Weight};
-use lb_graph::{EdgeId, Graph, NodeId};
-use std::ops::Range;
+use lb_graph::{EdgeId, NodeId};
 
 pub use crate::task::TaskPicker;
 
 /// Algorithm 1: the deterministic flow-imitation discretization of a
 /// continuous process `A`.
+///
+/// Both algorithms run on one generic engine, which defines
+/// `replace_topology`, `step_sharded`, `step_federated`,
+/// `apply_events_federated`, `continuous`, `dummy_created`,
+/// `dummy_holdings`, `real_loads`, `max_flow_deviation` and the
+/// [`DiscreteBalancer`](super::DiscreteBalancer) and
+/// [`DynamicBalancer`](super::DynamicBalancer) impls once for both.
 ///
 /// # Examples
 ///
@@ -63,13 +66,7 @@ pub use crate::task::TaskPicker;
 /// assert!(alg1.metrics().max_min <= 8.0 + 1e-9);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct FlowImitation<A: ContinuousProcess> {
-    /// The shared engine; each node's holdings are a [`TaskQueue`].
-    core: Imitation<A, TaskQueue>,
-    wmax: Weight,
-    picker: TaskPicker,
-}
+pub type FlowImitation<A> = Imitation<A, Alg1>;
 
 impl<A: ContinuousProcess> FlowImitation<A> {
     /// Creates the discretization of `process` starting from `initial`.
@@ -89,75 +86,27 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     ) -> Result<Self, CoreError> {
         let queues = initial.clone().into_tasks().into_iter();
         let queues = queues.map(|tasks| TaskQueue::with_tasks(picker, tasks));
-        Ok(FlowImitation {
-            core: Imitation::new("alg1", process, initial, speeds, queues.collect())?,
+        let alg = Alg1 {
             wmax: initial.max_weight(),
             picker,
-        })
+        };
+        Imitation::with_holdings(process, initial, speeds, queues.collect(), alg)
     }
 
-    /// Replaces the topology (and the continuous twin) mid-run: the
-    /// churn-event half of a dynamic scenario.
-    ///
-    /// `process` is a freshly built continuous process on the new graph. Per-
-    /// node task queues and dummy holdings carry over index-by-index; if the
-    /// new graph is smaller, the tasks of removed nodes are re-queued on node
-    /// 0 (the deterministic "orphan adoption" rule); if it is larger, the new
-    /// nodes start empty. The twin restarts from the *current* discrete load
-    /// vector and both flow ledgers reset to zero — imitation begins a fresh
-    /// epoch on the new topology, so the Observation 4 deviation bound holds
-    /// per epoch.
-    ///
-    /// For a same-size rewire this reuses every engine buffer (queues, twin
-    /// load/flow vectors, ledgers are cleared in place, not reallocated);
-    /// only a node-count change reallocates the carried containers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if the new graph is empty.
-    pub fn replace_topology(&mut self, process: A) -> Result<(), CoreError> {
-        let picker = self.picker;
-        self.core.rebind(process, || TaskQueue::new(picker))
-    }
-
-    /// The maximum task weight `w_max` the discretization assumes.
+    /// The maximum task weight `w_max` the discretization assumes: the
+    /// heaviest task ever seen, initial or arrived.
     pub fn wmax(&self) -> Weight {
-        self.wmax
+        self.alg.wmax
     }
 
     /// The task-picking policy in use.
     pub fn picker(&self) -> TaskPicker {
-        self.picker
-    }
-
-    /// The continuous twin being imitated.
-    pub fn continuous(&self) -> &ContinuousRunner<A> {
-        &self.core.twin
-    }
-
-    /// Total dummy load created from the infinite source so far.
-    pub fn dummy_created(&self) -> u64 {
-        self.core.dummy_created
-    }
-
-    /// Per-node dummy holdings. In a federated partition only the owned
-    /// entries are authoritative (foreign slots are stale); a sampler must
-    /// slice its own node range.
-    pub fn dummy_holdings(&self) -> &[u64] {
-        &self.core.dummy
+        self.alg.picker
     }
 
     /// Total items (real tasks and dummy units) sent over edges so far.
     pub fn items_sent(&self) -> u64 {
-        self.core.items_sent
-    }
-
-    /// Per-node loads *excluding* dummy load (the real workload only).
-    ///
-    /// Each entry is O(1): the queues maintain their totals incrementally,
-    /// so sampling this inside an experiment loop costs O(n), not O(n·k).
-    pub fn real_loads(&self) -> Vec<f64> {
-        self.core.real_loads()
+        self.items_sent
     }
 
     /// A snapshot of the tasks currently held by node `i` (dummy load not
@@ -167,7 +116,7 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     ///
     /// Panics if `i` is out of range.
     pub fn tasks_of(&self, i: NodeId) -> Vec<Task> {
-        self.core.held[i].iter().copied().collect()
+        self.held[i].iter().copied().collect()
     }
 
     /// Number of tasks currently held by node `i` (dummy load not included).
@@ -176,14 +125,7 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     ///
     /// Panics if `i` is out of range.
     pub fn task_count_of(&self, i: NodeId) -> usize {
-        self.core.held[i].len()
-    }
-
-    /// Maximum absolute per-edge deviation `|e_e(t)| = |f^A_e(t) − f^D_e(t)|`
-    /// between the continuous and discrete cumulative flows. Observation 4
-    /// guarantees this stays below `w_max`.
-    pub fn max_flow_deviation(&self) -> f64 {
-        self.core.max_flow_deviation()
+        self.held[i].len()
     }
 
     /// Captures the engine's full state at a between-rounds boundary (the
@@ -191,22 +133,22 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     /// only — allocates freely; rounds between checkpoints stay
     /// allocation-free.
     pub fn capture(&self) -> crate::snapshot::EngineState {
-        let queues = self.core.held.iter().map(|queue| {
+        let queues = self.held.iter().map(|queue| {
             let (next_seq, entries) = queue.snapshot();
             crate::snapshot::QueueState { next_seq, entries }
         });
         crate::snapshot::EngineState {
-            round: self.core.round as u64,
-            twin: self.core.twin.capture(),
+            round: self.round as u64,
+            twin: self.twin.capture(),
             discrete: crate::snapshot::DiscreteState::Alg1(crate::snapshot::Alg1State {
                 queues: queues.collect(),
-                dummy: self.core.dummy.clone(),
-                discrete_flow: self.core.discrete_flow.clone(),
-                wmax: self.wmax,
-                dummy_created: self.core.dummy_created,
-                items_sent: self.core.items_sent,
-                arrived_weight: self.core.arrived_weight,
-                completed_weight: self.core.completed_weight,
+                dummy: self.dummy.clone(),
+                discrete_flow: self.discrete_flow.clone(),
+                wmax: self.alg.wmax,
+                dummy_created: self.dummy_created,
+                items_sent: self.items_sent,
+                arrived_weight: self.arrived_weight,
+                completed_weight: self.completed_weight,
             }),
         }
     }
@@ -231,144 +173,59 @@ impl<A: ContinuousProcess> FlowImitation<A> {
                 "snapshot carries Algorithm 2 state but the engine runs Algorithm 1",
             ));
         };
-        let core = &mut self.core;
-        core.check_shape(
+        self.check_shape(
             alg1.queues.len(),
             alg1.dummy.len(),
             alg1.discrete_flow.len(),
         )?;
-        core.twin.restore(&state.twin)?;
+        self.twin.restore(&state.twin)?;
+        let picker = self.alg.picker;
         let queues = alg1.queues.iter().enumerate().map(|(node, queue)| {
-            TaskQueue::restore(self.picker, queue.next_seq, &queue.entries)
+            TaskQueue::restore(picker, queue.next_seq, &queue.entries)
                 .map_err(|e| SnapshotError::mismatch(format!("queue of node {node}: {e}")))
         });
-        core.held = queues.collect::<Result<Vec<_>, _>>()?;
-        core.dummy.copy_from_slice(&alg1.dummy);
-        core.discrete_flow.copy_from_slice(&alg1.discrete_flow);
-        self.wmax = alg1.wmax;
-        core.round = state.round as usize;
-        core.dummy_created = alg1.dummy_created;
-        core.items_sent = alg1.items_sent;
-        core.arrived_weight = alg1.arrived_weight;
-        core.completed_weight = alg1.completed_weight;
+        self.held = queues.collect::<Result<Vec<_>, _>>()?;
+        self.dummy.copy_from_slice(&alg1.dummy);
+        self.discrete_flow.copy_from_slice(&alg1.discrete_flow);
+        self.alg.wmax = alg1.wmax;
+        self.round = state.round as usize;
+        self.dummy_created = alg1.dummy_created;
+        self.items_sent = alg1.items_sent;
+        self.arrived_weight = alg1.arrived_weight;
+        self.completed_weight = alg1.completed_weight;
         Ok(())
-    }
-
-    /// Sharded [`step`](DiscreteBalancer::step): the twin advances through
-    /// [`ContinuousRunner::step_sharded`], then each shard runs the send
-    /// rule over the edges incident to its node range for the senders it
-    /// owns (so all pops from one queue happen on one thread, in canonical
-    /// edge order — exactly the sequential pop sequence) into its own
-    /// outbox. Delivery merges the outboxes back into global edge order,
-    /// making the round **bit-identical** to
-    /// [`step`](DiscreteBalancer::step) for every shard count.
-    ///
-    /// The executor rebinds itself to the engine's current topology (plan
-    /// rebuild after [`replace_topology`](FlowImitation::replace_topology)
-    /// happens on the next sharded step). Steady-state calls on an unchanged
-    /// topology do not allocate once the outboxes have warmed up.
-    pub fn step_sharded(&mut self, exec: &mut ShardedExecutor)
-    where
-        A: Sync,
-    {
-        self.core.step_sharded(exec, &self.rule());
-    }
-
-    /// Federated [`step`](DiscreteBalancer::step): this engine instance owns
-    /// one contiguous node range of a larger simulation and exchanges three
-    /// payloads per round over `link` (boundary twin loads, crossing-edge
-    /// flows, cross-partition deliveries). The twin advances through
-    /// [`ContinuousRunner::step_federated`], then this part runs the send
-    /// rule over the edges whose **sender** it owns — the same unique-sender
-    /// rule as the sharded step — routing deliveries to remote receivers
-    /// into the outgoing [`SendBatch`](crate::SendBatch). Incoming batches
-    /// merge back into global edge order, so the owned slice of every state
-    /// vector stays **bit-identical** to the sequential engine's at every
-    /// round.
-    ///
-    /// Counters (`dummy_created`, `items_sent`, `arrived_weight`,
-    /// `completed_weight`) hold this part's disjoint partial sums; foreign
-    /// entries of per-node and per-edge vectors are stale and never read.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Federation`] if an exchange fails or a peer sends
-    /// a malformed payload, and [`CoreError::InvalidParameter`] if the
-    /// underlying process does not support range-split kernels.
-    pub fn step_federated(
-        &mut self,
-        fed: &mut FederatedExecutor,
-        link: &mut dyn FederateLink,
-    ) -> Result<(), CoreError>
-    where
-        A: Sync,
-    {
-        self.core.step_federated(fed, link, &self.rule())
-    }
-
-    /// Federated [`apply_events`](DynamicBalancer::apply_events): every part
-    /// sees the **full** event stream (scenario-derived, so no broadcast is
-    /// needed) but applies queue and twin effects only for the nodes it owns.
-    /// `w_max` tracks all arrivals — it is global state every part must agree
-    /// on. The returned report counts owned events only, so gathered partials
-    /// sum to the sequential report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if an event names a node
-    /// outside the graph (checked for all events, owned or not).
-    pub fn apply_events_federated(
-        &mut self,
-        events: &RoundEvents,
-        fed: &mut FederatedExecutor,
-    ) -> Result<EventReport, CoreError> {
-        fed.ensure_plan(&self.core.graph)?;
-        self.apply_owned_events(events, fed.plan.node_range())
-    }
-
-    /// Both `apply_events` forms: `w_max` tracks the heaviest task ever
-    /// seen, owned or not, so the imitation floor rule stays conservative.
-    fn apply_owned_events(
-        &mut self,
-        events: &RoundEvents,
-        owned: Range<NodeId>,
-    ) -> Result<EventReport, CoreError> {
-        let wmax = &mut self.wmax;
-        self.core.apply_events(events, owned, |task| {
-            *wmax = (*wmax).max(task.weight());
-            Ok(())
-        })
-    }
-
-    /// This round's send rule.
-    fn rule(&self) -> Alg1 {
-        Alg1 {
-            wmax: self.wmax as f64,
-        }
     }
 }
 
-/// Algorithm 1's per-edge send rule: over each edge, forward whole tasks
-/// while the remaining deficit is at least `w_max` — the paper's floor
-/// rule for unit tasks, keeping the per-edge deviation in `[0, w_max)` —
+/// Algorithm 1's rule and parameters: over each edge, forward whole tasks
+/// while the remaining deficit is at least `w_max` — the paper's floor rule
+/// for unit tasks, keeping the per-edge deviation in `[0, w_max)` —
 /// preferring a real task, then a held dummy, then the infinite source.
 /// Dummies behave like normal tokens once created, so any choice is
 /// admissible per the paper.
-struct Alg1 {
-    wmax: f64,
+#[derive(Debug, Clone)]
+pub struct Alg1 {
+    /// The heaviest task ever seen, owned or not, so the floor rule stays
+    /// conservative.
+    wmax: Weight,
+    /// Which task a queue gives up first.
+    picker: TaskPicker,
 }
 
-impl SendRule for Alg1 {
+impl Algorithm for Alg1 {
     type Holding = TaskQueue;
+    const LABEL: &'static str = "alg1";
 
     // lint: zero-alloc
     fn send(
         &self,
+        _round: usize,
         deficits: &Deficits<'_>,
         edges: impl IntoIterator<Item = EdgeId>,
         senders: Senders<'_, TaskQueue>,
         out: &mut SendBatch,
     ) -> Tally {
+        let wmax = self.wmax as f64;
         let mut tally = Tally::default();
         for e in edges {
             let Some(t) = deficits.transfer(e, &senders.range) else {
@@ -376,7 +233,7 @@ impl SendRule for Alg1 {
             };
             let mut moved: u64 = 0;
             let mut dummy_moved: u64 = 0;
-            while t.magnitude - moved as f64 >= self.wmax {
+            while t.magnitude - moved as f64 >= wmax {
                 if let Some(task) = senders.held[t.at].pop() {
                     moved += task.weight();
                     out.tasks.push((e, t.receiver, task));
@@ -399,6 +256,15 @@ impl SendRule for Alg1 {
             }
         }
         tally
+    }
+
+    fn admit(&mut self, task: Task) -> Result<(), CoreError> {
+        self.wmax = self.wmax.max(task.weight());
+        Ok(())
+    }
+
+    fn empty(&self) -> TaskQueue {
+        TaskQueue::new(self.picker)
     }
 }
 
@@ -436,58 +302,14 @@ impl Holding for TaskQueue {
     }
 }
 
-impl<A: ContinuousProcess> DiscreteBalancer for FlowImitation<A> {
-    fn name(&self) -> &str {
-        &self.core.name
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.core.graph
-    }
-
-    fn speeds(&self) -> &Speeds {
-        &self.core.speeds
-    }
-
-    fn round(&self) -> usize {
-        self.core.round
-    }
-
-    fn loads(&self) -> Vec<f64> {
-        self.core.loads()
-    }
-
-    fn dummy_load(&self) -> u64 {
-        self.core.dummy.iter().sum()
-    }
-
-    // lint: zero-alloc
-    fn step(&mut self) {
-        self.core.step(&self.rule());
-    }
-}
-
-impl<A: ContinuousProcess> DynamicBalancer for FlowImitation<A> {
-    fn apply_events(&mut self, events: &RoundEvents) -> Result<EventReport, CoreError> {
-        self.apply_owned_events(events, 0..self.core.graph.node_count())
-    }
-
-    fn completed_weight(&self) -> u64 {
-        self.core.completed_weight
-    }
-
-    fn arrived_weight(&self) -> u64 {
-        self.core.arrived_weight
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::continuous::{DimensionExchange, Fos, RandomMatching};
+    use crate::discrete::DiscreteBalancer;
     use crate::metrics;
     use crate::task::TaskId;
-    use lb_graph::{generators, AlphaScheme};
+    use lb_graph::{generators, AlphaScheme, Graph};
 
     fn fos_on(graph: Graph, speeds: &Speeds) -> Fos {
         Fos::new(graph, speeds, AlphaScheme::MaxDegreePlusOne).unwrap()

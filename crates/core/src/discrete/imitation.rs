@@ -1,23 +1,27 @@
-//! The engine both flow-imitation algorithms share: its state, its round
-//! under every executor, and its event path.
+//! The flow-imitation engine `D(A)`, written once for both algorithms: its
+//! state, its round under every executor, its event path and its churn
+//! rebind.
 //!
 //! A discrete round is: advance the continuous twin; run the algorithm's
-//! per-edge [`SendRule`] over an edge list for the senders one executor
-//! range owns, filling that range's outbox (a [`SendBatch`]); then
+//! per-edge [`Algorithm::send`] over an edge list for the senders one
+//! executor range owns, filling that range's outbox (a [`SendBatch`]); then
 //! [`deliver`] every outbox — task records merged back into global edge
 //! order, everything else additive.
 //! The sequential, sharded and federated steps of [`Imitation`] differ only
 //! in which ranges they run, where the outboxes live and how they reach
 //! [`deliver`], so their bit-identity follows from running this one code
-//! path. The algorithms themselves supply only a [`Holding`] type (task
-//! queues or token counts) and a [`SendRule`].
+//! path. An [`Algorithm`] supplies only its [`Holding`] type (task queues or
+//! token counts), its per-edge send, its arrival admission rule and the
+//! holding a new node starts with; `FlowImitation` and
+//! `RandomizedImitation` are this engine with Algorithm 1 and Algorithm 2.
 
 use std::ops::{AddAssign, Range};
 use std::sync::Arc;
 
 use lb_graph::{EdgeId, Graph, NodeId};
 
-use super::dynamic::{EventReport, RoundEvents};
+use super::dynamic::{DynamicBalancer, EventReport, RoundEvents};
+use super::DiscreteBalancer;
 use crate::continuous::{ContinuousProcess, ContinuousRunner};
 use crate::error::CoreError;
 use crate::federate::{FederateLink, FederatedExecutor, SendBatch};
@@ -27,7 +31,7 @@ use crate::task::{Speeds, Task, Weight};
 
 /// A node's real holdings: Algorithm 1's task queue or Algorithm 2's token
 /// count. Dummy units are kept beside them, as a plain count per node.
-pub(crate) trait Holding: Send {
+pub trait Holding: Send {
     /// The real weight held.
     fn weight(&self) -> Weight;
     /// Takes over everything `orphan` holds (churn's orphan adoption).
@@ -43,27 +47,43 @@ pub(crate) trait Holding: Send {
     fn complete(&mut self, budget: Weight, done: impl FnMut(u64, Weight));
 }
 
-/// One algorithm's per-edge send rule, which every executor runs over its
-/// own edge list and sender range.
-pub(crate) trait SendRule: Sync {
-    /// The per-node real holdings the rule draws from.
+/// One flow-imitation algorithm: how an edge's flow deficit is rounded into
+/// whole items, plus the parameters that rule needs.
+pub trait Algorithm: Sync {
+    /// The per-node real holdings the algorithm moves.
     type Holding: Holding;
+    /// `"alg1"` or `"alg2"`; the engine's name is `{LABEL}({process})`.
+    const LABEL: &'static str;
 
-    /// Runs the rule over `edges` for `senders`, putting every delivery in
-    /// the outbox `out`, so a node only forwards what it held at the start
-    /// of the round.
+    /// Runs round `round`'s rule over `edges` for `senders`, putting every
+    /// delivery in the outbox `out`, so a node only forwards what it held at
+    /// the start of the round.
     fn send(
         &self,
+        round: usize,
         deficits: &Deficits<'_>,
         edges: impl IntoIterator<Item = EdgeId>,
         senders: Senders<'_, Self::Holding>,
         out: &mut SendBatch,
     ) -> Tally;
+
+    /// Admits an arrival event. Every federated part sees every arrival,
+    /// owned or not, so global rules (Algorithm 1's `w_max`, Algorithm 2's
+    /// unit weights) agree across parts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] if the algorithm cannot take
+    /// the task.
+    fn admit(&mut self, task: Task) -> Result<(), CoreError>;
+
+    /// The holdings a node added by churn starts with.
+    fn empty(&self) -> Self::Holding;
 }
 
 /// Counters one send phase accumulates (summed across ranges).
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Tally {
+pub struct Tally {
     /// Items (tasks or dummy units) moved over edges.
     pub(crate) items_sent: u64,
     /// Dummy units drawn from the infinite source.
@@ -79,7 +99,7 @@ impl AddAssign for Tally {
 
 /// The senders one executor range owns: their node range, and their
 /// holdings and dummy counts indexed from `range.start`.
-pub(crate) struct Senders<'a, H> {
+pub struct Senders<'a, H> {
     pub(crate) range: Range<NodeId>,
     pub(crate) held: &'a mut [H],
     pub(crate) dummy: &'a mut [u64],
@@ -100,7 +120,7 @@ pub(crate) struct Transfer {
 
 /// The read-only inputs of a send phase: the canonical edge list, the
 /// twin's cumulative flows and the discrete ledger as of the last round.
-pub(crate) struct Deficits<'a> {
+pub struct Deficits<'a> {
     edges: &'a [(NodeId, NodeId)],
     continuous: &'a [f64],
     discrete: &'a [i64],
@@ -200,16 +220,18 @@ pub(crate) fn deliver<'b, H: Holding>(
     }
 }
 
-/// The state both flow-imitation engines share: the continuous twin, the
-/// topology, per-node real holdings and dummy counts, the discrete-flow
-/// ledger and the run counters.
+/// The flow-imitation discretization `D(A)` of a continuous process `A`
+/// under algorithm `R`: the continuous twin, the topology, per-node real
+/// holdings and dummy counts, the discrete-flow ledger, the run counters
+/// and the algorithm's own parameters. Used through its two aliases,
+/// `FlowImitation` (Algorithm 1) and `RandomizedImitation` (Algorithm 2).
 #[derive(Debug, Clone)]
-pub(crate) struct Imitation<A: ContinuousProcess, H> {
+pub struct Imitation<A: ContinuousProcess, R: Algorithm> {
     pub(crate) twin: ContinuousRunner<A>,
     pub(crate) graph: Arc<Graph>,
     pub(crate) speeds: Speeds,
     /// Real holdings of each node.
-    pub(crate) held: Vec<H>,
+    pub(crate) held: Vec<R::Holding>,
     /// Unit-weight dummy load held by each node.
     pub(crate) dummy: Vec<u64>,
     /// Cumulative net discrete flow along each canonical edge orientation.
@@ -222,27 +244,29 @@ pub(crate) struct Imitation<A: ContinuousProcess, H> {
     pub(crate) arrived_weight: u64,
     /// Total weight drained by completion events.
     pub(crate) completed_weight: u64,
-    /// `"alg1"` or `"alg2"`; the engine's name is `{label}({process})`.
-    label: &'static str,
-    pub(crate) name: String,
+    /// `{R::LABEL}({process})`.
+    name: String,
     /// The sequential step's outbox, reused across rounds.
     outbox: SendBatch,
+    /// The algorithm and its parameters.
+    pub(crate) alg: R,
 }
 
-impl<A: ContinuousProcess, H: Holding> Imitation<A, H> {
-    /// Binds `held` (one entry per node of `initial`) to a twin of
-    /// `process` started from the same load vector, sharing its topology.
+impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
+    /// Binds `held` (one entry per node of `initial`) and `alg` to a twin
+    /// of `process` started from the same load vector, as the paper
+    /// prescribes, sharing its topology (no graph clone).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] if the node counts of the
     /// process, the initial load and the speed vector disagree.
-    pub(crate) fn new(
-        label: &'static str,
+    pub(crate) fn with_holdings(
         process: A,
         initial: &InitialLoad,
         speeds: Speeds,
-        held: Vec<H>,
+        held: Vec<R::Holding>,
+        alg: R,
     ) -> Result<Self, CoreError> {
         let graph = process.shared_graph();
         let n = graph.node_count();
@@ -262,7 +286,7 @@ impl<A: ContinuousProcess, H: Holding> Imitation<A, H> {
         let mut outbox = SendBatch::default();
         outbox.reset_for(m);
         Ok(Imitation {
-            name: format!("{label}({})", process.name()),
+            name: format!("{}({})", R::LABEL, process.name()),
             twin: ContinuousRunner::new(process, initial.load_vector_f64()),
             graph,
             speeds,
@@ -274,28 +298,47 @@ impl<A: ContinuousProcess, H: Holding> Imitation<A, H> {
             items_sent: 0,
             arrived_weight: 0,
             completed_weight: 0,
-            label,
             outbox,
+            alg,
         })
     }
 
-    /// Replaces the topology and the twin mid-run (see the engines'
-    /// `replace_topology`). Holdings and dummy counts carry over index by
-    /// index; node 0 adopts those of removed nodes, and `empty` fills new
-    /// ones. Speeds are truncated or padded with the unit speed. The twin
-    /// restarts from the current discrete loads and the ledger resets, so a
-    /// same-size rewire reuses every buffer.
+    /// Replaces the topology (and the continuous twin) mid-run: the
+    /// churn-event half of a dynamic scenario.
+    ///
+    /// `process` is a freshly built continuous process on the new graph.
+    /// Per-node holdings (task queues or token counts) and dummy counts
+    /// carry over index by index; if the new graph is smaller, node 0 adopts
+    /// the holdings of removed nodes (the deterministic "orphan adoption"
+    /// rule); if it is larger, the new nodes start empty. Speeds carry over
+    /// by [`Speeds::resized`]. The twin restarts from the *current* discrete
+    /// load vector and the flow ledger resets to zero — imitation begins a
+    /// fresh epoch on the new topology, so the Observation 4 deviation bound
+    /// holds per epoch.
+    ///
+    /// For a same-size rewire this reuses every engine buffer (holdings,
+    /// twin load/flow vectors and the ledger are cleared in place, not
+    /// reallocated); only a node-count change reallocates the carried
+    /// containers. A sharded or federated executor rebinds itself to the new
+    /// topology on its next step.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] if the new graph is empty.
-    pub(crate) fn rebind(&mut self, process: A, empty: impl FnMut() -> H) -> Result<(), CoreError> {
+    /// Returns [`CoreError::InvalidParameter`] if the new graph is empty or
+    /// the speeds cannot be carried to its node count.
+    pub fn replace_topology(&mut self, process: A) -> Result<(), CoreError> {
         let graph = process.shared_graph();
         let n = graph.node_count();
         if n == 0 {
             return Err(CoreError::invalid_parameter(
                 "cannot replace topology with an empty graph",
             ));
+        }
+        if self.speeds.len() != n {
+            self.speeds = self
+                .speeds
+                .resized(n)
+                .map_err(CoreError::invalid_parameter)?;
         }
         while self.held.len() > n {
             // lint: allow(R03, non-empty by the loop condition)
@@ -305,15 +348,9 @@ impl<A: ContinuousProcess, H: Holding> Imitation<A, H> {
             let orphan_dummy = self.dummy.pop().expect("dummy tracks held");
             self.dummy[0] += orphan_dummy;
         }
-        self.held.resize_with(n, empty);
+        self.held.resize_with(n, || self.alg.empty());
         self.dummy.resize(n, 0);
-        if self.speeds.len() != n {
-            let mut speed_values = self.speeds.as_slice().to_vec();
-            speed_values.resize(n, 1);
-            // lint: allow(R03, carried values validated positive at admission)
-            self.speeds = Speeds::new(speed_values).expect("carried speeds stay positive");
-        }
-        self.name = format!("{}({})", self.label, process.name());
+        self.name = format!("{}({})", R::LABEL, process.name());
         let loads = self.held.iter().zip(&self.dummy);
         self.twin
             .rebind(process, loads.map(|(h, &d)| (h.weight() + d) as f64));
@@ -323,6 +360,163 @@ impl<A: ContinuousProcess, H: Holding> Imitation<A, H> {
         self.discrete_flow.resize(m, 0);
         self.outbox.reset_for(m);
         Ok(())
+    }
+
+    /// The continuous twin being imitated.
+    pub fn continuous(&self) -> &ContinuousRunner<A> {
+        &self.twin
+    }
+
+    /// Total dummy load created from the infinite source so far.
+    pub fn dummy_created(&self) -> u64 {
+        self.dummy_created
+    }
+
+    /// Per-node dummy holdings. In a federated partition only the owned
+    /// entries are authoritative (foreign slots are stale); a sampler must
+    /// slice its own node range.
+    pub fn dummy_holdings(&self) -> &[u64] {
+        &self.dummy
+    }
+
+    /// Per-node loads *excluding* dummy load (the real workload only).
+    ///
+    /// Each entry is O(1): task queues maintain their totals incrementally,
+    /// so sampling this inside an experiment loop costs O(n), not O(n·k).
+    pub fn real_loads(&self) -> Vec<f64> {
+        self.held.iter().map(|h| h.weight() as f64).collect()
+    }
+
+    /// Maximum absolute per-edge deviation `|f^A_e(t) − f^D_e(t)|` between
+    /// the continuous and discrete cumulative flows. Observation 4 keeps it
+    /// below `w_max` for Algorithm 1; randomized rounding keeps it below 1
+    /// for Algorithm 2 (part (3) of Observation 9).
+    pub fn max_flow_deviation(&self) -> f64 {
+        let flows = self.twin.cumulative_flows().iter().zip(&self.discrete_flow);
+        flows
+            .map(|(&fa, &fd)| (fa - fd as f64).abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// Sharded [`step`](DiscreteBalancer::step): the twin advances through
+    /// [`ContinuousRunner::step_sharded`], then every shard runs the send
+    /// rule over the edges incident to its node range for the senders it
+    /// owns — so all draws from one node happen on one thread, in canonical
+    /// edge order, exactly as in the sequential scan, and Algorithm 2's
+    /// rounding draws come from per-`(seed, round, edge)` sub-RNGs
+    /// ([`edge_rounding_rng`](super::edge_rounding_rng)) — into its own
+    /// outbox. Delivery merges the shard outboxes back into global edge
+    /// order, making the round **bit-identical** to
+    /// [`step`](DiscreteBalancer::step) for every shard count.
+    ///
+    /// The executor rebinds itself to the engine's current topology (plan
+    /// rebuild after [`replace_topology`](Self::replace_topology) happens on
+    /// the next sharded step). Steady-state calls on an unchanged topology
+    /// do not allocate once the outboxes have warmed up.
+    // lint: zero-alloc
+    pub fn step_sharded(&mut self, exec: &mut ShardedExecutor)
+    where
+        A: Sync,
+    {
+        exec.ensure_plan(&self.graph);
+        if exec.shard_count() == 1 {
+            self.step();
+            return;
+        }
+        self.twin.step_sharded(exec);
+        {
+            let deficits = Deficits::new(
+                &self.graph,
+                self.twin.cumulative_flows(),
+                &self.discrete_flow,
+            );
+            let (alg, round) = (&self.alg, self.round);
+            let held = SharedSliceMut::new(&mut self.held);
+            let dummy = SharedSliceMut::new(&mut self.dummy);
+            exec.send_phase(|range, edges, out| {
+                // SAFETY: shard node ranges partition `0..n`.
+                let (held, dummy) = unsafe {
+                    (
+                        held.range_mut(range.clone()),
+                        dummy.range_mut(range.clone()),
+                    )
+                };
+                let senders = Senders { range, held, dummy };
+                alg.send(round, &deficits, edges.iter().copied(), senders, out)
+            });
+        }
+        let tally = exec.deliver(self.sink());
+        self.finish_round(tally);
+    }
+
+    /// Federated [`step`](DiscreteBalancer::step): this engine instance owns
+    /// one contiguous node range of a larger simulation and exchanges three
+    /// payloads per round over `link` (boundary twin loads, crossing-edge
+    /// flows, cross-partition deliveries). The twin advances through
+    /// [`ContinuousRunner::step_federated`], then this part runs the send
+    /// rule over the edges whose **sender** it owns — the same
+    /// unique-sender rule as the sharded step, with no RNG-stream
+    /// coordination between processes — routing deliveries to remote
+    /// receivers into the outgoing [`SendBatch`]. Incoming batches merge
+    /// back into global edge order, so the owned slice of every state vector
+    /// stays **bit-identical** to the sequential engine's at every round.
+    ///
+    /// Counters (`dummy_created`, `items_sent`, `arrived_weight`,
+    /// `completed_weight`) hold this part's disjoint partial sums; foreign
+    /// entries of per-node and per-edge vectors are stale and never read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Federation`] if an exchange fails or a peer sends
+    /// a malformed payload, and [`CoreError::InvalidParameter`] if the
+    /// underlying process does not support range-split kernels.
+    pub fn step_federated(
+        &mut self,
+        fed: &mut FederatedExecutor,
+        link: &mut dyn FederateLink,
+    ) -> Result<(), CoreError>
+    where
+        A: Sync,
+    {
+        fed.ensure_plan(&self.graph)?;
+        self.twin.step_federated(fed, link)?;
+        let deficits = Deficits::new(
+            &self.graph,
+            self.twin.cumulative_flows(),
+            &self.discrete_flow,
+        );
+        let (alg, round) = (&self.alg, self.round);
+        let tally = fed.send_phase(|range, edges, out| {
+            let held = &mut self.held[range.clone()];
+            let dummy = &mut self.dummy[range.clone()];
+            let senders = Senders { range, held, dummy };
+            alg.send(round, &deficits, edges.iter().copied(), senders, out)
+        });
+        fed.deliver(link, self.sink())?;
+        self.finish_round(tally);
+        Ok(())
+    }
+
+    /// Federated [`apply_events`](DynamicBalancer::apply_events): every part
+    /// sees the **full** event stream (scenario-derived, so no broadcast is
+    /// needed) but applies holding and twin effects only for the nodes it
+    /// owns. Validation (node bounds, and the algorithm's admission rule:
+    /// Algorithm 1 tracks `w_max`, Algorithm 2 takes unit weights only)
+    /// covers all events, so every part agrees on global state and rejects
+    /// a bad stream identically. The returned report counts owned events
+    /// only, so gathered partials sum to the sequential report.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] if an event names a node
+    /// outside the graph or the algorithm rejects an arrival.
+    pub fn apply_events_federated(
+        &mut self,
+        events: &RoundEvents,
+        fed: &mut FederatedExecutor,
+    ) -> Result<EventReport, CoreError> {
+        fed.ensure_plan(&self.graph)?;
+        self.apply_owned_events(events, fed.plan.node_range())
     }
 
     /// Checks a snapshot's per-node and per-edge vector lengths against the
@@ -349,38 +543,16 @@ impl<A: ContinuousProcess, H: Holding> Imitation<A, H> {
         Ok(())
     }
 
-    /// Per-node loads: real holdings plus dummy units.
-    pub(crate) fn loads(&self) -> Vec<f64> {
-        let loads = self.held.iter().zip(&self.dummy);
-        loads.map(|(h, &d)| (h.weight() + d) as f64).collect()
-    }
-
-    /// Per-node real loads, dummy units excluded.
-    pub(crate) fn real_loads(&self) -> Vec<f64> {
-        self.held.iter().map(|h| h.weight() as f64).collect()
-    }
-
-    /// Maximum absolute per-edge deviation between the continuous and
-    /// discrete cumulative flows.
-    pub(crate) fn max_flow_deviation(&self) -> f64 {
-        let flows = self.twin.cumulative_flows().iter().zip(&self.discrete_flow);
-        flows
-            .map(|(&fa, &fd)| (fa - fd as f64).abs())
-            .fold(0.0, f64::max)
-    }
-
     /// The event path of both `apply_events` forms: completions first
     /// (finished work leaves the holdings and the twin), then arrivals (new
     /// work lands on a node and on the twin). Holding and twin effects apply
-    /// to `owned` nodes only; node bounds are checked for every event, and
-    /// `admit` sees every arrival, owned or not, so global rules (Algorithm
-    /// 1's `w_max`, Algorithm 2's unit weights) agree across federated
-    /// parts. The report counts owned events only.
-    pub(crate) fn apply_events(
+    /// to `owned` nodes only; node bounds are checked and
+    /// [`Algorithm::admit`] runs for every event, owned or not. The report
+    /// counts owned events only.
+    fn apply_owned_events(
         &mut self,
         events: &RoundEvents,
         owned: Range<NodeId>,
-        mut admit: impl FnMut(Task) -> Result<(), CoreError>,
     ) -> Result<EventReport, CoreError> {
         let n = self.graph.node_count();
         let check = |kind: &str, node: NodeId| {
@@ -403,7 +575,7 @@ impl<A: ContinuousProcess, H: Holding> Imitation<A, H> {
         }
         for &(node, task) in &events.arrivals {
             let own = check("arrival", node)?;
-            admit(task)?;
+            self.alg.admit(task)?;
             if own {
                 self.held[node].arrive(task);
                 self.twin.adjust_load(node, task.weight() as f64);
@@ -418,7 +590,7 @@ impl<A: ContinuousProcess, H: Holding> Imitation<A, H> {
 
     /// The delivery target: every node's state and the ledger.
     // lint: zero-alloc
-    fn sink(&mut self) -> Sink<'_, H> {
+    fn sink(&mut self) -> Sink<'_, R::Holding> {
         Sink {
             held: &mut self.held,
             dummy: &mut self.dummy,
@@ -426,11 +598,46 @@ impl<A: ContinuousProcess, H: Holding> Imitation<A, H> {
         }
     }
 
-    /// One sequential round: the twin advances so `f^A` refers to the end
-    /// of the round, `rule` runs over every edge for every sender into the
-    /// engine's own outbox, and delivery applies it.
+    /// Folds one round's send counters in and closes the round.
     // lint: zero-alloc
-    pub(crate) fn step(&mut self, rule: &impl SendRule<Holding = H>) {
+    fn finish_round(&mut self, tally: Tally) {
+        self.items_sent += tally.items_sent;
+        self.dummy_created += tally.dummy_created;
+        self.round += 1;
+    }
+}
+
+impl<A: ContinuousProcess, R: Algorithm> DiscreteBalancer for Imitation<A, R> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    fn speeds(&self) -> &Speeds {
+        &self.speeds
+    }
+
+    fn round(&self) -> usize {
+        self.round
+    }
+
+    fn loads(&self) -> Vec<f64> {
+        let loads = self.held.iter().zip(&self.dummy);
+        loads.map(|(h, &d)| (h.weight() + d) as f64).collect()
+    }
+
+    fn dummy_load(&self) -> u64 {
+        self.dummy.iter().sum()
+    }
+
+    /// One sequential round: the twin advances so `f^A` refers to the end
+    /// of the round, the send rule runs over every edge for every sender
+    /// into the engine's own outbox, and delivery applies it.
+    // lint: zero-alloc
+    fn step(&mut self) {
         self.twin.step();
         let all = 0..self.graph.node_count();
         let mut outbox = std::mem::take(&mut self.outbox);
@@ -446,99 +653,25 @@ impl<A: ContinuousProcess, H: Holding> Imitation<A, H> {
             dummy: &mut self.dummy,
         };
         let edges = 0..self.graph.edge_count();
-        let tally = rule.send(&deficits, edges, senders, &mut outbox);
+        let tally = self
+            .alg
+            .send(self.round, &deficits, edges, senders, &mut outbox);
         deliver(1, |_| &outbox, &all, &mut [0], self.sink());
         self.outbox = outbox;
         self.finish_round(tally);
     }
+}
 
-    /// One sharded round: the twin advances through
-    /// [`ContinuousRunner::step_sharded`], then every shard runs `rule`
-    /// over the edges incident to its node range for the senders it owns —
-    /// so all draws from one node happen on one thread, in canonical edge
-    /// order, exactly as in the sequential scan — and delivery merges the
-    /// shard outboxes back into global edge order.
-    // lint: zero-alloc
-    pub(crate) fn step_sharded(
-        &mut self,
-        exec: &mut ShardedExecutor,
-        rule: &impl SendRule<Holding = H>,
-    ) where
-        A: Sync,
-    {
-        exec.ensure_plan(&self.graph);
-        if exec.shard_count() == 1 {
-            self.step(rule);
-            return;
-        }
-        self.twin.step_sharded(exec);
-        {
-            let deficits = Deficits::new(
-                &self.graph,
-                self.twin.cumulative_flows(),
-                &self.discrete_flow,
-            );
-            let held = SharedSliceMut::new(&mut self.held);
-            let dummy = SharedSliceMut::new(&mut self.dummy);
-            exec.send_phase(|range, edges, out| {
-                // SAFETY: shard node ranges partition `0..n`.
-                let (held, dummy) = unsafe {
-                    (
-                        held.range_mut(range.clone()),
-                        dummy.range_mut(range.clone()),
-                    )
-                };
-                let senders = Senders { range, held, dummy };
-                rule.send(&deficits, edges.iter().copied(), senders, out)
-            });
-        }
-        let tally = exec.deliver(self.sink());
-        self.finish_round(tally);
+impl<A: ContinuousProcess, R: Algorithm> DynamicBalancer for Imitation<A, R> {
+    fn apply_events(&mut self, events: &RoundEvents) -> Result<EventReport, CoreError> {
+        self.apply_owned_events(events, 0..self.graph.node_count())
     }
 
-    /// One federated round for the part `fed` owns: the twin advances
-    /// through [`ContinuousRunner::step_federated`], `rule` runs over the
-    /// edges incident to the part for the senders it owns, deliveries to
-    /// remote receivers travel in the wire batch over `link`, and delivery
-    /// merges this part's outbox with every foreign batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Federation`] if an exchange fails or a peer
-    /// sends a malformed payload, and [`CoreError::InvalidParameter`] if the
-    /// process does not support range-split kernels.
-    pub(crate) fn step_federated(
-        &mut self,
-        fed: &mut FederatedExecutor,
-        link: &mut dyn FederateLink,
-        rule: &impl SendRule<Holding = H>,
-    ) -> Result<(), CoreError>
-    where
-        A: Sync,
-    {
-        fed.ensure_plan(&self.graph)?;
-        self.twin.step_federated(fed, link)?;
-        let deficits = Deficits::new(
-            &self.graph,
-            self.twin.cumulative_flows(),
-            &self.discrete_flow,
-        );
-        let tally = fed.send_phase(|range, edges, out| {
-            let held = &mut self.held[range.clone()];
-            let dummy = &mut self.dummy[range.clone()];
-            let senders = Senders { range, held, dummy };
-            rule.send(&deficits, edges.iter().copied(), senders, out)
-        });
-        fed.deliver(link, self.sink())?;
-        self.finish_round(tally);
-        Ok(())
+    fn completed_weight(&self) -> u64 {
+        self.completed_weight
     }
 
-    /// Folds one round's send counters in and closes the round.
-    // lint: zero-alloc
-    fn finish_round(&mut self, tally: Tally) {
-        self.items_sent += tally.items_sent;
-        self.dummy_created += tally.dummy_created;
-        self.round += 1;
+    fn arrived_weight(&self) -> u64 {
+        self.arrived_weight
     }
 }

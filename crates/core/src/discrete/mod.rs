@@ -2,10 +2,13 @@
 //!
 //! Two groups of processes live here:
 //!
-//! * the paper's **flow-imitation transformations** — [`FlowImitation`]
-//!   (Algorithm 1, deterministic) and [`RandomizedImitation`] (Algorithm 2,
-//!   randomized rounding) — which simulate a continuous twin and imitate its
-//!   cumulative per-edge flow; and
+//! * the paper's **flow-imitation transformation** `D(A)`, which simulates a
+//!   continuous twin and imitates its cumulative per-edge flow. It is one
+//!   engine, written once for every executor, with two algorithms that
+//!   differ only in how an edge's flow deficit is rounded:
+//!   [`FlowImitation`] (Algorithm 1, deterministic whole-task forwarding)
+//!   and [`RandomizedImitation`] (Algorithm 2, randomized rounding) are its
+//!   two type aliases; and
 //! * the **baselines** from prior work ([`baselines`]) that the paper's
 //!   comparison tables measure against: round-down, per-edge randomized
 //!   rounding, deterministic accumulated-error ("quasirandom") rounding and

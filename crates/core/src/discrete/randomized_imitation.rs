@@ -12,28 +12,25 @@
 //! The rounding indicators stay independent across edges and rounds (all the
 //! Chernoff-style analysis of Theorem 8 needs), every trajectory remains
 //! deterministic per seed, and — because no draw depends on how many draws
-//! other edges made — sharded execution
-//! ([`RandomizedImitation::step_sharded`]) is bit-identical to sequential
-//! execution for every shard count.
+//! other edges made — sharded and federated execution
+//! ([`RandomizedImitation::step_sharded`],
+//! [`RandomizedImitation::step_federated`]) is bit-identical to sequential
+//! execution for every shard and part count.
 //!
 //! Guarantees (Theorem 8): at the continuous balancing time the max-avg
 //! discrepancy is `d/4 + O(√(d·log n))` w.h.p.; with initial load at least
 //! `(d/4 + Θ(√(d·log n)))·s_i` per node the max-min discrepancy is
 //! `O(√(d·log n))` w.h.p.
 
-use super::dynamic::{DynamicBalancer, EventReport, RoundEvents};
-use super::imitation::{Deficits, Holding, Imitation, SendRule, Senders, Tally};
-use super::DiscreteBalancer;
-use crate::continuous::{ContinuousProcess, ContinuousRunner};
+use super::imitation::{Algorithm, Deficits, Holding, Imitation, Senders, Tally};
+use crate::continuous::ContinuousProcess;
 use crate::error::CoreError;
-use crate::federate::{FederateLink, FederatedExecutor, SendBatch};
+use crate::federate::SendBatch;
 use crate::load::InitialLoad;
-use crate::shard::ShardedExecutor;
 use crate::task::{Speeds, Task, Weight};
-use lb_graph::{EdgeId, Graph, NodeId};
+use lb_graph::EdgeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::ops::Range;
 
 /// The sub-RNG deciding whether edge `edge`'s fractional deficit rounds up
 /// in round `round`, derived from the master `seed` the same way the
@@ -52,7 +49,9 @@ pub fn edge_rounding_rng(seed: u64, round: usize, edge: usize) -> StdRng {
 }
 
 /// Algorithm 2: the randomized flow-imitation discretization of a continuous
-/// process `A`, for identical (unit-weight) tasks.
+/// process `A`, for identical (unit-weight) tasks. It runs on the engine of
+/// [`FlowImitation`](super::FlowImitation), which defines every method but
+/// `new`, `capture` and `restore` once for both algorithms.
 ///
 /// # Examples
 ///
@@ -74,14 +73,7 @@ pub fn edge_rounding_rng(seed: u64, round: usize, edge: usize) -> StdRng {
 /// assert!(alg2.metrics().max_min < 16.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct RandomizedImitation<A: ContinuousProcess> {
-    /// The shared engine; each node's holdings are a real-token count.
-    core: Imitation<A, u64>,
-    /// Master seed; every rounding decision derives its own sub-RNG from it
-    /// (see [`edge_rounding_rng`]).
-    seed: u64,
-}
+pub type RandomizedImitation<A> = Imitation<A, Alg2>;
 
 impl<A: ContinuousProcess> RandomizedImitation<A> {
     /// Creates the randomized discretization of `process` starting from
@@ -104,53 +96,7 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
             ));
         }
         let tokens = initial.load_vector();
-        Ok(RandomizedImitation {
-            core: Imitation::new("alg2", process, initial, speeds, tokens)?,
-            seed,
-        })
-    }
-
-    /// Replaces the topology (and the continuous twin) mid-run: the
-    /// churn-event half of a dynamic scenario. Same carry-over rules as
-    /// `FlowImitation::replace_topology`: per-node token counts carry over
-    /// index-by-index, removed nodes bequeath their tokens to node 0, new
-    /// nodes start empty, and the twin restarts from the current discrete
-    /// load vector with both flow ledgers reset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if the new graph is empty.
-    pub fn replace_topology(&mut self, process: A) -> Result<(), CoreError> {
-        self.core.rebind(process, || 0)
-    }
-
-    /// The continuous twin being imitated.
-    pub fn continuous(&self) -> &ContinuousRunner<A> {
-        &self.core.twin
-    }
-
-    /// Total dummy load created from the infinite source so far.
-    pub fn dummy_created(&self) -> u64 {
-        self.core.dummy_created
-    }
-
-    /// Per-node dummy holdings. In a federated partition only the owned
-    /// entries are authoritative (foreign slots are stale); a sampler must
-    /// slice its own node range.
-    pub fn dummy_holdings(&self) -> &[u64] {
-        &self.core.dummy
-    }
-
-    /// Per-node loads excluding dummy tokens.
-    pub fn real_loads(&self) -> Vec<f64> {
-        self.core.real_loads()
-    }
-
-    /// Maximum absolute per-edge deviation `|E_e(t)|` between the continuous
-    /// and discrete cumulative flows. With randomized rounding this stays
-    /// below 1 (part (3) of Observation 9).
-    pub fn max_flow_deviation(&self) -> f64 {
-        self.core.max_flow_deviation()
+        Imitation::with_holdings(process, initial, speeds, tokens, Alg2 { seed })
     }
 
     /// Captures the engine's full state at a between-rounds boundary for a
@@ -160,16 +106,16 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
     /// derivation inputs. Event-time only — allocates freely.
     pub fn capture(&self) -> crate::snapshot::EngineState {
         crate::snapshot::EngineState {
-            round: self.core.round as u64,
-            twin: self.core.twin.capture(),
+            round: self.round as u64,
+            twin: self.twin.capture(),
             discrete: crate::snapshot::DiscreteState::Alg2(crate::snapshot::Alg2State {
-                tokens: self.core.held.clone(),
-                dummy: self.core.dummy.clone(),
-                discrete_flow: self.core.discrete_flow.clone(),
-                seed: self.seed,
-                dummy_created: self.core.dummy_created,
-                arrived_weight: self.core.arrived_weight,
-                completed_weight: self.core.completed_weight,
+                tokens: self.held.clone(),
+                dummy: self.dummy.clone(),
+                discrete_flow: self.discrete_flow.clone(),
+                seed: self.alg.seed,
+                dummy_created: self.dummy_created,
+                arrived_weight: self.arrived_weight,
+                completed_weight: self.completed_weight,
             }),
         }
     }
@@ -194,137 +140,47 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
                 "snapshot carries Algorithm 1 state but the engine runs Algorithm 2",
             ));
         };
-        let core = &mut self.core;
-        core.check_shape(
+        self.check_shape(
             alg2.tokens.len(),
             alg2.dummy.len(),
             alg2.discrete_flow.len(),
         )?;
-        if alg2.seed != self.seed {
+        if alg2.seed != self.alg.seed {
             return Err(SnapshotError::mismatch(format!(
                 "snapshot rounding seed {} differs from the run's seed {} (stale snapshot?)",
-                alg2.seed, self.seed
+                alg2.seed, self.alg.seed
             )));
         }
-        core.twin.restore(&state.twin)?;
-        core.held.copy_from_slice(&alg2.tokens);
-        core.dummy.copy_from_slice(&alg2.dummy);
-        core.discrete_flow.copy_from_slice(&alg2.discrete_flow);
-        core.round = state.round as usize;
-        core.dummy_created = alg2.dummy_created;
-        core.arrived_weight = alg2.arrived_weight;
-        core.completed_weight = alg2.completed_weight;
+        self.twin.restore(&state.twin)?;
+        self.held.copy_from_slice(&alg2.tokens);
+        self.dummy.copy_from_slice(&alg2.dummy);
+        self.discrete_flow.copy_from_slice(&alg2.discrete_flow);
+        self.round = state.round as usize;
+        self.dummy_created = alg2.dummy_created;
+        self.arrived_weight = alg2.arrived_weight;
+        self.completed_weight = alg2.completed_weight;
         Ok(())
-    }
-
-    /// Sharded [`step`](DiscreteBalancer::step): the twin advances through
-    /// [`ContinuousRunner::step_sharded`], then each shard runs the send
-    /// rule over the edges incident to its node range for the senders it
-    /// owns, every rounding decision drawn from its own `(seed, round,
-    /// edge)` sub-RNG ([`edge_rounding_rng`]) — so the draws, and therefore
-    /// the trajectory, are **bit-identical** to the sequential step for
-    /// every shard count. Token moves and ledger deltas are additive and
-    /// delivered from the per-shard outboxes afterwards.
-    ///
-    /// Steady-state calls on an unchanged topology do not allocate; after
-    /// [`replace_topology`](RandomizedImitation::replace_topology) the
-    /// executor rebinds on the next sharded step.
-    pub fn step_sharded(&mut self, exec: &mut ShardedExecutor)
-    where
-        A: Sync,
-    {
-        self.core.step_sharded(exec, &self.rule());
-    }
-
-    /// Federated [`step`](DiscreteBalancer::step): this engine instance owns
-    /// one contiguous node range of a larger simulation. The twin advances
-    /// through [`ContinuousRunner::step_federated`], then this part runs the
-    /// send rule over the edges whose **sender** it owns, each decision
-    /// drawn from its own `(seed, round, edge)` sub-RNG
-    /// ([`edge_rounding_rng`]) — so no RNG-stream coordination between
-    /// processes is needed and the owned slice of every state vector stays
-    /// **bit-identical** to the sequential engine's. Token moves and ledger
-    /// deltas for remote receivers travel in the outgoing
-    /// [`SendBatch`](crate::SendBatch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Federation`] if an exchange fails or a peer sends
-    /// a malformed payload, and [`CoreError::InvalidParameter`] if the
-    /// underlying process does not support range-split kernels.
-    pub fn step_federated(
-        &mut self,
-        fed: &mut FederatedExecutor,
-        link: &mut dyn FederateLink,
-    ) -> Result<(), CoreError>
-    where
-        A: Sync,
-    {
-        self.core.step_federated(fed, link, &self.rule())
-    }
-
-    /// Federated [`apply_events`](DynamicBalancer::apply_events): every part
-    /// sees the **full** event stream (scenario-derived, so no broadcast is
-    /// needed) but applies token and twin effects only for the nodes it
-    /// owns. Validation (node bounds, unit arrival weights) covers all
-    /// events so every part rejects a bad stream identically. The returned
-    /// report counts owned events only, so gathered partials sum to the
-    /// sequential report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if an event names a node
-    /// outside the graph or an arrival is not unit-weight.
-    pub fn apply_events_federated(
-        &mut self,
-        events: &RoundEvents,
-        fed: &mut FederatedExecutor,
-    ) -> Result<EventReport, CoreError> {
-        fed.ensure_plan(&self.core.graph)?;
-        self.apply_owned_events(events, fed.plan.node_range())
-    }
-
-    /// Both `apply_events` forms: arrivals must be unit-weight, since
-    /// Algorithm 2 is defined for identical tasks only.
-    fn apply_owned_events(
-        &mut self,
-        events: &RoundEvents,
-        owned: Range<NodeId>,
-    ) -> Result<EventReport, CoreError> {
-        self.core.apply_events(events, owned, |task| {
-            if task.weight() != 1 {
-                return Err(CoreError::invalid_parameter(
-                    "randomized flow imitation (Algorithm 2) accepts unit-weight arrivals only",
-                ));
-            }
-            Ok(())
-        })
-    }
-
-    /// This round's send rule.
-    fn rule(&self) -> Alg2 {
-        Alg2 {
-            seed: self.seed,
-            round: self.core.round,
-        }
     }
 }
 
-/// Algorithm 2's per-edge send rule: each deficit rounds up with
+/// Algorithm 2's rule and parameters: each deficit rounds up with
 /// probability equal to its fractional part, drawn from the edge's own
 /// [`edge_rounding_rng`]; the sender pays with real tokens first, then held
 /// dummies, then the infinite source.
-struct Alg2 {
+#[derive(Debug, Clone)]
+pub struct Alg2 {
+    /// Master seed; every rounding decision derives its own sub-RNG from it.
     seed: u64,
-    round: usize,
 }
 
-impl SendRule for Alg2 {
+impl Algorithm for Alg2 {
     type Holding = u64;
+    const LABEL: &'static str = "alg2";
 
     // lint: zero-alloc
     fn send(
         &self,
+        round: usize,
         deficits: &Deficits<'_>,
         edges: impl IntoIterator<Item = EdgeId>,
         senders: Senders<'_, u64>,
@@ -338,7 +194,7 @@ impl SendRule for Alg2 {
             let floor = t.magnitude.floor();
             let fraction = t.magnitude - floor;
             let round_up = fraction > 0.0
-                && edge_rounding_rng(self.seed, self.round, e).gen_bool(fraction.min(1.0));
+                && edge_rounding_rng(self.seed, round, e).gen_bool(fraction.min(1.0));
             let amount = floor as u64 + u64::from(round_up);
             if amount == 0 {
                 continue;
@@ -353,6 +209,21 @@ impl SendRule for Alg2 {
             out.deltas.push((e, t.sign * amount as i64));
         }
         tally
+    }
+
+    /// Arrivals must be unit-weight, since Algorithm 2 is defined for
+    /// identical tasks only.
+    fn admit(&mut self, task: Task) -> Result<(), CoreError> {
+        if task.weight() != 1 {
+            return Err(CoreError::invalid_parameter(
+                "randomized flow imitation (Algorithm 2) accepts unit-weight arrivals only",
+            ));
+        }
+        Ok(())
+    }
+
+    fn empty(&self) -> u64 {
+        0
     }
 }
 
@@ -385,57 +256,13 @@ impl Holding for u64 {
     }
 }
 
-impl<A: ContinuousProcess> DiscreteBalancer for RandomizedImitation<A> {
-    fn name(&self) -> &str {
-        &self.core.name
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.core.graph
-    }
-
-    fn speeds(&self) -> &Speeds {
-        &self.core.speeds
-    }
-
-    fn round(&self) -> usize {
-        self.core.round
-    }
-
-    fn loads(&self) -> Vec<f64> {
-        self.core.loads()
-    }
-
-    fn dummy_load(&self) -> u64 {
-        self.core.dummy.iter().sum()
-    }
-
-    // lint: zero-alloc
-    fn step(&mut self) {
-        self.core.step(&self.rule());
-    }
-}
-
-impl<A: ContinuousProcess> DynamicBalancer for RandomizedImitation<A> {
-    fn apply_events(&mut self, events: &RoundEvents) -> Result<EventReport, CoreError> {
-        self.apply_owned_events(events, 0..self.core.graph.node_count())
-    }
-
-    fn completed_weight(&self) -> u64 {
-        self.core.completed_weight
-    }
-
-    fn arrived_weight(&self) -> u64 {
-        self.core.arrived_weight
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::continuous::{DimensionExchange, Fos, RandomMatching};
+    use crate::discrete::DiscreteBalancer;
     use crate::metrics;
-    use lb_graph::{generators, AlphaScheme};
+    use lb_graph::{generators, AlphaScheme, Graph};
 
     fn fos_on(graph: Graph, speeds: &Speeds) -> Fos {
         Fos::new(graph, speeds, AlphaScheme::MaxDegreePlusOne).unwrap()

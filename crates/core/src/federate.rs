@@ -609,11 +609,14 @@ mod loopback {
 mod tests {
     use super::loopback::LoopbackHub;
     use super::*;
-    use crate::continuous::{Fos, Sos};
+    use crate::continuous::{ContinuousProcess, Fos, Sos};
+    use crate::discrete::imitation::{Algorithm, Imitation};
     use crate::discrete::{
-        DynamicBalancer, FlowImitation, RandomizedImitation, RoundEvents, TaskPicker,
+        DiscreteBalancer, DynamicBalancer, FlowImitation, RandomizedImitation, RoundEvents,
+        TaskPicker,
     };
     use crate::load::InitialLoad;
+    use crate::snapshot::EngineState;
     use crate::task::{Speeds, TaskId};
     use lb_graph::{generators, AlphaScheme};
 
@@ -691,9 +694,14 @@ mod tests {
 
     /// Runs `parts` federated copies of `engine` next to a sequential copy
     /// and asserts bit-identical owned state every round.
-    fn assert_federated_equivalence<E>(make: impl Fn() -> E, parts: usize, shards: usize)
-    where
-        E: DynamicBalancer + FederatedEngine + Clone + Send,
+    fn assert_federated_equivalence<A, R>(
+        make: impl Fn() -> Imitation<A, R>,
+        parts: usize,
+        shards: usize,
+    ) where
+        A: ContinuousProcess + Send + Sync,
+        R: Algorithm + Send,
+        Imitation<A, R>: Captured,
     {
         let rounds = 12;
         let hub = LoopbackHub::new(parts);
@@ -736,115 +744,67 @@ mod tests {
                         "part {part} node {i} load"
                     );
                 }
-                engine.assert_owned_state_matches(&sequential, &plan);
+                assert_owned_state_matches(&engine.captured(), &sequential.captured(), &plan);
             }
         });
     }
 
-    /// Test-only view over the two federated engines.
-    trait FederatedEngine: Sized {
-        fn step_federated(
-            &mut self,
-            fed: &mut FederatedExecutor,
-            link: &mut dyn FederateLink,
-        ) -> Result<(), CoreError>;
-        fn apply_events_federated(
-            &mut self,
-            events: &RoundEvents,
-            fed: &mut FederatedExecutor,
-        ) -> Result<crate::discrete::EventReport, CoreError>;
-        fn assert_owned_state_matches(&self, sequential: &Self, plan: &FederationPlan);
+    /// The snapshot capture, which each algorithm's alias defines.
+    trait Captured {
+        fn captured(&self) -> EngineState;
     }
 
-    impl<A: crate::continuous::ContinuousProcess + Clone + Sync> FederatedEngine for FlowImitation<A> {
-        fn step_federated(
-            &mut self,
-            fed: &mut FederatedExecutor,
-            link: &mut dyn FederateLink,
-        ) -> Result<(), CoreError> {
-            FlowImitation::step_federated(self, fed, link)
-        }
-        fn apply_events_federated(
-            &mut self,
-            events: &RoundEvents,
-            fed: &mut FederatedExecutor,
-        ) -> Result<crate::discrete::EventReport, CoreError> {
-            FlowImitation::apply_events_federated(self, events, fed)
-        }
-        fn assert_owned_state_matches(&self, sequential: &Self, plan: &FederationPlan) {
-            let mine = self.capture();
-            let theirs = sequential.capture();
-            let (crate::snapshot::DiscreteState::Alg1(a), crate::snapshot::DiscreteState::Alg1(b)) =
-                (&mine.discrete, &theirs.discrete)
-            else {
-                panic!("alg1 capture");
-            };
-            for i in plan.node_range() {
-                assert_eq!(a.queues[i], b.queues[i], "queue {i}");
-                assert_eq!(a.dummy[i], b.dummy[i], "dummy {i}");
-                assert_eq!(
-                    mine.twin.loads[i].to_bits(),
-                    theirs.twin.loads[i].to_bits(),
-                    "twin load {i}"
-                );
-            }
-            for &e in plan.incident() {
-                assert_eq!(a.discrete_flow[e], b.discrete_flow[e], "discrete flow {e}");
-                assert_eq!(
-                    mine.twin.cumulative_flow[e].to_bits(),
-                    theirs.twin.cumulative_flow[e].to_bits(),
-                    "cumulative flow {e}"
-                );
-            }
-            assert_eq!(a.wmax, b.wmax);
-            assert_eq!(mine.round, theirs.round);
+    impl<A: ContinuousProcess> Captured for FlowImitation<A> {
+        fn captured(&self) -> EngineState {
+            self.capture()
         }
     }
 
-    impl<A: crate::continuous::ContinuousProcess + Clone + Sync> FederatedEngine
-        for RandomizedImitation<A>
-    {
-        fn step_federated(
-            &mut self,
-            fed: &mut FederatedExecutor,
-            link: &mut dyn FederateLink,
-        ) -> Result<(), CoreError> {
-            RandomizedImitation::step_federated(self, fed, link)
+    impl<A: ContinuousProcess> Captured for RandomizedImitation<A> {
+        fn captured(&self) -> EngineState {
+            self.capture()
         }
-        fn apply_events_federated(
-            &mut self,
-            events: &RoundEvents,
-            fed: &mut FederatedExecutor,
-        ) -> Result<crate::discrete::EventReport, CoreError> {
-            RandomizedImitation::apply_events_federated(self, events, fed)
-        }
-        fn assert_owned_state_matches(&self, sequential: &Self, plan: &FederationPlan) {
-            let mine = self.capture();
-            let theirs = sequential.capture();
-            let (crate::snapshot::DiscreteState::Alg2(a), crate::snapshot::DiscreteState::Alg2(b)) =
-                (&mine.discrete, &theirs.discrete)
-            else {
-                panic!("alg2 capture");
-            };
-            for i in plan.node_range() {
-                assert_eq!(a.tokens[i], b.tokens[i], "tokens {i}");
-                assert_eq!(a.dummy[i], b.dummy[i], "dummy {i}");
-                assert_eq!(
-                    mine.twin.loads[i].to_bits(),
-                    theirs.twin.loads[i].to_bits(),
-                    "twin load {i}"
-                );
+    }
+
+    /// Asserts that a part's capture `mine` matches the sequential capture
+    /// `theirs` on every entry the part owns: holdings (Algorithm 1's queues
+    /// and `w_max`, Algorithm 2's token counts), dummy counts, twin loads,
+    /// and the ledger and twin flows of its incident edges.
+    fn assert_owned_state_matches(mine: &EngineState, theirs: &EngineState, plan: &FederationPlan) {
+        use crate::snapshot::DiscreteState::{Alg1, Alg2};
+        let (dummy, flow) = match (&mine.discrete, &theirs.discrete) {
+            (Alg1(a), Alg1(b)) => {
+                for i in plan.node_range() {
+                    assert_eq!(a.queues[i], b.queues[i], "queue {i}");
+                }
+                assert_eq!(a.wmax, b.wmax);
+                ([&a.dummy, &b.dummy], [&a.discrete_flow, &b.discrete_flow])
             }
-            for &e in plan.incident() {
-                assert_eq!(a.discrete_flow[e], b.discrete_flow[e], "discrete flow {e}");
-                assert_eq!(
-                    mine.twin.cumulative_flow[e].to_bits(),
-                    theirs.twin.cumulative_flow[e].to_bits(),
-                    "cumulative flow {e}"
-                );
+            (Alg2(a), Alg2(b)) => {
+                for i in plan.node_range() {
+                    assert_eq!(a.tokens[i], b.tokens[i], "tokens {i}");
+                }
+                ([&a.dummy, &b.dummy], [&a.discrete_flow, &b.discrete_flow])
             }
-            assert_eq!(mine.round, theirs.round);
+            _ => panic!("captures of different algorithms"),
+        };
+        for i in plan.node_range() {
+            assert_eq!(dummy[0][i], dummy[1][i], "dummy {i}");
+            assert_eq!(
+                mine.twin.loads[i].to_bits(),
+                theirs.twin.loads[i].to_bits(),
+                "twin load {i}"
+            );
         }
+        for &e in plan.incident() {
+            assert_eq!(flow[0][e], flow[1][e], "discrete flow {e}");
+            assert_eq!(
+                mine.twin.cumulative_flow[e].to_bits(),
+                theirs.twin.cumulative_flow[e].to_bits(),
+                "cumulative flow {e}"
+            );
+        }
+        assert_eq!(mine.round, theirs.round);
     }
 
     fn alg1_fos() -> FlowImitation<Fos> {

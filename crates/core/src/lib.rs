@@ -9,10 +9,10 @@
 //!
 //! * [`continuous`] — the continuous processes being discretized: first- and
 //!   second-order diffusion, periodic dimension exchange, random matchings.
-//! * [`discrete`] — the paper's two flow-imitation transformations
-//!   (Algorithm 1: [`discrete::FlowImitation`], Algorithm 2:
-//!   [`discrete::RandomizedImitation`]) plus the prior-work baselines they
-//!   are compared against, and the dynamic-workload extension
+//! * [`discrete`] — the paper's flow-imitation transformation, one engine
+//!   with two rounding algorithms (Algorithm 1: [`discrete::FlowImitation`],
+//!   Algorithm 2: [`discrete::RandomizedImitation`]), plus the prior-work
+//!   baselines they are compared against, and the dynamic-workload extension
 //!   ([`discrete::dynamic`]): per-round task arrivals, completions and
 //!   topology churn.
 //! * [`metrics`] — makespan, max-min / max-avg discrepancy and the quadratic

@@ -49,15 +49,6 @@ impl InitialLoad {
         InitialLoad { tasks }
     }
 
-    /// Creates an initial load of unit-weight tokens with per-node weighted
-    /// counts, where node `i` receives `counts[i]` tokens.
-    ///
-    /// Alias of [`InitialLoad::from_token_counts`] kept for readability at
-    /// call sites that think in "tokens".
-    pub fn tokens(counts: Vec<u64>) -> Self {
-        Self::from_token_counts(counts)
-    }
-
     /// All `total` unit tokens placed on a single `source` node of an
     /// `n`-node network — the worst-case "point" distribution used in most
     /// experiments.

@@ -186,6 +186,25 @@ impl Speeds {
         &self.values
     }
 
+    /// The speeds carried over to `n` nodes after churn: entries carry over
+    /// index by index, removed nodes drop theirs and new nodes get the unit
+    /// speed.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error message if `n` entries cannot be allocated: a node
+    /// count read from a scenario may be absurd, and that must be an error,
+    /// not an abort.
+    pub fn resized(&self, n: usize) -> Result<Speeds, String> {
+        let mut values = Vec::new();
+        values
+            .try_reserve_exact(n)
+            .map_err(|err| format!("carrying speeds to {n} nodes: {err}"))?;
+        values.extend_from_slice(&self.values[..n.min(self.values.len())]);
+        values.resize(n, 1);
+        Ok(Speeds { values })
+    }
+
     /// Speeds as `f64` values (for the continuous process and the diffusion
     /// matrix).
     pub fn to_f64(&self) -> Vec<f64> {

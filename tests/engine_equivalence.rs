@@ -334,23 +334,23 @@ proptest! {
         }
     }
 
-    /// The buffer-reuse kernel driven through `ContinuousRunner` matches a
-    /// manual simulation through the allocating `compute_flows` shim, flow
-    /// by flow and load by load.
+    /// `ContinuousRunner::step` matches a manual simulation that calls
+    /// `compute_flows_into` on a second copy of the process and applies
+    /// each edge's net flow itself, flow by flow and load by load.
     #[test]
-    fn kernel_and_shim_agree(case in 0u64..1000) {
+    fn runner_matches_manual_flow_application(case in 0u64..1000) {
         let graph = small_graph(case.wrapping_add(3));
         let n = graph.node_count();
         let speeds = Speeds::uniform(n);
         let initial = workload(n, case.wrapping_mul(7).wrapping_add(11), false);
         for model in MODELS {
-            let mut shim_process = build_model(model, &graph, &speeds);
+            let mut manual_process = build_model(model, &graph, &speeds);
             let kernel_process = build_model(model, &graph, &speeds);
             let mut runner = ContinuousRunner::new(kernel_process, initial.load_vector_f64());
             let mut x = initial.load_vector_f64();
             let mut flows = vec![EdgeFlow::default(); graph.edge_count()];
             for t in 0..20 {
-                shim_process.compute_flows_into(t, &x, &mut flows);
+                manual_process.compute_flows_into(t, &x, &mut flows);
                 for (e, &(u, v)) in graph.edges().iter().enumerate() {
                     let net = flows[e].net();
                     x[u] -= net;
