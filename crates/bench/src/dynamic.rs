@@ -16,6 +16,12 @@
 //! `.stream()`, `.merged()`); then [`Session::run`]. Failures come back as
 //! the typed [`crate::error::BenchError`].
 //!
+//! Every run, a federated worker's included, builds its engine in one
+//! place: a match on the scenario's algorithm and model builds the
+//! concrete [`Imitation`] (Algorithm 1 or 2 over FOS or SOS) and runs a
+//! driver loop that is generic in both, so the loop calls the engine's
+//! methods directly.
+//!
 //! Events can reach the engine four ways, all bit-identical for the same
 //! scenario and seed (`tests/ingest_equivalence.rs`,
 //! `tests/merge_equivalence.rs`, `tests/serve_faults.rs`):
@@ -62,13 +68,13 @@
 use lb_analysis::Json;
 use lb_core::continuous::{ContinuousProcess, Fos, Sos};
 use lb_core::discrete::{
-    DiscreteBalancer, DynamicBalancer, FlowImitation, RandomizedImitation, RoundEvents, TaskPicker,
+    Algorithm, DiscreteBalancer, DynamicBalancer, FlowImitation, Imitation, RandomizedImitation,
+    RoundEvents, TaskPicker,
 };
-use lb_core::federate::FederateLink;
 use lb_core::ingest;
 use lb_core::ingest::merge::MergeSession;
 use lb_core::snapshot::{self, Snapshot};
-use lb_core::{metrics, CoreError, FederatedExecutor, InitialLoad, ShardedExecutor, Speeds};
+use lb_core::{metrics, CoreError, InitialLoad, ShardedExecutor, Speeds};
 use lb_graph::{AlphaScheme, Graph, GraphDelta};
 use lb_workloads::{
     pad_for_min_load, AlgorithmSpec, ChurnEvent, ChurnKind, ModelSpec, PadSpec, RoundSource,
@@ -202,21 +208,10 @@ pub fn family_class(family: &str) -> Result<GraphClass, String> {
     }
 }
 
-/// The four concrete engines a scenario can request. The enum (rather than a
-/// `Box<dyn DynamicBalancer>`) exists because topology churn must rebuild the
-/// concrete continuous process type. (`pub(crate)`: the federated driver in
-/// [`crate::federate`] steps the same engines over a socket link.)
-pub(crate) enum Engine {
-    Alg1Fos(FlowImitation<Fos>),
-    Alg1Sos(FlowImitation<Sos>),
-    Alg2Fos(RandomizedImitation<Fos>),
-    Alg2Sos(RandomizedImitation<Sos>),
-}
-
 /// The continuous models a scenario engine runs: how churn rebuilds one
 /// from scratch and how it patches one onto a same-size edge change. Only
 /// the full-rebuild constructor differs between them.
-trait Model: ContinuousProcess + Sized {
+pub(crate) trait Model: ContinuousProcess + Sync + Sized {
     /// Builds the process on `graph` from scratch.
     fn build(graph: Arc<Graph>, speeds: &Speeds) -> Result<Self, CoreError>;
     /// This process patched onto `graph`, its own graph with `delta`
@@ -245,171 +240,71 @@ impl Model for Sos {
     }
 }
 
-/// Applies `$body` to the engine inside any variant.
-macro_rules! with_engine {
-    ($self:expr, $e:ident => $body:expr) => {
-        match $self {
-            Engine::Alg1Fos($e) => $body,
-            Engine::Alg1Sos($e) => $body,
-            Engine::Alg2Fos($e) => $body,
-            Engine::Alg2Sos($e) => $body,
-        }
-    };
+/// A driver loop over one scenario's engine, generic in the engine's
+/// continuous model and algorithm; [`drive`] builds the engine and runs it.
+pub(crate) trait Driver {
+    /// The effective scenario the engine is built from.
+    fn scenario(&self) -> &Scenario;
+    /// Runs the loop on `engine`, freshly built on `world`.
+    fn run<A: Model, R: Algorithm>(
+        self,
+        world: &World,
+        engine: Imitation<A, R>,
+    ) -> Result<ScenarioOutcome, BenchError>;
 }
 
-impl Engine {
-    pub(crate) fn build(
-        scenario: &Scenario,
-        graph: Arc<Graph>,
-        speeds: &Speeds,
-        initial: &InitialLoad,
-        seed: u64,
-    ) -> Result<Self, CoreError> {
-        Ok(match (scenario.algorithm, scenario.model) {
-            (AlgorithmSpec::Alg1, ModelSpec::Fos) => Engine::Alg1Fos(FlowImitation::new(
-                Fos::build(graph, speeds)?,
-                initial,
-                speeds.clone(),
-                TaskPicker::Fifo,
-            )?),
-            (AlgorithmSpec::Alg1, ModelSpec::Sos) => Engine::Alg1Sos(FlowImitation::new(
-                Sos::build(graph, speeds)?,
-                initial,
-                speeds.clone(),
-                TaskPicker::Fifo,
-            )?),
-            (AlgorithmSpec::Alg2, ModelSpec::Fos) => Engine::Alg2Fos(RandomizedImitation::new(
-                Fos::build(graph, speeds)?,
-                initial,
-                speeds.clone(),
-                seed,
-            )?),
-            (AlgorithmSpec::Alg2, ModelSpec::Sos) => Engine::Alg2Sos(RandomizedImitation::new(
-                Sos::build(graph, speeds)?,
-                initial,
-                speeds.clone(),
-                seed,
-            )?),
-        })
+/// Derives the driver's [`World`], builds the engine its scenario names on
+/// it — Algorithm 1 with the FIFO picker, or Algorithm 2 under the
+/// scenario's seed, over FOS or SOS — and runs the driver on it. Federated
+/// workers build their engines here too; the coordinator builds none.
+pub(crate) fn drive(driver: impl Driver) -> Result<ScenarioOutcome, BenchError> {
+    let scenario = driver.scenario();
+    let world = build_world(scenario)?;
+    let seed = scenario.seed;
+    match (scenario.algorithm, scenario.model) {
+        (AlgorithmSpec::Alg1, ModelSpec::Fos) => driver.run(&world, alg1::<Fos>(&world)?),
+        (AlgorithmSpec::Alg1, ModelSpec::Sos) => driver.run(&world, alg1::<Sos>(&world)?),
+        (AlgorithmSpec::Alg2, ModelSpec::Fos) => driver.run(&world, alg2::<Fos>(&world, seed)?),
+        (AlgorithmSpec::Alg2, ModelSpec::Sos) => driver.run(&world, alg2::<Sos>(&world, seed)?),
     }
+}
 
-    pub(crate) fn name(&self) -> &str {
-        with_engine!(self, e => e.name())
-    }
+/// Algorithm 1 over `A` on `world`.
+fn alg1<A: Model>(world: &World) -> Result<FlowImitation<A>, CoreError> {
+    let process = A::build(Arc::clone(&world.graph), &world.speeds)?;
+    let speeds = world.speeds.clone();
+    FlowImitation::new(process, &world.initial, speeds, TaskPicker::Fifo)
+}
 
-    /// One round: sequential, or sharded across the executor's workers.
-    /// Trajectories are bit-identical either way (the sharding contract).
-    pub(crate) fn step(&mut self, exec: Option<&mut ShardedExecutor>) {
-        match exec {
-            Some(exec) => with_engine!(self, e => e.step_sharded(exec)),
-            None => with_engine!(self, e => e.step()),
-        }
-    }
+/// Algorithm 2 over `A` on `world`, rounding under `seed`.
+fn alg2<A: Model>(world: &World, seed: u64) -> Result<RandomizedImitation<A>, CoreError> {
+    let process = A::build(Arc::clone(&world.graph), &world.speeds)?;
+    RandomizedImitation::new(process, &world.initial, world.speeds.clone(), seed)
+}
 
-    pub(crate) fn apply_events(&mut self, events: &RoundEvents) -> Result<(), CoreError> {
-        with_engine!(self, e => e.apply_events(events).map(|_| ()))
-    }
-
-    pub(crate) fn loads(&self) -> Vec<f64> {
-        with_engine!(self, e => e.loads())
-    }
-
-    pub(crate) fn real_loads(&self) -> Vec<f64> {
-        with_engine!(self, e => e.real_loads())
-    }
-
-    pub(crate) fn dummy_load(&self) -> u64 {
-        with_engine!(self, e => e.dummy_load())
-    }
-
-    pub(crate) fn dummy_created(&self) -> u64 {
-        with_engine!(self, e => e.dummy_created())
-    }
-
-    /// Per-node dummy holdings (see the engines' `dummy_holdings`): a
-    /// federated sampler sums its owned slice only.
-    pub(crate) fn dummy_holdings(&self) -> &[u64] {
-        with_engine!(self, e => e.dummy_holdings())
-    }
-
-    pub(crate) fn speeds(&self) -> &Speeds {
-        with_engine!(self, e => e.speeds())
-    }
-
-    pub(crate) fn node_count(&self) -> usize {
-        with_engine!(self, e => e.graph().node_count())
-    }
-
-    pub(crate) fn arrived_weight(&self) -> u64 {
-        with_engine!(self, e => DynamicBalancer::arrived_weight(e))
-    }
-
-    pub(crate) fn completed_weight(&self) -> u64 {
-        with_engine!(self, e => DynamicBalancer::completed_weight(e))
-    }
-
-    /// Captures the full engine state at a between-rounds boundary.
-    pub(crate) fn capture(&self) -> snapshot::EngineState {
-        with_engine!(self, e => e.capture())
-    }
-
-    /// Restores captured state into a freshly rebuilt engine (same
-    /// algorithm, same topology epoch) — the seams validate both.
-    pub(crate) fn restore(
-        &mut self,
-        state: &snapshot::EngineState,
-    ) -> Result<(), snapshot::SnapshotError> {
-        with_engine!(self, e => e.restore(state))
-    }
-
-    /// Rebuilds the continuous process on `graph` and swaps it in (topology
-    /// churn). `speeds` must already follow the carry-over rule (truncate /
-    /// pad with unit speeds), matching what `replace_topology` re-derives.
-    ///
-    /// With `delta: Some(_)` — a same-size rewire whose edge difference from
-    /// the engine's *current* graph is known — the continuous process is
-    /// patched incrementally (`O(Δ)` recompute instead of an `O(m)` matrix
-    /// re-derivation, and SOS skips the spectral re-estimate entirely when
-    /// the delta is empty). The patched process is bit-identical to the
-    /// full rebuild, so both paths yield the same trajectory; resume
-    /// fast-forward always takes the `None` path because its engine may be
-    /// several churn epochs behind the entry it applies.
-    pub(crate) fn replace_topology(
-        &mut self,
-        graph: Arc<Graph>,
-        speeds: &Speeds,
-        delta: Option<&GraphDelta>,
-    ) -> Result<(), CoreError> {
-        with_engine!(self, e => {
-            let process = match delta {
-                Some(d) => e.continuous().process().patch(graph, d)?,
-                None => Model::build(graph, speeds)?,
-            };
-            e.replace_topology(process)
-        })
-    }
-
-    /// One federated round: this part's slice of the engine, with the three
-    /// barrier exchanges running over `link`. Bit-identical to [`Engine::step`]
-    /// for every part count (the federation contract).
-    pub(crate) fn step_federated(
-        &mut self,
-        fed: &mut FederatedExecutor,
-        link: &mut dyn FederateLink,
-    ) -> Result<(), CoreError> {
-        with_engine!(self, e => e.step_federated(fed, link))
-    }
-
-    /// Applies one round's event batch on this part: `wmax` updates follow
-    /// every arrival (all parts see the full batch), queue/token mutations
-    /// only the owned ones.
-    pub(crate) fn apply_events_federated(
-        &mut self,
-        events: &RoundEvents,
-        fed: &mut FederatedExecutor,
-    ) -> Result<(), CoreError> {
-        with_engine!(self, e => e.apply_events_federated(events, fed).map(|_| ()))
-    }
+/// Rebuilds `engine`'s continuous process on `graph` and swaps it in
+/// (topology churn). `speeds` must already follow the carry-over rule
+/// ([`Speeds::resized`]), matching what `replace_topology` re-derives.
+///
+/// With `delta: Some(_)` — a same-size rewire whose edge difference from
+/// the engine's *current* graph is known — the continuous process is
+/// patched incrementally (`O(Δ)` recompute instead of an `O(m)` matrix
+/// re-derivation, and SOS skips the spectral re-estimate entirely when the
+/// delta is empty). The patched process is bit-identical to the full
+/// rebuild, so both paths yield the same trajectory; resume fast-forward
+/// always takes the `None` path because its engine may be several churn
+/// epochs behind the entry it applies.
+pub(crate) fn replace_topology<A: Model, R: Algorithm>(
+    engine: &mut Imitation<A, R>,
+    graph: Arc<Graph>,
+    speeds: &Speeds,
+    delta: Option<&GraphDelta>,
+) -> Result<(), CoreError> {
+    let process = match delta {
+        Some(d) => engine.continuous().process().patch(graph, d)?,
+        None => A::build(graph, speeds)?,
+    };
+    engine.replace_topology(process)
 }
 
 /// How a run's events reach the engine. Both modes apply the same batches at
@@ -1227,7 +1122,14 @@ impl Session {
                 (scenario, Some(resume))
             }
         };
-        execute(scenario, feed, &options, checkpoint, resume, on_sample)
+        drive(Sequential {
+            scenario,
+            feed,
+            options: &options,
+            checkpoint,
+            resume,
+            on_sample,
+        })
     }
 }
 
@@ -1443,12 +1345,12 @@ pub(crate) fn build_world(scenario: &Scenario) -> Result<World, BenchError> {
 }
 
 /// One trajectory point, read off the engine after `round` completed rounds.
-pub(crate) fn sample_of(engine: &Engine, round: usize) -> RoundSample {
+fn sample_of<A: Model, R: Algorithm>(engine: &Imitation<A, R>, round: usize) -> RoundSample {
     let loads = engine.loads();
     let speeds = engine.speeds();
     RoundSample {
         round,
-        nodes: engine.node_count(),
+        nodes: engine.graph().node_count(),
         max_min: metrics::max_min_discrepancy(&loads, speeds),
         max_avg: metrics::max_avg_discrepancy(&loads, speeds),
         real_weight: engine.real_loads().iter().sum(),
@@ -1458,32 +1360,52 @@ pub(crate) fn sample_of(engine: &Engine, round: usize) -> RoundSample {
     }
 }
 
-/// The shared driver loop behind [`Session::run`]: `scenario` is already
+/// The sequential run behind [`Session::run`]: `scenario` is already
 /// effective (overrides applied, validated); `feed` selects where the
 /// per-round batches come from; `checkpoint` is the validated path and
-/// cadence. Churn epochs are built when their rounds arrive
-/// ([`ChurnCursor`]), so before round 0 the only graph is the world's.
-fn execute(
+/// cadence.
+struct Sequential<'a, F> {
     scenario: Scenario,
     feed: Feed,
-    options: &RunOptions,
+    options: &'a RunOptions,
     checkpoint: Option<(PathBuf, usize)>,
     resume: Option<ResumePoint>,
-    mut on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, BenchError> {
-    let seed = scenario.seed;
+    on_sample: F,
+}
 
-    let world = build_world(&scenario)?;
-    let mut engine = Engine::build(
-        &scenario,
-        Arc::clone(&world.graph),
-        &world.speeds,
-        &world.initial,
-        seed,
-    )?;
+impl<F: FnMut(&RoundSample)> Driver for Sequential<'_, F> {
+    fn scenario(&self) -> &Scenario {
+        &self.scenario
+    }
+
+    fn run<A: Model, R: Algorithm>(
+        self,
+        world: &World,
+        engine: Imitation<A, R>,
+    ) -> Result<ScenarioOutcome, BenchError> {
+        execute(self, world, engine)
+    }
+}
+
+/// The shared driver loop of every non-federated run. Churn epochs are
+/// built when their rounds arrive ([`ChurnCursor`]), so before round 0 the
+/// only graph is the world's.
+fn execute<A: Model, R: Algorithm>(
+    run: Sequential<'_, impl FnMut(&RoundSample)>,
+    world: &World,
+    mut engine: Imitation<A, R>,
+) -> Result<ScenarioOutcome, BenchError> {
+    let Sequential {
+        scenario,
+        feed,
+        options,
+        checkpoint,
+        resume,
+        mut on_sample,
+    } = run;
     // Churn epochs are built as their rounds arrive; a channel producer
     // follows the node counts alone.
-    let mut churn = ChurnCursor::new(&world, &scenario.churn)?;
+    let mut churn = ChurnCursor::new(world, &scenario.churn)?;
     let mut source = match feed {
         Feed::Source(stream_source) => {
             spawn_source_producer(stream_source, DEFAULT_CHANNEL_CAPACITY)
@@ -1525,7 +1447,7 @@ fn execute(
     let mut executor = (exec_shards > 1).then(|| ShardedExecutor::new(exec_shards));
 
     let mut trajectory = Vec::new();
-    let mut record = |engine: &Engine, round: usize, trajectory: &mut Vec<RoundSample>| {
+    let mut record = |engine: &Imitation<A, R>, round: usize, trajectory: &mut Vec<RoundSample>| {
         let sample = sample_of(engine, round);
         on_sample(&sample);
         trajectory.push(sample);
@@ -1537,12 +1459,6 @@ fn execute(
             0
         }
         Some(point) => {
-            if point.round > scenario.rounds {
-                return Err(BenchError::protocol(format!(
-                    "snapshot was captured at round {} but the scenario runs only {} round(s)",
-                    point.round, scenario.rounds
-                )));
-            }
             // Fast-forward the pre-resume prefix without stepping the
             // engine: the event stream is drained round by round to
             // reconstruct its RNG state and task-id counter (and re-record
@@ -1564,11 +1480,9 @@ fn execute(
             if let Some(graph) = churn.seek(point.round)? {
                 // Full-rebuild path: the engine may be several churn epochs
                 // behind the capture, so no delta applies to it.
-                engine
-                    .replace_topology(graph, churn.speeds(), None)
-                    .map_err(|err| {
-                        BenchError::run(format!("rebuilding the churned topology to resume: {err}"))
-                    })?;
+                replace_topology(&mut engine, graph, churn.speeds(), None).map_err(|err| {
+                    BenchError::run(format!("rebuilding the churned topology to resume: {err}"))
+                })?;
             }
             if engine.name() != point.engine_name {
                 return Err(BenchError::protocol(format!(
@@ -1586,9 +1500,13 @@ fn execute(
 
     for round in resume_round..scenario.rounds {
         while let Some(epoch) = churn.fire(round)? {
-            engine
-                .replace_topology(epoch.graph, churn.speeds(), epoch.delta.as_ref())
-                .map_err(|err| churn_error(round, err))?;
+            replace_topology(
+                &mut engine,
+                epoch.graph,
+                churn.speeds(),
+                epoch.delta.as_ref(),
+            )
+            .map_err(|err| churn_error(round, err))?;
             source.set_topology(engine.speeds());
         }
         source.fill_round(round, &mut events)?;
@@ -1602,7 +1520,10 @@ fn execute(
                 .apply_events(&events)
                 .map_err(|err| BenchError::run(format!("events at round {round}: {err}")))?;
         }
-        engine.step(executor.as_mut());
+        match executor.as_mut() {
+            Some(exec) => engine.step_sharded(exec),
+            None => engine.step(),
+        }
         let done = round + 1;
         if done % scenario.sample_every == 0 || done == scenario.rounds {
             record(&engine, done, &mut trajectory);

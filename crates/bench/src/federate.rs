@@ -6,11 +6,13 @@
 //! The process topology is a star. The **coordinator** owns the scenario: it
 //! admits one [`Join`](lb_proto::Record::Join) per rank, broadcasts the
 //! effective scenario in [`Start`](lb_proto::Record::Start), then acts as a
-//! pure message router for the round protocol — it never steps an engine.
-//! Each **worker** derives the identical [`World`](crate::dynamic) from the
-//! scenario document, builds the full-size engine, and steps only its
-//! partition through [`lb_core::federate`], speaking the v2 records of
-//! [`lb_proto`] over one line-delimited socket.
+//! pure message router for the round protocol. It builds no engine: it
+//! keeps only the world and the churn cursor, whose topologies and speeds
+//! state splicing and sampling need. Each **worker** derives the identical
+//! [`World`](crate::dynamic) from the scenario document, builds the
+//! full-size engine, and steps only its partition through
+//! [`lb_core::federate`], speaking the v2 records of [`lb_proto`] over one
+//! line-delimited socket.
 //!
 //! Per round the coordinator relays three fixed barrier exchanges (loads,
 //! flows, sends — always present, even when empty), mirrors the workers'
@@ -19,6 +21,7 @@
 //!
 //! | phase          | worker → coordinator      | coordinator → workers    |
 //! |----------------|---------------------------|--------------------------|
+//! | start          | `Sample {rank}` (round 0) |                          |
 //! | barrier        |                           | `Round {round}`          |
 //! | churn (if due) | `State` (pre-churn)       | `Restore` (assembled)    |
 //! | twin loads     | `Loads {rank}`            | `Loads` (concatenated)   |
@@ -40,7 +43,10 @@
 //! the minimum, and globally agreed scalars (`wmax`, the rounding seed, β)
 //! come from rank 0. The spliced state is exactly what the sequential
 //! engine would capture, which is why a coordinator-written checkpoint
-//! resumes under the plain sequential driver (`lb run --resume`).
+//! resumes under the plain sequential driver (`lb run --resume`). Workers
+//! name their engine in each `State` snapshot's driver payload; a
+//! checkpoint takes rank 0's name, and the result document takes the name
+//! every [`Done`](lb_proto::Record::Done) record must agree on.
 //!
 //! Any socket failure — a killed worker, a timeout, a malformed record —
 //! surfaces as [`BenchError::Protocol`] (stable exit code), never a hang:
@@ -49,13 +55,13 @@
 use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Write as _};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::process::Child;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lb_analysis::Json;
-use lb_core::discrete::RoundEvents;
+use lb_core::discrete::{Algorithm, DiscreteBalancer, DynamicBalancer, Imitation, RoundEvents};
 use lb_core::federate::FederateLink;
 use lb_core::snapshot::{self, DiscreteState, EngineState, Snapshot};
 use lb_core::{metrics, CoreError, FederatedExecutor, FederationPlan, Speeds, Task, TaskId};
@@ -64,8 +70,8 @@ use lb_proto::{Record, WireBatch, WireTask, PROTOCOL_V2};
 use lb_workloads::{Scenario, ScenarioEvents};
 
 use crate::dynamic::{
-    build_world, churn_error, encode_driver, sample_of, ChurnCursor, Engine, RoundSample,
-    ScenarioOutcome,
+    build_world, churn_error, drive, encode_driver, replace_topology, ChurnCursor, Driver, Model,
+    RoundSample, ScenarioOutcome, World,
 };
 use crate::error::BenchError;
 
@@ -374,15 +380,6 @@ fn run_coordinator(
 
     let world = build_world(&scenario)?;
     let mut churn = ChurnCursor::new(&world, &scenario.churn)?;
-    // A never-stepped local engine supplies the round-0 sample and the
-    // engine identity — the same construction path every worker runs.
-    let mut engine = Engine::build(
-        &scenario,
-        Arc::clone(&world.graph),
-        &world.speeds,
-        &world.initial,
-        scenario.seed,
-    )?;
     let mut wires = accept_workers(&listener, parts)?;
     let start = Record::Start {
         scenario: scenario.to_json(),
@@ -393,7 +390,7 @@ fn run_coordinator(
     broadcast(&mut wires, &start)?;
 
     let mut trajectory = Vec::new();
-    let sample0 = sample_of(&engine, 0);
+    let sample0 = gather_sample(&mut wires, 0, churn.graph(), churn.speeds())?;
     on_sample(&sample0);
     trajectory.push(sample0);
 
@@ -407,7 +404,7 @@ fn run_coordinator(
         if churn.due(round) {
             // Workers splice-restore the assembled pre-churn state, so every
             // rank re-partitions from identical global state.
-            let assembled = gather_state(&mut wires, round, churn.graph())?;
+            let (assembled, _) = gather_state(&mut wires, round, churn.graph())?;
             let text = snapshot::render(&Snapshot {
                 scenario: scenario.to_json(),
                 driver: Json::Null,
@@ -422,16 +419,9 @@ fn run_coordinator(
                 },
             )?;
         }
-        // The never-stepped local engine follows the churn too: its identity
-        // (e.g. the SOS optimal beta) depends on the live topology, and the
-        // checkpoint driver + final document must carry the same name the
-        // sequential run would record. Epochs fire in sequence here, so the
-        // delta path is valid.
-        while let Some(epoch) = churn.fire(round)? {
-            engine
-                .replace_topology(epoch.graph, churn.speeds(), epoch.delta.as_ref())
-                .map_err(|err| churn_error(round, err))?;
-        }
+        // The coordinator follows the churn's topologies and speeds alone:
+        // state splicing and sampling need nothing else.
+        while churn.fire(round)?.is_some() {}
         relay_loads(&mut wires)?;
         relay_flows(&mut wires)?;
         relay_sends(&mut wires)?;
@@ -443,10 +433,10 @@ fn run_coordinator(
         }
         if let Some((path, every)) = &checkpoint {
             if done % every == 0 {
-                let assembled = gather_state(&mut wires, done, churn.graph())?;
+                let (assembled, engine) = gather_state(&mut wires, done, churn.graph())?;
                 let state = Snapshot {
                     scenario: scenario.to_json(),
-                    driver: encode_driver(engine.name(), &trajectory),
+                    driver: encode_driver(&engine, &trajectory),
                     round: done as u64,
                     engine: assembled,
                 };
@@ -457,7 +447,8 @@ fn run_coordinator(
     }
 
     broadcast(&mut wires, &Record::Finish)?;
-    let name = engine.name().to_string();
+    // Every rank must report the engine rank 0 ran.
+    let mut name = String::new();
     let mut dummy_created = 0u64;
     for (rank, wire) in wires.iter_mut().enumerate() {
         match wire.recv()? {
@@ -466,10 +457,11 @@ fn run_coordinator(
                 dummy_created: d,
                 engine,
             } if r == rank as u64 => {
-                if engine != name {
+                if rank == 0 {
+                    name = engine;
+                } else if engine != name {
                     return Err(BenchError::protocol(format!(
-                        "federate rank {rank} ran engine {engine:?}, coordinator expected \
-                         {name:?}"
+                        "federate rank {rank} ran engine {engine:?}, rank 0 ran {name:?}"
                     )));
                 }
                 dummy_created += d;
@@ -692,15 +684,17 @@ fn gather_sample(
 }
 
 /// Gathers one [`Record::State`] per rank and splices them into the global
-/// engine state along the current partition plan.
+/// engine state along the current partition plan. Returns it with the
+/// engine name rank 0's driver payload carries.
 fn gather_state(
     wires: &mut [Wire],
     round: usize,
     graph: &Graph,
-) -> Result<EngineState, BenchError> {
+) -> Result<(EngineState, String), BenchError> {
     let parts = wires.len();
     let plan = FederationPlan::new(graph, 0, parts)?;
     let mut states = Vec::with_capacity(parts);
+    let mut name = None;
     for (rank, wire) in wires.iter_mut().enumerate() {
         match wire.recv()? {
             Record::State {
@@ -711,12 +705,21 @@ fn gather_state(
                 let snap = snapshot::parse(&snapshot).map_err(|e| {
                     BenchError::protocol(format!("state of federate rank {rank}: {e}"))
                 })?;
+                if rank == 0 {
+                    name = snap
+                        .driver
+                        .get("engine")
+                        .and_then(Json::as_str)
+                        .map(String::from);
+                }
                 states.push(snap.engine);
             }
             other => return Err(wire.unexpected("a state record", &other)),
         }
     }
-    splice_states(states, &plan, graph)
+    let name =
+        name.ok_or_else(|| BenchError::protocol("the state of federate rank 0 names no engine"))?;
+    Ok((splice_states(states, &plan, graph)?, name))
 }
 
 /// Splices per-rank engine states into the one the sequential engine would
@@ -1014,7 +1017,12 @@ fn run_worker(
 ) -> Result<ScenarioOutcome, BenchError> {
     let parts = scenario.federation;
     let mut link = WorkerLink { wire, rank, parts };
-    match worker_loop(&scenario, &mut link, checkpoint_every) {
+    let worker = Worker {
+        scenario: &scenario,
+        link: &mut link,
+        checkpoint_every,
+    };
+    match drive(worker) {
         Ok(outcome) => Ok(outcome),
         Err(err) => {
             // Best effort: name the cause on the coordinator's side instead
@@ -1027,24 +1035,46 @@ fn run_worker(
     }
 }
 
-fn worker_loop(
-    scenario: &Scenario,
-    link: &mut WorkerLink,
+/// One worker's part of a federated run (see [`worker_loop`]).
+struct Worker<'a> {
+    scenario: &'a Scenario,
+    link: &'a mut WorkerLink,
     checkpoint_every: Option<usize>,
+}
+
+impl Driver for Worker<'_> {
+    fn scenario(&self) -> &Scenario {
+        self.scenario
+    }
+
+    fn run<A: Model, R: Algorithm>(
+        self,
+        world: &World,
+        engine: Imitation<A, R>,
+    ) -> Result<ScenarioOutcome, BenchError> {
+        worker_loop(self, world, engine)
+    }
+}
+
+fn worker_loop<A: Model, R: Algorithm>(
+    worker: Worker<'_>,
+    world: &World,
+    mut engine: Imitation<A, R>,
 ) -> Result<ScenarioOutcome, BenchError> {
-    let rank = link.rank;
-    let world = build_world(scenario)?;
-    let mut churn = ChurnCursor::new(&world, &scenario.churn)?;
-    let mut engine = Engine::build(
+    let Worker {
         scenario,
-        Arc::clone(&world.graph),
-        &world.speeds,
-        &world.initial,
-        scenario.seed,
-    )?;
+        link,
+        checkpoint_every,
+    } = worker;
+    let rank = link.rank;
+    let mut churn = ChurnCursor::new(world, &scenario.churn)?;
     let mut fed = FederatedExecutor::new(rank, link.parts, scenario.shards)?;
     let mut stream = ScenarioEvents::new(scenario, &world.speeds, world.first_task_id);
     let mut events = RoundEvents::default();
+    // The round-0 sample, before the first barrier: the executor plans its
+    // part on its first step, so the owned range is planned here.
+    let owned = FederationPlan::new(engine.graph(), rank, link.parts)?.node_range();
+    send_sample(link, &engine, owned, 0)?;
 
     for round in 0..scenario.rounds {
         match link.wire.recv()? {
@@ -1055,9 +1085,13 @@ fn worker_loop(
             sync_state(scenario, link, &mut engine, round)?;
         }
         while let Some(epoch) = churn.fire(round)? {
-            engine
-                .replace_topology(epoch.graph, churn.speeds(), epoch.delta.as_ref())
-                .map_err(|err| churn_error(round, err))?;
+            replace_topology(
+                &mut engine,
+                epoch.graph,
+                churn.speeds(),
+                epoch.delta.as_ref(),
+            )
+            .map_err(|err| churn_error(round, err))?;
             stream.set_topology(engine.speeds());
         }
         stream.fill_round(round, &mut events);
@@ -1071,22 +1105,10 @@ fn worker_loop(
             .map_err(|err| BenchError::run(format!("federated round {round}: {err}")))?;
         let done = round + 1;
         if done % scenario.sample_every == 0 || done == scenario.rounds {
-            send_sample(link, &engine, &fed, done)?;
+            send_sample(link, &engine, fed.plan().node_range(), done)?;
         }
-        if let Some(every) = checkpoint_every {
-            if every > 0 && done % every == 0 {
-                let text = snapshot::render(&Snapshot {
-                    scenario: scenario.to_json(),
-                    driver: Json::Null,
-                    round: done as u64,
-                    engine: engine.capture(),
-                });
-                link.wire.send(&Record::State {
-                    rank: rank as u64,
-                    round: done as u64,
-                    snapshot: text,
-                })?;
-            }
+        if checkpoint_every.is_some_and(|every| every > 0 && done % every == 0) {
+            send_state(scenario, link, &engine, done)?;
         }
     }
 
@@ -1110,20 +1132,17 @@ fn worker_loop(
     })
 }
 
-/// The pre-churn barrier: publish this rank's full state, receive the
-/// assembled global state, and restore it so every rank re-partitions the
-/// new topology from identical ground truth. Ranks other than 0 zero their
-/// counter partials first — the assembled totals live on rank 0, keeping the
-/// per-rank partials disjoint.
-fn sync_state(
+/// Publishes this rank's full state at `round`, its driver payload naming
+/// the engine.
+fn send_state<A: Model, R: Algorithm>(
     scenario: &Scenario,
     link: &mut WorkerLink,
-    engine: &mut Engine,
+    engine: &Imitation<A, R>,
     round: usize,
 ) -> Result<(), BenchError> {
     let text = snapshot::render(&Snapshot {
         scenario: scenario.to_json(),
-        driver: Json::Null,
+        driver: Json::obj([("engine", Json::from(engine.name()))]),
         round: round as u64,
         engine: engine.capture(),
     });
@@ -1131,7 +1150,21 @@ fn sync_state(
         rank: link.rank as u64,
         round: round as u64,
         snapshot: text,
-    })?;
+    })
+}
+
+/// The pre-churn barrier: publish this rank's full state, receive the
+/// assembled global state, and restore it so every rank re-partitions the
+/// new topology from identical ground truth. Ranks other than 0 zero their
+/// counter partials first — the assembled totals live on rank 0, keeping the
+/// per-rank partials disjoint.
+fn sync_state<A: Model, R: Algorithm>(
+    scenario: &Scenario,
+    link: &mut WorkerLink,
+    engine: &mut Imitation<A, R>,
+    round: usize,
+) -> Result<(), BenchError> {
+    send_state(scenario, link, engine, round)?;
     match link.wire.recv()? {
         Record::Restore {
             round: r,
@@ -1168,15 +1201,14 @@ fn zero_counters(state: &mut EngineState) {
     }
 }
 
-/// Publishes this rank's sample slice: owned load/real-load entries as
-/// IEEE-754 bits plus its counter partials.
-fn send_sample(
+/// Publishes this rank's sample slice: the load/real-load entries of its
+/// nodes in `range` as IEEE-754 bits plus its counter partials.
+fn send_sample<A: Model, R: Algorithm>(
     link: &mut WorkerLink,
-    engine: &Engine,
-    fed: &FederatedExecutor,
+    engine: &Imitation<A, R>,
+    range: Range<NodeId>,
     done: usize,
 ) -> Result<(), BenchError> {
-    let range = fed.plan().node_range();
     let loads = engine.loads();
     let real = engine.real_loads();
     link.wire.send(&Record::Sample {

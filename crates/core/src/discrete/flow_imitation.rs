@@ -22,25 +22,21 @@
 //! owned by the engine and reused, and the topology is shared with the twin
 //! through one `Arc<Graph>`.
 
-use super::imitation::{Algorithm, Deficits, Holding, Imitation, Senders, Tally};
+use super::imitation::{Algorithm, CommonState, Deficits, Holding, Imitation, Senders, Tally};
 use crate::continuous::ContinuousProcess;
 use crate::error::CoreError;
 use crate::federate::SendBatch;
 use crate::load::InitialLoad;
+use crate::snapshot::{Alg1State, DiscreteState, QueueState, SnapshotError};
 use crate::task::{Speeds, Task, TaskQueue, Weight};
 use lb_graph::{EdgeId, NodeId};
 
 pub use crate::task::TaskPicker;
 
 /// Algorithm 1: the deterministic flow-imitation discretization of a
-/// continuous process `A`.
-///
-/// Both algorithms run on one generic engine, which defines
-/// `replace_topology`, `step_sharded`, `step_federated`,
-/// `apply_events_federated`, `continuous`, `dummy_created`,
-/// `dummy_holdings`, `real_loads`, `max_flow_deviation` and the
-/// [`DiscreteBalancer`](super::DiscreteBalancer) and
-/// [`DynamicBalancer`](super::DynamicBalancer) impls once for both.
+/// continuous process `A`, the generic [`Imitation`] engine running
+/// `Alg1`'s rule. Only the constructor and the accessors below are
+/// Algorithm 1's own; every other method is the engine's.
 ///
 /// # Examples
 ///
@@ -127,74 +123,6 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     pub fn task_count_of(&self, i: NodeId) -> usize {
         self.held[i].len()
     }
-
-    /// Captures the engine's full state at a between-rounds boundary (the
-    /// quiescent point: no deliveries pending) for a snapshot. Event-time
-    /// only — allocates freely; rounds between checkpoints stay
-    /// allocation-free.
-    pub fn capture(&self) -> crate::snapshot::EngineState {
-        let queues = self.held.iter().map(|queue| {
-            let (next_seq, entries) = queue.snapshot();
-            crate::snapshot::QueueState { next_seq, entries }
-        });
-        crate::snapshot::EngineState {
-            round: self.round as u64,
-            twin: self.twin.capture(),
-            discrete: crate::snapshot::DiscreteState::Alg1(crate::snapshot::Alg1State {
-                queues: queues.collect(),
-                dummy: self.dummy.clone(),
-                discrete_flow: self.discrete_flow.clone(),
-                wmax: self.alg.wmax,
-                dummy_created: self.dummy_created,
-                items_sent: self.items_sent,
-                arrived_weight: self.arrived_weight,
-                completed_weight: self.completed_weight,
-            }),
-        }
-    }
-
-    /// Restores state captured by [`capture`](FlowImitation::capture) into
-    /// an engine freshly built on the snapshot's topology epoch (same graph,
-    /// speeds and picker). After a successful restore the engine continues
-    /// **bit-identically** to the uninterrupted run, at any shard count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::Mismatch`](crate::snapshot::SnapshotError)
-    /// if the snapshot belongs to Algorithm 2, does not fit the graph, or
-    /// carries corrupt queue sequence numbers.
-    pub fn restore(
-        &mut self,
-        state: &crate::snapshot::EngineState,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::{DiscreteState, SnapshotError};
-        let DiscreteState::Alg1(alg1) = &state.discrete else {
-            return Err(SnapshotError::mismatch(
-                "snapshot carries Algorithm 2 state but the engine runs Algorithm 1",
-            ));
-        };
-        self.check_shape(
-            alg1.queues.len(),
-            alg1.dummy.len(),
-            alg1.discrete_flow.len(),
-        )?;
-        self.twin.restore(&state.twin)?;
-        let picker = self.alg.picker;
-        let queues = alg1.queues.iter().enumerate().map(|(node, queue)| {
-            TaskQueue::restore(picker, queue.next_seq, &queue.entries)
-                .map_err(|e| SnapshotError::mismatch(format!("queue of node {node}: {e}")))
-        });
-        self.held = queues.collect::<Result<Vec<_>, _>>()?;
-        self.dummy.copy_from_slice(&alg1.dummy);
-        self.discrete_flow.copy_from_slice(&alg1.discrete_flow);
-        self.alg.wmax = alg1.wmax;
-        self.round = state.round as usize;
-        self.dummy_created = alg1.dummy_created;
-        self.items_sent = alg1.items_sent;
-        self.arrived_weight = alg1.arrived_weight;
-        self.completed_weight = alg1.completed_weight;
-        Ok(())
-    }
 }
 
 /// Algorithm 1's rule and parameters: over each edge, forward whole tasks
@@ -265,6 +193,56 @@ impl Algorithm for Alg1 {
 
     fn empty(&self) -> TaskQueue {
         TaskQueue::new(self.picker)
+    }
+
+    fn capture<A: ContinuousProcess>(engine: &FlowImitation<A>) -> DiscreteState {
+        let queues = engine.held.iter().map(|queue| {
+            let (next_seq, entries) = queue.snapshot();
+            QueueState { next_seq, entries }
+        });
+        DiscreteState::Alg1(Alg1State {
+            queues: queues.collect(),
+            dummy: engine.dummy.clone(),
+            discrete_flow: engine.discrete_flow.clone(),
+            wmax: engine.alg.wmax,
+            dummy_created: engine.dummy_created,
+            items_sent: engine.items_sent,
+            arrived_weight: engine.arrived_weight,
+            completed_weight: engine.completed_weight,
+        })
+    }
+
+    /// Rebuilds every queue with the engine's picker, rejecting corrupt
+    /// sequence numbers.
+    fn restore<'s, A: ContinuousProcess>(
+        engine: &mut FlowImitation<A>,
+        state: &'s DiscreteState,
+    ) -> Result<CommonState<'s>, SnapshotError> {
+        let DiscreteState::Alg1(alg1) = state else {
+            return Err(SnapshotError::mismatch(
+                "snapshot carries Algorithm 2 state but the engine runs Algorithm 1",
+            ));
+        };
+        engine.check_shape(
+            alg1.queues.len(),
+            alg1.dummy.len(),
+            alg1.discrete_flow.len(),
+        )?;
+        let picker = engine.alg.picker;
+        let queues = alg1.queues.iter().enumerate().map(|(node, queue)| {
+            TaskQueue::restore(picker, queue.next_seq, &queue.entries)
+                .map_err(|e| SnapshotError::mismatch(format!("queue of node {node}: {e}")))
+        });
+        engine.held = queues.collect::<Result<Vec<_>, _>>()?;
+        engine.alg.wmax = alg1.wmax;
+        engine.items_sent = alg1.items_sent;
+        Ok(CommonState {
+            dummy: &alg1.dummy,
+            discrete_flow: &alg1.discrete_flow,
+            dummy_created: alg1.dummy_created,
+            arrived_weight: alg1.arrived_weight,
+            completed_weight: alg1.completed_weight,
+        })
     }
 }
 

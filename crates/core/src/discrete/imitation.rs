@@ -11,9 +11,10 @@
 //! in which ranges they run, where the outboxes live and how they reach
 //! [`deliver`], so their bit-identity follows from running this one code
 //! path. An [`Algorithm`] supplies only its [`Holding`] type (task queues or
-//! token counts), its per-edge send, its arrival admission rule and the
-//! holding a new node starts with; `FlowImitation` and
-//! `RandomizedImitation` are this engine with Algorithm 1 and Algorithm 2.
+//! token counts), its per-edge send, its arrival admission rule, the
+//! holding a new node starts with and its snapshot variant;
+//! `FlowImitation` and `RandomizedImitation` are this engine with
+//! Algorithm 1 and Algorithm 2.
 
 use std::ops::{AddAssign, Range};
 use std::sync::Arc;
@@ -27,6 +28,7 @@ use crate::error::CoreError;
 use crate::federate::{FederateLink, FederatedExecutor, SendBatch};
 use crate::load::InitialLoad;
 use crate::shard::{ShardedExecutor, SharedSliceMut};
+use crate::snapshot::{DiscreteState, EngineState, SnapshotError};
 use crate::task::{Speeds, Task, Weight};
 
 /// A node's real holdings: Algorithm 1's task queue or Algorithm 2's token
@@ -49,7 +51,7 @@ pub trait Holding: Send {
 
 /// One flow-imitation algorithm: how an edge's flow deficit is rounded into
 /// whole items, plus the parameters that rule needs.
-pub trait Algorithm: Sync {
+pub trait Algorithm: Sized + Sync {
     /// The per-node real holdings the algorithm moves.
     type Holding: Holding;
     /// `"alg1"` or `"alg2"`; the engine's name is `{LABEL}({process})`.
@@ -79,6 +81,33 @@ pub trait Algorithm: Sync {
 
     /// The holdings a node added by churn starts with.
     fn empty(&self) -> Self::Holding;
+
+    /// `engine`'s discrete half as this algorithm's [`DiscreteState`]
+    /// variant: its holdings, the fields both variants carry and its own
+    /// parameter.
+    fn capture<A: ContinuousProcess>(engine: &Imitation<A, Self>) -> DiscreteState;
+
+    /// Restores the holdings and parameters of `state` into `engine` and
+    /// returns the fields both variants carry, which the engine restores.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::Mismatch`] if `state` is the other
+    /// algorithm's variant, does not fit the graph, or disagrees with the
+    /// algorithm's parameters.
+    fn restore<'s, A: ContinuousProcess>(
+        engine: &mut Imitation<A, Self>,
+        state: &'s DiscreteState,
+    ) -> Result<CommonState<'s>, SnapshotError>;
+}
+
+/// The fields of a [`DiscreteState`] that both algorithms' variants carry.
+pub struct CommonState<'s> {
+    pub(crate) dummy: &'s [u64],
+    pub(crate) discrete_flow: &'s [i64],
+    pub(crate) dummy_created: u64,
+    pub(crate) arrived_weight: u64,
+    pub(crate) completed_weight: u64,
 }
 
 /// Counters one send phase accumulates (summed across ranges).
@@ -519,6 +548,45 @@ impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
         self.apply_owned_events(events, fed.plan.node_range())
     }
 
+    /// Captures the engine's full state at a between-rounds boundary (the
+    /// quiescent point: no deliveries pending) for a snapshot. Algorithm 2's
+    /// rounding RNG needs no serialization: every decision derives a fresh
+    /// sub-RNG from `(seed, round, edge)`
+    /// ([`edge_rounding_rng`](super::edge_rounding_rng)), so the seed and
+    /// round counter are its full derivation inputs. Event-time only —
+    /// allocates freely; rounds between checkpoints stay allocation-free.
+    pub fn capture(&self) -> EngineState {
+        EngineState {
+            round: self.round as u64,
+            twin: self.twin.capture(),
+            discrete: R::capture(self),
+        }
+    }
+
+    /// Restores state captured by [`capture`](Self::capture) into an engine
+    /// freshly built on the snapshot's topology epoch (same graph, speeds,
+    /// picker and seed). After a successful restore the engine continues
+    /// **bit-identically** to the uninterrupted run, at any shard count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::Mismatch`] if the snapshot belongs to the
+    /// other algorithm, does not fit the graph or the continuous process,
+    /// carries corrupt queue sequence numbers (Algorithm 1) or was captured
+    /// under a different master seed (Algorithm 2, a stale snapshot). After
+    /// an error the engine may be partly overwritten; rebuild it before use.
+    pub fn restore(&mut self, state: &EngineState) -> Result<(), SnapshotError> {
+        let common = R::restore(self, &state.discrete)?;
+        self.twin.restore(&state.twin)?;
+        self.dummy.copy_from_slice(common.dummy);
+        self.discrete_flow.copy_from_slice(common.discrete_flow);
+        self.round = state.round as usize;
+        self.dummy_created = common.dummy_created;
+        self.arrived_weight = common.arrived_weight;
+        self.completed_weight = common.completed_weight;
+        Ok(())
+    }
+
     /// Checks a snapshot's per-node and per-edge vector lengths against the
     /// current graph.
     pub(crate) fn check_shape(
@@ -526,8 +594,7 @@ impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
         held: usize,
         dummy: usize,
         ledger: usize,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
+    ) -> Result<(), SnapshotError> {
         let n = self.graph.node_count();
         let m = self.graph.edge_count();
         if held != n || dummy != n {

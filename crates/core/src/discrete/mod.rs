@@ -4,11 +4,11 @@
 //!
 //! * the paper's **flow-imitation transformation** `D(A)`, which simulates a
 //!   continuous twin and imitates its cumulative per-edge flow. It is one
-//!   engine, written once for every executor, with two algorithms that
-//!   differ only in how an edge's flow deficit is rounded:
-//!   [`FlowImitation`] (Algorithm 1, deterministic whole-task forwarding)
-//!   and [`RandomizedImitation`] (Algorithm 2, randomized rounding) are its
-//!   two type aliases; and
+//!   engine, [`Imitation`], written once for every executor, with two
+//!   [`Algorithm`]s that differ only in how an edge's flow deficit is
+//!   rounded: [`FlowImitation`] (Algorithm 1, deterministic whole-task
+//!   forwarding) and [`RandomizedImitation`] (Algorithm 2, randomized
+//!   rounding) are its two type aliases; and
 //! * the **baselines** from prior work ([`baselines`]) that the paper's
 //!   comparison tables measure against: round-down, per-edge randomized
 //!   rounding, deterministic accumulated-error ("quasirandom") rounding and
@@ -28,6 +28,7 @@ mod randomized_imitation;
 
 pub use dynamic::{DynamicBalancer, EventReport, RoundEvents};
 pub use flow_imitation::{FlowImitation, TaskPicker};
+pub use imitation::{Algorithm, Holding, Imitation};
 pub use randomized_imitation::{edge_rounding_rng, RandomizedImitation};
 
 use crate::metrics::MetricsSnapshot;

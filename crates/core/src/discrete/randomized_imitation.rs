@@ -22,11 +22,12 @@
 //! `(d/4 + Θ(√(d·log n)))·s_i` per node the max-min discrepancy is
 //! `O(√(d·log n))` w.h.p.
 
-use super::imitation::{Algorithm, Deficits, Holding, Imitation, Senders, Tally};
+use super::imitation::{Algorithm, CommonState, Deficits, Holding, Imitation, Senders, Tally};
 use crate::continuous::ContinuousProcess;
 use crate::error::CoreError;
 use crate::federate::SendBatch;
 use crate::load::InitialLoad;
+use crate::snapshot::{Alg2State, DiscreteState, SnapshotError};
 use crate::task::{Speeds, Task, Weight};
 use lb_graph::EdgeId;
 use rand::rngs::StdRng;
@@ -49,9 +50,10 @@ pub fn edge_rounding_rng(seed: u64, round: usize, edge: usize) -> StdRng {
 }
 
 /// Algorithm 2: the randomized flow-imitation discretization of a continuous
-/// process `A`, for identical (unit-weight) tasks. It runs on the engine of
-/// [`FlowImitation`](super::FlowImitation), which defines every method but
-/// `new`, `capture` and `restore` once for both algorithms.
+/// process `A`, for identical (unit-weight) tasks: the generic [`Imitation`]
+/// engine running `Alg2`'s rule. Only the constructor is Algorithm 2's
+/// own; every other method is the engine's, shared with
+/// [`FlowImitation`](super::FlowImitation).
 ///
 /// # Examples
 ///
@@ -97,69 +99,6 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
         }
         let tokens = initial.load_vector();
         Imitation::with_holdings(process, initial, speeds, tokens, Alg2 { seed })
-    }
-
-    /// Captures the engine's full state at a between-rounds boundary for a
-    /// snapshot. The rounding RNG needs no serialization: every decision
-    /// derives a fresh sub-RNG from `(seed, round, edge)`
-    /// ([`edge_rounding_rng`]), so the seed and round counter are its full
-    /// derivation inputs. Event-time only — allocates freely.
-    pub fn capture(&self) -> crate::snapshot::EngineState {
-        crate::snapshot::EngineState {
-            round: self.round as u64,
-            twin: self.twin.capture(),
-            discrete: crate::snapshot::DiscreteState::Alg2(crate::snapshot::Alg2State {
-                tokens: self.held.clone(),
-                dummy: self.dummy.clone(),
-                discrete_flow: self.discrete_flow.clone(),
-                seed: self.alg.seed,
-                dummy_created: self.dummy_created,
-                arrived_weight: self.arrived_weight,
-                completed_weight: self.completed_weight,
-            }),
-        }
-    }
-
-    /// Restores state captured by [`capture`](RandomizedImitation::capture)
-    /// into an engine freshly built on the snapshot's topology epoch. The
-    /// master seed is validated: a snapshot from a differently seeded run is
-    /// stale and rejected instead of silently diverging.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::Mismatch`](crate::snapshot::SnapshotError)
-    /// if the snapshot belongs to Algorithm 1, does not fit the graph, or
-    /// was captured under a different master seed.
-    pub fn restore(
-        &mut self,
-        state: &crate::snapshot::EngineState,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::{DiscreteState, SnapshotError};
-        let DiscreteState::Alg2(alg2) = &state.discrete else {
-            return Err(SnapshotError::mismatch(
-                "snapshot carries Algorithm 1 state but the engine runs Algorithm 2",
-            ));
-        };
-        self.check_shape(
-            alg2.tokens.len(),
-            alg2.dummy.len(),
-            alg2.discrete_flow.len(),
-        )?;
-        if alg2.seed != self.alg.seed {
-            return Err(SnapshotError::mismatch(format!(
-                "snapshot rounding seed {} differs from the run's seed {} (stale snapshot?)",
-                alg2.seed, self.alg.seed
-            )));
-        }
-        self.twin.restore(&state.twin)?;
-        self.held.copy_from_slice(&alg2.tokens);
-        self.dummy.copy_from_slice(&alg2.dummy);
-        self.discrete_flow.copy_from_slice(&alg2.discrete_flow);
-        self.round = state.round as usize;
-        self.dummy_created = alg2.dummy_created;
-        self.arrived_weight = alg2.arrived_weight;
-        self.completed_weight = alg2.completed_weight;
-        Ok(())
     }
 }
 
@@ -224,6 +163,50 @@ impl Algorithm for Alg2 {
 
     fn empty(&self) -> u64 {
         0
+    }
+
+    fn capture<A: ContinuousProcess>(engine: &RandomizedImitation<A>) -> DiscreteState {
+        DiscreteState::Alg2(Alg2State {
+            tokens: engine.held.clone(),
+            dummy: engine.dummy.clone(),
+            discrete_flow: engine.discrete_flow.clone(),
+            seed: engine.alg.seed,
+            dummy_created: engine.dummy_created,
+            arrived_weight: engine.arrived_weight,
+            completed_weight: engine.completed_weight,
+        })
+    }
+
+    /// Validates the master seed: a snapshot from a differently seeded run
+    /// is stale and rejected instead of silently diverging.
+    fn restore<'s, A: ContinuousProcess>(
+        engine: &mut RandomizedImitation<A>,
+        state: &'s DiscreteState,
+    ) -> Result<CommonState<'s>, SnapshotError> {
+        let DiscreteState::Alg2(alg2) = state else {
+            return Err(SnapshotError::mismatch(
+                "snapshot carries Algorithm 1 state but the engine runs Algorithm 2",
+            ));
+        };
+        engine.check_shape(
+            alg2.tokens.len(),
+            alg2.dummy.len(),
+            alg2.discrete_flow.len(),
+        )?;
+        if alg2.seed != engine.alg.seed {
+            return Err(SnapshotError::mismatch(format!(
+                "snapshot rounding seed {} differs from the run's seed {} (stale snapshot?)",
+                alg2.seed, engine.alg.seed
+            )));
+        }
+        engine.held.copy_from_slice(&alg2.tokens);
+        Ok(CommonState {
+            dummy: &alg2.dummy,
+            discrete_flow: &alg2.discrete_flow,
+            dummy_created: alg2.dummy_created,
+            arrived_weight: alg2.arrived_weight,
+            completed_weight: alg2.completed_weight,
+        })
     }
 }
 

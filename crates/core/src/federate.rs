@@ -610,10 +610,9 @@ mod tests {
     use super::loopback::LoopbackHub;
     use super::*;
     use crate::continuous::{ContinuousProcess, Fos, Sos};
-    use crate::discrete::imitation::{Algorithm, Imitation};
     use crate::discrete::{
-        DiscreteBalancer, DynamicBalancer, FlowImitation, RandomizedImitation, RoundEvents,
-        TaskPicker,
+        Algorithm, DiscreteBalancer, DynamicBalancer, FlowImitation, Imitation,
+        RandomizedImitation, RoundEvents, TaskPicker,
     };
     use crate::load::InitialLoad;
     use crate::snapshot::EngineState;
@@ -701,7 +700,6 @@ mod tests {
     ) where
         A: ContinuousProcess + Send + Sync,
         R: Algorithm + Send,
-        Imitation<A, R>: Captured,
     {
         let rounds = 12;
         let hub = LoopbackHub::new(parts);
@@ -744,26 +742,9 @@ mod tests {
                         "part {part} node {i} load"
                     );
                 }
-                assert_owned_state_matches(&engine.captured(), &sequential.captured(), &plan);
+                assert_owned_state_matches(&engine.capture(), &sequential.capture(), &plan);
             }
         });
-    }
-
-    /// The snapshot capture, which each algorithm's alias defines.
-    trait Captured {
-        fn captured(&self) -> EngineState;
-    }
-
-    impl<A: ContinuousProcess> Captured for FlowImitation<A> {
-        fn captured(&self) -> EngineState {
-            self.capture()
-        }
-    }
-
-    impl<A: ContinuousProcess> Captured for RandomizedImitation<A> {
-        fn captured(&self) -> EngineState {
-            self.capture()
-        }
     }
 
     /// Asserts that a part's capture `mine` matches the sequential capture

@@ -178,47 +178,52 @@ fn per_process_shards_compose_with_federation() {
 
 /// A coordinator-written checkpoint is exactly what the sequential engine
 /// would capture: resuming it under plain `lb run --resume` completes to a
-/// result document byte-identical to the uninterrupted sequential run.
+/// result document byte-identical to the uninterrupted sequential run. The
+/// engine name in the checkpoint comes from the workers' state records, so
+/// two cadences resume from either side of the round-55 resize: every 30
+/// rounds the newest checkpoint is round 60's, every 45 rounds round 45's.
 #[test]
 fn coordinator_checkpoint_resumes_under_the_sequential_driver() {
-    let tag = "ckpt";
     let scenario = scenario(AlgorithmSpec::Alg2, ModelSpec::Sos, 2);
-    let scenario_path = write_scenario(tag, &scenario);
-    let sequential = sequential_run(tag, &scenario_path, None);
-    let ckpt = temp(tag, "rotating.jsonl");
-    federated_run(
-        tag,
-        &scenario_path,
-        &[
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--checkpoint-every",
-            "30",
-        ],
-    );
+    for every in ["30", "45"] {
+        let tag = format!("ckpt{every}");
+        let scenario_path = write_scenario(&tag, &scenario);
+        let sequential = sequential_run(&tag, &scenario_path, None);
+        let ckpt = temp(&tag, "rotating.jsonl");
+        federated_run(
+            &tag,
+            &scenario_path,
+            &[
+                "--checkpoint",
+                ckpt.to_str().unwrap(),
+                "--checkpoint-every",
+                every,
+            ],
+        );
 
-    let resumed_out = temp(tag, "resumed.json");
-    let output = lb()
-        .args(["run", "--quiet", "--resume"])
-        .arg(&ckpt)
-        .arg("--out")
-        .arg(&resumed_out)
-        .stdout(Stdio::null())
-        .output()
-        .expect("spawn lb run --resume");
-    assert!(
-        output.status.success(),
-        "{tag}: resume from the federated checkpoint failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    assert_eq!(
-        std::fs::read(&resumed_out).unwrap(),
-        sequential,
-        "{tag}: resumed result diverged from the sequential run"
-    );
-    std::fs::remove_file(&scenario_path).ok();
-    std::fs::remove_file(&ckpt).ok();
-    std::fs::remove_file(&resumed_out).ok();
+        let resumed_out = temp(&tag, "resumed.json");
+        let output = lb()
+            .args(["run", "--quiet", "--resume"])
+            .arg(&ckpt)
+            .arg("--out")
+            .arg(&resumed_out)
+            .stdout(Stdio::null())
+            .output()
+            .expect("spawn lb run --resume");
+        assert!(
+            output.status.success(),
+            "{tag}: resume from the federated checkpoint failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        assert_eq!(
+            std::fs::read(&resumed_out).unwrap(),
+            sequential,
+            "{tag}: resumed result diverged from the sequential run"
+        );
+        std::fs::remove_file(&scenario_path).ok();
+        std::fs::remove_file(&ckpt).ok();
+        std::fs::remove_file(&resumed_out).ok();
+    }
 }
 
 /// Reads the coordinator's `--listen-info` artefact, polling until the bind
