@@ -6,16 +6,17 @@
 //! here in quick mode so `cargo bench` covers every artefact in DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lb_core::continuous::{ContinuousRunner, Fos};
+use lb_core::continuous::{ContinuousRunner, Fos, Sos};
 use lb_core::discrete::{DiscreteBalancer, FlowImitation, RandomizedImitation, TaskPicker};
 use lb_core::{InitialLoad, Speeds};
 use lb_graph::{
-    generators, random_maximal_matching, AlphaScheme, DiffusionMatrix, PeriodicMatchings,
-    PowerIterationOptions,
+    generators, random_maximal_matching, AlphaScheme, DiffusionMatrix, GraphDelta,
+    PeriodicMatchings, PowerIterationOptions,
 };
 use lb_workloads::SpeedModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn print_remaining_experiments() {
     for report in [
@@ -85,9 +86,9 @@ fn bench_substrate(c: &mut Criterion) {
     // classes (heterogeneous couplings) at the engine's default tolerance.
     let cube = generators::hypercube(13).expect("hypercube builds");
     let speeds = SpeedModel::PowersOfTwo { classes: 3 }
-        .generate(cube.node_count(), &mut StdRng::seed_from_u64(0))
-        .to_f64();
-    let cube_matrix = DiffusionMatrix::new(&cube, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        .generate(cube.node_count(), &mut StdRng::seed_from_u64(0));
+    let cube_matrix =
+        DiffusionMatrix::new(&cube, &speeds.to_f64(), AlphaScheme::MaxDegreePlusOne).unwrap();
     group.bench_function("second_eigenvalue_hypercube_8192_pow2", |b| {
         b.iter(|| {
             lb_graph::spectral::second_eigenvalue(
@@ -95,6 +96,20 @@ fn bench_substrate(c: &mut Criterion) {
                 &cube_matrix,
                 PowerIterationOptions::default(),
             )
+        })
+    });
+    // A delta patch and the rewire that reverts it on the same graph: the
+    // patch estimates β once, and the revert reuses the world's β.
+    let world = Arc::new(cube);
+    let sos =
+        Sos::with_optimal_beta(Arc::clone(&world), &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+    let delta = GraphDelta::new(world.node_count(), [(0, 3)], [(0, 1)]).unwrap();
+    let patched = Arc::new(world.apply_delta(&delta).unwrap());
+    let revert = patched.delta_to(&world).unwrap();
+    group.bench_function("sos_patch_and_revert_hypercube_8192_pow2", |b| {
+        b.iter(|| {
+            let away = sos.patched(Arc::clone(&patched), &delta).unwrap();
+            away.patched(Arc::clone(&world), &revert).unwrap()
         })
     });
     group.bench_function("greedy_edge_coloring_torus_1024", |b| {

@@ -6,7 +6,7 @@ use super::{ContinuousProcess, EdgeFlow};
 use crate::error::CoreError;
 use crate::task::Speeds;
 use lb_graph::{AlphaScheme, DiffusionMatrix, Graph, GraphDelta, PowerIterationOptions};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// The second-order diffusion process:
 ///
@@ -35,6 +35,22 @@ pub struct Sos {
     previous: Vec<EdgeFlow>,
     has_previous: bool,
     name: String,
+    /// Whether `beta` is the power-iteration estimate on `graph`, rather
+    /// than a value given to [`Sos::new`].
+    estimated: bool,
+    /// The β estimated on the build topology and on the topology this
+    /// process was last patched from, when they were estimated:
+    /// [`Sos::patched`] back onto either reuses it.
+    memo: [Option<Estimate>; 2],
+}
+
+/// A β estimated on `graph`. The weak handle keeps no graph alive, and a
+/// dropped graph's address is never reused while the handle exists, so a
+/// stale entry never matches a new graph.
+#[derive(Debug, Clone)]
+struct Estimate {
+    graph: Weak<Graph>,
+    beta: f64,
 }
 
 impl Sos {
@@ -68,6 +84,8 @@ impl Sos {
             previous: vec![EdgeFlow::default(); m],
             has_previous: false,
             name: format!("sos(beta={beta:.3})"),
+            estimated: false,
+            memo: [None, None],
         })
     }
 
@@ -87,6 +105,10 @@ impl Sos {
         let matrix = DiffusionMatrix::new(&graph, &speeds_f64, scheme)?;
         let beta = optimal_beta(&graph, &matrix);
         let m = graph.edge_count();
+        let build = Estimate {
+            graph: Arc::downgrade(&graph),
+            beta,
+        };
         Ok(Sos {
             graph,
             matrix,
@@ -95,6 +117,8 @@ impl Sos {
             previous: vec![EdgeFlow::default(); m],
             has_previous: false,
             name: format!("sos(beta={beta:.3})"),
+            estimated: true,
+            memo: [Some(build), None],
         })
     }
 
@@ -105,12 +129,24 @@ impl Sos {
 
     /// Rebuilds the process for a patched topology: `new_graph` must be this
     /// process's graph with `delta` applied. The diffusion matrix is patched
-    /// incrementally (bit-identical to a fresh build); for a **non-empty**
-    /// delta the spectrum may change, so `β` is re-estimated exactly as
-    /// [`Sos::with_optimal_beta`] would (power iteration is seed-free and
-    /// deterministic, so the result bit-matches a full rebuild). For an
-    /// empty delta the matrix is unchanged and the spectral re-estimate is
-    /// skipped entirely — the dominant cost of a same-family rewire.
+    /// incrementally (bit-identical to a fresh build). β follows the first
+    /// rule that applies:
+    ///
+    /// - an **empty** delta leaves the matrix unchanged, so β is kept and
+    ///   the spectral estimate, the dominant cost of a same-family rewire,
+    ///   is skipped;
+    /// - `new_graph` is the very graph (the same `Arc`) this process was
+    ///   built on or last patched from, and β was estimated there: that
+    ///   estimate is reused, so a delta and the rewire that reverts it
+    ///   estimate once;
+    /// - otherwise β is re-estimated exactly as [`Sos::with_optimal_beta`]
+    ///   would (power iteration is seed-free and deterministic, so the
+    ///   result bit-matches a full rebuild).
+    ///
+    /// Speeds and the α scheme never change along a chain of patches, so
+    /// every β equals the cold estimate on its graph and a resume's rebuild
+    /// bit-matches it. A β given to [`Sos::new`] is never remembered: an
+    /// explicit-β process patched away and back gets the optimal β.
     ///
     /// The relaxation history resets, mirroring the full-rebuild churn path:
     /// a topology epoch boundary invalidates `y(t−1)`.
@@ -121,11 +157,23 @@ impl Sos {
     /// old-to-new edge difference.
     pub fn patched(&self, new_graph: Arc<Graph>, delta: &GraphDelta) -> Result<Self, CoreError> {
         let matrix = self.matrix.patched(&self.graph, &new_graph, delta)?;
+        let target = Arc::downgrade(&new_graph);
+        let remembered = self
+            .memo
+            .iter()
+            .flatten()
+            .find(|entry| Weak::ptr_eq(&entry.graph, &target));
         let beta = if delta.is_empty() {
             self.beta
+        } else if let Some(entry) = remembered {
+            entry.beta
         } else {
             optimal_beta(&new_graph, &matrix)
         };
+        let last = self.estimated.then(|| Estimate {
+            graph: Arc::downgrade(&self.graph),
+            beta: self.beta,
+        });
         let m = new_graph.edge_count();
         Ok(Sos {
             graph: new_graph,
@@ -135,6 +183,8 @@ impl Sos {
             previous: vec![EdgeFlow::default(); m],
             has_previous: false,
             name: format!("sos(beta={beta:.3})"),
+            estimated: self.estimated || !delta.is_empty(),
+            memo: [self.memo[0].clone(), last],
         })
     }
 }
@@ -143,6 +193,8 @@ impl Sos {
 /// formula behind both [`Sos::with_optimal_beta`] and [`Sos::patched`], so a
 /// patched process and its full rebuild agree to the bit (resume checks it).
 fn optimal_beta(graph: &Graph, matrix: &DiffusionMatrix) -> f64 {
+    #[cfg(test)]
+    tests::ESTIMATES.with(|count| count.set(count.get() + 1));
     let lambda =
         lb_graph::spectral::second_eigenvalue(graph, matrix, PowerIterationOptions::default());
     2.0 / (1.0 + (1.0 - lambda * lambda).max(0.0).sqrt())
@@ -312,6 +364,19 @@ mod tests {
     use super::*;
     use crate::continuous::{ContinuousRunner, Fos};
     use lb_graph::generators;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Power iterations run on this thread (tests run one per thread).
+        pub(super) static ESTIMATES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The power iterations `f` runs.
+    fn estimates<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = ESTIMATES.with(Cell::get);
+        let value = f();
+        (value, ESTIMATES.with(Cell::get) - before)
+    }
 
     #[test]
     fn beta_one_reduces_to_fos() {
@@ -401,6 +466,97 @@ mod tests {
         assert_ne!(optimal.beta().to_bits(), beta.to_bits());
         let patched = sos.patched(g, &GraphDelta::default()).unwrap();
         assert_eq!(patched.beta().to_bits(), beta.to_bits());
+    }
+
+    /// Two distinct one-edge swaps on `g`, each as its delta and graph.
+    fn two_swaps(g: &Graph) -> [(GraphDelta, Arc<Graph>); 2] {
+        [((0, 3), (0, 1)), ((9, 54), (8, 9))].map(|(add, remove)| {
+            let delta = GraphDelta::new(g.node_count(), [add], [remove]).unwrap();
+            let graph = Arc::new(g.apply_delta(&delta).unwrap());
+            (delta, graph)
+        })
+    }
+
+    #[test]
+    fn patching_back_onto_a_remembered_topology_reuses_its_beta() {
+        let (w, speeds) = pow2_hypercube();
+        let sos =
+            Sos::with_optimal_beta(Arc::clone(&w), &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        let [(to_d1, d1), (_, d2)] = two_swaps(&w);
+        // W → D1 → W: D1 was last patched from W.
+        let (at_d1, n) = estimates(|| sos.patched(Arc::clone(&d1), &to_d1).unwrap());
+        assert_eq!(n, 1, "D1 is new");
+        let (back, n) = estimates(|| at_d1.patched(Arc::clone(&w), &d1.delta_to(&w).unwrap()));
+        assert_eq!(n, 0, "W was estimated before");
+        assert_eq!(back.unwrap().beta().to_bits(), sos.beta().to_bits());
+        // W → D1 → D2 → W: W is D2's build topology.
+        let (at_d2, n) = estimates(|| at_d1.patched(Arc::clone(&d2), &d1.delta_to(&d2).unwrap()));
+        assert_eq!(n, 1, "D2 is new");
+        let at_d2 = at_d2.unwrap();
+        let (back, n) = estimates(|| at_d2.patched(Arc::clone(&w), &d2.delta_to(&w).unwrap()));
+        assert_eq!(n, 0, "W is the build topology");
+        let back = back.unwrap();
+        assert_eq!(back.beta().to_bits(), sos.beta().to_bits());
+        assert_eq!(back.name(), sos.name());
+        // And D2 → W → D2: D2 is the topology W was last patched from.
+        let (again, n) = estimates(|| back.patched(Arc::clone(&d2), &w.delta_to(&d2).unwrap()));
+        assert_eq!(n, 0, "D2 was estimated before");
+        assert_eq!(again.unwrap().beta().to_bits(), at_d2.beta().to_bits());
+    }
+
+    #[test]
+    fn an_explicit_beta_is_never_remembered() {
+        let (w, speeds) = pow2_hypercube();
+        let sos = Sos::new(
+            Arc::clone(&w),
+            &speeds,
+            AlphaScheme::MaxDegreePlusOne,
+            1.234_567,
+        )
+        .unwrap();
+        let optimal =
+            Sos::with_optimal_beta(Arc::clone(&w), &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        let [(to_d1, d1), _] = two_swaps(&w);
+        let at_d1 = sos.patched(Arc::clone(&d1), &to_d1).unwrap();
+        let (back, n) = estimates(|| at_d1.patched(Arc::clone(&w), &d1.delta_to(&w).unwrap()));
+        assert_eq!(n, 1, "the explicit β is not an estimate on W");
+        assert_eq!(back.unwrap().beta().to_bits(), optimal.beta().to_bits());
+    }
+
+    #[test]
+    fn a_dropped_topology_never_matches() {
+        let (w, speeds) = pow2_hypercube();
+        let [(to_d1, d1), _] = two_swaps(&w);
+        let sos = Sos::with_optimal_beta(Arc::clone(&d1), &speeds, AlphaScheme::MaxDegreePlusOne)
+            .unwrap();
+        let at_w = sos
+            .patched(Arc::clone(&w), &d1.delta_to(&w).unwrap())
+            .unwrap();
+        // D1 is remembered weakly: once its last handle goes, so does the
+        // entry, and a graph equal to it is estimated afresh.
+        drop((sos, d1));
+        assert!(at_w
+            .memo
+            .iter()
+            .flatten()
+            .all(|e| e.graph.upgrade().is_none()));
+        let d1_again = Arc::new(w.apply_delta(&to_d1).unwrap());
+        let (again, n) = estimates(|| at_w.patched(d1_again, &to_d1));
+        assert_eq!(n, 1);
+        assert!(again.is_ok());
+    }
+
+    #[test]
+    fn an_equal_but_distinct_graph_is_estimated_to_the_same_beta() {
+        let (w, speeds) = pow2_hypercube();
+        let sos =
+            Sos::with_optimal_beta(Arc::clone(&w), &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        let [(to_d1, d1), _] = two_swaps(&w);
+        let at_d1 = sos.patched(Arc::clone(&d1), &to_d1).unwrap();
+        let copy = Arc::new(Graph::clone(&w));
+        let (back, n) = estimates(|| at_d1.patched(copy, &d1.delta_to(&w).unwrap()));
+        assert_eq!(n, 1, "another Arc is another topology to the memo");
+        assert_eq!(back.unwrap().beta().to_bits(), sos.beta().to_bits());
     }
 
     #[test]

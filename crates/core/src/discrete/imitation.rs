@@ -356,6 +356,30 @@ impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
     /// Returns [`CoreError::InvalidParameter`] if the new graph is empty or
     /// the speeds cannot be carried to its node count.
     pub fn replace_topology(&mut self, process: A) -> Result<(), CoreError> {
+        self.rebind(process, None)
+    }
+
+    /// [`replace_topology`](Self::replace_topology) with the new epoch's
+    /// `speeds` given instead of carried over from the engine's own. A
+    /// driver that tracks the carried speeds itself passes them here, so an
+    /// engine built on an earlier epoch (a resume) takes the capture
+    /// epoch's speeds even where its node count already matches.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] if the new graph is empty or
+    /// `speeds` does not have one entry per node.
+    pub fn replace_topology_with_speeds(
+        &mut self,
+        process: A,
+        speeds: &Speeds,
+    ) -> Result<(), CoreError> {
+        self.rebind(process, Some(speeds))
+    }
+
+    /// The churn rebind behind both `replace_topology` forms: `speeds`, if
+    /// given, replaces the engine's; otherwise they are carried over.
+    fn rebind(&mut self, process: A, speeds: Option<&Speeds>) -> Result<(), CoreError> {
         let graph = process.shared_graph();
         let n = graph.node_count();
         if n == 0 {
@@ -363,11 +387,21 @@ impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
                 "cannot replace topology with an empty graph",
             ));
         }
-        if self.speeds.len() != n {
-            self.speeds = self
-                .speeds
-                .resized(n)
-                .map_err(CoreError::invalid_parameter)?;
+        match speeds {
+            Some(speeds) if speeds.len() != n => {
+                return Err(CoreError::invalid_parameter(format!(
+                    "speeds vector has {} entries, graph has {n} nodes",
+                    speeds.len()
+                )));
+            }
+            Some(speeds) if *speeds != self.speeds => self.speeds = speeds.clone(),
+            None if self.speeds.len() != n => {
+                self.speeds = self
+                    .speeds
+                    .resized(n)
+                    .map_err(CoreError::invalid_parameter)?;
+            }
+            _ => {}
         }
         while self.held.len() > n {
             // lint: allow(R03, non-empty by the loop condition)

@@ -245,16 +245,60 @@ fn epoch_cycle_scenario(family: &str, algorithm: AlgorithmSpec, model: ModelSpec
     }
 }
 
+/// Checkpoints `scenario` at every round and resumes each snapshot at 1
+/// and 3 shards: every resumed document must equal the uninterrupted run.
+fn assert_resumes_at_every_round(tag: &str, scenario: &Scenario) {
+    use lb_analysis::artifact::unique_name;
+    use lb_core::snapshot::{self, Snapshot};
+
+    let rotating = std::env::temp_dir().join(format!(
+        "{}.jsonl",
+        unique_name(&format!("lb_every_round_{}", scenario.name))
+    ));
+    // Checkpointing every round and copying the rotating file aside at each
+    // sample (which precedes that round's write) yields a snapshot of every
+    // round from one run.
+    let mut scenario_every_round = scenario.clone();
+    scenario_every_round.sample_every = 1;
+    let mut copies: Vec<Snapshot> = Vec::new();
+    Session::from_scenario(&scenario_every_round)
+        .checkpoint(rotating.clone(), 1)
+        .run(|sample| {
+            if sample.round >= 2 {
+                copies.push(snapshot::load(&rotating).expect("rotating checkpoint"));
+            }
+        })
+        .expect("runs");
+    copies.push(snapshot::load(&rotating).expect("final checkpoint"));
+    std::fs::remove_file(&rotating).ok();
+    let reference = Session::from_scenario(&scenario_every_round)
+        .run(|_| {})
+        .expect("runs")
+        .to_json()
+        .render_pretty();
+    assert_eq!(copies.len(), scenario.rounds, "{tag}");
+    for snap in copies {
+        let round = snap.round;
+        for shards in [1usize, 3] {
+            let resumed = Session::from_snapshot(snap.clone())
+                .shards(shards)
+                .run(|_| {})
+                .unwrap_or_else(|err| panic!("{tag}: resume at {round}: {err}"));
+            assert_eq!(
+                resumed.to_json().render_pretty(),
+                reference,
+                "{tag}: resume at round {round} with {shards} shard(s)"
+            );
+        }
+    }
+}
+
 #[test]
 fn resume_at_every_round_crosses_every_churn_epoch() {
     // Resume seeks the epoch of its capture round: it builds the last
     // rewire or resize at or before it, then applies the deltas after that
     // one. A seed-independent family (hypercube) reuses the graph it holds;
-    // a seeded one (expander) builds. Every resumed document, at 1 and 3
-    // shards, must equal the uninterrupted run.
-    use lb_analysis::artifact::unique_name;
-    use lb_core::snapshot::{self, Snapshot};
-
+    // a seeded one (expander) builds.
     for family in ["hypercube", "expander"] {
         for (algorithm, model) in [
             (AlgorithmSpec::Alg1, ModelSpec::Fos),
@@ -262,32 +306,6 @@ fn resume_at_every_round_crosses_every_churn_epoch() {
         ] {
             let tag = format!("{family}/{algorithm:?}/{model:?}");
             let scenario = epoch_cycle_scenario(family, algorithm, model);
-            let rotating = std::env::temp_dir().join(format!(
-                "{}.jsonl",
-                unique_name(&format!("lb_epoch_cycle_{family}"))
-            ));
-            // Checkpointing every round and copying the rotating file aside
-            // at each sample (which precedes that round's write) yields a
-            // snapshot of every round from one run.
-            let mut scenario_every_round = scenario.clone();
-            scenario_every_round.sample_every = 1;
-            let mut copies: Vec<Snapshot> = Vec::new();
-            Session::from_scenario(&scenario_every_round)
-                .checkpoint(rotating.clone(), 1)
-                .run(|sample| {
-                    if sample.round >= 2 {
-                        copies.push(snapshot::load(&rotating).expect("rotating checkpoint"));
-                    }
-                })
-                .expect("runs");
-            copies.push(snapshot::load(&rotating).expect("final checkpoint"));
-            std::fs::remove_file(&rotating).ok();
-            let reference = Session::from_scenario(&scenario_every_round)
-                .run(|_| {})
-                .expect("runs")
-                .to_json()
-                .render_pretty();
-            assert_eq!(copies.len(), scenario.rounds, "{tag}");
             assert_eq!(
                 Session::from_scenario(&scenario)
                     .run(|_| {})
@@ -297,20 +315,74 @@ fn resume_at_every_round_crosses_every_churn_epoch() {
                 16,
                 "{tag}: the resize took effect"
             );
-            for snap in copies {
-                let round = snap.round;
-                for shards in [1usize, 3] {
-                    let resumed = Session::from_snapshot(snap.clone())
-                        .shards(shards)
-                        .run(|_| {})
-                        .unwrap_or_else(|err| panic!("{tag}: resume at {round}: {err}"));
-                    assert_eq!(
-                        resumed.to_json().render_pretty(),
-                        reference,
-                        "{tag}: resume at round {round} with {shards} shard(s)"
-                    );
-                }
-            }
+            assert_resumes_at_every_round(&tag, &scenario);
+        }
+    }
+}
+
+/// On the n = 32 hypercube with powers-of-two speeds: a delta and the
+/// rewire that reverts it, a resize to half the size and back (the carried
+/// speeds are the world's first half, then unit speeds), and again a delta
+/// and its reverting rewire.
+fn resize_back_scenario(algorithm: AlgorithmSpec, model: ModelSpec) -> Scenario {
+    use lb_bench::dynamic::family_class;
+
+    let cube = family_class("hypercube")
+        .expect("known family")
+        .build(32, 0)
+        .expect("builds");
+    let swap = || ChurnKind::Delta {
+        add: vec![absent_edge(&cube, &[])],
+        remove: vec![cube.edges()[0]],
+    };
+    let event = |round, kind| ChurnEvent { round, kind };
+    let resize = |target_n, seed| ChurnKind::Resize { target_n, seed };
+    Scenario {
+        name: "resize_back_hypercube".into(),
+        seed: 29,
+        rounds: 16,
+        sample_every: 2,
+        algorithm,
+        model,
+        topology: TopologySpec {
+            family: "hypercube".into(),
+            target_n: 32,
+        },
+        speeds: SpeedSpec::PowersOfTwo { classes: 3 },
+        initial: InitialSpec {
+            distribution: TokenDistribution::UniformRandom,
+            tokens_per_node: 6,
+            pad: PadSpec::Degree,
+        },
+        arrivals: ArrivalSpec::Poisson {
+            rate_per_node: 0.5,
+            max_weight: 1,
+        },
+        completions: ServiceSpec::Uniform {
+            weight_per_speed: 1,
+        },
+        churn: vec![
+            event(2, swap()),
+            event(4, ChurnKind::Rewire { seed: 31 }),
+            event(6, resize(16, 32)),
+            event(8, resize(32, 33)),
+            event(11, swap()),
+            event(13, ChurnKind::Rewire { seed: 34 }),
+        ],
+        shards: 1,
+        federation: 1,
+    }
+}
+
+#[test]
+fn resume_after_a_resize_back_restores_the_carried_speeds() {
+    // After the resize back, the node count equals the world's but the
+    // speeds do not: a resume must run on the carried speeds, not on the
+    // world's the engine was built with.
+    for algorithm in [AlgorithmSpec::Alg1, AlgorithmSpec::Alg2] {
+        for model in [ModelSpec::Fos, ModelSpec::Sos] {
+            let tag = format!("resize back/{algorithm:?}/{model:?}");
+            assert_resumes_at_every_round(&tag, &resize_back_scenario(algorithm, model));
         }
     }
 }
