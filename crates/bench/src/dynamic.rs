@@ -217,8 +217,8 @@ pub(crate) trait Model: ContinuousProcess + Sync + Sized {
     /// This process patched onto `graph`, its own graph with `delta`
     /// applied, keeping its speeds; bit-identical to [`Model::build`] on
     /// `graph` with those speeds. Cheaper than a build: SOS re-estimates
-    /// `β` only for a non-empty delta onto a graph it has not estimated
-    /// ([`Sos::patched`]).
+    /// `β` only for a non-empty delta onto a graph other than the one it
+    /// was built on ([`Sos::patched`]).
     fn patch(&self, graph: Arc<Graph>, delta: &GraphDelta) -> Result<Self, CoreError>;
 }
 
@@ -286,21 +286,21 @@ fn alg2<A: Model>(world: &World, seed: u64) -> Result<RandomizedImitation<A>, Co
 }
 
 /// Rebuilds `engine`'s continuous process on `graph` and swaps it in
-/// (topology churn). `speeds` are the new epoch's carried speeds
-/// ([`Speeds::resized`] over every event so far, as [`ChurnCursor`] tracks
-/// them); the engine takes them even where its node count already matches,
-/// so a resumed engine built on the world leaves its world speeds behind.
+/// (topology churn). A rebuild uses `speeds`, the new epoch's carried
+/// speeds ([`Speeds::resized`] over every event so far, as [`ChurnCursor`]
+/// tracks them); the engine takes its speeds from the process either way.
 ///
 /// With `delta: Some(_)` — a same-size rewire whose edge difference from
 /// the engine's *current* graph is known — the continuous process is
 /// patched incrementally (`O(Δ)` recompute instead of an `O(m)` matrix
 /// re-derivation; SOS keeps its `β` on an empty delta and reuses the one it
-/// estimated on a graph it returns to, see [`Sos::patched`]). A patch
-/// keeps the process's speeds, so it is only valid where they already
-/// equal `speeds`. The patched process is bit-identical to the full
-/// rebuild, so both paths yield the same trajectory. A resume patches the
-/// world-built engine onto its capture epoch when the node count and the
-/// speeds agree, and rebuilds otherwise.
+/// estimated on its build graph when it returns there, see
+/// [`Sos::patched`]). A patch keeps the process's speeds, which equal
+/// `speeds` wherever the engine has followed every epoch. The patched
+/// process is bit-identical to the full rebuild, so both paths yield the
+/// same trajectory. A resume patches the world-built engine only onto a
+/// capture epoch that is the world again (an empty delta), and rebuilds
+/// otherwise.
 pub(crate) fn replace_topology<A: Model, R: Algorithm>(
     engine: &mut Imitation<A, R>,
     graph: Arc<Graph>,
@@ -311,7 +311,7 @@ pub(crate) fn replace_topology<A: Model, R: Algorithm>(
         Some(d) => engine.continuous().process().patch(graph, d)?,
         None => A::build(graph, speeds)?,
     };
-    engine.replace_topology_with_speeds(process, speeds)
+    engine.replace_topology(process)
 }
 
 /// How a run's events reach the engine. Both modes apply the same batches at
@@ -1485,23 +1485,20 @@ fn execute<A: Model, R: Algorithm>(
                 }
             }
             if let Some(graph) = churn.seek(point.round)? {
-                // The engine is built on the world. Where the capture epoch
-                // has the world's node count and speeds, patch it across in
-                // one delta that spans every epoch since; a capture after a
-                // rewire back to the world graph has an empty delta, so SOS
-                // estimates nothing. Otherwise rebuild on the carried speeds.
-                let same_shape = graph.node_count() == engine.graph().node_count()
+                // The engine is built on the world. A capture epoch with
+                // the world's edges and speeds (a rewire back to the world)
+                // is an empty patch, so SOS keeps the world's β. Any other
+                // epoch is rebuilt on the carried speeds: a patch across
+                // every epoch since the world would still estimate β.
+                let world_again = graph.node_count() == engine.graph().node_count()
+                    && graph.edges() == engine.graph().edges()
                     && engine.speeds() == churn.speeds();
-                same_shape
-                    .then(|| engine.graph().delta_to(&graph))
-                    .transpose()
-                    .map_err(CoreError::from)
-                    .and_then(|delta| {
-                        replace_topology(&mut engine, graph, churn.speeds(), delta.as_ref())
-                    })
-                    .map_err(|err| {
+                let delta = world_again.then(GraphDelta::default);
+                replace_topology(&mut engine, graph, churn.speeds(), delta.as_ref()).map_err(
+                    |err| {
                         BenchError::run(format!("rebuilding the churned topology to resume: {err}"))
-                    })?;
+                    },
+                )?;
             }
             if engine.name() != point.engine_name {
                 return Err(BenchError::protocol(format!(

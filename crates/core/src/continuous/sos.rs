@@ -35,13 +35,9 @@ pub struct Sos {
     previous: Vec<EdgeFlow>,
     has_previous: bool,
     name: String,
-    /// Whether `beta` is the power-iteration estimate on `graph`, rather
-    /// than a value given to [`Sos::new`].
-    estimated: bool,
-    /// The β estimated on the build topology and on the topology this
-    /// process was last patched from, when they were estimated:
-    /// [`Sos::patched`] back onto either reuses it.
-    memo: [Option<Estimate>; 2],
+    /// The β estimated on the build topology, when the process was built by
+    /// [`Sos::with_optimal_beta`]: [`Sos::patched`] back onto it reuses it.
+    memo: Option<Estimate>,
 }
 
 /// A β estimated on `graph`. The weak handle keeps no graph alive, and a
@@ -84,8 +80,7 @@ impl Sos {
             previous: vec![EdgeFlow::default(); m],
             has_previous: false,
             name: format!("sos(beta={beta:.3})"),
-            estimated: false,
-            memo: [None, None],
+            memo: None,
         })
     }
 
@@ -105,10 +100,10 @@ impl Sos {
         let matrix = DiffusionMatrix::new(&graph, &speeds_f64, scheme)?;
         let beta = optimal_beta(&graph, &matrix);
         let m = graph.edge_count();
-        let build = Estimate {
+        let memo = Some(Estimate {
             graph: Arc::downgrade(&graph),
             beta,
-        };
+        });
         Ok(Sos {
             graph,
             matrix,
@@ -117,8 +112,7 @@ impl Sos {
             previous: vec![EdgeFlow::default(); m],
             has_previous: false,
             name: format!("sos(beta={beta:.3})"),
-            estimated: true,
-            memo: [Some(build), None],
+            memo,
         })
     }
 
@@ -135,10 +129,10 @@ impl Sos {
     /// - an **empty** delta leaves the matrix unchanged, so β is kept and
     ///   the spectral estimate, the dominant cost of a same-family rewire,
     ///   is skipped;
-    /// - `new_graph` is the very graph (the same `Arc`) this process was
-    ///   built on or last patched from, and β was estimated there: that
-    ///   estimate is reused, so a delta and the rewire that reverts it
-    ///   estimate once;
+    /// - `new_graph` is the very graph (the same `Arc`) the first process
+    ///   of this chain of patches was built on by
+    ///   [`Sos::with_optimal_beta`]: the β estimated there is reused, so a
+    ///   delta and the rewire that reverts it estimate once;
     /// - otherwise β is re-estimated exactly as [`Sos::with_optimal_beta`]
     ///   would (power iteration is seed-free and deterministic, so the
     ///   result bit-matches a full rebuild).
@@ -160,9 +154,8 @@ impl Sos {
         let target = Arc::downgrade(&new_graph);
         let remembered = self
             .memo
-            .iter()
-            .flatten()
-            .find(|entry| Weak::ptr_eq(&entry.graph, &target));
+            .as_ref()
+            .filter(|entry| Weak::ptr_eq(&entry.graph, &target));
         let beta = if delta.is_empty() {
             self.beta
         } else if let Some(entry) = remembered {
@@ -170,10 +163,6 @@ impl Sos {
         } else {
             optimal_beta(&new_graph, &matrix)
         };
-        let last = self.estimated.then(|| Estimate {
-            graph: Arc::downgrade(&self.graph),
-            beta: self.beta,
-        });
         let m = new_graph.edge_count();
         Ok(Sos {
             graph: new_graph,
@@ -183,8 +172,7 @@ impl Sos {
             previous: vec![EdgeFlow::default(); m],
             has_previous: false,
             name: format!("sos(beta={beta:.3})"),
-            estimated: self.estimated || !delta.is_empty(),
-            memo: [self.memo[0].clone(), last],
+            memo: self.memo.clone(),
         })
     }
 }
@@ -483,13 +471,13 @@ mod tests {
         let sos =
             Sos::with_optimal_beta(Arc::clone(&w), &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
         let [(to_d1, d1), (_, d2)] = two_swaps(&w);
-        // W → D1 → W: D1 was last patched from W.
+        // W → D1 → W.
         let (at_d1, n) = estimates(|| sos.patched(Arc::clone(&d1), &to_d1).unwrap());
         assert_eq!(n, 1, "D1 is new");
         let (back, n) = estimates(|| at_d1.patched(Arc::clone(&w), &d1.delta_to(&w).unwrap()));
-        assert_eq!(n, 0, "W was estimated before");
+        assert_eq!(n, 0, "W is the build topology");
         assert_eq!(back.unwrap().beta().to_bits(), sos.beta().to_bits());
-        // W → D1 → D2 → W: W is D2's build topology.
+        // W → D1 → D2 → W.
         let (at_d2, n) = estimates(|| at_d1.patched(Arc::clone(&d2), &d1.delta_to(&d2).unwrap()));
         assert_eq!(n, 1, "D2 is new");
         let at_d2 = at_d2.unwrap();
@@ -498,10 +486,6 @@ mod tests {
         let back = back.unwrap();
         assert_eq!(back.beta().to_bits(), sos.beta().to_bits());
         assert_eq!(back.name(), sos.name());
-        // And D2 → W → D2: D2 is the topology W was last patched from.
-        let (again, n) = estimates(|| back.patched(Arc::clone(&d2), &w.delta_to(&d2).unwrap()));
-        assert_eq!(n, 0, "D2 was estimated before");
-        assert_eq!(again.unwrap().beta().to_bits(), at_d2.beta().to_bits());
     }
 
     #[test]
@@ -537,9 +521,8 @@ mod tests {
         drop((sos, d1));
         assert!(at_w
             .memo
-            .iter()
-            .flatten()
-            .all(|e| e.graph.upgrade().is_none()));
+            .as_ref()
+            .is_some_and(|e| e.graph.upgrade().is_none()));
         let d1_again = Arc::new(w.apply_delta(&to_d1).unwrap());
         let (again, n) = estimates(|| at_w.patched(d1_again, &to_d1));
         assert_eq!(n, 1);

@@ -262,23 +262,18 @@ mod tests {
     }
 
     #[test]
-    fn replace_topology_with_speeds_takes_them_at_an_unchanged_node_count() {
+    fn replace_topology_takes_the_process_speeds_at_an_unchanged_node_count() {
         let mut alg1 = alg1_on_torus();
         alg1.run(5);
         let g = generators::torus(4, 4).unwrap();
         let speeds = Speeds::new((0..16).map(|i| 1 + i % 3).collect()).unwrap();
-        let fos = Fos::new(g.clone(), &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
-        alg1.replace_topology_with_speeds(fos, &speeds).unwrap();
+        let fos = Fos::new(g, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        alg1.replace_topology(fos).unwrap();
         assert_eq!(
             alg1.speeds(),
             &speeds,
             "carried over would keep unit speeds"
         );
-        // Speeds must have one entry per node.
-        let fos = Fos::new(g, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
-        assert!(alg1
-            .replace_topology_with_speeds(fos, &Speeds::uniform(9))
-            .is_err());
     }
 
     #[test]

@@ -339,9 +339,13 @@ impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
     /// Per-node holdings (task queues or token counts) and dummy counts
     /// carry over index by index; if the new graph is smaller, node 0 adopts
     /// the holdings of removed nodes (the deterministic "orphan adoption"
-    /// rule); if it is larger, the new nodes start empty. Speeds carry over
-    /// by [`Speeds::resized`]. The twin restarts from the *current* discrete
-    /// load vector and the flow ledger resets to zero — imitation begins a
+    /// rule); if it is larger, the new nodes start empty. The engine takes
+    /// its speeds from `process`, which a churn driver builds on the carried
+    /// speeds ([`Speeds::resized`]), so even an engine rebound onto an epoch
+    /// of its own node count drops speeds that are no longer carried (a
+    /// resume after a resize and back). The twin restarts from the
+    /// *current* discrete load vector and the flow ledger resets to zero —
+    /// imitation begins a
     /// fresh epoch on the new topology, so the Observation 4 deviation bound
     /// holds per epoch.
     ///
@@ -354,32 +358,8 @@ impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] if the new graph is empty or
-    /// the speeds cannot be carried to its node count.
+    /// the process's speeds are not whole numbers of at least 1.
     pub fn replace_topology(&mut self, process: A) -> Result<(), CoreError> {
-        self.rebind(process, None)
-    }
-
-    /// [`replace_topology`](Self::replace_topology) with the new epoch's
-    /// `speeds` given instead of carried over from the engine's own. A
-    /// driver that tracks the carried speeds itself passes them here, so an
-    /// engine built on an earlier epoch (a resume) takes the capture
-    /// epoch's speeds even where its node count already matches.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if the new graph is empty or
-    /// `speeds` does not have one entry per node.
-    pub fn replace_topology_with_speeds(
-        &mut self,
-        process: A,
-        speeds: &Speeds,
-    ) -> Result<(), CoreError> {
-        self.rebind(process, Some(speeds))
-    }
-
-    /// The churn rebind behind both `replace_topology` forms: `speeds`, if
-    /// given, replaces the engine's; otherwise they are carried over.
-    fn rebind(&mut self, process: A, speeds: Option<&Speeds>) -> Result<(), CoreError> {
         let graph = process.shared_graph();
         let n = graph.node_count();
         if n == 0 {
@@ -387,21 +367,14 @@ impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
                 "cannot replace topology with an empty graph",
             ));
         }
-        match speeds {
-            Some(speeds) if speeds.len() != n => {
-                return Err(CoreError::invalid_parameter(format!(
-                    "speeds vector has {} entries, graph has {n} nodes",
-                    speeds.len()
-                )));
-            }
-            Some(speeds) if *speeds != self.speeds => self.speeds = speeds.clone(),
-            None if self.speeds.len() != n => {
-                self.speeds = self
-                    .speeds
-                    .resized(n)
-                    .map_err(CoreError::invalid_parameter)?;
-            }
-            _ => {}
+        let speeds = process.speeds();
+        let unchanged = speeds.len() == self.speeds.len()
+            && speeds
+                .iter()
+                .zip(self.speeds.as_slice())
+                .all(|(&f, &s)| f == s as f64);
+        if !unchanged {
+            self.speeds = Speeds::from_f64(speeds).map_err(CoreError::invalid_parameter)?;
         }
         while self.held.len() > n {
             // lint: allow(R03, non-empty by the loop condition)

@@ -210,6 +210,20 @@ impl Speeds {
     pub fn to_f64(&self) -> Vec<f64> {
         self.values.iter().map(|&s| s as f64).collect()
     }
+
+    /// The speeds that [`Speeds::to_f64`] gave `values` (integer speeds
+    /// round-trip exactly).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error message if a value is not a whole number of at
+    /// least 1.
+    pub(crate) fn from_f64(values: &[f64]) -> Result<Speeds, String> {
+        if let Some(i) = values.iter().position(|&s| s.fract() != 0.0) {
+            return Err(format!("speed of node {i} must be a whole number"));
+        }
+        Speeds::new(values.iter().map(|&s| s as u64).collect())
+    }
 }
 
 impl AsRef<[u64]> for Speeds {
