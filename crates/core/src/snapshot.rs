@@ -870,8 +870,7 @@ mod tests {
         assert_eq!(render(&parsed), text);
     }
 
-    #[test]
-    fn alg2_round_trips() {
+    fn alg2_sample() -> Snapshot {
         let mut snapshot = sample();
         snapshot.engine.twin.history = None;
         snapshot.engine.discrete = DiscreteState::Alg2(Alg2State {
@@ -883,8 +882,59 @@ mod tests {
             arrived_weight: 4,
             completed_weight: 2,
         });
+        snapshot
+    }
+
+    #[test]
+    fn alg2_round_trips() {
+        let snapshot = alg2_sample();
         let text = render(&snapshot);
         assert_eq!(parse(&text).expect("parses"), snapshot);
+    }
+
+    /// The v1 bytes, pinned literally: any writer of the format must
+    /// reproduce them exactly.
+    #[test]
+    fn pins_the_v1_bytes() {
+        let twin = concat!(
+            r#"{"kind":"twin","round":5,"min_load_seen":13837872805049270272,"#,
+            r#""loads":[4609434218613702656,9223372036854775808,4503599627370496],"#,
+            r#""cumulative_flow":[4599075939470750516]}"#,
+        );
+        let alg1 = [
+            r#"{"kind":"header","version":1,"scenario":{"name":"s","seed":7}}"#,
+            r#"{"kind":"run","round":12,"driver":{"engine":"alg1(fos)"}}"#,
+            twin,
+            concat!(
+                r#"{"kind":"history","beta":4610804290181542426,"has_previous":true,"#,
+                r#""previous":[[4598175219545276416,4610560118520545280]]}"#,
+            ),
+            concat!(
+                r#"{"kind":"alg1","round":12,"wmax":2,"dummy_created":3,"items_sent":40,"#,
+                r#""arrived_weight":12,"completed_weight":9,"dummy":[0,2,1],"#,
+                r#""discrete_flow":[-4,0,17]}"#,
+            ),
+            r#"{"kind":"queue","node":0,"next_seq":9,"entries":[[3,100,2,false],[7,4,1,true]]}"#,
+            r#"{"kind":"queue","node":1,"next_seq":0,"entries":[]}"#,
+            r#"{"kind":"queue","node":2,"next_seq":2,"entries":[[1,1152921504606846979,1,false]]}"#,
+            r#"{"kind":"end","records":7,"tasks":3}"#,
+        ];
+        let alg2 = [
+            alg1[0],
+            alg1[1],
+            twin,
+            concat!(
+                r#"{"kind":"alg2","round":12,"seed":1152921504606846985,"dummy_created":1,"#,
+                r#""arrived_weight":4,"completed_weight":2,"tokens":[5,0,2],"dummy":[1,0,0],"#,
+                r#""discrete_flow":[2,-2,0]}"#,
+            ),
+            r#"{"kind":"end","records":3,"tasks":0}"#,
+        ];
+        for (snapshot, lines) in [(sample(), &alg1[..]), (alg2_sample(), &alg2[..])] {
+            let text: String = lines.iter().map(|line| format!("{line}\n")).collect();
+            assert_eq!(render(&snapshot), text);
+            assert_eq!(parse(&text).expect("parses"), snapshot);
+        }
     }
 
     #[test]

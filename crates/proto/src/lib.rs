@@ -782,6 +782,91 @@ mod tests {
             version: 1,
             scenario: Json::obj([("name", Json::from("s"))]),
         });
+
+        // The v2 round records, pinned the same way.
+        let batch = WireBatch {
+            tasks: vec![
+                WireTask {
+                    edge: 3,
+                    node: 7,
+                    id: 1 << 60,
+                    weight: 2,
+                    dummy: false,
+                },
+                WireTask {
+                    edge: 4,
+                    node: 8,
+                    id: 5,
+                    weight: 1,
+                    dummy: true,
+                },
+            ],
+            dummy: vec![(7, 4)],
+            tokens: vec![(1, 2, 3)],
+            deltas: vec![(3, -5), (9, i64::MAX)],
+        };
+        let batch_text = concat!(
+            r#"{"tasks":[[3,7,1152921504606846976,2,false],[4,8,5,1,true]],"#,
+            r#""dummy":[[7,4]],"tokens":[[1,2,3]],"deltas":[[3,-5],[9,9223372036854775807]]}"#,
+        );
+        let pins = [
+            (
+                Record::Loads {
+                    rank: None,
+                    entries: vec![(0, 4_607_182_418_800_017_408), (5, 0)],
+                },
+                r#"{"kind":"loads","rank":null,"entries":[[0,4607182418800017408],[5,0]]}"#
+                    .to_string(),
+            ),
+            (
+                Record::Flows {
+                    rank: Some(1),
+                    entries: vec![(9, 17, u64::MAX)],
+                },
+                r#"{"kind":"flows","rank":1,"entries":[[9,17,18446744073709551615]]}"#.to_string(),
+            ),
+            (
+                Record::Sends {
+                    rank: 2,
+                    batch: batch.clone(),
+                },
+                format!(r#"{{"kind":"sends","rank":2,"batch":{batch_text}}}"#),
+            ),
+            (
+                Record::Deliver {
+                    batches: vec![(0, WireBatch::default()), (1, batch)],
+                },
+                format!(
+                    r#"{{"kind":"deliver","batches":[{{"rank":0,"batch":{{"tasks":[],"dummy":[],"tokens":[],"deltas":[]}}}},{{"rank":1,"batch":{batch_text}}}]}}"#
+                ),
+            ),
+            (
+                Record::Sample {
+                    rank: 0,
+                    round: 16,
+                    loads: vec![1, 2, 3],
+                    real: Vec::new(),
+                    dummy_load: 7,
+                    arrived: 8,
+                    completed: 9,
+                },
+                r#"{"kind":"sample","rank":0,"round":16,"loads":[1,2,3],"real":[],"dummy_load":7,"arrived":8,"completed":9}"#
+                    .to_string(),
+            ),
+            (
+                Record::State {
+                    rank: 1,
+                    round: 8,
+                    snapshot: "{\"kind\":\"header\"}\n\t{\"kind\":\"end\"}\\\n".into(),
+                },
+                r#"{"kind":"state","rank":1,"round":8,"snapshot":"{\"kind\":\"header\"}\n\t{\"kind\":\"end\"}\\\n"}"#
+                    .to_string(),
+            ),
+        ];
+        for (record, line) in pins {
+            assert_eq!(record.render(), line);
+            roundtrip(record);
+        }
     }
 
     #[test]
