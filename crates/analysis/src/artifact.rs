@@ -2,8 +2,8 @@
 //!
 //! Every file the workspace publishes — result documents, snapshots,
 //! ingestion reports, benchmark artefacts, traces — goes through
-//! [`write_bytes_atomic`] (or, for streamed files, [`create_staging`] plus
-//! [`publish_staged`]), so a concurrent reader or a crash mid-write sees
+//! [`write_bytes_atomic`] or its streaming form [`write_atomic_with`] (or,
+//! for files written over a run, [`create_staging`] plus [`publish_staged`]), so a concurrent reader or a crash mid-write sees
 //! either the previous complete file or the new one, never a torn mixture.
 //! `lb lint` rule R04 enforces this at the source level: direct
 //! `File::create`/`fs::write` calls outside this module are findings.
@@ -14,7 +14,7 @@
 //! direction reports failure instead of wrapping.
 
 use std::fs;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -76,23 +76,37 @@ pub fn publish_staged(tmp: &Path, path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Atomically publishes `bytes` at `path`: write to a fresh staging file
-/// in the same directory ([`create_staging`]), then [`publish_staged`]. A
-/// crash at any point leaves either the previous file or the new one under
-/// `path`, never a torn mixture, and concurrent publishers of one target
-/// each publish their own bytes whole.
+/// Atomically publishes what `write` streams, through a buffer, into a
+/// fresh staging file beside `path` ([`create_staging`], then
+/// [`publish_staged`]): a crash at any point leaves either the previous
+/// file or the new one under `path`, never a torn mixture, and concurrent
+/// publishers of one target each publish their own bytes whole.
+///
+/// # Errors
+///
+/// Returns the underlying I/O error (the staging file is then removed).
+pub fn write_atomic_with(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<fs::File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let (tmp, file) = create_staging(path)?;
+    let mut out = BufWriter::new(file);
+    if let Err(e) = write(&mut out).and_then(|()| out.flush()) {
+        drop(out);
+        let _ = fs::remove_file(&tmp);
+        return Err(e);
+    }
+    drop(out);
+    publish_staged(&tmp, path)
+}
+
+/// Atomically publishes `bytes` at `path` (see [`write_atomic_with`]).
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error.
 pub fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let (tmp, mut file) = create_staging(path)?;
-    if let Err(e) = file.write_all(bytes) {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
-    }
-    drop(file);
-    publish_staged(&tmp, path)
+    write_atomic_with(path, |out| out.write_all(bytes))
 }
 
 // The widening in `u64_exact` is only lossless where usize fits in u64 —

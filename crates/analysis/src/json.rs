@@ -12,6 +12,7 @@
 //! rounded through `f64`. Fractional and exponent forms, and integers beyond
 //! `i128`, stay in [`Json::Num`].
 
+use crate::codec::Scan;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -172,15 +173,11 @@ impl Json {
     ///
     /// Returns a human-readable message describing the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("trailing data at byte {}", parser.pos));
+        let mut scan = Scan::new(text);
+        let value = scan.value()?;
+        scan.skip_ws();
+        if scan.pos != scan.bytes.len() {
+            return Err(format!("trailing data at byte {}", scan.pos));
         }
         Ok(value)
     }
@@ -251,74 +248,33 @@ fn write_number(out: &mut String, x: f64) {
 }
 
 fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    crate::codec::escape(s, |run| out.push_str(run));
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn require(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
+/// The [`Json`] grammar, read from a [`Scan`] cursor (see [`Scan::value`]).
+impl Scan<'_> {
+    pub(crate) fn json_value(&mut self) -> Result<Json, String> {
+        match self.byte() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.items(|scan| {
+                    items.push(scan.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.object("object", |scan, key| {
+                    pairs.push((key.to_string(), scan.value()?));
+                    Ok(true)
+                })?;
+                Ok(Json::Obj(pairs))
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -328,90 +284,21 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.require(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let mut code = self.hex_escape(self.pos + 1)?;
-                            self.pos += 4;
-                            // Combine UTF-16 surrogate pairs (how external
-                            // writers escape non-BMP characters).
-                            if (0xD800..0xDC00).contains(&code) {
-                                if self.bytes.get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
-                                    return Err(
-                                        "high surrogate without \\u low surrogate".to_string()
-                                    );
-                                }
-                                let low = self.hex_escape(self.pos + 3)?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(format!(
-                                        "expected low surrogate, got \\u{low:04x}"
-                                    ));
-                                }
-                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                self.pos += 6;
-                            }
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape code point")?);
-                        }
-                        other => {
-                            return Err(format!("invalid escape {:?}", other.map(|c| c as char)))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next quote or backslash
-                    // in one step, so a string parses in linear time. Both
-                    // delimiters are ASCII, so the run of the (UTF-8) input
-                    // ends on a character boundary.
-                    let rest = &self.bytes[self.pos..];
-                    let len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    let run = std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?;
-                    out.push_str(run);
-                    self.pos += len;
-                }
-            }
+    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
+        if self.consume_literal(text) {
+            Ok(value)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
         }
-    }
-
-    /// Reads the four hex digits of a `\u` escape starting at `start`.
-    fn hex_escape(&self, start: usize) -> Result<u32, String> {
-        let hex = self
-            .bytes
-            .get(start..start + 4)
-            .ok_or("truncated \\u escape")?;
-        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-        u32::from_str_radix(hex, 16).map_err(|e| e.to_string())
     }
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if self.byte() == Some(b'-') {
             self.pos += 1;
         }
         while matches!(
-            self.peek(),
+            self.byte(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
         ) {
             self.pos += 1;
@@ -429,69 +316,6 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.require(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.require(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.require(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! # lb-analysis
 //!
 //! Statistics, Markdown table rendering and machine-readable experiment
-//! records for the load-balancing experiment harness.
+//! records for the load-balancing experiment harness, and the one record
+//! codec ([`codec`]) behind snapshots, traces and wire records.
 //!
 //! ```
 //! use lb_analysis::{Summary, Table, format_value};
@@ -16,6 +17,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod artifact;
+pub mod codec;
 pub mod json;
 mod record;
 mod stats;

@@ -12,9 +12,12 @@
 //!
 //! # Format
 //!
-//! One JSON document per line (via [`lb_analysis::Json`]; integers are
-//! exact, `f64` state is encoded as IEEE-754 **bit patterns** so restore is
-//! bit-identical, never a decimal round-trip):
+//! One record per line, written and read by the workspace's one record codec
+//! ([`lb_analysis::codec`]): every record leads with its `"kind"`, integers
+//! are exact, `f64` state is encoded as IEEE-754 **bit patterns** so restore
+//! is bit-identical (never a decimal round-trip), and an unknown or
+//! repeated field is an error. Only the two opaque driver payloads are
+//! [`lb_analysis::Json`] values:
 //!
 //! ```text
 //! {"kind":"header","version":1,"scenario":{…}}            // opaque driver payload
@@ -37,14 +40,19 @@
 //! [`write_atomic`] (and the byte-level helper [`write_bytes_atomic`])
 //! publishes a snapshot via temp file → fsync → rename, so a crash mid-write
 //! never leaves a torn file under the target path: readers see either the
-//! previous complete snapshot or the new one.
+//! previous complete snapshot or the new one. It streams the records into
+//! the staging file, and [`load`] reads the file line by line, so neither
+//! holds the whole document in memory.
 
 use crate::continuous::EdgeFlow;
 use crate::task::Task;
 use crate::TaskId;
-use lb_analysis::{u64_exact, usize_exact, Json};
+use lb_analysis::artifact::write_atomic_with;
+use lb_analysis::codec::{self, RecordWriter, Scan};
+use lb_analysis::{read_fields, u64_exact, write_fields, Json};
 use std::fmt;
 use std::fs;
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
 pub use lb_analysis::artifact::write_bytes_atomic;
@@ -256,232 +264,310 @@ pub struct Snapshot {
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// `f64` state travels as its IEEE-754 bit pattern: exact for every value
-/// including negative zero, subnormals and infinities.
-fn bits(x: f64) -> Json {
-    Json::from(x.to_bits())
-}
-
-fn bits_arr(xs: &[f64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| bits(x)).collect())
-}
-
-fn i64_arr(xs: &[i64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::from(x)).collect())
-}
-
-fn u64_arr(xs: &[u64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::from(x)).collect())
+/// Streams `snapshot`'s records into `out`.
+fn write_records<W: Write>(out: &mut RecordWriter<W>, snapshot: &Snapshot) -> io::Result<()> {
+    let (version, engine, twin) = (SNAPSHOT_VERSION, &snapshot.engine, &snapshot.engine.twin);
+    let (mut records, mut tasks) = (2, 0);
+    out.open("header")?;
+    out.field("version", &version)?;
+    write_fields!(out: snapshot => scenario);
+    out.close_line()?;
+    out.open("run")?;
+    write_fields!(out: snapshot => round, driver);
+    out.close_line()?;
+    out.open("twin")?;
+    write_fields!(out: twin => round, min_load_seen, loads, cumulative_flow);
+    out.close_line()?;
+    if let Some(history) = &twin.history {
+        out.open("history")?;
+        write_fields!(out: history => beta, has_previous);
+        let previous = history.previous.iter();
+        out.list("previous", previous.map(|f| (f.forward, f.backward)))?;
+        out.close_line()?;
+        records += 1;
+    }
+    match &engine.discrete {
+        DiscreteState::Alg1(alg1) => {
+            out.open("alg1")?;
+            write_fields!(out: engine => round);
+            write_fields!(out: alg1 => wmax, dummy_created, items_sent, arrived_weight,
+                completed_weight, dummy, discrete_flow);
+            out.close_line()?;
+            for (node, queue) in alg1.queues.iter().enumerate() {
+                out.open("queue")?;
+                out.field("node", &node)?;
+                write_fields!(out: queue => next_seq);
+                let entries = queue.entries.iter();
+                out.list(
+                    "entries",
+                    entries.map(|&(seq, task)| (seq, task.id().0, task.weight(), task.is_dummy())),
+                )?;
+                out.close_line()?;
+                tasks += u64_exact(queue.entries.len());
+            }
+            records += 1 + alg1.queues.len();
+        }
+        DiscreteState::Alg2(alg2) => {
+            out.open("alg2")?;
+            write_fields!(out: engine => round);
+            write_fields!(out: alg2 => seed, dummy_created, arrived_weight, completed_weight,
+                tokens, dummy, discrete_flow);
+            out.close_line()?;
+            records += 1;
+        }
+    }
+    out.open("end")?;
+    write_fields!(out: records, tasks);
+    out.close_line()
 }
 
 /// Renders `snapshot` into the line-delimited text form.
 pub fn render(snapshot: &Snapshot) -> String {
-    let mut out = String::new();
-    let mut records = 0usize;
-    let mut tasks = 0u64;
-    let header = Json::obj([
-        ("kind", Json::from("header")),
-        ("version", Json::from(SNAPSHOT_VERSION)),
-        ("scenario", snapshot.scenario.clone()),
-    ]);
-    out.push_str(&header.render());
-    out.push('\n');
-    let mut push = |record: Json, out: &mut String| {
-        out.push_str(&record.render());
-        out.push('\n');
-        records += 1;
-    };
-    push(
-        Json::obj([
-            ("kind", Json::from("run")),
-            ("round", Json::from(snapshot.round)),
-            ("driver", snapshot.driver.clone()),
-        ]),
-        &mut out,
-    );
-    let twin = &snapshot.engine.twin;
-    push(
-        Json::obj([
-            ("kind", Json::from("twin")),
-            ("round", Json::from(twin.round)),
-            ("min_load_seen", bits(twin.min_load_seen)),
-            ("loads", bits_arr(&twin.loads)),
-            ("cumulative_flow", bits_arr(&twin.cumulative_flow)),
-        ]),
-        &mut out,
-    );
-    if let Some(history) = &twin.history {
-        let previous = history
-            .previous
-            .iter()
-            .map(|flow| Json::Arr(vec![bits(flow.forward), bits(flow.backward)]))
-            .collect();
-        push(
-            Json::obj([
-                ("kind", Json::from("history")),
-                ("beta", bits(history.beta)),
-                ("has_previous", Json::from(history.has_previous)),
-                ("previous", Json::Arr(previous)),
-            ]),
-            &mut out,
-        );
-    }
-    match &snapshot.engine.discrete {
-        DiscreteState::Alg1(alg1) => {
-            push(
-                Json::obj([
-                    ("kind", Json::from("alg1")),
-                    ("round", Json::from(snapshot.engine.round)),
-                    ("wmax", Json::from(alg1.wmax)),
-                    ("dummy_created", Json::from(alg1.dummy_created)),
-                    ("items_sent", Json::from(alg1.items_sent)),
-                    ("arrived_weight", Json::from(alg1.arrived_weight)),
-                    ("completed_weight", Json::from(alg1.completed_weight)),
-                    ("dummy", u64_arr(&alg1.dummy)),
-                    ("discrete_flow", i64_arr(&alg1.discrete_flow)),
-                ]),
-                &mut out,
-            );
-            for (node, queue) in alg1.queues.iter().enumerate() {
-                tasks += u64_exact(queue.entries.len());
-                let entries = queue
-                    .entries
-                    .iter()
-                    .map(|&(seq, task)| {
-                        Json::Arr(vec![
-                            Json::from(seq),
-                            Json::from(task.id().0),
-                            Json::from(task.weight()),
-                            Json::from(task.is_dummy()),
-                        ])
-                    })
-                    .collect();
-                push(
-                    Json::obj([
-                        ("kind", Json::from("queue")),
-                        ("node", Json::from(node)),
-                        ("next_seq", Json::from(queue.next_seq)),
-                        ("entries", Json::Arr(entries)),
-                    ]),
-                    &mut out,
-                );
-            }
-        }
-        DiscreteState::Alg2(alg2) => {
-            push(
-                Json::obj([
-                    ("kind", Json::from("alg2")),
-                    ("round", Json::from(snapshot.engine.round)),
-                    ("seed", Json::from(alg2.seed)),
-                    ("dummy_created", Json::from(alg2.dummy_created)),
-                    ("arrived_weight", Json::from(alg2.arrived_weight)),
-                    ("completed_weight", Json::from(alg2.completed_weight)),
-                    ("tokens", u64_arr(&alg2.tokens)),
-                    ("dummy", u64_arr(&alg2.dummy)),
-                    ("discrete_flow", i64_arr(&alg2.discrete_flow)),
-                ]),
-                &mut out,
-            );
-        }
-    }
-    let end = Json::obj([
-        ("kind", Json::from("end")),
-        ("records", Json::from(records)),
-        ("tasks", Json::from(tasks)),
-    ]);
-    out.push_str(&end.render());
-    out.push('\n');
-    out
+    codec::render_with(|out| write_records(out, snapshot))
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Exact u64: `Json::Int` in range or an integral non-negative `Num`.
-fn get_u64(record: &Json, field: &str, line: usize) -> Result<u64, SnapshotError> {
-    record
-        .get(field)
-        .ok_or_else(|| SnapshotError::corrupt(line, format!("missing field {field:?}")))?
-        .as_u64()
-        .ok_or_else(|| {
-            SnapshotError::corrupt(
+/// The reader's state between lines: what the records so far carried.
+#[derive(Default)]
+struct Reader {
+    scenario: Option<Json>,
+    run: Option<(u64, Json)>,
+    twin: Option<TwinState>,
+    /// The engine record's round and state; queue records fill Algorithm
+    /// 1's queues.
+    engine: Option<(u64, DiscreteState)>,
+    records: usize,
+    tasks: u64,
+    sealed: bool,
+    /// The last non-blank line, where a whole-snapshot error is located.
+    last_line: usize,
+}
+
+/// The header record's version and scenario.
+fn header(scan: &mut Scan<'_>) -> Result<(u64, Json), String> {
+    read_fields!(scan.fields("header") { version: u64, scenario: Json });
+    Ok((version, scenario))
+}
+
+impl Reader {
+    /// Reads one line (1-based `line`) with its terminator; a line without
+    /// one is a torn write.
+    fn terminated_line(&mut self, line: usize, text: &str) -> Result<(), SnapshotError> {
+        let text = text
+            .strip_suffix('\n')
+            .ok_or_else(|| SnapshotError::Truncated {
                 line,
-                format!("field {field:?} must be a non-negative exact integer"),
-            )
-        })
-}
-
-fn item_u64(item: &Json, what: &str, line: usize) -> Result<u64, SnapshotError> {
-    item.as_u64().ok_or_else(|| {
-        SnapshotError::corrupt(line, format!("{what} must be a non-negative exact integer"))
-    })
-}
-
-/// Exact i64 (the discrete-flow ledger is signed).
-fn item_i64(item: &Json, what: &str, line: usize) -> Result<i64, SnapshotError> {
-    let exact = match item {
-        Json::Int(v) => i64::try_from(*v).ok(),
-        // lint: allow(R02, both casts proven exact by the fract/magnitude guard)
-        Json::Num(x) if x.fract() == 0.0 && x.abs() <= (1u64 << 53) as f64 => Some(*x as i64),
-        _ => None,
-    };
-    exact.ok_or_else(|| SnapshotError::corrupt(line, format!("{what} must be an exact integer")))
-}
-
-fn item_f64_bits(item: &Json, what: &str, line: usize) -> Result<f64, SnapshotError> {
-    Ok(f64::from_bits(item_u64(item, what, line)?))
-}
-
-fn get_f64_bits(record: &Json, field: &str, line: usize) -> Result<f64, SnapshotError> {
-    Ok(f64::from_bits(get_u64(record, field, line)?))
-}
-
-fn get_array<'a>(record: &'a Json, field: &str, line: usize) -> Result<&'a [Json], SnapshotError> {
-    record
-        .get(field)
-        .ok_or_else(|| SnapshotError::corrupt(line, format!("missing field {field:?}")))?
-        .as_array()
-        .ok_or_else(|| SnapshotError::corrupt(line, format!("field {field:?} must be an array")))
-}
-
-fn get_bits_arr(record: &Json, field: &str, line: usize) -> Result<Vec<f64>, SnapshotError> {
-    get_array(record, field, line)?
-        .iter()
-        .map(|item| item_f64_bits(item, &format!("{field} entry"), line))
-        .collect()
-}
-
-fn get_u64_arr(record: &Json, field: &str, line: usize) -> Result<Vec<u64>, SnapshotError> {
-    get_array(record, field, line)?
-        .iter()
-        .map(|item| item_u64(item, &format!("{field} entry"), line))
-        .collect()
-}
-
-fn get_i64_arr(record: &Json, field: &str, line: usize) -> Result<Vec<i64>, SnapshotError> {
-    get_array(record, field, line)?
-        .iter()
-        .map(|item| item_i64(item, &format!("{field} entry"), line))
-        .collect()
-}
-
-fn get_bool(record: &Json, field: &str, line: usize) -> Result<bool, SnapshotError> {
-    match record.get(field) {
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(SnapshotError::corrupt(
-            line,
-            format!("field {field:?} must be a boolean"),
-        )),
-        None => Err(SnapshotError::corrupt(
-            line,
-            format!("missing field {field:?}"),
-        )),
+                reason: "torn line (the file ends mid-record, without a newline)".into(),
+            })?;
+        let text = text.strip_suffix('\r').unwrap_or(text);
+        if text.trim().is_empty() {
+            return Ok(());
+        }
+        self.last_line = line;
+        if self.sealed {
+            return Err(SnapshotError::corrupt(line, "content after the end record"));
+        }
+        let corrupt = |reason| SnapshotError::corrupt(line, reason);
+        let (mut scan, kind) = Scan::record(text).map_err(corrupt)?;
+        if self.scenario.is_some() {
+            return self.record(&kind, &mut scan).map_err(corrupt);
+        }
+        if kind != "header" {
+            return Err(corrupt("expected the snapshot header record".into()));
+        }
+        match header(&mut scan).map_err(corrupt)? {
+            (SNAPSHOT_VERSION, scenario) => self.scenario = Some(scenario),
+            (found, _) => return Err(SnapshotError::Version { line, found }),
+        }
+        Ok(())
     }
-}
 
-fn kind_of(record: &Json) -> Option<&str> {
-    record.get("kind").and_then(Json::as_str)
+    /// Reads one body record of the given kind.
+    fn record(&mut self, kind: &str, scan: &mut Scan<'_>) -> Result<(), String> {
+        match kind {
+            "run" if self.run.is_none() => {
+                read_fields!(scan.fields("run") { round: u64, driver: Json });
+                self.run = Some((round, driver));
+            }
+            "twin" if self.twin.is_none() => {
+                read_fields!(scan.fields("twin") {
+                    round: u64,
+                    min_load_seen: f64,
+                    loads: Vec<f64>,
+                    cumulative_flow: Vec<f64>,
+                });
+                let history = None;
+                self.twin = Some(TwinState {
+                    round,
+                    loads,
+                    cumulative_flow,
+                    min_load_seen,
+                    history,
+                });
+            }
+            "history" => {
+                let twin = self
+                    .twin
+                    .as_mut()
+                    .ok_or("history record before the twin record")?;
+                if twin.history.is_some() {
+                    return Err("duplicate history record".into());
+                }
+                read_fields!(scan.fields("history") {
+                    beta: f64,
+                    has_previous: bool,
+                    previous: Vec<(f64, f64)>,
+                });
+                let previous = previous.into_iter().map(|(f, b)| EdgeFlow::new(f, b));
+                twin.history = Some(ProcessHistory {
+                    beta,
+                    previous: previous.collect(),
+                    has_previous,
+                });
+            }
+            "alg1" | "alg2" if self.engine.is_some() => {
+                return Err("duplicate engine record".into())
+            }
+            "alg1" => {
+                read_fields!(scan.fields("alg1") {
+                    round: u64,
+                    wmax: u64,
+                    dummy_created: u64,
+                    items_sent: u64,
+                    arrived_weight: u64,
+                    completed_weight: u64,
+                    dummy: Vec<u64>,
+                    discrete_flow: Vec<i64>,
+                });
+                let queues = Vec::with_capacity(dummy.len());
+                let state = Alg1State {
+                    queues,
+                    dummy,
+                    discrete_flow,
+                    wmax,
+                    dummy_created,
+                    items_sent,
+                    arrived_weight,
+                    completed_weight,
+                };
+                self.engine = Some((round, DiscreteState::Alg1(state)));
+            }
+            "queue" => {
+                let Some((_, DiscreteState::Alg1(alg1))) = &mut self.engine else {
+                    return Err("queue record before the alg1 record".into());
+                };
+                read_fields!(scan.fields("queue") {
+                    node: usize,
+                    next_seq: u64,
+                    entries: Vec<(u64, u64, u64, bool)>,
+                });
+                if node != alg1.queues.len() {
+                    return Err(format!(
+                        "queue records must cover nodes in order: got node {node}, expected {}",
+                        alg1.queues.len()
+                    ));
+                }
+                let entries = entries
+                    .into_iter()
+                    .map(|(seq, id, weight, dummy)| match (dummy, weight) {
+                        (true, 1) => Ok((seq, Task::dummy(TaskId(id)))),
+                        (true, _) => Err("dummy tasks must have unit weight"),
+                        (false, 0) => Err("task weight must be positive"),
+                        (false, _) => Ok((seq, Task::new(TaskId(id), weight))),
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                self.tasks += u64_exact(entries.len());
+                alg1.queues.push(QueueState { next_seq, entries });
+            }
+            "alg2" => {
+                read_fields!(scan.fields("alg2") {
+                    round: u64,
+                    seed: u64,
+                    dummy_created: u64,
+                    arrived_weight: u64,
+                    completed_weight: u64,
+                    tokens: Vec<u64>,
+                    dummy: Vec<u64>,
+                    discrete_flow: Vec<i64>,
+                });
+                let state = Alg2State {
+                    tokens,
+                    dummy,
+                    discrete_flow,
+                    seed,
+                    dummy_created,
+                    arrived_weight,
+                    completed_weight,
+                };
+                self.engine = Some((round, DiscreteState::Alg2(state)));
+            }
+            "end" => {
+                read_fields!(scan.fields("end") { records: u64, tasks: u64 });
+                if records != u64_exact(self.records) || tasks != self.tasks {
+                    return Err(format!(
+                        "end record declares {records} record(s) / {tasks} task(s) but the \
+                         snapshot carries {} / {}",
+                        self.records, self.tasks
+                    ));
+                }
+                self.sealed = true;
+                return Ok(()); // the end record itself is not counted
+            }
+            "run" | "twin" => return Err(format!("duplicate {kind} record")),
+            "header" => return Err("unexpected header record".into()),
+            other => return Err(format!("unknown record kind {other:?}")),
+        }
+        self.records += 1;
+        Ok(())
+    }
+
+    /// The snapshot the lines carried, once they are all read.
+    fn finish(self) -> Result<Snapshot, SnapshotError> {
+        let line = self.last_line;
+        if !self.sealed {
+            return Err(SnapshotError::Truncated {
+                line: line.max(1),
+                reason: if self.scenario.is_none() {
+                    "empty snapshot".into()
+                } else {
+                    "snapshot ends without the end record".into()
+                },
+            });
+        }
+        let corrupt = |reason: &str| SnapshotError::corrupt(line, reason);
+        let (scenario, (round, driver)) = match (self.scenario, self.run) {
+            (Some(scenario), Some(run)) => (scenario, run),
+            _ => return Err(corrupt("snapshot has no run record")),
+        };
+        let twin = self
+            .twin
+            .ok_or_else(|| corrupt("snapshot has no twin record"))?;
+        let (engine_round, discrete) = self
+            .engine
+            .ok_or_else(|| corrupt("snapshot has no engine record"))?;
+        if let DiscreteState::Alg1(alg1) = &discrete {
+            if alg1.queues.len() != alg1.dummy.len() {
+                return Err(corrupt(&format!(
+                    "snapshot carries {} queue record(s) for {} node(s)",
+                    alg1.queues.len(),
+                    alg1.dummy.len()
+                )));
+            }
+        }
+        Ok(Snapshot {
+            scenario,
+            driver,
+            round,
+            engine: EngineState {
+                round: engine_round,
+                twin,
+                discrete,
+            },
+        })
+    }
 }
 
 /// Parses a snapshot from its line-delimited text form, validating the
@@ -494,288 +580,14 @@ fn kind_of(record: &Json) -> Option<&str> {
 /// missing end record or a mid-line torn write is
 /// [`SnapshotError::Truncated`].
 pub fn parse(text: &str) -> Result<Snapshot, SnapshotError> {
-    if text.is_empty() {
-        return Err(SnapshotError::Truncated {
-            line: 1,
-            reason: "empty snapshot".into(),
-        });
+    let mut reader = Reader::default();
+    for (idx, line) in text.split_inclusive('\n').enumerate() {
+        reader.terminated_line(idx + 1, line)?;
     }
-    let line_count = text.lines().count();
-    if !text.ends_with('\n') {
-        return Err(SnapshotError::Truncated {
-            line: line_count,
-            reason: "torn line (the file ends mid-record, without a newline)".into(),
-        });
-    }
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(idx, line)| (idx + 1, line))
-        .filter(|(_, line)| !line.trim().is_empty());
-
-    // Header.
-    let (line, header) = lines.next().ok_or(SnapshotError::Truncated {
-        line: 1,
-        reason: "empty snapshot".into(),
-    })?;
-    let header = Json::parse(header).map_err(|e| SnapshotError::corrupt(line, e))?;
-    if kind_of(&header) != Some("header") {
-        return Err(SnapshotError::corrupt(
-            line,
-            "expected the snapshot header record",
-        ));
-    }
-    match get_u64(&header, "version", line)? {
-        SNAPSHOT_VERSION => {}
-        found => return Err(SnapshotError::Version { line, found }),
-    }
-    let scenario = header
-        .get("scenario")
-        .ok_or_else(|| SnapshotError::corrupt(line, "header has no scenario"))?
-        .clone();
-
-    // Body: run → twin → [history] → alg1 + queues | alg2 → end.
-    let mut run: Option<(u64, Json)> = None;
-    let mut twin: Option<TwinState> = None;
-    let mut alg1: Option<(u64, Alg1State)> = None;
-    let mut alg2: Option<(u64, Alg2State)> = None;
-    let mut records = 0usize;
-    let mut tasks = 0u64;
-    let mut sealed = false;
-    let mut last_line = line;
-    for (line, text) in lines {
-        last_line = line;
-        if sealed {
-            return Err(SnapshotError::corrupt(line, "content after the end record"));
-        }
-        let record = Json::parse(text).map_err(|e| SnapshotError::corrupt(line, e))?;
-        match kind_of(&record) {
-            Some("run") => {
-                if run.is_some() {
-                    return Err(SnapshotError::corrupt(line, "duplicate run record"));
-                }
-                let round = get_u64(&record, "round", line)?;
-                let driver = record
-                    .get("driver")
-                    .ok_or_else(|| SnapshotError::corrupt(line, "run record has no driver"))?
-                    .clone();
-                run = Some((round, driver));
-            }
-            Some("twin") => {
-                if twin.is_some() {
-                    return Err(SnapshotError::corrupt(line, "duplicate twin record"));
-                }
-                twin = Some(TwinState {
-                    round: get_u64(&record, "round", line)?,
-                    min_load_seen: get_f64_bits(&record, "min_load_seen", line)?,
-                    loads: get_bits_arr(&record, "loads", line)?,
-                    cumulative_flow: get_bits_arr(&record, "cumulative_flow", line)?,
-                    history: None,
-                });
-            }
-            Some("history") => {
-                let twin = twin.as_mut().ok_or_else(|| {
-                    SnapshotError::corrupt(line, "history record before the twin record")
-                })?;
-                if twin.history.is_some() {
-                    return Err(SnapshotError::corrupt(line, "duplicate history record"));
-                }
-                let previous = get_array(&record, "previous", line)?
-                    .iter()
-                    .map(|pair| {
-                        let items = pair.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                            SnapshotError::corrupt(
-                                line,
-                                "each previous entry must be a [forward, backward] pair",
-                            )
-                        })?;
-                        Ok(EdgeFlow::new(
-                            item_f64_bits(&items[0], "previous forward", line)?,
-                            item_f64_bits(&items[1], "previous backward", line)?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, SnapshotError>>()?;
-                twin.history = Some(ProcessHistory {
-                    beta: get_f64_bits(&record, "beta", line)?,
-                    has_previous: get_bool(&record, "has_previous", line)?,
-                    previous,
-                });
-            }
-            Some("alg1") => {
-                if alg1.is_some() || alg2.is_some() {
-                    return Err(SnapshotError::corrupt(line, "duplicate engine record"));
-                }
-                alg1 = Some((
-                    get_u64(&record, "round", line)?,
-                    Alg1State {
-                        queues: Vec::new(),
-                        dummy: get_u64_arr(&record, "dummy", line)?,
-                        discrete_flow: get_i64_arr(&record, "discrete_flow", line)?,
-                        wmax: get_u64(&record, "wmax", line)?,
-                        dummy_created: get_u64(&record, "dummy_created", line)?,
-                        items_sent: get_u64(&record, "items_sent", line)?,
-                        arrived_weight: get_u64(&record, "arrived_weight", line)?,
-                        completed_weight: get_u64(&record, "completed_weight", line)?,
-                    },
-                ));
-            }
-            Some("queue") => {
-                let (_, alg1) = alg1.as_mut().ok_or_else(|| {
-                    SnapshotError::corrupt(line, "queue record before the alg1 record")
-                })?;
-                let node = get_u64(&record, "node", line)
-                    .map(usize_exact)?
-                    .ok_or_else(|| {
-                        SnapshotError::corrupt(line, "queue node index exceeds this platform")
-                    })?;
-                if node != alg1.queues.len() {
-                    return Err(SnapshotError::corrupt(
-                        line,
-                        format!(
-                            "queue records must cover nodes in order: got node {node}, \
-                             expected {}",
-                            alg1.queues.len()
-                        ),
-                    ));
-                }
-                let entries = get_array(&record, "entries", line)?
-                    .iter()
-                    .map(|entry| {
-                        let items = entry.as_array().filter(|a| a.len() == 4).ok_or_else(|| {
-                            SnapshotError::corrupt(
-                                line,
-                                "each queue entry must be a [seq, id, weight, dummy] quadruple",
-                            )
-                        })?;
-                        let seq = item_u64(&items[0], "queue entry seq", line)?;
-                        let id = item_u64(&items[1], "queue entry id", line)?;
-                        let weight = item_u64(&items[2], "queue entry weight", line)?;
-                        let dummy = match &items[3] {
-                            Json::Bool(b) => *b,
-                            _ => {
-                                return Err(SnapshotError::corrupt(
-                                    line,
-                                    "queue entry dummy flag must be a boolean",
-                                ))
-                            }
-                        };
-                        let task = if dummy {
-                            if weight != 1 {
-                                return Err(SnapshotError::corrupt(
-                                    line,
-                                    "dummy tasks must have unit weight",
-                                ));
-                            }
-                            Task::dummy(TaskId(id))
-                        } else {
-                            if weight == 0 {
-                                return Err(SnapshotError::corrupt(
-                                    line,
-                                    "task weight must be positive",
-                                ));
-                            }
-                            Task::new(TaskId(id), weight)
-                        };
-                        Ok((seq, task))
-                    })
-                    .collect::<Result<Vec<_>, SnapshotError>>()?;
-                tasks += u64_exact(entries.len());
-                alg1.queues.push(QueueState {
-                    next_seq: get_u64(&record, "next_seq", line)?,
-                    entries,
-                });
-            }
-            Some("alg2") => {
-                if alg1.is_some() || alg2.is_some() {
-                    return Err(SnapshotError::corrupt(line, "duplicate engine record"));
-                }
-                alg2 = Some((
-                    get_u64(&record, "round", line)?,
-                    Alg2State {
-                        tokens: get_u64_arr(&record, "tokens", line)?,
-                        dummy: get_u64_arr(&record, "dummy", line)?,
-                        discrete_flow: get_i64_arr(&record, "discrete_flow", line)?,
-                        seed: get_u64(&record, "seed", line)?,
-                        dummy_created: get_u64(&record, "dummy_created", line)?,
-                        arrived_weight: get_u64(&record, "arrived_weight", line)?,
-                        completed_weight: get_u64(&record, "completed_weight", line)?,
-                    },
-                ));
-            }
-            Some("end") => {
-                let declared_records = get_u64(&record, "records", line)?;
-                let declared_tasks = get_u64(&record, "tasks", line)?;
-                if declared_records != u64_exact(records) || declared_tasks != tasks {
-                    return Err(SnapshotError::corrupt(
-                        line,
-                        format!(
-                            "end record declares {declared_records} record(s) / \
-                             {declared_tasks} task(s) but the snapshot carries \
-                             {records} / {tasks}"
-                        ),
-                    ));
-                }
-                sealed = true;
-                continue; // the end record itself is not counted
-            }
-            Some("header") => {
-                return Err(SnapshotError::corrupt(line, "unexpected header record"));
-            }
-            Some(other) => {
-                return Err(SnapshotError::corrupt(
-                    line,
-                    format!("unknown record kind {other:?}"),
-                ));
-            }
-            None => return Err(SnapshotError::corrupt(line, "record has no kind")),
-        }
-        records += 1;
-    }
-    if !sealed {
-        return Err(SnapshotError::Truncated {
-            line: last_line,
-            reason: "snapshot ends without the end record".into(),
-        });
-    }
-    let (round, driver) =
-        run.ok_or_else(|| SnapshotError::corrupt(last_line, "snapshot has no run record"))?;
-    let twin =
-        twin.ok_or_else(|| SnapshotError::corrupt(last_line, "snapshot has no twin record"))?;
-    let (engine_round, discrete) = match (alg1, alg2) {
-        (Some((round, state)), None) => (round, DiscreteState::Alg1(state)),
-        (None, Some((round, state))) => (round, DiscreteState::Alg2(state)),
-        _ => {
-            return Err(SnapshotError::corrupt(
-                last_line,
-                "snapshot has no engine record",
-            ))
-        }
-    };
-    if let DiscreteState::Alg1(alg1) = &discrete {
-        if alg1.queues.len() != alg1.dummy.len() {
-            return Err(SnapshotError::corrupt(
-                last_line,
-                format!(
-                    "snapshot carries {} queue record(s) for {} node(s)",
-                    alg1.queues.len(),
-                    alg1.dummy.len()
-                ),
-            ));
-        }
-    }
-    Ok(Snapshot {
-        scenario,
-        driver,
-        round,
-        engine: EngineState {
-            round: engine_round,
-            twin,
-            discrete,
-        },
-    })
+    reader.finish()
 }
 
-/// Reads and parses the snapshot file at `path`.
+/// Reads and parses the snapshot file at `path`, one line at a time.
 ///
 /// # Errors
 ///
@@ -783,22 +595,36 @@ pub fn parse(text: &str) -> Result<Snapshot, SnapshotError> {
 /// located variants of [`SnapshotError`].
 pub fn load(path: impl AsRef<Path>) -> Result<Snapshot, SnapshotError> {
     let path = path.as_ref();
-    let text = fs::read_to_string(path).map_err(|e| SnapshotError::Io {
+    let io_error = |e: io::Error| SnapshotError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
-    })?;
-    parse(&text)
+    };
+    let mut file = BufReader::new(fs::File::open(path).map_err(io_error)?);
+    let mut reader = Reader::default();
+    let mut line = String::new();
+    for lineno in 1.. {
+        line.clear();
+        if file.read_line(&mut line).map_err(io_error)? == 0 {
+            break;
+        }
+        reader.terminated_line(lineno, &line)?;
+    }
+    reader.finish()
 }
 
-/// Renders `snapshot` and atomically writes it to `path` (see
-/// [`write_bytes_atomic`]).
+/// Streams `snapshot` into a staging file and atomically publishes it at
+/// `path` (see [`write_atomic_with`]); the document is never held whole in
+/// memory.
 ///
 /// # Errors
 ///
 /// Returns [`SnapshotError::Io`] naming the path on failure.
 pub fn write_atomic(path: impl AsRef<Path>, snapshot: &Snapshot) -> Result<(), SnapshotError> {
     let path = path.as_ref();
-    write_bytes_atomic(path, render(snapshot).as_bytes()).map_err(|e| SnapshotError::Io {
+    write_atomic_with(path, |out| {
+        write_records(&mut RecordWriter::new(out), snapshot)
+    })
+    .map_err(|e| SnapshotError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     })

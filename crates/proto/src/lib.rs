@@ -1,11 +1,14 @@
 //! # lb-proto
 //!
 //! The versioned, line-delimited wire protocol shared by every socket
-//! front-end of the workspace: one JSON record per line, client speaks
-//! first, every record carries a `"kind"` tag. This crate owns the **single
+//! front-end of the workspace: one record per line, client speaks first,
+//! every record leads with its `"kind"` tag. This crate owns the **single
 //! parse/emit surface** — [`Record::parse`] and [`Record::render`] — so the
 //! server and client sides of `lb serve`, `lb serve-trace --connect` and
-//! `lb federate` can never drift apart on framing.
+//! `lb federate` can never drift apart on framing. Both go through the
+//! workspace's one record codec ([`lb_analysis::codec`]), which snapshots
+//! and traces use too, so a record is read in one pass with no JSON tree
+//! in between; only the embedded scenario is a [`Json`] value.
 //!
 //! ## Versions
 //!
@@ -23,8 +26,10 @@
 //!
 //! Every `f64` travels as its IEEE-754 bit pattern inside a JSON integer
 //! (never as a decimal float), so a value crosses a process boundary
-//! bit-identically. Rendering is insertion-ordered and stable: the same
-//! record always renders to the same bytes.
+//! bit-identically. Rendering is stable: the same record always renders to
+//! the same bytes. Parsing applies the codec's exactness contract: an
+//! integer in fraction or exponent form, an unknown or repeated field, and
+//! an array entry of the wrong arity are all [`ProtoError::Malformed`].
 //!
 //! Semantic validation — protocol-version checks, scenario authentication,
 //! rank bounds — is deliberately **not** done here: [`Record::parse`] checks
@@ -34,9 +39,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use lb_analysis::Json;
+use lb_analysis::codec::{self, Decode, Encode, RecordWriter, Scan};
+use lb_analysis::{read_fields, write_fields, Json};
 use std::error::Error;
 use std::fmt;
+use std::io::{self, Write};
 
 /// Protocol version of the trace-ingest handshake (`lb serve`).
 pub const PROTOCOL_V1: u64 = 1;
@@ -66,6 +73,12 @@ impl ProtoError {
         ProtoError::Malformed {
             reason: reason.into(),
         }
+    }
+}
+
+impl From<String> for ProtoError {
+    fn from(reason: String) -> Self {
+        ProtoError::malformed(reason)
     }
 }
 
@@ -295,120 +308,81 @@ impl Record {
 
     /// Parses one wire line into a typed record.
     ///
-    /// Structural validation only: required fields must be present and
-    /// well-typed, but no version or policy checks happen here.
+    /// Structural validation only: every field the record defines must be
+    /// present once and well-typed, and no other field may appear, but no
+    /// version or policy checks happen here.
     ///
     /// # Errors
     ///
-    /// [`ProtoError::Malformed`] for bad JSON or missing/mistyped fields,
-    /// [`ProtoError::UnknownKind`] for an unrecognized `kind` tag.
+    /// [`ProtoError::Malformed`] for bad JSON or missing, mistyped or
+    /// unknown fields, [`ProtoError::UnknownKind`] for an unrecognized
+    /// `kind` tag.
     pub fn parse(line: &str) -> Result<Record, ProtoError> {
-        let json = Json::parse(line).map_err(ProtoError::malformed)?;
-        let kind = json
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ProtoError::malformed("record has no kind tag"))?;
-        match kind {
-            "hello" => Ok(Record::Hello {
-                version: u64_field(&json, "hello", "version")?,
-                feed: str_field(&json, "hello", "feed")?,
+        let (mut scan, kind) = Scan::record(line).map_err(ProtoError::malformed)?;
+        let record = match &*kind {
+            "hello" => read_fields!(scan.fields("hello") => Record::Hello {
+                version: u64, feed: String
             }),
-            "header" => Ok(Record::Header {
-                version: u64_field(&json, "trace header", "version")?,
-                scenario: json
-                    .get("scenario")
-                    .cloned()
-                    .ok_or_else(|| ProtoError::malformed("trace header has no scenario"))?,
+            "header" => read_fields!(scan.fields("header") => Record::Header {
+                version: u64, scenario: Json
             }),
-            "welcome" => Ok(Record::Welcome {
-                version: u64_field(&json, "welcome", "version")?,
-                feed: str_field(&json, "welcome", "feed")?,
-                last_round: opt_u64_field(&json, "welcome", "last_round")?,
+            "welcome" => read_fields!(scan.fields("welcome") => Record::Welcome {
+                version: u64, feed: String, last_round: Option<u64>
             }),
-            "reject" => Ok(Record::Reject {
-                version: u64_field(&json, "reject", "version")?,
-                error: str_field(&json, "reject", "error")?,
+            "reject" => read_fields!(scan.fields("reject") => Record::Reject {
+                version: u64, error: String
             }),
-            "join" => Ok(Record::Join {
-                version: u64_field(&json, "join", "version")?,
-                rank: u64_field(&json, "join", "rank")?,
-                parts: u64_field(&json, "join", "parts")?,
+            "join" => read_fields!(scan.fields("join") => Record::Join {
+                version: u64, rank: u64, parts: u64
             }),
-            "start" => Ok(Record::Start {
-                scenario: json
-                    .get("scenario")
-                    .cloned()
-                    .ok_or_else(|| ProtoError::malformed("start has no scenario"))?,
-                parts: u64_field(&json, "start", "parts")?,
-                shards: u64_field(&json, "start", "shards")?,
-                checkpoint_every: opt_u64_field(&json, "start", "checkpoint_every")?,
+            "start" => read_fields!(scan.fields("start") => Record::Start {
+                scenario: Json, parts: u64, shards: u64, checkpoint_every: Option<u64>
             }),
-            "round" => Ok(Record::Round {
-                round: u64_field(&json, "round", "round")?,
+            "round" => read_fields!(scan.fields("round") => Record::Round { round: u64 }),
+            "loads" => read_fields!(scan.fields("loads") => Record::Loads {
+                rank: Option<u64>, entries: Vec<(u64, u64)>
             }),
-            "loads" => Ok(Record::Loads {
-                rank: opt_u64_field(&json, "loads", "rank")?,
-                entries: pairs_field(&json, "loads", "entries")?,
+            "flows" => read_fields!(scan.fields("flows") => Record::Flows {
+                rank: Option<u64>, entries: Vec<(u64, u64, u64)>
             }),
-            "flows" => Ok(Record::Flows {
-                rank: opt_u64_field(&json, "flows", "rank")?,
-                entries: triples_field(&json, "flows", "entries")?,
-            }),
-            "sends" => Ok(Record::Sends {
-                rank: u64_field(&json, "sends", "rank")?,
-                batch: parse_batch(
-                    json.get("batch")
-                        .ok_or_else(|| ProtoError::malformed("sends has no batch"))?,
-                )?,
+            "sends" => read_fields!(scan.fields("sends") => Record::Sends {
+                rank: u64, batch: WireBatch
             }),
             "deliver" => {
-                let raw = array_field(&json, "deliver", "batches")?;
-                let mut batches = Vec::with_capacity(raw.len());
-                for entry in raw {
-                    let rank = entry
-                        .get("rank")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ProtoError::malformed("deliver batch has no rank"))?;
-                    let batch = parse_batch(
-                        entry
-                            .get("batch")
-                            .ok_or_else(|| ProtoError::malformed("deliver entry has no batch"))?,
-                    )?;
-                    batches.push((rank, batch));
-                }
-                Ok(Record::Deliver { batches })
+                read_fields!(scan.fields("deliver") { batches: Vec<Ranked> });
+                let batches = batches.into_iter().map(|Ranked(entry)| entry).collect();
+                Record::Deliver { batches }
             }
-            "sample" => Ok(Record::Sample {
-                rank: u64_field(&json, "sample", "rank")?,
-                round: u64_field(&json, "sample", "round")?,
-                loads: u64s_field(&json, "sample", "loads")?,
-                real: u64s_field(&json, "sample", "real")?,
-                dummy_load: u64_field(&json, "sample", "dummy_load")?,
-                arrived: u64_field(&json, "sample", "arrived")?,
-                completed: u64_field(&json, "sample", "completed")?,
+            "sample" => read_fields!(scan.fields("sample") => Record::Sample {
+                rank: u64, round: u64, loads: Vec<u64>, real: Vec<u64>, dummy_load: u64,
+                arrived: u64, completed: u64
             }),
-            "state" => Ok(Record::State {
-                rank: u64_field(&json, "state", "rank")?,
-                round: u64_field(&json, "state", "round")?,
-                snapshot: str_field(&json, "state", "snapshot")?,
+            "state" => read_fields!(scan.fields("state") => Record::State {
+                rank: u64, round: u64, snapshot: String
             }),
-            "restore" => Ok(Record::Restore {
-                round: u64_field(&json, "restore", "round")?,
-                snapshot: str_field(&json, "restore", "snapshot")?,
+            "restore" => read_fields!(scan.fields("restore") => Record::Restore {
+                round: u64, snapshot: String
             }),
-            "finish" => Ok(Record::Finish),
-            "done" => Ok(Record::Done {
-                rank: u64_field(&json, "done", "rank")?,
-                dummy_created: u64_field(&json, "done", "dummy_created")?,
-                engine: str_field(&json, "done", "engine")?,
+            "finish" => {
+                scan.fields("finish", |_, _| Ok(false))?;
+                Record::Finish
+            }
+            "done" => read_fields!(scan.fields("done") => Record::Done {
+                rank: u64, dummy_created: u64, engine: String
             }),
-            "abort" => Ok(Record::Abort {
-                error: str_field(&json, "abort", "error")?,
-            }),
-            other => Err(ProtoError::UnknownKind {
-                kind: other.to_string(),
-            }),
+            "abort" => read_fields!(scan.fields("abort") => Record::Abort { error: String }),
+            other => {
+                return Err(ProtoError::UnknownKind {
+                    kind: other.to_string(),
+                })
+            }
+        };
+        if let Record::Hello { feed, .. } | Record::Welcome { feed, .. } = &record {
+            if feed.is_empty() {
+                return Err(ProtoError::malformed(format!("{kind} has no feed name")));
+            }
         }
+        Ok(record)
     }
 
     /// Renders the record to its one-line wire form (no trailing newline).
@@ -416,327 +390,117 @@ impl Record {
     /// Rendering is stable — the same record always produces the same
     /// bytes — and `parse(render(r)) == r` for every record.
     pub fn render(&self) -> String {
-        let json = match self {
-            Record::Hello { version, feed } => Json::obj([
-                ("kind", Json::from("hello")),
-                ("version", Json::from(*version)),
-                ("feed", Json::from(feed.as_str())),
-            ]),
-            Record::Header { version, scenario } => Json::obj([
-                ("kind", Json::from("header")),
-                ("version", Json::from(*version)),
-                ("scenario", scenario.clone()),
-            ]),
-            Record::Welcome {
-                version,
-                feed,
-                last_round,
-            } => Json::obj([
-                ("kind", Json::from("welcome")),
-                ("version", Json::from(*version)),
-                ("feed", Json::from(feed.as_str())),
-                ("last_round", last_round.map_or(Json::Null, Json::from)),
-            ]),
-            Record::Reject { version, error } => Json::obj([
-                ("kind", Json::from("reject")),
-                ("version", Json::from(*version)),
-                ("error", Json::from(error.as_str())),
-            ]),
-            Record::Join {
-                version,
-                rank,
-                parts,
-            } => Json::obj([
-                ("kind", Json::from("join")),
-                ("version", Json::from(*version)),
-                ("rank", Json::from(*rank)),
-                ("parts", Json::from(*parts)),
-            ]),
-            Record::Start {
-                scenario,
-                parts,
-                shards,
-                checkpoint_every,
-            } => Json::obj([
-                ("kind", Json::from("start")),
-                ("scenario", scenario.clone()),
-                ("parts", Json::from(*parts)),
-                ("shards", Json::from(*shards)),
-                (
-                    "checkpoint_every",
-                    checkpoint_every.map_or(Json::Null, Json::from),
-                ),
-            ]),
-            Record::Round { round } => {
-                Json::obj([("kind", Json::from("round")), ("round", Json::from(*round))])
+        codec::render_with(|out| {
+            out.open(self.kind())?;
+            match self {
+                Record::Hello { version, feed } => write_fields!(out: version, feed),
+                Record::Header { version, scenario } => write_fields!(out: version, scenario),
+                Record::Welcome {
+                    version,
+                    feed,
+                    last_round,
+                } => write_fields!(out: version, feed, last_round),
+                Record::Reject { version, error } => write_fields!(out: version, error),
+                Record::Join {
+                    version,
+                    rank,
+                    parts,
+                } => write_fields!(out: version, rank, parts),
+                Record::Start {
+                    scenario,
+                    parts,
+                    shards,
+                    checkpoint_every,
+                } => write_fields!(out: scenario, parts, shards, checkpoint_every),
+                Record::Round { round } => write_fields!(out: round),
+                Record::Loads { rank, entries } => write_fields!(out: rank, entries),
+                Record::Flows { rank, entries } => write_fields!(out: rank, entries),
+                Record::Sends { rank, batch } => write_fields!(out: rank, batch),
+                Record::Deliver { batches } => {
+                    out.key("batches")?;
+                    out.begin(b'[')?;
+                    for (rank, batch) in batches {
+                        out.begin(b'{')?;
+                        write_fields!(out: rank, batch);
+                        out.end(b'}')?;
+                    }
+                    out.end(b']')?;
+                }
+                Record::Sample {
+                    rank,
+                    round,
+                    loads,
+                    real,
+                    dummy_load,
+                    arrived,
+                    completed,
+                } => write_fields!(out: rank, round, loads, real, dummy_load, arrived, completed),
+                Record::State {
+                    rank,
+                    round,
+                    snapshot,
+                } => write_fields!(out: rank, round, snapshot),
+                Record::Restore { round, snapshot } => write_fields!(out: round, snapshot),
+                Record::Finish => {}
+                Record::Done {
+                    rank,
+                    dummy_created,
+                    engine,
+                } => write_fields!(out: rank, dummy_created, engine),
+                Record::Abort { error } => write_fields!(out: error),
             }
-            Record::Loads { rank, entries } => Json::obj([
-                ("kind", Json::from("loads")),
-                ("rank", rank.map_or(Json::Null, Json::from)),
-                ("entries", render_pairs(entries)),
-            ]),
-            Record::Flows { rank, entries } => Json::obj([
-                ("kind", Json::from("flows")),
-                ("rank", rank.map_or(Json::Null, Json::from)),
-                ("entries", render_triples(entries)),
-            ]),
-            Record::Sends { rank, batch } => Json::obj([
-                ("kind", Json::from("sends")),
-                ("rank", Json::from(*rank)),
-                ("batch", render_batch(batch)),
-            ]),
-            Record::Deliver { batches } => Json::obj([
-                ("kind", Json::from("deliver")),
-                (
-                    "batches",
-                    Json::Arr(
-                        batches
-                            .iter()
-                            .map(|(rank, batch)| {
-                                Json::obj([
-                                    ("rank", Json::from(*rank)),
-                                    ("batch", render_batch(batch)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Record::Sample {
-                rank,
-                round,
-                loads,
-                real,
-                dummy_load,
-                arrived,
-                completed,
-            } => Json::obj([
-                ("kind", Json::from("sample")),
-                ("rank", Json::from(*rank)),
-                ("round", Json::from(*round)),
-                ("loads", render_u64s(loads)),
-                ("real", render_u64s(real)),
-                ("dummy_load", Json::from(*dummy_load)),
-                ("arrived", Json::from(*arrived)),
-                ("completed", Json::from(*completed)),
-            ]),
-            Record::State {
-                rank,
-                round,
-                snapshot,
-            } => Json::obj([
-                ("kind", Json::from("state")),
-                ("rank", Json::from(*rank)),
-                ("round", Json::from(*round)),
-                ("snapshot", Json::from(snapshot.as_str())),
-            ]),
-            Record::Restore { round, snapshot } => Json::obj([
-                ("kind", Json::from("restore")),
-                ("round", Json::from(*round)),
-                ("snapshot", Json::from(snapshot.as_str())),
-            ]),
-            Record::Finish => Json::obj([("kind", Json::from("finish"))]),
-            Record::Done {
-                rank,
-                dummy_created,
-                engine,
-            } => Json::obj([
-                ("kind", Json::from("done")),
-                ("rank", Json::from(*rank)),
-                ("dummy_created", Json::from(*dummy_created)),
-                ("engine", Json::from(engine.as_str())),
-            ]),
-            Record::Abort { error } => Json::obj([
-                ("kind", Json::from("abort")),
-                ("error", Json::from(error.as_str())),
-            ]),
-        };
-        json.render()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Field helpers
-// ---------------------------------------------------------------------------
-
-fn u64_field(json: &Json, record: &str, key: &str) -> Result<u64, ProtoError> {
-    json.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ProtoError::malformed(format!("{record} has no {key}")))
-}
-
-fn opt_u64_field(json: &Json, record: &str, key: &str) -> Result<Option<u64>, ProtoError> {
-    match json.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(value) => value.as_u64().map(Some).ok_or_else(|| {
-            ProtoError::malformed(format!("{record} field {key} is not an integer"))
-        }),
-    }
-}
-
-fn str_field(json: &Json, record: &str, key: &str) -> Result<String, ProtoError> {
-    match json.get(key).and_then(Json::as_str) {
-        Some(text) if !text.is_empty() => Ok(text.to_string()),
-        Some(_) if key == "feed" => {
-            Err(ProtoError::malformed(format!("{record} has no {key} name")))
-        }
-        Some(text) => Ok(text.to_string()),
-        None => Err(ProtoError::malformed(format!("{record} has no {key}"))),
-    }
-}
-
-fn array_field<'a>(json: &'a Json, record: &str, key: &str) -> Result<&'a [Json], ProtoError> {
-    json.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| ProtoError::malformed(format!("{record} has no {key}")))
-}
-
-fn item_u64(item: &Json, what: &str) -> Result<u64, ProtoError> {
-    item.as_u64()
-        .ok_or_else(|| ProtoError::malformed(format!("{what} entry is not an integer")))
-}
-
-fn item_i64(item: &Json, what: &str) -> Result<i64, ProtoError> {
-    match item {
-        Json::Int(value) => i64::try_from(*value)
-            .map_err(|_| ProtoError::malformed(format!("{what} entry overflows i64"))),
-        _ => Err(ProtoError::malformed(format!(
-            "{what} entry is not an integer"
-        ))),
-    }
-}
-
-fn u64s_field(json: &Json, record: &str, key: &str) -> Result<Vec<u64>, ProtoError> {
-    array_field(json, record, key)?
-        .iter()
-        .map(|item| item_u64(item, key))
-        .collect()
-}
-
-fn pairs_field(json: &Json, record: &str, key: &str) -> Result<Vec<(u64, u64)>, ProtoError> {
-    array_field(json, record, key)?
-        .iter()
-        .map(|entry| {
-            let Some([a, b]) = entry.as_array().and_then(|items| items.first_chunk()) else {
-                return Err(ProtoError::malformed(format!(
-                    "{record} {key} entry is not a pair"
-                )));
-            };
-            Ok((item_u64(a, key)?, item_u64(b, key)?))
+            out.end(b'}')
         })
-        .collect()
+    }
 }
 
-fn triples_field(json: &Json, record: &str, key: &str) -> Result<Vec<(u64, u64, u64)>, ProtoError> {
-    array_field(json, record, key)?
-        .iter()
-        .map(|entry| {
-            let Some([a, b, c]) = entry.as_array().and_then(|items| items.first_chunk()) else {
-                return Err(ProtoError::malformed(format!(
-                    "{record} {key} entry is not a triple"
-                )));
-            };
-            Ok((item_u64(a, key)?, item_u64(b, key)?, item_u64(c, key)?))
-        })
-        .collect()
+/// A batch travels as `{"tasks":[[edge,node,id,weight,dummy],…],
+/// "dummy":[[node,units],…],"tokens":[[node,real,dummy],…],
+/// "deltas":[[edge,delta],…]}`.
+impl Encode for WireBatch {
+    fn encode<W: Write>(&self, out: &mut RecordWriter<W>) -> io::Result<()> {
+        out.begin(b'{')?;
+        write_fields!(out: self => tasks, dummy, tokens, deltas);
+        out.end(b'}')
+    }
 }
 
-fn parse_batch(json: &Json) -> Result<WireBatch, ProtoError> {
-    let mut tasks = Vec::new();
-    for entry in array_field(json, "batch", "tasks")? {
-        let Some([edge, node, id, weight, dummy]) =
-            entry.as_array().and_then(|items| items.first_chunk())
-        else {
-            return Err(ProtoError::malformed(
-                "batch tasks entry is not a 5-element array",
-            ));
-        };
-        let dummy = match dummy {
-            Json::Bool(flag) => *flag,
-            _ => return Err(ProtoError::malformed("batch task dummy flag is not a bool")),
-        };
-        tasks.push(WireTask {
-            edge: item_u64(edge, "tasks")?,
-            node: item_u64(node, "tasks")?,
-            id: item_u64(id, "tasks")?,
-            weight: item_u64(weight, "tasks")?,
+impl Decode for WireBatch {
+    fn decode(scan: &mut Scan<'_>) -> Result<Self, String> {
+        Ok(read_fields!(scan.object("batch") => WireBatch {
+            tasks: Vec<WireTask>, dummy: Vec<(u64, u64)>, tokens: Vec<(u64, u64, u64)>,
+            deltas: Vec<(u64, i64)>
+        }))
+    }
+}
+
+impl Encode for WireTask {
+    fn encode<W: Write>(&self, out: &mut RecordWriter<W>) -> io::Result<()> {
+        (self.edge, self.node, self.id, self.weight, self.dummy).encode(out)
+    }
+}
+
+impl Decode for WireTask {
+    fn decode(scan: &mut Scan<'_>) -> Result<Self, String> {
+        let (edge, node, id, weight, dummy) = scan.read()?;
+        Ok(WireTask {
+            edge,
+            node,
+            id,
+            weight,
             dummy,
-        });
-    }
-    let dummy = pairs_field(json, "batch", "dummy")?;
-    let tokens = triples_field(json, "batch", "tokens")?;
-    let deltas = array_field(json, "batch", "deltas")?
-        .iter()
-        .map(|entry| {
-            let Some([e, d]) = entry.as_array().and_then(|items| items.first_chunk()) else {
-                return Err(ProtoError::malformed("batch deltas entry is not a pair"));
-            };
-            Ok((item_u64(e, "deltas")?, item_i64(d, "deltas")?))
         })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(WireBatch {
-        tasks,
-        dummy,
-        tokens,
-        deltas,
-    })
+    }
 }
 
-fn render_u64s(values: &[u64]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::from(v)).collect())
-}
+/// One `{"rank":R,"batch":{…}}` entry of a [`Record::Deliver`].
+struct Ranked((u64, WireBatch));
 
-fn render_pairs(entries: &[(u64, u64)]) -> Json {
-    Json::Arr(
-        entries
-            .iter()
-            .map(|&(a, b)| Json::Arr(vec![Json::from(a), Json::from(b)]))
-            .collect(),
-    )
-}
-
-fn render_triples(entries: &[(u64, u64, u64)]) -> Json {
-    Json::Arr(
-        entries
-            .iter()
-            .map(|&(a, b, c)| Json::Arr(vec![Json::from(a), Json::from(b), Json::from(c)]))
-            .collect(),
-    )
-}
-
-fn render_batch(batch: &WireBatch) -> Json {
-    Json::obj([
-        (
-            "tasks",
-            Json::Arr(
-                batch
-                    .tasks
-                    .iter()
-                    .map(|task| {
-                        Json::Arr(vec![
-                            Json::from(task.edge),
-                            Json::from(task.node),
-                            Json::from(task.id),
-                            Json::from(task.weight),
-                            Json::from(task.dummy),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("dummy", render_pairs(&batch.dummy)),
-        ("tokens", render_triples(&batch.tokens)),
-        (
-            "deltas",
-            Json::Arr(
-                batch
-                    .deltas
-                    .iter()
-                    .map(|&(e, d)| Json::Arr(vec![Json::from(e), Json::from(d)]))
-                    .collect(),
-            ),
-        ),
-    ])
+impl Decode for Ranked {
+    fn decode(scan: &mut Scan<'_>) -> Result<Self, String> {
+        read_fields!(scan.object("deliver entry") { rank: u64, batch: WireBatch });
+        Ok(Ranked((rank, batch)))
+    }
 }
 
 #[cfg(test)]
@@ -972,6 +736,17 @@ mod tests {
         assert!(err.to_string().contains("batch"), "{err}");
         let err = Record::parse(r#"{"kind":"loads","rank":0,"entries":[[1]]}"#).unwrap_err();
         assert!(err.to_string().contains("pair"), "{err}");
+        // Entries longer than their arity are malformed too, not truncated.
+        for line in [
+            r#"{"kind":"loads","rank":0,"entries":[[1,2,99]]}"#,
+            r#"{"kind":"sends","rank":0,"batch":{"tasks":[[1,2,3,4,false,6]],"dummy":[],"tokens":[],"deltas":[]}}"#,
+            r#"{"kind":"sends","rank":0,"batch":{"tasks":[],"dummy":[],"tokens":[],"deltas":[[1,-2,3]]}}"#,
+        ] {
+            assert!(
+                matches!(Record::parse(line), Err(ProtoError::Malformed { .. })),
+                "{line}"
+            );
+        }
     }
 
     #[test]

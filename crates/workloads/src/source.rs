@@ -24,18 +24,21 @@
 //!
 //! # The record parser
 //!
-//! The header line embeds arbitrary scenario JSON and goes through
-//! [`lb_analysis::Json`] once. Every later line goes through a single-pass
-//! scanner that writes arrivals and completions straight into the caller's
-//! [`RoundEvents`] buffers and allocates only on the error path. It accepts
-//! the format the writer emits plus insignificant whitespace and any field
-//! order — with one extra requirement, natural for dispatch-while-streaming:
-//! every record must **lead with its `"kind"` field**, and unknown fields
-//! are rejected. Integer fields are exact: fraction or exponent forms,
+//! The header line embeds arbitrary scenario JSON, which the record codec
+//! ([`lb_analysis::codec`]) hands to [`lb_analysis::Json`]'s grammar. Every
+//! later line goes through the codec's single-pass [`Scan`], which writes
+//! arrivals and completions straight into the caller's [`RoundEvents`]
+//! buffers and allocates only on the error path. It accepts the format the
+//! writer emits plus insignificant whitespace and any field order — with
+//! one extra requirement, natural for dispatch-while-streaming: every
+//! record must **lead with its `"kind"` field**, and unknown fields are
+//! rejected. Integer fields are exact: fraction or exponent forms,
 //! negatives and out-of-range values are parse errors, never silent
-//! roundings (`tests/trace_corpus.rs` pins the error taxonomy).
+//! roundings (`tests/trace_corpus.rs` pins the error taxonomy). Snapshots
+//! and wire records are read by the same codec under the same contract.
 
-use lb_analysis::u64_exact;
+use lb_analysis::codec::Scan;
+use lb_analysis::{read_fields, u64_exact};
 use lb_core::discrete::RoundEvents;
 use lb_core::{Task, TaskId};
 use std::fs;
@@ -142,197 +145,42 @@ enum StreamRecord {
         /// Declared event total.
         events: u64,
     },
-    /// A `header` record (not parsed here — headers carry arbitrary JSON).
-    Header,
-}
-
-/// A byte cursor over one record line.
-struct Scan<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scan<'a> {
-    fn new(line: &'a str) -> Self {
-        Scan {
-            bytes: line.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(u8::is_ascii_whitespace)
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn require(&mut self, token: u8) -> Result<(), String> {
-        if self.peek() == Some(token) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", token as char, self.pos))
-        }
-    }
-
-    fn consume_if(&mut self, token: u8) -> bool {
-        if self.peek() == Some(token) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// A double-quoted string without escapes (the format never emits any in
-    /// record positions the streaming parser inspects).
-    fn string(&mut self) -> Result<&'a str, String> {
-        self.require(b'"')?;
-        let start = self.pos;
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => return Err("unsupported escape in string".into()),
-                Some(_) => self.pos += 1,
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    /// A `"key":` pair opener.
-    fn key(&mut self) -> Result<&'a str, String> {
-        let name = self.string()?;
-        self.require(b':')?;
-        Ok(name)
-    }
-
-    /// A non-negative exact integer. Fraction/exponent forms, negatives and
-    /// values beyond `u64` are errors — the streaming counterpart of the
-    /// `Json::Int` exactness rule.
-    fn integer(&mut self) -> Result<u64, String> {
-        if self.peek() == Some(b'-') {
-            return Err(format!(
-                "expected a non-negative exact integer at byte {}",
-                self.pos
-            ));
-        }
-        let start = self.pos;
-        let mut value: u64 = 0;
-        while let Some(digit) = self.bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
-            value = value
-                .checked_mul(10)
-                .and_then(|v| v.checked_add(u64::from(digit - b'0')))
-                .ok_or("integer out of range")?;
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected an integer at byte {}", self.pos));
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'.' | b'e' | b'E')) {
-            return Err("non-exact integer (fraction/exponent forms are rejected)".into());
-        }
-        Ok(value)
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        if self.peek().is_some() {
-            return Err(format!("unexpected trailing content at byte {}", self.pos));
-        }
-        Ok(())
-    }
-}
-
-/// Parses `"completions":[[node,weight],…]` into `out.completions`.
-fn parse_completions(scan: &mut Scan<'_>, out: &mut RoundEvents) -> Result<(), String> {
-    scan.require(b'[')?;
-    if scan.consume_if(b']') {
-        return Ok(());
-    }
-    loop {
-        scan.require(b'[')?;
-        let node = usize::try_from(scan.integer()?).map_err(|_| "integer out of range")?;
-        scan.require(b',')?;
-        let weight = scan.integer()?;
-        scan.require(b']')?;
-        out.completions.push((node, weight));
-        if !scan.consume_if(b',') {
-            return scan.require(b']');
-        }
-    }
-}
-
-/// Parses `"arrivals":[[node,id,weight],…]` into `out.arrivals`.
-fn parse_arrivals(scan: &mut Scan<'_>, out: &mut RoundEvents) -> Result<(), String> {
-    scan.require(b'[')?;
-    if scan.consume_if(b']') {
-        return Ok(());
-    }
-    loop {
-        scan.require(b'[')?;
-        let node = usize::try_from(scan.integer()?).map_err(|_| "integer out of range")?;
-        scan.require(b',')?;
-        let id = scan.integer()?;
-        scan.require(b',')?;
-        let weight = scan.integer()?;
-        scan.require(b']')?;
-        if weight == 0 {
-            return Err("arrival weight must be positive".into());
-        }
-        out.arrivals.push((node, Task::new(TaskId(id), weight)));
-        if !scan.consume_if(b',') {
-            return scan.require(b']');
-        }
-    }
 }
 
 /// Parses one stream record line, filling `out` (cleared first) for round
 /// records. Allocation-free on the success path.
 fn parse_stream_record(line: &str, out: &mut RoundEvents) -> Result<StreamRecord, String> {
     out.clear();
-    let mut scan = Scan::new(line);
-    scan.require(b'{')?;
-    if scan.key()? != "kind" {
-        return Err("record must lead with its \"kind\" field".into());
-    }
-    match scan.string()? {
-        "header" => Ok(StreamRecord::Header),
+    let (mut scan, kind) = Scan::record(line)?;
+    match &*kind {
+        "header" => Err("unexpected header record mid-stream".into()),
         "round" => {
             let mut round = None;
-            let mut have_completions = false;
-            let mut have_arrivals = false;
-            while scan.consume_if(b',') {
-                match scan.key()? {
-                    "round" if round.is_none() => round = Some(scan.integer()?),
-                    "completions" if !have_completions => {
-                        parse_completions(&mut scan, out)?;
-                        have_completions = true;
-                    }
-                    "arrivals" if !have_arrivals => {
-                        parse_arrivals(&mut scan, out)?;
-                        have_arrivals = true;
-                    }
-                    key @ ("round" | "completions" | "arrivals") => {
-                        return Err(format!("duplicate field {key:?}"))
-                    }
-                    other => return Err(format!("unknown round-record field {other:?}")),
+            let (mut have_completions, mut have_arrivals) = (false, false);
+            scan.fields("round-record", |scan, key| {
+                let seen = match key {
+                    "round" => return scan.set(&mut round, key),
+                    "completions" => &mut have_completions,
+                    "arrivals" => &mut have_arrivals,
+                    _ => return Ok(false),
+                };
+                if std::mem::replace(seen, true) {
+                    return Err(format!("duplicate field {key:?}"));
                 }
-            }
-            scan.require(b'}')?;
-            scan.end()?;
+                scan.items(|scan| {
+                    if key == "completions" {
+                        out.completions.push(scan.read()?);
+                    } else {
+                        let (node, id, weight) = scan.read()?;
+                        if weight == 0 {
+                            return Err("arrival weight must be positive".into());
+                        }
+                        out.arrivals.push((node, Task::new(TaskId(id), weight)));
+                    }
+                    Ok(())
+                })?;
+                Ok(true)
+            })?;
             match (round, have_completions, have_arrivals) {
                 (Some(round), true, true) => Ok(StreamRecord::Round(round)),
                 (None, _, _) => Err("round record is missing field \"round\"".into()),
@@ -341,23 +189,8 @@ fn parse_stream_record(line: &str, out: &mut RoundEvents) -> Result<StreamRecord
             }
         }
         "end" => {
-            let mut rounds = None;
-            let mut events = None;
-            while scan.consume_if(b',') {
-                match scan.key()? {
-                    "rounds" if rounds.is_none() => rounds = Some(scan.integer()?),
-                    "events" if events.is_none() => events = Some(scan.integer()?),
-                    key @ ("rounds" | "events") => return Err(format!("duplicate field {key:?}")),
-                    other => return Err(format!("unknown end-record field {other:?}")),
-                }
-            }
-            scan.require(b'}')?;
-            scan.end()?;
-            match (rounds, events) {
-                (Some(rounds), Some(events)) => Ok(StreamRecord::End { rounds, events }),
-                (None, _) => Err("end record is missing field \"rounds\"".into()),
-                (_, None) => Err("end record is missing field \"events\"".into()),
-            }
+            read_fields!(scan.fields("end-record") { rounds: u64, events: u64 });
+            Ok(StreamRecord::End { rounds, events })
         }
         other => Err(format!("unknown record kind {other:?}")),
     }
@@ -436,9 +269,6 @@ fn process_line(
     }
     let text = std::str::from_utf8(line).map_err(|_| format!("line {lineno}: invalid UTF-8"))?;
     match parse_stream_record(text, out).map_err(|e| format!("line {lineno}: {e}"))? {
-        StreamRecord::Header => Err(format!(
-            "line {lineno}: unexpected header record mid-stream"
-        )),
         StreamRecord::Round(round) => {
             let events = u64_exact(out.arrivals.len() + out.completions.len());
             state

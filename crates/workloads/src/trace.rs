@@ -5,8 +5,9 @@
 //!
 //! # Format
 //!
-//! One JSON document per line ([`lb_analysis::Json`]; seeds, task ids and
-//! weights are written as exact integers, never rounded through `f64`):
+//! One record per line, through the workspace's one record codec
+//! ([`lb_analysis::codec`]; seeds, task ids and weights are written as exact
+//! integers, never rounded through `f64`):
 //!
 //! ```text
 //! {"kind":"header","version":1,"scenario":{…}}          // effective spec
@@ -44,7 +45,8 @@
 //! always does.
 
 use lb_analysis::artifact::{create_staging, publish_staged};
-use lb_analysis::{u64_exact, Json};
+use lb_analysis::codec::{RecordWriter, Scan};
+use lb_analysis::{read_fields, u64_exact, write_fields, Json};
 use lb_core::discrete::RoundEvents;
 use std::fs;
 use std::io::{self, Write};
@@ -63,7 +65,7 @@ pub const TRACE_VERSION: u64 = 1;
 /// [`finish`](TraceWriter::finish) — an unfinished trace is rejected by the
 /// reader.
 pub struct TraceWriter {
-    out: Box<dyn Write>,
+    out: RecordWriter<Box<dyn Write>>,
     last_round: Option<u64>,
     rounds: u64,
     events: u64,
@@ -83,18 +85,18 @@ impl TraceWriter {
     /// Returns the underlying I/O error as a string.
     pub fn new(out: impl Write + 'static, scenario: &Scenario) -> Result<Self, String> {
         let mut writer = TraceWriter {
-            out: Box::new(out),
+            out: RecordWriter::new(Box::new(out)),
             last_round: None,
             rounds: 0,
             events: 0,
             publish: None,
         };
-        let header = Json::obj([
-            ("kind", Json::from("header")),
-            ("version", Json::from(TRACE_VERSION)),
-            ("scenario", scenario.to_json()),
-        ]);
-        writer.write_line(&header)?;
+        writer.write_record(|out| {
+            let (version, scenario) = (TRACE_VERSION, scenario.to_json());
+            out.open("header")?;
+            write_fields!(out: version, scenario);
+            out.close_line()
+        })?;
         Ok(writer)
     }
 
@@ -134,29 +136,17 @@ impl TraceWriter {
                 ));
             }
         }
-        let completions = events
-            .completions
-            .iter()
-            .map(|&(node, weight)| Json::Arr(vec![Json::from(node), Json::from(weight)]))
-            .collect();
-        let arrivals = events
-            .arrivals
-            .iter()
-            .map(|&(node, task)| {
-                Json::Arr(vec![
-                    Json::from(node),
-                    Json::from(task.id().0),
-                    Json::from(task.weight()),
-                ])
-            })
-            .collect();
-        let record = Json::obj([
-            ("kind", Json::from("round")),
-            ("round", Json::from(round)),
-            ("completions", Json::Arr(completions)),
-            ("arrivals", Json::Arr(arrivals)),
-        ]);
-        self.write_line(&record)?;
+        self.write_record(|out| {
+            let completions = &events.completions;
+            let arrivals = events.arrivals.iter();
+            out.open("round")?;
+            write_fields!(out: round, completions);
+            out.list(
+                "arrivals",
+                arrivals.map(|&(node, task)| (node, task.id().0, task.weight())),
+            )?;
+            out.close_line()
+        })?;
         self.last_round = Some(round);
         self.rounds += 1;
         self.events += u64_exact(events.arrivals.len() + events.completions.len());
@@ -173,13 +163,14 @@ impl TraceWriter {
     ///
     /// Returns the underlying I/O error as a string.
     pub fn finish(mut self) -> Result<(), String> {
-        let end = Json::obj([
-            ("kind", Json::from("end")),
-            ("rounds", Json::from(self.rounds)),
-            ("events", Json::from(self.events)),
-        ]);
-        self.write_line(&end)?;
+        let (rounds, events) = (self.rounds, self.events);
+        self.write_record(|out| {
+            out.open("end")?;
+            write_fields!(out: rounds, events);
+            out.close_line()
+        })?;
         self.out
+            .get_mut()
             .flush()
             .map_err(|e| format!("flushing trace: {e}"))?;
         let Some((tmp, target)) = self.publish.take() else {
@@ -190,8 +181,11 @@ impl TraceWriter {
             .map_err(|e| format!("publishing trace {}: {e}", target.display()))
     }
 
-    fn write_line(&mut self, record: &Json) -> Result<(), String> {
-        writeln!(self.out, "{}", record.render()).map_err(|e| format!("writing trace: {e}"))
+    fn write_record(
+        &mut self,
+        write: impl FnOnce(&mut RecordWriter<Box<dyn Write>>) -> io::Result<()>,
+    ) -> Result<(), String> {
+        write(&mut self.out).map_err(|e| format!("writing trace: {e}"))
     }
 }
 
@@ -211,17 +205,15 @@ impl Drop for TraceWriter {
 /// embedded effective scenario (the one header parser of
 /// [`crate::source`]).
 pub(crate) fn parse_header_line(line: &str) -> Result<Scenario, String> {
-    let header = Json::parse(line)?;
-    if header.get("kind").and_then(Json::as_str) != Some("header") {
+    let (mut scan, kind) = Scan::record(line)?;
+    if kind != "header" {
         return Err("expected the trace header record".into());
     }
-    match header.get("version").and_then(Json::as_u64) {
-        Some(TRACE_VERSION) => {}
-        Some(v) => return Err(format!("unsupported trace version {v}")),
-        None => return Err("missing trace version".into()),
+    read_fields!(scan.fields("header") { version: u64, scenario: Json });
+    if version != TRACE_VERSION {
+        return Err(format!("unsupported trace version {version}"));
     }
-    let scenario_json = header.get("scenario").ok_or("header has no scenario")?;
-    let scenario = Scenario::from_json(scenario_json)?;
+    let scenario = Scenario::from_json(&scenario)?;
     scenario.validate()?;
     Ok(scenario)
 }

@@ -2,7 +2,7 @@
 //! snapshot (captured from a real checkpointed run, so it tracks the format
 //! instead of bit-rotting against it) is mutated into every documented
 //! failure shape — truncation, a flipped version, edited end-record totals,
-//! non-exact integers, a mid-line torn write — and each mutation must map
+//! non-exact integers, unknown fields, a mid-line torn write — and each mutation must map
 //! to its *specific located* [`lb_core::snapshot::SnapshotError`] variant,
 //! never a panic and never a silently-wrong resume.
 
@@ -196,6 +196,42 @@ fn non_exact_integers_are_a_located_corrupt_error() {
             assert!(reason.contains("exact integer"), "{reason}");
         }
         other => panic!("expected Corrupt at line 3, got {other:?}"),
+    }
+}
+
+#[test]
+fn exponent_forms_and_unknown_fields_are_located_corrupt_errors() {
+    // One exactness contract for snapshots and traces: an integral value in
+    // exponent form is not an exact integer, and a field the record does
+    // not define is not silently ignored.
+    let text = canonical();
+    let twin_line = text.lines().nth(2).unwrap();
+    let round = twin_line
+        .split("\"round\":")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .unwrap();
+    for (edited, fragment) in [
+        (
+            twin_line.replacen(
+                &format!("\"round\":{round},"),
+                &format!("\"round\":{round}.0e0,"),
+                1,
+            ),
+            "non-exact integer",
+        ),
+        (
+            twin_line.replacen("\"kind\":\"twin\",", "\"kind\":\"twin\",\"bogus\":7,", 1),
+            "unknown twin field \"bogus\"",
+        ),
+    ] {
+        assert_ne!(edited, twin_line);
+        match parse_err(&edit_line(&text, 3, Some(&edited))) {
+            SnapshotError::Corrupt { line: 3, reason } => {
+                assert!(reason.contains(fragment), "{reason}");
+            }
+            other => panic!("expected Corrupt at line 3, got {other:?}"),
+        }
     }
 }
 
