@@ -103,7 +103,7 @@ impl<'a> Scan<'a> {
 
     /// A string with its escapes decoded; it borrows the input unless it
     /// holds an escape.
-    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.require(b'"')?;
         let mut owned: Option<String> = None;
         loop {
