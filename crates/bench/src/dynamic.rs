@@ -16,11 +16,11 @@
 //! `.stream()`, `.merged()`); then [`Session::run`]. Failures come back as
 //! the typed [`crate::error::BenchError`].
 //!
-//! Every run, a federated worker's included, builds its engine in one
-//! place: a match on the scenario's algorithm and model builds the
-//! concrete [`Imitation`] (Algorithm 1 or 2 over FOS or SOS) and runs a
-//! driver loop that is generic in both, so the loop calls the engine's
-//! methods directly.
+//! Every run, a federated worker's included, picks its engine in one
+//! place: a match on the scenario's algorithm and model names the concrete
+//! [`Imitation`] (Algorithm 1 or 2 over FOS or SOS) and runs a driver loop
+//! generic in both, which builds the engine once (a resume builds it on the
+//! capture epoch, with no initial placement) and calls it directly.
 //!
 //! Events can reach the engine four ways, all bit-identical for the same
 //! scenario and seed (`tests/ingest_equivalence.rs`,
@@ -243,46 +243,43 @@ impl Model for Sos {
     }
 }
 
+/// A scenario engine's constructor: process, initial load, speeds, seed.
+pub(crate) type Build<A, R> =
+    fn(A, &InitialLoad, Speeds, u64) -> Result<Imitation<A, R>, CoreError>;
+
 /// A driver loop over one scenario's engine, generic in the engine's
-/// continuous model and algorithm; [`drive`] builds the engine and runs it.
+/// continuous model and algorithm; [`drive`] picks them and runs it.
 pub(crate) trait Driver {
     /// The effective scenario the engine is built from.
     fn scenario(&self) -> &Scenario;
-    /// Runs the loop on `engine`, freshly built on `world`.
+    /// Runs the loop on the one engine `build` makes (a constructor).
     fn run<A: Model, R: Algorithm>(
         self,
         world: &World,
-        engine: Imitation<A, R>,
+        build: Build<A, R>,
     ) -> Result<ScenarioOutcome, BenchError>;
 }
 
-/// Derives the driver's [`World`], builds the engine its scenario names on
-/// it — Algorithm 1 with the FIFO picker, or Algorithm 2 under the
-/// scenario's seed, over FOS or SOS — and runs the driver on it. Federated
-/// workers build their engines here too; the coordinator builds none.
+/// Derives the driver's [`World`] and runs the driver on the engine its
+/// scenario names: Algorithm 1 with the FIFO picker or Algorithm 2, over FOS
+/// or SOS. Federated workers run here too; the coordinator builds no engine.
 pub(crate) fn drive(driver: impl Driver) -> Result<ScenarioOutcome, BenchError> {
     let scenario = driver.scenario();
     let world = build_world(scenario)?;
-    let seed = scenario.seed;
     match (scenario.algorithm, scenario.model) {
-        (AlgorithmSpec::Alg1, ModelSpec::Fos) => driver.run(&world, alg1::<Fos>(&world)?),
-        (AlgorithmSpec::Alg1, ModelSpec::Sos) => driver.run(&world, alg1::<Sos>(&world)?),
-        (AlgorithmSpec::Alg2, ModelSpec::Fos) => driver.run(&world, alg2::<Fos>(&world, seed)?),
-        (AlgorithmSpec::Alg2, ModelSpec::Sos) => driver.run(&world, alg2::<Sos>(&world, seed)?),
+        (AlgorithmSpec::Alg1, ModelSpec::Fos) => driver.run(&world, |p, l, s, _| {
+            FlowImitation::<Fos>::new(p, l, s, TaskPicker::Fifo)
+        }),
+        (AlgorithmSpec::Alg1, ModelSpec::Sos) => driver.run(&world, |p, l, s, _| {
+            FlowImitation::<Sos>::new(p, l, s, TaskPicker::Fifo)
+        }),
+        (AlgorithmSpec::Alg2, ModelSpec::Fos) => {
+            driver.run(&world, RandomizedImitation::<Fos>::new)
+        }
+        (AlgorithmSpec::Alg2, ModelSpec::Sos) => {
+            driver.run(&world, RandomizedImitation::<Sos>::new)
+        }
     }
-}
-
-/// Algorithm 1 over `A` on `world`.
-fn alg1<A: Model>(world: &World) -> Result<FlowImitation<A>, CoreError> {
-    let process = A::build(Arc::clone(&world.graph), &world.speeds)?;
-    let speeds = world.speeds.clone();
-    FlowImitation::new(process, &world.initial, speeds, TaskPicker::Fifo)
-}
-
-/// Algorithm 2 over `A` on `world`, rounding under `seed`.
-fn alg2<A: Model>(world: &World, seed: u64) -> Result<RandomizedImitation<A>, CoreError> {
-    let process = A::build(Arc::clone(&world.graph), &world.speeds)?;
-    RandomizedImitation::new(process, &world.initial, world.speeds.clone(), seed)
 }
 
 /// Rebuilds `engine`'s continuous process on `graph` and swaps it in
@@ -298,9 +295,8 @@ fn alg2<A: Model>(world: &World, seed: u64) -> Result<RandomizedImitation<A>, Co
 /// [`Sos::patched`]). A patch keeps the process's speeds, which equal
 /// `speeds` wherever the engine has followed every epoch. The patched
 /// process is bit-identical to the full rebuild, so both paths yield the
-/// same trajectory. A resume patches the world-built engine only onto a
-/// capture epoch that is the world again (an empty delta), and rebuilds
-/// otherwise.
+/// same trajectory. Only churn during a run calls this: a resume builds
+/// its engine on the capture epoch directly.
 pub(crate) fn replace_topology<A: Model, R: Algorithm>(
     engine: &mut Imitation<A, R>,
     graph: Arc<Graph>,
@@ -860,7 +856,7 @@ impl Session {
 
     /// Starts a session that replays a recorded trace through the async
     /// ingestion channel: the source's header embeds the effective
-    /// scenario, which rebuilds the graph, speeds and initial load, and its
+    /// scenario, which derives the graph, speeds and initial load, and its
     /// round records drive the engine as they arrive — from any framed
     /// reader ([`lb_workloads::ReadSource`]: a trace file, pipes, sockets,
     /// stdin) or a growing trace file ([`lb_workloads::TraceSource`]). For a
@@ -883,12 +879,12 @@ impl Session {
     }
 
     /// Starts a session that resumes a checkpointed run
-    /// ([`Session::checkpoint`]) from `snapshot`: the embedded scenario
-    /// rebuilds the graph, speeds and initial load from its seeds, the
+    /// ([`Session::checkpoint`]) from `snapshot`: the embedded scenario's
     /// pre-resume event stream is fast-forwarded (reconstructing its RNG
-    /// state and task-id counter), and the engine state is restored at the
-    /// captured between-rounds boundary. The result document is
-    /// **byte-identical** to the uninterrupted run's, from any checkpoint.
+    /// state and task-id counter), the engine is built once on the capture
+    /// epoch with no initial placement, and the captured state is restored
+    /// into it. The result document is **byte-identical** to the
+    /// uninterrupted run's, from any checkpoint.
     ///
     /// [`Session::shards`] resizes the resumed *executor* only — the
     /// recorded scenario keeps the original shard count, so byte-identity
@@ -1299,23 +1295,29 @@ enum Feed {
     Merge(MergeSession),
 }
 
-/// Everything a driver deterministically derives from a scenario before the
-/// first round: the seeded topology, speeds, padded initial load and the
-/// first dynamic task id. Every process of a federated run rebuilds the
-/// identical `World` from the identical scenario document — this derivation
-/// is the only "configuration channel" the protocol needs.
+/// What a driver derives from a scenario before the first round, short of
+/// the initial placement, which only a fresh run makes ([`place`]). Every
+/// federated process rebuilds the identical `World` from the identical
+/// scenario document: the protocol's only "configuration channel".
 pub(crate) struct World {
     pub(crate) class: GraphClass,
     pub(crate) graph: Arc<Graph>,
     pub(crate) speeds: Speeds,
-    pub(crate) initial: InitialLoad,
+    /// Placed: `tokens` unit tokens, then `pad` tasks per unit of speed.
+    tokens: u64,
+    pad: u64,
     pub(crate) first_task_id: u64,
 }
 
-/// Derives the [`World`] of an effective (validated) scenario.
+/// Derives the [`World`] of an effective (validated) scenario; too many
+/// initial tasks for a `u64` is a usage error naming the field.
 pub(crate) fn build_world(scenario: &Scenario) -> Result<World, BenchError> {
     let seed = scenario.seed;
     let class = family_class(&scenario.topology.family).map_err(BenchError::Usage)?;
+    let n = class.node_count(scenario.topology.target_n);
+    let overflow = |field: &str| BenchError::usage(format!("{field} overflows the task count"));
+    let tokens = (scenario.initial.tokens_per_node.checked_mul(n as u64))
+        .ok_or_else(|| overflow("initial.tokens_per_node"))?;
     let graph: Arc<Graph> = class
         .build(
             scenario.topology.target_n,
@@ -1323,32 +1325,36 @@ pub(crate) fn build_world(scenario: &Scenario) -> Result<World, BenchError> {
         )
         .map_err(|err| BenchError::run(format!("building {}: {err}", scenario.topology.family)))?
         .into();
-    let n = graph.node_count();
 
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(SPEEDS_SEED_OFFSET));
     let speeds = scenario.speeds.to_model().generate(n, &mut rng);
 
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(INITIAL_SEED_OFFSET));
-    let total_tokens = scenario.initial.tokens_per_node * n as u64;
-    let unpadded = scenario
-        .initial
-        .distribution
-        .generate(n, total_tokens, &mut rng);
+    // Every token is a unit task, so the heaviest initial task weighs 1.
+    let weight = scenario.arrivals.max_weight().max(1);
     let pad = match scenario.initial.pad {
-        PadSpec::Tokens(t) => t,
-        PadSpec::Degree => {
-            graph.max_degree() as u64 * unpadded.max_weight().max(scenario.arrivals.max_weight())
-        }
-    };
-    let initial = pad_for_min_load(&unpadded, &speeds, pad);
-    let first_task_id = initial.task_count() as u64;
+        PadSpec::Tokens(t) => Some(t),
+        PadSpec::Degree => (graph.max_degree() as u64).checked_mul(weight),
+    }
+    .ok_or_else(|| overflow("arrivals.max_weight"))?;
+    let first_task_id = (speeds.as_slice().iter())
+        .try_fold(tokens, |count, &s| count.checked_add(s.checked_mul(pad)?))
+        .ok_or_else(|| overflow("initial.pad"))?;
     Ok(World {
         class,
         graph,
         speeds,
-        initial,
+        tokens,
+        pad,
         first_task_id,
     })
+}
+
+/// A fresh run's initial load: the tokens, then the padding numbered after.
+pub(crate) fn place(scenario: &Scenario, world: &World) -> InitialLoad {
+    let mut rng = StdRng::seed_from_u64(scenario.seed.wrapping_add(INITIAL_SEED_OFFSET));
+    let distribution = &scenario.initial.distribution;
+    let tokens = distribution.generate(world.graph.node_count(), world.tokens, &mut rng);
+    pad_for_min_load(&tokens, &world.speeds, world.pad)
 }
 
 /// One trajectory point, read off the engine after `round` completed rounds.
@@ -1388,19 +1394,19 @@ impl<F: FnMut(&RoundSample)> Driver for Sequential<'_, F> {
     fn run<A: Model, R: Algorithm>(
         self,
         world: &World,
-        engine: Imitation<A, R>,
+        build: Build<A, R>,
     ) -> Result<ScenarioOutcome, BenchError> {
-        execute(self, world, engine)
+        execute(self, world, build)
     }
 }
 
 /// The shared driver loop of every non-federated run. Churn epochs are
 /// built when their rounds arrive ([`ChurnCursor`]), so before round 0 the
-/// only graph is the world's.
+/// only graph is the world's, or on resume the capture epoch's.
 fn execute<A: Model, R: Algorithm>(
     run: Sequential<'_, impl FnMut(&RoundSample)>,
     world: &World,
-    mut engine: Imitation<A, R>,
+    build: Build<A, R>,
 ) -> Result<ScenarioOutcome, BenchError> {
     let Sequential {
         scenario,
@@ -1453,26 +1459,21 @@ fn execute<A: Model, R: Algorithm>(
         .unwrap_or(scenario.shards);
     let mut executor = (exec_shards > 1).then(|| ShardedExecutor::new(exec_shards));
 
-    let mut trajectory = Vec::new();
     let mut record = |engine: &Imitation<A, R>, round: usize, trajectory: &mut Vec<RoundSample>| {
         let sample = sample_of(engine, round);
         on_sample(&sample);
         trajectory.push(sample);
     };
 
-    let resume_round = match resume {
-        None => {
-            record(&engine, 0, &mut trajectory);
-            0
-        }
+    // The engine is built once, on the cursor's epoch. A fresh run builds it
+    // on the world, holding the initial placement. A resume first drains
+    // the pre-resume event stream (reconstructing its RNG state and task-id
+    // counter, and re-recording it so `--record` yields the complete trace)
+    // while churn follows each epoch's speeds and builds only the capture
+    // epoch's topology; the engine starts empty and the snapshot restores it.
+    let initial = match &resume {
+        None => place(&scenario, world),
         Some(point) => {
-            // Fast-forward the pre-resume prefix without stepping the
-            // engine: the event stream is drained round by round to
-            // reconstruct its RNG state and task-id counter (and re-record
-            // it, so a resumed `--record` still yields the complete trace),
-            // following each epoch's speeds, while churn builds only the
-            // topology of the epoch the capture lies in — the snapshot
-            // restore overwrites everything else.
             for round in 0..point.round {
                 if churn.pass(round)? {
                     source.set_topology(churn.speeds());
@@ -1484,22 +1485,21 @@ fn execute<A: Model, R: Algorithm>(
                         .map_err(BenchError::Io)?;
                 }
             }
-            if let Some(graph) = churn.seek(point.round)? {
-                // The engine is built on the world. A capture epoch with
-                // the world's edges and speeds (a rewire back to the world)
-                // is an empty patch, so SOS keeps the world's β. Any other
-                // epoch is rebuilt on the carried speeds: a patch across
-                // every epoch since the world would still estimate β.
-                let world_again = graph.node_count() == engine.graph().node_count()
-                    && graph.edges() == engine.graph().edges()
-                    && engine.speeds() == churn.speeds();
-                let delta = world_again.then(GraphDelta::default);
-                replace_topology(&mut engine, graph, churn.speeds(), delta.as_ref()).map_err(
-                    |err| {
-                        BenchError::run(format!("rebuilding the churned topology to resume: {err}"))
-                    },
-                )?;
-            }
+            churn.seek(point.round)?;
+            InitialLoad::from_token_counts(vec![0; churn.speeds().len()])
+        }
+    };
+    let process = A::build(Arc::clone(churn.graph()), churn.speeds())?;
+    let mut engine = build(process, &initial, churn.speeds().clone(), scenario.seed)?;
+    drop(initial);
+
+    let mut trajectory = Vec::new();
+    let resume_round = match resume {
+        None => {
+            record(&engine, 0, &mut trajectory);
+            0
+        }
+        Some(point) => {
             if engine.name() != point.engine_name {
                 return Err(BenchError::protocol(format!(
                     "snapshot does not match this run: it captured engine {:?} but the \
@@ -1712,6 +1712,85 @@ mod tests {
         let err = cursor.fire(5).err().unwrap();
         assert!(matches!(err, BenchError::Run(_)));
         assert!(err.to_string().starts_with("churn at round 5:"), "{err}");
+    }
+
+    #[test]
+    fn first_task_id_counts_the_placement() {
+        let mut scenario = poisson_scenario(); // a 36-node torus
+        let distributions = [
+            TokenDistribution::SingleSource { source: 3 },
+            TokenDistribution::UniformRandom,
+            TokenDistribution::AlmostBalanced,
+            TokenDistribution::Geometric { ratio_percent: 60 },
+        ];
+        let speeds = [
+            SpeedSpec::Uniform,
+            SpeedSpec::UniformRange { s_max: 5 },
+            SpeedSpec::PowersOfTwo { classes: 3 },
+        ];
+        for distribution in distributions {
+            for pad in [PadSpec::Tokens(0), PadSpec::Tokens(3), PadSpec::Degree] {
+                for speed in speeds {
+                    for max_weight in [1, 3] {
+                        for tokens_per_node in [0, 7] {
+                            scenario.initial = InitialSpec {
+                                distribution,
+                                tokens_per_node,
+                                pad,
+                            };
+                            scenario.speeds = speed;
+                            scenario.arrivals = ArrivalSpec::Poisson {
+                                rate_per_node: 0.5,
+                                max_weight,
+                            };
+                            let world = build_world(&scenario).unwrap();
+                            let initial = place(&scenario, &world);
+                            let tag = format!(
+                                "{distribution:?} {pad:?} {speed:?} {max_weight} {tokens_per_node}"
+                            );
+                            assert_eq!(initial.task_count() as u64, world.first_task_id, "{tag}");
+                            // The ids run 0.. with no gap, so the first
+                            // dynamic task is the next one.
+                            let mut ids: Vec<u64> = (0..initial.node_count())
+                                .flat_map(|i| initial.tasks_of(i).iter().map(|t| t.id().0))
+                                .collect();
+                            ids.sort_unstable();
+                            assert!(ids.iter().copied().eq(0..world.first_task_id), "{tag}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_initial_load_past_u64_is_a_usage_error_naming_the_field() {
+        // Each value overflows the task count; the error comes before any
+        // task is placed.
+        type Edit = fn(&mut Scenario);
+        let overflowing: [(&str, Edit); 3] = [
+            ("initial.tokens_per_node", |s| {
+                s.initial.tokens_per_node = u64::MAX
+            }),
+            ("initial.pad", |s| s.initial.pad = PadSpec::Tokens(u64::MAX)),
+            ("arrivals.max_weight", |s| {
+                s.arrivals = ArrivalSpec::Poisson {
+                    rate_per_node: 0.5,
+                    max_weight: u64::MAX,
+                }
+            }),
+        ];
+        for (field, set) in overflowing {
+            let mut scenario = poisson_scenario();
+            set(&mut scenario);
+            let err = build_world(&scenario).err().expect(field);
+            assert!(matches!(err, BenchError::Usage(_)), "{field}: {err}");
+            assert!(err.to_string().starts_with(field), "{field}: {err}");
+            let err = Session::from_scenario(&scenario)
+                .run(|_| {})
+                .expect_err(field);
+            assert!(err.to_string().starts_with(field), "{field}: {err}");
+        }
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! The process topology is a star. The **coordinator** owns the scenario: it
 //! admits one [`Join`](lb_proto::Record::Join) per rank, broadcasts the
 //! effective scenario in [`Start`](lb_proto::Record::Start), then acts as a
-//! pure message router for the round protocol. It builds no engine: it
-//! keeps only the world and the churn cursor, whose topologies and speeds
-//! state splicing and sampling need. Each **worker** derives the identical
-//! [`World`](crate::dynamic) from the scenario document, builds the
-//! full-size engine, and steps only its partition through
+//! pure message router for the round protocol. It builds no engine and
+//! places no initial load: it keeps only the world and the churn cursor,
+//! whose topologies and speeds state splicing and sampling need. Each
+//! **worker** derives the identical [`World`](crate::dynamic) from the
+//! scenario document, builds the full-size engine on it holding the initial
+//! placement, and steps only its partition through
 //! [`lb_core::federate`], speaking the v2 records of [`lb_proto`] over one
 //! line-delimited socket.
 //!
@@ -58,6 +59,7 @@ use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::process::Child;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lb_analysis::Json;
@@ -70,8 +72,8 @@ use lb_proto::{Record, WireBatch, WireTask, PROTOCOL_V2};
 use lb_workloads::{Scenario, ScenarioEvents};
 
 use crate::dynamic::{
-    build_world, churn_error, drive, encode_driver, replace_topology, ChurnCursor, Driver, Model,
-    RoundSample, ScenarioOutcome, World,
+    build_world, churn_error, drive, encode_driver, place, replace_topology, Build, ChurnCursor,
+    Driver, Model, RoundSample, ScenarioOutcome, World,
 };
 use crate::error::BenchError;
 
@@ -1050,22 +1052,28 @@ impl Driver for Worker<'_> {
     fn run<A: Model, R: Algorithm>(
         self,
         world: &World,
-        engine: Imitation<A, R>,
+        build: Build<A, R>,
     ) -> Result<ScenarioOutcome, BenchError> {
-        worker_loop(self, world, engine)
+        worker_loop(self, world, build)
     }
 }
 
+/// One worker's run: every rank builds the full-size engine on the world,
+/// holding the initial placement, and steps its own partition.
 fn worker_loop<A: Model, R: Algorithm>(
     worker: Worker<'_>,
     world: &World,
-    mut engine: Imitation<A, R>,
+    build: Build<A, R>,
 ) -> Result<ScenarioOutcome, BenchError> {
     let Worker {
         scenario,
         link,
         checkpoint_every,
     } = worker;
+    let process = A::build(Arc::clone(&world.graph), &world.speeds)?;
+    let initial = place(scenario, world);
+    let mut engine = build(process, &initial, world.speeds.clone(), scenario.seed)?;
+    drop(initial);
     let rank = link.rank;
     let mut churn = ChurnCursor::new(world, &scenario.churn)?;
     let mut fed = FederatedExecutor::new(rank, link.parts, scenario.shards)?;

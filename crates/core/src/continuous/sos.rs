@@ -543,6 +543,43 @@ mod tests {
     }
 
     #[test]
+    fn an_engine_built_on_its_epoch_and_restored_estimates_once() {
+        use crate::discrete::{DiscreteBalancer, FlowImitation, TaskPicker};
+        use crate::InitialLoad;
+
+        let (w, speeds) = pow2_hypercube();
+        let n = w.node_count();
+        let sos = |graph| Sos::with_optimal_beta(graph, &speeds, AlphaScheme::MaxDegreePlusOne);
+        let fifo = TaskPicker::Fifo;
+        let load = InitialLoad::from_token_counts((0..n as u64).map(|i| i % 7 * 3).collect());
+        let mut run =
+            FlowImitation::new(sos(Arc::clone(&w)).unwrap(), &load, speeds.clone(), fifo).unwrap();
+        run.run(5);
+        // The run moves to D1, a topology it was not built on, and goes on.
+        let [(to_d1, d1), _] = two_swaps(&w);
+        let at_d1 = run.continuous().process().patched(Arc::clone(&d1), &to_d1);
+        run.replace_topology(at_d1.unwrap()).unwrap();
+        run.run(5);
+        let state = run.capture();
+        // A resume builds on D1 itself with empty holdings: one estimate,
+        // for D1, and the restore re-estimates nothing.
+        let empty = InitialLoad::from_token_counts(vec![0; n]);
+        let (resumed, count) = estimates(|| {
+            let mut resumed =
+                FlowImitation::new(sos(Arc::clone(&d1)).unwrap(), &empty, speeds.clone(), fifo)
+                    .unwrap();
+            resumed.restore(&state).unwrap();
+            resumed
+        });
+        assert_eq!(count, 1);
+        let mut resumed = resumed;
+        assert_eq!(resumed.capture(), state);
+        run.run(5);
+        resumed.run(5);
+        assert_eq!(resumed.capture(), run.capture());
+    }
+
+    #[test]
     fn sos_conserves_total_load() {
         let g = generators::torus(4, 4).unwrap();
         let speeds = Speeds::uniform(16);

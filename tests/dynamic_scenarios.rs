@@ -3,7 +3,7 @@
 //! result documents — the reproducibility contract of `lb run` (acceptance
 //! criterion of the dynamic-workload PR).
 
-use lb_bench::dynamic::{RoundSample, Session};
+use lb_bench::dynamic::{Producer, RoundSample, Session, DEFAULT_CHANNEL_CAPACITY};
 use lb_workloads::{
     AlgorithmSpec, ArrivalSpec, ChurnEvent, ChurnKind, InitialSpec, ModelSpec, PadSpec, Scenario,
     ServiceSpec, SpeedSpec, TokenDistribution, TopologySpec,
@@ -248,6 +248,18 @@ fn epoch_cycle_scenario(family: &str, algorithm: AlgorithmSpec, model: ModelSpec
 /// Checkpoints `scenario` at every round and resumes each snapshot at 1
 /// and 3 shards: every resumed document must equal the uninterrupted run.
 fn assert_resumes_at_every_round(tag: &str, scenario: &Scenario) {
+    let sync = Producer::Scenario;
+    assert_resumes_at_every_round_under(tag, scenario, &[(1, sync), (3, sync)]);
+}
+
+/// Checkpoints `scenario` at every round and resumes each snapshot at each
+/// `(shards, producer)`: every resumed document must equal the
+/// uninterrupted run.
+fn assert_resumes_at_every_round_under(
+    tag: &str,
+    scenario: &Scenario,
+    resumes: &[(usize, Producer)],
+) {
     use lb_analysis::artifact::unique_name;
     use lb_core::snapshot::{self, Snapshot};
 
@@ -279,15 +291,16 @@ fn assert_resumes_at_every_round(tag: &str, scenario: &Scenario) {
     assert_eq!(copies.len(), scenario.rounds, "{tag}");
     for snap in copies {
         let round = snap.round;
-        for shards in [1usize, 3] {
+        for &(shards, producer) in resumes {
             let resumed = Session::from_snapshot(snap.clone())
                 .shards(shards)
+                .producer(producer)
                 .run(|_| {})
                 .unwrap_or_else(|err| panic!("{tag}: resume at {round}: {err}"));
             assert_eq!(
                 resumed.to_json().render_pretty(),
                 reference,
-                "{tag}: resume at round {round} with {shards} shard(s)"
+                "{tag}: resume at round {round} with {shards} shard(s), {producer:?}"
             );
         }
     }
@@ -384,5 +397,72 @@ fn resume_after_a_resize_back_restores_the_carried_speeds() {
             let tag = format!("resize back/{algorithm:?}/{model:?}");
             assert_resumes_at_every_round(&tag, &resize_back_scenario(algorithm, model));
         }
+    }
+}
+
+/// SOS on the expander (a seeded family) with powers-of-two speeds:
+/// rewire, delta, resize to half the size and back, rewire, delta. Every
+/// event builds a graph the world is not, so every resume past round 2
+/// builds its engine on a capture epoch that was never the world.
+fn never_the_world_scenario(algorithm: AlgorithmSpec) -> Scenario {
+    use lb_bench::dynamic::family_class;
+
+    let class = family_class("expander").expect("known family");
+    let swap = |graph: &lb_graph::Graph| ChurnKind::Delta {
+        add: vec![absent_edge(graph, &[])],
+        remove: vec![graph.edges()[0]],
+    };
+    let event = |round, kind| ChurnEvent { round, kind };
+    let resize = |target_n, seed| ChurnKind::Resize { target_n, seed };
+    Scenario {
+        name: "never_the_world_expander".into(),
+        seed: 37,
+        rounds: 16,
+        sample_every: 2,
+        algorithm,
+        model: ModelSpec::Sos,
+        topology: TopologySpec {
+            family: "expander".into(),
+            target_n: 32,
+        },
+        speeds: SpeedSpec::PowersOfTwo { classes: 3 },
+        initial: InitialSpec {
+            distribution: TokenDistribution::UniformRandom,
+            tokens_per_node: 6,
+            pad: PadSpec::Degree,
+        },
+        arrivals: ArrivalSpec::Poisson {
+            rate_per_node: 0.5,
+            max_weight: 1,
+        },
+        completions: ServiceSpec::Uniform {
+            weight_per_speed: 1,
+        },
+        churn: vec![
+            event(2, ChurnKind::Rewire { seed: 41 }),
+            event(4, swap(&class.build(32, 41).expect("builds"))),
+            event(6, resize(16, 42)),
+            event(8, resize(32, 43)),
+            event(11, ChurnKind::Rewire { seed: 44 }),
+            event(13, swap(&class.build(32, 44).expect("builds"))),
+        ],
+        shards: 1,
+        federation: 1,
+    }
+}
+
+#[test]
+fn resume_builds_the_engine_on_a_capture_epoch_that_is_never_the_world() {
+    // A resume builds its engine once, on the capture epoch's topology and
+    // carried speeds with empty holdings, and restores the snapshot into it.
+    let merge = Producer::Merge {
+        feeds: 2,
+        capacity: DEFAULT_CHANNEL_CAPACITY,
+    };
+    let sync = Producer::Scenario;
+    for algorithm in [AlgorithmSpec::Alg1, AlgorithmSpec::Alg2] {
+        let tag = format!("never the world/{algorithm:?}");
+        let scenario = never_the_world_scenario(algorithm);
+        assert_resumes_at_every_round_under(&tag, &scenario, &[(1, sync), (4, sync), (1, merge)]);
     }
 }
