@@ -75,6 +75,7 @@ fn bench_substrate(c: &mut Criterion) {
             lb_graph::spectral::second_eigenvalue(
                 &graph,
                 &matrix,
+                &[],
                 PowerIterationOptions {
                     max_iterations: 2_000,
                     tolerance: 1e-8,
@@ -94,12 +95,13 @@ fn bench_substrate(c: &mut Criterion) {
             lb_graph::spectral::second_eigenvalue(
                 &cube,
                 &cube_matrix,
+                &[],
                 PowerIterationOptions::default(),
             )
         })
     });
-    // A delta patch and the rewire that reverts it on the same graph: the
-    // patch estimates β once, and the revert reuses the world's β.
+    // A delta patch and the rewire that reverts it on the same graph: each
+    // warm-starts its β estimate from the previous one's vector.
     let world = Arc::new(cube);
     let sos =
         Sos::with_optimal_beta(Arc::clone(&world), &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();

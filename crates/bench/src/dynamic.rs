@@ -73,7 +73,7 @@ use lb_core::discrete::{
 };
 use lb_core::ingest;
 use lb_core::ingest::merge::MergeSession;
-use lb_core::snapshot::{self, Snapshot};
+use lb_core::snapshot::{self, ProcessHistory, Snapshot};
 use lb_core::{metrics, CoreError, InitialLoad, ShardedExecutor, Speeds};
 use lb_graph::{AlphaScheme, Graph, GraphDelta};
 use lb_workloads::{
@@ -208,23 +208,32 @@ pub fn family_class(family: &str) -> Result<GraphClass, String> {
     }
 }
 
-/// The continuous models a scenario engine runs: how churn rebuilds one
-/// from scratch and how it patches one onto a same-size edge change. Only
-/// the full-rebuild constructor differs between them.
+/// The continuous models a scenario engine runs: how a run builds one and
+/// how churn patches one onto a same-size edge change. Only the build
+/// differs between them.
 pub(crate) trait Model: ContinuousProcess + Sync + Sized {
-    /// Builds the process on `graph` from scratch.
-    fn build(graph: Arc<Graph>, speeds: &Speeds) -> Result<Self, CoreError>;
+    /// Builds the process on `graph` from scratch, or, on a resume, from
+    /// the `carried` history of the snapshot's process: SOS then takes β
+    /// and its basis from it instead of estimating.
+    fn build(
+        graph: Arc<Graph>,
+        speeds: &Speeds,
+        carried: Option<&ProcessHistory>,
+    ) -> Result<Self, BenchError>;
     /// This process patched onto `graph`, its own graph with `delta`
-    /// applied, keeping its speeds; bit-identical to [`Model::build`] on
-    /// `graph` with those speeds. Cheaper than a build: SOS re-estimates
-    /// `β` only for a non-empty delta onto a graph other than the one it
-    /// was built on ([`Sos::patched`]).
+    /// applied, keeping its speeds; identical to [`Model::build`] on `graph`
+    /// with those speeds, except that SOS re-estimates `β` from its basis
+    /// on a non-empty delta ([`Sos::patched`]).
     fn patch(&self, graph: Arc<Graph>, delta: &GraphDelta) -> Result<Self, CoreError>;
 }
 
 impl Model for Fos {
-    fn build(graph: Arc<Graph>, speeds: &Speeds) -> Result<Self, CoreError> {
-        Fos::new(graph, speeds, SCHEME)
+    fn build(
+        graph: Arc<Graph>,
+        speeds: &Speeds,
+        _carried: Option<&ProcessHistory>,
+    ) -> Result<Self, BenchError> {
+        Ok(Fos::new(graph, speeds, SCHEME)?)
     }
 
     fn patch(&self, graph: Arc<Graph>, delta: &GraphDelta) -> Result<Self, CoreError> {
@@ -233,9 +242,19 @@ impl Model for Fos {
 }
 
 impl Model for Sos {
-    /// SOS re-estimates its optimal `β` on the new graph.
-    fn build(graph: Arc<Graph>, speeds: &Speeds) -> Result<Self, CoreError> {
-        Sos::with_optimal_beta(graph, speeds, SCHEME)
+    /// A fresh build estimates the optimal `β` cold; a resume restores the
+    /// carried β (validated) over a placeholder and estimates nothing.
+    fn build(
+        graph: Arc<Graph>,
+        speeds: &Speeds,
+        carried: Option<&ProcessHistory>,
+    ) -> Result<Self, BenchError> {
+        let Some(history) = carried else {
+            return Ok(Sos::with_optimal_beta(graph, speeds, SCHEME)?);
+        };
+        let mut sos = Sos::new(graph, speeds, SCHEME, 1.0)?;
+        sos.restore_history(history)?;
+        Ok(sos)
     }
 
     fn patch(&self, graph: Arc<Graph>, delta: &GraphDelta) -> Result<Self, CoreError> {
@@ -290,24 +309,24 @@ pub(crate) fn drive(driver: impl Driver) -> Result<ScenarioOutcome, BenchError> 
 /// With `delta: Some(_)` — a same-size rewire whose edge difference from
 /// the engine's *current* graph is known — the continuous process is
 /// patched incrementally (`O(Δ)` recompute instead of an `O(m)` matrix
-/// re-derivation; SOS keeps its `β` on an empty delta and reuses the one it
-/// estimated on its build graph when it returns there, see
-/// [`Sos::patched`]). A patch keeps the process's speeds, which equal
-/// `speeds` wherever the engine has followed every epoch. The patched
-/// process is bit-identical to the full rebuild, so both paths yield the
-/// same trajectory. Only churn during a run calls this: a resume builds
-/// its engine on the capture epoch directly.
+/// re-derivation; SOS keeps its `β` on an empty delta and warm-starts its
+/// estimate from the previous one on any other, see [`Sos::patched`]). A
+/// patch keeps the process's speeds, which equal `speeds` wherever the
+/// engine has followed every epoch. Every execution mode patches along the
+/// same chain of epochs, so all of them see the same processes. Only churn
+/// during a run calls this: a resume builds its engine on the capture epoch
+/// directly.
 pub(crate) fn replace_topology<A: Model, R: Algorithm>(
     engine: &mut Imitation<A, R>,
     graph: Arc<Graph>,
     speeds: &Speeds,
     delta: Option<&GraphDelta>,
-) -> Result<(), CoreError> {
+) -> Result<(), BenchError> {
     let process = match delta {
         Some(d) => engine.continuous().process().patch(graph, d)?,
-        None => A::build(graph, speeds)?,
+        None => A::build(graph, speeds, None)?,
     };
-    engine.replace_topology(process)
+    Ok(engine.replace_topology(process)?)
 }
 
 /// How a run's events reach the engine. Both modes apply the same batches at
@@ -882,8 +901,9 @@ impl Session {
     /// ([`Session::checkpoint`]) from `snapshot`: the embedded scenario's
     /// pre-resume event stream is fast-forwarded (reconstructing its RNG
     /// state and task-id counter), the engine is built once on the capture
-    /// epoch with no initial placement, and the captured state is restored
-    /// into it. The result document is **byte-identical** to the
+    /// epoch with no initial placement (SOS takes β and its basis from the
+    /// snapshot, with no power iteration), and the captured state is
+    /// restored into it. The result document is **byte-identical** to the
     /// uninterrupted run's, from any checkpoint.
     ///
     /// [`Session::shards`] resizes the resumed *executor* only — the
@@ -1470,7 +1490,8 @@ fn execute<A: Model, R: Algorithm>(
     // the pre-resume event stream (reconstructing its RNG state and task-id
     // counter, and re-recording it so `--record` yields the complete trace)
     // while churn follows each epoch's speeds and builds only the capture
-    // epoch's topology; the engine starts empty and the snapshot restores it.
+    // epoch's topology; the engine starts empty and the snapshot restores it
+    // (its process is built from the carried history: SOS estimates nothing).
     let initial = match &resume {
         None => place(&scenario, world),
         Some(point) => {
@@ -1489,7 +1510,10 @@ fn execute<A: Model, R: Algorithm>(
             InitialLoad::from_token_counts(vec![0; churn.speeds().len()])
         }
     };
-    let process = A::build(Arc::clone(churn.graph()), churn.speeds())?;
+    let carried = resume
+        .as_ref()
+        .and_then(|point| point.engine.twin.history.as_ref());
+    let process = A::build(Arc::clone(churn.graph()), churn.speeds(), carried)?;
     let mut engine = build(process, &initial, churn.speeds().clone(), scenario.seed)?;
     drop(initial);
 

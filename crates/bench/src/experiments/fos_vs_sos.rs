@@ -70,8 +70,10 @@ pub fn run(quick: bool) -> ExperimentReport {
         let lambda = lb_graph::spectral::second_eigenvalue(
             &graph,
             &matrix,
+            &[],
             PowerIterationOptions::default(),
-        );
+        )
+        .lambda;
         let initial = crate::harness::standard_initial_load(n, 32, d);
         let max_rounds = if quick { 100_000 } else { 400_000 };
         let t_fos =

@@ -41,13 +41,14 @@
 //! State assembly splices per-rank [`EngineState`]s along the partition
 //! plan's node/edge ranges: owned vector entries replace the stale foreign
 //! ones, counters (disjoint partials) are summed, the load watermark takes
-//! the minimum, and globally agreed scalars (`wmax`, the rounding seed, β)
-//! come from rank 0. The spliced state is exactly what the sequential
-//! engine would capture, which is why a coordinator-written checkpoint
-//! resumes under the plain sequential driver (`lb run --resume`). Workers
-//! name their engine in each `State` snapshot's driver payload; a
-//! checkpoint takes rank 0's name, and the result document takes the name
-//! every [`Done`](lb_proto::Record::Done) record must agree on.
+//! the minimum, and globally agreed scalars (`wmax`, the rounding seed, β
+//! and its basis) come from rank 0. The spliced state is exactly what the
+//! sequential engine would capture, which is why a coordinator-written
+//! checkpoint resumes under the plain sequential driver
+//! (`lb run --resume`). Workers name their engine in each `State`
+//! snapshot's driver payload; a checkpoint takes rank 0's name, and the
+//! result document takes the name every
+//! [`Done`](lb_proto::Record::Done) record must agree on.
 //!
 //! Any socket failure — a killed worker, a timeout, a malformed record —
 //! surfaces as [`BenchError::Protocol`] (stable exit code), never a hang:
@@ -727,7 +728,8 @@ fn gather_state(
 /// Splices per-rank engine states into the one the sequential engine would
 /// capture: owned node/edge entries replace the stale foreign ones, counters
 /// (disjoint partials) sum, the load watermark folds by minimum, and the
-/// globally agreed scalars come from rank 0's base.
+/// globally agreed scalars come from rank 0's base: so do SOS's β and its
+/// basis, which every rank derived along the same chain of patches.
 fn splice_states(
     states: Vec<EngineState>,
     plan: &FederationPlan,
@@ -794,7 +796,9 @@ fn splice_states(
     Ok(base)
 }
 
-/// Rejects a state whose vectors do not fit the coordinator's topology.
+/// Rejects a state whose vectors do not fit the coordinator's topology: an
+/// SOS history holds one previous flow per edge and a β basis that is empty
+/// or holds one entry per node.
 fn check_state_shape(
     state: &EngineState,
     rank: usize,
@@ -811,7 +815,7 @@ fn check_state_shape(
             .twin
             .history
             .as_ref()
-            .is_none_or(|h| h.previous.len() == m);
+            .is_none_or(|h| h.previous.len() == m && [0, n].contains(&h.basis.len()));
     if !twin_ok || nodes != n || edges != m {
         return Err(BenchError::protocol(format!(
             "state of federate rank {rank} does not fit the topology \
@@ -1070,7 +1074,7 @@ fn worker_loop<A: Model, R: Algorithm>(
         link,
         checkpoint_every,
     } = worker;
-    let process = A::build(Arc::clone(&world.graph), &world.speeds)?;
+    let process = A::build(Arc::clone(&world.graph), &world.speeds, None)?;
     let initial = place(scenario, world);
     let mut engine = build(process, &initial, world.speeds.clone(), scenario.seed)?;
     drop(initial);
@@ -1228,4 +1232,55 @@ fn send_sample<A: Model, R: Algorithm>(
         arrived: engine.arrived_weight(),
         completed: engine.completed_weight(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lb_core::continuous::EdgeFlow;
+    use lb_core::snapshot::{Alg2State, ProcessHistory, TwinState};
+
+    /// An Algorithm 2 + SOS state on 2 nodes and 1 edge whose β basis has
+    /// `basis` entries.
+    fn sos_state(basis: usize) -> EngineState {
+        EngineState {
+            round: 3,
+            twin: TwinState {
+                round: 3,
+                loads: vec![1.0, 2.0],
+                cumulative_flow: vec![0.5],
+                min_load_seen: 1.0,
+                history: Some(ProcessHistory {
+                    beta: 1.5,
+                    basis: vec![0.0; basis],
+                    previous: vec![EdgeFlow::new(0.25, 0.5)],
+                    has_previous: true,
+                }),
+            },
+            discrete: DiscreteState::Alg2(Alg2State {
+                tokens: vec![1, 2],
+                dummy: vec![0, 0],
+                discrete_flow: vec![1],
+                seed: 7,
+                dummy_created: 0,
+                arrived_weight: 0,
+                completed_weight: 0,
+            }),
+        }
+    }
+
+    #[test]
+    fn a_rank_whose_beta_basis_does_not_fit_is_rejected() {
+        for basis in [0, 2] {
+            assert!(check_state_shape(&sos_state(basis), 0, 2, 1).is_ok());
+        }
+        for basis in [1, 3] {
+            match check_state_shape(&sos_state(basis), 1, 2, 1) {
+                Err(BenchError::Protocol(message)) => {
+                    assert!(message.contains("rank 1"), "{message}")
+                }
+                other => panic!("basis of {basis}: {other:?}"),
+            }
+        }
+    }
 }

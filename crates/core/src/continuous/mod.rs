@@ -133,9 +133,9 @@ pub trait ContinuousProcess {
     /// round, sequentially. The default is a no-op for memoryless kernels.
     fn commit_flows(&mut self, _t: usize, _flows: &[EdgeFlow]) {}
 
-    /// Captures process-internal history for an engine snapshot (SOS's β and
-    /// previous-round flows). Memoryless kernels return `None` (the
-    /// default).
+    /// Captures process-internal history for an engine snapshot (SOS's β,
+    /// its basis and the previous-round flows). Memoryless kernels return
+    /// `None` (the default).
     fn capture_history(&self) -> Option<crate::snapshot::ProcessHistory> {
         None
     }

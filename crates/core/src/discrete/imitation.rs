@@ -572,8 +572,10 @@ impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
 
     /// Restores state captured by [`capture`](Self::capture) into an engine
     /// freshly built on the snapshot's topology epoch (same graph, speeds,
-    /// picker and seed). After a successful restore the engine continues
-    /// **bit-identically** to the uninterrupted run, at any shard count.
+    /// picker and seed). The continuous process takes its history from the
+    /// snapshot (SOS: β and its basis, so the engine's name follows β).
+    /// After a successful restore the engine continues **bit-identically**
+    /// to the uninterrupted run, at any shard count.
     ///
     /// # Errors
     ///
@@ -585,6 +587,7 @@ impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
     pub fn restore(&mut self, state: &EngineState) -> Result<(), SnapshotError> {
         let common = R::restore(self, &state.discrete)?;
         self.twin.restore(&state.twin)?;
+        self.name = format!("{}({})", R::LABEL, self.twin.process().name());
         self.dummy.copy_from_slice(common.dummy);
         self.discrete_flow.copy_from_slice(common.discrete_flow);
         self.round = state.round as usize;

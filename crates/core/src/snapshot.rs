@@ -20,10 +20,10 @@
 //! [`lb_analysis::Json`] values:
 //!
 //! ```text
-//! {"kind":"header","version":1,"scenario":{…}}            // opaque driver payload
+//! {"kind":"header","version":2,"scenario":{…}}            // opaque driver payload
 //! {"kind":"run","round":R,"driver":{…}}                   // opaque driver payload
 //! {"kind":"twin","round":T,"min_load_seen":B,"loads":[…],"cumulative_flow":[…]}
-//! {"kind":"history","beta":B,"has_previous":true,"previous":[[F,B],…]}  // SOS only
+//! {"kind":"history","beta":B,"has_previous":true,"basis":[…],"previous":[[F,B],…]}  // SOS only
 //! {"kind":"alg1","round":R,"wmax":W,…,"dummy":[…],"discrete_flow":[…]}  // or "alg2"
 //! {"kind":"queue","node":0,"next_seq":S,"entries":[[seq,id,weight,dummy],…]}
 //! …                                                       // one queue line per node (alg1)
@@ -58,7 +58,8 @@ use std::path::Path;
 pub use lb_analysis::artifact::write_bytes_atomic;
 
 /// The snapshot format version this module writes and the only one it reads.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// Version 2 added the SOS `history` record's `basis`.
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// Typed snapshot failures: corrupt, truncated, stale and version-mismatched
 /// snapshots each surface as their own variant, never a panic or a
@@ -147,9 +148,13 @@ impl std::error::Error for SnapshotError {}
 /// state); memoryless kernels (FOS) have none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcessHistory {
-    /// The relaxation parameter β, for bit-exact validation against the
-    /// process rebuilt at resume time.
+    /// The relaxation parameter β. A resume takes it from here: after a
+    /// churn delta it comes from a warm-started estimate, so it need not
+    /// bit-match a cold estimate on the same topology.
     pub beta: f64,
+    /// The unit vector β's estimate converged to, the warm start of the
+    /// next one (empty, or one entry per node).
+    pub basis: Vec<f64>,
     /// The previous round's committed flows (`y(t−1)`).
     pub previous: Vec<EdgeFlow>,
     /// Whether `previous` is valid yet (false before the first round of an
@@ -280,7 +285,7 @@ fn write_records<W: Write>(out: &mut RecordWriter<W>, snapshot: &Snapshot) -> io
     out.close_line()?;
     if let Some(history) = &twin.history {
         out.open("history")?;
-        write_fields!(out: history => beta, has_previous);
+        write_fields!(out: history => beta, has_previous, basis);
         let previous = history.previous.iter();
         out.list("previous", previous.map(|f| (f.forward, f.backward)))?;
         out.close_line()?;
@@ -419,11 +424,13 @@ impl Reader {
                 read_fields!(scan.fields("history") {
                     beta: f64,
                     has_previous: bool,
+                    basis: Vec<f64>,
                     previous: Vec<(f64, f64)>,
                 });
                 let previous = previous.into_iter().map(|(f, b)| EdgeFlow::new(f, b));
                 twin.history = Some(ProcessHistory {
                     beta,
+                    basis,
                     previous: previous.collect(),
                     has_previous,
                 });
@@ -648,6 +655,7 @@ mod tests {
                     min_load_seen: -3.25,
                     history: Some(ProcessHistory {
                         beta: 1.804217,
+                        basis: vec![0.6, -0.8, 0.0],
                         previous: vec![EdgeFlow::new(0.25, 1.75)],
                         has_previous: true,
                     }),
@@ -718,21 +726,22 @@ mod tests {
         assert_eq!(parse(&text).expect("parses"), snapshot);
     }
 
-    /// The v1 bytes, pinned literally: any writer of the format must
+    /// The v2 bytes, pinned literally: any writer of the format must
     /// reproduce them exactly.
     #[test]
-    fn pins_the_v1_bytes() {
+    fn pins_the_v2_bytes() {
         let twin = concat!(
             r#"{"kind":"twin","round":5,"min_load_seen":13837872805049270272,"#,
             r#""loads":[4609434218613702656,9223372036854775808,4503599627370496],"#,
             r#""cumulative_flow":[4599075939470750516]}"#,
         );
         let alg1 = [
-            r#"{"kind":"header","version":1,"scenario":{"name":"s","seed":7}}"#,
+            r#"{"kind":"header","version":2,"scenario":{"name":"s","seed":7}}"#,
             r#"{"kind":"run","round":12,"driver":{"engine":"alg1(fos)"}}"#,
             twin,
             concat!(
                 r#"{"kind":"history","beta":4610804290181542426,"has_previous":true,"#,
+                r#""basis":[4603579539098121011,13828753015803845018,0],"#,
                 r#""previous":[[4598175219545276416,4610560118520545280]]}"#,
             ),
             concat!(
@@ -791,9 +800,10 @@ mod tests {
 
     #[test]
     fn flipped_version_is_a_version_error() {
-        let text = render(&sample()).replace("\"version\":1", "\"version\":2");
+        // A v1 header: the format before the SOS history carried its basis.
+        let text = render(&sample()).replace("\"version\":2", "\"version\":1");
         match parse(&text) {
-            Err(SnapshotError::Version { found: 2, line: 1 }) => {}
+            Err(SnapshotError::Version { found: 1, line: 1 }) => {}
             other => panic!("expected Version, got {other:?}"),
         }
     }

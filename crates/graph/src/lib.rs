@@ -18,7 +18,7 @@
 //!
 //! let g = generators::hypercube(6)?;
 //! let p = DiffusionMatrix::uniform(&g, AlphaScheme::MaxDegreePlusOne)?;
-//! let lambda = spectral::second_eigenvalue(&g, &p, Default::default());
+//! let lambda = spectral::second_eigenvalue(&g, &p, &[], Default::default()).lambda;
 //! let t = spectral::estimate_fos_balancing_time(lambda, 1000.0, g.node_count());
 //! assert!(lambda < 1.0 && t > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -29,8 +29,22 @@ impl Default for PowerIterationOptions {
     }
 }
 
+/// A `λ` estimate together with the power iteration's final state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LambdaEstimate {
+    /// `λ`, in `[0, 1]`.
+    pub lambda: f64,
+    /// The unit iterate `λ` was read from, orthogonal to the top
+    /// eigenvector: a start vector for the next estimate on a nearby graph
+    /// with the same speeds. Empty when there is none (a single node, or a
+    /// deflated spectrum that is numerically zero).
+    pub vector: Vec<f64>,
+    /// Power-iteration steps taken, each one `M²` product.
+    pub iterations: usize,
+}
+
 /// Estimates `λ`, the second-largest eigenvalue *in absolute value* of the
-/// diffusion matrix `P`.
+/// diffusion matrix `P`, by power iteration from `start`.
 ///
 /// The matrix `P` with heterogeneous speeds is similar to the symmetric
 /// matrix `M[i][j] = α[i][j] / √(s_i · s_j)` (with the same diagonal), whose
@@ -39,7 +53,13 @@ impl Default for PowerIterationOptions {
 /// equal magnitude — e.g. on bipartite graphs — do not cause oscillation);
 /// the dominant value of the deflated `M²` is `λ²`.
 ///
-/// Returns a value in `[0, 1]` (clamped against round-off).
+/// `start` is the first iterate, before deflation and normalisation. Pass
+/// the [`LambdaEstimate::vector`] of an estimate on a nearby graph to warm
+/// start: the iteration then needs a fraction of a cold start's steps. A
+/// `start` of the wrong length (e.g. empty), or one with nothing left once
+/// the top eigenvector is projected away, is replaced by a fixed generic
+/// vector: the cold start, whose result depends on the graph and matrix
+/// alone.
 ///
 /// # Cost
 ///
@@ -58,12 +78,18 @@ impl Default for PowerIterationOptions {
 pub fn second_eigenvalue(
     graph: &Graph,
     matrix: &DiffusionMatrix,
+    start: &[f64],
     options: PowerIterationOptions,
-) -> f64 {
+) -> LambdaEstimate {
     let n = graph.node_count();
     assert!(n > 0, "second_eigenvalue requires a non-empty graph");
+    let done = |lambda: f64, vector, iterations| LambdaEstimate {
+        lambda,
+        vector,
+        iterations,
+    };
     if n == 1 {
-        return 0.0;
+        return done(0.0, Vec::new(), 0);
     }
     let speeds = matrix.speeds();
     // Top eigenvector of the symmetrised matrix, normalised.
@@ -97,24 +123,18 @@ pub fn second_eigenvalue(
         deflate(out, &top);
     };
 
-    // Deterministic, generic start vector; deflation removes the top
-    // component before iterating.
-    let mut v: Vec<f64> = (0..n)
-        .map(|i| ((i as f64) * 0.754_877_666 + 0.1).sin())
-        .collect();
-    deflate(&mut v, &top);
-    normalize(&mut v);
+    let mut v = start_vector(start, &top);
     let mut scratch = vec![0.0; n];
     let mut product = vec![0.0; n];
     step(&v, &mut product, &mut scratch);
 
     let mut estimate_sq = 0.0;
-    for _ in 0..options.max_iterations {
+    for iteration in 1..=options.max_iterations {
         // `product` holds M²v (deflated); normalised, it is the next iterate.
         let norm = l2_norm(&product);
         if norm < 1e-15 {
             // The deflated spectrum is numerically zero.
-            return 0.0;
+            return done(0.0, Vec::new(), iteration);
         }
         for x in &mut product {
             *x /= norm;
@@ -126,12 +146,41 @@ pub fn second_eigenvalue(
         // lambda^2 monotonically from below for power iteration.
         let rayleigh_sq: f64 = dot(&product, &v).max(0.0);
         if (rayleigh_sq - estimate_sq).abs() < options.tolerance {
-            return rayleigh_sq.sqrt().clamp(0.0, 1.0);
+            return done(rayleigh_sq.sqrt().clamp(0.0, 1.0), product, iteration);
         }
         estimate_sq = rayleigh_sq;
         std::mem::swap(&mut v, &mut product);
     }
-    estimate_sq.sqrt().clamp(0.0, 1.0)
+    // The budget ran out: `v` holds the last unit iterate.
+    done(
+        estimate_sq.sqrt().clamp(0.0, 1.0),
+        v,
+        options.max_iterations,
+    )
+}
+
+/// The first unit iterate of [`second_eigenvalue`]: `start` with the top
+/// eigenvector `top` projected away, or the generic cold start when `start`
+/// has the wrong length or (numerically) nothing orthogonal to `top`.
+fn start_vector(start: &[f64], top: &[f64]) -> Vec<f64> {
+    if start.len() == top.len() {
+        let mut v = start.to_vec();
+        let before = l2_norm(&v);
+        deflate(&mut v, top);
+        // Also false for a start holding NaN or an infinity.
+        if l2_norm(&v) > 1e-9 * before {
+            normalize(&mut v);
+            return v;
+        }
+    }
+    // Deterministic, generic start vector; deflation removes the top
+    // component before iterating.
+    let mut v: Vec<f64> = (0..top.len())
+        .map(|i| ((i as f64) * 0.754_877_666 + 0.1).sin())
+        .collect();
+    deflate(&mut v, top);
+    normalize(&mut v);
+    v
 }
 
 /// Estimates `γ`, the second-smallest eigenvalue of the graph Laplacian
@@ -406,7 +455,7 @@ mod tests {
         ];
         for (name, g, p) in oracle_corpus() {
             for options in budgets {
-                let lambda = second_eigenvalue(&g, &p, options);
+                let lambda = second_eigenvalue(&g, &p, &[], options).lambda;
                 let expected = reference_second_eigenvalue(&g, &p, options);
                 assert_eq!(
                     lambda.to_bits(),
@@ -426,7 +475,100 @@ mod tests {
 
     fn lambda_of(graph: &Graph) -> f64 {
         let p = DiffusionMatrix::uniform(graph, AlphaScheme::MaxDegreePlusOne).unwrap();
-        second_eigenvalue(graph, &p, PowerIterationOptions::default())
+        second_eigenvalue(graph, &p, &[], PowerIterationOptions::default()).lambda
+    }
+
+    /// `graph` with `swaps` random edges replaced by random non-edges.
+    fn random_delta(graph: &Graph, swaps: usize, rng: &mut impl rand::Rng) -> GraphDelta {
+        let n = graph.node_count();
+        let mut remove = Vec::new();
+        let mut add = Vec::new();
+        while remove.len() < swaps {
+            let edge = graph.edges()[rng.gen_range(0..graph.edge_count())];
+            if !remove.contains(&edge) {
+                remove.push(edge);
+            }
+        }
+        while add.len() < swaps {
+            let (u, w) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let pair = (u.min(w), u.max(w));
+            if u != w && !graph.has_edge(u, w) && !add.contains(&pair) {
+                add.push(pair);
+            }
+        }
+        GraphDelta::new(n, add, remove).unwrap()
+    }
+
+    /// Warm starts along a chain of random deltas: each estimate starts from
+    /// the previous graph's converged vector and must agree with a cold
+    /// estimate on the same graph. Speeds stay fixed along a chain, as they
+    /// do along an SOS process's chain of patches.
+    #[test]
+    fn warm_starts_along_random_delta_chains_agree_with_cold_estimates() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let options = PowerIterationOptions::default();
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let families = [
+                (
+                    "hypercube(7) pow2 speeds",
+                    generators::hypercube(7).unwrap(),
+                ),
+                ("torus(8,12)", generators::torus(8, 12).unwrap()),
+                (
+                    "random_regular(128,4)",
+                    generators::random_regular(128, 4, &mut rng).unwrap(),
+                ),
+            ];
+            for (name, mut graph) in families {
+                let n = graph.node_count();
+                let speeds: Vec<f64> = if name.contains("pow2") {
+                    (0..n)
+                        .map(|_| f64::from(1u32 << rng.gen_range(0..3)))
+                        .collect()
+                } else {
+                    vec![1.0; n]
+                };
+                let scheme = AlphaScheme::MaxDegreePlusOne;
+                let mut matrix = DiffusionMatrix::new(&graph, &speeds, scheme).unwrap();
+                let mut basis = second_eigenvalue(&graph, &matrix, &[], options).vector;
+                for step in 1..=8 {
+                    let delta = random_delta(&graph, rng.gen_range(1..=3), &mut rng);
+                    let next = graph.apply_delta(&delta).unwrap();
+                    matrix = matrix.patched(&graph, &next, &delta).unwrap();
+                    graph = next;
+                    let cold = second_eigenvalue(&graph, &matrix, &[], options);
+                    let warm = second_eigenvalue(&graph, &matrix, &basis, options);
+                    assert!(
+                        (warm.lambda - cold.lambda).abs() <= 1e-6,
+                        "seed {seed}, {name}, delta {step}: warm λ {} vs cold λ {} \
+                         ({} vs {} iterations)",
+                        warm.lambda,
+                        cold.lambda,
+                        warm.iterations,
+                        cold.iterations
+                    );
+                    assert_eq!(warm.vector.len(), n);
+                    basis = warm.vector;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_start_of_the_wrong_length_or_without_a_deflated_part_runs_cold() {
+        for (name, g, p) in oracle_corpus() {
+            let options = PowerIterationOptions::default();
+            let cold = second_eigenvalue(&g, &p, &[], options);
+            let n = g.node_count();
+            // The top eigenvector (√s, unnormalised) deflates to nothing.
+            let top: Vec<f64> = p.speeds().iter().map(|s| s.sqrt()).collect();
+            for start in [vec![1.0; n + 1], vec![0.0; n], top, vec![f64::NAN; n]] {
+                let estimate = second_eigenvalue(&g, &p, &start, options);
+                assert_eq!(estimate, cold, "{name}: start {:?}", &start[..1]);
+            }
+        }
     }
 
     #[test]
@@ -533,10 +675,9 @@ mod tests {
     fn single_node_graph_is_degenerate() {
         let g = Graph::from_edges(1, []).unwrap();
         let p = DiffusionMatrix::uniform(&g, AlphaScheme::MaxDegreePlusOne).unwrap();
-        assert_eq!(
-            second_eigenvalue(&g, &p, PowerIterationOptions::default()),
-            0.0
-        );
+        let estimate = second_eigenvalue(&g, &p, &[], PowerIterationOptions::default());
+        assert_eq!(estimate.lambda, 0.0);
+        assert!(estimate.vector.is_empty());
         assert_eq!(laplacian_gap(&g, PowerIterationOptions::default()), 0.0);
     }
 }

@@ -27,8 +27,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // How long does the *continuous* process need? (This is the paper's T.)
     let matrix = DiffusionMatrix::uniform(&graph, AlphaScheme::MaxDegreePlusOne)?;
-    let lambda =
-        lb_graph::spectral::second_eigenvalue(&graph, &matrix, PowerIterationOptions::default());
+    let lambda = lb_graph::spectral::second_eigenvalue(
+        &graph,
+        &matrix,
+        &[],
+        PowerIterationOptions::default(),
+    )
+    .lambda;
     println!("diffusion matrix: lambda = {lambda:.4}");
 
     // Discretize FOS with Algorithm 1 (deterministic flow imitation).

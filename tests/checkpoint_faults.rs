@@ -249,7 +249,8 @@ fn damaged_snapshots_fail_resume_with_typed_errors() {
     assert!(err.contains("torn line"), "{err}");
 
     // Flipped version.
-    let flipped = good.replacen("\"version\":1", "\"version\":7", 1);
+    let current = format!("\"version\":{}", snapshot::SNAPSHOT_VERSION);
+    let flipped = good.replacen(&current, "\"version\":7", 1);
     assert_ne!(flipped, good);
     let err = resume_err("version.jsonl", &flipped, 1);
     assert!(err.contains("unsupported snapshot version 7"), "{err}");

@@ -451,6 +451,51 @@ fn never_the_world_scenario(algorithm: AlgorithmSpec) -> Scenario {
     }
 }
 
+/// A resume continues SOS's chain of warm-started β estimates exactly: it
+/// takes β and its basis from the snapshot, so the engine state the resumed
+/// run ends on (β and every twin load, to the bit) is the uninterrupted
+/// run's. A result document shows too little of the twin to tell a β that
+/// is off in its last bits, so this compares the final snapshots.
+#[test]
+fn a_resume_continues_the_warm_started_beta_chain_to_the_bit() {
+    use lb_analysis::artifact::unique_name;
+    use lb_core::snapshot;
+
+    let mut scenario = never_the_world_scenario(AlgorithmSpec::Alg2);
+    scenario.sample_every = 1;
+    let temp = |what: &str| {
+        let name = unique_name(&format!("lb_beta_chain_{what}"));
+        std::env::temp_dir().join(format!("{name}.jsonl"))
+    };
+    // The rotating file holds the previous round's capture at each sample,
+    // and the final round's once the run ends.
+    let rotating = temp("run");
+    let mut captures = Vec::new();
+    Session::from_scenario(&scenario)
+        .checkpoint(rotating.clone(), 1)
+        .run(|sample| {
+            if sample.round >= 2 {
+                captures.push(std::fs::read_to_string(&rotating).expect("capture"));
+            }
+        })
+        .expect("runs");
+    let reference = std::fs::read_to_string(&rotating).expect("final capture");
+    std::fs::remove_file(&rotating).ok();
+    for (capture, text) in (1..).zip(captures) {
+        let resumed_path = temp("resumed");
+        Session::from_snapshot(snapshot::parse(&text).expect("parses"))
+            .checkpoint(resumed_path.clone(), 1)
+            .run(|_| {})
+            .unwrap_or_else(|err| panic!("resume at {capture}: {err}"));
+        let resumed = std::fs::read_to_string(&resumed_path).expect("final capture");
+        std::fs::remove_file(&resumed_path).ok();
+        assert!(
+            resumed == reference,
+            "resume at round {capture}: final states differ"
+        );
+    }
+}
+
 #[test]
 fn resume_builds_the_engine_on_a_capture_epoch_that_is_never_the_world() {
     // A resume builds its engine once, on the capture epoch's topology and

@@ -2,13 +2,16 @@
 //! snapshot (captured from a real checkpointed run, so it tracks the format
 //! instead of bit-rotting against it) is mutated into every documented
 //! failure shape — truncation, a flipped version, edited end-record totals,
-//! non-exact integers, unknown fields, a mid-line torn write — and each mutation must map
-//! to its *specific located* [`lb_core::snapshot::SnapshotError`] variant,
-//! never a panic and never a silently-wrong resume.
+//! non-exact integers, unknown fields, a mid-line torn write, an SOS β or
+//! β basis that does not fit — and each mutation must map to its
+//! *specific* (located, where it is a parse error)
+//! [`lb_core::snapshot::SnapshotError`] variant, never a panic and never a
+//! silently-wrong resume.
 
 use lb_analysis::artifact::unique_name;
 use lb_bench::dynamic::Session;
-use lb_core::snapshot::{self, Snapshot, SnapshotError, SNAPSHOT_VERSION};
+use lb_bench::error::BenchError;
+use lb_core::snapshot::{self, ProcessHistory, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 use lb_workloads::{
     AlgorithmSpec, ArrivalSpec, InitialSpec, ModelSpec, PadSpec, Scenario, ServiceSpec, SpeedSpec,
     TokenDistribution, TopologySpec,
@@ -141,21 +144,58 @@ fn a_mid_line_torn_write_is_a_located_truncation_error() {
 fn a_flipped_version_is_a_version_error() {
     let text = canonical();
     let old = format!("\"version\":{SNAPSHOT_VERSION}");
-    let new = format!("\"version\":{}", SNAPSHOT_VERSION + 1);
-    let flipped = text.replacen(&old, &new, 1);
-    assert_ne!(flipped, text, "the header carries the version literally");
-    match parse_err(&flipped) {
-        SnapshotError::Version { line: 1, found } => {
-            assert_eq!(found, SNAPSHOT_VERSION + 1);
+    // A v1 snapshot (no β basis) and one from the future.
+    for version in [1, SNAPSHOT_VERSION + 1] {
+        let new = format!("\"version\":{version}");
+        let flipped = text.replacen(&old, &new, 1);
+        assert_ne!(flipped, text, "the header carries the version literally");
+        match parse_err(&flipped) {
+            SnapshotError::Version { line: 1, found } => {
+                assert_eq!(found, version);
+            }
+            other => panic!("expected Version at line 1, got {other:?}"),
         }
-        other => panic!("expected Version at line 1, got {other:?}"),
+        // And the Display form tells the operator both versions.
+        let message = parse_err(&flipped).to_string();
+        assert!(
+            message.contains("unsupported snapshot version"),
+            "{message}"
+        );
     }
-    // And the Display form tells the operator both versions.
-    let message = parse_err(&flipped).to_string();
-    assert!(
-        message.contains("unsupported snapshot version"),
-        "{message}"
-    );
+}
+
+#[test]
+fn an_sos_beta_or_basis_that_does_not_fit_fails_the_resume_as_a_mismatch() {
+    let parsed = snapshot::parse(&canonical()).expect("clean baseline");
+    let history = parsed.engine.twin.history.as_ref().expect("SOS history");
+    let n = parsed.engine.twin.loads.len();
+    assert_eq!(history.basis.len(), n, "a cold estimate carries its basis");
+    let resume = |edit: &dyn Fn(&mut ProcessHistory)| {
+        let mut snap = parsed.clone();
+        edit(snap.engine.twin.history.as_mut().unwrap());
+        // The edited snapshot still renders and parses: only the resume can
+        // tell that it does not fit.
+        let snap = snapshot::parse(&snapshot::render(&snap)).expect("well-formed");
+        Session::from_snapshot(snap).run(|_| {})
+    };
+    for beta in [0.0, -1.0, 2.5, f64::NAN, f64::INFINITY] {
+        match resume(&|sos| sos.beta = beta) {
+            Err(BenchError::Snapshot(SnapshotError::Mismatch { reason })) => {
+                assert!(reason.contains("outside (0, 2]"), "{reason}")
+            }
+            other => panic!("β = {beta}: expected Mismatch, got {other:?}"),
+        }
+    }
+    for len in [1, n - 1, n + 1] {
+        match resume(&|sos| sos.basis = vec![0.25; len]) {
+            Err(BenchError::Snapshot(SnapshotError::Mismatch { reason })) => {
+                assert!(reason.contains("basis"), "{reason}")
+            }
+            other => panic!("basis of {len}: expected Mismatch, got {other:?}"),
+        }
+    }
+    // No basis at all is valid: the next real delta would estimate cold.
+    assert!(resume(&|sos| sos.basis.clear()).is_ok());
 }
 
 #[test]
