@@ -308,9 +308,9 @@ pub(crate) fn drive(driver: impl Driver) -> Result<ScenarioOutcome, BenchError> 
 ///
 /// With `delta: Some(_)` — a same-size rewire whose edge difference from
 /// the engine's *current* graph is known — the continuous process is
-/// patched incrementally (`O(Δ)` recompute instead of an `O(m)` matrix
-/// re-derivation; SOS keeps its `β` on an empty delta and warm-starts its
-/// estimate from the previous one on any other, see [`Sos::patched`]). A
+/// patched: an empty delta keeps its matrix, any other rebuilds the matrix
+/// in `O(m)`; SOS keeps its `β` on an empty delta and warm-starts its
+/// estimate from the previous one on any other (see [`Sos::patched`]). A
 /// patch keeps the process's speeds, which equal `speeds` wherever the
 /// engine has followed every epoch. Every execution mode patches along the
 /// same chain of epochs, so all of them see the same processes. Only churn
@@ -496,7 +496,8 @@ pub(crate) fn churn_error(round: usize, err: impl std::fmt::Display) -> BenchErr
 /// ahead of it:
 ///
 /// - a `rewire` builds the family graph and diffs it against the current
-///   one (`delta_to`), so the engine can patch its process in `O(Δ)`;
+///   one (`delta_to`), so the engine can patch its process, which keeps
+///   the matrix (and SOS's β) when the delta is empty;
 /// - an explicit `delta` patches the current graph (`apply_delta`);
 /// - a `resize` builds the new size for the full-rebuild path.
 ///

@@ -699,20 +699,17 @@ fn invert_delta(delta: &lb_graph::GraphDelta) -> lb_graph::GraphDelta {
 }
 
 /// Benchmarks the delta-churn path: a rewire-heavy loop on the n = 8192
-/// hypercube where **every** round patches the topology through
+/// hypercube where **every** round moves the topology through
 /// [`Fos::patched`] + `replace_topology` (a fixed Δ = [`CHURN_DELTA_EDGES`]
-/// alternating with its inverse) and then steps the engine once. The
-/// patched trajectory is asserted bit-identical to the same loop run
-/// through full `Fos::new` rebuilds before the numbers are reported.
-/// `churn.rounds_per_sec` is gated by `lb bench-check` when the committed
-/// baseline carries a floor; the `delta_scaling` block reports the patch
-/// cost at fixed Δ on two graph sizes next to the full-rebuild cost — the
-/// evidence that rewire cost tracks Δ, not m.
+/// alternating with its inverse) and then steps the engine once. Each
+/// patch rebuilds the diffusion matrix, so a round costs `O(m)` on top of
+/// the step. `churn.rounds_per_sec` is gated by `lb bench-check` when the
+/// committed baseline carries a floor.
 fn run_churn_bench(quick: bool) -> Json {
     let dim = 13u32; // 8192 nodes
     let (load_per_node, rounds, trials) = if quick { (2, 30, 2) } else { (2, 120, 3) };
 
-    let run_loop = |patch: bool, rounds: usize| -> EngineResult {
+    let run_loop = || -> EngineResult {
         let graph: Arc<Graph> = lb_graph::generators::hypercube(dim)
             .expect("hypercube builds")
             .into();
@@ -722,8 +719,8 @@ fn run_churn_bench(quick: bool) -> Json {
         let initial = standard_initial_load(n, load_per_node, d);
         let fos = Fos::new(Arc::clone(&graph), &speeds, AlphaScheme::MaxDegreePlusOne)
             .expect("FOS constructs");
-        let mut alg1 = FlowImitation::new(fos, &initial, speeds.clone(), TaskPicker::Fifo)
-            .expect("dimensions agree");
+        let mut alg1 =
+            FlowImitation::new(fos, &initial, speeds, TaskPicker::Fifo).expect("dimensions agree");
         let forward = churn_delta(n);
         let backward = invert_delta(&forward);
         let mut current = graph;
@@ -731,15 +728,11 @@ fn run_churn_bench(quick: bool) -> Json {
         for round in 0..rounds {
             let delta = if round % 2 == 0 { &forward } else { &backward };
             let next: Arc<Graph> = current.apply_delta(delta).expect("delta applies").into();
-            let process = if patch {
-                alg1.continuous()
-                    .process()
-                    .patched(Arc::clone(&next), delta)
-                    .expect("FOS patches")
-            } else {
-                Fos::new(Arc::clone(&next), &speeds, AlphaScheme::MaxDegreePlusOne)
-                    .expect("FOS constructs")
-            };
+            let process = alg1
+                .continuous()
+                .process()
+                .patched(Arc::clone(&next), delta)
+                .expect("FOS patches");
             alg1.replace_topology(process).expect("topology replaces");
             current = next;
             alg1.step();
@@ -752,77 +745,14 @@ fn run_churn_bench(quick: bool) -> Json {
         }
     };
 
-    // Trials interleave the patched and rebuild loops so machine-load drift
-    // biases neither; the fastest trial of each is kept.
-    let mut patched_trials = Vec::new();
-    let mut rebuild_trials = Vec::new();
-    for _ in 0..trials {
-        patched_trials.push(run_loop(true, rounds));
-        rebuild_trials.push(run_loop(false, rounds));
-    }
-    let patched = patched_trials
-        .into_iter()
+    let churn = (0..trials)
+        .map(|_| run_loop())
         .min_by(|a, b| a.elapsed_secs.total_cmp(&b.elapsed_secs))
         .expect("at least one trial");
-    let rebuild = rebuild_trials
-        .into_iter()
-        .min_by(|a, b| a.elapsed_secs.total_cmp(&b.elapsed_secs))
-        .expect("at least one trial");
-    // The delta path must be a pure optimisation: same trajectory, bit for
-    // bit, as rebuilding the process from scratch every churn.
-    assert_eq!(
-        patched.final_loads, rebuild.final_loads,
-        "delta-patched churn diverged from the full-rebuild path"
-    );
     eprintln!(
-        "churn (Δ = {CHURN_DELTA_EDGES} edges/round): patched {:.1} rounds/sec, \
-         full-rebuild {:.1} rounds/sec",
-        patched.rounds_per_sec(),
-        rebuild.rounds_per_sec(),
+        "churn (Δ = {CHURN_DELTA_EDGES} edges/round): {:.1} rounds/sec",
+        churn.rounds_per_sec(),
     );
-
-    // Δ-vs-m evidence: the same fixed-Δ patch timed on two graph sizes,
-    // next to the full rebuild it replaces. Patch cost is a copy walk plus
-    // O(Δ·d) recompute; rebuild cost is the full O(m) alpha derivation.
-    let scale = |dim: u32| -> Json {
-        let graph: Arc<Graph> = lb_graph::generators::hypercube(dim)
-            .expect("hypercube builds")
-            .into();
-        let n = graph.node_count();
-        let speeds = Speeds::uniform(n);
-        let fos = Fos::new(Arc::clone(&graph), &speeds, AlphaScheme::MaxDegreePlusOne)
-            .expect("FOS constructs");
-        let delta = churn_delta(n);
-        let next: Arc<Graph> = graph.apply_delta(&delta).expect("delta applies").into();
-        let reps = if quick { 10 } else { 40 };
-        let mut patch_secs = f64::INFINITY;
-        let mut rebuild_secs = f64::INFINITY;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let patched = fos.patched(Arc::clone(&next), &delta).expect("FOS patches");
-            patch_secs = patch_secs.min(start.elapsed().as_secs_f64());
-            drop(patched);
-            let start = Instant::now();
-            let fresh = Fos::new(Arc::clone(&next), &speeds, AlphaScheme::MaxDegreePlusOne)
-                .expect("FOS constructs");
-            rebuild_secs = rebuild_secs.min(start.elapsed().as_secs_f64());
-            drop(fresh);
-        }
-        eprintln!(
-            "churn scaling: n = {n}, m = {}: patch {:.1} µs, rebuild {:.1} µs",
-            graph.edge_count(),
-            patch_secs * 1e6,
-            rebuild_secs * 1e6,
-        );
-        Json::obj([
-            ("nodes", Json::from(n)),
-            ("edges", Json::from(graph.edge_count())),
-            ("patch_secs", Json::from(patch_secs)),
-            ("rebuild_secs", Json::from(rebuild_secs)),
-        ])
-    };
-    let small = scale(dim);
-    let large = scale(dim + 2);
 
     Json::obj([
         (
@@ -833,16 +763,8 @@ fn run_churn_bench(quick: bool) -> Json {
                 ("rounds", Json::from(rounds)),
             ]),
         ),
-        ("rounds_per_sec", Json::from(patched.rounds_per_sec())),
-        ("elapsed_secs", Json::from(patched.elapsed_secs)),
-        (
-            "full_rebuild",
-            Json::obj([("rounds_per_sec", Json::from(rebuild.rounds_per_sec()))]),
-        ),
-        (
-            "delta_scaling",
-            Json::obj([("small", small), ("large", large)]),
-        ),
+        ("rounds_per_sec", Json::from(churn.rounds_per_sec())),
+        ("elapsed_secs", Json::from(churn.elapsed_secs)),
     ])
 }
 
@@ -1008,8 +930,8 @@ pub fn run(quick: bool, shards: Option<usize>) {
     // TCP, asserted byte-identical to the sequential driver first.
     let federate_entry = run_federate_bench(quick);
 
-    // The churn entry: per-round topology rewires through the delta-patch
-    // path, asserted bit-identical to full rebuilds first.
+    // The churn entry: per-round topology rewires through the patched
+    // process.
     let churn_entry = run_churn_bench(quick);
 
     let report = Json::obj([

@@ -3,7 +3,7 @@
 use super::{ContinuousProcess, EdgeFlow};
 use crate::error::CoreError;
 use crate::task::Speeds;
-use lb_graph::{AlphaScheme, DiffusionMatrix, Graph, GraphDelta};
+use lb_graph::{AlphaScheme, DiffusionMatrix, Graph, GraphDelta, GraphError};
 use std::sync::Arc;
 
 /// Lane width of the struct-of-arrays flow kernels. Wide enough to fill
@@ -38,8 +38,6 @@ pub(crate) const KERNEL_LANES: usize = 8;
 pub struct Fos {
     graph: Arc<Graph>,
     matrix: DiffusionMatrix,
-    speeds: Vec<f64>,
-    name: String,
 }
 
 impl Fos {
@@ -56,14 +54,8 @@ impl Fos {
         scheme: AlphaScheme,
     ) -> Result<Self, CoreError> {
         let graph = graph.into();
-        let speeds_f64 = speeds.to_f64();
-        let matrix = DiffusionMatrix::new(&graph, &speeds_f64, scheme)?;
-        Ok(Fos {
-            graph,
-            matrix,
-            speeds: speeds_f64,
-            name: "fos".to_string(),
-        })
+        let matrix = DiffusionMatrix::new(&graph, &speeds.to_f64(), scheme)?;
+        Ok(Fos { graph, matrix })
     }
 
     /// The diffusion matrix driving the process.
@@ -71,30 +63,42 @@ impl Fos {
         &self.matrix
     }
 
-    /// Rebuilds the process for a patched topology: `new_graph` must be this
-    /// process's graph with `delta` applied (see [`Graph::apply_delta`]).
-    /// Speeds and scheme carry over; the diffusion matrix is patched
-    /// incrementally in `O(m)` copies plus `O(Δ · d_max)` recomputation and
-    /// is bit-identical to a fresh [`Fos::new`] on `new_graph`.
+    /// The process on `new_graph`, this process's graph with `delta`
+    /// applied (see [`Graph::apply_delta`]), keeping its speeds and scheme.
+    /// An empty delta leaves the topology as it was, so the matrix is
+    /// copied; any other delta builds it afresh on `new_graph`, exactly as
+    /// [`Fos::new`] would. Either way the cost is `O(m)`, the order of
+    /// building `new_graph` itself.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Graph`] if the delta does not describe the
-    /// old-to-new edge difference.
+    /// Returns [`CoreError::Graph`] if an empty delta comes with a graph of
+    /// another node or edge count, or if the matrix cannot be built on
+    /// `new_graph` (another node count).
     pub fn patched(&self, new_graph: Arc<Graph>, delta: &GraphDelta) -> Result<Self, CoreError> {
-        let matrix = self.matrix.patched(&self.graph, &new_graph, delta)?;
+        let matrix = if delta.is_empty() {
+            let (n, m) = (self.matrix.node_count(), self.matrix.edge_count());
+            if (new_graph.node_count(), new_graph.edge_count()) != (n, m) {
+                return Err(CoreError::Graph(GraphError::invalid_parameter(format!(
+                    "an empty delta cannot turn {n} nodes and {m} edges into {} nodes and {} edges",
+                    new_graph.node_count(),
+                    new_graph.edge_count()
+                ))));
+            }
+            self.matrix.clone()
+        } else {
+            DiffusionMatrix::new(&new_graph, self.matrix.speeds(), self.matrix.scheme())?
+        };
         Ok(Fos {
             graph: new_graph,
             matrix,
-            speeds: self.speeds.clone(),
-            name: self.name.clone(),
         })
     }
 }
 
 impl ContinuousProcess for Fos {
     fn name(&self) -> &str {
-        &self.name
+        "fos"
     }
 
     fn graph(&self) -> &Graph {
@@ -106,7 +110,7 @@ impl ContinuousProcess for Fos {
     }
 
     fn speeds(&self) -> &[f64] {
-        &self.speeds
+        self.matrix.speeds()
     }
 
     // lint: zero-alloc
@@ -134,6 +138,7 @@ impl ContinuousProcess for Fos {
         const LANES: usize = KERNEL_LANES;
         let pairs = &self.graph.edges()[edges.clone()];
         let alphas = &self.matrix.alphas()[edges];
+        let speeds = self.matrix.speeds();
         let mut xu = [0.0f64; LANES];
         let mut su = [0.0f64; LANES];
         let mut xv = [0.0f64; LANES];
@@ -144,9 +149,9 @@ impl ContinuousProcess for Fos {
         for (pair_chunk, alpha_chunk) in pairs.chunks_exact(LANES).zip(alphas.chunks_exact(LANES)) {
             for (i, &(u, v)) in pair_chunk.iter().enumerate() {
                 xu[i] = x[u];
-                su[i] = self.speeds[u];
+                su[i] = speeds[u];
                 xv[i] = x[v];
-                sv[i] = self.speeds[v];
+                sv[i] = speeds[v];
             }
             for i in 0..LANES {
                 fu[i] = alpha_chunk[i] * xu[i] / su[i];
@@ -159,8 +164,7 @@ impl ContinuousProcess for Fos {
         }
         for (i, &(u, v)) in pairs[k..].iter().enumerate() {
             let alpha = alphas[k + i];
-            out[k + i] =
-                EdgeFlow::new(alpha * x[u] / self.speeds[u], alpha * x[v] / self.speeds[v]);
+            out[k + i] = EdgeFlow::new(alpha * x[u] / speeds[u], alpha * x[v] / speeds[v]);
         }
     }
 }
@@ -184,6 +188,34 @@ mod tests {
         let e01 = fos.graph().edge_between(0, 1).unwrap();
         assert!((flows[e01].forward - 2.0).abs() < 1e-12);
         assert_eq!(flows[e01].backward, 0.0);
+    }
+
+    #[test]
+    fn patched_matches_a_fresh_build() {
+        let g = Arc::new(generators::hypercube(4).unwrap());
+        let speeds = Speeds::new((0..16).map(|i| 1 + i % 3).collect()).unwrap();
+        let scheme = AlphaScheme::Lazy;
+        let fos = Fos::new(Arc::clone(&g), &speeds, scheme).unwrap();
+        let delta = GraphDelta::new(16, [(0, 3), (5, 10)], [(0, 1), (4, 5)]).unwrap();
+        let next = Arc::new(g.apply_delta(&delta).unwrap());
+        for (graph, delta) in [(g, GraphDelta::default()), (next, delta)] {
+            let patched = fos.patched(Arc::clone(&graph), &delta).unwrap();
+            let fresh = Fos::new(graph, &speeds, scheme).unwrap();
+            assert_eq!(patched.matrix(), fresh.matrix());
+        }
+    }
+
+    #[test]
+    fn patched_rejects_an_empty_delta_onto_another_shape() {
+        let speeds = Speeds::uniform(6);
+        let cycle = generators::cycle(6).unwrap();
+        let fos = Fos::new(cycle, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        // An empty delta cannot connect cycle(6) to path(6) (the edge
+        // counts differ) or to cycle(8) (the node counts differ).
+        for other in [generators::path(6).unwrap(), generators::cycle(8).unwrap()] {
+            let result = fos.patched(Arc::new(other), &GraphDelta::default());
+            assert!(matches!(result, Err(CoreError::Graph(_))), "{result:?}");
+        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! speeds.
 
 use super::fos::KERNEL_LANES;
-use super::{ContinuousProcess, EdgeFlow};
+use super::{ContinuousProcess, EdgeFlow, Fos};
 use crate::error::CoreError;
 use crate::task::Speeds;
-use lb_graph::{AlphaScheme, DiffusionMatrix, Graph, GraphDelta, PowerIterationOptions};
+use lb_graph::{AlphaScheme, Graph, GraphDelta, PowerIterationOptions};
 use std::sync::Arc;
 
 /// The second-order diffusion process:
@@ -25,9 +25,9 @@ use std::sync::Arc;
 /// [`ContinuousRunner::min_load_seen`]: super::ContinuousRunner::min_load_seen
 #[derive(Debug, Clone)]
 pub struct Sos {
-    graph: Arc<Graph>,
-    matrix: DiffusionMatrix,
-    speeds: Vec<f64>,
+    /// The graph, matrix and speeds, and the kernel of an epoch's first
+    /// round, before there is a `y(t−1)` to relax.
+    fos: Fos,
     beta: f64,
     /// Flows of the previous round, pre-sized to the edge count; only valid
     /// once `has_previous` is set. Kept flat (not `Option<Vec>`) so the
@@ -60,20 +60,8 @@ impl Sos {
                 "beta must be in (0, 2], got {beta}"
             )));
         }
-        let graph = graph.into();
-        let speeds_f64 = speeds.to_f64();
-        let matrix = DiffusionMatrix::new(&graph, &speeds_f64, scheme)?;
-        let m = graph.edge_count();
-        Ok(Sos {
-            graph,
-            matrix,
-            speeds: speeds_f64,
-            beta,
-            previous: vec![EdgeFlow::default(); m],
-            has_previous: false,
-            name: format!("sos(beta={beta:.3})"),
-            basis: Vec::new(),
-        })
+        let fos = Fos::new(graph, speeds, scheme)?;
+        Ok(Sos::relaxing(fos, beta, Vec::new()))
     }
 
     /// Creates an SOS process with the optimal relaxation parameter
@@ -87,21 +75,22 @@ impl Sos {
         speeds: &Speeds,
         scheme: AlphaScheme,
     ) -> Result<Self, CoreError> {
-        let graph = graph.into();
-        let speeds_f64 = speeds.to_f64();
-        let matrix = DiffusionMatrix::new(&graph, &speeds_f64, scheme)?;
-        let (beta, basis) = optimal_beta(&graph, &matrix, &[]);
-        let m = graph.edge_count();
-        Ok(Sos {
-            graph,
-            matrix,
-            speeds: speeds_f64,
+        let fos = Fos::new(graph, speeds, scheme)?;
+        let (beta, basis) = optimal_beta(&fos, &[]);
+        Ok(Sos::relaxing(fos, beta, basis))
+    }
+
+    /// The process that relaxes `fos` with `beta`, with no history yet.
+    fn relaxing(fos: Fos, beta: f64, basis: Vec<f64>) -> Self {
+        let m = fos.graph().edge_count();
+        Sos {
+            fos,
             beta,
             previous: vec![EdgeFlow::default(); m],
             has_previous: false,
             name: format!("sos(beta={beta:.3})"),
             basis,
-        })
+        }
     }
 
     /// The relaxation parameter `β`.
@@ -109,9 +98,9 @@ impl Sos {
         self.beta
     }
 
-    /// Rebuilds the process for a patched topology: `new_graph` must be this
-    /// process's graph with `delta` applied. The diffusion matrix is patched
-    /// incrementally (bit-identical to a fresh build). β follows the delta:
+    /// The process on `new_graph`, this process's graph with `delta`
+    /// applied. The FOS part follows [`Fos::patched`]: an empty delta
+    /// copies the matrix, any other builds it afresh. β follows the delta:
     ///
     /// - an **empty** delta leaves the matrix unchanged, so β and its basis
     ///   are kept and the spectral estimate, the dominant cost of a
@@ -135,26 +124,15 @@ impl Sos {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Graph`] if the delta does not describe the
-    /// old-to-new edge difference.
+    /// Returns [`CoreError::Graph`] where [`Fos::patched`] does.
     pub fn patched(&self, new_graph: Arc<Graph>, delta: &GraphDelta) -> Result<Self, CoreError> {
-        let matrix = self.matrix.patched(&self.graph, &new_graph, delta)?;
+        let fos = self.fos.patched(new_graph, delta)?;
         let (beta, basis) = if delta.is_empty() {
             (self.beta, self.basis.clone())
         } else {
-            optimal_beta(&new_graph, &matrix, &self.basis)
+            optimal_beta(&fos, &self.basis)
         };
-        let m = new_graph.edge_count();
-        Ok(Sos {
-            graph: new_graph,
-            matrix,
-            speeds: self.speeds.clone(),
-            beta,
-            previous: vec![EdgeFlow::default(); m],
-            has_previous: false,
-            name: format!("sos(beta={beta:.3})"),
-            basis,
-        })
+        Ok(Sos::relaxing(fos, beta, basis))
     }
 }
 
@@ -168,10 +146,10 @@ fn valid_beta(beta: f64) -> bool {
 /// `start` (a cold start when it is empty), and the vector the estimate
 /// converged to: the one formula behind [`Sos::with_optimal_beta`] and
 /// [`Sos::patched`].
-fn optimal_beta(graph: &Graph, matrix: &DiffusionMatrix, start: &[f64]) -> (f64, Vec<f64>) {
+fn optimal_beta(fos: &Fos, start: &[f64]) -> (f64, Vec<f64>) {
     let estimate = lb_graph::spectral::second_eigenvalue(
-        graph,
-        matrix,
+        fos.graph(),
+        fos.matrix(),
         start,
         PowerIterationOptions::default(),
     );
@@ -191,20 +169,20 @@ impl ContinuousProcess for Sos {
     }
 
     fn graph(&self) -> &Graph {
-        &self.graph
+        self.fos.graph()
     }
 
     fn shared_graph(&self) -> Arc<Graph> {
-        Arc::clone(&self.graph)
+        self.fos.shared_graph()
     }
 
     fn speeds(&self) -> &[f64] {
-        &self.speeds
+        self.fos.speeds()
     }
 
     // lint: zero-alloc
     fn compute_flows_into(&mut self, t: usize, x: &[f64], out: &mut [EdgeFlow]) {
-        self.compute_flows_range(t, x, 0..self.graph.edge_count(), out);
+        self.compute_flows_range(t, x, 0..self.graph().edge_count(), out);
         self.commit_flows(t, out);
     }
 
@@ -212,90 +190,67 @@ impl ContinuousProcess for Sos {
         true
     }
 
-    /// Stride-friendly kernel, same struct-of-arrays shape as the FOS one.
-    /// The `has_previous` branch is hoisted out of the per-edge loop: the
-    /// first round runs the FOS-shaped variant, every later round runs the
-    /// relaxation variant with the history gathered alongside the loads.
-    /// Per-edge float-op order matches the scalar loop
+    /// The first round of an epoch has no `y(t−1)` and is the FOS kernel.
+    /// Every later round runs the relaxation in the FOS kernel's
+    /// struct-of-arrays shape, with the history gathered alongside the
+    /// loads. Per-edge float-op order matches the scalar loop
     /// (`(β−1)·y_prev + β·(α·x_u/s_u)`), so flows are bit-identical.
     // lint: zero-alloc
     fn compute_flows_range(
         &self,
-        _t: usize,
+        t: usize,
         x: &[f64],
         edges: std::ops::Range<usize>,
         out: &mut [EdgeFlow],
     ) {
+        if !self.has_previous {
+            return self.fos.compute_flows_range(t, x, edges, out);
+        }
         const LANES: usize = KERNEL_LANES;
-        let pairs = &self.graph.edges()[edges.clone()];
-        let alphas = &self.matrix.alphas()[edges.clone()];
+        let pairs = &self.graph().edges()[edges.clone()];
+        let alphas = &self.fos.matrix().alphas()[edges.clone()];
+        let speeds = self.speeds();
+        let prev = &self.previous[edges];
         let beta = self.beta;
         let carry = self.beta - 1.0;
         let mut xu = [0.0f64; LANES];
         let mut su = [0.0f64; LANES];
         let mut xv = [0.0f64; LANES];
         let mut sv = [0.0f64; LANES];
+        let mut pf = [0.0f64; LANES];
+        let mut pb = [0.0f64; LANES];
         let mut fu = [0.0f64; LANES];
         let mut fv = [0.0f64; LANES];
         let mut k = 0usize;
-        if self.has_previous {
-            let prev = &self.previous[edges];
-            let mut pf = [0.0f64; LANES];
-            let mut pb = [0.0f64; LANES];
-            for (pair_chunk, (alpha_chunk, prev_chunk)) in pairs
-                .chunks_exact(LANES)
-                .zip(alphas.chunks_exact(LANES).zip(prev.chunks_exact(LANES)))
-            {
-                for (i, &(u, v)) in pair_chunk.iter().enumerate() {
-                    xu[i] = x[u];
-                    su[i] = self.speeds[u];
-                    xv[i] = x[v];
-                    sv[i] = self.speeds[v];
-                    pf[i] = prev_chunk[i].forward;
-                    pb[i] = prev_chunk[i].backward;
-                }
-                for i in 0..LANES {
-                    fu[i] = carry * pf[i] + beta * (alpha_chunk[i] * xu[i] / su[i]);
-                    fv[i] = carry * pb[i] + beta * (alpha_chunk[i] * xv[i] / sv[i]);
-                }
-                for (slot, i) in out[k..k + LANES].iter_mut().zip(0..LANES) {
-                    *slot = EdgeFlow::new(fu[i], fv[i]);
-                }
-                k += LANES;
+        for (pair_chunk, (alpha_chunk, prev_chunk)) in pairs
+            .chunks_exact(LANES)
+            .zip(alphas.chunks_exact(LANES).zip(prev.chunks_exact(LANES)))
+        {
+            for (i, &(u, v)) in pair_chunk.iter().enumerate() {
+                xu[i] = x[u];
+                su[i] = speeds[u];
+                xv[i] = x[v];
+                sv[i] = speeds[v];
+                pf[i] = prev_chunk[i].forward;
+                pb[i] = prev_chunk[i].backward;
             }
-            for (i, &(u, v)) in pairs[k..].iter().enumerate() {
-                let alpha = alphas[k + i];
-                let fos_forward = alpha * x[u] / self.speeds[u];
-                let fos_backward = alpha * x[v] / self.speeds[v];
-                out[k + i] = EdgeFlow::new(
-                    carry * prev[k + i].forward + beta * fos_forward,
-                    carry * prev[k + i].backward + beta * fos_backward,
-                );
+            for i in 0..LANES {
+                fu[i] = carry * pf[i] + beta * (alpha_chunk[i] * xu[i] / su[i]);
+                fv[i] = carry * pb[i] + beta * (alpha_chunk[i] * xv[i] / sv[i]);
             }
-        } else {
-            for (pair_chunk, alpha_chunk) in
-                pairs.chunks_exact(LANES).zip(alphas.chunks_exact(LANES))
-            {
-                for (i, &(u, v)) in pair_chunk.iter().enumerate() {
-                    xu[i] = x[u];
-                    su[i] = self.speeds[u];
-                    xv[i] = x[v];
-                    sv[i] = self.speeds[v];
-                }
-                for i in 0..LANES {
-                    fu[i] = alpha_chunk[i] * xu[i] / su[i];
-                    fv[i] = alpha_chunk[i] * xv[i] / sv[i];
-                }
-                for (slot, i) in out[k..k + LANES].iter_mut().zip(0..LANES) {
-                    *slot = EdgeFlow::new(fu[i], fv[i]);
-                }
-                k += LANES;
+            for (slot, i) in out[k..k + LANES].iter_mut().zip(0..LANES) {
+                *slot = EdgeFlow::new(fu[i], fv[i]);
             }
-            for (i, &(u, v)) in pairs[k..].iter().enumerate() {
-                let alpha = alphas[k + i];
-                out[k + i] =
-                    EdgeFlow::new(alpha * x[u] / self.speeds[u], alpha * x[v] / self.speeds[v]);
-            }
+            k += LANES;
+        }
+        for (i, &(u, v)) in pairs[k..].iter().enumerate() {
+            let alpha = alphas[k + i];
+            let fos_forward = alpha * x[u] / speeds[u];
+            let fos_backward = alpha * x[v] / speeds[v];
+            out[k + i] = EdgeFlow::new(
+                carry * prev[k + i].forward + beta * fos_forward,
+                carry * prev[k + i].backward + beta * fos_backward,
+            );
         }
     }
 
@@ -331,7 +286,7 @@ impl ContinuousProcess for Sos {
                 history.beta
             )));
         }
-        let n = self.graph.node_count();
+        let n = self.graph().node_count();
         if !history.basis.is_empty() && history.basis.len() != n {
             return Err(SnapshotError::mismatch(format!(
                 "snapshot β basis has {} entries, graph has {n} nodes",
@@ -357,7 +312,7 @@ impl ContinuousProcess for Sos {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::continuous::{ContinuousRunner, Fos};
+    use crate::continuous::ContinuousRunner;
     use lb_graph::generators;
     use std::cell::RefCell;
 
@@ -523,6 +478,17 @@ mod tests {
             }
             let cold_w = Sos::with_optimal_beta(Arc::clone(&w), &speeds, scheme).unwrap();
             assert!((back.beta() - cold_w.beta()).abs() <= 1e-6, "Q{dim}");
+        }
+    }
+
+    #[test]
+    fn patched_rejects_an_empty_delta_onto_another_shape() {
+        let speeds = Speeds::uniform(6);
+        let cycle = generators::cycle(6).unwrap();
+        let sos = Sos::with_optimal_beta(cycle, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        for other in [generators::path(6).unwrap(), generators::cycle(8).unwrap()] {
+            let result = sos.patched(Arc::new(other), &GraphDelta::default());
+            assert!(matches!(result, Err(CoreError::Graph(_))), "{result:?}");
         }
     }
 

@@ -196,15 +196,14 @@ impl Graph {
         Ok(GraphDelta { removed, added })
     }
 
-    /// Applies an edge delta, producing the patched graph: `delta.removed`
-    /// edges are dropped, `delta.added` edges inserted, and the CSR structure
-    /// is rebuilt from the spliced canonical list. The node count and the
+    /// Applies an edge delta, producing a new graph: `delta.removed` edges
+    /// are dropped, `delta.added` edges inserted, and the CSR structure is
+    /// rebuilt from the spliced canonical list. The node count and the
     /// graph name carry over unchanged.
     ///
-    /// The splice is a single merge walk (`O(m + Δ)` index work, no
-    /// per-edge validation re-sort), so patching is dominated by the CSR
-    /// fill — linear in the *surviving* edges with small constants, with no
-    /// family generator or RNG in the loop.
+    /// The splice is a single merge walk (`O(m + Δ)`, no per-edge
+    /// validation re-sort) followed by the CSR fill, so the cost is linear
+    /// in the edge count, with no family generator or RNG in the loop.
     ///
     /// # Errors
     ///
@@ -530,24 +529,6 @@ impl GraphDelta {
         self.removed.is_empty() && self.added.is_empty()
     }
 
-    /// Total number of edge insertions plus removals (`Δ`).
-    pub fn len(&self) -> usize {
-        self.removed.len() + self.added.len()
-    }
-
-    /// Nodes whose degree changes under this delta, deduplicated and sorted.
-    pub fn touched_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self
-            .removed
-            .iter()
-            .chain(self.added.iter())
-            .flat_map(|&(u, v)| [u, v])
-            .collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
-    }
-
     /// Validates the canonical-form invariants against an `n`-node base
     /// graph: every pair `u < v < n`, each list strictly sorted.
     fn check_canonical(&self, n: usize) -> Result<(), GraphError> {
@@ -730,8 +711,6 @@ mod tests {
         let delta = old.delta_to(&new).expect("same node count");
         assert_eq!(delta.removed, vec![(1, 2)]);
         assert_eq!(delta.added, vec![(0, 2), (1, 4)]);
-        assert_eq!(delta.len(), 3);
-        assert_eq!(delta.touched_nodes(), vec![0, 1, 2, 4]);
 
         let patched = old.apply_delta(&delta).expect("delta applies");
         assert_eq!(patched.name(), "c5");
@@ -747,7 +726,6 @@ mod tests {
         let g = cycle4();
         let delta = g.delta_to(&g).expect("same graph");
         assert!(delta.is_empty());
-        assert_eq!(delta.len(), 0);
         let patched = g.apply_delta(&delta).expect("no-op");
         assert_eq!(patched.edges(), g.edges());
     }

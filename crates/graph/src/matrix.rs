@@ -14,7 +14,7 @@
 //! row-vector product `x ↦ x·P` that advances the continuous process.
 
 use crate::error::GraphError;
-use crate::graph::{EdgeId, Graph, GraphDelta, NodeId};
+use crate::graph::{EdgeId, Graph, NodeId};
 
 /// Strategy for choosing the symmetric edge weights `α[i][j]`.
 ///
@@ -69,8 +69,6 @@ impl AlphaScheme {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffusionMatrix {
-    n: usize,
-    m: usize,
     /// Per-edge symmetric weight `α_e`, indexed by [`EdgeId`].
     alphas: Vec<f64>,
     /// Node speeds (strictly positive).
@@ -118,8 +116,6 @@ impl DiffusionMatrix {
             diagonal[i] = 1.0 - outgoing;
         }
         Ok(DiffusionMatrix {
-            n: graph.node_count(),
-            m: graph.edge_count(),
             alphas,
             speeds: speeds.to_vec(),
             diagonal,
@@ -137,171 +133,14 @@ impl DiffusionMatrix {
         Self::new(graph, &vec![1.0; graph.node_count()], scheme)
     }
 
-    /// Incrementally rebuilds the matrix for a patched topology.
-    ///
-    /// `new_graph` must be `old_graph` with `delta` applied (see
-    /// [`Graph::apply_delta`]); speeds and scheme carry over from `self`.
-    /// Because `α_e` is a pure function of the endpoint degrees and speeds,
-    /// every edge not incident to a degree-changed node keeps its old `α`
-    /// bit-for-bit, and only diagonals of degree-changed nodes and their
-    /// neighbours are re-summed. The result is therefore **bit-identical** to
-    /// `DiffusionMatrix::new(new_graph, self.speeds(), self.scheme())` while
-    /// doing `O(m)` copies plus `O(Δ · d_max)` recomputation instead of a
-    /// full `O(m + n · d_avg)` re-derivation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidParameter`] if the graphs do not match
-    /// `self` or the delta does not describe the old-to-new edge difference.
-    pub fn patched(
-        &self,
-        old_graph: &Graph,
-        new_graph: &Graph,
-        delta: &GraphDelta,
-    ) -> Result<Self, GraphError> {
-        if old_graph.node_count() != self.n || old_graph.edge_count() != self.m {
-            return Err(GraphError::invalid_parameter(
-                "old graph does not match the matrix dimensions",
-            ));
-        }
-        if new_graph.node_count() != self.n {
-            return Err(GraphError::invalid_parameter(format!(
-                "patched graph has {} nodes, matrix was built for {}",
-                new_graph.node_count(),
-                self.n
-            )));
-        }
-        let expected_m = (self.m + delta.added.len())
-            .checked_sub(delta.removed.len())
-            .filter(|&m| m == new_graph.edge_count())
-            .ok_or_else(|| {
-                GraphError::invalid_parameter(format!(
-                    "delta (+{} / -{}) does not connect edge counts {} -> {}",
-                    delta.added.len(),
-                    delta.removed.len(),
-                    self.m,
-                    new_graph.edge_count()
-                ))
-            })?;
-
-        // Locate the delta's breakpoints: positions of removed edges in the
-        // old list and of added edges in the new list (both strictly
-        // increasing, since delta lists are sorted and duplicate-free).
-        let old_edges = old_graph.edges();
-        let new_edges = new_graph.edges();
-        let position = |edges: &[(usize, usize)], edge: (usize, usize)| {
-            edges.binary_search(&edge).map_err(|_| {
-                GraphError::invalid_parameter(format!(
-                    "delta does not describe the old-to-new difference at edge ({}, {})",
-                    edge.0, edge.1
-                ))
-            })
-        };
-        let mut removed_at = Vec::with_capacity(delta.removed.len());
-        for &edge in &delta.removed {
-            removed_at.push(position(old_edges, edge)?);
-        }
-        let mut added_at = Vec::with_capacity(delta.added.len());
-        for &edge in &delta.added {
-            added_at.push(position(new_edges, edge)?);
-        }
-
-        // Between breakpoints the old and new edge lists must agree run for
-        // run; kept runs bulk-copy their alphas (the recompute fix-up below
-        // overwrites the touched-incident ones), so the per-edge work is a
-        // slice compare and a memcpy instead of a branchy merge walk.
-        let mut alphas = vec![0.0; expected_m];
-        let (mut j, mut k, mut r, mut a) = (0usize, 0usize, 0usize, 0usize);
-        while j < old_edges.len() || k < new_edges.len() {
-            if removed_at.get(r) == Some(&j) {
-                j += 1;
-                r += 1;
-                continue;
-            }
-            if added_at.get(a) == Some(&k) {
-                let (u, v) = new_edges[k];
-                alphas[k] = self.scheme.alpha(
-                    new_graph.degree(u),
-                    new_graph.degree(v),
-                    self.speeds[u],
-                    self.speeds[v],
-                );
-                k += 1;
-                a += 1;
-                continue;
-            }
-            let next_j = removed_at.get(r).copied().unwrap_or(old_edges.len());
-            let next_k = added_at.get(a).copied().unwrap_or(new_edges.len());
-            let len = (next_j - j).min(next_k - k);
-            if len == 0 || old_edges[j..j + len] != new_edges[k..k + len] {
-                let (u, v) = if k < new_edges.len() {
-                    new_edges[k]
-                } else {
-                    old_edges[j]
-                };
-                return Err(GraphError::invalid_parameter(format!(
-                    "delta does not describe the old-to-new difference at edge ({u}, {v})"
-                )));
-            }
-            alphas[k..k + len].copy_from_slice(&self.alphas[j..j + len]);
-            j += len;
-            k += len;
-        }
-
-        // Fix-up: every new-graph edge incident to a touched node gets its
-        // alpha recomputed with the new degrees (kept edges whose endpoint
-        // degree changed, plus the added edges again — same value). O(Δ·d).
-        for t in delta.touched_nodes() {
-            for (_, e) in new_graph.neighbors_with_edges(t) {
-                let (u, v) = new_edges[e];
-                alphas[e] = self.scheme.alpha(
-                    new_graph.degree(u),
-                    new_graph.degree(v),
-                    self.speeds[u],
-                    self.speeds[v],
-                );
-            }
-        }
-
-        // Diagonals: copy wholesale, then re-sum only the closed
-        // neighbourhood of the touched nodes. Re-summing a node whose
-        // incident alphas are all unchanged reproduces the original value
-        // bit for bit (same CSR order, same inputs), so a superset of the
-        // strictly-affected nodes is safe.
-        let mut diagonal = self.diagonal.clone();
-        let mut affected = delta.touched_nodes();
-        for &(u, v) in delta.removed.iter().chain(delta.added.iter()) {
-            affected.extend_from_slice(new_graph.neighbors(u));
-            affected.extend_from_slice(new_graph.neighbors(v));
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        for &i in &affected {
-            let outgoing: f64 = new_graph
-                .neighbors_with_edges(i)
-                .map(|(_, e)| alphas[e] / self.speeds[i])
-                .sum();
-            diagonal[i] = 1.0 - outgoing;
-        }
-
-        Ok(DiffusionMatrix {
-            n: self.n,
-            m: expected_m,
-            alphas,
-            speeds: self.speeds.clone(),
-            diagonal,
-            scheme: self.scheme,
-        })
-    }
-
     /// Number of nodes the matrix was built for.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.speeds.len()
     }
 
     /// Number of edges the matrix was built for.
     pub fn edge_count(&self) -> usize {
-        self.m
+        self.alphas.len()
     }
 
     /// The `α` scheme used at construction.
@@ -358,9 +197,10 @@ impl DiffusionMatrix {
     /// Panics if `x.len()` differs from the node count.
     pub fn apply(&self, graph: &Graph, x: &[f64]) -> Vec<f64> {
         self.debug_check(graph);
-        assert_eq!(x.len(), self.n, "load vector length must equal node count");
-        let mut out = vec![0.0; self.n];
-        for i in 0..self.n {
+        let n = self.node_count();
+        assert_eq!(x.len(), n, "load vector length must equal node count");
+        let mut out = vec![0.0; n];
+        for i in 0..n {
             out[i] += x[i] * self.diagonal[i];
         }
         for (e, &(u, v)) in graph.edges().iter().enumerate() {
@@ -376,7 +216,7 @@ impl DiffusionMatrix {
     /// floating-point tolerance. Mostly used by tests and debug assertions.
     pub fn is_stochastic(&self, graph: &Graph, tol: f64) -> bool {
         self.debug_check(graph);
-        for i in 0..self.n {
+        for i in 0..self.node_count() {
             if self.diagonal[i] < -tol {
                 return false;
             }
@@ -395,12 +235,12 @@ impl DiffusionMatrix {
     fn debug_check(&self, graph: &Graph) {
         debug_assert_eq!(
             graph.node_count(),
-            self.n,
+            self.node_count(),
             "graph/matrix node count mismatch"
         );
         debug_assert_eq!(
             graph.edge_count(),
-            self.m,
+            self.edge_count(),
             "graph/matrix edge count mismatch"
         );
     }
@@ -499,67 +339,6 @@ mod tests {
             AlphaScheme::MaxDegreePlusOne
         )
         .is_err());
-    }
-
-    #[test]
-    fn patched_matrix_is_bit_identical_to_fresh_build() {
-        let old = generators::hypercube(4).unwrap();
-        // Heterogeneous speeds so alpha actually depends on both endpoints.
-        let speeds: Vec<f64> = (0..old.node_count())
-            .map(|i| 1.0 + (i % 5) as f64 * 0.5)
-            .collect();
-        let p = DiffusionMatrix::new(&old, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
-
-        // Rewire: drop two hypercube edges, add two chords.
-        let delta = GraphDelta::new(old.node_count(), [(0, 5), (3, 12)], [(0, 1), (2, 6)]).unwrap();
-        assert_eq!(delta.removed, vec![(0, 1), (2, 6)]);
-        assert_eq!(delta.added, vec![(0, 5), (3, 12)]);
-        let new = old.apply_delta(&delta).unwrap();
-        let patched = p.patched(&old, &new, &delta).unwrap();
-        let fresh = DiffusionMatrix::new(&new, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
-
-        assert_eq!(patched.edge_count(), fresh.edge_count());
-        for e in 0..fresh.edge_count() {
-            assert_eq!(
-                patched.alpha(e).to_bits(),
-                fresh.alpha(e).to_bits(),
-                "alpha mismatch at edge {e}"
-            );
-        }
-        for i in new.nodes() {
-            assert_eq!(
-                patched.diagonal(i).to_bits(),
-                fresh.diagonal(i).to_bits(),
-                "diagonal mismatch at node {i}"
-            );
-        }
-        assert!(patched.is_stochastic(&new, 1e-12));
-    }
-
-    #[test]
-    fn patched_with_empty_delta_is_bit_identical_copy() {
-        let g = generators::cycle(8).unwrap();
-        let speeds: Vec<f64> = (0..8).map(|i| 1.0 + i as f64 * 0.25).collect();
-        let p = DiffusionMatrix::new(&g, &speeds, AlphaScheme::Lazy).unwrap();
-        let patched = p.patched(&g, &g, &GraphDelta::default()).unwrap();
-        for e in 0..g.edge_count() {
-            assert_eq!(patched.alpha(e).to_bits(), p.alpha(e).to_bits());
-        }
-        for i in g.nodes() {
-            assert_eq!(patched.diagonal(i).to_bits(), p.diagonal(i).to_bits());
-        }
-    }
-
-    #[test]
-    fn patched_rejects_inconsistent_delta() {
-        let g = generators::cycle(6).unwrap();
-        let other = generators::path(6).unwrap();
-        let p = DiffusionMatrix::uniform(&g, AlphaScheme::MaxDegreePlusOne).unwrap();
-        // Empty delta cannot connect cycle(6) to path(6) (edge counts differ).
-        assert!(p.patched(&g, &other, &GraphDelta::default()).is_err());
-        // Node-count mismatch is rejected.
-        let bigger = generators::cycle(8).unwrap();
-        assert!(p.patched(&g, &bigger, &GraphDelta::default()).is_err());
     }
 
     #[test]

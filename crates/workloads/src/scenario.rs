@@ -225,8 +225,9 @@ pub enum ChurnKind {
         /// Generator seed for the rebuilt graph.
         seed: u64,
     },
-    /// Explicit edge churn: patch the current topology by removing and
-    /// adding the listed `(u, v)` pairs (`O(Δ)` work, no family rebuild).
+    /// Explicit edge churn: splice the listed `(u, v)` pairs out of and
+    /// into the current topology (no family generator; the graph and the
+    /// diffusion matrix are rebuilt in `O(m)`).
     /// Pairs are canonicalised to `u < v`; endpoints are validated against
     /// the current node count when the event is applied.
     Delta {

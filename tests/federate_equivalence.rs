@@ -90,14 +90,11 @@ fn write_scenario(tag: &str, scenario: &Scenario) -> PathBuf {
 }
 
 /// Runs `lb run` to completion and returns the result JSON bytes.
-fn sequential_run(tag: &str, scenario_path: &Path, shards: Option<usize>) -> Vec<u8> {
+fn sequential_run(tag: &str, scenario_path: &Path, extra: &[&str]) -> Vec<u8> {
     let out = temp(tag, "sequential.json");
-    let mut cmd = lb();
-    cmd.args(["run", scenario_path.to_str().unwrap(), "--quiet"]);
-    if let Some(shards) = shards {
-        cmd.args(["--shards", &shards.to_string()]);
-    }
-    let output = cmd
+    let output = lb()
+        .args(["run", scenario_path.to_str().unwrap(), "--quiet"])
+        .args(extra)
         .arg("--out")
         .arg(&out)
         .stdout(Stdio::null())
@@ -148,7 +145,7 @@ fn federated_runs_are_byte_identical_for_all_engines() {
             let tag = format!("{combo}_p{parts}");
             let scenario = scenario(algorithm, model, parts);
             let scenario_path = write_scenario(&tag, &scenario);
-            let sequential = sequential_run(&tag, &scenario_path, None);
+            let sequential = sequential_run(&tag, &scenario_path, &[]);
             let federated = federated_run(&tag, &scenario_path, &[]);
             assert_eq!(
                 federated, sequential,
@@ -167,7 +164,7 @@ fn per_process_shards_compose_with_federation() {
     let tag = "shards2";
     let scenario = scenario(AlgorithmSpec::Alg1, ModelSpec::Sos, 2);
     let scenario_path = write_scenario(tag, &scenario);
-    let sequential = sequential_run(tag, &scenario_path, Some(2));
+    let sequential = sequential_run(tag, &scenario_path, &["--shards", "2"]);
     let federated = federated_run(tag, &scenario_path, &["--shards", "2"]);
     assert_eq!(
         federated, sequential,
@@ -182,13 +179,27 @@ fn per_process_shards_compose_with_federation() {
 /// engine name in the checkpoint comes from the workers' state records, so
 /// two cadences resume from either side of the round-55 resize: every 30
 /// rounds the newest checkpoint is round 60's, every 45 rounds round 45's.
+/// The sequential run checkpoints at the same cadence, and its newest
+/// checkpoint must equal the coordinator's byte for byte: unlike the
+/// result document, a checkpoint shows SOS's β, its basis and the twin's
+/// bits.
 #[test]
 fn coordinator_checkpoint_resumes_under_the_sequential_driver() {
     let scenario = scenario(AlgorithmSpec::Alg2, ModelSpec::Sos, 2);
     for every in ["30", "45"] {
         let tag = format!("ckpt{every}");
         let scenario_path = write_scenario(&tag, &scenario);
-        let sequential = sequential_run(&tag, &scenario_path, None);
+        let sequential_ckpt = temp(&tag, "sequential.jsonl");
+        let sequential = sequential_run(
+            &tag,
+            &scenario_path,
+            &[
+                "--checkpoint",
+                sequential_ckpt.to_str().unwrap(),
+                "--checkpoint-every",
+                every,
+            ],
+        );
         let ckpt = temp(&tag, "rotating.jsonl");
         federated_run(
             &tag,
@@ -199,6 +210,10 @@ fn coordinator_checkpoint_resumes_under_the_sequential_driver() {
                 "--checkpoint-every",
                 every,
             ],
+        );
+        assert!(
+            std::fs::read(&ckpt).unwrap() == std::fs::read(&sequential_ckpt).unwrap(),
+            "{tag}: the coordinator's newest checkpoint differs from the sequential run's"
         );
 
         let resumed_out = temp(&tag, "resumed.json");
@@ -222,6 +237,7 @@ fn coordinator_checkpoint_resumes_under_the_sequential_driver() {
         );
         std::fs::remove_file(&scenario_path).ok();
         std::fs::remove_file(&ckpt).ok();
+        std::fs::remove_file(&sequential_ckpt).ok();
         std::fs::remove_file(&resumed_out).ok();
     }
 }
