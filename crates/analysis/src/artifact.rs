@@ -5,6 +5,9 @@
 //! [`write_bytes_atomic`] or its streaming form [`write_atomic_with`] (or,
 //! for files written over a run, [`create_staging`] plus [`publish_staged`]), so a concurrent reader or a crash mid-write sees
 //! either the previous complete file or the new one, never a torn mixture.
+//! A target that exists and is neither a regular file nor a directory (a
+//! device such as `/dev/null`, or a FIFO) is written straight to instead:
+//! it is never staged beside, renamed over or removed.
 //! `lb lint` rule R04 enforces this at the source level: direct
 //! `File::create`/`fs::write` calls outside this module are findings.
 //!
@@ -32,10 +35,18 @@ pub fn unique_name(stem: &str) -> String {
 /// `create_new`, so two publishers of one target — threads or processes —
 /// never share a temp file. Returns the staging path and the open file.
 ///
+/// When `path` exists and is neither a regular file nor a directory (a
+/// device or a FIFO), a rename would replace the node itself, so `path` is
+/// opened for writing instead and no staging path is returned: there is
+/// nothing to publish or to clean up.
+///
 /// # Errors
 ///
 /// Returns the underlying I/O error.
-pub fn create_staging(path: &Path) -> std::io::Result<(PathBuf, fs::File)> {
+pub fn create_staging(path: &Path) -> std::io::Result<(Option<PathBuf>, fs::File)> {
+    if fs::metadata(path).is_ok_and(|meta| !meta.is_file() && !meta.is_dir()) {
+        return Ok((None, fs::OpenOptions::new().write(true).open(path)?));
+    }
     let file_name = path
         .file_name()
         .and_then(|name| name.to_str())
@@ -49,7 +60,7 @@ pub fn create_staging(path: &Path) -> std::io::Result<(PathBuf, fs::File)> {
         .write(true)
         .create_new(true)
         .open(&tmp)?;
-    Ok((tmp, file))
+    Ok((Some(tmp), file))
 }
 
 /// Publishes the finished staging file `tmp` at `path`: fsync, rename over
@@ -80,7 +91,8 @@ pub fn publish_staged(tmp: &Path, path: &Path) -> std::io::Result<()> {
 /// fresh staging file beside `path` ([`create_staging`], then
 /// [`publish_staged`]): a crash at any point leaves either the previous
 /// file or the new one under `path`, never a torn mixture, and concurrent
-/// publishers of one target each publish their own bytes whole.
+/// publishers of one target each publish their own bytes whole. A device
+/// or FIFO at `path` receives the bytes directly.
 ///
 /// # Errors
 ///
@@ -91,12 +103,15 @@ pub fn write_atomic_with(
 ) -> std::io::Result<()> {
     let (tmp, file) = create_staging(path)?;
     let mut out = BufWriter::new(file);
-    if let Err(e) = write(&mut out).and_then(|()| out.flush()) {
-        drop(out);
+    let written = write(&mut out).and_then(|()| out.flush());
+    drop(out);
+    let Some(tmp) = tmp else {
+        return written;
+    };
+    if let Err(e) = written {
         let _ = fs::remove_file(&tmp);
         return Err(e);
     }
-    drop(out);
     publish_staged(&tmp, path)
 }
 
@@ -152,6 +167,45 @@ mod tests {
             .filter(|n| n.to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_fifo_target_is_written_to_not_replaced() {
+        use std::io::Read;
+        use std::os::unix::fs::FileTypeExt;
+
+        let dir = std::env::temp_dir().join(unique_name("lb-artifact-fifo"));
+        fs::create_dir_all(&dir).unwrap();
+        let fifo = dir.join("out.fifo");
+        let made = std::process::Command::new("mkfifo")
+            .arg(&fifo)
+            .status()
+            .expect("mkfifo runs");
+        assert!(made.success(), "mkfifo {}", fifo.display());
+        // A detached reader, not a scoped one: if publication replaced the
+        // FIFO, no writer would ever open it and the reader would block
+        // forever, so the asserts below must fail before it is joined.
+        let reader = {
+            let fifo = fifo.clone();
+            std::thread::spawn(move || {
+                let mut bytes = Vec::new();
+                fs::File::open(fifo)
+                    .and_then(|mut f| f.read_to_end(&mut bytes))
+                    .map(|_| bytes)
+            })
+        };
+        write_bytes_atomic(&fifo, b"{\"v\":1}\n").unwrap();
+        let kind = fs::symlink_metadata(&fifo).unwrap().file_type();
+        assert!(kind.is_fifo(), "the FIFO was replaced by a {kind:?}");
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
+        assert_eq!(reader.join().unwrap().unwrap(), b"{\"v\":1}\n");
         fs::remove_dir_all(&dir).unwrap();
     }
 

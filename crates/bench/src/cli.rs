@@ -35,7 +35,8 @@
 //! else.
 
 use crate::dynamic::{
-    Producer, RoundSample, ScenarioOutcome, Session, DEFAULT_CHANNEL_CAPACITY, MAX_MERGE_FEEDS,
+    checkpoint_plan, Producer, RoundSample, ScenarioOutcome, Session, DEFAULT_CHANNEL_CAPACITY,
+    MAX_MERGE_FEEDS,
 };
 use crate::error::BenchError;
 use crate::serve::{push_trace, serve, PushOptions, ServeOptions};
@@ -472,8 +473,8 @@ fn seed_option(value: Option<&str>) -> Result<Option<u64>, String> {
         .transpose()
 }
 
-/// Parses the `--checkpoint PATH` / `--checkpoint-every N` pair: both or
-/// neither, and a cadence of at least one round.
+/// Parses `--checkpoint PATH` and `--checkpoint-every N`; the pair is
+/// checked by [`checkpoint_plan`].
 fn checkpoint_options(parsed: &Parsed<'_>) -> Result<(Option<PathBuf>, Option<usize>), String> {
     let every = parsed
         .value("--checkpoint-every")
@@ -482,15 +483,7 @@ fn checkpoint_options(parsed: &Parsed<'_>) -> Result<(Option<PathBuf>, Option<us
                 .map_err(|e| format!("--checkpoint-every: {e}"))
         })
         .transpose()?;
-    let checkpoint = parsed.value("--checkpoint").map(PathBuf::from);
-    match (&checkpoint, every) {
-        (Some(_), None) => Err("--checkpoint requires --checkpoint-every N".into()),
-        (None, Some(_)) => Err("--checkpoint-every requires --checkpoint PATH".into()),
-        (Some(_), Some(0)) => {
-            Err("--checkpoint-every: the cadence must be at least one round".into())
-        }
-        _ => Ok((checkpoint, every)),
-    }
+    Ok((parsed.value("--checkpoint").map(PathBuf::from), every))
 }
 
 /// Reads and parses a scenario file: an unreadable file is an I/O failure,
@@ -588,6 +581,9 @@ fn cmd_run(args: &[String]) -> i32 {
         Ok(pair) => pair,
         Err(err) => return usage_error(&err),
     };
+    if let Err(err) = checkpoint_plan(checkpoint.as_deref(), checkpoint_every) {
+        return usage_error(&err.to_string());
+    }
     let record = parsed.value("--record").map(PathBuf::from);
     let quiet = parsed.has("--quiet");
 
@@ -660,18 +656,9 @@ fn cmd_federate(args: &[String]) -> i32 {
     let Some(path) = parsed.positionals.first().copied() else {
         return usage_error("federate requires a scenario file (lb federate <scenario.json>)");
     };
-    let parts_override = match parsed
+    let parts = match parsed
         .value("--parts")
-        .map(|v| -> Result<usize, String> {
-            let parts: usize = v.parse().map_err(|e| format!("--parts: {e}"))?;
-            if parts == 0 || parts > lb_workloads::MAX_FEDERATION {
-                return Err(format!(
-                    "--parts: the partition count must be in 1..={}, got {parts}",
-                    lb_workloads::MAX_FEDERATION
-                ));
-            }
-            Ok(parts)
-        })
+        .map(|v| v.parse::<usize>().map_err(|e| format!("--parts: {e}")))
         .transpose()
     {
         Ok(parts) => parts,
@@ -685,8 +672,10 @@ fn cmd_federate(args: &[String]) -> i32 {
         Ok(shards) => shards,
         Err(err) => return usage_error(&err),
     };
-    let (checkpoint, checkpoint_every) = match checkpoint_options(&parsed) {
-        Ok(pair) => pair,
+    let checkpoint = match checkpoint_options(&parsed).and_then(|(path, every)| {
+        checkpoint_plan(path.as_deref(), every).map_err(|err| err.to_string())
+    }) {
+        Ok(plan) => plan,
         Err(err) => return usage_error(&err),
     };
     let listen = parsed.value("--listen").unwrap_or("127.0.0.1:0");
@@ -694,8 +683,13 @@ fn cmd_federate(args: &[String]) -> i32 {
     let quiet = parsed.has("--quiet");
 
     let result = (|| -> Result<(), BenchError> {
-        let scenario = read_scenario(path)?;
-        let parts = parts_override.unwrap_or(scenario.federation);
+        let mut scenario = read_scenario(path)?;
+        scenario.seed = seed.unwrap_or(scenario.seed);
+        scenario.shards = shards.unwrap_or(scenario.shards);
+        scenario.federation = parts.unwrap_or(scenario.federation);
+        // An out-of-range partition count is a usage error before any bind.
+        scenario.validate().map_err(BenchError::Usage)?;
+        let parts = scenario.federation;
         let listener = std::net::TcpListener::bind(listen)
             .map_err(|e| BenchError::io(format!("binding {listen}: {e}")))?;
         let addr = listener
@@ -735,13 +729,8 @@ fn cmd_federate(args: &[String]) -> i32 {
             }
             children
         };
-        let role = crate::federate::FederationRole::coordinator(listener, children);
-        let outcome = Session::from_scenario(&scenario)
-            .seed(seed)
-            .shards(shards)
-            .checkpoint(checkpoint.clone(), checkpoint_every)
-            .federated(role, parts)
-            .run(|sample| {
+        let outcome =
+            crate::federate::coordinate(scenario, listener, children, checkpoint, |sample| {
                 if !quiet {
                     stream_sample(sample);
                 }
@@ -786,7 +775,7 @@ fn cmd_federate_worker(args: &[String]) -> i32 {
             "--rank: rank {rank} is out of range for {parts} parts"
         ));
     }
-    match crate::federate::worker_entry(addr, rank, parts) {
+    match crate::federate::work(addr, rank, parts) {
         Ok(()) => 0,
         Err(err) => fail(err),
     }

@@ -8,13 +8,15 @@
 //! **bit-identical** result JSON across runs and machines (the document
 //! contains no timings). `tests/dynamic_scenarios.rs` pins this.
 //!
-//! Every way of driving a run goes through one builder, [`Session`]:
+//! Every single-process run goes through one builder, [`Session`]:
 //! construct it from a scenario ([`Session::from_scenario`]), a recorded
 //! trace or live byte stream ([`Session::from_stream`]) or a checkpoint
 //! snapshot ([`Session::from_snapshot`]); layer on overrides and side outputs
 //! (`.seed()`, `.shards()`, `.producer()`, `.record()`, `.checkpoint()`,
 //! `.stream()`, `.merged()`); then [`Session::run`]. Failures come back as
-//! the typed [`crate::error::BenchError`].
+//! the typed [`crate::error::BenchError`]. A federated run calls the two
+//! roles of [`crate::federate`] directly, which reuse this module's world,
+//! churn cursor and sampling.
 //!
 //! Every run, a federated worker's included, picks its engine in one
 //! place: a match on the scenario's algorithm and model names the concrete
@@ -82,7 +84,7 @@ use lb_workloads::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -160,11 +162,10 @@ impl ScenarioOutcome {
     ///
     /// # Panics
     ///
-    /// Panics on a federated *worker* outcome — the one outcome whose
-    /// trajectory is empty, because the assembled document lives on the
-    /// coordinator ([`Session::federated`]).
+    /// Panics on an empty trajectory, which no driver returns: each records
+    /// round 0 first, and a resume carries it over from the snapshot.
     pub fn last(&self) -> &RoundSample {
-        // lint: allow(R03, every sampling driver pushes round 0 first; only federated workers return empty and theirs documents the panic)
+        // lint: allow(R03, every driver pushes round 0 first and a resume carries it over; the panic is documented)
         self.trajectory.last().expect("trajectory is never empty")
     }
 
@@ -269,6 +270,8 @@ pub(crate) type Build<A, R> =
 /// A driver loop over one scenario's engine, generic in the engine's
 /// continuous model and algorithm; [`drive`] picks them and runs it.
 pub(crate) trait Driver {
+    /// What a finished loop returns.
+    type Output;
     /// The effective scenario the engine is built from.
     fn scenario(&self) -> &Scenario;
     /// Runs the loop on the one engine `build` makes (a constructor).
@@ -276,13 +279,13 @@ pub(crate) trait Driver {
         self,
         world: &World,
         build: Build<A, R>,
-    ) -> Result<ScenarioOutcome, BenchError>;
+    ) -> Result<Self::Output, BenchError>;
 }
 
 /// Derives the driver's [`World`] and runs the driver on the engine its
 /// scenario names: Algorithm 1 with the FIFO picker or Algorithm 2, over FOS
 /// or SOS. Federated workers run here too; the coordinator builds no engine.
-pub(crate) fn drive(driver: impl Driver) -> Result<ScenarioOutcome, BenchError> {
+pub(crate) fn drive<D: Driver>(driver: D) -> Result<D::Output, BenchError> {
     let scenario = driver.scenario();
     let world = build_world(scenario)?;
     match (scenario.algorithm, scenario.model) {
@@ -374,23 +377,26 @@ struct RunOptions {
     checkpoint_every: Option<usize>,
 }
 
-impl RunOptions {
-    /// The checkpoint path and cadence, validated as a pair: both or
-    /// neither, and a cadence of at least one round.
-    fn checkpoint_plan(&self) -> Result<Option<(PathBuf, usize)>, BenchError> {
-        match (&self.checkpoint, self.checkpoint_every) {
-            (Some(_), Some(0)) => Err(BenchError::usage(
-                "the checkpoint cadence must be at least one round",
-            )),
-            (Some(path), Some(every)) => Ok(Some((path.clone(), every))),
-            (Some(_), None) => Err(BenchError::usage(
-                "a checkpoint path requires a checkpoint cadence (checkpoint-every)",
-            )),
-            (None, Some(_)) => Err(BenchError::usage(
-                "a checkpoint cadence requires a checkpoint path",
-            )),
-            (None, None) => Ok(None),
-        }
+/// The checkpoint path and cadence, validated as a pair: both or neither,
+/// and a cadence of at least one round. [`Session::run`] checks its own
+/// pair here, and `lb run` and `lb federate` check their flags here before
+/// any I/O.
+pub(crate) fn checkpoint_plan(
+    path: Option<&Path>,
+    every: Option<usize>,
+) -> Result<Option<(PathBuf, usize)>, BenchError> {
+    match (path, every) {
+        (Some(_), Some(0)) => Err(BenchError::usage(
+            "the checkpoint cadence must be at least one round",
+        )),
+        (Some(path), Some(every)) => Ok(Some((path.to_path_buf(), every))),
+        (Some(_), None) => Err(BenchError::usage(
+            "a checkpoint path requires a checkpoint cadence (checkpoint-every)",
+        )),
+        (None, Some(_)) => Err(BenchError::usage(
+            "a checkpoint cadence requires a checkpoint path",
+        )),
+        (None, None) => Ok(None),
     }
 }
 
@@ -838,9 +844,9 @@ enum Origin {
     Snapshot(Box<Snapshot>),
 }
 
-/// The one driver entry point: a builder binding an origin (scenario,
-/// trace, stream or snapshot) to overrides, side outputs and an event feed,
-/// executed by [`Session::run`].
+/// The entry point of every single-process run: a builder binding an
+/// origin (scenario, trace, stream or snapshot) to overrides, side outputs
+/// and an event feed, executed by [`Session::run`].
 ///
 /// ```no_run
 /// # use lb_bench::dynamic::{Producer, Session};
@@ -858,7 +864,6 @@ pub struct Session {
     origin: Origin,
     feed: Feed,
     options: RunOptions,
-    federation: Option<(crate::federate::FederationRole, usize)>,
 }
 
 impl Session {
@@ -870,7 +875,6 @@ impl Session {
             origin: Origin::Scenario(Box::new(scenario.clone())),
             feed: Feed::Generate,
             options: RunOptions::default(),
-            federation: None,
         }
     }
 
@@ -894,7 +898,6 @@ impl Session {
             origin: Origin::Scenario(Box::new(source.scenario().clone())),
             feed: Feed::Source(source),
             options: RunOptions::default(),
-            federation: None,
         }
     }
 
@@ -923,7 +926,6 @@ impl Session {
             origin: Origin::Snapshot(Box::new(snapshot)),
             feed: Feed::Generate,
             options: RunOptions::default(),
-            federation: None,
         }
     }
 
@@ -946,9 +948,8 @@ impl Session {
     }
 
     /// Selects how generated events reach the engine (sync or merge).
-    /// Stream and merged feeds bring their own channel path, and federated
-    /// sessions use the sync path: [`Session::run`] rejects any other
-    /// producer on them.
+    /// Stream and merged feeds bring their own channel path:
+    /// [`Session::run`] rejects any other producer on them.
     pub fn producer(mut self, producer: Producer) -> Self {
         self.options.producer = producer;
         self
@@ -993,26 +994,6 @@ impl Session {
         self
     }
 
-    /// Runs this scenario federated across `parts` OS processes, one node
-    /// partition per process, in the given role (see [`crate::federate`]).
-    ///
-    /// The scenario's `federation` field is replaced by `parts` (exactly as
-    /// [`Session::shards`] replaces the shard count) and the effective value
-    /// is recorded in the result document. A
-    /// [coordinator](crate::federate::FederationRole::coordinator) session
-    /// owns the scenario, drives the round barrier and returns the assembled
-    /// outcome — byte-identical to the sequential run of the same effective
-    /// scenario. A [worker](crate::federate::join) session runs one
-    /// partition; its outcome carries an **empty trajectory** (the assembled
-    /// document lives on the coordinator). Composes with [`Session::seed`],
-    /// [`Session::shards`] (per-process intra-partition shards) and — on the
-    /// coordinator — [`Session::checkpoint`]; every other feed or side
-    /// output is rejected by [`Session::run`].
-    pub fn federated(mut self, role: crate::federate::FederationRole, parts: usize) -> Self {
-        self.federation = Some((role, parts));
-        self
-    }
-
     /// Feeds the run from an externally built [`MergeSession`] whose
     /// producers live outside the driver — e.g. the socket connections of
     /// [`crate::serve`], registered on the fly through a
@@ -1047,45 +1028,8 @@ impl Session {
             origin,
             feed,
             options,
-            federation,
         } = self;
-        let checkpoint = options.checkpoint_plan()?;
-        if let Some((role, parts)) = federation {
-            let Origin::Scenario(scenario) = origin else {
-                return Err(BenchError::usage(
-                    "a federated session starts from a scenario; resume an assembled \
-                     checkpoint with a plain session instead",
-                ));
-            };
-            if !matches!(feed, Feed::Generate) {
-                return Err(BenchError::usage(
-                    "a federated session generates its own events; trace, stream and merge \
-                     feeds do not compose with federation",
-                ));
-            }
-            if !matches!(options.producer, Producer::Scenario) {
-                return Err(BenchError::usage(
-                    "a federated session uses the synchronous event path; producer modes do \
-                     not compose with federation",
-                ));
-            }
-            if options.record.is_some() {
-                return Err(BenchError::usage(
-                    "a federated session cannot record a trace; record the equivalent \
-                     sequential run instead",
-                ));
-            }
-            let mut scenario = *scenario;
-            if let Some(seed) = options.seed {
-                scenario.seed = seed;
-            }
-            if let Some(shards) = options.shards {
-                scenario.shards = shards;
-            }
-            scenario.federation = parts;
-            scenario.validate().map_err(BenchError::Usage)?;
-            return crate::federate::run_federated(scenario, role, checkpoint, on_sample);
-        }
+        let checkpoint = checkpoint_plan(options.checkpoint.as_deref(), options.checkpoint_every)?;
         match options.producer {
             Producer::Scenario => {}
             Producer::Merge { feeds, .. } if feeds == 0 || feeds > MAX_MERGE_FEEDS => {
@@ -1378,19 +1322,34 @@ pub(crate) fn place(scenario: &Scenario, world: &World) -> InitialLoad {
     pad_for_min_load(&tokens, &world.speeds, world.pad)
 }
 
-/// One trajectory point, read off the engine after `round` completed rounds.
-fn sample_of<A: Model, R: Algorithm>(engine: &Imitation<A, R>, round: usize) -> RoundSample {
-    let loads = engine.loads();
-    let speeds = engine.speeds();
+/// Whether a trajectory point is taken after `done` completed rounds: every
+/// `sample_every` rounds, and after the last.
+pub(crate) fn samples_at(scenario: &Scenario, done: usize) -> bool {
+    done.is_multiple_of(scenario.sample_every) || done == scenario.rounds
+}
+
+/// One trajectory point after `round` completed rounds, from every node's
+/// load and real load, the speeds and the three counters. The sequential
+/// driver reads them off its engine; a federated coordinator gathers them
+/// from its ranks.
+pub(crate) fn round_sample(
+    round: usize,
+    loads: &[f64],
+    real_loads: &[f64],
+    speeds: &Speeds,
+    dummy_load: u64,
+    arrived_weight: u64,
+    completed_weight: u64,
+) -> RoundSample {
     RoundSample {
         round,
-        nodes: engine.graph().node_count(),
-        max_min: metrics::max_min_discrepancy(&loads, speeds),
-        max_avg: metrics::max_avg_discrepancy(&loads, speeds),
-        real_weight: engine.real_loads().iter().sum(),
-        dummy_load: engine.dummy_load(),
-        arrived_weight: engine.arrived_weight(),
-        completed_weight: engine.completed_weight(),
+        nodes: loads.len(),
+        max_min: metrics::max_min_discrepancy(loads, speeds),
+        max_avg: metrics::max_avg_discrepancy(loads, speeds),
+        real_weight: real_loads.iter().sum(),
+        dummy_load,
+        arrived_weight,
+        completed_weight,
     }
 }
 
@@ -1408,6 +1367,8 @@ struct Sequential<'a, F> {
 }
 
 impl<F: FnMut(&RoundSample)> Driver for Sequential<'_, F> {
+    type Output = ScenarioOutcome;
+
     fn scenario(&self) -> &Scenario {
         &self.scenario
     }
@@ -1481,7 +1442,15 @@ fn execute<A: Model, R: Algorithm>(
     let mut executor = (exec_shards > 1).then(|| ShardedExecutor::new(exec_shards));
 
     let mut record = |engine: &Imitation<A, R>, round: usize, trajectory: &mut Vec<RoundSample>| {
-        let sample = sample_of(engine, round);
+        let sample = round_sample(
+            round,
+            &engine.loads(),
+            &engine.real_loads(),
+            engine.speeds(),
+            engine.dummy_load(),
+            engine.arrived_weight(),
+            engine.completed_weight(),
+        );
         on_sample(&sample);
         trajectory.push(sample);
     };
@@ -1566,7 +1535,7 @@ fn execute<A: Model, R: Algorithm>(
             None => engine.step(),
         }
         let done = round + 1;
-        if done % scenario.sample_every == 0 || done == scenario.rounds {
+        if samples_at(&scenario, done) {
             record(&engine, done, &mut trajectory);
         }
         if let Some((path, every)) = &checkpoint {
@@ -2591,8 +2560,6 @@ mod tests {
 
     #[test]
     fn checkpoint_options_must_come_as_a_pair() {
-        use crate::federate::FederationRole;
-
         let scenario = poisson_scenario();
         let path = temp_path("lb_ckpt_pairing.jsonl");
         let cases = [
@@ -2601,19 +2568,12 @@ mod tests {
             (Some(path), Some(0), "at least one round"),
         ];
         for (path, every, expect) in cases {
-            // A federated coordinator must refuse before it waits for
-            // workers that never come.
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            let federated = Session::from_scenario(&scenario)
-                .federated(FederationRole::coordinator(listener, Vec::new()), 2);
-            for session in [Session::from_scenario(&scenario), federated] {
-                let err = session
-                    .checkpoint(path.clone(), every)
-                    .run(|_| {})
-                    .unwrap_err();
-                assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
-                assert!(err.to_string().contains(expect), "{err}");
-            }
+            let err = Session::from_scenario(&scenario)
+                .checkpoint(path, every)
+                .run(|_| {})
+                .unwrap_err();
+            assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
+            assert!(err.to_string().contains(expect), "{err}");
         }
     }
 

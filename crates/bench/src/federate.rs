@@ -15,6 +15,12 @@
 //! [`lb_core::federate`], speaking the v2 records of [`lb_proto`] over one
 //! line-delimited socket.
 //!
+//! Each role has one crate-private entry point: `coordinate` behind
+//! `lb federate` (the caller applies the overrides to the scenario, binds
+//! the listener and spawns the workers) and `work` behind
+//! `lb federate-worker` (join at an address as one rank). The hotpath
+//! benchmark calls both, with its workers on threads.
+//!
 //! Per round the coordinator relays three fixed barrier exchanges (loads,
 //! flows, sends — always present, even when empty), mirrors the workers'
 //! deterministic churn/sample/checkpoint schedule, and assembles global
@@ -54,7 +60,6 @@
 //! surfaces as [`BenchError::Protocol`] (stable exit code), never a hang:
 //! every read carries a timeout and a lost peer is an immediate EOF.
 
-use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
@@ -67,14 +72,14 @@ use lb_analysis::Json;
 use lb_core::discrete::{Algorithm, DiscreteBalancer, DynamicBalancer, Imitation, RoundEvents};
 use lb_core::federate::FederateLink;
 use lb_core::snapshot::{self, DiscreteState, EngineState, Snapshot};
-use lb_core::{metrics, CoreError, FederatedExecutor, FederationPlan, Speeds, Task, TaskId};
+use lb_core::{CoreError, FederatedExecutor, FederationPlan, Speeds, Task, TaskId};
 use lb_graph::{EdgeId, Graph, NodeId};
 use lb_proto::{Record, WireBatch, WireTask, PROTOCOL_V2};
 use lb_workloads::{Scenario, ScenarioEvents};
 
 use crate::dynamic::{
-    build_world, churn_error, drive, encode_driver, place, replace_topology, Build, ChurnCursor,
-    Driver, Model, RoundSample, ScenarioOutcome, World,
+    build_world, churn_error, drive, encode_driver, place, replace_topology, round_sample,
+    samples_at, Build, ChurnCursor, Driver, Model, RoundSample, ScenarioOutcome, World,
 };
 use crate::error::BenchError;
 
@@ -176,7 +181,7 @@ impl Wire {
 }
 
 // ---------------------------------------------------------------------------
-// Roles.
+// Coordinator.
 // ---------------------------------------------------------------------------
 
 /// Kills and reaps a spawned worker when the coordinator unwinds, so a
@@ -190,195 +195,28 @@ impl Drop for ChildGuard {
     }
 }
 
-enum Role {
-    Coordinator {
-        listener: TcpListener,
-        children: Vec<ChildGuard>,
-    },
-    Worker {
-        wire: Box<Wire>,
-        rank: usize,
-        checkpoint_every: Option<usize>,
-    },
-}
-
-/// Which side of a federated run a [`Session`](crate::dynamic::Session)
-/// plays, created by [`FederationRole::coordinator`] or by [`join`]. Opaque:
-/// the protocol state it carries (sockets, admitted peers) has no meaningful
-/// public surface.
-pub struct FederationRole(Role);
-
-impl fmt::Debug for FederationRole {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            Role::Coordinator { children, .. } => f
-                .debug_struct("FederationRole::Coordinator")
-                .field("spawned", &children.len())
-                .finish(),
-            Role::Worker { rank, .. } => f
-                .debug_struct("FederationRole::Worker")
-                .field("rank", rank)
-                .finish(),
-        }
-    }
-}
-
-impl FederationRole {
-    /// The coordinator side: owns `listener` (already bound) and the worker
-    /// processes spawned for this run (killed and reaped if the run fails).
-    /// Pass an empty `children` when the workers are launched externally
-    /// (`--no-spawn`, or in-process worker threads).
-    pub fn coordinator(listener: TcpListener, children: Vec<Child>) -> Self {
-        FederationRole(Role::Coordinator {
-            listener,
-            children: children.into_iter().map(ChildGuard).collect(),
-        })
-    }
-}
-
-/// Connects to a coordinator at `addr`, claims `rank` of `parts`, and
-/// returns the worker-side [`FederationRole`] plus the effective scenario
-/// the coordinator broadcast (seed, shard and federation overrides already
-/// applied). Run it with
-/// `Session::from_scenario(&scenario).federated(role, scenario.federation)`.
+/// Coordinates a federated run of the effective `scenario` across its
+/// `federation` ranks and returns the assembled outcome, byte-identical to
+/// the sequential run's. `listener` is already bound; `children` are the
+/// worker processes spawned for this run (killed and reaped if the run
+/// fails), empty when the workers are launched elsewhere (`--no-spawn`, or
+/// in-process worker threads). `checkpoint` is the path and cadence
+/// [`checkpoint_plan`](crate::dynamic::checkpoint_plan) validated.
 ///
 /// # Errors
 ///
-/// [`BenchError::Protocol`] when the coordinator is unreachable, rejects
-/// the join, or answers out of protocol; the broadcast scenario is validated
-/// before it is returned.
-pub fn join(
-    addr: &str,
-    rank: usize,
-    parts: usize,
-) -> Result<(FederationRole, Scenario), BenchError> {
-    let stream = connect_retry(addr)?;
-    let mut wire = Wire::new(stream, "coordinator".to_string())?;
-    wire.send(&Record::Join {
-        version: PROTOCOL_V2,
-        rank: rank as u64,
-        parts: parts as u64,
-    })?;
-    match wire.recv()? {
-        Record::Start {
-            scenario,
-            parts: declared,
-            shards,
-            checkpoint_every,
-        } => {
-            let scenario = Scenario::from_json(&scenario)
-                .map_err(|e| BenchError::protocol(format!("start scenario: {e}")))?;
-            scenario.validate().map_err(BenchError::Protocol)?;
-            if declared != parts as u64 || scenario.federation != parts {
-                return Err(BenchError::protocol(format!(
-                    "coordinator runs {declared} part(s) but this worker was launched for {parts}"
-                )));
-            }
-            if shards != scenario.shards as u64 {
-                return Err(BenchError::protocol(format!(
-                    "start record declares {shards} shard(s) but the scenario carries {}",
-                    scenario.shards
-                )));
-            }
-            let checkpoint_every = checkpoint_every
-                .map(|every| {
-                    usize::try_from(every).map_err(|_| {
-                        BenchError::protocol(format!("checkpoint cadence {every} overflows"))
-                    })
-                })
-                .transpose()?;
-            Ok((
-                FederationRole(Role::Worker {
-                    wire: Box::new(wire),
-                    rank,
-                    checkpoint_every,
-                }),
-                scenario,
-            ))
-        }
-        Record::Reject { error, .. } => Err(BenchError::protocol(format!(
-            "coordinator rejected the join: {error}"
-        ))),
-        other => Err(wire.unexpected("a start record", &other)),
-    }
-}
-
-fn connect_retry(addr: &str) -> Result<TcpStream, BenchError> {
-    let deadline = Instant::now() + CONNECT_TIMEOUT;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(err) => {
-                if Instant::now() >= deadline {
-                    return Err(BenchError::protocol(format!(
-                        "connecting to the coordinator at {addr}: {err}"
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        }
-    }
-}
-
-/// Joins `addr` as `rank` of `parts` and runs the worker session to
-/// completion. Shared by the `federate-worker` subcommand and the hotpath's
-/// in-process worker threads.
-///
-/// # Errors
-///
-/// Propagates [`join`] and session failures.
-pub(crate) fn worker_entry(addr: &str, rank: usize, parts: usize) -> Result<(), BenchError> {
-    let (role, scenario) = join(addr, rank, parts)?;
-    crate::dynamic::Session::from_scenario(&scenario)
-        .federated(role, parts)
-        .run(|_| {})
-        .map(|_| ())
-}
-
-// ---------------------------------------------------------------------------
-// Entry from Session::run.
-// ---------------------------------------------------------------------------
-
-/// Runs a federated session in its role. `scenario` is already effective
-/// (overrides applied, `federation` set, validated); `checkpoint` is the
-/// validated path and cadence.
-pub(crate) fn run_federated(
-    scenario: Scenario,
-    role: FederationRole,
-    checkpoint: Option<(PathBuf, usize)>,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, BenchError> {
-    match role.0 {
-        Role::Coordinator { listener, children } => {
-            run_coordinator(scenario, listener, children, checkpoint, on_sample)
-        }
-        Role::Worker {
-            wire,
-            rank,
-            checkpoint_every,
-        } => {
-            if checkpoint.is_some() {
-                return Err(BenchError::usage(
-                    "checkpointing a federated run is coordinator-driven; the worker role \
-                     takes its cadence from the start record",
-                ));
-            }
-            run_worker(scenario, *wire, rank, checkpoint_every)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator.
-// ---------------------------------------------------------------------------
-
-fn run_coordinator(
+/// [`BenchError::Usage`] for an invalid scenario, found before any worker
+/// is admitted; [`BenchError::Protocol`] for any socket or protocol
+/// failure; engine and checkpoint failures as their own classes.
+pub(crate) fn coordinate(
     scenario: Scenario,
     listener: TcpListener,
-    children: Vec<ChildGuard>,
+    children: Vec<Child>,
     checkpoint: Option<(PathBuf, usize)>,
     mut on_sample: impl FnMut(&RoundSample),
 ) -> Result<ScenarioOutcome, BenchError> {
+    let children: Vec<ChildGuard> = children.into_iter().map(ChildGuard).collect();
+    scenario.validate().map_err(BenchError::Usage)?;
     let parts = scenario.federation;
 
     let world = build_world(&scenario)?;
@@ -429,7 +267,7 @@ fn run_coordinator(
         relay_flows(&mut wires)?;
         relay_sends(&mut wires)?;
         let done = round + 1;
-        if done % scenario.sample_every == 0 || done == scenario.rounds {
+        if samples_at(&scenario, done) {
             let sample = gather_sample(&mut wires, done, churn.graph(), churn.speeds())?;
             on_sample(&sample);
             trajectory.push(sample);
@@ -674,16 +512,9 @@ fn gather_sample(
             loads.len()
         )));
     }
-    Ok(RoundSample {
-        round: done,
-        nodes: n,
-        max_min: metrics::max_min_discrepancy(&loads, speeds),
-        max_avg: metrics::max_avg_discrepancy(&loads, speeds),
-        real_weight: real.iter().sum(),
-        dummy_load,
-        arrived_weight: arrived,
-        completed_weight: completed,
-    })
+    Ok(round_sample(
+        done, &loads, &real, speeds, dummy_load, arrived, completed,
+    ))
 }
 
 /// Gathers one [`Record::State`] per rank and splices them into the global
@@ -1015,30 +846,101 @@ fn core_batch(batch: WireBatch) -> Result<lb_core::SendBatch, CoreError> {
     Ok(out)
 }
 
-fn run_worker(
-    scenario: Scenario,
-    wire: Wire,
+/// Connects to a coordinator at `addr` and claims `rank` of `parts`.
+/// Returns the socket, the effective scenario the coordinator broadcast
+/// (seed, shard and federation overrides already applied, validated) and
+/// the checkpoint cadence the worker mirrors.
+fn join(
+    addr: &str,
     rank: usize,
-    checkpoint_every: Option<usize>,
-) -> Result<ScenarioOutcome, BenchError> {
-    let parts = scenario.federation;
+    parts: usize,
+) -> Result<(Wire, Scenario, Option<usize>), BenchError> {
+    let stream = connect_retry(addr)?;
+    let mut wire = Wire::new(stream, "coordinator".to_string())?;
+    wire.send(&Record::Join {
+        version: PROTOCOL_V2,
+        rank: rank as u64,
+        parts: parts as u64,
+    })?;
+    match wire.recv()? {
+        Record::Start {
+            scenario,
+            parts: declared,
+            shards,
+            checkpoint_every,
+        } => {
+            let scenario = Scenario::from_json(&scenario)
+                .map_err(|e| BenchError::protocol(format!("start scenario: {e}")))?;
+            scenario.validate().map_err(BenchError::Protocol)?;
+            if declared != parts as u64 || scenario.federation != parts {
+                return Err(BenchError::protocol(format!(
+                    "coordinator runs {declared} part(s) but this worker was launched for {parts}"
+                )));
+            }
+            if shards != scenario.shards as u64 {
+                return Err(BenchError::protocol(format!(
+                    "start record declares {shards} shard(s) but the scenario carries {}",
+                    scenario.shards
+                )));
+            }
+            let checkpoint_every = checkpoint_every
+                .map(|every| {
+                    usize::try_from(every).map_err(|_| {
+                        BenchError::protocol(format!("checkpoint cadence {every} overflows"))
+                    })
+                })
+                .transpose()?;
+            Ok((wire, scenario, checkpoint_every))
+        }
+        Record::Reject { error, .. } => Err(BenchError::protocol(format!(
+            "coordinator rejected the join: {error}"
+        ))),
+        other => Err(wire.unexpected("a start record", &other)),
+    }
+}
+
+fn connect_retry(addr: &str) -> Result<TcpStream, BenchError> {
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => return Ok(stream),
+            Err(err) => {
+                if Instant::now() >= deadline {
+                    return Err(BenchError::protocol(format!(
+                        "connecting to the coordinator at {addr}: {err}"
+                    )));
+                }
+                std::thread::sleep(Duration::from_millis(25));
+            }
+        }
+    }
+}
+
+/// Joins the coordinator at `addr` as `rank` of `parts` and runs that
+/// partition to completion: the `federate-worker` subcommand and the
+/// hotpath's in-process worker threads. A failure after the join is also
+/// sent to the coordinator as a [`Record::Abort`] naming its cause.
+///
+/// # Errors
+///
+/// [`BenchError::Protocol`] when the coordinator is unreachable, rejects
+/// the join or answers out of protocol; engine failures as their own
+/// classes.
+pub(crate) fn work(addr: &str, rank: usize, parts: usize) -> Result<(), BenchError> {
+    let (wire, scenario, checkpoint_every) = join(addr, rank, parts)?;
     let mut link = WorkerLink { wire, rank, parts };
     let worker = Worker {
         scenario: &scenario,
         link: &mut link,
         checkpoint_every,
     };
-    match drive(worker) {
-        Ok(outcome) => Ok(outcome),
-        Err(err) => {
-            // Best effort: name the cause on the coordinator's side instead
-            // of leaving it a bare EOF.
-            let _ = link.wire.send(&Record::Abort {
-                error: err.to_string(),
-            });
-            Err(err)
-        }
-    }
+    drive(worker).inspect_err(|err| {
+        // Best effort: name the cause on the coordinator's side instead of
+        // leaving it a bare EOF.
+        let _ = link.wire.send(&Record::Abort {
+            error: err.to_string(),
+        });
+    })
 }
 
 /// One worker's part of a federated run (see [`worker_loop`]).
@@ -1049,6 +951,9 @@ struct Worker<'a> {
 }
 
 impl Driver for Worker<'_> {
+    /// The assembled document lives on the coordinator.
+    type Output = ();
+
     fn scenario(&self) -> &Scenario {
         self.scenario
     }
@@ -1057,7 +962,7 @@ impl Driver for Worker<'_> {
         self,
         world: &World,
         build: Build<A, R>,
-    ) -> Result<ScenarioOutcome, BenchError> {
+    ) -> Result<(), BenchError> {
         worker_loop(self, world, build)
     }
 }
@@ -1068,7 +973,7 @@ fn worker_loop<A: Model, R: Algorithm>(
     worker: Worker<'_>,
     world: &World,
     build: Build<A, R>,
-) -> Result<ScenarioOutcome, BenchError> {
+) -> Result<(), BenchError> {
     let Worker {
         scenario,
         link,
@@ -1116,7 +1021,7 @@ fn worker_loop<A: Model, R: Algorithm>(
             .step_federated(&mut fed, link)
             .map_err(|err| BenchError::run(format!("federated round {round}: {err}")))?;
         let done = round + 1;
-        if done % scenario.sample_every == 0 || done == scenario.rounds {
+        if samples_at(scenario, done) {
             send_sample(link, &engine, fed.plan().node_range(), done)?;
         }
         if checkpoint_every.is_some_and(|every| every > 0 && done % every == 0) {
@@ -1132,15 +1037,6 @@ fn worker_loop<A: Model, R: Algorithm>(
         rank: rank as u64,
         dummy_created: engine.dummy_created(),
         engine: engine.name().to_string(),
-    })?;
-    Ok(ScenarioOutcome {
-        scenario: scenario.clone(),
-        engine: engine.name().to_string(),
-        // The assembled document lives on the coordinator; a worker outcome
-        // deliberately carries no trajectory.
-        trajectory: Vec::new(),
-        dummy_created: engine.dummy_created(),
-        ingest: None,
     })
 }
 

@@ -589,7 +589,7 @@ fn run_snapshot_bench(
 
 /// Benchmarks the federated driver: the scenario below partitioned across
 /// two worker threads speaking the real TCP round protocol to a coordinator
-/// [`crate::dynamic::Session`] on localhost — the per-round cost of the
+/// on localhost — the per-round cost of the
 /// three barrier relays plus partitioned stepping, expressed as rounds/sec.
 /// The federated result document is asserted byte-identical to the
 /// sequential run's before the numbers are reported. Gated by
@@ -632,16 +632,13 @@ fn run_federate_bench(quick: bool) -> Json {
     let workers: Vec<_> = (0..parts)
         .map(|rank| {
             let addr = addr.clone();
-            std::thread::spawn(move || crate::federate::worker_entry(&addr, rank, parts))
+            std::thread::spawn(move || crate::federate::work(&addr, rank, parts))
         })
         .collect();
     // The timed window covers worker admission through the final round
     // barrier — the full cost of standing up and driving the federation.
     let start = Instant::now();
-    let role = crate::federate::FederationRole::coordinator(listener, Vec::new());
-    let federated = crate::dynamic::Session::from_scenario(&scenario)
-        .federated(role, parts)
-        .run(|_| {})
+    let federated = crate::federate::coordinate(scenario, listener, Vec::new(), None, |_| {})
         .expect("federate bench coordinator run");
     let elapsed_secs = start.elapsed().as_secs_f64();
     for worker in workers {

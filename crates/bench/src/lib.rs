@@ -12,8 +12,11 @@
 //! * [`dynamic`] — the scenario driver: binds a JSON
 //!   [`Scenario`](lb_workloads::Scenario) (arrivals, completions, churn) to a
 //!   dynamic flow-imitation engine with deterministic, streamable results.
-//!   Every way of driving a run goes through one builder,
+//!   Every single-process run goes through one builder,
 //!   [`dynamic::Session`].
+//! * [`federate`] — one scenario partitioned across worker processes that
+//!   exchange boundary state over TCP each round (`lb federate`,
+//!   `lb federate-worker`), byte-identical to the sequential driver.
 //! * [`serve`] — the socket service front-end behind `lb serve`: an accept
 //!   loop feeding authenticated trace-streaming connections into one live
 //!   engine as merge feeds, with reconnect-and-resume.

@@ -72,7 +72,8 @@ pub struct TraceWriter {
     /// `(staging path, target path)` for file-backed writers: the trace is
     /// streamed into a temp sibling and published under the target by
     /// rename in [`finish`](TraceWriter::finish), so a crashed recording
-    /// never leaves a torn trace at the target path.
+    /// never leaves a torn trace at the target path. `None` also for a
+    /// device or FIFO target, which is written to directly.
     publish: Option<(PathBuf, PathBuf)>,
 }
 
@@ -105,6 +106,7 @@ impl TraceWriter {
     /// published under `path` — fsync, rename, directory fsync — by
     /// [`finish`](TraceWriter::finish): a crash or error mid-recording
     /// leaves whatever was at `path` before untouched, never a torn trace.
+    /// A device or FIFO at `path` is written to directly.
     ///
     /// # Errors
     ///
@@ -114,7 +116,7 @@ impl TraceWriter {
         let (tmp, file) =
             create_staging(path).map_err(|e| format!("creating trace {}: {e}", path.display()))?;
         let mut writer = Self::new(io::BufWriter::new(file), scenario)?;
-        writer.publish = Some((tmp, path.to_path_buf()));
+        writer.publish = tmp.map(|tmp| (tmp, path.to_path_buf()));
         Ok(writer)
     }
 

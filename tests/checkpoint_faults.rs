@@ -3,7 +3,8 @@
 //! randomized round, the rotating snapshot left on disk must be a complete
 //! document (atomic rename: never a torn file), and `lb run --resume` from
 //! it — at a *different* shard count — must emit result JSON byte-identical
-//! to the uninterrupted run's. All four engine combos, with churn and
+//! to the uninterrupted run's and end on the same engine state (its final
+//! checkpoint matches byte for byte). All four engine combos, with churn and
 //! arrivals. Corrupt, truncated and version-flipped snapshots must fail the
 //! resume with a typed, located error on stderr, never silent divergence.
 //!
@@ -73,20 +74,33 @@ fn write_scenario(tag: &str, scenario: &Scenario) -> PathBuf {
     path
 }
 
+/// The `lb run` flags that checkpoint a run once, at its final round.
+fn final_checkpoint_args(scenario: &Scenario, path: &Path) -> Vec<String> {
+    vec![
+        "--checkpoint".into(),
+        path.display().to_string(),
+        "--checkpoint-every".into(),
+        scenario.rounds.to_string(),
+    ]
+}
+
 /// Runs `lb run` to completion and returns the result JSON bytes from
-/// `--out`.
-fn reference_run(tag: &str, scenario_path: &Path) -> Vec<u8> {
+/// `--out` and the bytes of its final checkpoint.
+fn reference_run(tag: &str, scenario: &Scenario, scenario_path: &Path) -> (Vec<u8>, Vec<u8>) {
     let out = temp(tag, "reference.json");
+    let ckpt = temp(tag, "reference.ckpt.jsonl");
     let status = lb()
         .args(["run", scenario_path.to_str().unwrap(), "--quiet", "--out"])
         .arg(&out)
+        .args(final_checkpoint_args(scenario, &ckpt))
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .status()
         .expect("spawn lb run");
     assert!(status.success(), "{tag}: reference run failed");
-    let bytes = std::fs::read(&out).unwrap();
+    let bytes = (std::fs::read(&out).unwrap(), std::fs::read(&ckpt).unwrap());
     std::fs::remove_file(&out).ok();
+    std::fs::remove_file(&ckpt).ok();
     bytes
 }
 
@@ -110,7 +124,7 @@ fn sigkill_and_resume_is_byte_identical_for_all_engines() {
     ] {
         let scenario = scenario(algorithm, model);
         let scenario_path = write_scenario(tag, &scenario);
-        let reference = reference_run(tag, &scenario_path);
+        let (reference, reference_state) = reference_run(tag, &scenario, &scenario_path);
         let ckpt = temp(tag, "rotating.jsonl");
         let kill_at = kill_round(tag.len() as u64);
 
@@ -161,14 +175,17 @@ fn sigkill_and_resume_is_byte_identical_for_all_engines() {
             .unwrap_or_else(|err| panic!("{tag}: post-kill snapshot unreadable: {err}"));
         assert!(snap.round >= 1, "{tag}: at least one checkpoint published");
 
-        // Resume at a DIFFERENT shard count; the result document must be
-        // byte-identical to the uninterrupted reference.
+        // Resume at a DIFFERENT shard count; the result document and the
+        // final engine state must be byte-identical to the uninterrupted
+        // reference's.
         let resumed_out = temp(tag, "resumed.json");
+        let resumed_ckpt = temp(tag, "resumed.ckpt.jsonl");
         let output = lb()
             .args(["run", "--quiet", "--shards", "3", "--resume"])
             .arg(&ckpt)
             .args(["--out"])
             .arg(&resumed_out)
+            .args(final_checkpoint_args(&scenario, &resumed_ckpt))
             .stdout(Stdio::null())
             .output()
             .expect("spawn lb run --resume");
@@ -183,10 +200,22 @@ fn sigkill_and_resume_is_byte_identical_for_all_engines() {
             reference,
             "{tag}: resumed result diverged (killed near round {kill_at})"
         );
+        // A run that finished before the kill resumed from its last round,
+        // which is itself the final state: no round was left to checkpoint.
+        let final_state = if snap.round == scenario.rounds as u64 {
+            &ckpt
+        } else {
+            &resumed_ckpt
+        };
+        assert!(
+            std::fs::read(final_state).unwrap() == reference_state,
+            "{tag}: resumed final state diverged (killed near round {kill_at})"
+        );
 
         std::fs::remove_file(&scenario_path).ok();
         std::fs::remove_file(&ckpt).ok();
         std::fs::remove_file(&resumed_out).ok();
+        std::fs::remove_file(&resumed_ckpt).ok();
     }
 }
 

@@ -254,54 +254,68 @@ fn assert_resumes_at_every_round(tag: &str, scenario: &Scenario) {
 
 /// Checkpoints `scenario` at every round and resumes each snapshot at each
 /// `(shards, producer)`: every resumed document must equal the
-/// uninterrupted run.
+/// uninterrupted run's, and so must the engine state every resumed run ends
+/// on. A result document shows too little of the twin to tell a SOS β that
+/// is off in its last bits, so each resumed run also checkpoints at its
+/// final round and that file must equal the uninterrupted run's final
+/// checkpoint byte for byte.
 fn assert_resumes_at_every_round_under(
     tag: &str,
     scenario: &Scenario,
     resumes: &[(usize, Producer)],
 ) {
     use lb_analysis::artifact::unique_name;
-    use lb_core::snapshot::{self, Snapshot};
+    use lb_core::snapshot;
 
-    let rotating = std::env::temp_dir().join(format!(
-        "{}.jsonl",
-        unique_name(&format!("lb_every_round_{}", scenario.name))
-    ));
+    let temp = |what: &str| {
+        let name = unique_name(&format!("lb_every_round_{}_{what}", scenario.name));
+        std::env::temp_dir().join(format!("{name}.jsonl"))
+    };
+    let rotating = temp("run");
     // Checkpointing every round and copying the rotating file aside at each
     // sample (which precedes that round's write) yields a snapshot of every
     // round from one run.
     let mut scenario_every_round = scenario.clone();
     scenario_every_round.sample_every = 1;
-    let mut copies: Vec<Snapshot> = Vec::new();
+    let mut captures: Vec<String> = Vec::new();
     Session::from_scenario(&scenario_every_round)
         .checkpoint(rotating.clone(), 1)
         .run(|sample| {
             if sample.round >= 2 {
-                copies.push(snapshot::load(&rotating).expect("rotating checkpoint"));
+                captures.push(std::fs::read_to_string(&rotating).expect("rotating checkpoint"));
             }
         })
         .expect("runs");
-    copies.push(snapshot::load(&rotating).expect("final checkpoint"));
+    let final_state = std::fs::read_to_string(&rotating).expect("final checkpoint");
+    captures.push(final_state.clone());
     std::fs::remove_file(&rotating).ok();
     let reference = Session::from_scenario(&scenario_every_round)
         .run(|_| {})
         .expect("runs")
         .to_json()
         .render_pretty();
-    assert_eq!(copies.len(), scenario.rounds, "{tag}");
-    for snap in copies {
+    assert_eq!(captures.len(), scenario.rounds, "{tag}");
+    for text in captures {
+        let snap = snapshot::parse(&text).expect("parses");
         let round = snap.round;
         for &(shards, producer) in resumes {
+            let resumed_path = temp("resumed");
             let resumed = Session::from_snapshot(snap.clone())
                 .shards(shards)
                 .producer(producer)
+                .checkpoint(resumed_path.clone(), scenario.rounds)
                 .run(|_| {})
                 .unwrap_or_else(|err| panic!("{tag}: resume at {round}: {err}"));
-            assert_eq!(
-                resumed.to_json().render_pretty(),
-                reference,
-                "{tag}: resume at round {round} with {shards} shard(s), {producer:?}"
-            );
+            let what =
+                format!("{tag}: resume at round {round} with {shards} shard(s), {producer:?}");
+            assert_eq!(resumed.to_json().render_pretty(), reference, "{what}");
+            // A capture at the last round is itself the final state, and
+            // its resume has no round left to checkpoint.
+            if round < scenario.rounds as u64 {
+                let state = std::fs::read_to_string(&resumed_path).expect("final checkpoint");
+                std::fs::remove_file(&resumed_path).ok();
+                assert!(state == final_state, "{what}: final states differ");
+            }
         }
     }
 }
@@ -448,51 +462,6 @@ fn never_the_world_scenario(algorithm: AlgorithmSpec) -> Scenario {
         ],
         shards: 1,
         federation: 1,
-    }
-}
-
-/// A resume continues SOS's chain of warm-started β estimates exactly: it
-/// takes β and its basis from the snapshot, so the engine state the resumed
-/// run ends on (β and every twin load, to the bit) is the uninterrupted
-/// run's. A result document shows too little of the twin to tell a β that
-/// is off in its last bits, so this compares the final snapshots.
-#[test]
-fn a_resume_continues_the_warm_started_beta_chain_to_the_bit() {
-    use lb_analysis::artifact::unique_name;
-    use lb_core::snapshot;
-
-    let mut scenario = never_the_world_scenario(AlgorithmSpec::Alg2);
-    scenario.sample_every = 1;
-    let temp = |what: &str| {
-        let name = unique_name(&format!("lb_beta_chain_{what}"));
-        std::env::temp_dir().join(format!("{name}.jsonl"))
-    };
-    // The rotating file holds the previous round's capture at each sample,
-    // and the final round's once the run ends.
-    let rotating = temp("run");
-    let mut captures = Vec::new();
-    Session::from_scenario(&scenario)
-        .checkpoint(rotating.clone(), 1)
-        .run(|sample| {
-            if sample.round >= 2 {
-                captures.push(std::fs::read_to_string(&rotating).expect("capture"));
-            }
-        })
-        .expect("runs");
-    let reference = std::fs::read_to_string(&rotating).expect("final capture");
-    std::fs::remove_file(&rotating).ok();
-    for (capture, text) in (1..).zip(captures) {
-        let resumed_path = temp("resumed");
-        Session::from_snapshot(snapshot::parse(&text).expect("parses"))
-            .checkpoint(resumed_path.clone(), 1)
-            .run(|_| {})
-            .unwrap_or_else(|err| panic!("resume at {capture}: {err}"));
-        let resumed = std::fs::read_to_string(&resumed_path).expect("final capture");
-        std::fs::remove_file(&resumed_path).ok();
-        assert!(
-            resumed == reference,
-            "resume at round {capture}: final states differ"
-        );
     }
 }
 
