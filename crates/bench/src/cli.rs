@@ -1,29 +1,13 @@
 //! The unified `lb` command-line interface.
 //!
-//! One binary fronts every experiment and tool in the harness:
+//! One binary fronts every experiment and tool in the harness. `lb help`
+//! prints the synopsis of every command and option (the `USAGE` text); each
+//! command accepts exactly the flags of its one `const` `Flags` list, and
+//! a unit test keeps the two in agreement.
 //!
-//! ```text
-//! lb run <scenario.json> [--seed N] [--shards N] [--producer MODE]
-//!        [--record PATH] [--checkpoint PATH --checkpoint-every N]
-//!        [--ingest-stats PATH] [--out PATH] [--quiet]
-//! lb run --resume <snapshot.jsonl> [--shards N] [--producer MODE] [...]
-//! lb replay <trace.jsonl | -> [--follow] [--idle-timeout-ms N] [--shards N]
-//!        [--ingest-stats PATH] [--out PATH] [--quiet]
-//! lb serve-trace <trace.jsonl> [--out PATH] [--delay-ms N]
-//! lb federate <scenario.json> [--parts N] [--shards N] [--seed N]
-//!        [--checkpoint PATH --checkpoint-every N] [--listen ADDR]
-//!        [--listen-info PATH] [--no-spawn] [--out PATH] [--quiet]
-//! lb federate-worker --connect ADDR --rank R --parts N
-//! lb table1|table2|theorem3|theorem8|trajectory|heterogeneous|
-//!    dummy_ablation|fos_vs_sos|dynamic_arrivals [--quick]
-//! lb hotpath [--quick] [--shards N]
-//! lb bench-check [--baseline PATH] [--current PATH] [--max-regression PCT]
-//! lb lint [--format human|json] [--root PATH] [PATHS…]
-//! lb help
-//! ```
-//!
-//! `LB_BENCH_SHARDS` is the environment fallback for `--shards` on `run`,
-//! `replay` and `hotpath`.
+//! `LB_BENCH_SHARDS` is the environment fallback for `--shards` on every
+//! command that takes it: `run`, `replay`, `serve`, `federate` and
+//! `hotpath`.
 //!
 //! Argument parsing is strict: unknown subcommands, unknown options and
 //! malformed values exit with status 2 and the usage message — a typo like
@@ -44,9 +28,11 @@ use lb_analysis::Json;
 use lb_core::snapshot::write_bytes_atomic;
 use lb_workloads::source::{DEFAULT_IDLE_TIMEOUT, DEFAULT_POLL_INTERVAL};
 use lb_workloads::{ReadSource, RoundSource, Scenario, TraceSource};
+use std::fmt::Display;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Duration;
 
 /// Usage text printed by `lb help` and on argument errors.
@@ -138,6 +124,7 @@ COMMANDS:
                           a trace recorded at the effective seed).
         --shards N        Override the shard count (exempt from handshake
                           authentication; results are bit-identical).
+                          Env: LB_BENCH_SHARDS.
         --record PATH     Record the merged applied event stream.
         --ingest-stats PATH
                           Write the per-connection ingestion report.
@@ -252,23 +239,174 @@ pub fn main() -> i32 {
     dispatch(&args)
 }
 
-/// Prints a usage error and returns the usage exit code (2).
-fn usage_error(msg: &str) -> i32 {
-    eprintln!("error: {msg}\n");
-    eprint!("{USAGE}");
-    2
+/// Why a command failed. A usage error prints its message and the usage
+/// text and exits 2. A runtime failure prints its message and exits with
+/// its class's code ([`BenchError::exit_code`]), so a runtime
+/// [`BenchError::Usage`] — an invalid scenario file, say — exits 2 without
+/// the usage text.
+#[derive(Debug)]
+enum CliError {
+    Usage(String),
+    Fail(BenchError),
 }
 
-/// Prints a typed runtime failure and returns its class's exit code
-/// (see [`BenchError::exit_code`]).
-fn fail(err: BenchError) -> i32 {
-    eprintln!("error: {err}");
-    err.exit_code()
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Usage(message)
+    }
 }
 
-/// Strictly parsed arguments of one subcommand: every option must be
-/// declared, every value present, and at most `max_positionals` positional
-/// arguments are accepted.
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        CliError::Usage(message.to_string())
+    }
+}
+
+impl From<BenchError> for CliError {
+    fn from(err: BenchError) -> Self {
+        CliError::Fail(err)
+    }
+}
+
+/// The options one subcommand accepts: the flags that take a value, the
+/// boolean flags, and how many positionals. Each command has one such list,
+/// and its USAGE section documents exactly these flags.
+struct Flags {
+    values: &'static [&'static str],
+    bools: &'static [&'static str],
+    positionals: usize,
+}
+
+const RUN_FLAGS: Flags = Flags {
+    values: &[
+        "--seed",
+        "--shards",
+        "--out",
+        "--record",
+        "--producer",
+        "--ingest-stats",
+        "--checkpoint",
+        "--checkpoint-every",
+        "--resume",
+    ],
+    bools: &["--quiet"],
+    positionals: 1,
+};
+
+const REPLAY_FLAGS: Flags = Flags {
+    values: &["--shards", "--out", "--ingest-stats", "--idle-timeout-ms"],
+    bools: &["--quiet", "--follow"],
+    positionals: 1,
+};
+
+const SERVE_FLAGS: Flags = Flags {
+    values: &[
+        "--listen",
+        "--clients",
+        "--reconnect-timeout-ms",
+        "--listen-info",
+        "--seed",
+        "--shards",
+        "--record",
+        "--ingest-stats",
+        "--out",
+    ],
+    bools: &["--quiet"],
+    positionals: 1,
+};
+
+const SERVE_TRACE_FLAGS: Flags = Flags {
+    values: &[
+        "--out",
+        "--delay-ms",
+        "--connect",
+        "--feed",
+        "--stride",
+        "--abort-after-records",
+    ],
+    bools: &[],
+    positionals: 1,
+};
+
+const FEDERATE_FLAGS: Flags = Flags {
+    values: &[
+        "--parts",
+        "--shards",
+        "--seed",
+        "--checkpoint",
+        "--checkpoint-every",
+        "--listen",
+        "--listen-info",
+        "--out",
+    ],
+    bools: &["--quiet", "--no-spawn"],
+    positionals: 1,
+};
+
+const FEDERATE_WORKER_FLAGS: Flags = Flags {
+    values: &["--connect", "--rank", "--parts"],
+    bools: &[],
+    positionals: 0,
+};
+
+const EXPERIMENT_FLAGS: Flags = Flags {
+    values: &[],
+    bools: &["--quick"],
+    positionals: 0,
+};
+
+const HOTPATH_FLAGS: Flags = Flags {
+    values: &["--shards"],
+    bools: &["--quick"],
+    positionals: 0,
+};
+
+const BENCH_CHECK_FLAGS: Flags = Flags {
+    values: &["--baseline", "--current", "--max-regression"],
+    bools: &[],
+    positionals: 0,
+};
+
+const LINT_FLAGS: Flags = Flags {
+    values: &["--format", "--root"],
+    bools: &[],
+    positionals: usize::MAX,
+};
+
+impl Flags {
+    /// Parses `args` strictly: unknown options, missing option values and
+    /// surplus positionals are errors, so a typo fails with a usage message
+    /// instead of being silently ignored.
+    fn parse<'a>(&self, args: &'a [String]) -> Result<Parsed<'a>, String> {
+        let mut parsed = Parsed {
+            values: Vec::new(),
+            flags: Vec::new(),
+            positionals: Vec::new(),
+        };
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            if let Some(&flag) = self.values.iter().find(|&&f| f == arg) {
+                let value = iter
+                    .next()
+                    .ok_or_else(|| format!("{flag} requires a value"))?;
+                parsed.values.push((flag, value));
+            } else if let Some(&flag) = self.bools.iter().find(|&&f| f == arg) {
+                if !parsed.flags.contains(&flag) {
+                    parsed.flags.push(flag);
+                }
+            } else if arg.starts_with('-') && arg.len() > 1 {
+                return Err(format!("unknown option {arg:?}"));
+            } else if parsed.positionals.len() == self.positionals {
+                return Err(format!("unexpected argument {arg:?}"));
+            } else {
+                parsed.positionals.push(arg);
+            }
+        }
+        Ok(parsed)
+    }
+}
+
+/// The arguments of one command line, parsed against its [`Flags`].
 struct Parsed<'a> {
     values: Vec<(&'static str, &'a str)>,
     flags: Vec<&'static str>,
@@ -289,92 +427,78 @@ impl<'a> Parsed<'a> {
     fn has(&self, flag: &str) -> bool {
         self.flags.contains(&flag)
     }
-}
 
-/// Parses `args` against the declared option lists. Unknown options,
-/// missing option values and surplus positionals are errors — the strict
-/// core behind every subcommand, so typos fail with a usage message instead
-/// of being silently ignored.
-fn parse_args<'a>(
-    args: &'a [String],
-    value_flags: &'static [&'static str],
-    bool_flags: &'static [&'static str],
-    max_positionals: usize,
-) -> Result<Parsed<'a>, String> {
-    let mut parsed = Parsed {
-        values: Vec::new(),
-        flags: Vec::new(),
-        positionals: Vec::new(),
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if let Some(&flag) = value_flags.iter().find(|&&f| f == arg) {
-            let value = iter
-                .next()
-                .ok_or_else(|| format!("{flag} requires a value"))?;
-            parsed.values.push((flag, value));
-        } else if let Some(&flag) = bool_flags.iter().find(|&&f| f == arg) {
-            if !parsed.flags.contains(&flag) {
-                parsed.flags.push(flag);
-            }
-        } else if arg.starts_with('-') && arg.len() > 1 {
-            return Err(format!("unknown option {arg:?}"));
-        } else if parsed.positionals.len() == max_positionals {
-            return Err(format!("unexpected argument {arg:?}"));
-        } else {
-            parsed.positionals.push(arg);
-        }
+    /// The last value given for `flag`, parsed; a malformed value is an
+    /// error naming the flag.
+    fn parse<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|e| format!("{flag}: {e}")))
+            .transpose()
     }
-    Ok(parsed)
+
+    /// The positional argument, or `missing` as the error.
+    fn input(&self, missing: &str) -> Result<&'a str, String> {
+        self.positionals
+            .first()
+            .copied()
+            .ok_or_else(|| missing.to_string())
+    }
 }
 
 /// Dispatches one parsed command line (without the program name). Returns
-/// the process exit code: 0 on success, 1 on runtime failure, 2 on usage
-/// errors.
+/// the process exit code: 0 on success, 1 on runtime failure or a failed
+/// check, 2 on usage errors, and the typed codes of [`BenchError`].
 pub fn dispatch(args: &[String]) -> i32 {
     let Some(command) = args.first() else {
         eprint!("{USAGE}");
         return 2;
     };
-    let rest = &args[1..];
-    match command.as_str() {
-        "run" => cmd_run(rest),
-        "replay" => cmd_replay(rest),
-        "serve" => cmd_serve(rest),
-        "serve-trace" | "serve_trace" => cmd_serve_trace(rest),
-        "federate" => cmd_federate(rest),
-        "federate-worker" | "federate_worker" => cmd_federate_worker(rest),
-        "hotpath" => {
-            let parsed = match parse_args(rest, &["--shards"], &["--quick"], 0) {
-                Ok(parsed) => parsed,
-                Err(err) => return usage_error(&err),
-            };
-            match shards_option(parsed.value("--shards")) {
-                Ok(shards) => {
-                    crate::hotpath::run(parsed.has("--quick"), shards);
-                    0
-                }
-                Err(err) => usage_error(&err),
-            }
+    match run_command(command, &args[1..]) {
+        Ok(passed) => i32::from(!passed),
+        Err(CliError::Usage(message)) => {
+            eprintln!("error: {message}\n");
+            eprint!("{USAGE}");
+            2
         }
-        "bench-check" => cmd_bench_check(rest),
-        "lint" => cmd_lint(rest),
+        Err(CliError::Fail(err)) => {
+            eprintln!("error: {err}");
+            err.exit_code()
+        }
+    }
+}
+
+/// A subcommand's entry point: the arguments after its name.
+type Command = fn(&[String]) -> Result<(), CliError>;
+
+/// Runs one subcommand. `Ok(false)` is a check that ran and did not pass —
+/// a `bench-check` regression or `lint` findings — which exits 1 with no
+/// error line.
+fn run_command(command: &str, rest: &[String]) -> Result<bool, CliError> {
+    let cmd: Command = match command {
+        "run" => cmd_run,
+        "replay" => cmd_replay,
+        "serve" => cmd_serve,
+        "serve-trace" | "serve_trace" => cmd_serve_trace,
+        "federate" => cmd_federate,
+        "federate-worker" | "federate_worker" => cmd_federate_worker,
+        "hotpath" => cmd_hotpath,
+        "bench-check" => return cmd_bench_check(rest),
+        "lint" => return cmd_lint(rest),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
-            0
+            return Ok(true);
         }
-        name => match experiment_by_name(name) {
-            Some(run) => {
-                let parsed = match parse_args(rest, &[], &["--quick"], 0) {
-                    Ok(parsed) => parsed,
-                    Err(err) => return usage_error(&err),
-                };
-                run(parsed.has("--quick")).emit();
-                0
-            }
-            None => usage_error(&format!("unknown command {name:?}")),
-        },
-    }
+        name => {
+            let run =
+                experiment_by_name(name).ok_or_else(|| format!("unknown command {name:?}"))?;
+            run(EXPERIMENT_FLAGS.parse(rest)?.has("--quick")).emit();
+            return Ok(true);
+        }
+    };
+    cmd(rest).map(|()| true)
 }
 
 /// The experiment registry: canonical names (and their hyphenated aliases)
@@ -420,78 +544,104 @@ fn shards_option(explicit: Option<&str>) -> Result<Option<usize>, String> {
     }
 }
 
-/// The per-sample stderr stream shared by `run` and `replay`.
-fn stream_sample(sample: &RoundSample) {
-    eprintln!(
-        "round {:>6}: n = {}, max_min = {:.2}, max_avg = {:.2}, real = {}, \
-         dummy = {}, arrived = {}, completed = {}",
-        sample.round,
-        sample.nodes,
-        sample.max_min,
-        sample.max_avg,
-        sample.real_weight,
-        sample.dummy_load,
-        sample.arrived_weight,
-        sample.completed_weight,
-    );
+/// The flags the run family (`run`, `replay`, `serve`, `federate`) shares,
+/// parsed and validated once, before any I/O. A flag missing from the
+/// command's [`Flags`] is never set.
+struct RunArgs<'a> {
+    parsed: Parsed<'a>,
+    seed: Option<u64>,
+    shards: Option<usize>,
+    checkpoint: Option<(PathBuf, usize)>,
+    record: Option<PathBuf>,
+    quiet: bool,
 }
 
-/// Prints (and optionally writes) the deterministic result document. The
-/// file write is atomic (temp + fsync + rename): a crash mid-emit never
-/// leaves a torn artefact at `--out`.
-fn emit_outcome(outcome: &ScenarioOutcome, out: Option<&str>) -> Result<(), String> {
-    let rendered = outcome.to_json().render_pretty();
-    if let Some(out) = out {
-        write_bytes_atomic(Path::new(out), rendered.as_bytes())
-            .map_err(|e| format!("writing {out}: {e}"))?;
-        eprintln!("(result written to {out})");
-    }
-    println!("{rendered}");
-    Ok(())
-}
-
-/// Writes the ingestion report (`--ingest-stats`) atomically. Sync runs
-/// produce an empty report so the artefact shape is uniform across producer
-/// modes.
-fn emit_ingest_stats(outcome: &ScenarioOutcome, path: &str) -> Result<(), String> {
-    let stats = outcome.ingest.clone().unwrap_or_else(|| {
-        Json::obj([
-            ("producer", Json::from("scenario")),
-            ("feeds", Json::Arr(Vec::new())),
-        ])
-    });
-    write_bytes_atomic(Path::new(path), stats.render_pretty().as_bytes())
-        .map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("(ingest stats written to {path})");
-    Ok(())
-}
-
-/// Parses a `--seed` override.
-fn seed_option(value: Option<&str>) -> Result<Option<u64>, String> {
-    value
-        .map(|v| v.parse::<u64>().map_err(|e| format!("--seed: {e}")))
-        .transpose()
-}
-
-/// Parses `--checkpoint PATH` and `--checkpoint-every N`; the pair is
-/// checked by [`checkpoint_plan`].
-fn checkpoint_options(parsed: &Parsed<'_>) -> Result<(Option<PathBuf>, Option<usize>), String> {
-    let every = parsed
-        .value("--checkpoint-every")
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|e| format!("--checkpoint-every: {e}"))
+impl<'a> RunArgs<'a> {
+    fn new(parsed: Parsed<'a>) -> Result<Self, String> {
+        let seed = parsed.parse("--seed")?;
+        let shards = shards_option(parsed.value("--shards"))?;
+        let every = parsed.parse("--checkpoint-every")?;
+        let checkpoint = checkpoint_plan(parsed.value("--checkpoint").map(Path::new), every)
+            .map_err(|err| err.to_string())?;
+        Ok(RunArgs {
+            seed,
+            shards,
+            checkpoint,
+            record: parsed.value("--record").map(PathBuf::from),
+            quiet: parsed.has("--quiet"),
+            parsed,
         })
-        .transpose()?;
-    Ok((parsed.value("--checkpoint").map(PathBuf::from), every))
-}
+    }
 
-/// Reads and parses a scenario file: an unreadable file is an I/O failure,
-/// an invalid one a usage error.
-fn read_scenario(path: &str) -> Result<Scenario, BenchError> {
-    let text =
-        fs::read_to_string(path).map_err(|e| BenchError::io(format!("reading {path}: {e}")))?;
-    Scenario::parse(&text).map_err(|e| BenchError::usage(format!("{path}: {e}")))
+    /// Reads the scenario file at `path` and applies `--seed` and
+    /// `--shards` to it: an unreadable file is an I/O failure, an invalid
+    /// one a usage error.
+    fn scenario(&self, path: &str) -> Result<Scenario, BenchError> {
+        let text =
+            fs::read_to_string(path).map_err(|e| BenchError::io(format!("reading {path}: {e}")))?;
+        let mut scenario =
+            Scenario::parse(&text).map_err(|e| BenchError::usage(format!("{path}: {e}")))?;
+        scenario.seed = self.seed.unwrap_or(scenario.seed);
+        scenario.shards = self.shards.unwrap_or(scenario.shards);
+        Ok(scenario)
+    }
+
+    /// The per-sample stream on stderr, silenced by `--quiet`.
+    fn on_sample(&self) -> impl FnMut(&RoundSample) {
+        let quiet = self.quiet;
+        move |sample| {
+            if !quiet {
+                eprintln!(
+                    "round {:>6}: n = {}, max_min = {:.2}, max_avg = {:.2}, real = {}, \
+                     dummy = {}, arrived = {}, completed = {}",
+                    sample.round,
+                    sample.nodes,
+                    sample.max_min,
+                    sample.max_avg,
+                    sample.real_weight,
+                    sample.dummy_load,
+                    sample.arrived_weight,
+                    sample.completed_weight,
+                );
+            }
+        }
+    }
+
+    /// Publishes a finished run: notes the recorded trace, writes the
+    /// `--ingest-stats` report, and emits the deterministic result document
+    /// to stdout and `--out`. The file writes are atomic (temp + fsync +
+    /// rename), so a crash mid-emit never leaves a torn artefact; a failing
+    /// stdout is an I/O failure like any other.
+    fn finish(&self, outcome: &ScenarioOutcome) -> Result<(), BenchError> {
+        if let Some(trace) = &self.record {
+            eprintln!("(event trace recorded to {})", trace.display());
+        }
+        if let Some(path) = self.parsed.value("--ingest-stats") {
+            // Sync runs produce an empty report, so the artefact shape is
+            // uniform across producer modes.
+            let stats = outcome.ingest.clone().unwrap_or_else(|| {
+                Json::obj([
+                    ("producer", Json::from("scenario")),
+                    ("feeds", Json::Arr(Vec::new())),
+                ])
+            });
+            write_bytes_atomic(Path::new(path), stats.render_pretty().as_bytes())
+                .map_err(|e| BenchError::io(format!("writing {path}: {e}")))?;
+            eprintln!("(ingest stats written to {path})");
+        }
+        let rendered = outcome.to_json().render_pretty();
+        if let Some(out) = self.parsed.value("--out") {
+            write_bytes_atomic(Path::new(out), rendered.as_bytes())
+                .map_err(|e| BenchError::io(format!("writing {out}: {e}")))?;
+            eprintln!("(result written to {out})");
+        }
+        let mut stdout = std::io::stdout().lock();
+        stdout
+            .write_all(rendered.as_bytes())
+            .and_then(|()| stdout.write_all(b"\n"))
+            .and_then(|()| stdout.flush())
+            .map_err(|e| BenchError::io(format!("writing stdout: {e}")))
+    }
 }
 
 /// Parses a `--producer` mode: `scenario`, `channel` (the one-feed merge),
@@ -527,405 +677,203 @@ fn producer_option(value: Option<&str>) -> Result<Producer, String> {
     }
 }
 
-fn cmd_run(args: &[String]) -> i32 {
-    let parsed = match parse_args(
-        args,
-        &[
-            "--seed",
-            "--shards",
-            "--out",
-            "--record",
-            "--producer",
-            "--ingest-stats",
-            "--checkpoint",
-            "--checkpoint-every",
-            "--resume",
-        ],
-        &["--quiet"],
-        1,
-    ) {
-        Ok(parsed) => parsed,
-        Err(err) => return usage_error(&err),
-    };
-    let resume = parsed.value("--resume");
-    let path = parsed.positionals.first().copied();
+fn cmd_run(args: &[String]) -> Result<(), CliError> {
+    let parsed = RUN_FLAGS.parse(args)?;
     // --resume replays the snapshot's embedded scenario with its pinned
     // seed: a scenario positional or a --seed override would contradict
     // the snapshot, so both are rejected before any I/O happens.
-    if resume.is_some() && path.is_some() {
-        return usage_error(
-            "--resume uses the snapshot's embedded scenario; drop the scenario file argument",
-        );
-    }
-    if resume.is_some() && parsed.value("--seed").is_some() {
-        return usage_error("--resume cannot override the seed: the snapshot pins it");
-    }
-    if resume.is_none() && path.is_none() {
-        return usage_error(
-            "run requires a scenario file (lb run <scenario.json>) or --resume <snapshot>",
-        );
-    }
-    let seed = match seed_option(parsed.value("--seed")) {
-        Ok(seed) => seed,
-        Err(err) => return usage_error(&err),
-    };
-    let shards = match shards_option(parsed.value("--shards")) {
-        Ok(shards) => shards,
-        Err(err) => return usage_error(&err),
-    };
-    let producer = match producer_option(parsed.value("--producer")) {
-        Ok(producer) => producer,
-        Err(err) => return usage_error(&err),
-    };
-    let (checkpoint, checkpoint_every) = match checkpoint_options(&parsed) {
-        Ok(pair) => pair,
-        Err(err) => return usage_error(&err),
-    };
-    if let Err(err) = checkpoint_plan(checkpoint.as_deref(), checkpoint_every) {
-        return usage_error(&err.to_string());
-    }
-    let record = parsed.value("--record").map(PathBuf::from);
-    let quiet = parsed.has("--quiet");
-
-    let result = (|| -> Result<(), BenchError> {
-        let on_sample = |sample: &RoundSample| {
-            if !quiet {
-                stream_sample(sample);
-            }
-        };
-        let outcome = match resume {
-            Some(snapshot_path) => {
-                let snapshot = lb_core::snapshot::load(snapshot_path)
-                    .map_err(|e| BenchError::run(format!("{snapshot_path}: {e}")))?;
-                Session::from_snapshot(snapshot)
-                    .shards(shards)
-                    .producer(producer)
-                    .record(record.clone())
-                    .checkpoint(checkpoint.clone(), checkpoint_every)
-                    .run(on_sample)?
-            }
-            None => {
-                // lint: allow(R03, the arg validation above guarantees a path)
-                let path = path.expect("validated: a scenario path or --resume is present");
-                Session::from_scenario(&read_scenario(path)?)
-                    .seed(seed)
-                    .shards(shards)
-                    .producer(producer)
-                    .record(record.clone())
-                    .checkpoint(checkpoint.clone(), checkpoint_every)
-                    .run(on_sample)?
-            }
-        };
-        if let Some(trace) = &record {
-            eprintln!("(event trace recorded to {})", trace.display());
+    let scenario = parsed.positionals.first().copied();
+    let (input, resume) = match (parsed.value("--resume"), scenario) {
+        (Some(_), Some(_)) => {
+            Err("--resume uses the snapshot's embedded scenario; drop the scenario file argument")
         }
-        if let Some(stats_path) = parsed.value("--ingest-stats") {
-            emit_ingest_stats(&outcome, stats_path).map_err(BenchError::Io)?;
+        (Some(_), None) if parsed.value("--seed").is_some() => {
+            Err("--resume cannot override the seed: the snapshot pins it")
         }
-        emit_outcome(&outcome, parsed.value("--out")).map_err(BenchError::Io)
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(err) => fail(err),
-    }
+        (Some(snapshot), None) => Ok((snapshot, true)),
+        (None, Some(scenario)) => Ok((scenario, false)),
+        (None, None) => {
+            Err("run requires a scenario file (lb run <scenario.json>) or --resume <snapshot>")
+        }
+    }?;
+    let run = RunArgs::new(parsed)?;
+    let producer = producer_option(run.parsed.value("--producer"))?;
+    let session = if resume {
+        let snapshot =
+            lb_core::snapshot::load(input).map_err(|e| BenchError::run(format!("{input}: {e}")))?;
+        // The snapshot's scenario cannot be edited: --shards resizes the
+        // resumed executor instead.
+        Session::from_snapshot(snapshot).shards(run.shards)
+    } else {
+        Session::from_scenario(&run.scenario(input)?)
+    };
+    let (checkpoint, every) = run.checkpoint.clone().unzip();
+    let outcome = session
+        .producer(producer)
+        .record(run.record.clone())
+        .checkpoint(checkpoint, every)
+        .run(run.on_sample())?;
+    Ok(run.finish(&outcome)?)
 }
 
 /// Runs a scenario partitioned across N OS processes (see
 /// [`crate::federate`]): binds the coordinator socket, spawns (or awaits)
 /// one `federate-worker` per rank, and drives the round-synchronized
 /// exchange protocol to a result document byte-identical to `lb run`'s.
-fn cmd_federate(args: &[String]) -> i32 {
-    let parsed = match parse_args(
-        args,
-        &[
-            "--parts",
-            "--shards",
-            "--seed",
-            "--checkpoint",
-            "--checkpoint-every",
-            "--listen",
-            "--listen-info",
-            "--out",
-        ],
-        &["--quiet", "--no-spawn"],
-        1,
-    ) {
-        Ok(parsed) => parsed,
-        Err(err) => return usage_error(&err),
-    };
-    let Some(path) = parsed.positionals.first().copied() else {
-        return usage_error("federate requires a scenario file (lb federate <scenario.json>)");
-    };
-    let parts = match parsed
-        .value("--parts")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--parts: {e}")))
-        .transpose()
-    {
-        Ok(parts) => parts,
-        Err(err) => return usage_error(&err),
-    };
-    let seed = match seed_option(parsed.value("--seed")) {
-        Ok(seed) => seed,
-        Err(err) => return usage_error(&err),
-    };
-    let shards = match shards_option(parsed.value("--shards")) {
-        Ok(shards) => shards,
-        Err(err) => return usage_error(&err),
-    };
-    let checkpoint = match checkpoint_options(&parsed).and_then(|(path, every)| {
-        checkpoint_plan(path.as_deref(), every).map_err(|err| err.to_string())
-    }) {
-        Ok(plan) => plan,
-        Err(err) => return usage_error(&err),
-    };
-    let listen = parsed.value("--listen").unwrap_or("127.0.0.1:0");
-    let no_spawn = parsed.has("--no-spawn");
-    let quiet = parsed.has("--quiet");
+fn cmd_federate(args: &[String]) -> Result<(), CliError> {
+    let parsed = FEDERATE_FLAGS.parse(args)?;
+    let path = parsed.input("federate requires a scenario file (lb federate <scenario.json>)")?;
+    let parts = parsed.parse("--parts")?;
+    let run = RunArgs::new(parsed)?;
+    let listen = run.parsed.value("--listen").unwrap_or("127.0.0.1:0");
 
-    let result = (|| -> Result<(), BenchError> {
-        let mut scenario = read_scenario(path)?;
-        scenario.seed = seed.unwrap_or(scenario.seed);
-        scenario.shards = shards.unwrap_or(scenario.shards);
-        scenario.federation = parts.unwrap_or(scenario.federation);
-        // An out-of-range partition count is a usage error before any bind.
-        scenario.validate().map_err(BenchError::Usage)?;
-        let parts = scenario.federation;
-        let listener = std::net::TcpListener::bind(listen)
-            .map_err(|e| BenchError::io(format!("binding {listen}: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| BenchError::io(format!("reading the bound address: {e}")))?
-            .to_string();
-        if let Some(info_path) = parsed.value("--listen-info") {
-            let info = Json::obj([("addr", Json::from(addr.as_str()))]);
-            write_bytes_atomic(
-                Path::new(info_path),
-                format!("{}\n", info.render()).as_bytes(),
-            )
-            .map_err(|e| BenchError::io(format!("writing {info_path}: {e}")))?;
-        }
-        let children = if no_spawn {
-            Vec::new()
-        } else {
-            let exe = std::env::current_exe()
-                .map_err(|e| BenchError::run(format!("locating the lb binary: {e}")))?;
-            let mut children = Vec::with_capacity(parts);
-            for rank in 0..parts {
-                let child = std::process::Command::new(&exe)
-                    .args([
-                        "federate-worker",
-                        "--connect",
-                        &addr,
-                        "--rank",
-                        &rank.to_string(),
-                        "--parts",
-                        &parts.to_string(),
-                    ])
-                    .spawn()
-                    .map_err(|e| {
-                        BenchError::run(format!("spawning federate-worker rank {rank}: {e}"))
-                    })?;
-                children.push(child);
-            }
-            children
-        };
-        let outcome =
-            crate::federate::coordinate(scenario, listener, children, checkpoint, |sample| {
-                if !quiet {
-                    stream_sample(sample);
-                }
-            })?;
-        emit_outcome(&outcome, parsed.value("--out")).map_err(BenchError::Io)
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(err) => fail(err),
+    let mut scenario = run.scenario(path)?;
+    scenario.federation = parts.unwrap_or(scenario.federation);
+    // An out-of-range partition count is a usage error before any bind.
+    scenario.validate().map_err(BenchError::Usage)?;
+    let parts = scenario.federation;
+    let listener = std::net::TcpListener::bind(listen)
+        .map_err(|e| BenchError::io(format!("binding {listen}: {e}")))?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| BenchError::io(format!("reading the bound address: {e}")))?
+        .to_string();
+    if let Some(info_path) = run.parsed.value("--listen-info") {
+        let info = Json::obj([("addr", Json::from(addr.as_str()))]);
+        write_bytes_atomic(
+            Path::new(info_path),
+            format!("{}\n", info.render()).as_bytes(),
+        )
+        .map_err(|e| BenchError::io(format!("writing {info_path}: {e}")))?;
     }
+    let mut children = Vec::new();
+    if !run.parsed.has("--no-spawn") {
+        let exe = std::env::current_exe()
+            .map_err(|e| BenchError::run(format!("locating the lb binary: {e}")))?;
+        for rank in 0..parts {
+            let child = std::process::Command::new(&exe)
+                .args([
+                    "federate-worker",
+                    "--connect",
+                    &addr,
+                    "--rank",
+                    &rank.to_string(),
+                    "--parts",
+                    &parts.to_string(),
+                ])
+                .spawn()
+                .map_err(|e| {
+                    BenchError::run(format!("spawning federate-worker rank {rank}: {e}"))
+                })?;
+            children.push(child);
+        }
+    }
+    let outcome = crate::federate::coordinate(
+        scenario,
+        listener,
+        children,
+        run.checkpoint.clone(),
+        run.on_sample(),
+    )?;
+    Ok(run.finish(&outcome)?)
 }
 
 /// One federated partition process: joins the coordinator, receives the
 /// effective scenario over the wire, and runs its node range to completion.
 /// Normally spawned by `cmd_federate`; exposed for `--no-spawn` topologies.
-fn cmd_federate_worker(args: &[String]) -> i32 {
-    let parsed = match parse_args(args, &["--connect", "--rank", "--parts"], &[], 0) {
-        Ok(parsed) => parsed,
-        Err(err) => return usage_error(&err),
+fn cmd_federate_worker(args: &[String]) -> Result<(), CliError> {
+    let parsed = FEDERATE_WORKER_FLAGS.parse(args)?;
+    let addr = parsed
+        .value("--connect")
+        .ok_or("federate-worker requires --connect ADDR")?;
+    let count = |flag: &str| -> Result<usize, String> {
+        parsed
+            .parse(flag)?
+            .ok_or_else(|| format!("federate-worker requires {flag} N"))
     };
-    let Some(addr) = parsed.value("--connect") else {
-        return usage_error("federate-worker requires --connect ADDR");
-    };
-    let parse_count = |flag: &str| -> Result<usize, String> {
-        let value = parsed
-            .value(flag)
-            .ok_or_else(|| format!("federate-worker requires {flag} N"))?;
-        value.parse::<usize>().map_err(|e| format!("{flag}: {e}"))
-    };
-    let (rank, parts) = match (parse_count("--rank"), parse_count("--parts")) {
-        (Ok(rank), Ok(parts)) => (rank, parts),
-        (Err(err), _) | (_, Err(err)) => return usage_error(&err),
-    };
+    let (rank, parts) = (count("--rank")?, count("--parts")?);
     if parts == 0 || parts > lb_workloads::MAX_FEDERATION {
-        return usage_error(&format!(
+        return Err(format!(
             "--parts: the partition count must be in 1..={}, got {parts}",
             lb_workloads::MAX_FEDERATION
-        ));
+        )
+        .into());
     }
     if rank >= parts {
-        return usage_error(&format!(
-            "--rank: rank {rank} is out of range for {parts} parts"
-        ));
+        return Err(format!("--rank: rank {rank} is out of range for {parts} parts").into());
     }
-    match crate::federate::work(addr, rank, parts) {
-        Ok(()) => 0,
-        Err(err) => fail(err),
-    }
+    Ok(crate::federate::work(addr, rank, parts)?)
 }
 
-fn cmd_replay(args: &[String]) -> i32 {
-    let parsed = match parse_args(
-        args,
-        &["--shards", "--out", "--ingest-stats", "--idle-timeout-ms"],
-        &["--quiet", "--follow"],
-        1,
-    ) {
-        Ok(parsed) => parsed,
-        Err(err) => return usage_error(&err),
-    };
-    let Some(path) = parsed.positionals.first().copied() else {
-        return usage_error("replay requires a trace file (lb replay <trace.jsonl | ->)");
-    };
-    let shards = match shards_option(parsed.value("--shards")) {
-        Ok(shards) => shards,
-        Err(err) => return usage_error(&err),
-    };
-    let follow = parsed.has("--follow");
-    let idle_timeout = match parsed.value("--idle-timeout-ms") {
-        Some(_) if !follow => {
-            return usage_error("--idle-timeout-ms only applies with --follow");
-        }
-        Some(v) => match v.parse::<u64>() {
-            Ok(ms) => Duration::from_millis(ms),
-            Err(e) => return usage_error(&format!("--idle-timeout-ms: {e}")),
-        },
+fn cmd_replay(args: &[String]) -> Result<(), CliError> {
+    let parsed = REPLAY_FLAGS.parse(args)?;
+    let path = parsed.input("replay requires a trace file (lb replay <trace.jsonl | ->)")?;
+    let run = RunArgs::new(parsed)?;
+    let follow = run.parsed.has("--follow");
+    if !follow && run.parsed.value("--idle-timeout-ms").is_some() {
+        return Err("--idle-timeout-ms only applies with --follow".into());
+    }
+    let idle_timeout = match run.parsed.parse("--idle-timeout-ms")? {
+        Some(ms) => Duration::from_millis(ms),
         None if follow => DEFAULT_IDLE_TIMEOUT,
         // Without --follow the file is read as it is: end of file is final.
         None => Duration::ZERO,
     };
     if follow && path == "-" {
-        return usage_error("--follow tails a file; it cannot follow stdin ('-')");
+        return Err("--follow tails a file; it cannot follow stdin ('-')".into());
     }
-    let quiet = parsed.has("--quiet");
 
-    let result = (|| -> Result<(), BenchError> {
-        let on_sample = |sample: &RoundSample| {
-            if !quiet {
-                stream_sample(sample);
-            }
-        };
-        // Records are parsed incrementally as they arrive, from stdin (e.g.
-        // `lb serve-trace | lb replay -`) or from the trace file.
-        let source: Box<dyn RoundSource> = if path == "-" {
-            Box::new(ReadSource::new(std::io::stdin()).map_err(BenchError::from_source)?)
-        } else {
-            Box::new(
-                TraceSource::open_with(path, idle_timeout, DEFAULT_POLL_INTERVAL)
-                    .map_err(BenchError::from_source)?,
-            )
-        };
-        let outcome = Session::from_stream(source).shards(shards).run(on_sample)?;
-        if let Some(stats_path) = parsed.value("--ingest-stats") {
-            emit_ingest_stats(&outcome, stats_path).map_err(BenchError::Io)?;
-        }
-        emit_outcome(&outcome, parsed.value("--out")).map_err(BenchError::Io)
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(err) => fail(err),
-    }
+    // Records are parsed incrementally as they arrive, from stdin (e.g.
+    // `lb serve-trace | lb replay -`) or from the trace file.
+    let source: Box<dyn RoundSource> = if path == "-" {
+        Box::new(ReadSource::new(std::io::stdin()).map_err(BenchError::from_source)?)
+    } else {
+        Box::new(
+            TraceSource::open_with(path, idle_timeout, DEFAULT_POLL_INTERVAL)
+                .map_err(BenchError::from_source)?,
+        )
+    };
+    // The trace's scenario cannot be edited: --shards resizes the executor.
+    let outcome = Session::from_stream(source)
+        .shards(run.shards)
+        .run(run.on_sample())?;
+    Ok(run.finish(&outcome)?)
 }
 
 /// Runs a scenario as a socket service (see [`crate::serve`]): accepts
 /// authenticated trace-streaming connections and feeds the engine from
 /// their merged streams.
-fn cmd_serve(args: &[String]) -> i32 {
-    let parsed = match parse_args(
-        args,
-        &[
-            "--listen",
-            "--clients",
-            "--reconnect-timeout-ms",
-            "--listen-info",
-            "--seed",
-            "--shards",
-            "--record",
-            "--ingest-stats",
-            "--out",
-        ],
-        &["--quiet"],
-        1,
-    ) {
-        Ok(parsed) => parsed,
-        Err(err) => return usage_error(&err),
+fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    let parsed = SERVE_FLAGS.parse(args)?;
+    let path = parsed.input("serve requires a scenario file (lb serve <scenario.json>)")?;
+    let run = RunArgs::new(parsed)?;
+    let clients = match run.parsed.parse("--clients")? {
+        Some(0) => return Err("--clients must be at least 1".into()),
+        clients => clients.unwrap_or(1),
     };
-    let Some(path) = parsed.positionals.first().copied() else {
-        return usage_error("serve requires a scenario file (lb serve <scenario.json>)");
-    };
-    let seed = match seed_option(parsed.value("--seed")) {
-        Ok(seed) => seed,
-        Err(err) => return usage_error(&err),
-    };
-    let shards = match shards_option(parsed.value("--shards")) {
-        Ok(shards) => shards,
-        Err(err) => return usage_error(&err),
-    };
-    let clients = match parsed.value("--clients") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(0) => return usage_error("--clients must be at least 1"),
-            Ok(n) => n,
-            Err(e) => return usage_error(&format!("--clients: {e}")),
-        },
-        None => 1,
-    };
-    let reconnect_timeout = match parsed.value("--reconnect-timeout-ms") {
-        Some(v) => match v.parse::<u64>() {
-            Ok(ms) => Duration::from_millis(ms),
-            Err(e) => return usage_error(&format!("--reconnect-timeout-ms: {e}")),
-        },
-        None => Duration::from_millis(5_000),
-    };
+    let reconnect_timeout: u64 = run.parsed.parse("--reconnect-timeout-ms")?.unwrap_or(5_000);
     let options = ServeOptions {
-        listen: parsed
+        listen: run
+            .parsed
             .value("--listen")
             .unwrap_or("127.0.0.1:0")
             .to_string(),
         clients,
-        seed,
-        shards,
-        reconnect_timeout,
-        record: parsed.value("--record").map(PathBuf::from),
-        listen_info: parsed.value("--listen-info").map(PathBuf::from),
+        reconnect_timeout: Duration::from_millis(reconnect_timeout),
+        record: run.record.clone(),
+        listen_info: run.parsed.value("--listen-info").map(PathBuf::from),
     };
-    let quiet = parsed.has("--quiet");
+    let outcome = serve(&run.scenario(path)?, &options, run.on_sample())?;
+    Ok(run.finish(&outcome)?)
+}
 
-    let result = (|| -> Result<(), BenchError> {
-        let scenario = read_scenario(path)?;
-        let outcome = serve(&scenario, &options, |sample| {
-            if !quiet {
-                stream_sample(sample);
-            }
-        })?;
-        if let Some(trace) = &options.record {
-            eprintln!("(event trace recorded to {})", trace.display());
-        }
-        if let Some(stats_path) = parsed.value("--ingest-stats") {
-            emit_ingest_stats(&outcome, stats_path).map_err(BenchError::Io)?;
-        }
-        emit_outcome(&outcome, parsed.value("--out")).map_err(BenchError::Io)
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(err) => fail(err),
-    }
+fn cmd_hotpath(args: &[String]) -> Result<(), CliError> {
+    let parsed = HOTPATH_FLAGS.parse(args)?;
+    crate::hotpath::run(
+        parsed.has("--quick"),
+        shards_option(parsed.value("--shards"))?,
+    );
+    Ok(())
 }
 
 /// Parses a `--stride N:I` partition spec.
@@ -949,133 +897,77 @@ fn stride_option(value: Option<&str>) -> Result<(usize, usize), String> {
 /// file-tail runs. Lines are served verbatim (no validation) so fault cases
 /// can be staged deliberately. With `--connect`, streams the trace's round
 /// records to a running `lb serve` instead ([`push_trace`]).
-fn cmd_serve_trace(args: &[String]) -> i32 {
-    let parsed = match parse_args(
-        args,
-        &[
-            "--out",
-            "--delay-ms",
-            "--connect",
-            "--feed",
-            "--stride",
-            "--abort-after-records",
-        ],
-        &[],
-        1,
-    ) {
-        Ok(parsed) => parsed,
-        Err(err) => return usage_error(&err),
-    };
-    let Some(path) = parsed.positionals.first().copied() else {
-        return usage_error("serve-trace requires a trace file (lb serve-trace <trace.jsonl>)");
-    };
-    let delay = match parsed.value("--delay-ms") {
-        Some(v) => match v.parse::<u64>() {
-            Ok(ms) => Duration::from_millis(ms),
-            Err(e) => return usage_error(&format!("--delay-ms: {e}")),
-        },
-        None => Duration::ZERO,
-    };
-    let connect = parsed.value("--connect");
-    if connect.is_none() {
+fn cmd_serve_trace(args: &[String]) -> Result<(), CliError> {
+    let parsed = SERVE_TRACE_FLAGS.parse(args)?;
+    let path = parsed.input("serve-trace requires a trace file (lb serve-trace <trace.jsonl>)")?;
+    let delay = Duration::from_millis(parsed.parse("--delay-ms")?.unwrap_or(0));
+    let Some(addr) = parsed.value("--connect") else {
         for flag in ["--feed", "--stride", "--abort-after-records"] {
             if parsed.value(flag).is_some() {
-                return usage_error(&format!("{flag} only applies with --connect"));
+                return Err(format!("{flag} only applies with --connect").into());
             }
         }
-        return serve_trace_lines(path, parsed.value("--out"), delay);
-    }
-    // lint: allow(R03, the is_none branch above returned already)
-    let addr = connect.expect("checked above");
+        return Ok(serve_trace_lines(path, parsed.value("--out"), delay)?);
+    };
     if parsed.value("--out").is_some() {
-        return usage_error("--out only applies without --connect (lines mode)");
+        return Err("--out only applies without --connect (lines mode)".into());
     }
-    let stride = match stride_option(parsed.value("--stride")) {
-        Ok(stride) => stride,
-        Err(err) => return usage_error(&err),
-    };
-    let abort_after = match parsed
-        .value("--abort-after-records")
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|e| format!("--abort-after-records: {e}"))
-        })
-        .transpose()
-    {
-        Ok(cap) => cap,
-        Err(err) => return usage_error(&err),
-    };
     let options = PushOptions {
         feed: parsed.value("--feed").unwrap_or("feed0").to_string(),
-        stride,
+        stride: stride_option(parsed.value("--stride"))?,
         delay: (!delay.is_zero()).then_some(delay),
-        abort_after,
+        abort_after: parsed.parse("--abort-after-records")?,
     };
 
-    let result = (|| -> Result<(), BenchError> {
-        let source = TraceSource::open_with(path, Duration::ZERO, DEFAULT_POLL_INTERVAL)
-            .map_err(BenchError::from_source)?;
-        let report = push_trace(addr, source, &options)?;
-        if let Some(round) = report.resumed_after {
-            eprintln!("(resumed feed {:?} after round {round})", options.feed);
-        }
-        eprintln!(
-            "(pushed {} round record(s) as feed {:?}{})",
-            report.rounds_sent,
-            options.feed,
-            if report.aborted {
-                ", then aborted without the end record"
-            } else {
-                ""
-            }
-        );
-        Ok(())
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(err) => fail(err),
+    let source = TraceSource::open_with(path, Duration::ZERO, DEFAULT_POLL_INTERVAL)
+        .map_err(BenchError::from_source)?;
+    let report = push_trace(addr, source, &options)?;
+    if let Some(round) = report.resumed_after {
+        eprintln!("(resumed feed {:?} after round {round})", options.feed);
     }
+    eprintln!(
+        "(pushed {} round record(s) as feed {:?}{})",
+        report.rounds_sent,
+        options.feed,
+        if report.aborted {
+            ", then aborted without the end record"
+        } else {
+            ""
+        }
+    );
+    Ok(())
 }
 
 /// The original serve-trace mode: drip the file's lines verbatim.
-fn serve_trace_lines(path: &str, out: Option<&str>, delay: Duration) -> i32 {
-    let result = (|| -> Result<usize, BenchError> {
-        // Stream line by line: serving a multi-gigabyte trace must not
-        // stage the whole file in memory first.
-        let file =
-            fs::File::open(path).map_err(|e| BenchError::io(format!("reading {path}: {e}")))?;
-        let reader = std::io::BufReader::new(file);
-        let mut out: Box<dyn Write> = match out {
-            Some(target) => Box::new(
-                // lint: allow(R04, serve-trace drips lines incrementally by design)
-                fs::File::create(target)
-                    .map_err(|e| BenchError::io(format!("creating {target}: {e}")))?,
-            ),
-            None => Box::new(std::io::stdout()),
-        };
-        let mut served = 0usize;
-        for line in std::io::BufRead::lines(reader) {
-            let line = line.map_err(|e| BenchError::io(format!("reading {path}: {e}")))?;
-            // Pace *between* lines: a consumer of the final line (usually
-            // the end record) must not wait out one more delay before the
-            // stream closes.
-            if served > 0 && !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-            writeln!(out, "{line}").map_err(|e| BenchError::io(format!("serving trace: {e}")))?;
-            out.flush()
-                .map_err(|e| BenchError::io(format!("serving trace: {e}")))?;
-            served += 1;
+fn serve_trace_lines(path: &str, out: Option<&str>, delay: Duration) -> Result<(), BenchError> {
+    // Stream line by line: serving a multi-gigabyte trace must not stage
+    // the whole file in memory first.
+    let file = fs::File::open(path).map_err(|e| BenchError::io(format!("reading {path}: {e}")))?;
+    let reader = std::io::BufReader::new(file);
+    let mut out: Box<dyn Write> = match out {
+        Some(target) => Box::new(
+            // lint: allow(R04, serve-trace drips lines incrementally by design)
+            fs::File::create(target)
+                .map_err(|e| BenchError::io(format!("creating {target}: {e}")))?,
+        ),
+        None => Box::new(std::io::stdout()),
+    };
+    let mut served = 0usize;
+    for line in std::io::BufRead::lines(reader) {
+        let line = line.map_err(|e| BenchError::io(format!("reading {path}: {e}")))?;
+        // Pace *between* lines: a consumer of the final line (usually the
+        // end record) must not wait out one more delay before the stream
+        // closes.
+        if served > 0 && !delay.is_zero() {
+            std::thread::sleep(delay);
         }
-        Ok(served)
-    })();
-    match result {
-        Ok(served) => {
-            eprintln!("(served {served} line(s))");
-            0
-        }
-        Err(err) => fail(err),
+        writeln!(out, "{line}").map_err(|e| BenchError::io(format!("serving trace: {e}")))?;
+        out.flush()
+            .map_err(|e| BenchError::io(format!("serving trace: {e}")))?;
+        served += 1;
     }
+    eprintln!("(served {served} line(s))");
+    Ok(())
 }
 
 /// Recursively collects every gated throughput leaf of a baseline document
@@ -1154,112 +1046,98 @@ fn gate_unit(path: &str) -> &'static str {
 }
 
 /// The perf-regression gate: compares the current hot-path throughput
-/// against the committed baseline and fails on a drop beyond the allowance.
-fn cmd_bench_check(args: &[String]) -> i32 {
-    let parsed = match parse_args(
-        args,
-        &["--baseline", "--current", "--max-regression"],
-        &[],
-        0,
-    ) {
-        Ok(parsed) => parsed,
-        Err(err) => return usage_error(&err),
+/// against the committed baseline; `Ok(false)` is a drop beyond the
+/// allowance. Every failure past argument parsing is a runtime error.
+fn cmd_bench_check(args: &[String]) -> Result<bool, CliError> {
+    let parsed = BENCH_CHECK_FLAGS.parse(args)?;
+    bench_check(&parsed).map_err(|err| BenchError::run(err).into())
+}
+
+fn bench_check(parsed: &Parsed<'_>) -> Result<bool, String> {
+    let baseline_path = parsed.value("--baseline").unwrap_or("BENCH_baseline.json");
+    let current_path = parsed.value("--current").unwrap_or("BENCH_hotpath.json");
+    let max_regression: f64 = match parsed.parse("--max-regression")? {
+        Some(pct) => pct,
+        None => match std::env::var("LB_BENCH_MAX_REGRESSION") {
+            Ok(v) => v
+                .parse()
+                .map_err(|e| format!("LB_BENCH_MAX_REGRESSION: {e}"))?,
+            Err(_) => 25.0,
+        },
     };
-    let verdict = (|| -> Result<bool, String> {
-        let baseline_path = parsed.value("--baseline").unwrap_or("BENCH_baseline.json");
-        let current_path = parsed.value("--current").unwrap_or("BENCH_hotpath.json");
-        let max_regression: f64 = match parsed.value("--max-regression") {
-            Some(v) => v.parse().map_err(|e| format!("--max-regression: {e}"))?,
-            None => match std::env::var("LB_BENCH_MAX_REGRESSION") {
-                Ok(v) => v
-                    .parse()
-                    .map_err(|e| format!("LB_BENCH_MAX_REGRESSION: {e}"))?,
-                Err(_) => 25.0,
-            },
-        };
-        if !(0.0..100.0).contains(&max_regression) {
-            return Err(format!(
-                "--max-regression must be in [0, 100), got {max_regression}"
-            ));
-        }
-
-        let read = |path: &str| -> Result<Json, String> {
-            let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            Json::parse(&text).map_err(|e| format!("{path}: {e}"))
-        };
-        let baseline_doc = read(baseline_path)?;
-        let current_doc = read(current_path)?;
-        let mut gated = Vec::new();
-        gated_metrics(&baseline_doc, "", &mut gated);
-        if !gated.iter().any(|(path, _)| path == "rounds_per_sec") {
-            return Err(format!("{baseline_path}: no rounds_per_sec field"));
-        }
-
-        let gate = |label: &str, unit: &str, baseline: f64, current: f64| -> bool {
-            let floor = baseline * (1.0 - max_regression / 100.0);
-            let change = (current / baseline - 1.0) * 100.0;
-            println!(
-                "bench-check [{label}]: baseline {baseline:.1} {unit}, current \
-                 {current:.1} {unit} ({change:+.1}%), allowed regression \
-                 {max_regression}% (floor {floor:.1})"
-            );
-            if current < floor {
-                println!(
-                    "bench-check [{label}]: FAIL — {unit} regressed more than \
-                     {max_regression}% below the committed baseline"
-                );
-                false
-            } else {
-                println!("bench-check [{label}]: OK");
-                true
-            }
-        };
-
-        // Every `_per_sec` leaf the committed baseline carries is gated
-        // (re-baseline deliberately to change the set). A gated key that the
-        // measured file no longer reports — a renamed or dropped entry — is a
-        // hard failure, not a silent pass: the gate would otherwise go dark
-        // exactly when the benchmark it guards disappears.
-        let mut ok = true;
-        for (path, baseline) in &gated {
-            let label = gate_label(path);
-            if *baseline <= 0.0 {
-                if path == "rounds_per_sec" {
-                    return Err(format!("{baseline_path}: rounds_per_sec must be positive"));
-                }
-                println!("bench-check [{label}]: non-positive baseline entry, skipped");
-                continue;
-            }
-            let current = metric_at(&current_doc, path).ok_or_else(|| {
-                format!(
-                    "{current_path}: missing gated metric {path} (present in \
-                     {baseline_path}; re-baseline if the entry was renamed or retired)"
-                )
-            })?;
-            ok &= gate(label, gate_unit(path), *baseline, current);
-        }
-        Ok(ok)
-    })();
-    match verdict {
-        Ok(true) => 0,
-        Ok(false) => 1,
-        Err(err) => fail(BenchError::run(err)),
+    if !(0.0..100.0).contains(&max_regression) {
+        return Err(format!(
+            "--max-regression must be in [0, 100), got {max_regression}"
+        ));
     }
+
+    let read = |path: &str| -> Result<Json, String> {
+        let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    };
+    let baseline_doc = read(baseline_path)?;
+    let current_doc = read(current_path)?;
+    let mut gated = Vec::new();
+    gated_metrics(&baseline_doc, "", &mut gated);
+    if !gated.iter().any(|(path, _)| path == "rounds_per_sec") {
+        return Err(format!("{baseline_path}: no rounds_per_sec field"));
+    }
+
+    let gate = |label: &str, unit: &str, baseline: f64, current: f64| -> bool {
+        let floor = baseline * (1.0 - max_regression / 100.0);
+        let change = (current / baseline - 1.0) * 100.0;
+        println!(
+            "bench-check [{label}]: baseline {baseline:.1} {unit}, current \
+             {current:.1} {unit} ({change:+.1}%), allowed regression \
+             {max_regression}% (floor {floor:.1})"
+        );
+        if current < floor {
+            println!(
+                "bench-check [{label}]: FAIL — {unit} regressed more than \
+                 {max_regression}% below the committed baseline"
+            );
+            false
+        } else {
+            println!("bench-check [{label}]: OK");
+            true
+        }
+    };
+
+    // Every `_per_sec` leaf the committed baseline carries is gated
+    // (re-baseline deliberately to change the set). A gated key that the
+    // measured file no longer reports — a renamed or dropped entry — is a
+    // hard failure, not a silent pass: the gate would otherwise go dark
+    // exactly when the benchmark it guards disappears.
+    let mut ok = true;
+    for (path, baseline) in &gated {
+        let label = gate_label(path);
+        if *baseline <= 0.0 {
+            if path == "rounds_per_sec" {
+                return Err(format!("{baseline_path}: rounds_per_sec must be positive"));
+            }
+            println!("bench-check [{label}]: non-positive baseline entry, skipped");
+            continue;
+        }
+        let current = metric_at(&current_doc, path).ok_or_else(|| {
+            format!(
+                "{current_path}: missing gated metric {path} (present in \
+                 {baseline_path}; re-baseline if the entry was renamed or retired)"
+            )
+        })?;
+        ok &= gate(label, gate_unit(path), *baseline, current);
+    }
+    Ok(ok)
 }
 
 /// `lb lint [--format human|json] [--root PATH] [PATHS…]`: the repo-native
-/// static analysis pass (see [`lb_lint`]). Exit codes: 0 clean, 1 findings,
-/// 2 usage (including a malformed `lint.toml`), 4 I/O failure.
-fn cmd_lint(args: &[String]) -> i32 {
-    let parsed = match parse_args(args, &["--format", "--root"], &[], usize::MAX) {
-        Ok(parsed) => parsed,
-        Err(err) => return usage_error(&err),
-    };
+/// static analysis pass (see [`lb_lint`]); `Ok(false)` means findings.
+/// Exit codes: 0 clean, 1 findings, 2 usage (including a malformed
+/// `lint.toml`), 4 I/O failure.
+fn cmd_lint(args: &[String]) -> Result<bool, CliError> {
+    let parsed = LINT_FLAGS.parse(args)?;
     let format = parsed.value("--format").unwrap_or("human");
     if format != "human" && format != "json" {
-        return usage_error(&format!(
-            "--format must be 'human' or 'json', got {format:?}"
-        ));
+        return Err(format!("--format must be 'human' or 'json', got {format:?}").into());
     }
     let root = PathBuf::from(parsed.value("--root").unwrap_or("."));
     let to_bench_error = |e: lb_lint::LintError| match e {
@@ -1268,20 +1146,14 @@ fn cmd_lint(args: &[String]) -> i32 {
             BenchError::usage(e.to_string())
         }
     };
-    let linter = match lb_lint::Linter::load(&root) {
-        Ok(linter) => linter,
-        Err(e) => return fail(to_bench_error(e)),
-    };
+    let linter = lb_lint::Linter::load(&root).map_err(to_bench_error)?;
     let findings = if parsed.positionals.is_empty() {
         linter.lint_workspace()
     } else {
         let paths: Vec<PathBuf> = parsed.positionals.iter().map(PathBuf::from).collect();
         linter.lint_paths(&paths)
-    };
-    let findings = match findings {
-        Ok(findings) => findings,
-        Err(e) => return fail(to_bench_error(e)),
-    };
+    }
+    .map_err(to_bench_error)?;
     match format {
         "json" => println!("{}", lb_lint::report_json(&findings).render()),
         _ => {
@@ -1296,11 +1168,7 @@ fn cmd_lint(args: &[String]) -> i32 {
             eprintln!("lint: {} {label}", findings.len());
         }
     }
-    if findings.is_empty() {
-        0
-    } else {
-        1
-    }
+    Ok(findings.is_empty())
 }
 
 #[cfg(test)]
@@ -1329,6 +1197,14 @@ mod tests {
         assert_eq!(dispatch(&args(&["hotpath", "--fast"])), 2);
         assert_eq!(dispatch(&args(&["table1", "--quik"])), 2);
         assert_eq!(dispatch(&args(&["bench-check", "--basline", "x"])), 2);
+        assert_eq!(dispatch(&args(&["serve", "s.json", "--sed", "1"])), 2);
+        assert_eq!(
+            dispatch(&args(&["serve-trace", "t.jsonl", "--dly", "1"])),
+            2
+        );
+        assert_eq!(dispatch(&args(&["federate", "s.json", "--prts", "2"])), 2);
+        assert_eq!(dispatch(&args(&["federate-worker", "--rnk", "0"])), 2);
+        assert_eq!(dispatch(&args(&["lint", "--fmt", "json"])), 2);
         // Surplus positionals are rejected too.
         assert_eq!(dispatch(&args(&["run", "a.json", "b.json"])), 2);
         assert_eq!(dispatch(&args(&["table1", "extra"])), 2);
@@ -1490,28 +1366,186 @@ mod tests {
 
     #[test]
     fn parse_args_handles_values_flags_and_positionals() {
+        const SEED_OUT: Flags = Flags {
+            values: &["--seed", "--out"],
+            bools: &["--quiet"],
+            positionals: 1,
+        };
         let a = args(&["--seed", "42", "scenario.json", "--quiet"]);
-        let parsed = parse_args(&a, &["--seed", "--out"], &["--quiet"], 1).unwrap();
+        let parsed = SEED_OUT.parse(&a).unwrap();
         assert_eq!(parsed.value("--seed"), Some("42"));
+        assert_eq!(parsed.parse::<u64>("--seed"), Ok(Some(42)));
         assert_eq!(parsed.value("--out"), None);
+        assert_eq!(parsed.parse::<u64>("--out"), Ok(None));
         assert!(parsed.has("--quiet"));
         assert!(!parsed.has("--loud"));
         assert_eq!(parsed.positionals, vec!["scenario.json"]);
 
         // Positionals are found regardless of position relative to options.
         let a = args(&["--out", "r.json", "--quiet", "s.json", "--seed", "1"]);
-        let parsed = parse_args(&a, &["--seed", "--out"], &["--quiet"], 1).unwrap();
+        let parsed = SEED_OUT.parse(&a).unwrap();
         assert_eq!(parsed.positionals, vec!["s.json"]);
+        assert_eq!(
+            parsed.parse::<u64>("--out"),
+            Err("--out: invalid digit found in string".to_string()),
+            "a malformed value names its flag"
+        );
 
         // Repeated value options: the last one wins.
         let a = args(&["--seed", "1", "--seed", "2"]);
-        let parsed = parse_args(&a, &["--seed"], &[], 0).unwrap();
+        let parsed = SEED_OUT.parse(&a).unwrap();
         assert_eq!(parsed.value("--seed"), Some("2"));
 
         // Error cases: unknown option, missing value, surplus positional.
-        assert!(parse_args(&args(&["--nope"]), &["--seed"], &[], 1).is_err());
-        assert!(parse_args(&args(&["--seed"]), &["--seed"], &[], 0).is_err());
-        assert!(parse_args(&args(&["a", "b"]), &[], &[], 1).is_err());
+        assert!(SEED_OUT.parse(&args(&["--nope"])).is_err());
+        assert!(SEED_OUT.parse(&args(&["--seed"])).is_err());
+        assert!(SEED_OUT.parse(&args(&["a", "b"])).is_err());
+    }
+
+    /// Every command's flag list, keyed by the name its USAGE section
+    /// starts with.
+    const COMMAND_FLAGS: &[(&str, &Flags)] = &[
+        ("run", &RUN_FLAGS),
+        ("replay", &REPLAY_FLAGS),
+        ("serve", &SERVE_FLAGS),
+        ("serve-trace", &SERVE_TRACE_FLAGS),
+        ("federate", &FEDERATE_FLAGS),
+        ("federate-worker", &FEDERATE_WORKER_FLAGS),
+        ("table1", &EXPERIMENT_FLAGS),
+        ("hotpath", &HOTPATH_FLAGS),
+        ("bench-check", &BENCH_CHECK_FLAGS),
+        ("lint", &LINT_FLAGS),
+        (
+            "help",
+            &Flags {
+                values: &[],
+                bools: &[],
+                positionals: 0,
+            },
+        ),
+    ];
+
+    #[test]
+    fn usage_documents_exactly_the_accepted_flags() {
+        // USAGE's COMMANDS block: a 4-space-indented line opens a command
+        // section (a header ending in ',' continues on the next one); the
+        // section documents the `--flag` tokens on its header and the
+        // first token of each 8-space-indented line. Prose mentions deeper
+        // in the descriptions do not count.
+        let commands = USAGE
+            .split_once("COMMANDS:\n")
+            .unwrap()
+            .1
+            .split("\n\n")
+            .next()
+            .unwrap();
+        let mut sections: Vec<(String, Vec<String>)> = Vec::new();
+        let mut continued = false;
+        for line in commands.lines() {
+            let (documented, header) = if let Some(option) = line.strip_prefix("        ") {
+                if option.starts_with(' ') {
+                    continue;
+                }
+                (option.split_whitespace().take(1).collect::<Vec<_>>(), false)
+            } else {
+                let header = line.strip_prefix("    ").unwrap();
+                (header.split_whitespace().collect(), true)
+            };
+            if header && !continued {
+                let name = documented[0].trim_end_matches(',');
+                sections.push((name.to_string(), Vec::new()));
+            }
+            if header {
+                continued = line.ends_with(',');
+            }
+            let flags = &mut sections.last_mut().unwrap().1;
+            for token in documented {
+                let token = token.trim_matches(|c| c == '[' || c == ']');
+                if token.starts_with("--") {
+                    flags.push(token.to_string());
+                }
+            }
+        }
+        let names: Vec<&str> = sections.iter().map(|(name, _)| name.as_str()).collect();
+        let known: Vec<&str> = COMMAND_FLAGS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names, known,
+            "USAGE sections and flag lists name the same commands"
+        );
+        for ((name, documented), (_, accepted)) in sections.iter().zip(COMMAND_FLAGS) {
+            let mut documented = documented.clone();
+            documented.sort();
+            let mut accepted: Vec<String> = accepted
+                .values
+                .iter()
+                .chain(accepted.bools)
+                .map(|f| f.to_string())
+                .collect();
+            accepted.sort();
+            assert_eq!(
+                documented, accepted,
+                "{name}: USAGE and the flag list differ"
+            );
+        }
+    }
+
+    #[test]
+    fn contradictions_are_usage_errors_with_their_messages() {
+        // Each contradiction is a CliError::Usage value (printed with the
+        // usage text, exit 2), rejected before any file is touched.
+        let cases: &[(Command, &[&str], &str)] = &[
+            (
+                cmd_run,
+                &["s.json", "--resume", "c.jsonl"],
+                "--resume uses the snapshot's embedded scenario; drop the scenario file argument",
+            ),
+            (
+                cmd_run,
+                &["--resume", "c.jsonl", "--seed", "9"],
+                "--resume cannot override the seed: the snapshot pins it",
+            ),
+            (
+                cmd_run,
+                &["--quiet"],
+                "run requires a scenario file (lb run <scenario.json>) or --resume <snapshot>",
+            ),
+            (
+                cmd_replay,
+                &["t.jsonl", "--idle-timeout-ms", "50"],
+                "--idle-timeout-ms only applies with --follow",
+            ),
+            (
+                cmd_replay,
+                &["-", "--follow"],
+                "--follow tails a file; it cannot follow stdin ('-')",
+            ),
+            (
+                cmd_serve_trace,
+                &["t.jsonl", "--connect", "127.0.0.1:1", "--out", "o.jsonl"],
+                "--out only applies without --connect (lines mode)",
+            ),
+            (
+                cmd_serve_trace,
+                &["t.jsonl", "--feed", "f"],
+                "--feed only applies with --connect",
+            ),
+            (
+                cmd_serve,
+                &["s.json", "--clients", "0"],
+                "--clients must be at least 1",
+            ),
+            (
+                cmd_federate_worker,
+                &["--connect", "127.0.0.1:1", "--rank", "2", "--parts", "2"],
+                "--rank: rank 2 is out of range for 2 parts",
+            ),
+        ];
+        for (cmd, argv, expected) in cases {
+            match cmd(&args(argv)) {
+                Err(CliError::Usage(message)) => assert_eq!(message, *expected, "{argv:?}"),
+                other => panic!("{argv:?}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! Every single-process run goes through one builder, [`Session`]:
 //! construct it from a scenario ([`Session::from_scenario`]), a recorded
 //! trace or live byte stream ([`Session::from_stream`]) or a checkpoint
-//! snapshot ([`Session::from_snapshot`]); layer on overrides and side outputs
-//! (`.seed()`, `.shards()`, `.producer()`, `.record()`, `.checkpoint()`,
+//! snapshot ([`Session::from_snapshot`]); layer on side outputs and the
+//! event feed (`.shards()`, `.producer()`, `.record()`, `.checkpoint()`,
 //! `.stream()`, `.merged()`); then [`Session::run`]. Failures come back as
 //! the typed [`crate::error::BenchError`]. A federated run calls the two
 //! roles of [`crate::federate`] directly, which reuse this module's world,
@@ -369,7 +369,6 @@ pub const MAX_MERGE_FEEDS: usize = 64;
 /// document each field.
 #[derive(Debug, Clone, Default)]
 struct RunOptions {
-    seed: Option<u64>,
     shards: Option<usize>,
     producer: Producer,
     record: Option<PathBuf>,
@@ -853,7 +852,6 @@ enum Origin {
 /// # use std::path::PathBuf;
 /// # let scenario: lb_workloads::Scenario = unimplemented!();
 /// let outcome = Session::from_scenario(&scenario)
-///     .seed(7)
 ///     .shards(4)
 ///     .producer(Producer::Merge { feeds: 2, capacity: 8 })
 ///     .record(PathBuf::from("run.trace.jsonl"))
@@ -890,9 +888,9 @@ impl Session {
     /// The source runs on the producer thread; a source failure (torn tail,
     /// stalled writer, malformed record) ends production early — the engine
     /// finishes the remaining rounds event-free — and surfaces as the run's
-    /// error, never as a deadlock. The stream pins the seed
-    /// ([`Session::seed`] is rejected); [`Session::shards`] replaces the
-    /// embedded shard count (shard count never changes the result).
+    /// error, never as a deadlock. The stream pins the scenario, seed
+    /// included; [`Session::shards`] replaces the embedded shard count
+    /// (shard count never changes the result).
     pub fn from_stream(source: Box<dyn RoundSource>) -> Self {
         Session {
             origin: Origin::Scenario(Box::new(source.scenario().clone())),
@@ -913,14 +911,14 @@ impl Session {
     /// [`Session::shards`] resizes the resumed *executor* only — the
     /// recorded scenario keeps the original shard count, so byte-identity
     /// holds across shard counts (shard-invariance makes the snapshot a
-    /// migration unit). [`Session::seed`] is rejected (the snapshot pins
-    /// the seed). [`Session::producer`] selects the event path as usual;
-    /// [`Session::record`] still produces the *complete* trace (the
-    /// fast-forwarded prefix is re-recorded); [`Session::checkpoint`] keeps
-    /// checkpointing the resumed run. The streaming callback only sees
-    /// samples taken after the resume point — the restored prefix is
-    /// already in the outcome's trajectory. [`Session::stream`] resumes a
-    /// byte-stream replay instead of the scenario generator.
+    /// migration unit); the seed is the snapshot's. [`Session::producer`]
+    /// selects the event path as usual; [`Session::record`] still produces
+    /// the *complete* trace (the fast-forwarded prefix is re-recorded);
+    /// [`Session::checkpoint`] keeps checkpointing the resumed run. The
+    /// streaming callback only sees samples taken after the resume point —
+    /// the restored prefix is already in the outcome's trajectory.
+    /// [`Session::stream`] resumes a byte-stream replay instead of the
+    /// scenario generator.
     pub fn from_snapshot(snapshot: Snapshot) -> Self {
         Session {
             origin: Origin::Snapshot(Box::new(snapshot)),
@@ -929,19 +927,12 @@ impl Session {
         }
     }
 
-    /// Replaces the spec's seed; the effective value is recorded in the
-    /// outcome. Rejected by stream and snapshot sessions — those pin the
-    /// seed. Accepts an `Option` so call sites can thread an optional
-    /// override straight through.
-    pub fn seed(mut self, seed: impl Into<Option<u64>>) -> Self {
-        self.options.seed = seed.into();
-        self
-    }
-
-    /// Replaces the spec's shard count (a resumed session resizes only the
-    /// executor). Shard count never changes the result — only wall-clock
-    /// time. Accepts an `Option` so call sites can thread an optional
-    /// override straight through.
+    /// Replaces the shard count. A scenario session may as well be given a
+    /// scenario with `shards` set; stream and snapshot sessions cannot edit
+    /// their embedded scenario, so this is how they pick one (a resumed
+    /// session resizes only the executor). Shard count never changes the
+    /// result — only wall-clock time. Accepts an `Option` so call sites can
+    /// thread an optional override straight through.
     pub fn shards(mut self, shards: impl Into<Option<usize>>) -> Self {
         self.options.shards = shards.into();
         self
@@ -1015,9 +1006,9 @@ impl Session {
     /// # Errors
     ///
     /// [`BenchError::Usage`] for invalid specs, unknown families,
-    /// contradictory options (seed override on a pinned-seed session,
-    /// producer mode on a stream or merged session, unpaired checkpoint
-    /// options, out-of-range shard/feed counts);
+    /// contradictory options (producer mode on a stream or merged
+    /// session, unpaired checkpoint options, out-of-range shard/feed
+    /// counts);
     /// [`BenchError::Protocol`] for stream/merge ordering violations,
     /// malformed records and snapshots that do not match the run;
     /// [`BenchError::Io`] for file and stream I/O failures; and
@@ -1048,17 +1039,9 @@ impl Session {
         let (scenario, resume) = match origin {
             Origin::Scenario(scenario) => {
                 let mut scenario = *scenario;
-                if let Some(seed) = options.seed {
-                    if !matches!(feed, Feed::Generate | Feed::Merge(_)) {
-                        return Err(BenchError::usage(
-                            "a replayed run cannot override the seed: the stream pins it",
-                        ));
-                    }
-                    scenario.seed = seed;
-                }
                 // A stream attached to a scenario session must agree with
-                // it before overrides are applied (the shard override is
-                // result-neutral and deliberately exempt).
+                // it before the shard override, which is result-neutral and
+                // deliberately exempt.
                 if let Feed::Source(source) = &feed {
                     if source.scenario() != &scenario {
                         return Err(BenchError::protocol(
@@ -1073,11 +1056,6 @@ impl Session {
                 (scenario, None)
             }
             Origin::Snapshot(snapshot) => {
-                if options.seed.is_some() {
-                    return Err(BenchError::usage(
-                        "a resumed run cannot override the seed: the snapshot pins it",
-                    ));
-                }
                 let (scenario, resume) = ResumePoint::decode(*snapshot, options.shards)?;
                 if let Feed::Source(source) = &feed {
                     if source.scenario() != &scenario {
@@ -1803,15 +1781,13 @@ mod tests {
 
     #[test]
     fn same_seed_bit_identical_different_seed_differs() {
-        let scenario = poisson_scenario();
+        let mut scenario = poisson_scenario();
         let a = Session::from_scenario(&scenario).run(|_| {}).unwrap();
         let b = Session::from_scenario(&scenario).run(|_| {}).unwrap();
         assert_eq!(a.trajectory, b.trajectory);
         assert_eq!(a.to_json().render_pretty(), b.to_json().render_pretty());
-        let c = Session::from_scenario(&scenario)
-            .seed(99)
-            .run(|_| {})
-            .unwrap();
+        scenario.seed = 99;
+        let c = Session::from_scenario(&scenario).run(|_| {}).unwrap();
         assert_eq!(c.scenario.seed, 99);
         assert_ne!(a.trajectory, c.trajectory);
     }
@@ -2051,18 +2027,15 @@ mod tests {
             round: 30,
             kind: ChurnKind::Rewire { seed: 5 },
         }];
+        scenario.seed = 11;
         let path = temp_path("lb_dynamic_record_replay.trace.jsonl");
         let recorded = Session::from_scenario(&scenario)
-            .seed(11)
             .record(path.clone())
             .run(|_| {})
             .unwrap();
 
         // Recording never perturbs the run.
-        let plain = Session::from_scenario(&scenario)
-            .seed(11)
-            .run(|_| {})
-            .unwrap();
+        let plain = Session::from_scenario(&scenario).run(|_| {}).unwrap();
         assert_eq!(
             plain.to_json().render_pretty(),
             recorded.to_json().render_pretty()
@@ -2514,17 +2487,6 @@ mod tests {
     fn resume_rejects_contradictory_inputs() {
         let scenario = churned_scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);
         let (_, snap25, snap50) = run_with_checkpoints(&scenario, "reject");
-
-        // A seed override contradicts the snapshot's pinned seed.
-        let err = Session::from_snapshot(snap25.clone())
-            .seed(9)
-            .run(|_| {})
-            .unwrap_err();
-        assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
-        assert!(
-            err.to_string().contains("cannot override the seed"),
-            "{err}"
-        );
 
         // An out-of-range shard override is rejected up front.
         let err = Session::from_snapshot(snap25.clone())

@@ -91,12 +91,6 @@ pub struct ServeOptions {
     /// `--clients`). Later connections still join as live feeds; this only
     /// gates the deterministic start.
     pub clients: usize,
-    /// Replaces the spec's seed; authenticated clients must carry a trace
-    /// recorded at the effective seed.
-    pub seed: Option<u64>,
-    /// Replaces the spec's shard count. Exempt from handshake
-    /// authentication — shard count never changes the result.
-    pub shards: Option<usize>,
     /// How long a dropped connection's feed stays parked awaiting a
     /// reconnect before the run degrades without it.
     pub reconnect_timeout: Duration,
@@ -113,8 +107,6 @@ impl Default for ServeOptions {
         ServeOptions {
             listen: "127.0.0.1:0".into(),
             clients: 1,
-            seed: None,
-            shards: None,
             reconnect_timeout: Duration::from_secs(5),
             record: None,
             listen_info: None,
@@ -394,7 +386,7 @@ struct ServeCtx {
 /// determinism contracts). Returns the same [`ScenarioOutcome`] a direct
 /// [`Session`] run would produce — byte-identical to the sync run when the
 /// connected clients together carry a trace recorded from the same
-/// effective scenario.
+/// scenario.
 ///
 /// # Errors
 ///
@@ -411,16 +403,7 @@ pub fn serve(
     if options.clients == 0 {
         return Err(BenchError::usage("serve needs at least one client"));
     }
-    // The scenario the handshake authenticates against is the *effective*
-    // one — the same overrides Session::run applies.
-    let mut effective = scenario.clone();
-    if let Some(seed) = options.seed {
-        effective.seed = seed;
-    }
-    if let Some(shards) = options.shards {
-        effective.shards = shards;
-    }
-    effective.validate().map_err(BenchError::Usage)?;
+    scenario.validate().map_err(BenchError::Usage)?;
 
     let listener = Listener::bind(&options.listen)?;
     listener
@@ -435,7 +418,7 @@ pub fn serve(
 
     let (merge, registrar) = MergeSession::with_registrar();
     let ctx = Arc::new(ServeCtx {
-        scenario: effective,
+        scenario: scenario.clone(),
         registrar,
         slots: Mutex::new(HashMap::new()),
         ready: Mutex::new(0),
@@ -457,8 +440,6 @@ pub fn serve(
     }
 
     let result = Session::from_scenario(scenario)
-        .seed(options.seed)
-        .shards(options.shards)
         .record(options.record.clone())
         .merged(merge)
         .run(on_sample);

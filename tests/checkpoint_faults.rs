@@ -297,3 +297,39 @@ fn damaged_snapshots_fail_resume_with_typed_errors() {
     std::fs::remove_file(&scenario_path).ok();
     std::fs::remove_file(&ckpt).ok();
 }
+
+/// A result document that cannot reach stdout is an I/O failure: exit 4
+/// with a typed error, never a panic. `/dev/full` fails every write with
+/// "no space left on device".
+#[test]
+fn a_full_stdout_exits_4_without_panicking() {
+    let full = Path::new("/dev/full");
+    if !full.exists() {
+        eprintln!("skipped: no /dev/full on this platform");
+        return;
+    }
+    let tag = "full_stdout";
+    let mut scenario = scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);
+    scenario.rounds = 60;
+    let scenario_path = write_scenario(tag, &scenario);
+    let trace = temp(tag, "trace.jsonl");
+    let (scenario_arg, trace_arg) = (scenario_path.to_str().unwrap(), trace.to_str().unwrap());
+    // The run records the trace that the replay then reads.
+    for argv in [
+        ["run", scenario_arg, "--quiet", "--record", trace_arg],
+        ["replay", trace_arg, "--quiet", "--shards", "2"],
+    ] {
+        let name = argv[0];
+        let output = lb()
+            .args(argv)
+            .stdout(std::fs::File::create(full).unwrap())
+            .output()
+            .expect("spawn lb");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(4), "{name}: {stderr}");
+        assert!(stderr.contains("error: writing stdout"), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    std::fs::remove_file(&scenario_path).ok();
+    std::fs::remove_file(&trace).ok();
+}

@@ -33,15 +33,10 @@ fn example_scenario_round_trips_through_json() {
 fn example_scenario_is_bit_identical_across_runs() {
     // `lb run examples/scenario_poisson.json --seed 42` twice: the rendered
     // result documents must agree byte for byte.
-    let scenario = load_example();
-    let a = Session::from_scenario(&scenario)
-        .seed(42)
-        .run(|_| {})
-        .expect("runs");
-    let b = Session::from_scenario(&scenario)
-        .seed(42)
-        .run(|_| {})
-        .expect("runs");
+    let mut scenario = load_example();
+    scenario.seed = 42;
+    let a = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
+    let b = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
     assert_eq!(
         a.to_json().render_pretty(),
         b.to_json().render_pretty(),
@@ -55,15 +50,11 @@ fn example_scenario_is_bit_identical_across_runs() {
 
 #[test]
 fn trajectories_differ_across_seeds() {
-    let scenario = load_example();
-    let a = Session::from_scenario(&scenario)
-        .seed(1)
-        .run(|_| {})
-        .expect("runs");
-    let b = Session::from_scenario(&scenario)
-        .seed(2)
-        .run(|_| {})
-        .expect("runs");
+    let mut scenario = load_example();
+    scenario.seed = 1;
+    let a = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
+    scenario.seed = 2;
+    let b = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
     assert_ne!(a.trajectory, b.trajectory);
 }
 
@@ -125,10 +116,10 @@ fn churn_scenarios_are_deterministic_for_both_algorithms() {
 
 #[test]
 fn streamed_samples_match_the_recorded_trajectory() {
-    let scenario = load_example();
+    let mut scenario = load_example();
+    scenario.seed = 42;
     let mut streamed: Vec<RoundSample> = Vec::new();
     let outcome = Session::from_scenario(&scenario)
-        .seed(42)
         .run(|s| streamed.push(s.clone()))
         .expect("runs");
     assert_eq!(streamed, outcome.trajectory);
@@ -142,11 +133,9 @@ fn sustained_load_keeps_discrepancy_in_the_od_regime() {
     // The headline property the dynamic workload class demonstrates: with
     // arrivals balanced by service capacity, the discrepancy does not drift
     // upward over time even though the workload never drains.
-    let scenario = load_example();
-    let outcome = Session::from_scenario(&scenario)
-        .seed(42)
-        .run(|_| {})
-        .expect("runs");
+    let mut scenario = load_example();
+    scenario.seed = 42;
+    let outcome = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
     let d = 8.0; // hypercube(256) has degree 8
     for sample in &outcome.trajectory {
         if sample.round >= scenario.rounds / 2 {

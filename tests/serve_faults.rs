@@ -162,13 +162,13 @@ fn reconnected_client_resumes_byte_identically_at_acceptance_shards() {
         let info = temp_path(&format!("reconnect_{shards}.addr.json"));
         let options = ServeOptions {
             clients: 2,
-            shards: Some(shards),
             reconnect_timeout: Duration::from_secs(10),
             listen_info: Some(info.clone()),
             ..ServeOptions::default()
         };
         let server = {
-            let scenario = scenario.clone();
+            let mut scenario = scenario.clone();
+            scenario.shards = shards;
             std::thread::spawn(move || serve(&scenario, &options, |_| {}))
         };
         let addr = wait_for_addr(&info);
