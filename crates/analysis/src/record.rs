@@ -1,8 +1,7 @@
 //! Machine-readable experiment records.
 //!
 //! Every experiment binary writes one [`ExperimentRecord`] as JSON under
-//! `target/experiments/`, so EXPERIMENTS.md can be regenerated and results
-//! can be diffed across runs. Serialisation goes through the in-repo
+//! `target/experiments/`, so results can be diffed across runs. Serialisation goes through the in-repo
 //! [`Json`](crate::json::Json) module (the workspace builds offline, without
 //! serde).
 
@@ -105,7 +104,8 @@ impl Measurement {
 /// measurements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
-    /// Experiment id from DESIGN.md (e.g. `"E1"`).
+    /// Experiment id (e.g. `"E1-table1"`; the index is in
+    /// `lb_bench::experiments`).
     pub id: String,
     /// The paper artefact being reproduced (e.g. `"Table 1"`).
     pub paper_artifact: String,

@@ -1,8 +1,8 @@
 //! Markdown table rendering for experiment reports.
 //!
 //! The experiment binaries print tables in the same layout as the paper's
-//! Tables 1 and 2 (algorithms as rows, graph classes as columns), so the
-//! EXPERIMENTS.md paper-vs-measured comparison can be read side by side.
+//! Tables 1 and 2 (algorithms as rows, graph classes as columns), so a
+//! measured table can be read side by side with the paper's.
 
 use std::fmt::Write as _;
 

@@ -3,7 +3,8 @@
 //! generation. These are the building blocks every experiment pays for, so
 //! their per-operation cost is tracked separately from the table-level
 //! benches. The remaining experiment artefacts (E5–E8) are also regenerated
-//! here in quick mode so `cargo bench` covers every artefact in DESIGN.md.
+//! here in quick mode so `cargo bench` covers every artefact in the
+//! `lb_bench::experiments` index.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lb_core::continuous::{ContinuousRunner, Fos, Sos};

@@ -1,6 +1,6 @@
 //! Criterion bench for experiment E3 (Theorem 3): prints the quick-mode bound
 //! check, then benchmarks Algorithm 1 with weighted tasks across the three
-//! task-picking policies (the DESIGN.md ablation).
+//! task-picking policies.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lb_core::continuous::Fos;

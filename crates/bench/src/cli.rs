@@ -19,8 +19,7 @@
 //! else.
 
 use crate::dynamic::{
-    checkpoint_plan, Producer, RoundSample, ScenarioOutcome, Session, DEFAULT_CHANNEL_CAPACITY,
-    MAX_MERGE_FEEDS,
+    checkpoint_plan, Producer, RoundSample, ScenarioOutcome, Session, MAX_MERGE_FEEDS,
 };
 use crate::error::BenchError;
 use crate::serve::{push_trace, serve, PushOptions, ServeOptions};
@@ -28,6 +27,7 @@ use lb_analysis::Json;
 use lb_core::snapshot::write_bytes_atomic;
 use lb_workloads::source::{DEFAULT_IDLE_TIMEOUT, DEFAULT_POLL_INTERVAL};
 use lb_workloads::{ReadSource, RoundSource, Scenario, TraceSource};
+use std::cell::RefCell;
 use std::fmt::Display;
 use std::fs;
 use std::io::Write;
@@ -452,22 +452,42 @@ impl<'a> Parsed<'a> {
 /// the process exit code: 0 on success, 1 on runtime failure or a failed
 /// check, 2 on usage errors, and the typed codes of [`BenchError`].
 pub fn dispatch(args: &[String]) -> i32 {
+    // The error report is best effort: with stderr itself failing there is
+    // nowhere left to say so, and the exit code still tells.
     let Some(command) = args.first() else {
-        eprint!("{USAGE}");
+        let _ = note(USAGE);
         return 2;
     };
     match run_command(command, &args[1..]) {
         Ok(passed) => i32::from(!passed),
         Err(CliError::Usage(message)) => {
-            eprintln!("error: {message}\n");
-            eprint!("{USAGE}");
+            let _ = note(&format!("error: {message}\n\n{USAGE}"));
             2
         }
         Err(CliError::Fail(err)) => {
-            eprintln!("error: {err}");
+            let _ = note(&format!("error: {err}\n"));
             err.exit_code()
         }
     }
+}
+
+/// Writes `text` to `stream` and flushes it. A failing stream (a full
+/// disk, a closed pipe) is an I/O failure, exit 4, never a panic.
+fn write_to(mut stream: impl Write, name: &str, text: &str) -> Result<(), BenchError> {
+    stream
+        .write_all(text.as_bytes())
+        .and_then(|()| stream.flush())
+        .map_err(|e| BenchError::io(format!("writing {name}: {e}")))
+}
+
+/// Writes a command's output to stdout.
+pub(crate) fn out(text: &str) -> Result<(), BenchError> {
+    write_to(std::io::stdout().lock(), "stdout", text)
+}
+
+/// Writes progress lines and notes to stderr.
+pub(crate) fn note(text: &str) -> Result<(), BenchError> {
+    write_to(std::io::stderr().lock(), "stderr", text)
 }
 
 /// A subcommand's entry point: the arguments after its name.
@@ -488,13 +508,13 @@ fn run_command(command: &str, rest: &[String]) -> Result<bool, CliError> {
         "bench-check" => return cmd_bench_check(rest),
         "lint" => return cmd_lint(rest),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            out(USAGE)?;
             return Ok(true);
         }
         name => {
             let run =
                 experiment_by_name(name).ok_or_else(|| format!("unknown command {name:?}"))?;
-            run(EXPERIMENT_FLAGS.parse(rest)?.has("--quick")).emit();
+            run(EXPERIMENT_FLAGS.parse(rest)?.has("--quick")).emit()?;
             return Ok(true);
         }
     };
@@ -554,6 +574,9 @@ struct RunArgs<'a> {
     checkpoint: Option<(PathBuf, usize)>,
     record: Option<PathBuf>,
     quiet: bool,
+    /// The first failed write of the sample stream; [`RunArgs::finish`]
+    /// turns it into the run's error.
+    sample_failure: RefCell<Option<BenchError>>,
 }
 
 impl<'a> RunArgs<'a> {
@@ -569,6 +592,7 @@ impl<'a> RunArgs<'a> {
             checkpoint,
             record: parsed.value("--record").map(PathBuf::from),
             quiet: parsed.has("--quiet"),
+            sample_failure: RefCell::new(None),
             parsed,
         })
     }
@@ -586,35 +610,43 @@ impl<'a> RunArgs<'a> {
         Ok(scenario)
     }
 
-    /// The per-sample stream on stderr, silenced by `--quiet`.
-    fn on_sample(&self) -> impl FnMut(&RoundSample) {
-        let quiet = self.quiet;
+    /// The per-sample stream on stderr, silenced by `--quiet`. The stream
+    /// stops at its first failed write, which fails the run in
+    /// [`RunArgs::finish`].
+    fn on_sample(&self) -> impl FnMut(&RoundSample) + '_ {
         move |sample| {
-            if !quiet {
-                eprintln!(
-                    "round {:>6}: n = {}, max_min = {:.2}, max_avg = {:.2}, real = {}, \
-                     dummy = {}, arrived = {}, completed = {}",
-                    sample.round,
-                    sample.nodes,
-                    sample.max_min,
-                    sample.max_avg,
-                    sample.real_weight,
-                    sample.dummy_load,
-                    sample.arrived_weight,
-                    sample.completed_weight,
-                );
+            let mut failure = self.sample_failure.borrow_mut();
+            if self.quiet || failure.is_some() {
+                return;
             }
+            *failure = note(&format!(
+                "round {:>6}: n = {}, max_min = {:.2}, max_avg = {:.2}, real = {}, \
+                 dummy = {}, arrived = {}, completed = {}\n",
+                sample.round,
+                sample.nodes,
+                sample.max_min,
+                sample.max_avg,
+                sample.real_weight,
+                sample.dummy_load,
+                sample.arrived_weight,
+                sample.completed_weight,
+            ))
+            .err();
         }
     }
 
     /// Publishes a finished run: notes the recorded trace, writes the
     /// `--ingest-stats` report, and emits the deterministic result document
     /// to stdout and `--out`. The file writes are atomic (temp + fsync +
-    /// rename), so a crash mid-emit never leaves a torn artefact; a failing
-    /// stdout is an I/O failure like any other.
+    /// rename), so a crash mid-emit never leaves a torn artefact. A failing
+    /// stdout or stderr is an I/O failure like any other, and a sample
+    /// stream that failed publishes nothing.
     fn finish(&self, outcome: &ScenarioOutcome) -> Result<(), BenchError> {
+        if let Some(err) = self.sample_failure.take() {
+            return Err(err);
+        }
         if let Some(trace) = &self.record {
-            eprintln!("(event trace recorded to {})", trace.display());
+            note(&format!("(event trace recorded to {})\n", trace.display()))?;
         }
         if let Some(path) = self.parsed.value("--ingest-stats") {
             // Sync runs produce an empty report, so the artefact shape is
@@ -627,20 +659,16 @@ impl<'a> RunArgs<'a> {
             });
             write_bytes_atomic(Path::new(path), stats.render_pretty().as_bytes())
                 .map_err(|e| BenchError::io(format!("writing {path}: {e}")))?;
-            eprintln!("(ingest stats written to {path})");
+            note(&format!("(ingest stats written to {path})\n"))?;
         }
         let rendered = outcome.to_json().render_pretty();
-        if let Some(out) = self.parsed.value("--out") {
-            write_bytes_atomic(Path::new(out), rendered.as_bytes())
-                .map_err(|e| BenchError::io(format!("writing {out}: {e}")))?;
-            eprintln!("(result written to {out})");
+        if let Some(path) = self.parsed.value("--out") {
+            write_bytes_atomic(Path::new(path), rendered.as_bytes())
+                .map_err(|e| BenchError::io(format!("writing {path}: {e}")))?;
+            note(&format!("(result written to {path})\n"))?;
         }
-        let mut stdout = std::io::stdout().lock();
-        stdout
-            .write_all(rendered.as_bytes())
-            .and_then(|()| stdout.write_all(b"\n"))
-            .and_then(|()| stdout.flush())
-            .map_err(|e| BenchError::io(format!("writing stdout: {e}")))
+        out(&rendered)?;
+        out("\n")
     }
 }
 
@@ -649,10 +677,7 @@ impl<'a> RunArgs<'a> {
 fn producer_option(value: Option<&str>) -> Result<Producer, String> {
     match value {
         None | Some("scenario") => Ok(Producer::Scenario),
-        Some("channel") => Ok(Producer::Merge {
-            feeds: 1,
-            capacity: DEFAULT_CHANNEL_CAPACITY,
-        }),
+        Some("channel") => Ok(Producer::Merge { feeds: 1 }),
         Some(mode) => {
             if let Some(feeds) = mode.strip_prefix("merge:") {
                 let feeds: usize = feeds
@@ -664,10 +689,7 @@ fn producer_option(value: Option<&str>) -> Result<Producer, String> {
                          got {feeds}"
                     ));
                 }
-                Ok(Producer::Merge {
-                    feeds,
-                    capacity: DEFAULT_CHANNEL_CAPACITY,
-                })
+                Ok(Producer::Merge { feeds })
             } else {
                 Err(format!(
                     "--producer: unknown mode {mode:?} (want scenario|channel|merge:<feeds>)"
@@ -923,10 +945,13 @@ fn cmd_serve_trace(args: &[String]) -> Result<(), CliError> {
         .map_err(BenchError::from_source)?;
     let report = push_trace(addr, source, &options)?;
     if let Some(round) = report.resumed_after {
-        eprintln!("(resumed feed {:?} after round {round})", options.feed);
+        note(&format!(
+            "(resumed feed {:?} after round {round})\n",
+            options.feed
+        ))?;
     }
-    eprintln!(
-        "(pushed {} round record(s) as feed {:?}{})",
+    note(&format!(
+        "(pushed {} round record(s) as feed {:?}{})\n",
         report.rounds_sent,
         options.feed,
         if report.aborted {
@@ -934,7 +959,7 @@ fn cmd_serve_trace(args: &[String]) -> Result<(), CliError> {
         } else {
             ""
         }
-    );
+    ))?;
     Ok(())
 }
 
@@ -966,8 +991,7 @@ fn serve_trace_lines(path: &str, out: Option<&str>, delay: Duration) -> Result<(
             .map_err(|e| BenchError::io(format!("serving trace: {e}")))?;
         served += 1;
     }
-    eprintln!("(served {served} line(s))");
-    Ok(())
+    note(&format!("(served {served} line(s))\n"))
 }
 
 /// Recursively collects every gated throughput leaf of a baseline document
@@ -1050,56 +1074,59 @@ fn gate_unit(path: &str) -> &'static str {
 /// allowance. Every failure past argument parsing is a runtime error.
 fn cmd_bench_check(args: &[String]) -> Result<bool, CliError> {
     let parsed = BENCH_CHECK_FLAGS.parse(args)?;
-    bench_check(&parsed).map_err(|err| BenchError::run(err).into())
+    Ok(bench_check(&parsed)?)
 }
 
-fn bench_check(parsed: &Parsed<'_>) -> Result<bool, String> {
+fn bench_check(parsed: &Parsed<'_>) -> Result<bool, BenchError> {
     let baseline_path = parsed.value("--baseline").unwrap_or("BENCH_baseline.json");
     let current_path = parsed.value("--current").unwrap_or("BENCH_hotpath.json");
-    let max_regression: f64 = match parsed.parse("--max-regression")? {
+    let max_regression: f64 = match parsed.parse("--max-regression").map_err(BenchError::run)? {
         Some(pct) => pct,
         None => match std::env::var("LB_BENCH_MAX_REGRESSION") {
             Ok(v) => v
                 .parse()
-                .map_err(|e| format!("LB_BENCH_MAX_REGRESSION: {e}"))?,
+                .map_err(|e| BenchError::run(format!("LB_BENCH_MAX_REGRESSION: {e}")))?,
             Err(_) => 25.0,
         },
     };
     if !(0.0..100.0).contains(&max_regression) {
-        return Err(format!(
+        return Err(BenchError::run(format!(
             "--max-regression must be in [0, 100), got {max_regression}"
-        ));
+        )));
     }
 
-    let read = |path: &str| -> Result<Json, String> {
-        let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    let read = |path: &str| -> Result<Json, BenchError> {
+        let text = fs::read_to_string(path)
+            .map_err(|e| BenchError::run(format!("reading {path}: {e}")))?;
+        Json::parse(&text).map_err(|e| BenchError::run(format!("{path}: {e}")))
     };
     let baseline_doc = read(baseline_path)?;
     let current_doc = read(current_path)?;
     let mut gated = Vec::new();
     gated_metrics(&baseline_doc, "", &mut gated);
     if !gated.iter().any(|(path, _)| path == "rounds_per_sec") {
-        return Err(format!("{baseline_path}: no rounds_per_sec field"));
+        return Err(BenchError::run(format!(
+            "{baseline_path}: no rounds_per_sec field"
+        )));
     }
 
-    let gate = |label: &str, unit: &str, baseline: f64, current: f64| -> bool {
+    let gate = |label: &str, unit: &str, baseline: f64, current: f64| -> Result<bool, BenchError> {
         let floor = baseline * (1.0 - max_regression / 100.0);
         let change = (current / baseline - 1.0) * 100.0;
-        println!(
+        out(&format!(
             "bench-check [{label}]: baseline {baseline:.1} {unit}, current \
              {current:.1} {unit} ({change:+.1}%), allowed regression \
-             {max_regression}% (floor {floor:.1})"
-        );
+             {max_regression}% (floor {floor:.1})\n"
+        ))?;
         if current < floor {
-            println!(
+            out(&format!(
                 "bench-check [{label}]: FAIL — {unit} regressed more than \
-                 {max_regression}% below the committed baseline"
-            );
-            false
+                 {max_regression}% below the committed baseline\n"
+            ))?;
+            Ok(false)
         } else {
-            println!("bench-check [{label}]: OK");
-            true
+            out(&format!("bench-check [{label}]: OK\n"))?;
+            Ok(true)
         }
     };
 
@@ -1113,18 +1140,22 @@ fn bench_check(parsed: &Parsed<'_>) -> Result<bool, String> {
         let label = gate_label(path);
         if *baseline <= 0.0 {
             if path == "rounds_per_sec" {
-                return Err(format!("{baseline_path}: rounds_per_sec must be positive"));
+                return Err(BenchError::run(format!(
+                    "{baseline_path}: rounds_per_sec must be positive"
+                )));
             }
-            println!("bench-check [{label}]: non-positive baseline entry, skipped");
+            out(&format!(
+                "bench-check [{label}]: non-positive baseline entry, skipped\n"
+            ))?;
             continue;
         }
         let current = metric_at(&current_doc, path).ok_or_else(|| {
-            format!(
+            BenchError::run(format!(
                 "{current_path}: missing gated metric {path} (present in \
                  {baseline_path}; re-baseline if the entry was renamed or retired)"
-            )
+            ))
         })?;
-        ok &= gate(label, gate_unit(path), *baseline, current);
+        ok &= gate(label, gate_unit(path), *baseline, current)?;
     }
     Ok(ok)
 }
@@ -1155,17 +1186,17 @@ fn cmd_lint(args: &[String]) -> Result<bool, CliError> {
     }
     .map_err(to_bench_error)?;
     match format {
-        "json" => println!("{}", lb_lint::report_json(&findings).render()),
+        "json" => out(&format!("{}\n", lb_lint::report_json(&findings).render()))?,
         _ => {
             for finding in &findings {
-                println!("{}", finding.human());
+                out(&format!("{}\n", finding.human()))?;
             }
             let label = if findings.len() == 1 {
                 "finding"
             } else {
                 "findings"
             };
-            eprintln!("lint: {} {label}", findings.len());
+            note(&format!("lint: {} {label}\n", findings.len()))?;
         }
     }
     Ok(findings.is_empty())
@@ -1264,18 +1295,12 @@ mod tests {
         );
         assert_eq!(
             producer_option(Some("channel")).unwrap(),
-            Producer::Merge {
-                feeds: 1,
-                capacity: DEFAULT_CHANNEL_CAPACITY
-            },
+            Producer::Merge { feeds: 1 },
             "channel is the one-feed merge"
         );
         assert_eq!(
             producer_option(Some("merge:3")).unwrap(),
-            Producer::Merge {
-                feeds: 3,
-                capacity: DEFAULT_CHANNEL_CAPACITY
-            }
+            Producer::Merge { feeds: 3 }
         );
         assert!(producer_option(Some("merge:0")).is_err());
         assert!(producer_option(Some("merge:65")).is_err());

@@ -13,7 +13,7 @@
 //! trace or live byte stream ([`Session::from_stream`]) or a checkpoint
 //! snapshot ([`Session::from_snapshot`]); layer on side outputs and the
 //! event feed (`.shards()`, `.producer()`, `.record()`, `.checkpoint()`,
-//! `.stream()`, `.merged()`); then [`Session::run`]. Failures come back as
+//! `.merged()`); then [`Session::run`]. Failures come back as
 //! the typed [`crate::error::BenchError`]. A federated run calls the two
 //! roles of [`crate::federate`] directly, which reuse this module's world,
 //! churn cursor and sampling.
@@ -24,9 +24,12 @@
 //! generic in both, which builds the engine once (a resume builds it on the
 //! capture epoch, with no initial placement) and calls it directly.
 //!
-//! Events can reach the engine four ways, all bit-identical for the same
-//! scenario and seed (`tests/ingest_equivalence.rs`,
-//! `tests/merge_equivalence.rs`, `tests/serve_faults.rs`):
+//! Events come from four feeds, all bit-identical for the same scenario
+//! and seed (`tests/ingest_equivalence.rs`, `tests/merge_equivalence.rs`,
+//! `tests/serve_faults.rs`). Whatever the feed, a batch reaches the engine
+//! one way: before round `r` the driver fills its one reused
+//! [`RoundEvents`] with round `r`'s batch, records it if asked, and hands
+//! it to [`DynamicBalancer::apply_events`].
 //!
 //! * **sync** ([`Producer::Scenario`]) — the driver materialises each
 //!   round's batch inline from the scenario's event stream;
@@ -61,11 +64,7 @@
 //! shard count (resume overrides the executor, never the recorded scenario,
 //! so a snapshot doubles as a migration unit), through any producer mode,
 //! and with `--record` still producing the complete trace (the drained
-//! prefix is re-recorded). [`Session::stream`] on a snapshot session does
-//! the same for byte-stream feeds and composes with
-//! [`lb_workloads::TraceSource`] checkpoints: a source resumed past the
-//! applied prefix simply yields empty batches for the fast-forwarded
-//! rounds.
+//! prefix is re-recorded).
 
 use lb_analysis::Json;
 use lb_core::continuous::{ContinuousProcess, Fos, Sos};
@@ -348,17 +347,16 @@ pub enum Producer {
     /// between rounds. Coalescing in feed index order reconstructs each
     /// batch exactly, so results stay byte-identical to the sync path. One
     /// feed is the single-channel path (the CLI's `--producer channel`).
+    /// Every feed's channel holds [`DEFAULT_CHANNEL_CAPACITY`] batches.
     Merge {
         /// Number of producer feeds (1..=[`MAX_MERGE_FEEDS`]).
         feeds: usize,
-        /// Per-feed channel capacity: the most in-flight batches, i.e. how
-        /// far a producer may run ahead of the engine.
-        capacity: usize,
     },
 }
 
-/// Default channel capacity for the CLI's producer modes and for
-/// trace/stream replay sessions.
+/// Channel capacity of every driver-owned feed (producer modes and
+/// trace/stream replay): the most in-flight batches, i.e. how far a
+/// producer may run ahead of the engine.
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 32;
 
 /// Upper bound on [`Producer::Merge`] feeds: each feed is an OS thread, so
@@ -749,12 +747,11 @@ fn spawn_merge_producers(
     schedule: &[(usize, usize)],
     rounds: usize,
     feeds: usize,
-    capacity: usize,
 ) -> EventSource {
     let mut consumers = Vec::with_capacity(feeds);
     let mut handles = Vec::with_capacity(feeds);
     for feed in 0..feeds {
-        let (mut tx, rx) = ingest::bounded(capacity);
+        let (mut tx, rx) = ingest::bounded(DEFAULT_CHANNEL_CAPACITY);
         consumers.push(rx);
         let mut stream = stream.clone();
         let mut speeds = speeds.clone();
@@ -802,12 +799,12 @@ fn spawn_merge_producers(
 /// production early (the engine sees an event-free remainder and the run
 /// completes) and then surfaces as the run's error when the driver joins
 /// the thread.
-fn spawn_source_producer(mut source: Box<dyn RoundSource>, capacity: usize) -> EventSource {
-    let (mut tx, rx) = ingest::bounded(capacity);
+fn spawn_source_producer(mut source: Box<dyn RoundSource>) -> EventSource {
+    let (mut tx, rx) = ingest::bounded(DEFAULT_CHANNEL_CAPACITY);
     let handle = std::thread::spawn(move || {
         let mut spare: Option<RoundEvents> = None;
         loop {
-            // Deliberately no `tx.is_disconnected()` fast-exit here: the
+            // Deliberately no fast exit once the consumer hangs up: the
             // engine finishing first must not mask a source fault — a torn
             // tail discovered after the last consumed round still has to
             // surface as this run's error (tests/ingest_faults.rs), and the
@@ -853,7 +850,7 @@ enum Origin {
 /// # let scenario: lb_workloads::Scenario = unimplemented!();
 /// let outcome = Session::from_scenario(&scenario)
 ///     .shards(4)
-///     .producer(Producer::Merge { feeds: 2, capacity: 8 })
+///     .producer(Producer::Merge { feeds: 2 })
 ///     .record(PathBuf::from("run.trace.jsonl"))
 ///     .run(|_| {})?;
 /// # Ok::<(), lb_bench::error::BenchError>(())
@@ -917,8 +914,6 @@ impl Session {
     /// [`Session::checkpoint`] keeps checkpointing the resumed run. The
     /// streaming callback only sees samples taken after the resume point —
     /// the restored prefix is already in the outcome's trajectory.
-    /// [`Session::stream`] resumes a byte-stream replay instead of the
-    /// scenario generator.
     pub fn from_snapshot(snapshot: Snapshot) -> Self {
         Session {
             origin: Origin::Snapshot(Box::new(snapshot)),
@@ -972,19 +967,6 @@ impl Session {
         self
     }
 
-    /// Feeds the run from a live byte-stream source instead of the
-    /// scenario generator. On a snapshot session this resumes a byte-stream
-    /// replay; it composes with [`lb_workloads::TraceSource`] checkpoints —
-    /// a source resumed past the already-applied trace prefix simply yields
-    /// empty batches for the fast-forwarded rounds, so the skipped records
-    /// are never re-read (a source replaying from the top works too: the
-    /// prefix is drained and discarded). The source's embedded scenario
-    /// must equal the session's.
-    pub fn stream(mut self, source: Box<dyn RoundSource>) -> Self {
-        self.feed = Feed::Source(source);
-        self
-    }
-
     /// Feeds the run from an externally built [`MergeSession`] whose
     /// producers live outside the driver — e.g. the socket connections of
     /// [`crate::serve`], registered on the fly through a
@@ -1023,7 +1005,7 @@ impl Session {
         let checkpoint = checkpoint_plan(options.checkpoint.as_deref(), options.checkpoint_every)?;
         match options.producer {
             Producer::Scenario => {}
-            Producer::Merge { feeds, .. } if feeds == 0 || feeds > MAX_MERGE_FEEDS => {
+            Producer::Merge { feeds } if feeds == 0 || feeds > MAX_MERGE_FEEDS => {
                 return Err(BenchError::usage(format!(
                     "merge feeds must be in 1..={MAX_MERGE_FEEDS}, got {feeds}"
                 )));
@@ -1039,16 +1021,6 @@ impl Session {
         let (scenario, resume) = match origin {
             Origin::Scenario(scenario) => {
                 let mut scenario = *scenario;
-                // A stream attached to a scenario session must agree with
-                // it before the shard override, which is result-neutral and
-                // deliberately exempt.
-                if let Feed::Source(source) = &feed {
-                    if source.scenario() != &scenario {
-                        return Err(BenchError::protocol(
-                            "the source embeds a different scenario than this session",
-                        ));
-                    }
-                }
                 if let Some(shards) = options.shards {
                     scenario.shards = shards;
                 }
@@ -1057,14 +1029,6 @@ impl Session {
             }
             Origin::Snapshot(snapshot) => {
                 let (scenario, resume) = ResumePoint::decode(*snapshot, options.shards)?;
-                if let Feed::Source(source) = &feed {
-                    if source.scenario() != &scenario {
-                        return Err(BenchError::protocol(
-                            "snapshot does not match this replay: the source embeds a \
-                             different scenario",
-                        ));
-                    }
-                }
                 (scenario, Some(resume))
             }
         };
@@ -1380,9 +1344,7 @@ fn execute<A: Model, R: Algorithm>(
     // follows the node counts alone.
     let mut churn = ChurnCursor::new(world, &scenario.churn)?;
     let mut source = match feed {
-        Feed::Source(stream_source) => {
-            spawn_source_producer(stream_source, DEFAULT_CHANNEL_CAPACITY)
-        }
+        Feed::Source(stream_source) => spawn_source_producer(stream_source),
         Feed::Merge(session) => EventSource::Merge {
             session,
             producers: Vec::new(),
@@ -1391,13 +1353,12 @@ fn execute<A: Model, R: Algorithm>(
             let stream = ScenarioEvents::new(&scenario, &world.speeds, world.first_task_id);
             match options.producer {
                 Producer::Scenario => EventSource::Sync(stream),
-                Producer::Merge { feeds, capacity } => spawn_merge_producers(
+                Producer::Merge { feeds } => spawn_merge_producers(
                     stream,
                     &world.speeds,
                     &churn.node_counts(),
                     scenario.rounds,
                     feeds,
-                    capacity,
                 ),
             }
         }
@@ -1882,21 +1843,18 @@ mod tests {
             },
         ];
         let sync = Session::from_scenario(&scenario).run(|_| {}).unwrap();
-        for capacity in [1, 4] {
-            let channel = Session::from_scenario(&scenario)
-                .producer(Producer::Merge { feeds: 1, capacity })
-                .run(|_| {})
-                .unwrap();
-            assert_eq!(
-                sync.to_json().render_pretty(),
-                channel.to_json().render_pretty(),
-                "capacity {capacity}"
-            );
-            let stats = channel.ingest.expect("channel runs report ingest stats");
-            assert_eq!(stats.get("producer").and_then(Json::as_str), Some("merge"));
-            let reported = stats.get("feeds").and_then(Json::as_array).unwrap();
-            assert_eq!(reported.len(), 1, "channel is the one-feed merge");
-        }
+        let channel = Session::from_scenario(&scenario)
+            .producer(Producer::Merge { feeds: 1 })
+            .run(|_| {})
+            .unwrap();
+        assert_eq!(
+            sync.to_json().render_pretty(),
+            channel.to_json().render_pretty()
+        );
+        let stats = channel.ingest.expect("channel runs report ingest stats");
+        assert_eq!(stats.get("producer").and_then(Json::as_str), Some("merge"));
+        let reported = stats.get("feeds").and_then(Json::as_array).unwrap();
+        assert_eq!(reported.len(), 1, "channel is the one-feed merge");
     }
 
     #[test]
@@ -1921,15 +1879,15 @@ mod tests {
         ];
         let sync = Session::from_scenario(&scenario).run(|_| {}).unwrap();
         assert!(sync.ingest.is_none(), "sync runs carry no ingest report");
-        for (feeds, capacity) in [(1usize, 2usize), (2, 2), (4, 2)] {
+        for feeds in [1, 2, 4] {
             let merged = Session::from_scenario(&scenario)
-                .producer(Producer::Merge { feeds, capacity })
+                .producer(Producer::Merge { feeds })
                 .run(|_| {})
                 .unwrap();
             assert_eq!(
                 sync.to_json().render_pretty(),
                 merged.to_json().render_pretty(),
-                "feeds {feeds}, capacity {capacity}"
+                "feeds {feeds}"
             );
             let stats = merged.ingest.expect("merged runs report ingest stats");
             assert_eq!(stats.get("producer").and_then(Json::as_str), Some("merge"));
@@ -1953,7 +1911,7 @@ mod tests {
         for scenario in [poisson_scenario(), unbuildable] {
             for feeds in [0usize, super::MAX_MERGE_FEEDS + 1] {
                 let err = Session::from_scenario(&scenario)
-                    .producer(Producer::Merge { feeds, capacity: 2 })
+                    .producer(Producer::Merge { feeds })
                     .run(|_| {})
                     .unwrap_err();
                 assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
@@ -1969,14 +1927,9 @@ mod tests {
             .record(path.clone())
             .run(|_| {})
             .unwrap();
-        let one_feed = Producer::Merge {
-            feeds: 1,
-            capacity: DEFAULT_CHANNEL_CAPACITY,
-        };
-        let trace = || Box::new(TraceSource::open(&path).unwrap());
+        let one_feed = Producer::Merge { feeds: 1 };
         for session in [
-            Session::from_stream(trace()),
-            Session::from_scenario(&scenario).stream(trace()),
+            Session::from_stream(Box::new(TraceSource::open(&path).unwrap())),
             Session::from_scenario(&scenario).merged(MergeSession::new(Vec::new())),
         ] {
             let err = session.producer(one_feed).run(|_| {}).unwrap_err();
@@ -2420,30 +2373,9 @@ mod tests {
         let scenario = churned_scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);
         let (outcome, snap25, snap50) = run_with_checkpoints(&scenario, "producers");
         for (snap, producer, label) in [
-            (
-                &snap25,
-                Producer::Merge {
-                    feeds: 1,
-                    capacity: 2,
-                },
-                "channel@25",
-            ),
-            (
-                &snap50,
-                Producer::Merge {
-                    feeds: 1,
-                    capacity: 1,
-                },
-                "channel@50",
-            ),
-            (
-                &snap25,
-                Producer::Merge {
-                    feeds: 3,
-                    capacity: 2,
-                },
-                "merge@25",
-            ),
+            (&snap25, Producer::Merge { feeds: 1 }, "channel@25"),
+            (&snap50, Producer::Merge { feeds: 1 }, "channel@50"),
+            (&snap25, Producer::Merge { feeds: 3 }, "merge@25"),
         ] {
             let resumed = Session::from_snapshot(snap.clone())
                 .producer(producer)
@@ -2537,81 +2469,5 @@ mod tests {
             assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
             assert!(err.to_string().contains(expect), "{err}");
         }
-    }
-
-    #[test]
-    fn resume_replay_composes_with_trace_checkpoints() {
-        use lb_workloads::source::DEFAULT_POLL_INTERVAL;
-        use std::time::Duration;
-
-        let scenario = churned_scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);
-        let dir = std::env::temp_dir();
-        let trace_path = dir.join("lb_resume_trace_ckpt.trace.jsonl");
-        let rotating = dir.join("lb_resume_trace_ckpt.snap.jsonl");
-
-        // One recorded, checkpointed run: the trace and the snapshot come
-        // from the same execution, so they embed the same scenario.
-        let reference = Session::from_scenario(&scenario)
-            .record(trace_path.clone())
-            .checkpoint(rotating.clone(), 25)
-            .run(|_| {})
-            .unwrap();
-        let mut early: Option<Snapshot> = None;
-        // Re-harvest the round-25 snapshot from a second identical run (the
-        // first one's rotating file now holds round 50).
-        Session::from_scenario(&scenario)
-            .checkpoint(rotating.clone(), 25)
-            .run(|sample| {
-                if sample.round == 40 && early.is_none() {
-                    early = Some(snapshot::load(&rotating).unwrap());
-                }
-            })
-            .unwrap();
-        let snap25 = early.expect("round-25 snapshot harvested");
-        assert_eq!(snap25.round, 25);
-
-        // Full replay from the top: the pre-resume prefix is drained and
-        // discarded.
-        let source = TraceSource::open(&trace_path).unwrap();
-        let resumed = Session::from_snapshot(snap25.clone())
-            .stream(Box::new(source))
-            .run(|_| {})
-            .unwrap();
-        assert_eq!(resumed.trajectory, reference.trajectory);
-
-        // Checkpoint-composed replay: walk the source up to the resume
-        // round, take its checkpoint, reopen there — the already-applied
-        // records are never re-read, and the drained prefix rounds come
-        // back empty. Byte-identical, at a different shard count.
-        let mut walker = TraceSource::open(&trace_path).unwrap();
-        let carried = walker.scenario().clone();
-        let mut batch = RoundEvents::default();
-        let boundary = loop {
-            let at = walker.checkpoint();
-            match walker.next_round(&mut batch).unwrap() {
-                Some(round) if (round as usize) < snap25.round as usize => continue,
-                _ => break at,
-            }
-        };
-        let source = TraceSource::resume(
-            &trace_path,
-            carried,
-            boundary,
-            Duration::from_millis(2_000),
-            DEFAULT_POLL_INTERVAL,
-        )
-        .unwrap();
-        let resumed = Session::from_snapshot(snap25)
-            .stream(Box::new(source))
-            .shards(2)
-            .run(|_| {})
-            .unwrap();
-        assert_eq!(
-            resumed.to_json().render_pretty(),
-            reference.to_json().render_pretty()
-        );
-
-        std::fs::remove_file(&trace_path).ok();
-        std::fs::remove_file(&rotating).ok();
     }
 }

@@ -1,10 +1,21 @@
-//! One module per reproduced paper artefact (see the per-experiment index in
-//! DESIGN.md).
+//! One module per reproduced paper artefact.
+//!
+//! | id | `lb` subcommand | paper artefact |
+//! |---|---|---|
+//! | E1 | `table1` | Table 1 (diffusion, FOS model) |
+//! | E2 | `table2` | Table 2 (matching models) |
+//! | E3 | `theorem3` | Theorem 3 (Algorithm 1, weighted tasks) |
+//! | E4 | `theorem8` | Theorem 8 (Algorithm 2) |
+//! | E5 | `trajectory` | flow-imitation shadowing series |
+//! | E6 | `heterogeneous` | general model (speeds and weighted tasks) |
+//! | E7 | `dummy_ablation` | Lemma 7 / Theorem 3(2) dummy-token ablation |
+//! | E8 | `fos_vs_sos` | Section 2.1, FOS vs SOS convergence |
+//! | E9 | `dynamic_arrivals` | beyond the paper: sustained load |
 //!
 //! Every experiment exposes `run(quick) -> ExperimentReport`; `quick = true`
 //! shrinks sizes and repeat counts so the same code path can be exercised by
-//! unit tests and Criterion benches, while the experiment binaries run the
-//! full configuration and write the JSON record used by EXPERIMENTS.md.
+//! unit tests and Criterion benches, while `lb <subcommand>` runs the full
+//! configuration and writes the JSON record under `target/experiments/`.
 
 pub mod dummy_ablation;
 pub mod dynamic_arrivals;
@@ -16,8 +27,9 @@ pub mod theorem3;
 pub mod theorem8;
 pub mod trajectory;
 
+use crate::cli::{note, out};
+use crate::error::BenchError;
 use lb_analysis::ExperimentRecord;
-use std::path::PathBuf;
 
 /// The rendered output of one experiment.
 #[derive(Debug, Clone)]
@@ -30,19 +42,15 @@ pub struct ExperimentReport {
 
 impl ExperimentReport {
     /// Prints the Markdown report and writes the JSON record to
-    /// `target/experiments/`, returning the path written (if the write
-    /// succeeded).
-    pub fn emit(&self) -> Option<PathBuf> {
-        println!("{}", self.markdown);
+    /// `target/experiments/`. A record that cannot be written is a warning;
+    /// a failing stdout or stderr is an I/O failure.
+    pub fn emit(&self) -> Result<(), BenchError> {
+        out(&format!("{}\n", self.markdown))?;
         match self.record.write_to_dir("target/experiments") {
-            Ok(path) => {
-                println!("(record written to {})", path.display());
-                Some(path)
-            }
-            Err(err) => {
-                eprintln!("warning: could not write experiment record: {err}");
-                None
-            }
+            Ok(path) => out(&format!("(record written to {})\n", path.display())),
+            Err(err) => note(&format!(
+                "warning: could not write experiment record: {err}\n"
+            )),
         }
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! * [`harness`] — graph classes, continuous models, discretizers and a
 //!   uniform way to build and run any combination of them.
-//! * [`experiments`] — one module per reproduced artefact (see the
-//!   per-experiment index in DESIGN.md); each has a `run(quick)` entry point.
+//! * [`experiments`] — one module per reproduced artefact (the module docs
+//!   index them by id and `lb` subcommand); each has a `run(quick)` entry
+//!   point.
 //! * [`dynamic`] — the scenario driver: binds a JSON
 //!   [`Scenario`](lb_workloads::Scenario) (arrivals, completions, churn) to a
 //!   dynamic flow-imitation engine with deterministic, streamable results.

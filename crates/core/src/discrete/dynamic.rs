@@ -77,16 +77,6 @@ pub struct EventReport {
     pub completed_weight: u64,
 }
 
-impl EventReport {
-    /// Accumulates another report into this one (for per-run totals).
-    pub fn absorb(&mut self, other: EventReport) {
-        self.arrived_tasks += other.arrived_tasks;
-        self.arrived_weight += other.arrived_weight;
-        self.completed_tasks += other.completed_tasks;
-        self.completed_weight += other.completed_weight;
-    }
-}
-
 /// A discrete balancer that supports dynamic workloads: task arrivals and
 /// completions applied between rounds.
 ///

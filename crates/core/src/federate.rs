@@ -73,6 +73,21 @@ pub struct FederationPlan {
     incident: Vec<EdgeId>,
 }
 
+/// Rank `part` of `parts`: at least one part, and the rank in range.
+fn check_rank(part: usize, parts: usize) -> Result<(), CoreError> {
+    if parts == 0 {
+        return Err(CoreError::invalid_parameter(
+            "federation needs at least one part",
+        ));
+    }
+    if part >= parts {
+        return Err(CoreError::invalid_parameter(format!(
+            "federation rank {part} is out of range for {parts} part(s)"
+        )));
+    }
+    Ok(())
+}
+
 impl FederationPlan {
     /// Builds the plan for `graph` partitioned into `parts` parts, viewed
     /// from part `part`.
@@ -82,16 +97,7 @@ impl FederationPlan {
     /// Returns [`CoreError::InvalidParameter`] when `parts` is zero or
     /// `part` is out of range.
     pub fn new(graph: &Graph, part: usize, parts: usize) -> Result<Self, CoreError> {
-        if parts == 0 {
-            return Err(CoreError::invalid_parameter(
-                "federation needs at least one part",
-            ));
-        }
-        if part >= parts {
-            return Err(CoreError::invalid_parameter(format!(
-                "federation rank {part} is out of range for {parts} part(s)"
-            )));
-        }
+        check_rank(part, parts)?;
         let (node_bounds, edge_bounds) = edge_balanced_bounds(parts, graph);
         let own = node_bounds[part]..node_bounds[part + 1];
         let mut boundary_mark = vec![false; own.len()];
@@ -127,6 +133,19 @@ impl FederationPlan {
             crossing,
             incident,
         })
+    }
+
+    /// The placeholder plan of rank `part` of `parts` before any graph is
+    /// bound: every bound zero, no boundary, crossing or incident edges.
+    fn empty(part: usize, parts: usize) -> Self {
+        FederationPlan {
+            part,
+            node_bounds: vec![0; parts + 1],
+            edge_bounds: vec![0; parts + 1],
+            boundary: Vec::new(),
+            crossing: Vec::new(),
+            incident: Vec::new(),
+        }
     }
 
     /// This part's rank.
@@ -310,26 +329,10 @@ impl FederatedExecutor {
     /// Returns [`CoreError::InvalidParameter`] when `parts` is zero or
     /// `part` is out of range.
     pub fn new(part: usize, parts: usize, shards: usize) -> Result<Self, CoreError> {
-        if parts == 0 {
-            return Err(CoreError::invalid_parameter(
-                "federation needs at least one part",
-            ));
-        }
-        if part >= parts {
-            return Err(CoreError::invalid_parameter(format!(
-                "federation rank {part} is out of range for {parts} part(s)"
-            )));
-        }
+        check_rank(part, parts)?;
         let shards = shards.max(1);
         Ok(FederatedExecutor {
-            plan: FederationPlan {
-                part,
-                node_bounds: vec![0; parts + 1],
-                edge_bounds: vec![0; parts + 1],
-                boundary: Vec::new(),
-                crossing: Vec::new(),
-                incident: Vec::new(),
-            },
+            plan: FederationPlan::empty(part, parts),
             pool: ShardPool::new(shards - 1),
             shards,
             part,

@@ -1,5 +1,5 @@
-//! Async event ingestion: a bounded SPSC channel feeding [`RoundEvents`]
-//! batches from an external producer thread into a [`DynamicBalancer`].
+//! Async event ingestion: a bounded SPSC channel carrying [`RoundEvents`]
+//! batches from an external producer thread to the engine's thread.
 //!
 //! The synchronous scenario path materialises each round's events in the
 //! driver loop itself. This module decouples the two halves so a producer —
@@ -12,11 +12,20 @@
 //! ───────────────                         ────────────────────────
 //! buffer()  ── recycled RoundEvents ◄──┐
 //! fill batch for round r               │
-//! send(r, batch)  ──► bounded queue ──►│ IngestSession::apply_round(r)
-//! (blocks when full)                   │   · applies the batch between
-//!                                      │     rounds, then recycles it
-//!                                      └── · engine.step() stays zero-alloc
+//! send(r, batch)  ──► bounded queue ──►│ IngestSession::fill_round(r, out)
+//! (blocks when full)                   │   · copies the batch into the
+//!                                      │     driver's reused `out`, then
+//!                                      │     recycles the channel buffer
+//!                                      │ engine.apply_events(&out)
+//!                                      └── engine.step() stays zero-alloc
 //! ```
+//!
+//! A batch reaches an engine one way: the driver fills its one reused
+//! [`RoundEvents`] for round `r` (from this channel, a
+//! [`merge::MergeSession`] or inline generation), then hands it to
+//! [`DynamicBalancer::apply_events`](crate::discrete::DynamicBalancer::apply_events)
+//! before round `r` executes. The driver sees every batch before the
+//! engine does, so it can record it to a trace on the way.
 //!
 //! # Protocol
 //!
@@ -42,8 +51,9 @@
 //! [`EventProducer::buffer`]. The pool starts with one buffer per batch
 //! that can be in flight (`capacity + 2`) and hands them out first-in
 //! first-out, so warm-up rounds grow every one of them. Once every buffer
-//! in circulation has grown to the working batch size, a steady-state round — receive, apply, recycle,
-//! step — performs **no heap allocations on either thread**: the queue and
+//! in circulation, and the driver's own batch, has grown to the working
+//! batch size, a steady-state round — receive, fill, recycle, apply, step
+//! — performs **no heap allocations on either thread**: the queue and
 //! spare pool are pre-sized rings, and blocking uses condvars, not
 //! allocation. Only the event application itself may touch the heap (queues
 //! growing under net load), exactly as on the synchronous path;
@@ -52,13 +62,13 @@
 //! # Determinism
 //!
 //! The channel changes *where* batches are produced, never *what* they
-//! contain or *when* they are applied: [`IngestSession::apply_round`] applies
-//! the batch for round `r` before round `r` executes, exactly where the
-//! synchronous driver applies it. For the same event stream the sync path
-//! and the channel path are therefore bit-identical
-//! (`tests/ingest_equivalence.rs`).
+//! contain or *when* they are applied: [`IngestSession::fill_round`] hands
+//! over the batch for round `r` before round `r` executes, and the driver
+//! applies it there, exactly as it applies an inline batch. For the same
+//! event stream the sync path and the channel path are therefore
+//! bit-identical (`tests/ingest_equivalence.rs`).
 
-use crate::discrete::{DynamicBalancer, EventReport, RoundEvents};
+use crate::discrete::RoundEvents;
 use crate::error::CoreError;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -228,17 +238,6 @@ impl EventProducer {
         }
     }
 
-    /// Whether the consumer half has been dropped — every further
-    /// [`send`](EventProducer::send) would fail with [`Disconnected`].
-    /// Lets an external polling producer (e.g. a socket accept loop waiting
-    /// for traffic) notice the engine hung up without having a batch ready
-    /// to send. The trace-replay driver deliberately does *not* use it:
-    /// bailing on disconnect would race the end of the run against a
-    /// source's truncation error and could mask the fault.
-    pub fn is_disconnected(&self) -> bool {
-        self.shared.state.lock().expect("ingest lock").consumer_gone
-    }
-
     /// A snapshot of the channel's backpressure counters.
     pub fn metrics(&self) -> ChannelMetrics {
         self.shared.state.lock().expect("ingest lock").metrics
@@ -315,7 +314,7 @@ fn violation(feed: Option<usize>, what: std::fmt::Arguments<'_>) -> CoreError {
 }
 
 /// Consumer-side round sequencer: pulls round-tagged batches off an
-/// [`EventConsumer`] and hands each one to the engine **between** rounds,
+/// [`EventConsumer`] and hands each one to the driver **between** rounds,
 /// holding batches for future rounds until their round comes up. It is the
 /// only per-feed sequencer: a [`merge::MergeSession`] runs one per feed.
 pub struct IngestSession {
@@ -326,7 +325,6 @@ pub struct IngestSession {
     ended: bool,
     /// The round of the last batch taken (receipt-side monotonicity check).
     last_round: Option<u64>,
-    report: EventReport,
     batches: u64,
     events: u64,
 }
@@ -339,7 +337,6 @@ impl IngestSession {
             pending: None,
             ended: false,
             last_round: None,
-            report: EventReport::default(),
             batches: 0,
             events: 0,
         }
@@ -349,6 +346,7 @@ impl IngestSession {
     /// `Some` with the batch, `None` when this round has no events (the next
     /// batch is tagged later, or the stream ended). Blocks only while the
     /// next batch is unknown; `feed` names this session inside a merge.
+    // lint: zero-alloc
     fn take_round(
         &mut self,
         round: u64,
@@ -382,6 +380,7 @@ impl IngestSession {
 
     /// Appends the events for `round` (if any) to `out` and recycles the
     /// batch; `feed` names this session inside a merge.
+    // lint: zero-alloc
     fn append_round(
         &mut self,
         round: u64,
@@ -396,54 +395,19 @@ impl IngestSession {
         Ok(())
     }
 
-    /// Copies the events for `round` into `out` (cleared first); `out` stays
-    /// empty when the round has no batch. Allocation-free once `out` has
-    /// grown to the working batch size. Use this when the driver needs to
-    /// observe the batch (e.g. to record it to a trace) before applying it;
-    /// otherwise [`apply_round`](IngestSession::apply_round) avoids the copy.
+    /// Copies the events for `round` into `out` (cleared first) and
+    /// recycles the channel buffer; `out` stays empty when the round has no
+    /// batch. Call between rounds, before `round` executes, and apply `out`
+    /// there — the point the synchronous driver applies its inline batch.
+    /// Allocation-free once `out` has grown to the working batch size.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] on an out-of-order batch.
+    // lint: zero-alloc
     pub fn fill_round(&mut self, round: u64, out: &mut RoundEvents) -> Result<(), CoreError> {
         out.clear();
         self.append_round(round, out, None)
-    }
-
-    /// Applies the batch for `round` (if any) to `engine` and recycles the
-    /// buffer. Call between rounds, before `round` executes — the same point
-    /// the synchronous driver applies events, so both paths are
-    /// bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] on an out-of-order batch or
-    /// when the engine rejects an event (unknown node, weighted arrival on
-    /// Algorithm 2).
-    // lint: zero-alloc
-    pub fn apply_round(
-        &mut self,
-        round: u64,
-        engine: &mut dyn DynamicBalancer,
-    ) -> Result<EventReport, CoreError> {
-        let Some(events) = self.take_round(round, None)? else {
-            return Ok(EventReport::default());
-        };
-        let result = if events.is_empty() {
-            Ok(EventReport::default())
-        } else {
-            engine.apply_events(&events)
-        };
-        self.consumer.recycle(events);
-        let report = result?;
-        self.report.absorb(report);
-        Ok(report)
-    }
-
-    /// Totals across every batch applied through
-    /// [`apply_round`](IngestSession::apply_round).
-    pub fn report(&self) -> EventReport {
-        self.report
     }
 
     /// Whether the producer hung up and every sent batch has been consumed.
@@ -456,9 +420,7 @@ impl IngestSession {
         self.consumer.metrics()
     }
 
-    /// Batches consumed off the channel so far (via either
-    /// [`fill_round`](IngestSession::fill_round) or
-    /// [`apply_round`](IngestSession::apply_round)).
+    /// Batches consumed off the channel so far.
     pub fn batches(&self) -> u64 {
         self.batches
     }
@@ -473,7 +435,7 @@ impl IngestSession {
 mod tests {
     use super::*;
     use crate::continuous::Fos;
-    use crate::discrete::{DiscreteBalancer, FlowImitation, TaskPicker};
+    use crate::discrete::{DiscreteBalancer, DynamicBalancer, FlowImitation, TaskPicker};
     use crate::load::InitialLoad;
     use crate::task::{Speeds, Task, TaskId};
     use lb_graph::{generators, AlphaScheme};
@@ -559,14 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn producer_observes_consumer_hangup() {
-        let (tx, rx) = bounded(1);
-        assert!(!tx.is_disconnected());
-        drop(rx);
-        assert!(tx.is_disconnected());
-    }
-
-    #[test]
     fn send_fails_once_the_consumer_hangs_up() {
         let (mut tx, rx) = bounded(1);
         drop(rx);
@@ -599,14 +553,19 @@ mod tests {
         });
         let mut session = IngestSession::new(rx);
         let mut alg1 = engine();
+        let mut events = RoundEvents::default();
+        let (mut arrived_tasks, mut arrived_weight) = (0, 0);
         for round in 0..6u64 {
-            let report = session.apply_round(round, &mut alg1).unwrap();
+            session.fill_round(round, &mut events).unwrap();
+            let report = alg1.apply_events(&events).unwrap();
             let expect = u64::from(round == 1 || round == 3);
             assert_eq!(report.arrived_tasks, expect, "round {round}");
+            arrived_tasks += report.arrived_tasks;
+            arrived_weight += report.arrived_weight;
             alg1.step();
         }
-        assert_eq!(session.report().arrived_tasks, 2);
-        assert_eq!(session.report().arrived_weight, 2);
+        assert_eq!(arrived_tasks, 2);
+        assert_eq!(arrived_weight, 2);
         assert!(session.ended(), "stream fully drained");
         assert_eq!(alg1.arrived_weight(), 2);
         handle.join().unwrap();
@@ -619,10 +578,11 @@ mod tests {
         tx.send(0, batch).unwrap();
         drop(tx);
         let mut session = IngestSession::new(rx);
-        let mut alg1 = engine();
         // Asking for round 2 while the batch for round 0 is pending is a
         // protocol violation on the consumer side.
-        let err = session.apply_round(2, &mut alg1).unwrap_err();
+        let err = session
+            .fill_round(2, &mut RoundEvents::default())
+            .unwrap_err();
         assert!(err.to_string().contains("protocol violation"), "{err}");
     }
 

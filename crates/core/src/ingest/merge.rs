@@ -11,10 +11,14 @@
 //!
 //! ```text
 //! producer 0 ──► channel 0 ──┐
-//! producer 1 ──► channel 1 ──┤  MergeSession::apply_round(r)
+//! producer 1 ──► channel 1 ──┤  MergeSession::fill_round(r, out)
 //!      ⋮             ⋮       ├──► coalesce every feed's batch for round r
-//! producer N ──► channel N ──┘    (feed index order), apply, recycle
+//! producer N ──► channel N ──┘    into `out` (feed index order), recycle
 //! ```
+//!
+//! The driver then applies `out` with
+//! [`DynamicBalancer::apply_events`](crate::discrete::DynamicBalancer::apply_events)
+//! before round `r` executes, as it applies every batch.
 //!
 //! # Merge contract
 //!
@@ -35,18 +39,18 @@
 //! * **Ordering errors** — a batch tagged earlier than the round being
 //!   applied, or one repeating a round its feed already delivered, is a
 //!   protocol error ([`crate::CoreError::InvalidParameter`]): the session
-//!   reports it with the feed index and leaves the engine untouched.
+//!   reports it with the feed index before anything reaches the engine.
 //!
 //! # Zero-allocation steady state
 //!
-//! The session owns one scratch batch; coalescing copies feed batches into
-//! it and recycles them to their own channel's spare pool. Once the scratch
-//! and every circulating buffer have grown to the working batch size, a
-//! steady-state round — receive from each feed, coalesce, apply, recycle,
+//! Coalescing copies feed batches into the driver's reused batch and
+//! recycles them to their own channel's spare pool. Once that batch and
+//! every circulating buffer have grown to the working batch size, a
+//! steady-state round — receive from each feed, coalesce, recycle, apply,
 //! step — allocates nothing on any thread (`tests/zero_alloc.rs` pins the
 //! two-feed case with a counting global allocator).
 
-use crate::discrete::{DynamicBalancer, EventReport, RoundEvents};
+use crate::discrete::RoundEvents;
 use crate::error::CoreError;
 use std::sync::{Arc, Mutex};
 
@@ -72,9 +76,9 @@ pub struct FeedReport {
 /// [`MergeSession`] (created by [`MergeSession::with_registrar`]).
 ///
 /// Registered consumers are queued and admitted into the merge at the start
-/// of the session's next [`fill_round`](MergeSession::fill_round) /
-/// [`apply_round`](MergeSession::apply_round) call, in registration order —
-/// a feed admitted while round `r` is being applied contributes from round
+/// of the session's next [`fill_round`](MergeSession::fill_round) call, in
+/// registration order — a feed admitted while round `r` is being filled
+/// contributes from round
 /// `r` on, and its first batch must be tagged `>= r` (earlier tags are the
 /// usual ordering protocol violation).
 ///
@@ -107,16 +111,13 @@ impl FeedRegistrar {
 }
 
 /// Consumer-side k-way merge over N event feeds: pulls each feed's
-/// round-tagged batches and hands the engine one coalesced, strictly
+/// round-tagged batches and hands the driver one coalesced, strictly
 /// round-ordered batch per round. Each feed is sequenced by its own
 /// [`IngestSession`]; the merge only coalesces what they hand over.
 pub struct MergeSession {
     feeds: Vec<IngestSession>,
     /// Feeds registered through a [`FeedRegistrar`], awaiting admission.
     registry: Arc<Mutex<Vec<EventConsumer>>>,
-    /// Owned coalescing scratch, reused across rounds.
-    scratch: RoundEvents,
-    report: EventReport,
 }
 
 impl MergeSession {
@@ -126,8 +127,6 @@ impl MergeSession {
         MergeSession {
             feeds: consumers.into_iter().map(IngestSession::new).collect(),
             registry: Arc::default(),
-            scratch: RoundEvents::default(),
-            report: EventReport::default(),
         }
     }
 
@@ -155,12 +154,6 @@ impl MergeSession {
         self.feeds.extend(queue.drain(..).map(IngestSession::new));
     }
 
-    /// Number of feeds (open or ended), including any registered feeds not
-    /// yet admitted by a `fill_round`/`apply_round` call.
-    pub fn feed_count(&self) -> usize {
-        self.feeds.len() + self.registry.lock().expect("merge registry lock").len()
-    }
-
     /// Coalesces every feed's batch for `round` into `out` (cleared first),
     /// in feed index order; `out` stays empty when no feed carries the
     /// round. Blocks only on feeds whose next batch is unknown.
@@ -169,8 +162,9 @@ impl MergeSession {
     ///
     /// Returns [`CoreError::InvalidParameter`], naming the feed, when a feed
     /// delivers a batch tagged earlier than `round` or repeating a round it
-    /// already delivered — the producer violated the ordering protocol. The
-    /// engine side is untouched: nothing is applied on the error path.
+    /// already delivered — the producer violated the ordering protocol.
+    /// Nothing reaches the engine on the error path.
+    // lint: zero-alloc
     pub fn fill_round(&mut self, round: u64, out: &mut RoundEvents) -> Result<(), CoreError> {
         out.clear();
         self.admit_registered();
@@ -178,42 +172,6 @@ impl MergeSession {
             feed.append_round(round, out, Some(index))?;
         }
         Ok(())
-    }
-
-    /// Applies the coalesced batch for `round` (if any) to `engine`. Call
-    /// between rounds, before `round` executes — the same point the
-    /// synchronous driver applies events, so merged and sync paths are
-    /// bit-identical for the same merged stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] on an ordering violation
-    /// (nothing applied) or when the engine rejects an event.
-    // lint: zero-alloc
-    pub fn apply_round(
-        &mut self,
-        round: u64,
-        engine: &mut dyn DynamicBalancer,
-    ) -> Result<EventReport, CoreError> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let filled = self.fill_round(round, &mut scratch);
-        let applied = filled.and_then(|()| {
-            if scratch.is_empty() {
-                Ok(EventReport::default())
-            } else {
-                engine.apply_events(&scratch)
-            }
-        });
-        self.scratch = scratch;
-        let report = applied?;
-        self.report.absorb(report);
-        Ok(report)
-    }
-
-    /// Totals across every batch applied through
-    /// [`apply_round`](MergeSession::apply_round).
-    pub fn report(&self) -> EventReport {
-        self.report
     }
 
     /// Whether every feed hung up and every sent batch has been consumed —
@@ -247,7 +205,7 @@ mod tests {
     use super::super::bounded;
     use super::*;
     use crate::continuous::Fos;
-    use crate::discrete::{DiscreteBalancer, FlowImitation, TaskPicker};
+    use crate::discrete::{DiscreteBalancer, DynamicBalancer, FlowImitation, TaskPicker};
     use crate::load::InitialLoad;
     use crate::task::{Speeds, Task, TaskId};
     use lb_graph::{generators, AlphaScheme};
@@ -349,18 +307,22 @@ mod tests {
 
         let mut session = MergeSession::new(vec![rx0, rx1]);
         let mut alg1 = engine();
+        let mut events = RoundEvents::default();
+        let mut arrived_tasks = 0;
         for round in 0..8u64 {
-            let report = session.apply_round(round, &mut alg1).unwrap();
+            session.fill_round(round, &mut events).unwrap();
+            let report = alg1.apply_events(&events).unwrap();
             let expect = match round {
                 0 | 1 => 2,
                 2..=5 => 1,
                 _ => 0,
             };
             assert_eq!(report.arrived_tasks, expect, "round {round}");
+            arrived_tasks += report.arrived_tasks;
             alg1.step();
         }
         assert!(session.ended());
-        assert_eq!(session.report().arrived_tasks, 8);
+        assert_eq!(arrived_tasks, 8);
         let reports = session.feed_reports();
         assert_eq!(reports[0].batches, 6);
         assert_eq!(reports[1].batches, 2);
@@ -370,13 +332,11 @@ mod tests {
     #[test]
     fn registered_feeds_join_a_live_merge() {
         let (mut session, registrar) = MergeSession::with_registrar();
-        assert_eq!(session.feed_count(), 0);
         assert!(session.ended(), "no feeds, nothing registered");
 
         let (mut tx0, rx0) = bounded(4);
         registrar.register(rx0);
         assert_eq!(registrar.pending(), 1);
-        assert_eq!(session.feed_count(), 1, "registered feeds count");
         assert!(!session.ended(), "a registered feed counts as open");
 
         let mut batch = tx0.buffer();
@@ -426,12 +386,11 @@ mod tests {
         batch.arrivals.push(unit_arrival(2, 7));
         tx.send(3, batch).unwrap();
         let mut session = MergeSession::new(vec![rx]);
-        let mut alg1 = engine();
-        let loads_before = alg1.loads();
-        let err = session.apply_round(9, &mut alg1).unwrap_err();
+        let mut events = RoundEvents::default();
+        events.arrivals.push(unit_arrival(0, 1)); // stale content
+        let err = session.fill_round(9, &mut events).unwrap_err();
         assert!(err.to_string().contains("protocol violation"), "{err}");
         assert!(err.to_string().contains("feed 0"), "names the feed: {err}");
-        assert_eq!(alg1.loads(), loads_before, "engine state untouched");
-        assert_eq!(session.report(), EventReport::default());
+        assert!(events.is_empty(), "nothing coalesced on the error path");
     }
 }

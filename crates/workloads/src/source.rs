@@ -12,8 +12,9 @@
 //!   scenario plus a blocking `next_round` that fills a caller-owned batch.
 //! * [`ReadSource`] — frames, parses and validates records from any
 //!   [`io::Read`]. End of input before the `end` record is a typed
-//!   truncation error. Resumable via [`Checkpoint`]s, which mark a
-//!   consumed-line boundary.
+//!   truncation error. Its [`Checkpoint`] (ordering and totals so far) lets
+//!   a headerless continuation stream pick up validation where an earlier
+//!   connection stopped.
 //! * [`TraceSource`] — `ReadSource` over a [`FileTail`], which follows a
 //!   growing trace file: at end of file it polls for appended bytes and
 //!   reports a stall only after `idle_timeout` without growth (a stalled
@@ -42,7 +43,7 @@ use lb_analysis::{read_fields, u64_exact};
 use lb_core::discrete::RoundEvents;
 use lb_core::{Task, TaskId};
 use std::fs;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::Duration;
@@ -289,12 +290,11 @@ fn process_line(
 // ReadSource: framed records over any io::Read
 // ---------------------------------------------------------------------------
 
-/// A resume point of a [`ReadSource`], taken at a consumed-line boundary
-/// (see [`ReadSource::checkpoint`]).
+/// A [`ReadSource`]'s validation state at a consumed-line boundary (see
+/// [`ReadSource::checkpoint`]), from which [`ReadSource::headerless`]
+/// continues on another stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// Byte offset of the first unconsumed line.
-    pub offset: u64,
     /// Lines consumed so far (the header is line 1).
     pub lineno: u64,
     /// Round tag of the last admitted round record.
@@ -306,7 +306,7 @@ pub struct Checkpoint {
 }
 
 /// The framing half of a [`ReadSource`]: the reader, its line decoder and
-/// the position bookkeeping behind [`Checkpoint`]s.
+/// the line count.
 struct Framer<R> {
     reader: R,
     decoder: FrameDecoder,
@@ -314,8 +314,6 @@ struct Framer<R> {
     /// streams.
     path: Option<PathBuf>,
     lineno: u64,
-    /// Bytes handed to the decoder so far (consumed + buffered partial).
-    read_pos: u64,
 }
 
 impl<R: Read> Framer<R> {
@@ -325,7 +323,6 @@ impl<R: Read> Framer<R> {
             decoder: FrameDecoder::default(),
             path,
             lineno: 0,
-            read_pos: 0,
         }
     }
 
@@ -342,7 +339,6 @@ impl<R: Read> Framer<R> {
             match self.reader.read(&mut buf) {
                 Ok(0) => break false,
                 Ok(n) => {
-                    self.read_pos += u64_exact(n);
                     self.decoder.feed(&buf[..n]);
                     return Ok(());
                 }
@@ -420,9 +416,8 @@ impl<R: Read + Send> ReadSource<R> {
             }
             framer.fill(true)?;
         };
-        // A fresh stream: the framer keeps its position and buffered bytes.
+        // A fresh stream: the framer keeps its line count and buffered bytes.
         let checkpoint = Checkpoint {
-            offset: framer.read_pos,
             lineno: framer.lineno,
             ..Checkpoint::default()
         };
@@ -466,7 +461,6 @@ impl<R: Read + Send> ReadSource<R> {
         Ok(ReadSource {
             framer: Framer {
                 lineno: checkpoint.lineno,
-                read_pos: checkpoint.offset,
                 ..framer
             },
             scenario,
@@ -474,12 +468,9 @@ impl<R: Read + Send> ReadSource<R> {
         })
     }
 
-    /// The current resume point: the boundary after the last consumed line
-    /// (`offset` counts bytes consumed from the reader, relative to where
-    /// this source started reading).
+    /// The validation state after the last consumed line.
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
-            offset: self.framer.read_pos - u64_exact(self.framer.decoder.pending_len()),
             lineno: self.framer.lineno,
             last_round: self.state.last_round,
             rounds_seen: self.state.rounds_seen,
@@ -586,49 +577,16 @@ impl ReadSource<FileTail> {
         idle_timeout: Duration,
         poll_interval: Duration,
     ) -> Result<Self, String> {
-        Self::start(Self::tail(path.as_ref(), 0, idle_timeout, poll_interval)?)
-    }
-
-    /// Reopens `path` at `checkpoint`, continuing a partially consumed tail
-    /// (the header was consumed by the original source, so its `scenario`
-    /// must be carried over).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for I/O failures or an invalid carried scenario.
-    pub fn resume(
-        path: impl AsRef<Path>,
-        scenario: Scenario,
-        checkpoint: Checkpoint,
-        idle_timeout: Duration,
-        poll_interval: Duration,
-    ) -> Result<Self, String> {
-        let framer = Self::tail(
-            path.as_ref(),
-            checkpoint.offset,
-            idle_timeout,
-            poll_interval,
-        )?;
-        Self::resumed(framer, scenario, checkpoint)
-    }
-
-    fn tail(
-        path: &Path,
-        offset: u64,
-        idle_timeout: Duration,
-        poll_interval: Duration,
-    ) -> Result<Framer<FileTail>, String> {
-        let mut file =
+        let path = path.as_ref();
+        let file =
             fs::File::open(path).map_err(|e| format!("opening trace {}: {e}", path.display()))?;
-        file.seek(SeekFrom::Start(offset))
-            .map_err(|e| format!("seeking {}: {e}", path.display()))?;
         let tail = FileTail {
             file,
-            pos: offset,
+            pos: 0,
             idle_timeout,
             poll_interval,
         };
-        Ok(Framer::new(tail, Some(path.to_path_buf())))
+        Self::start(Framer::new(tail, Some(path.to_path_buf())))
     }
 }
 
@@ -762,7 +720,6 @@ mod tests {
             last_round: parked.last_round,
             rounds_seen: 0,
             events_seen: 0,
-            offset: 0,
             lineno: 0,
         };
         let mut resumed = ReadSource::headerless(
@@ -783,7 +740,6 @@ mod tests {
                 last_round: Some(7),
                 rounds_seen: 0,
                 events_seen: 0,
-                offset: 0,
                 lineno: 0,
             },
         )
@@ -821,36 +777,6 @@ mod tests {
         }
         assert_eq!(rounds, vec![0, 7, 12]);
         writer.join().unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn trace_source_checkpoints_resume() {
-        let text = sample_trace();
-        let path = temp_trace("resume");
-        std::fs::write(&path, &text).unwrap();
-        let mut source =
-            TraceSource::open_with(&path, Duration::from_millis(100), Duration::from_millis(1))
-                .unwrap();
-        let mut out = RoundEvents::default();
-        assert_eq!(source.next_round(&mut out).unwrap(), Some(0));
-        assert_eq!(source.next_round(&mut out).unwrap(), Some(7));
-        let checkpoint = source.checkpoint();
-        let embedded = source.scenario().clone();
-        drop(source);
-
-        let mut resumed = TraceSource::resume(
-            &path,
-            embedded,
-            checkpoint,
-            Duration::from_millis(100),
-            Duration::from_millis(1),
-        )
-        .unwrap();
-        assert_eq!(resumed.next_round(&mut out).unwrap(), Some(12));
-        let expect = batch(104);
-        assert_eq!(out.arrivals, expect.arrivals);
-        assert_eq!(resumed.next_round(&mut out).unwrap(), None, "sealed");
         std::fs::remove_file(&path).ok();
     }
 

@@ -50,10 +50,7 @@ fn main() {
     // 2. Three producer threads, each streaming a contiguous slice of every
     //    round's batch; the k-way merge reassembles them bit for bit.
     let merged = Session::from_scenario(&scenario)
-        .producer(Producer::Merge {
-            feeds: 3,
-            capacity: 8,
-        })
+        .producer(Producer::Merge { feeds: 3 })
         .run(|_| {})
         .expect("merged run succeeds");
     assert_eq!(

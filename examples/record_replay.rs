@@ -72,10 +72,7 @@ fn main() {
     // merge) is equally bit-identical — same scenario, same seed, events
     // streamed through one bounded SPSC channel instead of generated inline.
     let channel = Session::from_scenario(&scenario)
-        .producer(Producer::Merge {
-            feeds: 1,
-            capacity: 16,
-        })
+        .producer(Producer::Merge { feeds: 1 })
         .run(|_| {})
         .expect("channel run succeeds");
     assert_eq!(

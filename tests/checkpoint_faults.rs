@@ -298,8 +298,9 @@ fn damaged_snapshots_fail_resume_with_typed_errors() {
     std::fs::remove_file(&ckpt).ok();
 }
 
-/// A result document that cannot reach stdout is an I/O failure: exit 4
-/// with a typed error, never a panic. `/dev/full` fails every write with
+/// Output that cannot reach stdout is an I/O failure: exit 4 with a typed
+/// error, never a panic — for the run family's result document and for
+/// every other command's output alike. `/dev/full` fails every write with
 /// "no space left on device".
 #[test]
 fn a_full_stdout_exits_4_without_panicking() {
@@ -314,22 +315,40 @@ fn a_full_stdout_exits_4_without_panicking() {
     let scenario_path = write_scenario(tag, &scenario);
     let trace = temp(tag, "trace.jsonl");
     let (scenario_arg, trace_arg) = (scenario_path.to_str().unwrap(), trace.to_str().unwrap());
-    // The run records the trace that the replay then reads.
-    for argv in [
-        ["run", scenario_arg, "--quiet", "--record", trace_arg],
-        ["replay", trace_arg, "--quiet", "--shards", "2"],
-    ] {
-        let name = argv[0];
+    // The run records the trace that the replay then reads. The lint path
+    // is relative to the workspace root, where every case runs.
+    let cases: [&[&str]; 5] = [
+        &["run", scenario_arg, "--quiet", "--record", trace_arg],
+        &["replay", trace_arg, "--quiet", "--shards", "2"],
+        &["help"],
+        &["lint", "--format", "json", "crates/core/src/lib.rs"],
+        &["table1", "--quick"],
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for argv in cases {
         let output = lb()
             .args(argv)
+            .current_dir(&root)
             .stdout(std::fs::File::create(full).unwrap())
             .output()
             .expect("spawn lb");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(4), "{name}: {stderr}");
-        assert!(stderr.contains("error: writing stdout"), "{name}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert_eq!(output.status.code(), Some(4), "{argv:?}: {stderr}");
+        assert!(
+            stderr.contains("error: writing stdout"),
+            "{argv:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
     }
+    // A failing stderr ends the sample stream at its first write and the
+    // run with the same exit code; no result document reaches stdout.
+    let output = lb()
+        .args(["run", scenario_arg])
+        .stderr(std::fs::File::create(full).unwrap())
+        .output()
+        .expect("spawn lb");
+    assert_eq!(output.status.code(), Some(4), "run with a full stderr");
+    assert!(output.stdout.is_empty(), "a failed run publishes nothing");
     std::fs::remove_file(&scenario_path).ok();
     std::fs::remove_file(&trace).ok();
 }

@@ -3,7 +3,7 @@
 //! result documents — the reproducibility contract of `lb run` (acceptance
 //! criterion of the dynamic-workload PR).
 
-use lb_bench::dynamic::{Producer, RoundSample, Session, DEFAULT_CHANNEL_CAPACITY};
+use lb_bench::dynamic::{Producer, RoundSample, Session};
 use lb_workloads::{
     AlgorithmSpec, ArrivalSpec, ChurnEvent, ChurnKind, InitialSpec, ModelSpec, PadSpec, Scenario,
     ServiceSpec, SpeedSpec, TokenDistribution, TopologySpec,
@@ -458,10 +458,7 @@ fn never_the_world_scenario(algorithm: AlgorithmSpec) -> Scenario {
 fn resume_builds_the_engine_on_a_capture_epoch_that_is_never_the_world() {
     // A resume builds its engine once, on the capture epoch's topology and
     // carried speeds with empty holdings, and restores the snapshot into it.
-    let merge = Producer::Merge {
-        feeds: 2,
-        capacity: DEFAULT_CHANNEL_CAPACITY,
-    };
+    let merge = Producer::Merge { feeds: 2 };
     let sync = Producer::Scenario;
     for algorithm in [AlgorithmSpec::Alg1, AlgorithmSpec::Alg2] {
         let tag = format!("never the world/{algorithm:?}");

@@ -106,10 +106,7 @@ fn sync_channel_and_replay_are_byte_identical() {
             // one-feed merge.
             let channel = Session::from_scenario(&scenario)
                 .shards(shards)
-                .producer(Producer::Merge {
-                    feeds: 1,
-                    capacity: 3,
-                })
+                .producer(Producer::Merge { feeds: 1 })
                 .run(|_| {})
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} channel: {e}"));
             assert_eq!(

@@ -8,7 +8,9 @@
 
 use lb_bench::dynamic::Session;
 use lb_core::continuous::Fos;
-use lb_core::discrete::{DiscreteBalancer, FlowImitation, RoundEvents, TaskPicker};
+use lb_core::discrete::{
+    DiscreteBalancer, DynamicBalancer, EventReport, FlowImitation, RoundEvents, TaskPicker,
+};
 use lb_core::ingest;
 use lb_core::ingest::merge::MergeSession;
 use lb_core::{CoreError, InitialLoad, Speeds, Task, TaskId};
@@ -59,6 +61,21 @@ fn small_scenario() -> Scenario {
     }
 }
 
+/// Takes round `round`'s batch the way `Session::run` does: `fill_round`
+/// into the reused `events`, then `apply_events` when it is non-empty.
+fn fill_and_apply(
+    session: &mut MergeSession,
+    round: u64,
+    events: &mut RoundEvents,
+    engine: &mut FlowImitation<Fos>,
+) -> Result<EventReport, CoreError> {
+    session.fill_round(round, events)?;
+    if events.is_empty() {
+        return Ok(EventReport::default());
+    }
+    engine.apply_events(events)
+}
+
 fn temp_trace(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lb_ingest_faults_{tag}.trace.jsonl"))
 }
@@ -90,18 +107,21 @@ fn mid_run_feed_hangup_degrades_to_remaining_feeds() {
     }
     let mut session = MergeSession::new(consumers);
     let mut alg1 = engine();
+    let mut events = RoundEvents::default();
+    let mut arrived_tasks = 0;
     for round in 0..35u64 {
-        let report = session.apply_round(round, &mut alg1).unwrap();
+        let report = fill_and_apply(&mut session, round, &mut events, &mut alg1).unwrap();
         let expect = match round {
             0..=9 => 2,
             10..=29 => 1,
             _ => 0,
         };
         assert_eq!(report.arrived_tasks, expect, "round {round}");
+        arrived_tasks += report.arrived_tasks;
         alg1.step();
     }
     assert!(session.ended(), "both feeds drained");
-    assert_eq!(session.report().arrived_tasks, 40);
+    assert_eq!(arrived_tasks, 40);
     let reports = session.feed_reports();
     assert_eq!(reports[0].batches, 30);
     assert_eq!(
@@ -121,14 +141,15 @@ fn out_of_order_round_tags_error_without_corruption() {
     let (tx, rx) = bounded_with_batch(5);
     let mut session = MergeSession::new(vec![rx]);
     let mut alg1 = engine();
+    let mut events = RoundEvents::default();
     // Rounds 0..=4 are legitimately empty (the batch is tagged 5).
     for round in 0..5u64 {
-        let report = session.apply_round(round, &mut alg1).unwrap();
+        let report = fill_and_apply(&mut session, round, &mut events, &mut alg1).unwrap();
         assert_eq!(report.arrived_tasks, 0);
     }
     let loads_before = alg1.loads();
     // Asking for round 7 with round 5 still pending is the violation.
-    let err = session.apply_round(7, &mut alg1).unwrap_err();
+    let err = fill_and_apply(&mut session, 7, &mut events, &mut alg1).unwrap_err();
     assert!(
         matches!(err, CoreError::InvalidParameter { .. }),
         "typed error, got {err:?}"
@@ -170,11 +191,14 @@ fn zero_capacity_channels_never_deadlock() {
     }
     let mut session = MergeSession::new(consumers);
     let mut alg1 = engine();
+    let mut events = RoundEvents::default();
+    let mut arrived_tasks = 0;
     for round in 0..50u64 {
-        session.apply_round(round, &mut alg1).unwrap();
+        let report = fill_and_apply(&mut session, round, &mut events, &mut alg1).unwrap();
+        arrived_tasks += report.arrived_tasks;
         alg1.step();
     }
-    assert_eq!(session.report().arrived_tasks, 100);
+    assert_eq!(arrived_tasks, 100);
     let reports = session.feed_reports();
     assert!(
         reports.iter().all(|r| r.channel.high_water == 1),

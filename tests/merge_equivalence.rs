@@ -7,7 +7,7 @@
 //! *any* partition of the event stream across 1..=4 feeds, sent under any
 //! (seeded) interleaving, merges back to the sync-identical trajectory.
 
-use lb_bench::dynamic::{Producer, Session, DEFAULT_CHANNEL_CAPACITY};
+use lb_bench::dynamic::{Producer, Session};
 use lb_core::continuous::Fos;
 use lb_core::discrete::{
     DiscreteBalancer, DynamicBalancer, FlowImitation, RandomizedImitation, RoundEvents, TaskPicker,
@@ -103,10 +103,7 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
             // Single channel: the one-feed merge `--producer channel` runs.
             let channel = Session::from_scenario(&scenario)
                 .shards(shards)
-                .producer(Producer::Merge {
-                    feeds: 1,
-                    capacity: DEFAULT_CHANNEL_CAPACITY,
-                })
+                .producer(Producer::Merge { feeds: 1 })
                 .run(|_| {})
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} channel: {e}"));
             assert_eq!(
@@ -118,10 +115,7 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
             // 2-feed merge.
             let merged = Session::from_scenario(&scenario)
                 .shards(shards)
-                .producer(Producer::Merge {
-                    feeds: 2,
-                    capacity: 3,
-                })
+                .producer(Producer::Merge { feeds: 2 })
                 .run(|_| {})
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} merge: {e}"));
             assert_eq!(
@@ -159,8 +153,8 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
     }
 }
 
-/// Wider feed counts on one combo: the 1-feed merge (the channel path) at a
-/// non-default capacity, and 3/4-feed merges still reconstruct every batch.
+/// Wider feed counts on one combo: the 1-feed merge (the channel path) and
+/// 3/4-feed merges still reconstruct every batch.
 #[test]
 fn merge_is_byte_identical_across_feed_counts() {
     let scenario = churny_scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);
@@ -172,7 +166,7 @@ fn merge_is_byte_identical_across_feed_counts() {
         for feeds in [1usize, 3, 4] {
             let merged = Session::from_scenario(&scenario)
                 .shards(shards)
-                .producer(Producer::Merge { feeds, capacity: 2 })
+                .producer(Producer::Merge { feeds })
                 .run(|_| {})
                 .unwrap_or_else(|e| panic!("feeds={feeds} shards={shards}: {e}"));
             if shards == 1 {
@@ -383,8 +377,11 @@ fn any_partition_under_any_interleaving_merges_back() {
                 }
                 drop(producers);
 
+                // The merged engine takes its batches the way `Session::run`
+                // does: fill one reused batch, then apply it.
                 let (mut engines, _) = Engines::build(algorithm, n);
                 let mut session = MergeSession::new(consumers);
+                let mut coalesced = RoundEvents::default();
                 for (round, batch) in original.iter().enumerate() {
                     {
                         let (reference, merged) = engines.split();
@@ -392,8 +389,13 @@ fn any_partition_under_any_interleaving_merges_back() {
                             reference.apply_events(batch).expect("reference applies");
                         }
                         session
-                            .apply_round(round as u64, merged)
-                            .expect("merged batch applies");
+                            .fill_round(round as u64, &mut coalesced)
+                            .expect("merged batch fills");
+                        if !coalesced.is_empty() {
+                            merged
+                                .apply_events(&coalesced)
+                                .expect("merged batch applies");
+                        }
                     }
                     engines.step_both();
                     let (expect, got) = engines.loads();

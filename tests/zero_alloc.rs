@@ -13,7 +13,8 @@ use lb_analysis::artifact::unique_name;
 use lb_analysis::Json;
 use lb_core::continuous::{ContinuousRunner, DimensionExchange, Fos};
 use lb_core::discrete::{
-    DiscreteBalancer, DynamicBalancer, FlowImitation, RandomizedImitation, RoundEvents, TaskPicker,
+    DiscreteBalancer, DynamicBalancer, EventReport, FlowImitation, RandomizedImitation,
+    RoundEvents, TaskPicker,
 };
 use lb_core::ingest::merge::MergeSession;
 use lb_core::ingest::{self, IngestSession};
@@ -248,11 +249,13 @@ fn steady_state_rounds_do_not_allocate() {
     });
 
     // Channel ingestion: a producer thread streams deterministic batches
-    // through the bounded SPSC channel while the engine drains one batch
-    // between rounds. The allocator counter is global, so the measured
-    // window covers BOTH threads: once buffers circulate (the producer draws
-    // recycled ones via `buffer()`), a steady-state round — produce, send,
-    // receive, apply, recycle, step — must allocate nothing anywhere. The
+    // through the bounded SPSC channel while the engine takes one batch
+    // between rounds the way `Session::run` does: `fill_round` into one
+    // reused batch, then `apply_events`. The allocator counter is global,
+    // so the measured window covers BOTH threads: once buffers circulate
+    // (the producer draws recycled ones via `buffer()`), a steady-state
+    // round — produce, send, receive, fill, recycle, apply, step — must
+    // allocate nothing anywhere. The
     // producer sends more batches than the measured run consumes, so it is
     // parked on the bounded queue (not exiting) when measurement ends.
     let fos = Fos::new(Arc::clone(&graph), &speeds, AlphaScheme::MaxDegreePlusOne)
@@ -283,26 +286,29 @@ fn steady_state_rounds_do_not_allocate() {
         }
     });
     let mut session = IngestSession::new(rx);
+    let mut events = RoundEvents::default();
+    let mut total = EventReport::default();
     let mut round = 0u64;
     assert_zero_alloc_steady_state("FlowImitation channel ingestion", 400, 100, &mut || {
-        session
-            .apply_round(round, &mut alg1)
-            .expect("batch applies");
+        session.fill_round(round, &mut events).expect("batch fills");
+        let report = alg1.apply_events(&events).expect("batch applies");
+        total.arrived_tasks += report.arrived_tasks;
         round += 1;
         alg1.step();
     });
-    assert_eq!(session.report().arrived_tasks, 4 * 500);
+    assert_eq!(total.arrived_tasks, 4 * 500);
     assert!(alg1.completed_weight() > 0);
     drop(session); // hang up; the blocked producer's next send fails
     producer.join().expect("producer exits cleanly");
 
     // Merged ingestion (2 feeds): two producer threads each stream their own
     // half of the round's events over their own bounded channel, and the
-    // MergeSession coalesces the halves between rounds. The counter is
-    // global, so the measured window covers all three threads: once the
-    // session's scratch and every circulating buffer are warm, a steady-state
-    // round — two produces, two sends, k-way coalesce, apply, recycle, step —
-    // must allocate nothing anywhere. Feed 0 carries the completions and the
+    // MergeSession coalesces the halves into the driver's reused batch
+    // between rounds (`fill_round`, then `apply_events`). The counter is
+    // global, so the measured window covers all three threads: once that
+    // batch and every circulating buffer are warm, a steady-state round —
+    // two produces, two sends, k-way coalesce, recycle, apply, step — must
+    // allocate nothing anywhere. Feed 0 carries the completions and the
     // even arrivals, feed 1 the odd arrivals (disjoint task ids), keeping the
     // total load steady.
     let fos = Fos::new(Arc::clone(&graph), &speeds, AlphaScheme::MaxDegreePlusOne)
@@ -341,6 +347,8 @@ fn steady_state_rounds_do_not_allocate() {
         }));
     }
     let mut session = MergeSession::new(consumers);
+    let mut events = RoundEvents::default();
+    let mut total = EventReport::default();
     let mut round = 0u64;
     assert_zero_alloc_steady_state(
         "FlowImitation merged ingestion (2 feeds)",
@@ -348,14 +356,17 @@ fn steady_state_rounds_do_not_allocate() {
         100,
         &mut || {
             session
-                .apply_round(round, &mut alg1)
-                .expect("merged batch applies");
+                .fill_round(round, &mut events)
+                .expect("merged batch fills");
+            let report = alg1.apply_events(&events).expect("merged batch applies");
+            total.arrived_tasks += report.arrived_tasks;
+            total.completed_weight += report.completed_weight;
             round += 1;
             alg1.step();
         },
     );
-    assert_eq!(session.report().arrived_tasks, 4 * 500);
-    assert!(session.report().completed_weight > 0);
+    assert_eq!(total.arrived_tasks, 4 * 500);
+    assert!(total.completed_weight > 0);
     let reports = session.feed_reports();
     assert_eq!(reports.len(), 2);
     assert!(
