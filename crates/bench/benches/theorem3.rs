@@ -24,7 +24,7 @@ fn bench_theorem3(c: &mut Criterion) {
     let mut per_node = vec![0u64; n];
     per_node[0] = 200;
     let initial = pad_for_min_load(
-        &weighted_load(&per_node, WeightModel::UniformRange { w_max }, &mut rng),
+        weighted_load(&per_node, WeightModel::UniformRange { w_max }, &mut rng),
         &speeds,
         d * w_max,
     );

@@ -27,7 +27,6 @@ use lb_analysis::Json;
 use lb_core::snapshot::write_bytes_atomic;
 use lb_workloads::source::{DEFAULT_IDLE_TIMEOUT, DEFAULT_POLL_INTERVAL};
 use lb_workloads::{ReadSource, RoundSource, Scenario, TraceSource};
-use std::cell::RefCell;
 use std::fmt::Display;
 use std::fs;
 use std::io::Write;
@@ -574,9 +573,6 @@ struct RunArgs<'a> {
     checkpoint: Option<(PathBuf, usize)>,
     record: Option<PathBuf>,
     quiet: bool,
-    /// The first failed write of the sample stream; [`RunArgs::finish`]
-    /// turns it into the run's error.
-    sample_failure: RefCell<Option<BenchError>>,
 }
 
 impl<'a> RunArgs<'a> {
@@ -592,7 +588,6 @@ impl<'a> RunArgs<'a> {
             checkpoint,
             record: parsed.value("--record").map(PathBuf::from),
             quiet: parsed.has("--quiet"),
-            sample_failure: RefCell::new(None),
             parsed,
         })
     }
@@ -610,16 +605,14 @@ impl<'a> RunArgs<'a> {
         Ok(scenario)
     }
 
-    /// The per-sample stream on stderr, silenced by `--quiet`. The stream
-    /// stops at its first failed write, which fails the run in
-    /// [`RunArgs::finish`].
-    fn on_sample(&self) -> impl FnMut(&RoundSample) + '_ {
+    /// The per-sample stream on stderr, silenced by `--quiet`. Its first
+    /// failed write stops the run with that error.
+    fn on_sample(&self) -> impl FnMut(&RoundSample) -> Result<(), BenchError> + '_ {
         move |sample| {
-            let mut failure = self.sample_failure.borrow_mut();
-            if self.quiet || failure.is_some() {
-                return;
+            if self.quiet {
+                return Ok(());
             }
-            *failure = note(&format!(
+            note(&format!(
                 "round {:>6}: n = {}, max_min = {:.2}, max_avg = {:.2}, real = {}, \
                  dummy = {}, arrived = {}, completed = {}\n",
                 sample.round,
@@ -631,7 +624,6 @@ impl<'a> RunArgs<'a> {
                 sample.arrived_weight,
                 sample.completed_weight,
             ))
-            .err();
         }
     }
 
@@ -639,12 +631,8 @@ impl<'a> RunArgs<'a> {
     /// `--ingest-stats` report, and emits the deterministic result document
     /// to stdout and `--out`. The file writes are atomic (temp + fsync +
     /// rename), so a crash mid-emit never leaves a torn artefact. A failing
-    /// stdout or stderr is an I/O failure like any other, and a sample
-    /// stream that failed publishes nothing.
+    /// stdout or stderr is an I/O failure like any other.
     fn finish(&self, outcome: &ScenarioOutcome) -> Result<(), BenchError> {
-        if let Some(err) = self.sample_failure.take() {
-            return Err(err);
-        }
         if let Some(trace) = &self.record {
             note(&format!("(event trace recorded to {})\n", trace.display()))?;
         }
@@ -891,11 +879,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_hotpath(args: &[String]) -> Result<(), CliError> {
     let parsed = HOTPATH_FLAGS.parse(args)?;
-    crate::hotpath::run(
-        parsed.has("--quick"),
-        shards_option(parsed.value("--shards"))?,
-    );
-    Ok(())
+    let shards = shards_option(parsed.value("--shards"))?;
+    Ok(crate::hotpath::run(parsed.has("--quick"), shards)?)
 }
 
 /// Parses a `--stride N:I` partition spec.

@@ -262,9 +262,9 @@ impl Model for Sos {
     }
 }
 
-/// A scenario engine's constructor: process, initial load, speeds, seed.
-pub(crate) type Build<A, R> =
-    fn(A, &InitialLoad, Speeds, u64) -> Result<Imitation<A, R>, CoreError>;
+/// A scenario engine's constructor: process, initial load (moved in),
+/// speeds, seed.
+pub(crate) type Build<A, R> = fn(A, Placement, Speeds, u64) -> Result<Imitation<A, R>, CoreError>;
 
 /// A driver loop over one scenario's engine, generic in the engine's
 /// continuous model and algorithm; [`drive`] picks them and runs it.
@@ -289,17 +289,17 @@ pub(crate) fn drive<D: Driver>(driver: D) -> Result<D::Output, BenchError> {
     let world = build_world(scenario)?;
     match (scenario.algorithm, scenario.model) {
         (AlgorithmSpec::Alg1, ModelSpec::Fos) => driver.run(&world, |p, l, s, _| {
-            FlowImitation::<Fos>::new(p, l, s, TaskPicker::Fifo)
+            FlowImitation::<Fos>::new(p, l.into_tasks(&s), s, TaskPicker::Fifo)
         }),
         (AlgorithmSpec::Alg1, ModelSpec::Sos) => driver.run(&world, |p, l, s, _| {
-            FlowImitation::<Sos>::new(p, l, s, TaskPicker::Fifo)
+            FlowImitation::<Sos>::new(p, l.into_tasks(&s), s, TaskPicker::Fifo)
         }),
-        (AlgorithmSpec::Alg2, ModelSpec::Fos) => {
-            driver.run(&world, RandomizedImitation::<Fos>::new)
-        }
-        (AlgorithmSpec::Alg2, ModelSpec::Sos) => {
-            driver.run(&world, RandomizedImitation::<Sos>::new)
-        }
+        (AlgorithmSpec::Alg2, ModelSpec::Fos) => driver.run(&world, |p, l, s, seed| {
+            RandomizedImitation::<Fos>::from_token_counts(p, l.into_counts(&s), s, seed)
+        }),
+        (AlgorithmSpec::Alg2, ModelSpec::Sos) => driver.run(&world, |p, l, s, seed| {
+            RandomizedImitation::<Sos>::from_token_counts(p, l.into_counts(&s), s, seed)
+        }),
     }
 }
 
@@ -852,7 +852,7 @@ enum Origin {
 ///     .shards(4)
 ///     .producer(Producer::Merge { feeds: 2 })
 ///     .record(PathBuf::from("run.trace.jsonl"))
-///     .run(|_| {})?;
+///     .run(|_| Ok(()))?;
 /// # Ok::<(), lb_bench::error::BenchError>(())
 /// ```
 pub struct Session {
@@ -983,7 +983,8 @@ impl Session {
     /// recorded *during this execution* (round 0 unless resumed, every
     /// `sample_every` rounds, and the final round). For the same scenario
     /// and seed the result document is bit-identical across machines, shard
-    /// counts, producer modes and resume points.
+    /// counts, producer modes and resume points. The first error `on_sample`
+    /// returns stops the run, and the session returns it.
     ///
     /// # Errors
     ///
@@ -996,7 +997,10 @@ impl Session {
     /// [`BenchError::Io`] for file and stream I/O failures; and
     /// [`BenchError::Core`]/[`BenchError::Snapshot`]/[`BenchError::Run`]
     /// for engine and snapshot failures.
-    pub fn run(self, on_sample: impl FnMut(&RoundSample)) -> Result<ScenarioOutcome, BenchError> {
+    pub fn run(
+        self,
+        on_sample: impl FnMut(&RoundSample) -> Result<(), BenchError>,
+    ) -> Result<ScenarioOutcome, BenchError> {
         let Session {
             origin,
             feed,
@@ -1256,12 +1260,45 @@ pub(crate) fn build_world(scenario: &Scenario) -> Result<World, BenchError> {
     })
 }
 
-/// A fresh run's initial load: the tokens, then the padding numbered after.
-pub(crate) fn place(scenario: &Scenario, world: &World) -> InitialLoad {
+/// A fresh run's initial load before any task exists: each node's unit
+/// tokens, and `pad` more per unit of its speed. It moves into the engine
+/// ([`Build`]): Algorithm 1 expands it into tasks, Algorithm 2 keeps the
+/// counts.
+pub(crate) struct Placement {
+    tokens: Vec<u64>,
+    pad: u64,
+}
+
+impl Placement {
+    /// Algorithm 1's tasks: every node's tokens, numbered node by node from
+    /// 0, then its padding, numbered after all tokens. Each node's vector is
+    /// made once and grown once, to its exact length.
+    fn into_tasks(self, speeds: &Speeds) -> InitialLoad {
+        pad_for_min_load(
+            InitialLoad::from_token_counts(self.tokens),
+            speeds,
+            self.pad,
+        )
+    }
+
+    /// Algorithm 2's per-node token counts, padding included.
+    fn into_counts(self, speeds: &Speeds) -> Vec<u64> {
+        let mut counts = self.tokens;
+        for (count, &speed) in counts.iter_mut().zip(speeds.as_slice()) {
+            *count += self.pad * speed;
+        }
+        counts
+    }
+}
+
+/// A fresh run's initial load: the tokens, then the padding.
+pub(crate) fn place(scenario: &Scenario, world: &World) -> Placement {
     let mut rng = StdRng::seed_from_u64(scenario.seed.wrapping_add(INITIAL_SEED_OFFSET));
     let distribution = &scenario.initial.distribution;
-    let tokens = distribution.generate(world.graph.node_count(), world.tokens, &mut rng);
-    pad_for_min_load(&tokens, &world.speeds, world.pad)
+    Placement {
+        tokens: distribution.counts(world.graph.node_count(), world.tokens, &mut rng),
+        pad: world.pad,
+    }
 }
 
 /// Whether a trajectory point is taken after `done` completed rounds: every
@@ -1308,7 +1345,7 @@ struct Sequential<'a, F> {
     on_sample: F,
 }
 
-impl<F: FnMut(&RoundSample)> Driver for Sequential<'_, F> {
+impl<F: FnMut(&RoundSample) -> Result<(), BenchError>> Driver for Sequential<'_, F> {
     type Output = ScenarioOutcome;
 
     fn scenario(&self) -> &Scenario {
@@ -1328,7 +1365,7 @@ impl<F: FnMut(&RoundSample)> Driver for Sequential<'_, F> {
 /// built when their rounds arrive ([`ChurnCursor`]), so before round 0 the
 /// only graph is the world's, or on resume the capture epoch's.
 fn execute<A: Model, R: Algorithm>(
-    run: Sequential<'_, impl FnMut(&RoundSample)>,
+    run: Sequential<'_, impl FnMut(&RoundSample) -> Result<(), BenchError>>,
     world: &World,
     build: Build<A, R>,
 ) -> Result<ScenarioOutcome, BenchError> {
@@ -1390,8 +1427,9 @@ fn execute<A: Model, R: Algorithm>(
             engine.arrived_weight(),
             engine.completed_weight(),
         );
-        on_sample(&sample);
+        on_sample(&sample)?;
         trajectory.push(sample);
+        Ok::<(), BenchError>(())
     };
 
     // The engine is built once, on the cursor's epoch. A fresh run builds it
@@ -1416,20 +1454,22 @@ fn execute<A: Model, R: Algorithm>(
                 }
             }
             churn.seek(point.round)?;
-            InitialLoad::from_token_counts(vec![0; churn.speeds().len()])
+            Placement {
+                tokens: vec![0; churn.speeds().len()],
+                pad: 0,
+            }
         }
     };
     let carried = resume
         .as_ref()
         .and_then(|point| point.engine.twin.history.as_ref());
     let process = A::build(Arc::clone(churn.graph()), churn.speeds(), carried)?;
-    let mut engine = build(process, &initial, churn.speeds().clone(), scenario.seed)?;
-    drop(initial);
+    let mut engine = build(process, initial, churn.speeds().clone(), scenario.seed)?;
 
     let mut trajectory = Vec::new();
     let resume_round = match resume {
         None => {
-            record(&engine, 0, &mut trajectory);
+            record(&engine, 0, &mut trajectory)?;
             0
         }
         Some(point) => {
@@ -1475,7 +1515,7 @@ fn execute<A: Model, R: Algorithm>(
         }
         let done = round + 1;
         if samples_at(&scenario, done) {
-            record(&engine, done, &mut trajectory);
+            record(&engine, done, &mut trajectory)?;
         }
         if let Some((path, every)) = &checkpoint {
             if done % every == 0 {
@@ -1677,7 +1717,7 @@ mod tests {
                                 max_weight,
                             };
                             let world = build_world(&scenario).unwrap();
-                            let initial = place(&scenario, &world);
+                            let initial = place(&scenario, &world).into_tasks(&world.speeds);
                             let tag = format!(
                                 "{distribution:?} {pad:?} {speed:?} {max_weight} {tokens_per_node}"
                             );
@@ -1689,6 +1729,9 @@ mod tests {
                                 .collect();
                             ids.sort_unstable();
                             assert!(ids.iter().copied().eq(0..world.first_task_id), "{tag}");
+                            // Algorithm 2's counts are the same load, taskless.
+                            let counts = place(&scenario, &world).into_counts(&world.speeds);
+                            assert_eq!(counts, initial.load_vector(), "{tag}");
                         }
                     }
                 }
@@ -1720,7 +1763,7 @@ mod tests {
             assert!(matches!(err, BenchError::Usage(_)), "{field}: {err}");
             assert!(err.to_string().starts_with(field), "{field}: {err}");
             let err = Session::from_scenario(&scenario)
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .expect_err(field);
             assert!(err.to_string().starts_with(field), "{field}: {err}");
         }
@@ -1729,7 +1772,7 @@ mod tests {
     #[test]
     fn trajectory_samples_first_and_last_rounds() {
         let outcome = Session::from_scenario(&poisson_scenario())
-            .run(|_| {})
+            .run(|_| Ok(()))
             .unwrap();
         assert_eq!(outcome.trajectory[0].round, 0);
         assert_eq!(outcome.last().round, 60);
@@ -1743,12 +1786,12 @@ mod tests {
     #[test]
     fn same_seed_bit_identical_different_seed_differs() {
         let mut scenario = poisson_scenario();
-        let a = Session::from_scenario(&scenario).run(|_| {}).unwrap();
-        let b = Session::from_scenario(&scenario).run(|_| {}).unwrap();
+        let a = Session::from_scenario(&scenario).run(|_| Ok(())).unwrap();
+        let b = Session::from_scenario(&scenario).run(|_| Ok(())).unwrap();
         assert_eq!(a.trajectory, b.trajectory);
         assert_eq!(a.to_json().render_pretty(), b.to_json().render_pretty());
         scenario.seed = 99;
-        let c = Session::from_scenario(&scenario).run(|_| {}).unwrap();
+        let c = Session::from_scenario(&scenario).run(|_| Ok(())).unwrap();
         assert_eq!(c.scenario.seed, 99);
         assert_ne!(a.trajectory, c.trajectory);
     }
@@ -1757,9 +1800,34 @@ mod tests {
     fn streaming_callback_sees_every_sample() {
         let mut streamed = Vec::new();
         let outcome = Session::from_scenario(&poisson_scenario())
-            .run(|s| streamed.push(s.clone()))
+            .run(|s| {
+                streamed.push(s.clone());
+                Ok(())
+            })
             .unwrap();
         assert_eq!(streamed, outcome.trajectory);
+    }
+
+    #[test]
+    fn a_failing_callback_stops_the_run_at_its_round() {
+        let mut scenario = poisson_scenario();
+        scenario.sample_every = 1;
+        let k = 5;
+        let mut calls = 0;
+        let err = Session::from_scenario(&scenario)
+            .run(|sample| {
+                calls += 1;
+                if sample.round == k {
+                    return Err(BenchError::io("sample sink full"));
+                }
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(calls, k + 1, "no sample after the failed one");
+        assert!(
+            matches!(&err, BenchError::Io(msg) if msg == "sample sink full"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1772,7 +1840,7 @@ mod tests {
                 seed: 3,
             },
         }];
-        let outcome = Session::from_scenario(&scenario).run(|_| {}).unwrap();
+        let outcome = Session::from_scenario(&scenario).run(|_| Ok(())).unwrap();
         assert_eq!(outcome.trajectory[1].nodes, 36, "before churn");
         assert_eq!(outcome.last().nodes, 16, "after churn");
     }
@@ -1796,11 +1864,11 @@ mod tests {
                 round: 30,
                 kind: ChurnKind::Rewire { seed: 9 },
             }];
-            let sequential = Session::from_scenario(&scenario).run(|_| {}).unwrap();
+            let sequential = Session::from_scenario(&scenario).run(|_| Ok(())).unwrap();
             for shards in [2, 5] {
                 let sharded = Session::from_scenario(&scenario)
                     .shards(shards)
-                    .run(|_| {})
+                    .run(|_| Ok(()))
                     .unwrap();
                 assert_eq!(
                     sequential.trajectory, sharded.trajectory,
@@ -1815,7 +1883,7 @@ mod tests {
     fn zero_shard_override_is_rejected() {
         let err = Session::from_scenario(&poisson_scenario())
             .shards(0)
-            .run(|_| {})
+            .run(|_| Ok(()))
             .unwrap_err();
         assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
         assert!(err.to_string().contains("shards"), "{err}");
@@ -1842,10 +1910,10 @@ mod tests {
                 },
             },
         ];
-        let sync = Session::from_scenario(&scenario).run(|_| {}).unwrap();
+        let sync = Session::from_scenario(&scenario).run(|_| Ok(())).unwrap();
         let channel = Session::from_scenario(&scenario)
             .producer(Producer::Merge { feeds: 1 })
-            .run(|_| {})
+            .run(|_| Ok(()))
             .unwrap();
         assert_eq!(
             sync.to_json().render_pretty(),
@@ -1877,12 +1945,12 @@ mod tests {
                 },
             },
         ];
-        let sync = Session::from_scenario(&scenario).run(|_| {}).unwrap();
+        let sync = Session::from_scenario(&scenario).run(|_| Ok(())).unwrap();
         assert!(sync.ingest.is_none(), "sync runs carry no ingest report");
         for feeds in [1, 2, 4] {
             let merged = Session::from_scenario(&scenario)
                 .producer(Producer::Merge { feeds })
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap();
             assert_eq!(
                 sync.to_json().render_pretty(),
@@ -1912,7 +1980,7 @@ mod tests {
             for feeds in [0usize, super::MAX_MERGE_FEEDS + 1] {
                 let err = Session::from_scenario(&scenario)
                     .producer(Producer::Merge { feeds })
-                    .run(|_| {})
+                    .run(|_| Ok(()))
                     .unwrap_err();
                 assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
                 assert!(err.to_string().contains("merge feeds"), "{err}");
@@ -1925,14 +1993,14 @@ mod tests {
         let path = temp_path("lb_dynamic_stream_producer.trace.jsonl");
         Session::from_scenario(&scenario)
             .record(path.clone())
-            .run(|_| {})
+            .run(|_| Ok(()))
             .unwrap();
         let one_feed = Producer::Merge { feeds: 1 };
         for session in [
             Session::from_stream(Box::new(TraceSource::open(&path).unwrap())),
             Session::from_scenario(&scenario).merged(MergeSession::new(Vec::new())),
         ] {
-            let err = session.producer(one_feed).run(|_| {}).unwrap_err();
+            let err = session.producer(one_feed).run(|_| Ok(())).unwrap_err();
             assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
             assert!(err.to_string().contains("own event path"), "{err}");
         }
@@ -1947,26 +2015,30 @@ mod tests {
         let path = temp_path("lb_dynamic_stream_replay.trace.jsonl");
         let recorded = Session::from_scenario(&scenario)
             .record(path.clone())
-            .run(|_| {})
+            .run(|_| Ok(()))
             .unwrap();
         let recorded_doc = recorded.to_json().render_pretty();
 
         // Framed reader over the raw bytes (the pipe/socket/stdin path).
         let bytes = std::fs::read(&path).unwrap();
         let source = ReadSource::new(std::io::Cursor::new(bytes)).unwrap();
-        let streamed = Session::from_stream(Box::new(source)).run(|_| {}).unwrap();
+        let streamed = Session::from_stream(Box::new(source))
+            .run(|_| Ok(()))
+            .unwrap();
         assert_eq!(recorded_doc, streamed.to_json().render_pretty());
 
         // File tail over the (already complete) trace file.
         let source = TraceSource::open(&path).unwrap();
-        let tailed = Session::from_stream(Box::new(source)).run(|_| {}).unwrap();
+        let tailed = Session::from_stream(Box::new(source))
+            .run(|_| Ok(()))
+            .unwrap();
         assert_eq!(recorded_doc, tailed.to_json().render_pretty());
 
         // Shard overrides replay bit-identically, like a trace replay.
         let source = TraceSource::open(&path).unwrap();
         let sharded = Session::from_stream(Box::new(source))
             .shards(3)
-            .run(|_| {})
+            .run(|_| Ok(()))
             .unwrap();
         assert_eq!(sharded.scenario.shards, 3);
         assert_eq!(recorded.trajectory, sharded.trajectory);
@@ -1984,11 +2056,11 @@ mod tests {
         let path = temp_path("lb_dynamic_record_replay.trace.jsonl");
         let recorded = Session::from_scenario(&scenario)
             .record(path.clone())
-            .run(|_| {})
+            .run(|_| Ok(()))
             .unwrap();
 
         // Recording never perturbs the run.
-        let plain = Session::from_scenario(&scenario).run(|_| {}).unwrap();
+        let plain = Session::from_scenario(&scenario).run(|_| Ok(())).unwrap();
         assert_eq!(
             plain.to_json().render_pretty(),
             recorded.to_json().render_pretty()
@@ -2002,12 +2074,15 @@ mod tests {
             11,
             "header carries the effective seed"
         );
-        let replayed = Session::from_stream(trace()).run(|_| {}).unwrap();
+        let replayed = Session::from_stream(trace()).run(|_| Ok(())).unwrap();
         assert_eq!(
             recorded.to_json().render_pretty(),
             replayed.to_json().render_pretty()
         );
-        let sharded = Session::from_stream(trace()).shards(3).run(|_| {}).unwrap();
+        let sharded = Session::from_stream(trace())
+            .shards(3)
+            .run(|_| Ok(()))
+            .unwrap();
         assert_eq!(sharded.scenario.shards, 3);
         assert_eq!(recorded.trajectory, sharded.trajectory);
         std::fs::remove_file(&path).ok();
@@ -2019,12 +2094,12 @@ mod tests {
         let path = temp_path("lb_dynamic_replay_shards.trace.jsonl");
         Session::from_scenario(&scenario)
             .record(path.clone())
-            .run(|_| {})
+            .run(|_| Ok(()))
             .unwrap();
         let trace = TraceSource::open(&path).unwrap();
         let err = Session::from_stream(Box::new(trace))
             .shards(0)
-            .run(|_| {})
+            .run(|_| Ok(()))
             .unwrap_err();
         assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
         assert!(err.to_string().contains("shards"), "{err}");
@@ -2036,7 +2111,7 @@ mod tests {
         let mut scenario = poisson_scenario();
         scenario.algorithm = AlgorithmSpec::Alg2;
         scenario.model = ModelSpec::Sos;
-        let outcome = Session::from_scenario(&scenario).run(|_| {}).unwrap();
+        let outcome = Session::from_scenario(&scenario).run(|_| Ok(())).unwrap();
         assert!(
             outcome.engine.starts_with("alg2(sos"),
             "engine was {}",
@@ -2048,7 +2123,9 @@ mod tests {
     fn unknown_family_is_reported() {
         let mut scenario = poisson_scenario();
         scenario.topology.family = "smallworld".into();
-        let err = Session::from_scenario(&scenario).run(|_| {}).unwrap_err();
+        let err = Session::from_scenario(&scenario)
+            .run(|_| Ok(()))
+            .unwrap_err();
         assert!(err.to_string().contains("smallworld"));
     }
 
@@ -2083,6 +2160,7 @@ mod tests {
                 if sample.round == 40 {
                     std::fs::copy(&rotating, &early).expect("copy rotating checkpoint");
                 }
+                Ok(())
             })
             .unwrap();
         let snap25 = snapshot::load(&early).unwrap();
@@ -2116,7 +2194,7 @@ mod tests {
             let reference = outcome.to_json().render_pretty();
 
             // Checkpointing never perturbs the run.
-            let plain = Session::from_scenario(&scenario).run(|_| {}).unwrap();
+            let plain = Session::from_scenario(&scenario).run(|_| Ok(())).unwrap();
             assert_eq!(
                 plain.to_json().render_pretty(),
                 reference,
@@ -2130,7 +2208,7 @@ mod tests {
                     let snap = snapshot::parse(&snapshot::render(&snap)).unwrap();
                     let resumed = Session::from_snapshot(snap)
                         .shards(shards)
-                        .run(|_| {})
+                        .run(|_| Ok(()))
                         .unwrap();
                     assert_eq!(
                         resumed.to_json().render_pretty(),
@@ -2186,7 +2264,7 @@ mod tests {
             for shards in [2, 5] {
                 let sharded = Session::from_scenario(&scenario)
                     .shards(shards)
-                    .run(|_| {})
+                    .run(|_| Ok(()))
                     .unwrap();
                 assert_eq!(
                     outcome.trajectory, sharded.trajectory,
@@ -2199,7 +2277,7 @@ mod tests {
                     let snap = snapshot::parse(&snapshot::render(&snap)).unwrap();
                     let resumed = Session::from_snapshot(snap)
                         .shards(shards)
-                        .run(|_| {})
+                        .run(|_| Ok(()))
                         .unwrap();
                     assert_eq!(
                         resumed.to_json().render_pretty(),
@@ -2227,7 +2305,7 @@ mod tests {
             let rotating = std::env::temp_dir().join(format!("lb_resume_{tag}.ckpt.jsonl"));
             let outcome = Session::from_scenario(&scenario)
                 .checkpoint(rotating.clone(), 31)
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap();
             let snap = snapshot::load(&rotating).unwrap();
             std::fs::remove_file(&rotating).ok();
@@ -2237,7 +2315,7 @@ mod tests {
                 let snap = snapshot::parse(&snapshot::render(&snap)).unwrap();
                 let resumed = Session::from_snapshot(snap)
                     .shards(shards)
-                    .run(|_| {})
+                    .run(|_| Ok(()))
                     .unwrap();
                 assert_eq!(
                     resumed.to_json().render_pretty(),
@@ -2269,11 +2347,11 @@ mod tests {
                     remove: vec![(0, 1)],
                 },
             }];
-            let sequential = Session::from_scenario(&scenario).run(|_| {}).unwrap();
+            let sequential = Session::from_scenario(&scenario).run(|_| Ok(())).unwrap();
             for shards in [2, 5] {
                 let sharded = Session::from_scenario(&scenario)
                     .shards(shards)
-                    .run(|_| {})
+                    .run(|_| Ok(()))
                     .unwrap();
                 assert_eq!(
                     sequential.trajectory, sharded.trajectory,
@@ -2302,8 +2380,10 @@ mod tests {
                     remove: Vec::new(),
                 },
             }];
-            let a = Session::from_scenario(&rewire).run(|_| {}).unwrap();
-            let b = Session::from_scenario(&empty_delta).run(|_| {}).unwrap();
+            let a = Session::from_scenario(&rewire).run(|_| Ok(())).unwrap();
+            let b = Session::from_scenario(&empty_delta)
+                .run(|_| Ok(()))
+                .unwrap();
             assert_eq!(
                 a.trajectory, b.trajectory,
                 "{algorithm:?}/{model:?}: rewire vs empty delta"
@@ -2339,7 +2419,7 @@ mod tests {
                     let snap = snapshot::parse(&snapshot::render(&snap)).unwrap();
                     let resumed = Session::from_snapshot(snap)
                         .shards(shards)
-                        .run(|_| {})
+                        .run(|_| Ok(()))
                         .unwrap();
                     assert_eq!(
                         resumed.to_json().render_pretty(),
@@ -2357,7 +2437,10 @@ mod tests {
         let (outcome, snap25, _) = run_with_checkpoints(&scenario, "stream");
         let mut streamed = Vec::new();
         let resumed = Session::from_snapshot(snap25)
-            .run(|s| streamed.push(s.clone()))
+            .run(|s| {
+                streamed.push(s.clone());
+                Ok(())
+            })
             .unwrap();
         // The restored prefix (rounds 0 and 20) is already in the
         // trajectory; the callback sees only rounds sampled after 25.
@@ -2379,7 +2462,7 @@ mod tests {
         ] {
             let resumed = Session::from_snapshot(snap.clone())
                 .producer(producer)
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap();
             // Async producers attach a timing-dependent ingest report, so
             // the comparison is on the deterministic trajectory.
@@ -2398,11 +2481,11 @@ mod tests {
         let (_, snap25, _) = run_with_checkpoints(&scenario, "record");
         Session::from_scenario(&scenario)
             .record(full.clone())
-            .run(|_| {})
+            .run(|_| Ok(()))
             .unwrap();
         Session::from_snapshot(snap25)
             .record(resumed_path.clone())
-            .run(|_| {})
+            .run(|_| Ok(()))
             .unwrap();
 
         // The fast-forwarded prefix is re-recorded: the resumed trace is the
@@ -2423,7 +2506,7 @@ mod tests {
         // An out-of-range shard override is rejected up front.
         let err = Session::from_snapshot(snap25.clone())
             .shards(0)
-            .run(|_| {})
+            .run(|_| Ok(()))
             .unwrap_err();
         assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
         assert!(err.to_string().contains("shards"), "{err}");
@@ -2436,7 +2519,7 @@ mod tests {
             scenario: flipped.to_json(),
             ..snap25
         };
-        let err = Session::from_snapshot(bad).run(|_| {}).unwrap_err();
+        let err = Session::from_snapshot(bad).run(|_| Ok(())).unwrap_err();
         assert!(matches!(err, BenchError::Protocol(_)), "{err:?}");
         assert!(err.to_string().contains("does not match this run"), "{err}");
 
@@ -2447,7 +2530,7 @@ mod tests {
             scenario: short.to_json(),
             ..snap50
         };
-        let err = Session::from_snapshot(bad).run(|_| {}).unwrap_err();
+        let err = Session::from_snapshot(bad).run(|_| Ok(())).unwrap_err();
         assert!(matches!(err, BenchError::Protocol(_)), "{err:?}");
         assert!(err.to_string().contains("runs only 40"), "{err}");
     }
@@ -2464,7 +2547,7 @@ mod tests {
         for (path, every, expect) in cases {
             let err = Session::from_scenario(&scenario)
                 .checkpoint(path, every)
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap_err();
             assert!(matches!(err, BenchError::Usage(_)), "{err:?}");
             assert!(err.to_string().contains(expect), "{err}");

@@ -143,7 +143,7 @@ pub fn run(quick: bool) -> ExperimentReport {
                 federation: 1,
             };
             let outcome = Session::from_scenario(&scenario)
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .expect("experiment scenarios are valid");
             finals.push(outcome.last().max_min);
             final_avgs.push(outcome.last().max_avg);

@@ -202,18 +202,20 @@ impl Drop for ChildGuard {
 /// fails), empty when the workers are launched elsewhere (`--no-spawn`, or
 /// in-process worker threads). `checkpoint` is the path and cadence
 /// [`checkpoint_plan`](crate::dynamic::checkpoint_plan) validated.
+/// `on_sample` sees every gathered sample; its first error stops the run.
 ///
 /// # Errors
 ///
 /// [`BenchError::Usage`] for an invalid scenario, found before any worker
 /// is admitted; [`BenchError::Protocol`] for any socket or protocol
-/// failure; engine and checkpoint failures as their own classes.
+/// failure; engine and checkpoint failures as their own classes; and the
+/// first error of `on_sample`.
 pub(crate) fn coordinate(
     scenario: Scenario,
     listener: TcpListener,
     children: Vec<Child>,
     checkpoint: Option<(PathBuf, usize)>,
-    mut on_sample: impl FnMut(&RoundSample),
+    mut on_sample: impl FnMut(&RoundSample) -> Result<(), BenchError>,
 ) -> Result<ScenarioOutcome, BenchError> {
     let children: Vec<ChildGuard> = children.into_iter().map(ChildGuard).collect();
     scenario.validate().map_err(BenchError::Usage)?;
@@ -232,7 +234,7 @@ pub(crate) fn coordinate(
 
     let mut trajectory = Vec::new();
     let sample0 = gather_sample(&mut wires, 0, churn.graph(), churn.speeds())?;
-    on_sample(&sample0);
+    on_sample(&sample0)?;
     trajectory.push(sample0);
 
     for round in 0..scenario.rounds {
@@ -269,7 +271,7 @@ pub(crate) fn coordinate(
         let done = round + 1;
         if samples_at(&scenario, done) {
             let sample = gather_sample(&mut wires, done, churn.graph(), churn.speeds())?;
-            on_sample(&sample);
+            on_sample(&sample)?;
             trajectory.push(sample);
         }
         if let Some((path, every)) = &checkpoint {
@@ -981,8 +983,7 @@ fn worker_loop<A: Model, R: Algorithm>(
     } = worker;
     let process = A::build(Arc::clone(&world.graph), &world.speeds, None)?;
     let initial = place(scenario, world);
-    let mut engine = build(process, &initial, world.speeds.clone(), scenario.seed)?;
-    drop(initial);
+    let mut engine = build(process, initial, world.speeds.clone(), scenario.seed)?;
     let rank = link.rank;
     let mut churn = ChurnCursor::new(world, &scenario.churn)?;
     let mut fed = FederatedExecutor::new(rank, link.parts, scenario.shards)?;

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release -p lb-bench --bin lb -- hotpath [--quick]`.
 
+use crate::cli::{note, out};
+use crate::error::BenchError;
 use crate::harness::{standard_initial_load, GraphClass};
 use crate::parallel::worker_threads;
 use lb_analysis::artifact::unique_name;
@@ -429,7 +431,7 @@ fn run_ingest_channel(rounds: usize, n: usize) -> IngestResult {
 /// inline generation, returning the `ingest` entry of `BENCH_hotpath.json`.
 /// The channel entry is gated by `lb bench-check` when the committed
 /// baseline carries an `ingest.channel.events_per_sec` floor.
-fn run_ingest_bench(quick: bool) -> Json {
+fn run_ingest_bench(quick: bool) -> Result<Json, BenchError> {
     let rounds = if quick { 5_000 } else { 40_000 };
     let trials = if quick { 2 } else { 3 };
     // `n` is node-index space only — no engine in the loop. Trials
@@ -463,15 +465,15 @@ fn run_ingest_bench(quick: bool) -> Json {
         .into_iter()
         .min_by(|a, b| a.elapsed_secs.total_cmp(&b.elapsed_secs))
         .expect("at least one trial");
-    eprintln!(
+    note(&format!(
         "ingest: sync {:.0} events/sec, channel {:.0} events/sec ({:.2}x channel \
-         overhead), merge({MERGE_FEEDS}) {:.0} events/sec",
+         overhead), merge({MERGE_FEEDS}) {:.0} events/sec\n",
         sync.events_per_sec(),
         channel.events_per_sec(),
         sync.events_per_sec() / channel.events_per_sec(),
         merge.events_per_sec(),
-    );
-    Json::obj([
+    ))?;
+    Ok(Json::obj([
         (
             "config",
             Json::obj([
@@ -488,7 +490,7 @@ fn run_ingest_bench(quick: bool) -> Json {
             "overhead_ratio",
             Json::from(sync.events_per_sec() / channel.events_per_sec()),
         ),
-    ])
+    ]))
 }
 
 /// Benchmarks the checkpoint path on the large-instance engine state:
@@ -504,7 +506,7 @@ fn run_snapshot_bench(
     speeds: &Speeds,
     initial: &InitialLoad,
     quick: bool,
-) -> Json {
+) -> Result<Json, BenchError> {
     let fos =
         Fos::new(Arc::clone(graph), speeds, AlphaScheme::MaxDegreePlusOne).expect("FOS constructs");
     let mut alg1 = FlowImitation::new(fos, initial, speeds.clone(), TaskPicker::Fifo)
@@ -554,13 +556,13 @@ fn run_snapshot_bench(
     );
 
     let mb = bytes as f64 / 1e6;
-    eprintln!(
+    note(&format!(
         "snapshot: {bytes} bytes on disk, capture+write {:.1} MB/sec, \
-         read+restore {:.1} MB/sec",
+         read+restore {:.1} MB/sec\n",
         mb / write_secs,
         mb / read_secs,
-    );
-    Json::obj([
+    ))?;
+    Ok(Json::obj([
         (
             "config",
             Json::obj([
@@ -584,7 +586,7 @@ fn run_snapshot_bench(
                 ("mb_per_sec", Json::from(mb / read_secs)),
             ]),
         ),
-    ])
+    ]))
 }
 
 /// Benchmarks the federated driver: the scenario below partitioned across
@@ -595,7 +597,7 @@ fn run_snapshot_bench(
 /// sequential run's before the numbers are reported. Gated by
 /// `lb bench-check` when the committed baseline carries a
 /// `federate.rounds_per_sec` floor.
-fn run_federate_bench(quick: bool) -> Json {
+fn run_federate_bench(quick: bool) -> Result<Json, BenchError> {
     use lb_workloads::Scenario;
     let parts = 2usize;
     let rounds: usize = if quick { 100 } else { 400 };
@@ -621,7 +623,7 @@ fn run_federate_bench(quick: bool) -> Json {
     let scenario = Scenario::parse(&text).expect("federate bench scenario parses");
 
     let sequential = crate::dynamic::Session::from_scenario(&scenario)
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("federate bench sequential run");
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("federate bench bind");
@@ -638,7 +640,7 @@ fn run_federate_bench(quick: bool) -> Json {
     // The timed window covers worker admission through the final round
     // barrier — the full cost of standing up and driving the federation.
     let start = Instant::now();
-    let federated = crate::federate::coordinate(scenario, listener, Vec::new(), None, |_| {})
+    let federated = crate::federate::coordinate(scenario, listener, Vec::new(), None, |_| Ok(()))
         .expect("federate bench coordinator run");
     let elapsed_secs = start.elapsed().as_secs_f64();
     for worker in workers {
@@ -654,8 +656,10 @@ fn run_federate_bench(quick: bool) -> Json {
     );
 
     let rounds_per_sec = rounds as f64 / elapsed_secs;
-    eprintln!("federate ({parts} processes): {rounds_per_sec:.1} rounds/sec");
-    Json::obj([
+    note(&format!(
+        "federate ({parts} processes): {rounds_per_sec:.1} rounds/sec\n"
+    ))?;
+    Ok(Json::obj([
         (
             "config",
             Json::obj([
@@ -666,7 +670,7 @@ fn run_federate_bench(quick: bool) -> Json {
         ),
         ("elapsed_secs", Json::from(elapsed_secs)),
         ("rounds_per_sec", Json::from(rounds_per_sec)),
-    ])
+    ]))
 }
 
 /// Edges added (and, separately, removed) per churn round in the churn
@@ -702,7 +706,7 @@ fn invert_delta(delta: &lb_graph::GraphDelta) -> lb_graph::GraphDelta {
 /// patch rebuilds the diffusion matrix, so a round costs `O(m)` on top of
 /// the step. `churn.rounds_per_sec` is gated by `lb bench-check` when the
 /// committed baseline carries a floor.
-fn run_churn_bench(quick: bool) -> Json {
+fn run_churn_bench(quick: bool) -> Result<Json, BenchError> {
     let dim = 13u32; // 8192 nodes
     let (load_per_node, rounds, trials) = if quick { (2, 30, 2) } else { (2, 120, 3) };
 
@@ -746,12 +750,12 @@ fn run_churn_bench(quick: bool) -> Json {
         .map(|_| run_loop())
         .min_by(|a, b| a.elapsed_secs.total_cmp(&b.elapsed_secs))
         .expect("at least one trial");
-    eprintln!(
-        "churn (Δ = {CHURN_DELTA_EDGES} edges/round): {:.1} rounds/sec",
+    note(&format!(
+        "churn (Δ = {CHURN_DELTA_EDGES} edges/round): {:.1} rounds/sec\n",
         churn.rounds_per_sec(),
-    );
+    ))?;
 
-    Json::obj([
+    Ok(Json::obj([
         (
             "config",
             Json::obj([
@@ -762,7 +766,7 @@ fn run_churn_bench(quick: bool) -> Json {
         ),
         ("rounds_per_sec", Json::from(churn.rounds_per_sec())),
         ("elapsed_secs", Json::from(churn.elapsed_secs)),
-    ])
+    ]))
 }
 
 /// Peak resident set size of this process in kilobytes (Linux `VmHWM`),
@@ -786,12 +790,18 @@ fn peak_rss_kb() -> u64 {
 /// default is `min(cores, 8)` with a floor of 2 so the sharded path is
 /// always exercised even on a single-core host.
 ///
+/// The report goes to stdout and the progress lines to stderr.
+///
+/// # Errors
+///
+/// [`BenchError::Io`] if the artefact, the report or a progress line
+/// cannot be written.
+///
 /// # Panics
 ///
 /// Panics if the optimised engine's trajectory diverges from the seed
-/// semantics, if the sharded engine diverges from the sequential one, or if
-/// the artefact cannot be written.
-pub fn run(quick: bool, shards: Option<usize>) {
+/// semantics, or if the sharded engine diverges from the sequential one.
+pub fn run(quick: bool, shards: Option<usize>) -> Result<(), BenchError> {
     // The acceptance configuration: the ~10k-node hypercube (rounded to the
     // nearest power of two, 8192), single-source workload, FIFO picking.
     let target_n = 10_000;
@@ -806,13 +816,13 @@ pub fn run(quick: bool, shards: Option<usize>) {
     let speeds = Speeds::uniform(n);
     let initial = standard_initial_load(n, load_per_node, d);
 
-    eprintln!(
-        "hotpath: {} (n = {n}, m = {}), {} tasks, {rounds} rounds, {trials} trial(s), {} worker thread(s)",
+    note(&format!(
+        "hotpath: {} (n = {n}, m = {}), {} tasks, {rounds} rounds, {trials} trial(s), {} worker thread(s)\n",
         graph.name(),
         graph.edge_count(),
         initial.task_count(),
         worker_threads(),
-    );
+    ))?;
 
     // Both engines are timed under the same policy — trials run one at a
     // time, so neither side's min-of-trials is depressed by co-running
@@ -823,21 +833,21 @@ pub fn run(quick: bool, shards: Option<usize>) {
         .map(|_| run_optimized(&graph, &speeds, &initial, rounds))
         .min_by(|a, b| a.elapsed_secs.total_cmp(&b.elapsed_secs))
         .expect("at least one trial");
-    eprintln!(
-        "optimized: {:.1} rounds/sec, {:.0} ns/task-send",
+    note(&format!(
+        "optimized: {:.1} rounds/sec, {:.0} ns/task-send\n",
         optimized.rounds_per_sec(),
         optimized.ns_per_task_send()
-    );
+    ))?;
 
     let baseline = (0..trials.min(2))
         .map(|_| run_baseline(&graph, &speeds, &initial, rounds))
         .min_by(|a, b| a.elapsed_secs.total_cmp(&b.elapsed_secs))
         .expect("at least one trial");
-    eprintln!(
-        "baseline (seed semantics): {:.2} rounds/sec, {:.0} ns/task-send",
+    note(&format!(
+        "baseline (seed semantics): {:.2} rounds/sec, {:.0} ns/task-send\n",
         baseline.rounds_per_sec(),
         baseline.ns_per_task_send()
-    );
+    ))?;
 
     // Both engines implement the same algorithm; their trajectories must
     // agree exactly (FIFO picking is deterministic).
@@ -847,7 +857,7 @@ pub fn run(quick: bool, shards: Option<usize>) {
     );
 
     let speedup = optimized.rounds_per_sec() / baseline.rounds_per_sec();
-    eprintln!("speedup: {speedup:.1}x rounds/sec");
+    note(&format!("speedup: {speedup:.1}x rounds/sec\n"))?;
 
     // The sharded large-instance entry: a hypercube with n ≥ 10⁵ nodes —
     // the regime where a single instance's serial O(m) round is the wall —
@@ -866,12 +876,12 @@ pub fn run(quick: bool, shards: Option<usize>) {
     let large_speeds = Speeds::uniform(large_n);
     let large_initial = standard_initial_load(large_n, if quick { 1 } else { 2 }, large_d);
     let large_rounds = if quick { 3 } else { 8 };
-    eprintln!(
-        "large: {} (n = {large_n}, m = {}), {} tasks, {large_rounds} rounds, {shards} shard(s)",
+    note(&format!(
+        "large: {} (n = {large_n}, m = {}), {} tasks, {large_rounds} rounds, {shards} shard(s)\n",
         large_graph.name(),
         large_graph.edge_count(),
         large_initial.task_count(),
-    );
+    ))?;
 
     // Trials interleave the two engines so slow drift in machine load or
     // clock frequency biases neither side; the fastest trial of each is kept.
@@ -896,40 +906,42 @@ pub fn run(quick: bool, shards: Option<usize>) {
         .into_iter()
         .min_by(|a, b| a.elapsed_secs.total_cmp(&b.elapsed_secs))
         .expect("at least one trial");
-    eprintln!(
-        "large sequential: {:.1} rounds/sec",
+    note(&format!(
+        "large sequential: {:.1} rounds/sec\n",
         sequential_large.rounds_per_sec()
-    );
+    ))?;
     let sharded_large = sharded_trials
         .into_iter()
         .min_by(|a, b| a.elapsed_secs.total_cmp(&b.elapsed_secs))
         .expect("at least one trial");
-    eprintln!(
-        "large sharded ({shards} shards): {:.1} rounds/sec",
+    note(&format!(
+        "large sharded ({shards} shards): {:.1} rounds/sec\n",
         sharded_large.rounds_per_sec()
-    );
+    ))?;
     assert_eq!(
         sequential_large.final_loads, sharded_large.final_loads,
         "sharded engine diverged from the sequential engine"
     );
     let sharded_speedup = sharded_large.rounds_per_sec() / sequential_large.rounds_per_sec();
-    eprintln!("large sharded speedup: {sharded_speedup:.2}x rounds/sec");
+    note(&format!(
+        "large sharded speedup: {sharded_speedup:.2}x rounds/sec\n"
+    ))?;
 
     // The ingestion entry: event throughput through the async SPSC channel
     // vs inline generation (no engine in the loop — this isolates delivery).
-    let ingest = run_ingest_bench(quick);
+    let ingest = run_ingest_bench(quick)?;
 
     // The snapshot entry: checkpoint capture+write and resume read+restore
     // throughput on the large-instance engine state.
-    let snapshot_entry = run_snapshot_bench(&large_graph, &large_speeds, &large_initial, quick);
+    let snapshot_entry = run_snapshot_bench(&large_graph, &large_speeds, &large_initial, quick)?;
 
     // The federation entry: the two-process round protocol over localhost
     // TCP, asserted byte-identical to the sequential driver first.
-    let federate_entry = run_federate_bench(quick);
+    let federate_entry = run_federate_bench(quick)?;
 
     // The churn entry: per-round topology rewires through the patched
     // process.
-    let churn_entry = run_churn_bench(quick);
+    let churn_entry = run_churn_bench(quick)?;
 
     let report = Json::obj([
         ("benchmark", Json::from("hotpath_alg1_fifo")),
@@ -976,11 +988,9 @@ pub fn run(quick: bool, shards: Option<usize>) {
         ("peak_rss_kb", Json::from(peak_rss_kb())),
     ]);
     let path = "BENCH_hotpath.json";
-    lb_analysis::write_bytes_atomic(
-        std::path::Path::new(path),
-        report.render_pretty().as_bytes(),
-    )
-    .expect("write BENCH_hotpath.json");
-    println!("{}", report.render_pretty());
-    eprintln!("(written to {path})");
+    let rendered = report.render_pretty();
+    lb_analysis::write_bytes_atomic(std::path::Path::new(path), rendered.as_bytes())
+        .map_err(|e| BenchError::io(format!("writing {path}: {e}")))?;
+    out(&format!("{rendered}\n"))?;
+    note(&format!("(written to {path})\n"))
 }

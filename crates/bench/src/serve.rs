@@ -398,7 +398,7 @@ struct ServeCtx {
 pub fn serve(
     scenario: &Scenario,
     options: &ServeOptions,
-    on_sample: impl FnMut(&RoundSample),
+    on_sample: impl FnMut(&RoundSample) -> Result<(), BenchError>,
 ) -> Result<ScenarioOutcome, BenchError> {
     if options.clients == 0 {
         return Err(BenchError::usage("serve needs at least one client"));

@@ -30,6 +30,7 @@ use crate::load::InitialLoad;
 use crate::snapshot::{Alg1State, DiscreteState, QueueState, SnapshotError};
 use crate::task::{Speeds, Task, TaskQueue, Weight};
 use lb_graph::{EdgeId, NodeId};
+use std::borrow::Cow;
 
 pub use crate::task::TaskPicker;
 
@@ -69,24 +70,29 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     ///
     /// The continuous twin starts from the same load vector, as the paper
     /// prescribes; the topology is shared with the twin (no graph clone).
+    /// `initial` is an owned or a borrowed placement: an owned one moves
+    /// into the task queues (a FIFO queue keeps each node's vector as its
+    /// buffer), and a borrowed one is cloned once.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] if the node counts of the
     /// process, the initial load and the speed vector disagree.
-    pub fn new(
+    pub fn new<'a>(
         process: A,
-        initial: &InitialLoad,
+        initial: impl Into<Cow<'a, InitialLoad>>,
         speeds: Speeds,
         picker: TaskPicker,
     ) -> Result<Self, CoreError> {
-        let queues = initial.clone().into_tasks().into_iter();
-        let queues = queues.map(|tasks| TaskQueue::with_tasks(picker, tasks));
+        let initial = initial.into().into_owned();
         let alg = Alg1 {
             wmax: initial.max_weight(),
             picker,
         };
-        Imitation::with_holdings(process, initial, speeds, queues.collect(), alg)
+        let loads = initial.load_vector_f64();
+        let queues = initial.into_tasks().into_iter();
+        let queues = queues.map(|tasks| TaskQueue::with_tasks(picker, tasks));
+        Imitation::with_holdings(process, loads, speeds, queues.collect(), alg)
     }
 
     /// The maximum task weight `w_max` the discretization assumes: the

@@ -26,7 +26,6 @@ use super::DiscreteBalancer;
 use crate::continuous::{ContinuousProcess, ContinuousRunner};
 use crate::error::CoreError;
 use crate::federate::{FederateLink, FederatedExecutor, SendBatch};
-use crate::load::InitialLoad;
 use crate::shard::{ShardedExecutor, SharedSliceMut};
 use crate::snapshot::{DiscreteState, EngineState, SnapshotError};
 use crate::task::{Speeds, Task, Weight};
@@ -282,9 +281,9 @@ pub struct Imitation<A: ContinuousProcess, R: Algorithm> {
 }
 
 impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
-    /// Binds `held` (one entry per node of `initial`) and `alg` to a twin
-    /// of `process` started from the same load vector, as the paper
-    /// prescribes, sharing its topology (no graph clone).
+    /// Binds `held` (one entry per node) and `alg` to a twin of `process`
+    /// started from `loads`, the same load vector, as the paper prescribes,
+    /// sharing its topology (no graph clone).
     ///
     /// # Errors
     ///
@@ -292,17 +291,17 @@ impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
     /// process, the initial load and the speed vector disagree.
     pub(crate) fn with_holdings(
         process: A,
-        initial: &InitialLoad,
+        loads: Vec<f64>,
         speeds: Speeds,
         held: Vec<R::Holding>,
         alg: R,
     ) -> Result<Self, CoreError> {
         let graph = process.shared_graph();
         let n = graph.node_count();
-        if initial.node_count() != n {
+        if loads.len() != n {
             return Err(CoreError::invalid_parameter(format!(
                 "initial load has {} nodes, graph has {n}",
-                initial.node_count()
+                loads.len()
             )));
         }
         if speeds.len() != n {
@@ -316,7 +315,7 @@ impl<A: ContinuousProcess, R: Algorithm> Imitation<A, R> {
         outbox.reset_for(m);
         Ok(Imitation {
             name: format!("{}({})", R::LABEL, process.name()),
-            twin: ContinuousRunner::new(process, initial.load_vector_f64()),
+            twin: ContinuousRunner::new(process, loads),
             graph,
             speeds,
             held,

@@ -51,7 +51,7 @@ pub fn edge_rounding_rng(seed: u64, round: usize, edge: usize) -> StdRng {
 
 /// Algorithm 2: the randomized flow-imitation discretization of a continuous
 /// process `A`, for identical (unit-weight) tasks: the generic [`Imitation`]
-/// engine running `Alg2`'s rule. Only the constructor is Algorithm 2's
+/// engine running `Alg2`'s rule. Only the constructors are Algorithm 2's
 /// own; every other method is the engine's, shared with
 /// [`FlowImitation`](super::FlowImitation).
 ///
@@ -81,6 +81,10 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
     /// Creates the randomized discretization of `process` starting from
     /// `initial`, with an explicit RNG `seed` for reproducibility.
     ///
+    /// The engine keeps only per-node token counts, so `initial` is read and
+    /// never copied. A caller that has the counts and no tasks uses
+    /// [`from_token_counts`](RandomizedImitation::from_token_counts).
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] if the initial load contains
@@ -97,8 +101,25 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
                 "randomized flow imitation (Algorithm 2) requires unit-weight tasks",
             ));
         }
-        let tokens = initial.load_vector();
-        Imitation::with_holdings(process, initial, speeds, tokens, Alg2 { seed })
+        Self::from_token_counts(process, initial.load_vector(), speeds, seed)
+    }
+
+    /// Creates the randomized discretization of `process` starting from
+    /// `counts[i]` unit tokens on node `i`, with an explicit RNG `seed`;
+    /// no task is made.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] if the node counts of
+    /// process, load and speeds disagree.
+    pub fn from_token_counts(
+        process: A,
+        counts: Vec<u64>,
+        speeds: Speeds,
+        seed: u64,
+    ) -> Result<Self, CoreError> {
+        let loads = counts.iter().map(|&c| c as f64).collect();
+        Imitation::with_holdings(process, loads, speeds, counts, Alg2 { seed })
     }
 }
 

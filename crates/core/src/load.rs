@@ -1,6 +1,7 @@
 //! Initial load distributions and load-vector helpers.
 
 use crate::task::{Speeds, Task, TaskId, Weight};
+use std::borrow::Cow;
 
 /// An assignment of indivisible tasks to nodes — the input of every discrete
 /// balancing process.
@@ -134,6 +135,23 @@ impl InitialLoad {
     pub fn initial_discrepancy(&self, speeds: &Speeds) -> f64 {
         assert_eq!(speeds.len(), self.node_count());
         crate::metrics::max_min_discrepancy(&self.load_vector_f64(), speeds)
+    }
+}
+
+/// An owned placement moves into a consumer taking
+/// `impl Into<Cow<'_, InitialLoad>>` (an engine constructor, the padding),
+/// which then makes no copy of it.
+impl From<InitialLoad> for Cow<'_, InitialLoad> {
+    fn from(load: InitialLoad) -> Self {
+        Cow::Owned(load)
+    }
+}
+
+/// A borrowed placement stays the caller's; a consumer that needs its
+/// tasks clones it once.
+impl<'a> From<&'a InitialLoad> for Cow<'a, InitialLoad> {
+    fn from(load: &'a InitialLoad) -> Self {
+        Cow::Borrowed(load)
     }
 }
 

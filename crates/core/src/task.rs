@@ -370,14 +370,34 @@ impl TaskQueue {
         }
     }
 
-    /// Creates a queue seeded with `tasks` in order (the first element is
-    /// the oldest).
-    pub fn with_tasks(policy: TaskPicker, tasks: impl IntoIterator<Item = Task>) -> Self {
-        let mut queue = Self::new(policy);
-        for task in tasks {
-            queue.push(task);
+    /// Creates a queue holding `tasks` in order (the first element is the
+    /// oldest), taking the vector whole: FIFO storage reuses its buffer
+    /// without copying, and the heaps heapify it in O(k). Pops, total weight
+    /// and [`snapshot`](TaskQueue::snapshot) equal those of a
+    /// [`new`](TaskQueue::new) queue that [`push`](TaskQueue::push)es the
+    /// same tasks one by one, because every heap key `(weight, seq)` is
+    /// unique.
+    pub fn with_tasks(policy: TaskPicker, tasks: Vec<Task>) -> Self {
+        let total_weight = tasks.iter().map(Task::weight).sum();
+        let seq = tasks.len() as u64;
+        let entries = || {
+            (0u64..).zip(tasks.iter()).map(|(seq, &task)| HeapEntry {
+                weight: task.weight(),
+                seq,
+                task,
+            })
+        };
+        let store = match policy {
+            TaskPicker::Fifo => Store::Fifo(VecDeque::from(tasks)),
+            TaskPicker::LargestFirst => Store::Largest(entries().collect()),
+            TaskPicker::SmallestFirst => Store::Smallest(entries().map(Reverse).collect()),
+        };
+        TaskQueue {
+            policy,
+            store,
+            seq,
+            total_weight,
         }
-        queue
     }
 
     /// The queue's pick policy.
@@ -634,7 +654,8 @@ mod tests {
 
     #[test]
     fn fifo_queue_pops_in_insertion_order() {
-        let mut q = TaskQueue::with_tasks(TaskPicker::Fifo, [task(0, 3), task(1, 1), task(2, 2)]);
+        let mut q =
+            TaskQueue::with_tasks(TaskPicker::Fifo, vec![task(0, 3), task(1, 1), task(2, 2)]);
         assert_eq!(q.len(), 3);
         assert_eq!(q.total_weight(), 6);
         assert_eq!(q.pop().unwrap().id(), TaskId(0));
@@ -652,7 +673,7 @@ mod tests {
         // Reference: max_by_key returns the LAST maximal element.
         let mut q = TaskQueue::with_tasks(
             TaskPicker::LargestFirst,
-            [task(0, 4), task(1, 4), task(2, 1)],
+            vec![task(0, 4), task(1, 4), task(2, 1)],
         );
         assert_eq!(q.pop().unwrap().id(), TaskId(1));
         assert_eq!(q.pop().unwrap().id(), TaskId(0));
@@ -664,7 +685,7 @@ mod tests {
         // Reference: min_by_key returns the FIRST minimal element.
         let mut q = TaskQueue::with_tasks(
             TaskPicker::SmallestFirst,
-            [task(0, 2), task(1, 2), task(2, 7)],
+            vec![task(0, 2), task(1, 2), task(2, 7)],
         );
         assert_eq!(q.pop().unwrap().id(), TaskId(0));
         assert_eq!(q.pop().unwrap().id(), TaskId(1));
@@ -709,13 +730,46 @@ mod tests {
     }
 
     #[test]
+    fn a_queue_from_a_vec_equals_one_pushed_task_by_task() {
+        for policy in [
+            TaskPicker::Fifo,
+            TaskPicker::LargestFirst,
+            TaskPicker::SmallestFirst,
+        ] {
+            for len in [0u64, 1, 40] {
+                // Three weights over 40 tasks: every weight is tied.
+                let tasks: Vec<Task> = (0..len).map(|i| task(i, i * 7 % 3 + 1)).collect();
+                let mut pushed = TaskQueue::new(policy);
+                for &task in &tasks {
+                    pushed.push(task);
+                }
+                let mut whole = TaskQueue::with_tasks(policy, tasks);
+                assert_eq!(whole.snapshot(), pushed.snapshot(), "{policy:?} len {len}");
+                assert_eq!(whole.total_weight(), pushed.total_weight());
+                // A later push ties against the vector's tasks the same way.
+                whole.push(task(99, 2));
+                pushed.push(task(99, 2));
+                loop {
+                    let popped = whole.pop();
+                    assert_eq!(popped, pushed.pop(), "{policy:?} len {len}");
+                    assert_eq!(whole.total_weight(), pushed.total_weight());
+                    if popped.is_none() {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn peek_agrees_with_pop_for_every_policy() {
         for policy in [
             TaskPicker::Fifo,
             TaskPicker::LargestFirst,
             TaskPicker::SmallestFirst,
         ] {
-            let mut q = TaskQueue::with_tasks(policy, (0..12).map(|i| task(i, i % 4 + 1)));
+            let mut q =
+                TaskQueue::with_tasks(policy, (0..12).map(|i| task(i, i % 4 + 1)).collect());
             while !q.is_empty() {
                 let peeked = *q.peek().expect("non-empty queue peeks");
                 assert_eq!(q.pop(), Some(peeked), "policy {policy:?}");
@@ -735,7 +789,7 @@ mod tests {
             // seqs differ from freshly assigned ones.
             let mut original = TaskQueue::with_tasks(
                 policy,
-                [task(0, 4), task(1, 4), task(2, 1), task(3, 4), task(4, 2)],
+                vec![task(0, 4), task(1, 4), task(2, 1), task(3, 4), task(4, 2)],
             );
             original.pop();
             let (next_seq, entries) = original.snapshot();
@@ -772,7 +826,7 @@ mod tests {
             TaskPicker::LargestFirst,
             TaskPicker::SmallestFirst,
         ] {
-            let q = TaskQueue::with_tasks(policy, (0..10).map(|i| task(i, i % 3 + 1)));
+            let q = TaskQueue::with_tasks(policy, (0..10).map(|i| task(i, i % 3 + 1)).collect());
             let mut ids: Vec<u64> = q.iter().map(|t| t.id().0).collect();
             ids.sort_unstable();
             assert_eq!(ids, (0..10).collect::<Vec<_>>());

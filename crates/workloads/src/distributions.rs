@@ -7,6 +7,7 @@
 use lb_core::{InitialLoad, Task, TaskId};
 use lb_graph::Graph;
 use rand::Rng;
+use std::borrow::Cow;
 
 /// A recipe for an initial placement of unit-weight tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,23 +40,36 @@ impl TokenDistribution {
     /// Panics if `n == 0`, or if a `SingleSource` source index is out of
     /// range.
     pub fn generate(&self, n: usize, total: u64, rng: &mut impl Rng) -> InitialLoad {
+        InitialLoad::from_token_counts(self.counts(n, total, rng))
+    }
+
+    /// The per-node token counts [`generate`](TokenDistribution::generate)
+    /// places, drawing the same values from `rng`, without making a task.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`, or if a `SingleSource` source index is out of
+    /// range.
+    pub fn counts(&self, n: usize, total: u64, rng: &mut impl Rng) -> Vec<u64> {
         assert!(n > 0, "distribution requires at least one node");
         match *self {
             TokenDistribution::SingleSource { source } => {
-                InitialLoad::single_source(n, source, total)
+                assert!(source < n, "source node {source} out of range for n = {n}");
+                let mut counts = vec![0; n];
+                counts[source] = total;
+                counts
             }
             TokenDistribution::UniformRandom => {
                 let mut counts = vec![0u64; n];
                 for _ in 0..total {
                     counts[rng.gen_range(0..n)] += 1;
                 }
-                InitialLoad::from_token_counts(counts)
+                counts
             }
             TokenDistribution::AlmostBalanced => {
                 let base = total / n as u64;
                 let remainder = (total % n as u64) as usize;
-                let counts = (0..n).map(|i| base + u64::from(i < remainder)).collect();
-                InitialLoad::from_token_counts(counts)
+                (0..n).map(|i| base + u64::from(i < remainder)).collect()
             }
             TokenDistribution::Geometric { ratio_percent } => {
                 let ratio = f64::from(ratio_percent) / 100.0;
@@ -73,7 +87,7 @@ impl TokenDistribution {
                 // Give any rounding remainder to node 0 so the total is exact.
                 let assigned: u64 = counts.iter().sum();
                 counts[0] += total - assigned;
-                InitialLoad::from_token_counts(counts)
+                counts
             }
         }
     }
@@ -93,30 +107,35 @@ impl TokenDistribution {
 
 /// Adds `extra_per_speed_unit · s_i` unit tokens to every node of an existing
 /// distribution — the "sufficient initial load" padding required by part (2)
-/// of Theorems 3 and 8 (`extra = d·w_max` for Algorithm 1).
+/// of Theorems 3 and 8 (`extra = d·w_max` for Algorithm 1). The padding is
+/// numbered after the distribution's largest task id, node by node.
+///
+/// `initial` is an owned or a borrowed placement. An owned one is padded in
+/// place: each node's vector grows once, to its exact padded length, so at
+/// most one node's tasks are copied at a time. A borrowed one is cloned
+/// once first.
 ///
 /// # Panics
 ///
 /// Panics if `speeds.len()` differs from the distribution's node count.
-pub fn pad_for_min_load(
-    initial: &InitialLoad,
+pub fn pad_for_min_load<'a>(
+    initial: impl Into<Cow<'a, InitialLoad>>,
     speeds: &lb_core::Speeds,
     extra_per_speed_unit: u64,
 ) -> InitialLoad {
+    let initial = initial.into();
     assert_eq!(speeds.len(), initial.node_count());
-    let mut tasks = initial.clone().into_tasks();
-    let mut next_id: u64 = tasks
-        .iter()
-        .flatten()
+    let mut next_id: u64 = (0..initial.node_count())
+        .flat_map(|i| initial.tasks_of(i))
         .map(|t| t.id().0 + 1)
         .max()
         .unwrap_or(0);
-    for (i, node_tasks) in tasks.iter_mut().enumerate() {
-        let extra = extra_per_speed_unit * speeds.get(i);
-        for _ in 0..extra {
-            node_tasks.push(Task::new(TaskId(next_id), 1));
-            next_id += 1;
-        }
+    let mut tasks = initial.into_owned().into_tasks();
+    for (node_tasks, &speed) in tasks.iter_mut().zip(speeds.as_slice()) {
+        let extra = extra_per_speed_unit * speed;
+        node_tasks.reserve_exact(usize::try_from(extra).unwrap_or(usize::MAX));
+        node_tasks.extend((next_id..next_id + extra).map(|id| Task::new(TaskId(id), 1)));
+        next_id += extra;
     }
     InitialLoad::from_tasks(tasks)
 }

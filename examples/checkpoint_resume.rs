@@ -54,6 +54,7 @@ fn main() {
             if sample.round == 60 {
                 std::fs::copy(&rotating_at_callback, &mid_run_copy).expect("harvest checkpoint");
             }
+            Ok(())
         })
         .expect("checkpointed run succeeds");
     let doc = reference.to_json().render_pretty();
@@ -79,7 +80,7 @@ fn main() {
     //    continues from the captured round and the final document is
     //    byte-identical to the uninterrupted reference.
     let resumed = Session::from_snapshot(snap.clone())
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("resume succeeds");
     assert_eq!(
         doc,
@@ -94,7 +95,7 @@ fn main() {
     //    migration unit for moving a run to a bigger (or smaller) machine.
     let resharded = Session::from_snapshot(snap)
         .shards(4)
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("resharded resume succeeds");
     assert_eq!(
         doc,

@@ -60,6 +60,7 @@ fn main() -> Result<(), lb_bench::error::BenchError> {
             "{:<8} {:>8.2} {:>10.0} {:>12} {:>10}",
             s.round, s.max_min, s.real_weight, s.arrived_weight, s.dummy_load
         );
+        Ok(())
     })?;
 
     let d = 4.0; // random 4-regular expander

@@ -37,7 +37,7 @@ fn main() {
     let path = std::env::temp_dir().join("lb_merge_ingestion_demo.trace.jsonl");
     let sync = Session::from_scenario(&scenario)
         .record(path.clone())
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("sync run succeeds");
     let sync_doc = sync.to_json().render_pretty();
     println!(
@@ -51,7 +51,7 @@ fn main() {
     //    round's batch; the k-way merge reassembles them bit for bit.
     let merged = Session::from_scenario(&scenario)
         .producer(Producer::Merge { feeds: 3 })
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("merged run succeeds");
     assert_eq!(
         sync_doc,
@@ -67,7 +67,7 @@ fn main() {
     //    path `lb replay --follow` takes against a growing file.
     let source = TraceSource::open(&path).expect("trace tail opens");
     let tailed = Session::from_stream(Box::new(source))
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("tail replays");
     assert_eq!(
         sync_doc,

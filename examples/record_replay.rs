@@ -39,7 +39,7 @@ fn main() {
     //    perturbs the run.
     let recorded = Session::from_scenario(&scenario)
         .record(path.clone())
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("recorded run succeeds");
     println!(
         "recorded {} rounds: final max_avg = {:.2}, arrived = {}, completed = {}",
@@ -59,7 +59,7 @@ fn main() {
         trace.scenario().seed
     );
     let replayed = Session::from_stream(Box::new(trace))
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("replay succeeds");
 
     // 3. The contract: byte-identical result documents.
@@ -73,7 +73,7 @@ fn main() {
     // streamed through one bounded SPSC channel instead of generated inline.
     let channel = Session::from_scenario(&scenario)
         .producer(Producer::Merge { feeds: 1 })
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("channel run succeeds");
     assert_eq!(
         a,

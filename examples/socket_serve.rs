@@ -40,7 +40,7 @@ fn main() {
     let path = std::env::temp_dir().join("lb_socket_serve_demo.trace.jsonl");
     let reference = Session::from_scenario(&scenario)
         .record(path.clone())
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("reference run succeeds");
     let reference_doc = reference.to_json().render_pretty();
     println!(
@@ -64,7 +64,7 @@ fn main() {
     };
     let server = {
         let scenario = scenario.clone();
-        std::thread::spawn(move || serve(&scenario, &options, |_| {}))
+        std::thread::spawn(move || serve(&scenario, &options, |_| Ok(())))
     };
     let addr = loop {
         if let Ok(text) = std::fs::read_to_string(&info) {

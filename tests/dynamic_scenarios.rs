@@ -35,8 +35,12 @@ fn example_scenario_is_bit_identical_across_runs() {
     // result documents must agree byte for byte.
     let mut scenario = load_example();
     scenario.seed = 42;
-    let a = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
-    let b = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
+    let a = Session::from_scenario(&scenario)
+        .run(|_| Ok(()))
+        .expect("runs");
+    let b = Session::from_scenario(&scenario)
+        .run(|_| Ok(()))
+        .expect("runs");
     assert_eq!(
         a.to_json().render_pretty(),
         b.to_json().render_pretty(),
@@ -52,9 +56,13 @@ fn example_scenario_is_bit_identical_across_runs() {
 fn trajectories_differ_across_seeds() {
     let mut scenario = load_example();
     scenario.seed = 1;
-    let a = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
+    let a = Session::from_scenario(&scenario)
+        .run(|_| Ok(()))
+        .expect("runs");
     scenario.seed = 2;
-    let b = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
+    let b = Session::from_scenario(&scenario)
+        .run(|_| Ok(()))
+        .expect("runs");
     assert_ne!(a.trajectory, b.trajectory);
 }
 
@@ -106,8 +114,12 @@ fn churny_scenario(algorithm: AlgorithmSpec) -> Scenario {
 fn churn_scenarios_are_deterministic_for_both_algorithms() {
     for algorithm in [AlgorithmSpec::Alg1, AlgorithmSpec::Alg2] {
         let scenario = churny_scenario(algorithm);
-        let a = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
-        let b = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
+        let a = Session::from_scenario(&scenario)
+            .run(|_| Ok(()))
+            .expect("runs");
+        let b = Session::from_scenario(&scenario)
+            .run(|_| Ok(()))
+            .expect("runs");
         assert_eq!(a.trajectory, b.trajectory, "{algorithm:?}");
         // The resize took effect.
         assert_eq!(a.last().nodes, 48, "{algorithm:?}");
@@ -120,7 +132,10 @@ fn streamed_samples_match_the_recorded_trajectory() {
     scenario.seed = 42;
     let mut streamed: Vec<RoundSample> = Vec::new();
     let outcome = Session::from_scenario(&scenario)
-        .run(|s| streamed.push(s.clone()))
+        .run(|s| {
+            streamed.push(s.clone());
+            Ok(())
+        })
         .expect("runs");
     assert_eq!(streamed, outcome.trajectory);
     // Samples: round 0, every 24 rounds, and the final round.
@@ -135,7 +150,9 @@ fn sustained_load_keeps_discrepancy_in_the_od_regime() {
     // upward over time even though the workload never drains.
     let mut scenario = load_example();
     scenario.seed = 42;
-    let outcome = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
+    let outcome = Session::from_scenario(&scenario)
+        .run(|_| Ok(()))
+        .expect("runs");
     let d = 8.0; // hypercube(256) has degree 8
     for sample in &outcome.trajectory {
         if sample.round >= scenario.rounds / 2 {
@@ -273,13 +290,14 @@ fn assert_resumes_at_every_round_under(
             if sample.round >= 2 {
                 captures.push(std::fs::read_to_string(&rotating).expect("rotating checkpoint"));
             }
+            Ok(())
         })
         .expect("runs");
     let final_state = std::fs::read_to_string(&rotating).expect("final checkpoint");
     captures.push(final_state.clone());
     std::fs::remove_file(&rotating).ok();
     let reference = Session::from_scenario(&scenario_every_round)
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("runs")
         .to_json()
         .render_pretty();
@@ -293,7 +311,7 @@ fn assert_resumes_at_every_round_under(
                 .shards(shards)
                 .producer(producer)
                 .checkpoint(resumed_path.clone(), scenario.rounds)
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap_or_else(|err| panic!("{tag}: resume at {round}: {err}"));
             let what =
                 format!("{tag}: resume at round {round} with {shards} shard(s), {producer:?}");
@@ -324,7 +342,7 @@ fn resume_at_every_round_crosses_every_churn_epoch() {
             let scenario = epoch_cycle_scenario(family, algorithm, model);
             assert_eq!(
                 Session::from_scenario(&scenario)
-                    .run(|_| {})
+                    .run(|_| Ok(()))
                     .expect("runs")
                     .last()
                     .nodes,

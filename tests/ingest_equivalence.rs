@@ -98,7 +98,7 @@ fn sync_channel_and_replay_are_byte_identical() {
             let sync = Session::from_scenario(&scenario)
                 .shards(shards)
                 .record(path.clone())
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} sync: {e}"));
             let sync_doc = sync.to_json().render_pretty();
 
@@ -107,7 +107,7 @@ fn sync_channel_and_replay_are_byte_identical() {
             let channel = Session::from_scenario(&scenario)
                 .shards(shards)
                 .producer(Producer::Merge { feeds: 1 })
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} channel: {e}"));
             assert_eq!(
                 sync_doc,
@@ -120,7 +120,7 @@ fn sync_channel_and_replay_are_byte_identical() {
             let trace = replay_source(&path);
             assert_eq!(trace.scenario().shards, shards, "effective shards recorded");
             let replayed = Session::from_stream(trace)
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} replay: {e}"));
             assert_eq!(
                 sync_doc,
@@ -141,12 +141,12 @@ fn trace_replay_is_shard_invariant() {
     let path = temp_trace("shard_invariance");
     let sequential = Session::from_scenario(&scenario)
         .record(path.clone())
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("records");
     for shards in [2usize, 4] {
         let replayed = Session::from_stream(replay_source(&path))
             .shards(shards)
-            .run(|_| {})
+            .run(|_| Ok(()))
             .expect("replays");
         assert_eq!(
             sequential.trajectory, replayed.trajectory,
@@ -164,14 +164,14 @@ fn truncated_traces_fail_loudly() {
     let path = temp_trace("truncation");
     Session::from_scenario(&scenario)
         .record(path.clone())
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("records");
     let text = std::fs::read_to_string(&path).expect("trace exists");
     let lines: Vec<&str> = text.lines().collect();
     let truncated = lines[..lines.len() - 1].join("\n") + "\n";
     std::fs::write(&path, truncated).expect("truncates");
     let err = Session::from_stream(replay_source(&path))
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect_err("truncated trace rejected")
         .to_string();
     assert!(err.contains("end record"), "{err}");
@@ -189,7 +189,7 @@ fn short_traces_drain_and_keep_balancing() {
     let path = temp_trace("short");
     Session::from_scenario(&scenario)
         .record(path.clone())
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("records");
 
     // Keep only the first half of the recorded rounds, re-sealed as a
@@ -208,10 +208,10 @@ fn short_traces_drain_and_keep_balancing() {
     writer.finish().expect("publishes");
     let last_recorded = rounds.last().expect("nonempty").0;
     let a = Session::from_stream(replay_source(&path))
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("replays");
     let b = Session::from_stream(replay_source(&path))
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("replays");
     assert_eq!(a.trajectory, b.trajectory, "short replay is deterministic");
     assert!(
@@ -220,7 +220,7 @@ fn short_traces_drain_and_keep_balancing() {
     );
     // Arrived weight reflects only the replayed half.
     let full = Session::from_scenario(&scenario)
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("full run");
     assert!(
         a.last().arrived_weight < full.last().arrived_weight,

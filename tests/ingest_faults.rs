@@ -219,7 +219,7 @@ fn torn_and_truncated_trace_tails_fail_loudly() {
     let path = temp_trace("torn_tail");
     Session::from_scenario(&scenario)
         .record(path.clone())
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("records");
     let text = std::fs::read_to_string(&path).expect("trace text");
 
@@ -229,7 +229,7 @@ fn torn_and_truncated_trace_tails_fail_loudly() {
     let source = TraceSource::open_with(&path, Duration::from_millis(50), Duration::from_millis(5))
         .expect("header parses");
     let err = Session::from_stream(Box::new(source))
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect_err("torn tail errors");
     assert!(err.to_string().contains("truncated?"), "{err}");
 
@@ -240,7 +240,7 @@ fn torn_and_truncated_trace_tails_fail_loudly() {
     let source = TraceSource::open_with(&path, Duration::from_millis(50), Duration::from_millis(5))
         .expect("header parses");
     let err = Session::from_stream(Box::new(source))
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect_err("truncation errors");
     assert!(err.to_string().contains("without an end record"), "{err}");
 
@@ -248,7 +248,7 @@ fn torn_and_truncated_trace_tails_fail_loudly() {
     let bytes = lines[..lines.len() - 1].join("\n").into_bytes();
     let source = ReadSource::new(std::io::Cursor::new(bytes)).expect("header parses");
     let err = Session::from_stream(Box::new(source))
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect_err("stream truncation errors");
     assert!(err.to_string().contains("truncated?"), "{err}");
     std::fs::remove_file(&path).ok();
@@ -301,7 +301,7 @@ fn poisoned_producer_panics_become_errors_not_deadlocks() {
         panic: true,
     };
     let err = Session::from_stream(Box::new(source))
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect_err("panic surfaces");
     assert!(err.to_string().contains("panicked"), "{err}");
 }
@@ -317,7 +317,7 @@ fn producer_source_errors_propagate_verbatim() {
         panic: false,
     };
     let err = Session::from_stream(Box::new(source))
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect_err("source error surfaces");
     assert!(err.to_string().contains("simulated I/O failure"), "{err}");
 }

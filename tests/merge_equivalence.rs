@@ -96,7 +96,7 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
             let sync = Session::from_scenario(&scenario)
                 .shards(shards)
                 .record(path.clone())
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} sync: {e}"));
             let sync_doc = sync.to_json().render_pretty();
 
@@ -104,7 +104,7 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
             let channel = Session::from_scenario(&scenario)
                 .shards(shards)
                 .producer(Producer::Merge { feeds: 1 })
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} channel: {e}"));
             assert_eq!(
                 sync_doc,
@@ -116,7 +116,7 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
             let merged = Session::from_scenario(&scenario)
                 .shards(shards)
                 .producer(Producer::Merge { feeds: 2 })
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} merge: {e}"));
             assert_eq!(
                 sync_doc,
@@ -128,7 +128,7 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
             let source = TraceSource::open(&path)
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} tail open: {e}"));
             let tailed = Session::from_stream(Box::new(source))
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} tail: {e}"));
             assert_eq!(
                 sync_doc,
@@ -141,7 +141,7 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
             let source = ReadSource::new(std::io::Cursor::new(bytes))
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} stream open: {e}"));
             let streamed = Session::from_stream(Box::new(source))
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} stream: {e}"));
             assert_eq!(
                 sync_doc,
@@ -159,7 +159,7 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
 fn merge_is_byte_identical_across_feed_counts() {
     let scenario = churny_scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);
     let sync = Session::from_scenario(&scenario)
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("sync runs");
     let sync_doc = sync.to_json().render_pretty();
     for shards in [1usize, 4] {
@@ -167,7 +167,7 @@ fn merge_is_byte_identical_across_feed_counts() {
             let merged = Session::from_scenario(&scenario)
                 .shards(shards)
                 .producer(Producer::Merge { feeds })
-                .run(|_| {})
+                .run(|_| Ok(()))
                 .unwrap_or_else(|e| panic!("feeds={feeds} shards={shards}: {e}"));
             if shards == 1 {
                 assert_eq!(
@@ -197,7 +197,7 @@ fn growing_file_tail_replays_byte_identically() {
     let grown_path = temp_trace("live_tail_grown");
     let recorded = Session::from_scenario(&scenario)
         .record(recorded_path.clone())
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("records");
 
     std::fs::write(&grown_path, "").expect("creates the tailed file");
@@ -222,7 +222,7 @@ fn growing_file_tail_replays_byte_identically() {
     )
     .expect("header arrives");
     let tailed = Session::from_stream(Box::new(source))
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("tail replays");
     writer.join().unwrap();
     assert_eq!(

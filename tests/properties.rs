@@ -326,6 +326,7 @@ proptest! {
                 if sample.round >= 2 {
                     copies.push(snapshot::load(&rotating).expect("rotating checkpoint"));
                 }
+                Ok(())
             })
             .unwrap();
         copies.push(snapshot::load(&rotating).expect("final checkpoint"));
@@ -339,7 +340,7 @@ proptest! {
             for shards in [1usize, 2, 7] {
                 let resumed = Session::from_snapshot(snap.clone())
                     .shards(shards)
-                    .run(|_| {})
+                    .run(|_| Ok(()))
                     .unwrap();
                 prop_assert_eq!(
                     resumed.to_json().render_pretty(),

@@ -60,7 +60,7 @@ fn recorded_trace(tag: &str) -> (PathBuf, String) {
     let path = temp_path(&format!("{tag}.trace.jsonl"));
     let reference = Session::from_scenario(&scenario)
         .record(path.clone())
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("reference run records");
     (path, reference.to_json().render_pretty())
 }
@@ -118,7 +118,7 @@ fn dropped_client_degrades_and_the_run_finishes() {
 
     let server = {
         let scenario = scenario.clone();
-        std::thread::spawn(move || serve(&scenario, &options, |_| {}))
+        std::thread::spawn(move || serve(&scenario, &options, |_| Ok(())))
     };
     let addr = wait_for_addr(&info);
 
@@ -135,7 +135,9 @@ fn dropped_client_degrades_and_the_run_finishes() {
         "the degraded run still reaches the horizon"
     );
     // Only the two delivered rounds' arrivals made it in.
-    let full = Session::from_scenario(&scenario).run(|_| {}).expect("runs");
+    let full = Session::from_scenario(&scenario)
+        .run(|_| Ok(()))
+        .expect("runs");
     assert!(
         outcome.last().arrived_weight < full.last().arrived_weight,
         "the dropped tail of the stream never arrived"
@@ -155,7 +157,7 @@ fn reconnected_client_resumes_byte_identically_at_acceptance_shards() {
     for shards in [1usize, 4] {
         let reference = Session::from_scenario(&scenario)
             .shards(shards)
-            .run(|_| {})
+            .run(|_| Ok(()))
             .expect("sync reference runs");
         let reference_doc = reference.to_json().render_pretty();
 
@@ -169,7 +171,7 @@ fn reconnected_client_resumes_byte_identically_at_acceptance_shards() {
         let server = {
             let mut scenario = scenario.clone();
             scenario.shards = shards;
-            std::thread::spawn(move || serve(&scenario, &options, |_| {}))
+            std::thread::spawn(move || serve(&scenario, &options, |_| Ok(())))
         };
         let addr = wait_for_addr(&info);
 
@@ -232,7 +234,7 @@ fn mismatched_header_is_rejected_while_the_engine_keeps_serving() {
     };
     let server = {
         let scenario = scenario.clone();
-        std::thread::spawn(move || serve(&scenario, &options, |_| {}))
+        std::thread::spawn(move || serve(&scenario, &options, |_| Ok(())))
     };
     let addr = wait_for_addr(&info);
 

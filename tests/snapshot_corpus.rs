@@ -60,7 +60,7 @@ fn canonical() -> String {
     ));
     Session::from_scenario(&scenario())
         .checkpoint(path.clone(), 10)
-        .run(|_| {})
+        .run(|_| Ok(()))
         .expect("checkpointed run");
     let text = std::fs::read_to_string(&path).expect("snapshot text");
     std::fs::remove_file(&path).ok();
@@ -176,7 +176,7 @@ fn an_sos_beta_or_basis_that_does_not_fit_fails_the_resume_as_a_mismatch() {
         // The edited snapshot still renders and parses: only the resume can
         // tell that it does not fit.
         let snap = snapshot::parse(&snapshot::render(&snap)).expect("well-formed");
-        Session::from_snapshot(snap).run(|_| {})
+        Session::from_snapshot(snap).run(|_| Ok(()))
     };
     for beta in [0.0, -1.0, 2.5, f64::NAN, f64::INFINITY] {
         match resume(&|sos| sos.beta = beta) {
