@@ -17,6 +17,10 @@
 //! The per-edge rule is written once, as [`Alg1`]'s [`Algorithm::send`];
 //! [`FlowImitation`] is the shared engine of [`super::imitation`] running
 //! it, and its sequential, sharded and federated steps are that engine's.
+//! Observation 4 keeps almost every edge's deficit below `w_max`, so almost
+//! no edge sends in a round: the send loop tests each deficit against
+//! `w_max` from the twin's cumulative flow and the ledger (16 bytes per
+//! edge) and loads an edge's endpoints only when it can send.
 //! The sequential step is allocation-free in steady state: per-node storage
 //! is a [`TaskQueue`] (O(1) FIFO pops, O(log k) heap pops), the outbox is
 //! owned by the engine and reused, and the topology is shared with the twin
@@ -162,7 +166,7 @@ impl Algorithm for Alg1 {
         let wmax = self.wmax as f64;
         let mut tally = Tally::default();
         for e in edges {
-            let Some(t) = deficits.transfer(e, &senders.range) else {
+            let Some(t) = deficits.transfer(e, wmax, &senders.range) else {
                 continue;
             };
             let mut moved: u64 = 0;
@@ -290,7 +294,7 @@ impl Holding for TaskQueue {
 mod tests {
     use super::*;
     use crate::continuous::{DimensionExchange, Fos, RandomMatching};
-    use crate::discrete::DiscreteBalancer;
+    use crate::discrete::{DiscreteBalancer, DynamicBalancer, RoundEvents};
     use crate::metrics;
     use crate::task::TaskId;
     use lb_graph::{generators, AlphaScheme, Graph};
@@ -558,6 +562,38 @@ mod tests {
             real_max_avg <= 2.0 * d + 2.0 + 1e-9,
             "real max-avg = {real_max_avg}"
         );
+    }
+
+    #[test]
+    fn an_arrival_that_raises_wmax_raises_the_send_floor_at_once() {
+        // Two nodes: node 0 holds 10 unit tasks. Before round 0, node 1
+        // receives weight 8, as one task of weight 8 or as eight unit
+        // tasks. The twin moves (10 − 8)/2 = 1 over the edge either way, so
+        // the engines differ only in `w_max`: at w_max = 8 a deficit of 1
+        // must not send, at w_max = 1 it sends one task.
+        let run = |arrivals: Vec<Task>| {
+            let speeds = Speeds::uniform(2);
+            let fos = fos_on(generators::complete(2).unwrap(), &speeds);
+            let initial = InitialLoad::single_source(2, 0, 10);
+            let mut alg1 = FlowImitation::new(fos, &initial, speeds, TaskPicker::Fifo).unwrap();
+            let events = RoundEvents {
+                arrivals: arrivals.into_iter().map(|task| (1, task)).collect(),
+                completions: vec![],
+            };
+            alg1.apply_events(&events).unwrap();
+            alg1.step();
+            assert_eq!(alg1.continuous().cumulative_flows(), &[1.0]);
+            alg1
+        };
+        let heavy = run(vec![Task::new(TaskId(100), 8)]);
+        assert_eq!(heavy.wmax(), 8);
+        assert_eq!(heavy.items_sent(), 0, "a deficit below the new w_max sends");
+        assert_eq!(heavy.loads(), vec![10.0, 8.0]);
+
+        let units = run((0..8).map(|k| Task::new(TaskId(100 + k), 1)).collect());
+        assert_eq!(units.wmax(), 1);
+        assert_eq!(units.items_sent(), 1);
+        assert_eq!(units.loads(), vec![9.0, 9.0]);
     }
 
     #[test]

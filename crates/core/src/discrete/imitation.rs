@@ -58,7 +58,10 @@ pub trait Algorithm: Sized + Sync {
 
     /// Runs round `round`'s rule over `edges` for `senders`, putting every
     /// delivery in the outbox `out`, so a node only forwards what it held at
-    /// the start of the round.
+    /// the start of the round. Each edge goes through
+    /// `Deficits::transfer` with the smallest deficit the rule can act on,
+    /// read at send time, so edges below it are skipped on their two flow
+    /// entries alone.
     fn send(
         &self,
         round: usize,
@@ -163,25 +166,42 @@ impl<'a> Deficits<'a> {
         }
     }
 
-    /// Edge `e`'s transfer, or `None` when its deficit is zero or its sender
-    /// lies outside `senders`. The sign of the deficit picks the sender, so
-    /// exactly one of the ranges incident to an edge processes it.
+    /// Edge `e`'s transfer, or `None` when its deficit is zero, its
+    /// magnitude is below `floor`, or its sender lies outside `senders`. The
+    /// sign of the deficit picks the sender, so exactly one of the ranges
+    /// incident to an edge processes it.
+    ///
+    /// `floor` is the smallest deficit the algorithm can act on (Algorithm
+    /// 1's `w_max`; `0.0` for Algorithm 2). The deficit is tested against it
+    /// from the two flow arrays alone, so an edge that cannot send costs 16
+    /// bytes of reads and its endpoints are never loaded.
     // lint: zero-alloc
     #[inline]
-    pub(crate) fn transfer(&self, e: EdgeId, senders: &Range<NodeId>) -> Option<Transfer> {
-        let (u, v) = self.edges[e];
+    pub(crate) fn transfer(
+        &self,
+        e: EdgeId,
+        floor: f64,
+        senders: &Range<NodeId>,
+    ) -> Option<Transfer> {
         let deficit = self.continuous[e] - self.discrete[e] as f64;
-        let (sender, receiver, sign) = if deficit > 0.0 {
-            (u, v, 1)
+        let magnitude = deficit.abs();
+        if magnitude < floor {
+            return None;
+        }
+        // A zero or NaN deficit fails both comparisons.
+        let sign = if deficit > 0.0 {
+            1
         } else if deficit < 0.0 {
-            (v, u, -1)
+            -1
         } else {
             return None;
         };
+        let (u, v) = self.edges[e];
+        let (sender, receiver) = if sign > 0 { (u, v) } else { (v, u) };
         senders.contains(&sender).then(|| Transfer {
             at: sender - senders.start,
             receiver,
-            magnitude: deficit.abs(),
+            magnitude,
             sign,
         })
     }
@@ -711,7 +731,10 @@ impl<A: ContinuousProcess, R: Algorithm> DiscreteBalancer for Imitation<A, R> {
 
     /// One sequential round: the twin advances so `f^A` refers to the end
     /// of the round, the send rule runs over every edge for every sender
-    /// into the engine's own outbox, and delivery applies it.
+    /// into the engine's own outbox, and delivery applies it. The scan over
+    /// all `m` edges reads each edge's twin flow and ledger entry; an edge's
+    /// endpoints are read only when its deficit reaches the algorithm's
+    /// floor (see `Deficits::transfer`).
     // lint: zero-alloc
     fn step(&mut self) {
         self.twin.step();
@@ -749,5 +772,60 @@ impl<A: ContinuousProcess, R: Algorithm> DynamicBalancer for Imitation<A, R> {
 
     fn arrived_weight(&self) -> u64 {
         self.arrived_weight
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-edge ledger: edge 0 joins nodes 0 and 1.
+    fn deficits<'a>(continuous: &'a [f64], discrete: &'a [i64]) -> Deficits<'a> {
+        Deficits {
+            edges: &[(0, 1)],
+            continuous,
+            discrete,
+        }
+    }
+
+    #[test]
+    fn a_deficit_at_the_floor_sends() {
+        let t = deficits(&[5.0], &[2])
+            .transfer(0, 3.0, &(0..2))
+            .expect("a deficit of exactly the floor sends");
+        assert_eq!((t.at, t.receiver, t.magnitude, t.sign), (0, 1, 3.0, 1));
+    }
+
+    #[test]
+    fn a_deficit_just_below_the_floor_does_not_send() {
+        let below = f64::from_bits(5.0f64.to_bits() - 1);
+        assert!(below - 2.0 < 3.0);
+        assert!(deficits(&[below], &[2]).transfer(0, 3.0, &(0..2)).is_none());
+    }
+
+    #[test]
+    fn a_zero_or_nan_deficit_does_not_send_even_at_floor_zero() {
+        assert!(deficits(&[2.0], &[2]).transfer(0, 0.0, &(0..2)).is_none());
+        assert!(deficits(&[f64::NAN], &[0])
+            .transfer(0, 0.0, &(0..2))
+            .is_none());
+    }
+
+    #[test]
+    fn a_negative_deficit_sends_from_v_with_sign_minus_one() {
+        let t = deficits(&[-3.5], &[0])
+            .transfer(0, 1.0, &(0..2))
+            .expect("a deficit of magnitude 3.5 clears floor 1");
+        assert_eq!((t.at, t.receiver, t.magnitude, t.sign), (1, 0, 3.5, -1));
+        // Indexed from the range start: node 1 is slot 0 of the range 1..2.
+        let t = deficits(&[-3.5], &[0]).transfer(0, 1.0, &(1..2)).unwrap();
+        assert_eq!(t.at, 0);
+    }
+
+    #[test]
+    fn a_sender_outside_the_range_gives_none() {
+        // u = 0 sends a positive deficit, v = 1 a negative one.
+        assert!(deficits(&[4.0], &[0]).transfer(0, 1.0, &(1..2)).is_none());
+        assert!(deficits(&[-4.0], &[0]).transfer(0, 1.0, &(0..1)).is_none());
     }
 }

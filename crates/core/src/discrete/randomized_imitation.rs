@@ -148,7 +148,7 @@ impl Algorithm for Alg2 {
     ) -> Tally {
         let mut tally = Tally::default();
         for e in edges {
-            let Some(t) = deficits.transfer(e, &senders.range) else {
+            let Some(t) = deficits.transfer(e, 0.0, &senders.range) else {
                 continue;
             };
             let floor = t.magnitude.floor();

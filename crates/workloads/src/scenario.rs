@@ -243,6 +243,13 @@ pub enum ChurnKind {
 /// a `thread::spawn` resource-exhaustion abort mid-run.
 pub const MAX_SHARDS: usize = 256;
 
+/// Upper bound on an arrival rate (`arrivals.rate_per_node`, and the
+/// hot-spot's `arrivals.rate`). The Poisson sampler lowers its mean in
+/// chunks of 16, so the mean must be finite and small enough for each chunk
+/// to lower it: at 2^20 per node, a graph below 2^33 nodes keeps the mean
+/// under 2^53, where the subtraction is exact.
+pub const MAX_ARRIVAL_RATE: f64 = 1_048_576.0;
+
 /// Upper bound on a scenario's `federation`: every partition is a full OS
 /// process, so an absurd count must be a validation error, not a fork bomb.
 pub const MAX_FEDERATION: usize = 64;
@@ -332,14 +339,26 @@ impl Scenario {
         if self.topology.family.is_empty() {
             return Err("topology.family must not be empty".into());
         }
-        match self.arrivals {
-            ArrivalSpec::Poisson { rate_per_node, .. }
-                if rate_per_node.is_nan() || rate_per_node < 0.0 =>
-            {
-                return Err("arrivals.rate_per_node must be a non-negative number".into());
+        if let SpeedSpec::PowersOfTwo { classes } = self.speeds {
+            if !(1..=u64::BITS).contains(&classes) {
+                return Err(format!(
+                    "speeds.classes is {classes}, outside 1..={} (the fastest class is \
+                     2^(classes - 1), a u64)",
+                    u64::BITS
+                ));
             }
-            ArrivalSpec::HotSpot { rate, .. } if rate.is_nan() || rate < 0.0 => {
-                return Err("arrivals.rate must be a non-negative number".into());
+        }
+        let rates = 0.0..=MAX_ARRIVAL_RATE;
+        match self.arrivals {
+            ArrivalSpec::Poisson { rate_per_node, .. } if !rates.contains(&rate_per_node) => {
+                return Err(format!(
+                    "arrivals.rate_per_node must be a number in 0..={MAX_ARRIVAL_RATE}"
+                ));
+            }
+            ArrivalSpec::HotSpot { rate, .. } if !rates.contains(&rate) => {
+                return Err(format!(
+                    "arrivals.rate must be a number in 0..={MAX_ARRIVAL_RATE}"
+                ));
             }
             ArrivalSpec::Bursty { period: 0, .. } => {
                 return Err("arrivals.period must be positive".into());
@@ -813,7 +832,9 @@ impl ScenarioEvents {
             ServiceSpec::Uniform { weight_per_speed } => {
                 if weight_per_speed > 0 {
                     for (node, &speed) in self.speeds.iter().enumerate() {
-                        out.completions.push((node, weight_per_speed * speed));
+                        // A budget beyond u64 completes everything.
+                        let budget = weight_per_speed.saturating_mul(speed);
+                        out.completions.push((node, budget));
                     }
                 }
             }
@@ -1095,6 +1116,67 @@ mod tests {
     }
 
     #[test]
+    fn speed_classes_outside_one_to_64_are_rejected() {
+        // 0 classes divides by zero in the generator; above 64 the shift
+        // `1u64 << class` overflows.
+        for classes in [0, 65, 70, u32::MAX] {
+            let mut s = sample_scenario();
+            s.speeds = SpeedSpec::PowersOfTwo { classes };
+            let err = s.validate().expect_err("out-of-range classes rejected");
+            assert!(err.contains("speeds.classes"), "{classes}: {err}");
+            let err = Scenario::parse(&s.render_pretty()).expect_err("parse validates classes");
+            assert!(err.contains("speeds.classes"), "{classes}: {err}");
+        }
+        for classes in [1, 64] {
+            let mut s = sample_scenario();
+            s.speeds = SpeedSpec::PowersOfTwo { classes };
+            s.validate().expect("classes in 1..=64 are valid");
+        }
+    }
+
+    #[test]
+    fn arrival_rates_must_be_finite_and_bounded() {
+        // An infinite or huge mean never shrinks under the sampler's
+        // `remaining -= 16.0`, so the run would hang before round 0.
+        let poisson = |rate_per_node| ArrivalSpec::Poisson {
+            rate_per_node,
+            max_weight: 1,
+        };
+        let hotspot = |rate| ArrivalSpec::HotSpot {
+            rate,
+            node: 0,
+            max_weight: 1,
+        };
+        let bad = [f64::NAN, f64::INFINITY, 1e300, MAX_ARRIVAL_RATE * 2.0, -1.0];
+        for rate in bad {
+            for (arrivals, field) in [
+                (poisson(rate), "arrivals.rate_per_node"),
+                (hotspot(rate), "arrivals.rate"),
+            ] {
+                let mut s = sample_scenario();
+                s.arrivals = arrivals;
+                let err = s.validate().expect_err("bad rate rejected");
+                assert!(err.contains(field), "{rate}: {err}");
+            }
+        }
+        for rate in [0.0, 0.5, MAX_ARRIVAL_RATE] {
+            for arrivals in [poisson(rate), hotspot(rate)] {
+                let mut s = sample_scenario();
+                s.arrivals = arrivals;
+                s.validate().expect("a bounded rate is valid");
+            }
+        }
+        // `1e400` parses as +inf, which validation rejects.
+        let mut s = sample_scenario();
+        s.churn.clear();
+        let text = s.render_pretty();
+        let text_inf = text.replace(r#""rate_per_node": 0.5"#, r#""rate_per_node": 1e400"#);
+        assert_ne!(text_inf, text, "replacement must hit the document");
+        let err = Scenario::parse(&text_inf).expect_err("an infinite rate fails to parse");
+        assert!(err.contains("arrivals.rate_per_node"), "{err}");
+    }
+
+    #[test]
     fn validation_catches_bad_specs() {
         let mut s = sample_scenario();
         s.rounds = 0;
@@ -1198,5 +1280,26 @@ mod tests {
         events.set_topology(&Speeds::uniform(2));
         events.fill_round(1, &mut out);
         assert_eq!(out.completions, vec![(0, 1), (1, 1)]);
+    }
+
+    #[test]
+    fn completion_budgets_saturate_instead_of_wrapping() {
+        // 2^63 · 2 wrapped to 0 in release builds, so a larger budget
+        // completed less; a budget beyond u64 now completes everything.
+        let scenario = Scenario {
+            arrivals: ArrivalSpec::None,
+            completions: ServiceSpec::Uniform {
+                weight_per_speed: 1 << 63,
+            },
+            ..sample_scenario()
+        };
+        let speeds = Speeds::new(vec![1, 2, 4]).unwrap();
+        let mut events = ScenarioEvents::new(&scenario, &speeds, 0);
+        let mut out = RoundEvents::default();
+        events.fill_round(0, &mut out);
+        assert_eq!(
+            out.completions,
+            vec![(0, 1 << 63), (1, u64::MAX), (2, u64::MAX)]
+        );
     }
 }

@@ -112,7 +112,8 @@ impl SpeedModel {
     ///
     /// # Panics
     ///
-    /// Panics if a `PowersOfTwo` model is asked for 0 classes.
+    /// Panics if a `PowersOfTwo` model is asked for 0 classes or more than
+    /// 64 (its fastest speed, `2^(classes-1)`, must fit in a `u64`).
     pub fn generate(&self, n: usize, rng: &mut impl Rng) -> Speeds {
         let values: Vec<u64> = match *self {
             SpeedModel::Uniform => vec![1; n],
@@ -120,7 +121,10 @@ impl SpeedModel {
                 (0..n).map(|_| rng.gen_range(1..=s_max.max(1))).collect()
             }
             SpeedModel::PowersOfTwo { classes } => {
-                assert!(classes > 0, "need at least one speed class");
+                assert!(
+                    (1..=u64::BITS).contains(&classes),
+                    "need 1..=64 speed classes, got {classes}"
+                );
                 (0..n).map(|i| 1u64 << (i as u32 % classes)).collect()
             }
         };

@@ -271,6 +271,14 @@ proptest! {
                         round
                     );
                     prop_assert_eq!(optimized.dummy_created(), reference.dummy_created());
+                    prop_assert_eq!(
+                        optimized.items_sent(),
+                        reference.items_sent(),
+                        "items sent diverged: {:?} {:?} round {}",
+                        model,
+                        picker,
+                        round
+                    );
                 }
             }
         }
