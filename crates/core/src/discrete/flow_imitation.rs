@@ -145,9 +145,9 @@ impl<A: ContinuousProcess> FlowImitation<A> {
 pub struct Alg1 {
     /// The heaviest task ever seen, owned or not, so the floor rule stays
     /// conservative.
-    wmax: Weight,
+    pub(crate) wmax: Weight,
     /// Which task a queue gives up first.
-    picker: TaskPicker,
+    pub(crate) picker: TaskPicker,
 }
 
 impl Algorithm for Alg1 {
@@ -166,12 +166,17 @@ impl Algorithm for Alg1 {
         let wmax = self.wmax as f64;
         let mut tally = Tally::default();
         for e in edges {
-            let Some(t) = deficits.transfer(e, wmax, &senders.range) else {
+            let deficit = deficits.deficit(e);
+            let magnitude = deficit.abs();
+            if magnitude < wmax {
+                continue;
+            }
+            let Some(t) = deficits.route(e, deficit, &senders.range) else {
                 continue;
             };
             let mut moved: u64 = 0;
             let mut dummy_moved: u64 = 0;
-            while t.magnitude - moved as f64 >= wmax {
+            while magnitude - moved as f64 >= wmax {
                 if let Some(task) = senders.held[t.at].pop() {
                     moved += task.weight();
                     out.tasks.push((e, t.receiver, task));

@@ -58,10 +58,11 @@ pub trait Algorithm: Sized + Sync {
 
     /// Runs round `round`'s rule over `edges` for `senders`, putting every
     /// delivery in the outbox `out`, so a node only forwards what it held at
-    /// the start of the round. Each edge goes through
-    /// `Deficits::transfer` with the smallest deficit the rule can act on,
-    /// read at send time, so edges below it are skipped on their two flow
-    /// entries alone.
+    /// the start of the round. Each edge's deficit is read first
+    /// (`Deficits::deficit`, its two flow entries) and tested by the rule:
+    /// Algorithm 1 skips a deficit below `w_max`, Algorithm 2 one that
+    /// rounds to zero. Only an edge that will send goes through the shared
+    /// routing step (`Deficits::route`), which reads its endpoints.
     fn send(
         &self,
         round: usize,
@@ -136,15 +137,13 @@ pub struct Senders<'a, H> {
     pub(crate) dummy: &'a mut [u64],
 }
 
-/// One edge's transfer this round, oriented by the sign of its flow
-/// deficit `f^A_e(t) − F^D_e(t−1)`.
+/// Where one edge's transfer goes this round, oriented by the sign of its
+/// flow deficit `f^A_e(t) − F^D_e(t−1)`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Transfer {
     /// The sender's index into the range's [`Senders`] slices.
     pub(crate) at: usize,
     pub(crate) receiver: NodeId,
-    /// `|deficit|`.
-    pub(crate) magnitude: f64,
     /// Sign of the ledger delta along the canonical orientation.
     pub(crate) sign: i64,
 }
@@ -166,28 +165,28 @@ impl<'a> Deficits<'a> {
         }
     }
 
-    /// Edge `e`'s transfer, or `None` when its deficit is zero, its
-    /// magnitude is below `floor`, or its sender lies outside `senders`. The
-    /// sign of the deficit picks the sender, so exactly one of the ranges
-    /// incident to an edge processes it.
-    ///
-    /// `floor` is the smallest deficit the algorithm can act on (Algorithm
-    /// 1's `w_max`; `0.0` for Algorithm 2). The deficit is tested against it
-    /// from the two flow arrays alone, so an edge that cannot send costs 16
-    /// bytes of reads and its endpoints are never loaded.
+    /// Edge `e`'s flow deficit `f^A_e(t) − F^D_e(t−1)`, from the twin's
+    /// cumulative flow and the ledger entry alone (16 bytes). A rule tests
+    /// it before it calls [`route`](Self::route), so an edge that cannot
+    /// send never loads its endpoints.
     // lint: zero-alloc
     #[inline]
-    pub(crate) fn transfer(
+    pub(crate) fn deficit(&self, e: EdgeId) -> f64 {
+        self.continuous[e] - self.discrete[e] as f64
+    }
+
+    /// Routes edge `e`'s `deficit`: `None` when it is zero or NaN, or when
+    /// its sender lies outside `senders`. The sign of the deficit picks the
+    /// sender, so exactly one of the ranges incident to an edge processes
+    /// it. This is the only place an edge's endpoints are read.
+    // lint: zero-alloc
+    #[inline]
+    pub(crate) fn route(
         &self,
         e: EdgeId,
-        floor: f64,
+        deficit: f64,
         senders: &Range<NodeId>,
     ) -> Option<Transfer> {
-        let deficit = self.continuous[e] - self.discrete[e] as f64;
-        let magnitude = deficit.abs();
-        if magnitude < floor {
-            return None;
-        }
         // A zero or NaN deficit fails both comparisons.
         let sign = if deficit > 0.0 {
             1
@@ -201,7 +200,6 @@ impl<'a> Deficits<'a> {
         senders.contains(&sender).then(|| Transfer {
             at: sender - senders.start,
             receiver,
-            magnitude,
             sign,
         })
     }
@@ -733,8 +731,8 @@ impl<A: ContinuousProcess, R: Algorithm> DiscreteBalancer for Imitation<A, R> {
     /// of the round, the send rule runs over every edge for every sender
     /// into the engine's own outbox, and delivery applies it. The scan over
     /// all `m` edges reads each edge's twin flow and ledger entry; an edge's
-    /// endpoints are read only when its deficit reaches the algorithm's
-    /// floor (see `Deficits::transfer`).
+    /// endpoints are read only when the algorithm's rule sends over it (see
+    /// [`Algorithm::send`]).
     // lint: zero-alloc
     fn step(&mut self) {
         self.twin.step();
@@ -777,7 +775,11 @@ impl<A: ContinuousProcess, R: Algorithm> DynamicBalancer for Imitation<A, R> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::flow_imitation::Alg1;
+    use super::super::randomized_imitation::{edge_rounding_rng, Alg2};
     use super::*;
+    use crate::task::{TaskPicker, TaskQueue};
+    use rand::Rng;
 
     /// A one-edge ledger: edge 0 joins nodes 0 and 1.
     fn deficits<'a>(continuous: &'a [f64], discrete: &'a [i64]) -> Deficits<'a> {
@@ -788,44 +790,204 @@ mod tests {
         }
     }
 
+    /// Runs `alg`'s rule in round `round` over edge `e` of a ledger whose
+    /// every edge joins nodes 0 and 1 and carries `continuous` against
+    /// `discrete`, for the senders in `range`, each starting from `held`.
+    fn send<R: Algorithm>(
+        alg: &R,
+        round: usize,
+        e: EdgeId,
+        (continuous, discrete): (f64, i64),
+        range: Range<NodeId>,
+        held: impl Fn() -> R::Holding,
+    ) -> SendBatch {
+        let edges = vec![(0, 1); e + 1];
+        let continuous = vec![continuous; e + 1];
+        let discrete = vec![discrete; e + 1];
+        let deficits = Deficits {
+            edges: &edges,
+            continuous: &continuous,
+            discrete: &discrete,
+        };
+        let mut held: Vec<_> = range.clone().map(|_| held()).collect();
+        let mut dummy = vec![0; range.len()];
+        let senders = Senders {
+            range,
+            held: &mut held,
+            dummy: &mut dummy,
+        };
+        let mut out = SendBatch::default();
+        alg.send(round, &deficits, [e], senders, &mut out);
+        out
+    }
+
+    fn alg1(wmax: Weight) -> Alg1 {
+        Alg1 {
+            wmax,
+            picker: TaskPicker::Fifo,
+        }
+    }
+
+    fn no_tasks() -> TaskQueue {
+        TaskQueue::new(TaskPicker::Fifo)
+    }
+
+    /// Algorithm 2's rounding written with `f64::floor`: the oracle its
+    /// integer truncation must match.
+    fn floor_rounded(seed: u64, round: usize, e: EdgeId, magnitude: f64) -> u64 {
+        let floor = magnitude.floor();
+        let fraction = magnitude - floor;
+        let round_up =
+            fraction > 0.0 && edge_rounding_rng(seed, round, e).gen_bool(fraction.min(1.0));
+        floor as u64 + u64::from(round_up)
+    }
+
+    /// The tokens Algorithm 2 moved: `(receiver, real + dummy)` per record.
+    fn moved(out: &SendBatch) -> Vec<(NodeId, u64)> {
+        let tokens = out.tokens.iter();
+        tokens
+            .map(|&(to, real, dummy)| (to, real + dummy))
+            .collect()
+    }
+
     #[test]
     fn a_deficit_at_the_floor_sends() {
-        let t = deficits(&[5.0], &[2])
-            .transfer(0, 3.0, &(0..2))
-            .expect("a deficit of exactly the floor sends");
-        assert_eq!((t.at, t.receiver, t.magnitude, t.sign), (0, 1, 3.0, 1));
+        // Algorithm 1 with w_max 3 on a deficit of exactly 3: node 0 holds
+        // no task, so it sends one dummy unit, which leaves 2 < w_max.
+        let out = send(&alg1(3), 0, 0, (5.0, 2), 0..2, no_tasks);
+        assert_eq!(out.dummy, [(1, 1)]);
+        assert_eq!(out.deltas, [(0, 1)]);
     }
 
     #[test]
     fn a_deficit_just_below_the_floor_does_not_send() {
         let below = f64::from_bits(5.0f64.to_bits() - 1);
         assert!(below - 2.0 < 3.0);
-        assert!(deficits(&[below], &[2]).transfer(0, 3.0, &(0..2)).is_none());
+        let out = send(&alg1(3), 0, 0, (below, 2), 0..2, no_tasks);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn a_zero_or_nan_deficit_does_not_send_even_at_floor_zero() {
-        assert!(deficits(&[2.0], &[2]).transfer(0, 0.0, &(0..2)).is_none());
-        assert!(deficits(&[f64::NAN], &[0])
-            .transfer(0, 0.0, &(0..2))
-            .is_none());
+        for (continuous, discrete) in [([2.0], [2]), ([f64::NAN], [0])] {
+            let ledger = deficits(&continuous, &discrete);
+            assert!(ledger.route(0, ledger.deficit(0), &(0..2)).is_none());
+            let flows = (continuous[0], discrete[0]);
+            assert!(send(&alg1(0), 0, 0, flows, 0..2, no_tasks).is_empty());
+        }
     }
 
     #[test]
     fn a_negative_deficit_sends_from_v_with_sign_minus_one() {
-        let t = deficits(&[-3.5], &[0])
-            .transfer(0, 1.0, &(0..2))
-            .expect("a deficit of magnitude 3.5 clears floor 1");
-        assert_eq!((t.at, t.receiver, t.magnitude, t.sign), (1, 0, 3.5, -1));
+        let ledger = deficits(&[-3.5], &[0]);
+        let t = ledger
+            .route(0, ledger.deficit(0), &(0..2))
+            .expect("a negative deficit routes from v");
+        assert_eq!((t.at, t.receiver, t.sign), (1, 0, -1));
         // Indexed from the range start: node 1 is slot 0 of the range 1..2.
-        let t = deficits(&[-3.5], &[0]).transfer(0, 1.0, &(1..2)).unwrap();
+        let t = ledger.route(0, -3.5, &(1..2)).unwrap();
         assert_eq!(t.at, 0);
     }
 
     #[test]
     fn a_sender_outside_the_range_gives_none() {
         // u = 0 sends a positive deficit, v = 1 a negative one.
-        assert!(deficits(&[4.0], &[0]).transfer(0, 1.0, &(1..2)).is_none());
-        assert!(deficits(&[-4.0], &[0]).transfer(0, 1.0, &(0..1)).is_none());
+        let ledger = deficits(&[0.0], &[0]);
+        assert!(ledger.route(0, 4.0, &(1..2)).is_none());
+        assert!(ledger.route(0, -4.0, &(0..1)).is_none());
+    }
+
+    #[test]
+    fn alg2_sends_an_integer_deficit_whole() {
+        let alg = Alg2 { seed: 42 };
+        for (flows, amount) in [((7.0, 2), 5), ((1.0, 0), 1), ((3.0, -4), 7)] {
+            let out = send(&alg, 3, 0, flows, 0..2, || 2);
+            assert_eq!(moved(&out), [(1, amount)]);
+            assert_eq!(out.deltas, [(0, amount as i64)]);
+        }
+    }
+
+    #[test]
+    fn alg2_rounds_a_fraction_up_exactly_when_the_edge_draw_says_so() {
+        let (mut ups, mut downs) = (0, 0);
+        for seed in [0, 7, 42, 1009] {
+            for round in [0, 1, 5, 77] {
+                for e in [0, 1, 3, 250] {
+                    for fraction in [0.1, 0.5, 0.9] {
+                        let alg = Alg2 { seed };
+                        let out = send(&alg, round, e, (2.0 + fraction, 0), 0..2, || 9);
+                        let up = edge_rounding_rng(seed, round, e).gen_bool(fraction);
+                        let amount = 2 + u64::from(up);
+                        assert_eq!(out.tokens, [(1, amount, 0)], "{seed}/{round}/{e}");
+                        assert_eq!(out.deltas, [(e, amount as i64)]);
+                        if up {
+                            ups += 1;
+                        } else {
+                            downs += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ups > 0 && downs > 0, "the grid rounds both ways");
+    }
+
+    #[test]
+    fn alg2_zero_and_nan_deficits_send_nothing() {
+        let alg = Alg2 { seed: 42 };
+        for flows in [(0.0, 0), (5.0, 5), (f64::NAN, 0), (-f64::NAN, 3)] {
+            assert!(send(&alg, 0, 0, flows, 0..2, || 1).is_empty());
+        }
+        // A fraction that rounds down sends nothing either.
+        let seed = (0..)
+            .find(|&seed| !edge_rounding_rng(seed, 0, 0).gen_bool(0.25))
+            .unwrap();
+        assert!(send(&Alg2 { seed }, 0, 0, (0.25, 0), 0..2, || 1).is_empty());
+    }
+
+    #[test]
+    fn alg2_sends_a_negative_deficit_from_v_with_sign_minus_one() {
+        let out = send(&Alg2 { seed: 1 }, 0, 0, (-4.0, 0), 0..2, || 10);
+        assert_eq!(out.tokens, [(0, 4, 0)]);
+        assert_eq!(out.deltas, [(0, -4)]);
+        // Node 1 is slot 0 of the range 1..2 and pays from its own tokens.
+        let out = send(&Alg2 { seed: 1 }, 0, 0, (0.0, 3), 1..2, || 1);
+        assert_eq!(out.tokens, [(0, 1, 2)]);
+        assert_eq!(out.deltas, [(0, -3)]);
+    }
+
+    #[test]
+    fn alg2_a_sender_outside_the_range_sends_nothing() {
+        let alg = Alg2 { seed: 42 };
+        assert!(send(&alg, 0, 0, (4.0, 0), 1..2, || 9).is_empty());
+        assert!(send(&alg, 0, 0, (-4.0, 0), 0..1, || 9).is_empty());
+    }
+
+    #[test]
+    fn alg2_huge_magnitudes_round_as_floor_does() {
+        let two53 = 2f64.powi(53);
+        let two64 = 2f64.powi(64);
+        let below64 = f64::from_bits(two64.to_bits() - 1);
+        let cases = [
+            two53,
+            2f64.powi(52) + 0.5,
+            below64,
+            two64,
+            two64 * 3.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for magnitude in cases {
+            for (seed, round, e) in [(42, 0, 0), (1009, 9, 4)] {
+                let alg = Alg2 { seed };
+                let expected = floor_rounded(seed, round, e, magnitude);
+                assert_eq!(alg.rounded(round, e, magnitude), expected, "{magnitude}");
+                let out = send(&alg, round, e, (magnitude, 0), 0..2, || 0);
+                assert_eq!(moved(&out), [(1, expected)], "{magnitude}");
+            }
+        }
+        assert_eq!(Alg2 { seed: 0 }.rounded(0, 0, two53), 1 << 53);
+        assert_eq!(Alg2 { seed: 0 }.rounded(0, 0, two64), u64::MAX);
+        assert_eq!(Alg2 { seed: 0 }.rounded(0, 0, f64::INFINITY), u64::MAX);
     }
 }

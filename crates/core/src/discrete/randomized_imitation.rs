@@ -21,6 +21,21 @@
 //! discrepancy is `d/4 + O(√(d·log n))` w.h.p.; with initial load at least
 //! `(d/4 + Θ(√(d·log n)))·s_i` per node the max-min discrepancy is
 //! `O(√(d·log n))` w.h.p.
+//!
+//! # Hot path
+//!
+//! The per-edge rule is written once, as [`Alg2`]'s [`Algorithm::send`];
+//! [`RandomizedImitation`] is the shared engine of [`super::imitation`]
+//! running it, and its sequential, sharded and federated steps are that
+//! engine's. Per edge, the send loop reads the twin's cumulative flow and
+//! the ledger entry (16 bytes) and rounds the deficit first: the whole part
+//! is an integer truncation (no libm `floor` call), and a non-zero fraction
+//! draws from the edge's own [`edge_rounding_rng`]. Only when the rounded
+//! amount is non-zero does it read the edge's endpoints and route the
+//! tokens; most deficits of a balanced run round to zero. Because a draw
+//! depends only on `(seed, round, edge)`, rounding before the routing test
+//! takes the same decisions as routing first, so every executor keeps the
+//! same trajectory.
 
 use super::imitation::{Algorithm, CommonState, Deficits, Holding, Imitation, Senders, Tally};
 use crate::continuous::ContinuousProcess;
@@ -130,7 +145,30 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
 #[derive(Debug, Clone)]
 pub struct Alg2 {
     /// Master seed; every rounding decision derives its own sub-RNG from it.
-    seed: u64,
+    pub(crate) seed: u64,
+}
+
+impl Alg2 {
+    /// `magnitude` rounded at random in round `round`: its whole part, plus
+    /// one with probability equal to its fractional part, drawn from edge
+    /// `e`'s own [`edge_rounding_rng`].
+    ///
+    /// The whole part is an `as` truncation, not `f64::floor`, which the
+    /// baseline x86-64 target compiles to a libm call. For a non-negative
+    /// magnitude below 2^64 the two agree bit for bit, fraction included.
+    /// At or above 2^64, and at +∞, the cast saturates to `u64::MAX` and so
+    /// does the sum, as `floor` followed by the saturating cast gives. A NaN
+    /// truncates to 0 and its NaN fraction fails `> 0.0`, so it never
+    /// reaches `gen_bool`.
+    // lint: zero-alloc
+    #[inline]
+    pub(crate) fn rounded(&self, round: usize, e: EdgeId, magnitude: f64) -> u64 {
+        let whole = magnitude as u64;
+        let fraction = magnitude - whole as f64;
+        let round_up =
+            fraction > 0.0 && edge_rounding_rng(self.seed, round, e).gen_bool(fraction.min(1.0));
+        whole.saturating_add(u64::from(round_up))
+    }
 }
 
 impl Algorithm for Alg2 {
@@ -148,17 +186,14 @@ impl Algorithm for Alg2 {
     ) -> Tally {
         let mut tally = Tally::default();
         for e in edges {
-            let Some(t) = deficits.transfer(e, 0.0, &senders.range) else {
-                continue;
-            };
-            let floor = t.magnitude.floor();
-            let fraction = t.magnitude - floor;
-            let round_up = fraction > 0.0
-                && edge_rounding_rng(self.seed, round, e).gen_bool(fraction.min(1.0));
-            let amount = floor as u64 + u64::from(round_up);
+            let deficit = deficits.deficit(e);
+            let amount = self.rounded(round, e, deficit.abs());
             if amount == 0 {
                 continue;
             }
+            let Some(t) = deficits.route(e, deficit, &senders.range) else {
+                continue;
+            };
             let real = amount.min(senders.held[t.at]);
             senders.held[t.at] -= real;
             let dummy = amount - real;
